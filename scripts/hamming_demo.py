@@ -22,7 +22,6 @@ def main() -> None:
     parser.add_argument("--code-dim", type=int, default=2)
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=505)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     dim = 2**args.qubits
@@ -31,8 +30,7 @@ def main() -> None:
     ch = qch.random_unitary_channel(unitaries, name=f"{args.qubits}-qubit mixture")
 
     analytic = rc.averaged_fidelity_bound(ch, args.code_dim)
-    est = rc.mc_average_bound(ch, args.code_dim, args.samples, args.seed,
-                              threads=args.threads)
+    est = rc.mc_average_bound(ch, args.code_dim, args.samples, args.seed)
     closed = 1.0 - math.sqrt(args.code_dim * 2 / dim)
 
     print(f"channel: {ch.name}, |Q'| = {dim}, |N| = {qch.minimal_length(ch)}")

@@ -385,20 +385,3 @@ def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
     return kraus_from_isometry(v, kraus_count, name=name, require_trace_preserving=True)
 
-
-_BUILDERS = {
-    "identity": identity_channel,
-    "phase_flip": phase_flip,
-    "depolarizing": depolarizing,
-    "random_unitary": random_unitary_channel,
-    "haar_random": haar_random_channel,
-}
-
-
-def make_channel(kind: str, **params) -> KrausChannel:
-    """Dispatch to the named constructor; see _BUILDERS for the accepted kinds."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind {kind!r}; choose from {sorted(_BUILDERS)}")
-    return builder(**params)

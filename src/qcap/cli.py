@@ -7,8 +7,13 @@
 
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
-byte-identical output for any thread count.  Exit codes: 0 success, 2 input
-error, 3 domain invariant violation, 4 resource cap exceeded.
+byte-identical output.  Exit codes: 0 success, 2 input error, 3 domain
+invariant violation, 4 resource cap exceeded.
+
+Sampling is serial.  ``--threads`` is accepted (and must be >= 1) so that
+existing command lines keep working, but it has no effect: a thread pool
+over Monte Carlo samples never beat the serial loop on a 2-core host (see
+`qcap.random_coding`), so it was removed.
 """
 
 from __future__ import annotations
@@ -62,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; sampling is serial")
     return parser
 
 
@@ -152,6 +158,13 @@ def _require(config: RunConfig, **fields) -> None:
             raise ValueError(f"{config.subcommand} requires {flag}")
 
 
+def _epsilon(config: RunConfig) -> float:
+    _require(config, epsilon="--epsilon")
+    if not config.epsilon > 0.0:
+        raise ValueError("--epsilon must be positive")
+    return config.epsilon
+
+
 def _n_range(config: RunConfig) -> range:
     _require(config, n_min="--n-min", n_max="--n-max")
     if config.n_min < 1 or config.n_max < config.n_min:
@@ -193,10 +206,10 @@ def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
     _require(config, code_dim="--code-dim", samples="--samples")
     k, n, seed = config.code_dim, config.samples, config.master_seed
-    d2_mc = rc.mc_deviation_sq(ch, k, n, seed, threads=config.threads)
+    d2_mc = rc.mc_deviation_sq(ch, k, n, seed)
     d2_exact = rc.exact_average_deviation_sq(ch, k)
     d2_pass = abs(d2_mc.mean - d2_exact) <= max(4.0 * d2_mc.std_error, 1e-12)
-    bound_mc = rc.mc_average_bound(ch, k, n, seed, threads=config.threads)
+    bound_mc = rc.mc_average_bound(ch, k, n, seed)
     bound_analytic = rc.averaged_fidelity_bound(ch, k)
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
     d2_upper = rc.deviation_sq_upper_bound(ch)
@@ -219,8 +232,7 @@ def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
 def cmd_moments(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
     _require(config, samples="--samples")
-    report = rc.haar_moment_suite(ch.input_dim, config.samples, config.master_seed,
-                                  threads=config.threads)
+    report = rc.haar_moment_suite(ch.input_dim, config.samples, config.master_seed)
     record = {"config": _config_record(config), "report": asdict(report),
               "all_pass": report.all_pass}
     header = ["name", "estimate", "std_error", "target", "passed"]
@@ -230,11 +242,11 @@ def cmd_moments(config: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
-    _require(config, epsilon="--epsilon")
+    eps = _epsilon(config)
     ns = _n_range(config)
     weights = tp.kraus_distribution(qch.minimal_kraus(ch))
-    seq_reports, seq_fit = tp.typical_set_series(weights, config.epsilon, ns)
-    verification = tp.verify_reduction_bounds(ch, ns, config.epsilon)
+    seq_reports, seq_fit = tp.typical_set_series(weights, eps, ns)
+    verification = tp.verify_reduction_bounds(ch, ns, eps)
     record = {
         "config": _config_record(config),
         "kraus_weights": list(map(float, weights)),
@@ -259,9 +271,10 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
 
 def cmd_rate_demo(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
-    _require(config, rate="--rate", epsilon="--epsilon")
+    _require(config, rate="--rate")
+    eps = _epsilon(config)
     ns = _n_range(config)
-    table = tp.achievable_rate_table(ch, config.rate, config.epsilon, ns)
+    table = tp.achievable_rate_table(ch, config.rate, eps, ns)
     record = {
         "config": _config_record(config),
         "coherent_information": table.coherent_information,

@@ -27,7 +27,7 @@ never computed here; the bounds above plus the recovery witnesses in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,44 +115,41 @@ def average_fidelity_from_fe(code_dim: int, fe: float) -> float:
     return (code_dim * fe + 1.0) / (code_dim + 1.0)
 
 
-def _compressed_gram_blocks(code: CodeSubspace, ch: KrausChannel) -> tuple[np.ndarray, float]:
-    """(N, N, K, K) array of code-basis compressions B^t A_i^dagger A_j B, plus p.
+def _deviation(code: CodeSubspace, ch: KrausChannel, *,
+               dense: bool) -> tuple[float, float, np.ndarray | None]:
+    """The one D kernel: (p, ||D||_F^2, D or None) from one compressed-Gram contraction.
 
-    p = tr N(pi_C) = (1/K) sum_i ||A_i B||_F^2 comes for free from the same
-    intermediates.
+    W_ij = B^dagger A_i^dagger A_j B is formed in the K-dimensional code
+    basis, p = tr N(pi_C) = (1/K) sum_i ||A_i B||_F^2 comes from the same
+    intermediates, and ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].
+    With ``dense`` the Hermitian (K*N) x (K*N) operator D is assembled too:
+    block (i, j) is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
     """
     if ch.input_dim != code.ambient_dim:
         raise ValueError("code ambient dimension does not match channel input")
-    stack = kraus_stack(ch)
-    ab = stack @ code.basis                        # (N, out, K)
+    k, n = code.code_dim, len(ch)
+    ab = kraus_stack(ch) @ code.basis              # (N, out, K)
     blocks = np.einsum("ial,jam->ijlm", ab.conj(), ab, optimize=True)
-    p = float(np.sum(np.abs(ab) ** 2)) / code.code_dim
-    return blocks, p
-
-
-def deviation_operator(code: CodeSubspace, ch: KrausChannel) -> np.ndarray:
-    """The Hermitian (K*N) x (K*N) block operator whose trace norm bounds recoverability.
-
-    Block (i, j) in the code basis is (W_ij - tr(W_ij)/K) / K with
-    W_ij = B^dagger A_i^dagger A_j B; every block is traceless.
-    """
-    blocks, _ = _compressed_gram_blocks(code, ch)
-    k = code.code_dim
-    n = len(ch)
+    p = float(np.sum(np.abs(ab) ** 2)) / k
     traces = np.einsum("ijll->ij", blocks)
+    fro_sq = float(np.real(np.sum(np.abs(blocks) ** 2) / k**2
+                           - np.sum(np.abs(traces) ** 2) / k**3))
+    if not dense:
+        return p, fro_sq, None
     eye = np.eye(k, dtype=np.complex128)
     dev = (blocks - traces[:, :, None, None] * eye / k) / k
     d = dev.transpose(2, 0, 3, 1).reshape(k * n, k * n)
-    return (d + d.conj().T) / 2
+    return p, fro_sq, (d + d.conj().T) / 2
+
+
+def deviation_operator(code: CodeSubspace, ch: KrausChannel) -> np.ndarray:
+    """The Hermitian (K*N) x (K*N) block operator whose trace norm bounds recoverability."""
+    return _deviation(code, ch, dense=True)[2]
 
 
 def deviation_frobenius_sq(code: CodeSubspace, ch: KrausChannel) -> float:
-    """||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ]."""
-    blocks, _ = _compressed_gram_blocks(code, ch)
-    k = code.code_dim
-    traces = np.einsum("ijll->ij", blocks)
-    total = np.sum(np.abs(blocks) ** 2) / k**2 - np.sum(np.abs(traces) ** 2) / k**3
-    return float(np.real(total))
+    """||D||_F^2, without assembling D."""
+    return _deviation(code, ch, dense=False)[1]
 
 
 @dataclass(frozen=True)
@@ -175,17 +172,8 @@ class BoundReport:
 
 def fidelity_bound_kraus(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     """Kraus-form lower bound p - ||D||_1 on the code entanglement fidelity."""
-    blocks, p = _compressed_gram_blocks(code, ch)
-    k = code.code_dim
-    n = len(ch)
-    traces = np.einsum("ijll->ij", blocks)
-    eye = np.eye(k, dtype=np.complex128)
-    dev = (blocks - traces[:, :, None, None] * eye / k) / k
-    d = dev.transpose(2, 0, 3, 1).reshape(k * n, k * n)
-    d = (d + d.conj().T) / 2
+    p, fro_sq, d = _deviation(code, ch, dense=True)
     trace_norm_d = float(np.sum(np.abs(np.linalg.eigvalsh(d))))
-    fro_sq = float(np.real(np.sum(np.abs(blocks) ** 2) / k**2
-                           - np.sum(np.abs(traces) ** 2) / k**3))
     return BoundReport(
         transmission=p,
         deviation_trace_norm=trace_norm_d,
@@ -224,15 +212,8 @@ def fidelity_bound_states(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
 
 def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     """Both bound forms in one record; they agree within 1e-9."""
-    kr = fidelity_bound_kraus(code, ch)
-    st = fidelity_bound_states(code, ch)
-    return BoundReport(
-        transmission=kr.transmission,
-        deviation_trace_norm=kr.deviation_trace_norm,
-        deviation_frobenius_sq=kr.deviation_frobenius_sq,
-        bound_kraus=kr.bound_kraus,
-        bound_states=st.bound_states,
-    )
+    return replace(fidelity_bound_kraus(code, ch),
+                   bound_states=fidelity_bound_states(code, ch).bound_states)
 
 
 # ------------------------------------------------------------------ recovery witnesses

@@ -206,25 +206,16 @@ def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a unitary from the Haar measure on U(dim).
-
-    QR of a complex Ginibre matrix, with the R-diagonal phases divided out;
-    without that correction the raw QR output is not Haar distributed.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+    """Draw a unitary from the Haar measure on U(dim): a square `haar_isometry`."""
+    return haar_isometry(dim, dim, rng)
 
 
 def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First ``cols`` columns of a Haar unitary, drawn directly.
 
-    Reduced QR of a (dim, cols) Ginibre matrix with the same phase fix as
-    `haar_unitary`; the resulting isometry is unitarily invariant.
+    Reduced QR of a (dim, cols) complex Ginibre matrix, with the R-diagonal
+    phases divided out; without that correction the raw QR output is not
+    Haar distributed.  The resulting isometry is unitarily invariant.
     """
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")

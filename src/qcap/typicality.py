@@ -310,11 +310,6 @@ def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
     )
 
 
-def typical_projector(rho, n: int, eps: float) -> np.ndarray:
-    """Dense projector convenience wrapper around `typical_subspace`."""
-    return typical_subspace(rho, n, eps).projector()
-
-
 # ------------------------------------------------------------------ Kraus weight distribution
 
 def kraus_distribution(ch: KrausChannel) -> np.ndarray:
@@ -617,8 +612,10 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     The paper-level criterion R + 4 eps < I(pi, N) decides whether the
     analytic penalty majorant decays geometrically in n.
     """
-    if rate < 0.0:
-        raise ValueError("rate must be nonnegative")
+    # A K_n-dimensional code lives inside the M^n-dimensional input, so R <= log2 M.
+    max_rate = math.log2(ch.input_dim)
+    if not 0.0 <= rate <= max_rate:
+        raise ValueError(f"rate must lie in [0, log2 M] = [0, {max_rate:g}], got {rate:g}")
     base, weights = _typical_base(ch)
     entropy_exchange_rate = linalg.shannon_entropy(weights)
     rho_out = apply(base, linalg.max_mixed(base.input_dim))

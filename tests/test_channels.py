@@ -316,7 +316,7 @@ def test_phase_flip_zero_is_identity():
 
 
 def test_depolarizing_full_noise(rng):
-    ch = qch.make_channel("depolarizing", p=1.0)
+    ch = qch.depolarizing(1.0)
     for _ in range(5):
         rho = linalg.random_density(2, rng)
         assert np.allclose(qch.apply(ch, rho), linalg.max_mixed(2), atol=1e-12)
@@ -339,15 +339,10 @@ def test_depolarizing_general_dim(rng):
 
 def test_random_unitary_mixture_length(rng):
     us = [linalg.haar_unitary(4, rng) for _ in range(2)]
-    ch = qch.make_channel("random_unitary", unitaries=us, probs=[0.5, 0.5])
+    ch = qch.random_unitary_channel(us, probs=[0.5, 0.5])
     assert qch.minimal_length(ch) == 2
 
 
-def test_make_channel_rejects_unknown():
-    with pytest.raises(ValueError):
-        qch.make_channel("squeeze", r=1.0)
-
-
 def test_make_channel_haar_random(rng):
-    ch = qch.make_channel("haar_random", input_dim=2, output_dim=2, kraus_count=2, rng=rng)
+    ch = qch.haar_random_channel(2, 2, 2, rng)
     assert qch.is_trace_preserving(ch)

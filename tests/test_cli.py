@@ -147,6 +147,40 @@ def test_exit_4_cap_exceeded(capsys):
     assert code == 4 and "error" in err
 
 
+def test_unknown_builtin_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, "info", "--channel", "builtin:squeeze:1", "--seed", "0")
+    assert code == 2
+    assert err.count("\n") == 1 and "squeeze" in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-0.1"])
+@pytest.mark.parametrize("subcommand, extra", [
+    ("typicality", []),
+    ("rate-demo", ["--rate", "0.1"]),
+], ids=["typicality", "rate-demo"])
+def test_nonpositive_epsilon_is_an_input_error(capsys, subcommand, extra, epsilon):
+    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25",
+                             *extra, "--epsilon", epsilon, "--n-min", "2", "--n-max", "4",
+                             "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--epsilon" in err
+
+
+def test_moments_without_samples_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "moments", "--channel", "builtin:identity:2",
+                             "--samples", "0", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "sample_count" in err
+
+
+def test_rate_above_log2_input_dim_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "rate-demo", "--channel", "builtin:phase_flip:0.25",
+                             "--rate", "200", "--epsilon", "0.1", "--n-min", "2",
+                             "--n-max", "6", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "rate" in err
+
+
 def test_seed_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["info", "--channel", "builtin:identity:2"])

@@ -26,20 +26,6 @@ def test_sample_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
-def test_mc_thread_count_does_not_change_bits():
-    ch = qch.phase_flip(0.25)
-    serial = rc.mc_average_bound(ch, 1, 64, master_seed=5, threads=1)
-    threaded = rc.mc_average_bound(ch, 1, 64, master_seed=5, threads=4)
-    assert serial == threaded
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(InvariantViolationError):
-        rc.EnsembleSpec(ambient_dim=2, code_dim=3, sample_count=10, master_seed=0)
-    with pytest.raises(InvariantViolationError):
-        rc.EnsembleSpec(ambient_dim=2, code_dim=2, sample_count=0, master_seed=0)
-
-
 # ---------------------------------------------------------------- sample_code
 
 def test_sample_code_full_dimension_is_uniform():
