@@ -3,15 +3,19 @@
 Counting and probability mass over length-n sequences are computed through
 type classes (symbol-count compositions): a sequence's probability depends
 only on its composition, so reports stay polynomial in n even when the
-sequence space is exponential.  Dense enumeration and dense operators are
-used only under explicit caps.
+sequence space is exponential.  Class masses are summed in the log domain,
+so counts far beyond the float range do not overflow.  Explicit sequence
+lists and dense operators are produced only under explicit caps.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel: keep only the Kraus products whose weight is typical for
 the per-use Kraus weight distribution, then project the output onto the
 typical subspace of the single-use output state.  Reduced channels are held
 in structured form (base factors, factor-index sequences, optional output
-projector); dense Kraus matrices are materialized lazily.
+projector); dense Kraus matrices are materialized lazily.  Reduced-channel
+reports never enumerate sequences: the sum of Kronecker products over all
+typical Kraus sequences is built class by class, from prefix-composition
+sums over the two halves of the block joined in one contraction.
 
 All typicality inequalities are inclusive (<=), and count-versus-bound
 checks compare exact integer counts against real bounds.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,6 +138,16 @@ def _power_of_two(exponent: float) -> float:
         return math.inf
 
 
+def _class_mass(classes) -> float:
+    """Total probability of the given type classes, each term in the log domain.
+
+    count * 2^log2p is formed as 2^(log2 count + log2p): the count alone may
+    exceed the float range while the class mass never exceeds 1.
+    """
+    return math.fsum(2.0 ** (math.log2(c.sequence_count) + c.log2_probability)
+                     for c in classes)
+
+
 def _typical_classes(weights, n: int, eps: float) -> tuple[float, list[TypeClass]]:
     """Entropy and the typical type classes of the product distribution.
 
@@ -161,7 +176,7 @@ def typical_sequences(spec: TypicalSetSpec) -> TypicalSetReport:
     """Exact count and probability mass of the typical set, via type classes."""
     entropy, classes = _typical_classes(spec.weights, spec.block_length, spec.epsilon)
     count = sum(c.sequence_count for c in classes)
-    mass = math.fsum(c.sequence_count * 2.0**c.log2_probability for c in classes)
+    mass = _class_mass(classes)
     bound = _power_of_two(spec.block_length * (entropy + spec.epsilon))
     return TypicalSetReport(typical_count=count, count_bound=bound,
                             mass=mass, entropy=entropy)
@@ -302,7 +317,7 @@ def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
     w = w / float(np.sum(w))
     entropy, classes = _typical_classes(w, n, eps)
     rank = sum(c.sequence_count for c in classes)
-    mass = math.fsum(c.sequence_count * 2.0**c.log2_probability for c in classes)
+    mass = _class_mass(classes)
     return TypicalSubspace(
         eigenvalues=w, eigenvectors=v, n=n, epsilon=eps, entropy=entropy,
         classes=tuple(classes), rank=rank,
@@ -367,7 +382,7 @@ class ProductChannel:
 
     def uniform_input_transmission(self) -> float:
         """Exact tr of the (unprojected) typical channel at the uniform input."""
-        return math.fsum(c.sequence_count * 2.0**c.log2_probability for c in self.classes)
+        return _class_mass(self.classes)
 
     def _check_materializable(self) -> None:
         linalg.check_dimension(self.input_dim)
@@ -474,19 +489,65 @@ def _output_factor_matrices(base: KrausChannel, basis: np.ndarray) -> np.ndarray
     return rotated / base.input_dim
 
 
+def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
+    """Sum over all sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
+
+    `factors` is an (N, M') stack of vectors or an (N, M', M') stack of
+    matrices; the result is the matching M'^n vector or M'^n x M'^n matrix
+    (first factor major).  S_m(c), the sum over length-m sequences of
+    composition c, obeys S_m(c) = sum_j S_(m-1)(c - e_j) (x) F_j; only
+    compositions below some typical class are kept.  A sequence of type T
+    splits into a prefix of length h = n // 2 and type c <= T and a suffix
+    of type T - c, so the sum is sum_c S_h(c) (x) sum_{T >= c} S_r(T - c)
+    with r = n - h.  The recursion stops at level r, so the blocks it sums
+    have at most M'^r entries per axis; the halves are joined in one
+    contraction.
+    """
+    tops = [cls.counts for cls in classes]
+    h, r = n // 2, n - n // 2
+    level = {(0,) * len(factors): np.ones((1,) * (factors.ndim - 1), dtype=factors.dtype)}
+    halves = {0: level}
+    for m in range(1, r + 1):
+        grown_level: dict = {}
+        for comp, block in level.items():
+            for j, factor in enumerate(factors):
+                grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
+                if not any(all(map(int.__le__, grown, top)) for top in tops):
+                    continue
+                term = np.kron(block, factor)
+                if grown in grown_level:
+                    grown_level[grown] += term
+                else:
+                    grown_level[grown] = term
+        level = grown_level
+        if m in (h, r):
+            halves[m] = level
+    rights = [sum(halves[r][tuple(map(int.__sub__, top, comp))] for top in tops
+                  if all(map(int.__le__, comp, top)))
+              for comp in halves[h]]
+    joined = np.tensordot(np.stack(list(halves[h].values())), np.stack(rights), axes=(0, 0))
+    k = factors.ndim - 1
+    interleave = [axis for pair in zip(range(k), range(k, 2 * k)) for axis in pair]
+    return joined.transpose(interleave).reshape(
+        [a * b for a, b in zip(joined.shape[:k], joined.shape[k:])])
+
+
 def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChannelReport:
     """Transmission and output-norm summary of the reduced block channel.
 
     Works in the eigenbasis of the single-use output state, where the
     typical projector is diagonal; when every factor matrix is diagonal
     there too (unitary-mixture channels and friends), only vectors of
-    length M'^n are ever formed.
+    length M'^n are ever formed, otherwise M'^n x M'^n matrices under
+    DENSE_OUTPUT_CAP.  The sum over typical Kraus sequences is never
+    enumerated: `_sequence_sum` builds it class by class from composition
+    sums over the two halves of the block, so the typical-set size is not
+    capped, only the output dimension.
     """
     base, weights = _typical_base(ch)
     entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
     count = sum(c.sequence_count for c in classes)
-    typical_transmission = math.fsum(
-        c.sequence_count * 2.0**c.log2_probability for c in classes)
+    typical_transmission = _class_mass(classes)
 
     rho_out = apply(base, linalg.max_mixed(base.input_dim))
     output_entropy = linalg.von_neumann_entropy(rho_out)
@@ -501,8 +562,6 @@ def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChann
             typical_transmission=0.0, transmission=0.0,
             frobenius_sq=0.0, frobenius_bound=frobenius_bound)
 
-    if count > SEQUENCE_ENUM_CAP:
-        raise CapExceededError(f"{count} typical sequences exceed the enumeration cap")
     factors = _output_factor_matrices(base, subspace.eigenvectors)
     offdiag = factors - np.einsum("jab,ab->jab", factors,
                                   np.eye(base.output_dim))
@@ -510,27 +569,14 @@ def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChann
 
     if np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300):
         diags = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
-        dvec = np.zeros(subspace.block_dim)
-        for cls in classes:
-            for seq in _multiset_permutations(cls.counts):
-                vec = diags[seq[0]]
-                for j in seq[1:]:
-                    vec = np.kron(vec, diags[j])
-                dvec += vec
-        transmission = float(np.sum(dvec[ind]))
-        frobenius_sq = float(np.sum(dvec[ind] ** 2))
+        kept = _sequence_sum(diags, classes, n)[ind]
+        transmission = float(np.sum(kept))
+        frobenius_sq = float(np.sum(kept ** 2))
     else:
         if subspace.block_dim > DENSE_OUTPUT_CAP:
             raise CapExceededError(
                 f"dense block output dimension {subspace.block_dim} exceeds cap")
-        x = np.zeros((subspace.block_dim, subspace.block_dim), dtype=np.complex128)
-        for cls in classes:
-            for seq in _multiset_permutations(cls.counts):
-                op = factors[seq[0]]
-                for j in seq[1:]:
-                    op = np.kron(op, factors[j])
-                x += op
-        kept = x[np.ix_(ind, ind)]
+        kept = _sequence_sum(factors, classes, n)[np.ix_(ind, ind)]
         transmission = float(np.real(np.trace(kept)))
         frobenius_sq = float(np.sum(np.abs(kept) ** 2))
 
@@ -616,6 +662,12 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     max_rate = math.log2(ch.input_dim)
     if not 0.0 <= rate <= max_rate:
         raise ValueError(f"rate must lie in [0, log2 M] = [0, {max_rate:g}], got {rate:g}")
+    ns = [int(n) for n in ns]
+    # K_n = floor(2^(nR)) must be a finite float before any report is built.
+    top = max(ns, default=0)
+    if top * rate >= sys.float_info.max_exp:
+        raise CapExceededError(
+            f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
     base, weights = _typical_base(ch)
     entropy_exchange_rate = linalg.shannon_entropy(weights)
     rho_out = apply(base, linalg.max_mixed(base.input_dim))
@@ -624,7 +676,6 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     exponent_rate = rate + entropy_exchange_rate - output_entropy + 4.0 * eps
     rows = []
     for n in ns:
-        n = int(n)
         rep = reduced_channel_report(ch, n, eps)
         code_dim = int(math.floor(2.0 ** (n * rate)))
         penalty = math.sqrt(code_dim * rep.length) * math.sqrt(rep.frobenius_sq)

@@ -181,6 +181,20 @@ def test_rate_above_log2_input_dim_is_an_input_error(capsys):
     assert err.count("\n") == 1 and "rate" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # code dimensions 2^1030 and 2^1025 are beyond the float range
+    ("rate-demo", "--rate", "1", "--epsilon", "0.001", "--n-min", "1030", "--n-max", "1030"),
+    ("rate-demo", "--rate", "1", "--epsilon", "0.0001", "--n-min", "1025", "--n-max", "1025"),
+    # class counts beyond the float range: masses in the log domain, then the dimension cap
+    ("typicality", "--epsilon", "0.001", "--n-min", "1100", "--n-max", "1100"),
+], ids=["rate-demo-1030", "rate-demo-1025", "typicality-1100"])
+def test_large_block_length_is_a_cap(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--channel", "builtin:phase_flip:0.25",
+                             *argv[1:], "--seed", "0")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_seed_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["info", "--channel", "builtin:identity:2"])

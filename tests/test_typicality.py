@@ -1,14 +1,16 @@
 """Typical sequences/subspaces and reduced block channels, with dense oracles."""
 
+import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import codes, linalg
+from qcap import cli, codes, linalg
 from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
 
@@ -89,6 +91,13 @@ def test_type_classes_match_brute_force(seed, n, alphabet, eps):
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         tp.enumerate_typical_sequences(spec((0.5, 0.5), 20, 0.5))
+
+
+def test_mass_beyond_float_counts():
+    # 2^1100 sequences: the count overflows a float, the log-domain mass does not
+    rep = tp.typical_sequences(spec((0.5, 0.5), 1100, 0.1))
+    assert rep.typical_count == 2**1100
+    assert rep.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_grows_with_block_length():
@@ -283,6 +292,37 @@ def test_reduced_report_dense_oracle_nondiagonal(rng):
         assert rep.frobenius_sq == pytest.approx(float(np.sum(np.abs(out) ** 2)), abs=1e-10)
 
 
+@pytest.mark.parametrize("channel, diagonal, ns", [
+    ("builtin:haar_random:2,2,3,1", False, (1, 3, 5, 8, 9)),   # 2 classes at n=5, 8; 3 at n=9
+    ("builtin:phase_flip:0.25", True, (4, 5, 7, 8)),           # one class each
+    ("builtin:depolarizing:0.3", True, (4, 5, 8, 9)),          # 3 and 6 classes
+])
+def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
+    base, weights = tp._typical_base(cli._parse_builtin(channel, 0))
+    rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
+    factors = tp._output_factor_matrices(base, linalg.eigh(rho_out)[1])
+    if diagonal:
+        factors = np.real(np.einsum("jaa->ja", factors))
+    for n in ns:
+        _, classes = tp._typical_classes(weights, n, 0.1)
+        if not classes:
+            continue
+        oracle = sum(functools.reduce(np.kron, factors[list(seq)])
+                     for cls in classes for seq in tp._multiset_permutations(cls.counts))
+        got = tp._sequence_sum(factors, classes, n)
+        assert got.shape == oracle.shape
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_reduced_report_beyond_sequence_cap():
+    # 91,728 typical Kraus sequences: summed by type class, never enumerated
+    start = time.perf_counter()
+    rep = tp.reduced_channel_report(qch.depolarizing(0.3), 14, 0.3)
+    assert time.perf_counter() - start < 1.0
+    assert rep.length == 91728 > tp.SEQUENCE_ENUM_CAP
+    assert rep.counts_within_bound and rep.norm_within_bound
+
+
 def test_reduced_transmission_lower_bound():
     # tr reduced >= subspace mass - (1 - typical mass)
     ch = qch.phase_flip(0.25)
@@ -340,6 +380,11 @@ def test_rate_table_identity_bound_approaches_one():
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
     assert bounds[-1] > 0.89
     assert table.rows[-1].transmission == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rate_table_rejects_code_dim_beyond_floats():
+    with pytest.raises(CapExceededError, match="code dimension"):
+        tp.achievable_rate_table(qch.phase_flip(0.25), 1.0, 0.1, [2, 1024])
 
 
 def test_rate_table_code_dims():
