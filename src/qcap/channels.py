@@ -76,8 +76,8 @@ def kraus_stack(ch: KrausChannel) -> np.ndarray:
 
 def completeness_defect_bounds(ch: KrausChannel) -> tuple[float, float]:
     """(min, max) eigenvalue of sum A^dagger A - 1."""
-    stack = kraus_stack(ch)
-    total = np.einsum("kab,kac->bc", stack.conj(), stack)
+    flat = kraus_stack(ch).reshape(-1, ch.input_dim)
+    total = flat.conj().T @ flat
     w = np.linalg.eigvalsh(total - np.eye(ch.input_dim))
     return float(w[0]), float(w[-1])
 
@@ -92,9 +92,7 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     rho = linalg.as_matrix(rho)
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError(f"state shape {rho.shape} != channel input dim {ch.input_dim}")
-    stack = kraus_stack(ch)
-    tmp = stack @ rho
-    return np.einsum("kab,kcb->ac", tmp, stack.conj())
+    return sum((a @ rho) @ a.conj().T for a in ch.kraus_ops)
 
 
 def transmission_probability(ch: KrausChannel, rho) -> float:

@@ -190,6 +190,8 @@ def cmd_bound(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
     _require(config, code_dim="--code-dim")
     samples = config.samples if config.samples is not None else 1
+    if samples < 1:
+        raise ValueError("sample_count must be >= 1")
     reports = []
     for i in range(samples):
         code = rc.sample_code(ch.input_dim, config.code_dim, rc.sample_stream(config.master_seed, i))

@@ -115,41 +115,53 @@ def average_fidelity_from_fe(code_dim: int, fe: float) -> float:
     return (code_dim * fe + 1.0) / (code_dim + 1.0)
 
 
-def _deviation(code: CodeSubspace, ch: KrausChannel, *,
-               dense: bool) -> tuple[float, float, np.ndarray | None]:
-    """The one D kernel: (p, ||D||_F^2, D or None) from one compressed-Gram contraction.
+def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
+                     dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The one D kernel, over an (S, M, K) stack of code bases.
 
-    W_ij = B^dagger A_i^dagger A_j B is formed in the K-dimensional code
-    basis, p = tr N(pi_C) = (1/K) sum_i ||A_i B||_F^2 comes from the same
-    intermediates, and ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].
-    With ``dense`` the Hermitian (K*N) x (K*N) operator D is assembled too:
-    block (i, j) is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
+    Returns length-S arrays of p and ||D||_F^2 and, with ``dense``, the
+    (S, K*N, K*N) stack of Hermitian D.  W_ij = B^dagger A_i^dagger A_j B is
+    formed in the K-dimensional code basis, p = tr N(pi_C) = (1/K) sum_i
+    ||A_i B||_F^2 comes from the same intermediates, and
+    ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
+    (i, j) of D is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
+    Each code gets its own matrix products, so its bits do not depend on S.
     """
-    if ch.input_dim != code.ambient_dim:
+    s, m, k = bases.shape
+    if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
-    k, n = code.code_dim, len(ch)
-    ab = kraus_stack(ch) @ code.basis              # (N, out, K)
-    blocks = np.einsum("ial,jam->ijlm", ab.conj(), ab, optimize=True)
-    p = float(np.sum(np.abs(ab) ** 2)) / k
-    traces = np.einsum("ijll->ij", blocks)
-    fro_sq = float(np.real(np.sum(np.abs(blocks) ** 2) / k**2
-                           - np.sum(np.abs(traces) ** 2) / k**3))
+    n, out = len(ch), ch.output_dim
+    flat = kraus_stack(ch).reshape(n * out, m)
+    ab = np.matmul(flat[None], bases)              # (S, N*out, K): rows (i, a)
+    p = np.sum(np.abs(ab.reshape(s, -1)) ** 2, axis=1) / k
+    # row (j, m) of y is column m of A_j B, so y y^dagger holds (W_ij)_lm at [(j, m), (i, l)]
+    y = ab.reshape(s, n, out, k).transpose(0, 1, 3, 2).reshape(s, n * k, out)
+    gram = np.matmul(y, y.conj().transpose(0, 2, 1))
+    blocks = gram.reshape(s, n, k, n, k)           # axes (j, m, i, l)
+    traces = np.einsum("sjlil->sij", blocks)
+    fro_sq = (np.sum(np.abs(gram.reshape(s, -1)) ** 2, axis=1) / k**2
+              - np.sum(np.abs(traces.reshape(s, -1)) ** 2, axis=1) / k**3)
     if not dense:
         return p, fro_sq, None
-    eye = np.eye(k, dtype=np.complex128)
-    dev = (blocks - traces[:, :, None, None] * eye / k) / k
-    d = dev.transpose(2, 0, 3, 1).reshape(k * n, k * n)
-    return p, fro_sq, (d + d.conj().T) / 2
+    eye = np.eye(k)[None, None, :, None, :]
+    dev = (blocks - traces.transpose(0, 2, 1)[:, :, None, :, None] * eye / k) / k
+    d = dev.transpose(0, 4, 3, 2, 1).reshape(s, k * n, k * n)   # rows (l, i), columns (m, j)
+    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2
+
+
+def _trace_norms(d: np.ndarray) -> np.ndarray:
+    """Trace norms of a Hermitian matrix, or of each one in a stack."""
+    return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=-1)
 
 
 def deviation_operator(code: CodeSubspace, ch: KrausChannel) -> np.ndarray:
     """The Hermitian (K*N) x (K*N) block operator whose trace norm bounds recoverability."""
-    return _deviation(code, ch, dense=True)[2]
+    return _deviation_batch(code.basis[None], ch, dense=True)[2][0]
 
 
 def deviation_frobenius_sq(code: CodeSubspace, ch: KrausChannel) -> float:
     """||D||_F^2, without assembling D."""
-    return _deviation(code, ch, dense=False)[1]
+    return float(_deviation_batch(code.basis[None], ch, dense=False)[1][0])
 
 
 @dataclass(frozen=True)
@@ -172,12 +184,12 @@ class BoundReport:
 
 def fidelity_bound_kraus(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     """Kraus-form lower bound p - ||D||_1 on the code entanglement fidelity."""
-    p, fro_sq, d = _deviation(code, ch, dense=True)
-    trace_norm_d = float(np.sum(np.abs(np.linalg.eigvalsh(d))))
+    p, fro_sq, d = _deviation_batch(code.basis[None], ch, dense=True)
+    p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])
     return BoundReport(
         transmission=p,
         deviation_trace_norm=trace_norm_d,
-        deviation_frobenius_sq=fro_sq,
+        deviation_frobenius_sq=float(fro_sq[0]),
         bound_kraus=p - trace_norm_d,
     )
 

@@ -36,8 +36,10 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_dimension(dim: int) -> int:
+    """dim itself, or CapExceededError naming it as a power of two when above the cap."""
     if dim > DIMENSION_CAP:
-        raise CapExceededError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+        raise CapExceededError(f"dimension 2^{math.log2(dim):.6g} exceeds cap "
+                               f"2^{math.log2(DIMENSION_CAP):g}")
     return dim
 
 

@@ -14,12 +14,14 @@ its upper bound ||N(pi)||_F^2, and the averaged fidelity bound
 Reproducibility contract: every Monte Carlo sample draws from its own
 counter-based stream keyed by (master_seed, sample_index), and aggregation
 uses exact (fsum) summation, so results depend only on the seed and the
-sample count.  Sampling is one serial loop and no function here takes a
-worker count: each qubit-sized sample is Python/numpy overhead that holds
-the GIL, and a thread pool over samples never beat the serial loop on a
-2-core host (`mc_deviation_sq` on depolarizing(0.3), K=2, 3000 samples:
-0.40-0.48 s serial, 0.49-1.03 s on 2 or 4 threads with default BLAS, and
-no faster with single-thread BLAS).
+sample count.  Sampling is one serial loop over fixed chunks of samples:
+each code is drawn from its own stream, and the D kernel then runs on the
+chunk's stacked bases at once, with one matrix product per code, so the
+bits do not depend on the chunk size.  No function here takes a worker
+count, and the CLI's ``--threads`` has no effect: a thread pool over
+samples never beat the serial loop on a 2-core host (`mc_deviation_sq` on
+depolarizing(0.3), K=2, 3000 samples: 0.40-0.48 s serial, 0.49-1.03 s on
+2 or 4 threads with default BLAS, and no faster with single-thread BLAS).
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ import numpy as np
 from . import codes, linalg
 from .channels import KrausChannel, apply, classify, kraus_stack, minimal_kraus, minimal_length
 from .errors import InvariantViolationError
+
+# Samples per chunk of the sampling loop.  Monte Carlo over codes also caps
+# a chunk at about _CHUNK_ENTRIES complex entries of code bases, A_i B and D
+# (4 MiB per array), so codes with a large K*N get fewer samples per chunk
+# and peak memory stays near that of one sample at a time.
+_CHUNK = 64
+_CHUNK_ENTRIES = 1 << 18
 
 
 def sample_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -56,11 +65,25 @@ class EnsembleEstimate:
     master_seed: int
 
 
-def _sample_values(fn, sample_count: int, master_seed: int) -> np.ndarray:
-    """fn(rng) on the streams (master_seed, 0..sample_count-1), stacked in index order."""
+def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
+                   chunk: int | None = None) -> np.ndarray:
+    """Per-sample results over the streams (master_seed, 0..sample_count-1), in index order.
+
+    One serial loop over fixed chunks of ``chunk`` samples (default
+    `_CHUNK`): each sample's draw(rng) comes from its own stream, a chunk's
+    draws are stacked, and reduce(stack) turns them into that chunk's
+    results at once.  A chunk only batches work that treats every sample
+    alike, so the results do not depend on the chunk size.
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    return np.array([fn(sample_stream(master_seed, i)) for i in range(sample_count)])
+    chunk = chunk or _CHUNK
+    chunks = []
+    for start in range(0, sample_count, chunk):
+        stop = min(start + chunk, sample_count)
+        drawn = np.array([draw(sample_stream(master_seed, i)) for i in range(start, stop)])
+        chunks.append(reduce(drawn))
+    return np.concatenate(chunks)
 
 
 def _estimate(values: np.ndarray, master_seed: int) -> EnsembleEstimate:
@@ -116,28 +139,32 @@ def averaged_fidelity_bound(ch: KrausChannel, code_dim: int) -> float:
 
 # ------------------------------------------------------------------ Monte Carlo
 
+def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
+                 reduce) -> np.ndarray:
+    """reduce(bases) over chunks of Haar code bases on the channel input, concatenated."""
+    m, n = ch.input_dim, len(ch)
+    entries = m * code_dim + n * code_dim * (ch.output_dim + n * code_dim)
+    return _sample_values(lambda rng: sample_code(m, code_dim, rng).basis,
+                          sample_count, master_seed, reduce,
+                          chunk=max(1, min(_CHUNK, _CHUNK_ENTRIES // entries)))
+
+
 def mc_deviation_sq(ch: KrausChannel, code_dim: int, sample_count: int,
                     master_seed: int) -> EnsembleEstimate:
     """Monte Carlo estimate of < ||D||_F^2 >_K over Haar codes."""
-    m = ch.input_dim
-
-    def one(rng):
-        return codes.deviation_frobenius_sq(sample_code(m, code_dim, rng), ch)
-
-    values = _sample_values(one, sample_count, master_seed)
+    values = _code_values(ch, code_dim, sample_count, master_seed,
+                          lambda bases: codes._deviation_batch(bases, ch, dense=False)[1])
     return _estimate(values, master_seed)
 
 
 def mc_average_bound(ch: KrausChannel, code_dim: int, sample_count: int,
                      master_seed: int) -> EnsembleEstimate:
     """Monte Carlo mean of the per-code Kraus-form bound p - ||D||_1."""
-    m = ch.input_dim
+    def bounds(bases):
+        p, _, d = codes._deviation_batch(bases, ch, dense=True)
+        return p - codes._trace_norms(d)
 
-    def one(rng):
-        rep = codes.fidelity_bound_kraus(sample_code(m, code_dim, rng), ch)
-        return rep.bound_kraus
-
-    values = _sample_values(one, sample_count, master_seed)
+    values = _code_values(ch, code_dim, sample_count, master_seed, bounds)
     return _estimate(values, master_seed)
 
 
@@ -152,13 +179,10 @@ class TraceNormDiagnostic:
 def trace_norm_diagnostic(ch: KrausChannel, code_dim: int, sample_count: int,
                           master_seed: int) -> TraceNormDiagnostic:
     """Expose the rank/Jensen gap: how loose sqrt(K N <||D||^2>) is on average."""
-    m = ch.input_dim
+    def trace_norms(bases):
+        return codes._trace_norms(codes._deviation_batch(bases, ch, dense=True)[2])
 
-    def one(rng):
-        rep = codes.fidelity_bound_kraus(sample_code(m, code_dim, rng), ch)
-        return rep.deviation_trace_norm
-
-    values = _sample_values(one, sample_count, master_seed)
+    values = _code_values(ch, code_dim, sample_count, master_seed, trace_norms)
     majorant = math.sqrt(code_dim * minimal_length(ch)
                          * exact_average_deviation_sq(ch, code_dim))
     return TraceNormDiagnostic(estimate=_estimate(values, master_seed), majorant=majorant)

@@ -81,6 +81,42 @@ def test_apply_positivity_and_trace(seed):
         assert np.real(np.trace(out)) <= 1.0 + 1e-10
 
 
+def oracle_channels(rng):
+    """Rectangular, trace-decreasing and single-operator families, out != in among them."""
+    wide = qch.haar_random_channel(3, 5, 4, rng)
+    tall = qch.haar_random_channel(6, 2, 4, rng)
+    single = qch.KrausChannel(input_dim=3, output_dim=4,
+                              kraus_ops=(0.8 * linalg.haar_isometry(4, 3, rng),))
+    return [wide, tall, qch.reduce_channel(wide, [0, 2]), qch.reduce_channel(tall, [1]),
+            single, half_identity(), amplitude_damping(0.3)]
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_apply_matches_operator_loop(rng):
+    for ch in oracle_channels(rng):
+        rho = linalg.random_density(ch.input_dim, rng)
+        expected = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
+        for a in ch.kraus_ops:
+            expected += a @ rho @ a.conj().T
+        assert qch.apply(ch, rho).shape == expected.shape
+        assert rel_err(qch.apply(ch, rho), expected) <= 1e-12
+
+
+def test_completeness_defect_matches_operator_loop(rng):
+    for ch in oracle_channels(rng):
+        total = np.zeros((ch.input_dim, ch.input_dim), dtype=complex)
+        for a in ch.kraus_ops:
+            total += a.conj().T @ a
+        w = np.linalg.eigvalsh(total - np.eye(ch.input_dim))
+        lo, hi = qch.completeness_defect_bounds(ch)
+        # relative to ||sum A^dagger A||, since the defect itself may be ~0
+        scale = np.linalg.norm(total, 2)
+        assert abs(lo - w[0]) <= 1e-12 * scale and abs(hi - w[-1]) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------- Stinespring
 
 def test_stinespring_identity_channel():

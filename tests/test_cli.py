@@ -173,6 +173,15 @@ def test_moments_without_samples_is_an_input_error(capsys):
     assert err.count("\n") == 1 and "sample_count" in err
 
 
+@pytest.mark.parametrize("subcommand", ["bound", "ensemble"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_nonpositive_samples_is_an_input_error(capsys, subcommand, samples):
+    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:depolarizing:0.3",
+                             "--code-dim", "2", "--samples", samples, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: sample_count must be >= 1\n"
+
+
 def test_rate_above_log2_input_dim_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "rate-demo", "--channel", "builtin:phase_flip:0.25",
                              "--rate", "200", "--epsilon", "0.1", "--n-min", "2",
@@ -193,6 +202,10 @@ def test_large_block_length_is_a_cap(capsys, argv):
                              *argv[1:], "--seed", "0")
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the dimension shows as a power of two, not as its 332 decimal digits
+    assert len(err) < 200
+    if argv[0] == "typicality":
+        assert "2^1100" in err
 
 
 def test_seed_is_required(capsys):

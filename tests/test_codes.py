@@ -185,6 +185,25 @@ def test_deviation_frobenius_formula_full_space():
     assert got == pytest.approx(np.linalg.norm(d) ** 2, abs=1e-12)
 
 
+def test_batched_kernel_equals_single_code_entry_points(rng):
+    # rectangular (out 5 != in 3) with N = 4 Kraus operators; every code gets
+    # its own matrix products and eigensolver call, so equality is exact
+    ch = qch.haar_random_channel(3, 5, 4, rng)
+    for k in (1, 2, 3):
+        code_list = [random_code(rng, 3, k) for _ in range(9)]
+        bases = np.stack([c.basis for c in code_list])
+        p, fro_sq, d = codes._deviation_batch(bases, ch, dense=True)
+        _, fro_sq_only, none = codes._deviation_batch(bases, ch, dense=False)
+        assert none is None and np.array_equal(fro_sq_only, fro_sq)
+        trace_norms = codes._trace_norms(d)
+        for i, code in enumerate(code_list):
+            rep = codes.fidelity_bound_kraus(code, ch)
+            assert p[i] == rep.transmission
+            assert fro_sq[i] == rep.deviation_frobenius_sq == codes.deviation_frobenius_sq(code, ch)
+            assert trace_norms[i] == rep.deviation_trace_norm
+            assert np.array_equal(d[i], codes.deviation_operator(code, ch))
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_bound_kraus_identity(rng):

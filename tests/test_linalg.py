@@ -53,8 +53,14 @@ def test_tensor_mixed_product(seed):
 
 def test_tensor_dimension_cap():
     big = np.eye(300)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"dimension 2\^16\.4576 exceeds cap 2\^16$"):
         linalg.tensor(big, big)
+
+
+def test_dimension_cap_names_powers_of_two():
+    assert linalg.check_dimension(linalg.DIMENSION_CAP) == linalg.DIMENSION_CAP
+    with pytest.raises(CapExceededError, match=r"dimension 2\^1100 exceeds cap 2\^16$"):
+        linalg.check_dimension(2**1100)
 
 
 # ---------------------------------------------------------------- partial trace

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcap import channels as qch
-from qcap import codes, linalg
+from qcap import cli, codes, linalg
 from qcap import random_coding as rc
 from qcap.errors import InvariantViolationError
 
@@ -234,3 +234,42 @@ def test_hamming_curve_rejects_non_unital():
     damp = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a0, a1))
     with pytest.raises(InvariantViolationError):
         rc.hamming_rate_curve(damp, rate=0.1, ns=[1, 2])
+
+
+# ---------------------------------------------------------------- chunked sampling
+
+@pytest.mark.parametrize("channel", ["builtin:haar_random:4,4,3", "builtin:random_unitary:16,2,5"])
+def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, channel):
+    argv = ["ensemble", "--channel", channel, "--code-dim", "2", "--samples", "150",
+            "--seed", "31"]
+    outputs = []
+    for chunk in (1, 7, 64, 150, 1000):
+        monkeypatch.setattr(rc, "_CHUNK", chunk)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_chunks_shrink_for_large_codes(monkeypatch):
+    sizes = []
+    kernel = codes._deviation_batch
+
+    def spy(bases, ch, *, dense):
+        sizes.append(len(bases))
+        return kernel(bases, ch, dense=dense)
+
+    monkeypatch.setattr(codes, "_deviation_batch", spy)
+    rc.mc_deviation_sq(qch.depolarizing(0.3), 2, 100, 1)
+    assert sizes == [rc._CHUNK, 100 - rc._CHUNK]
+    sizes.clear()
+    # K = 128 on a 256-dim identity: 256*128 + 128*(256 + 128) entries per sample
+    rc.mc_deviation_sq(qch.identity_channel(256), 128, 7, 1)
+    assert sum(sizes) == 7 and max(sizes) * 81920 <= rc._CHUNK_ENTRIES
+
+
+def test_trace_norm_diagnostic_matches_per_code_bounds():
+    ch = qch.depolarizing(0.2, 3)
+    diag = rc.trace_norm_diagnostic(ch, 2, 70, 4)
+    norms = [codes.fidelity_bound_kraus(rc.sample_code(3, 2, rc.sample_stream(4, i)), ch)
+             .deviation_trace_norm for i in range(70)]
+    assert diag.estimate.mean == math.fsum(norms) / 70
