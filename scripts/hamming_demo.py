@@ -29,7 +29,7 @@ def main() -> None:
     unitaries = [linalg.haar_unitary(dim, rng) for _ in range(2)]
     ch = qch.random_unitary_channel(unitaries, name=f"{args.qubits}-qubit mixture")
 
-    analytic = rc.averaged_fidelity_bound(ch, args.code_dim)
+    analytic = rc.closed_forms(ch, args.code_dim).fidelity_bound
     est = rc.mc_average_bound(ch, args.code_dim, args.samples, args.seed)
     closed = 1.0 - math.sqrt(args.code_dim * 2 / dim)
 

@@ -7,8 +7,9 @@
 
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
-byte-identical output.  Exit codes: 0 success, 2 input error, 3 domain
-invariant violation, 4 resource cap exceeded.
+byte-identical output on one numpy/BLAS build and BLAS thread count.  Exit
+codes: 0 success, 2 input error, 3 domain invariant violation, 4 resource
+cap exceeded.
 
 Sampling is serial.  ``--threads`` is accepted (and must be >= 1) so that
 existing command lines keep working, but it has no effect: a thread pool
@@ -30,6 +31,10 @@ from .errors import CapExceededError, FormatError, InvariantViolationError
 
 # stream index reserved for builtin channel construction, clear of sample indices
 CHANNEL_STREAM_INDEX = 1 << 48
+
+# Largest Kraus stack (N * output_dim * input_dim complex entries, 1 GiB) a
+# builtin channel may build; larger specs are rejected before any allocation.
+_BUILTIN_ENTRY_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 # ------------------------------------------------------------------ channel resolution
 
+def _check_builtin(name: str, entries: int, **sizes: int) -> None:
+    """Reject sizes below 1, and Kraus stacks of more than the cap's entries, before building."""
+    if min(sizes.values()) < 1:
+        got = ", ".join(f"{key}={value}" for key, value in sizes.items())
+        raise FormatError(f"builtin channel {name!r} needs sizes >= 1, got {got}")
+    if entries > _BUILTIN_ENTRY_CAP:
+        raise CapExceededError(f"builtin channel {name!r} needs {entries} Kraus entries, "
+                               f"above cap 2^{_BUILTIN_ENTRY_CAP.bit_length() - 1}")
+
+
 def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -109,25 +124,31 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     try:
         if name == "identity":
             (dim,) = params
-            return qch.identity_channel(int(dim))
+            dim = int(dim)
+            _check_builtin(name, dim * dim, dim=dim)
+            return qch.identity_channel(dim)
         if name == "phase_flip":
             (p,) = params
             return qch.phase_flip(float(p))
         if name == "depolarizing":
             p = float(params[0])
             dim = int(params[1]) if len(params) > 1 else 2
+            _check_builtin(name, dim**4, dim=dim)      # dim^2 Weyl operators
             return qch.depolarizing(p, dim)
         if name == "haar_random":
             in_dim, out_dim, count = (int(x) for x in params[:3])
+            _check_builtin(name, count * out_dim * in_dim,
+                           input_dim=in_dim, output_dim=out_dim, kraus_count=count)
             rng = channel_rng(params[3] if len(params) > 3 else None)
             return qch.haar_random_channel(in_dim, out_dim, count, rng)
         if name == "random_unitary":
             dim, count = int(params[0]), int(params[1])
+            _check_builtin(name, count * dim * dim, dim=dim, count=count)
             rng = channel_rng(params[2] if len(params) > 2 else None)
             unitaries = [linalg.haar_unitary(dim, rng) for _ in range(count)]
             return qch.random_unitary_channel(unitaries)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvariantViolationError):
+        if isinstance(exc, (InvariantViolationError, FormatError)):
             raise
         raise FormatError(f"bad parameters for builtin channel {name!r}: {exc}") from exc
     raise FormatError(f"unknown builtin channel {name!r}")
@@ -209,16 +230,15 @@ def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     _require(config, code_dim="--code-dim", samples="--samples")
     k, n, seed = config.code_dim, config.samples, config.master_seed
     d2_mc = rc.mc_deviation_sq(ch, k, n, seed)
-    d2_exact = rc.exact_average_deviation_sq(ch, k)
+    closed = rc.closed_forms(ch, k)
+    d2_exact, bound_analytic = closed.deviation_sq, closed.fidelity_bound
     d2_pass = abs(d2_mc.mean - d2_exact) <= max(4.0 * d2_mc.std_error, 1e-12)
     bound_mc = rc.mc_average_bound(ch, k, n, seed)
-    bound_analytic = rc.averaged_fidelity_bound(ch, k)
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
-    d2_upper = rc.deviation_sq_upper_bound(ch)
     record = {
         "config": _config_record(config),
         "deviation_sq": {"estimate": asdict(d2_mc), "closed_form": d2_exact,
-                         "upper_bound": d2_upper, "pass": d2_pass},
+                         "upper_bound": closed.upper_bound, "pass": d2_pass},
         "fidelity_bound": {"estimate": asdict(bound_mc), "closed_form": bound_analytic,
                            "pass": bound_pass},
     }

@@ -37,6 +37,13 @@ from .errors import DegenerateTransmissionError, InvariantViolationError
 
 ORTHONORMALITY_ATOL = 1e-10
 
+# The code bases of one kernel call are laid side by side as one panel of
+# columns, zero-padded to a multiple of this width.  OpenBLAS rounds a column
+# differently when it falls in a partial register tile at the panel's edge;
+# with the padding every code's columns land in full tiles, so each code's
+# bits do not depend on how many codes share the product.
+_PANEL_MULTIPLE = 16
+
 
 @dataclass(frozen=True)
 class CodeSubspace:
@@ -125,14 +132,21 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
     ||A_i B||_F^2 comes from the same intermediates, and
     ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
     (i, j) of D is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
-    Each code gets its own matrix products, so its bits do not depend on S.
+    All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
+    panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
+    and the Gram blocks are one matrix product per code, so each code's bits
+    do not depend on S.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
     n, out = len(ch), ch.output_dim
     flat = kraus_stack(ch).reshape(n * out, m)
-    ab = np.matmul(flat[None], bases)              # (S, N*out, K): rows (i, a)
+    width = s * k
+    panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
+    panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)
+    # (S, N*out, K), rows (i, a), made contiguous so later steps see one layout for any S
+    ab = np.ascontiguousarray((flat @ panel)[:, :width].reshape(n * out, s, k).transpose(1, 0, 2))
     p = np.sum(np.abs(ab.reshape(s, -1)) ** 2, axis=1) / k
     # row (j, m) of y is column m of A_j B, so y y^dagger holds (W_ij)_lm at [(j, m), (i, l)]
     y = ab.reshape(s, n, out, k).transpose(0, 1, 3, 2).reshape(s, n * k, out)

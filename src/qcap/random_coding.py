@@ -16,12 +16,13 @@ counter-based stream keyed by (master_seed, sample_index), and aggregation
 uses exact (fsum) summation, so results depend only on the seed and the
 sample count.  Sampling is one serial loop over fixed chunks of samples:
 each code is drawn from its own stream, and the D kernel then runs on the
-chunk's stacked bases at once, with one matrix product per code, so the
-bits do not depend on the chunk size.  No function here takes a worker
-count, and the CLI's ``--threads`` has no effect: a thread pool over
-samples never beat the serial loop on a 2-core host (`mc_deviation_sq` on
-depolarizing(0.3), K=2, 3000 samples: 0.40-0.48 s serial, 0.49-1.03 s on
-2 or 4 threads with default BLAS, and no faster with single-thread BLAS).
+chunk's stacked bases at once: one zero-padded matrix product for every
+A_i B, then Gram blocks per code, so the bits do not depend on the chunk
+size.  No function here takes a worker count, and the CLI's ``--threads``
+has no effect: a thread pool over samples never beat the serial loop on
+a 2-core host (`mc_deviation_sq` on depolarizing(0.3), K=2, 3000 samples:
+0.40-0.48 s serial, 0.49-1.03 s on 2 or 4 threads with default BLAS, and
+no faster with single-thread BLAS).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, linalg
-from .channels import KrausChannel, apply, classify, kraus_stack, minimal_kraus, minimal_length
+from .channels import KrausChannel, classify, gram_matrix, kraus_stack, minimal_length
 from .errors import InvariantViolationError
 
 # Samples per chunk of the sampling loop.  Monte Carlo over codes also caps
@@ -103,38 +104,44 @@ def _estimate(values: np.ndarray, master_seed: int) -> EnsembleEstimate:
 
 # ------------------------------------------------------------------ exact averages
 
-def exact_average_deviation_sq(ch: KrausChannel, code_dim: int) -> float:
-    """Closed-form Haar-code average of ||D||_F^2; representation independent."""
+@dataclass(frozen=True)
+class ClosedForms:
+    """Haar-code ensemble closed forms of one channel at one code dimension.
+
+    deviation_sq    exact average of ||D||_F^2; representation independent
+    upper_bound     ||N(pi)||_F^2, a simple majorant of deviation_sq
+    fidelity_bound  tr N(pi) - sqrt(K |N|) ||N(pi)||_F with |N| the minimal
+                    Kraus length (redundant operators would only weaken it);
+                    may be negative (vacuous)
+    """
+
+    deviation_sq: float
+    upper_bound: float
+    fidelity_bound: float
+
+
+def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
+    """All ensemble closed forms from one product N(pi) = V V^dagger / M.
+
+    V is the (out, N*M) matrix [A_1 ... A_N], so V V^dagger = sum_k A_k A_k^dagger,
+    and sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
+    replaces the N^2 Gram products of the exact average.
+    """
     m = ch.input_dim
     if m < 2:
         raise InvariantViolationError("closed form needs input dimension >= 2")
     if not 1 <= code_dim <= m:
         raise ValueError("need 1 <= code_dim <= input_dim")
-    stack = kraus_stack(ch)
-    grams = np.einsum("iab,jac->ijbc", stack.conj(), stack, optimize=True)
-    sum_sq = float(np.sum(np.abs(grams) ** 2))
-    traces = np.einsum("ijbb->ij", grams)
-    sum_tr = float(np.sum(np.abs(traces) ** 2))
-    return (1.0 - code_dim**-2) / (m**2 - 1) * (sum_sq - sum_tr / m)
-
-
-def deviation_sq_upper_bound(ch: KrausChannel) -> float:
-    """||N(pi)||_F^2: a simple majorant of the exact ensemble average."""
-    out = apply(ch, linalg.max_mixed(ch.input_dim))
-    return linalg.frobenius_norm(out) ** 2
-
-
-def averaged_fidelity_bound(ch: KrausChannel, code_dim: int) -> float:
-    """Analytic ensemble bound tr N(pi) - sqrt(K |N|) ||N(pi)||_F.
-
-    The channel is Kraus-minimized first: redundant operators would inflate
-    |N| and needlessly weaken the bound.  May be negative (vacuous).
-    """
-    minimal = minimal_kraus(ch)
-    out = apply(ch, linalg.max_mixed(ch.input_dim))
-    transmission = float(np.real(np.trace(out)))
-    penalty = math.sqrt(code_dim * len(minimal)) * linalg.frobenius_norm(out)
-    return transmission - penalty
+    n, out = len(ch), ch.output_dim
+    v = kraus_stack(ch).transpose(1, 0, 2).reshape(out, n * m)
+    image = (v @ v.conj().T) / m
+    fro_sq = float(np.sum(np.abs(image) ** 2))
+    sum_tr = float(np.sum(np.abs(gram_matrix(ch)) ** 2))
+    deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
+    transmission = float(np.real(np.trace(image)))
+    penalty = math.sqrt(code_dim * minimal_length(ch) * fro_sq)
+    return ClosedForms(deviation_sq=deviation_sq, upper_bound=fro_sq,
+                       fidelity_bound=transmission - penalty)
 
 
 # ------------------------------------------------------------------ Monte Carlo
@@ -184,7 +191,7 @@ def trace_norm_diagnostic(ch: KrausChannel, code_dim: int, sample_count: int,
 
     values = _code_values(ch, code_dim, sample_count, master_seed, trace_norms)
     majorant = math.sqrt(code_dim * minimal_length(ch)
-                         * exact_average_deviation_sq(ch, code_dim))
+                         * closed_forms(ch, code_dim).deviation_sq)
     return TraceNormDiagnostic(estimate=_estimate(values, master_seed), majorant=majorant)
 
 

@@ -84,7 +84,7 @@ def test_criterion_03_exact_ensemble_average():
         for k in (2, 3):
             if k > m:
                 continue
-            exact = rc.exact_average_deviation_sq(ch, k)
+            exact = rc.closed_forms(ch, k).deviation_sq
             est = rc.mc_deviation_sq(ch, k, 10000, master_seed=303_000 + ch_index)
             tol = max(4.0 * est.std_error, 1e-12)
             if abs(est.mean - exact) > tol:
@@ -92,7 +92,7 @@ def test_criterion_03_exact_ensemble_average():
                 detail = f"{ch.name} K={k}: |{est.mean:.6g} - {exact:.6g}| > {tol:.3g}"
         # degenerate full-space ensemble has no randomness at all
         direct = codes.deviation_frobenius_sq(codes.CodeSubspace.full_space(m), ch)
-        if abs(rc.exact_average_deviation_sq(ch, m) - direct) > 1e-12:
+        if abs(rc.closed_forms(ch, m).deviation_sq - direct) > 1e-12:
             ok = False
             detail = f"{ch.name} degenerate K=M"
     _verdict(3, "exact ensemble average", ok, detail)
@@ -116,7 +116,7 @@ def test_criterion_05_hamming_attainability():
     ch = qch.random_unitary_channel(unitaries, probs=[0.5, 0.5], name="eight_qubit_mixture")
     target = 1.0 - math.sqrt(2 * 2 / 256)
     assert target == pytest.approx(0.875)
-    analytic = rc.averaged_fidelity_bound(ch, 2)
+    analytic = rc.closed_forms(ch, 2).fidelity_bound
     est = rc.mc_average_bound(ch, 2, 200, master_seed=505)
     ok = (abs(analytic - target) <= 1e-9
           and est.mean >= target - 4.0 * est.std_error)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,25 @@ def test_unknown_builtin_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "info", "--channel", "builtin:squeeze:1", "--seed", "0")
     assert code == 2
     assert err.count("\n") == 1 and "squeeze" in err
+
+
+@pytest.mark.parametrize("spec", ["depolarizing:0.3,0", "identity:0"])
+def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
+    code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
+    name = spec.split(":")[0]
+    assert code == 2 and out == ""
+    assert err == f"error: builtin channel {name!r} needs sizes >= 1, got dim=0\n"
+
+
+@pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
+                                  "random_unitary:60000,2"])
+def test_oversized_builtin_is_a_cap(capsys, spec):
+    # each would need tens of GB; the Kraus-stack size is checked before building
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and spec.split(":")[0] in err and "cap 2^26" in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.1"])

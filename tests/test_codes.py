@@ -186,8 +186,9 @@ def test_deviation_frobenius_formula_full_space():
 
 
 def test_batched_kernel_equals_single_code_entry_points(rng):
-    # rectangular (out 5 != in 3) with N = 4 Kraus operators; every code gets
-    # its own matrix products and eigensolver call, so equality is exact
+    # rectangular (out 5 != in 3) with N = 4 Kraus operators; the padded panel
+    # keeps each code's A_i B bits, and every code gets its own Gram product
+    # and eigensolver call, so equality is exact
     ch = qch.haar_random_channel(3, 5, 4, rng)
     for k in (1, 2, 3):
         code_list = [random_code(rng, 3, k) for _ in range(9)]
@@ -202,6 +203,25 @@ def test_batched_kernel_equals_single_code_entry_points(rng):
             assert fro_sq[i] == rep.deviation_frobenius_sq == codes.deviation_frobenius_sq(code, ch)
             assert trace_norms[i] == rep.deviation_trace_norm
             assert np.array_equal(d[i], codes.deviation_operator(code, ch))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", ["rectangular", "one_row"])
+def test_kernel_bits_do_not_depend_on_stack_size(rng, family, k):
+    # stacks of 1, 7, 8, 9 and 64 codes put S*K on both sides of the panel
+    # padding multiple; one_row is an N = 1, out = 1 Kraus stack
+    if family == "rectangular":
+        ch = qch.haar_random_channel(3, 5, 4, rng)
+    else:
+        row = 0.9 * linalg.haar_isometry(4, 1, rng).T
+        ch = qch.KrausChannel(input_dim=4, output_dim=1, kraus_ops=(row,))
+    bases = np.stack([linalg.haar_isometry(ch.input_dim, k, rng) for _ in range(64)])
+    whole = codes._deviation_batch(bases, ch, dense=True)
+    for size in (1, 7, 8, 9):
+        parts = [codes._deviation_batch(bases[i:i + size], ch, dense=True)
+                 for i in range(0, len(bases), size)]
+        for field, expected in enumerate(whole):
+            assert np.array_equal(np.concatenate([part[field] for part in parts]), expected)
 
 
 # ---------------------------------------------------------------- bounds

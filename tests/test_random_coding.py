@@ -60,7 +60,7 @@ def test_sample_code_overlap_second_moment():
 
 def test_exact_average_identity_channel():
     for k in (1, 2, 4):
-        assert rc.exact_average_deviation_sq(qch.identity_channel(4), k) == pytest.approx(0.0, abs=1e-14)
+        assert rc.closed_forms(qch.identity_channel(4), k).deviation_sq == pytest.approx(0.0, abs=1e-14)
 
 
 def test_exact_average_full_code_is_deterministic(rng):
@@ -69,46 +69,82 @@ def test_exact_average_full_code_is_deterministic(rng):
         m = int(rng.integers(2, 5))
         ch = qch.haar_random_channel(m, m, int(rng.integers(1, 4)), rng)
         direct = codes.deviation_frobenius_sq(codes.CodeSubspace.full_space(m), ch)
-        assert rc.exact_average_deviation_sq(ch, m) == pytest.approx(direct, abs=1e-12)
+        assert rc.closed_forms(ch, m).deviation_sq == pytest.approx(direct, abs=1e-12)
 
 
 def test_exact_average_matches_mc_phase_flip():
     ch = qch.phase_flip(0.25)
-    exact = rc.exact_average_deviation_sq(ch, 2)
+    exact = rc.closed_forms(ch, 2).deviation_sq
     est = rc.mc_deviation_sq(ch, 2, 2000, master_seed=3)
     assert abs(est.mean - exact) <= max(4 * est.std_error, 1e-12)
 
 
 def test_exact_average_representation_independent(rng):
     ch = qch.haar_random_channel(3, 3, 2, rng)
-    assert rc.exact_average_deviation_sq(ch, 2) == pytest.approx(
-        rc.exact_average_deviation_sq(qch.diagonalize_kraus(ch), 2), abs=1e-12)
+    assert rc.closed_forms(ch, 2).deviation_sq == pytest.approx(
+        rc.closed_forms(qch.diagonalize_kraus(ch), 2).deviation_sq, abs=1e-12)
 
 
 def test_exact_average_rejects_scalar_space():
     ch = qch.identity_channel(1)
     with pytest.raises(InvariantViolationError):
-        rc.exact_average_deviation_sq(ch, 1)
+        rc.closed_forms(ch, 1)
 
 
 def test_upper_bound_values(rng):
-    assert rc.deviation_sq_upper_bound(qch.identity_channel(2)) == pytest.approx(0.5)
-    assert rc.deviation_sq_upper_bound(qch.phase_flip(0.3)) == pytest.approx(0.5)
+    assert rc.closed_forms(qch.identity_channel(2), 1).upper_bound == pytest.approx(0.5)
+    assert rc.closed_forms(qch.phase_flip(0.3), 1).upper_bound == pytest.approx(0.5)
     for _ in range(50):
         m = int(rng.integers(2, 6))
         ch = qch.haar_random_channel(m, m, int(rng.integers(1, 4)), rng)
         k = int(rng.integers(1, m + 1))
-        assert rc.exact_average_deviation_sq(ch, k) <= rc.deviation_sq_upper_bound(ch) + 1e-12
+        forms = rc.closed_forms(ch, k)
+        assert forms.deviation_sq <= forms.upper_bound + 1e-12
+
+
+def oracle_closed_forms(ch, k):
+    """The closed forms as first written: N^2 Gram products and N(pi) by apply."""
+    m = ch.input_dim
+    stack = qch.kraus_stack(ch)
+    grams = np.einsum("iab,jac->ijbc", stack.conj(), stack, optimize=True)
+    sum_sq = float(np.sum(np.abs(grams) ** 2))
+    sum_tr = float(np.sum(np.abs(np.einsum("ijbb->ij", grams)) ** 2))
+    image = qch.apply(ch, linalg.max_mixed(m))
+    fro = linalg.frobenius_norm(image)
+    return ((1.0 - k**-2) / (m**2 - 1) * (sum_sq - sum_tr / m), fro**2,
+            float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch))) * fro)
+
+
+def test_closed_forms_match_gram_oracle(rng):
+    a = linalg.haar_unitary(3, rng)
+    lossy = qch.haar_random_channel(4, 3, 2, rng)
+    families = [
+        qch.haar_random_channel(4, 4, 3, rng),                       # square
+        qch.haar_random_channel(3, 5, 4, rng),                       # out > in
+        qch.haar_random_channel(6, 2, 4, rng),                       # out < in
+        qch.KrausChannel(input_dim=4, output_dim=3,                  # trace-decreasing
+                         kraus_ops=tuple(0.8 * op for op in lossy.kraus_ops)),
+        qch.KrausChannel(input_dim=3, output_dim=3,                  # redundant Kraus
+                         kraus_ops=(a / math.sqrt(2), a / math.sqrt(2))),
+        qch.depolarizing(0.3, 3),
+    ]
+    for ch in families:
+        for k in range(1, ch.input_dim + 1):
+            forms = rc.closed_forms(ch, k)
+            got = (forms.deviation_sq, forms.upper_bound, forms.fidelity_bound)
+            # the floor covers exact zeros, e.g. the deviation of a unitary channel
+            for value, expected in zip(got, oracle_closed_forms(ch, k)):
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------- averaged bound
 
 def test_averaged_bound_identity_arithmetic():
-    assert rc.averaged_fidelity_bound(qch.identity_channel(4), 1) == pytest.approx(0.5, abs=1e-12)
+    assert rc.closed_forms(qch.identity_channel(4), 1).fidelity_bound == pytest.approx(0.5, abs=1e-12)
 
 
 def test_averaged_bound_phase_flip_vacuous():
-    got = rc.averaged_fidelity_bound(qch.phase_flip(0.25), 2)
+    got = rc.closed_forms(qch.phase_flip(0.25), 2).fidelity_bound
     assert got == pytest.approx(1 - math.sqrt(4) / math.sqrt(2), abs=1e-12)
     assert got < 0.0
 
@@ -118,8 +154,8 @@ def test_averaged_bound_minimizes_kraus_first(rng):
     redundant = qch.KrausChannel(input_dim=2, output_dim=2,
                                  kraus_ops=(a / math.sqrt(2), a / math.sqrt(2)))
     plain = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a,))
-    assert rc.averaged_fidelity_bound(redundant, 1) == pytest.approx(
-        rc.averaged_fidelity_bound(plain, 1), abs=1e-12)
+    assert rc.closed_forms(redundant, 1).fidelity_bound == pytest.approx(
+        rc.closed_forms(plain, 1).fidelity_bound, abs=1e-12)
 
 
 def test_mc_average_bound_identity():
@@ -132,7 +168,7 @@ def test_mc_average_bound_dominates_analytic_bound():
     ch = qch.phase_flip(0.25)
     est = rc.mc_average_bound(ch, 1, 1000, master_seed=2)
     assert 0.0 <= est.mean <= 1.0
-    assert est.mean >= rc.averaged_fidelity_bound(ch, 1) - 4 * est.std_error
+    assert est.mean >= rc.closed_forms(ch, 1).fidelity_bound - 4 * est.std_error
 
 
 def test_trace_norm_diagnostic_majorant_holds():
