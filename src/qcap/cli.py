@@ -266,9 +266,11 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
     eps = _epsilon(config)
     ns = _n_range(config)
+    # The reduced reports carry the caps; build them first so a capped range
+    # exits before any other work and before the typical-set series walks every n.
+    verification = tp.verify_reduction_bounds(ch, ns, eps)
     weights = tp.kraus_distribution(qch.minimal_kraus(ch))
     seq_reports, seq_fit = tp.typical_set_series(weights, eps, ns)
-    verification = tp.verify_reduction_bounds(ch, ns, eps)
     record = {
         "config": _config_record(config),
         "kraus_weights": list(map(float, weights)),

@@ -4,18 +4,17 @@ Counting and probability mass over length-n sequences are computed through
 type classes (symbol-count compositions): a sequence's probability depends
 only on its composition, so reports stay polynomial in n even when the
 sequence space is exponential.  Class masses are summed in the log domain,
-so counts far beyond the float range do not overflow.  Explicit sequence
-lists and dense operators are produced only under explicit caps.
+so counts far beyond the float range do not overflow.  The number of
+compositions is checked against a cap before any is enumerated, and dense
+output-side operators are produced only under a dimension cap.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel: keep only the Kraus products whose weight is typical for
 the per-use Kraus weight distribution, then project the output onto the
-typical subspace of the single-use output state.  Reduced channels are held
-in structured form (base factors, factor-index sequences, optional output
-projector); dense Kraus matrices are materialized lazily.  Reduced-channel
-reports never enumerate sequences: the sum of Kronecker products over all
-typical Kraus sequences is built class by class, from prefix-composition
-sums over the two halves of the block joined in one contraction.
+typical subspace of the single-use output state.  Reduced-channel reports
+never enumerate sequences: the sum of Kronecker products over all typical
+Kraus sequences is built class by class, from prefix-composition sums over
+the two halves of the block joined in one contraction.
 
 All typicality inequalities are inclusive (<=), and count-versus-bound
 checks compare exact integer counts against real bounds.
@@ -40,14 +39,10 @@ from .channels import (
     kraus_stack,
     minimal_kraus,
 )
-from .codes import CodeSubspace, normalized_projector
-from .channels import coherent_information
 from .errors import CapExceededError, InvariantViolationError
 
-# dense-enumeration guard for explicit sequence lists
-SEQUENCE_ENUM_CAP = 1 << 16
-# dense-operator guard for materialized block-channel matrices (entries)
-MATERIALIZE_ENTRY_CAP = 1 << 24
+# guard on the number of symbol-count compositions enumerated per block length
+_COMPOSITION_CAP = 1 << 16
 # dense-matrix guard for output-side operators held in memory (dimension)
 DENSE_OUTPUT_CAP = 1 << 11
 
@@ -76,27 +71,6 @@ def _multinomial(counts) -> int:
         out *= math.comb(total, c)
         total -= c
     return out
-
-
-def _multiset_permutations(counts):
-    """Distinct arrangements of the multiset {symbol j with multiplicity counts[j]}."""
-    n = sum(counts)
-    remaining = list(counts)
-    seq: list[int] = []
-
-    def rec():
-        if len(seq) == n:
-            yield tuple(seq)
-            return
-        for j, c in enumerate(remaining):
-            if c:
-                remaining[j] -= 1
-                seq.append(j)
-                yield from rec()
-                seq.pop()
-                remaining[j] += 1
-
-    yield from rec()
 
 
 @dataclass(frozen=True)
@@ -152,11 +126,16 @@ def _typical_classes(weights, n: int, eps: float) -> tuple[float, list[TypeClass
     """Entropy and the typical type classes of the product distribution.
 
     Symbols with zero weight never occur in a positive-probability sequence
-    and are excluded from the compositions outright.
+    and are excluded from the compositions outright.  Their number,
+    C(n + k - 1, k - 1) over k support symbols, is capped before any is
+    enumerated.
     """
     p = linalg.assert_distribution(weights)
     entropy = linalg.shannon_entropy(p)
     support = np.flatnonzero(p > 0.0)
+    if math.comb(n + support.size - 1, support.size - 1) > _COMPOSITION_CAP:
+        raise CapExceededError(f"type classes of {support.size} symbols at n={n} exceed "
+                               f"cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
     logp = np.log2(p[support])
     lo = -n * (entropy + eps)
     hi = -n * (entropy - eps)
@@ -182,18 +161,6 @@ def typical_sequences(spec: TypicalSetSpec) -> TypicalSetReport:
                             mass=mass, entropy=entropy)
 
 
-def enumerate_typical_sequences(spec: TypicalSetSpec) -> list[tuple[int, ...]]:
-    """Explicit typical sequences (symbol index tuples); capped enumeration."""
-    _, classes = _typical_classes(spec.weights, spec.block_length, spec.epsilon)
-    total = sum(c.sequence_count for c in classes)
-    if total > SEQUENCE_ENUM_CAP:
-        raise CapExceededError(f"{total} typical sequences exceed the enumeration cap")
-    out: list[tuple[int, ...]] = []
-    for cls in classes:
-        out.extend(_multiset_permutations(cls.counts))
-    return out
-
-
 def log_probability_variance(weights) -> float:
     """Variance of -log2 P(a) under P, the scale entering decay-rate estimates."""
     p = linalg.assert_distribution(weights)
@@ -211,6 +178,8 @@ class DecayFit:
     Only points with deviation strictly inside (0, 1) enter the fit (a
     deviation of exactly 1 means the typical set was empty, 0 means it is
     everything); fitted_rate is None with fewer than 3 usable points.
+    Deviations within 1e-12 below 0 are rounding in a mass of 1 and are
+    stored as 0.
     """
 
     epsilon: float
@@ -222,7 +191,7 @@ class DecayFit:
 
 def fit_decay(ns, deviations, epsilon: float, sigma_sq: float) -> DecayFit:
     ns = tuple(int(n) for n in ns)
-    deviations = tuple(float(d) for d in deviations)
+    deviations = tuple(0.0 if -1e-12 <= d < 0.0 else d for d in map(float, deviations))
     if any(not 0.0 <= d <= 1.0 for d in deviations):
         raise ValueError("deviations must lie in [0, 1]")
     pts = [(n, d) for n, d in zip(ns, deviations) if 0.0 < d < 1.0]
@@ -251,9 +220,9 @@ def typical_set_series(weights, eps: float, ns) -> tuple[list[TypicalSetReport],
 class TypicalSubspace:
     """Typical subspace of rho^(x)n in structured form.
 
-    Stores the eigenbasis of rho and the typical eigenvalue compositions;
-    the dense projector and the multi-index indicator are derived on demand
-    under the dimension caps.
+    Stores the eigenbasis of rho with the rank and mass of the typical
+    eigenvalue classes; the dense projector and the multi-index indicator
+    are derived on demand under the dimension caps.
     """
 
     eigenvalues: np.ndarray
@@ -261,7 +230,6 @@ class TypicalSubspace:
     n: int
     epsilon: float
     entropy: float
-    classes: tuple[TypeClass, ...]
     rank: int
     rank_bound: float
     mass: float
@@ -319,8 +287,7 @@ def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
     rank = sum(c.sequence_count for c in classes)
     mass = _class_mass(classes)
     return TypicalSubspace(
-        eigenvalues=w, eigenvectors=v, n=n, epsilon=eps, entropy=entropy,
-        classes=tuple(classes), rank=rank,
+        eigenvalues=w, eigenvectors=v, n=n, epsilon=eps, entropy=entropy, rank=rank,
         rank_bound=_power_of_two(n * (entropy + eps)), mass=mass,
     )
 
@@ -347,106 +314,10 @@ def kraus_distribution(ch: KrausChannel) -> np.ndarray:
 
 # ------------------------------------------------------------------ block channels
 
-@dataclass(frozen=True)
-class ProductChannel:
-    """n-fold product channel restricted to typical Kraus sequences.
-
-    Kraus operators are the tensor products of base operators along each
-    stored sequence, optionally left-multiplied by the output projector.
-    They are materialized lazily; reports about the uniform input do not
-    require materialization at all.
-    """
-
-    base: KrausChannel
-    n: int
-    epsilon: float
-    classes: tuple[TypeClass, ...]
-    kraus_count: int
-    output_projector: TypicalSubspace | None = None
-
-    @property
-    def input_dim(self) -> int:
-        return self.base.input_dim**self.n
-
-    @property
-    def output_dim(self) -> int:
-        return self.base.output_dim**self.n
-
-    def iter_sequences(self):
-        if self.kraus_count > SEQUENCE_ENUM_CAP:
-            raise CapExceededError(
-                f"{self.kraus_count} Kraus sequences exceed the enumeration cap"
-            )
-        for cls in self.classes:
-            yield from _multiset_permutations(cls.counts)
-
-    def uniform_input_transmission(self) -> float:
-        """Exact tr of the (unprojected) typical channel at the uniform input."""
-        return _class_mass(self.classes)
-
-    def _check_materializable(self) -> None:
-        linalg.check_dimension(self.input_dim)
-        linalg.check_dimension(self.output_dim)
-        entries = self.kraus_count * self.input_dim * self.output_dim
-        if entries > MATERIALIZE_ENTRY_CAP:
-            raise CapExceededError(
-                f"materializing {entries} Kraus entries exceeds cap {MATERIALIZE_ENTRY_CAP}"
-            )
-
-    def iter_kraus(self):
-        """Yield dense Kraus operators one at a time (cap-guarded)."""
-        self._check_materializable()
-        proj = None
-        if self.output_projector is not None:
-            proj = self.output_projector.projector()
-        for seq in self.iter_sequences():
-            op = self.base.kraus_ops[seq[0]]
-            for j in seq[1:]:
-                op = np.kron(op, self.base.kraus_ops[j])
-            yield op if proj is None else proj @ op
-
-    def apply(self, rho) -> np.ndarray:
-        rho = linalg.as_matrix(rho)
-        if rho.shape != (self.input_dim, self.input_dim):
-            raise ValueError("state dimension does not match block input")
-        out = np.zeros((self.output_dim, self.output_dim), dtype=np.complex128)
-        for op in self.iter_kraus():
-            out += op @ rho @ op.conj().T
-        return out
-
-    def to_kraus_channel(self, name: str = "") -> KrausChannel:
-        """Dense KrausChannel (trace-decreasing in general); cap-guarded."""
-        if self.kraus_count == 0:
-            raise InvariantViolationError("empty typical set has no Kraus representation")
-        ops = tuple(self.iter_kraus())
-        return KrausChannel(input_dim=self.input_dim, output_dim=self.output_dim,
-                            kraus_ops=ops, name=name, validate=False)
-
-
 def _typical_base(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     base = minimal_kraus(ch)
     weights = kraus_distribution(base)
     return base, weights
-
-
-def epsilon_typical_channel(ch: KrausChannel, n: int, eps: float) -> ProductChannel:
-    """Product channel reduced to its typical Kraus sequences (trace-decreasing)."""
-    base, weights = _typical_base(ch)
-    _, classes = _typical_classes(weights, n, eps)
-    count = sum(c.sequence_count for c in classes)
-    return ProductChannel(base=base, n=n, epsilon=eps, classes=tuple(classes),
-                          kraus_count=count)
-
-
-def epsilon_reduced_channel(ch: KrausChannel, n: int, eps: float) -> ProductChannel:
-    """Typical channel followed by the projector onto the typical output subspace."""
-    base, weights = _typical_base(ch)
-    _, classes = _typical_classes(weights, n, eps)
-    count = sum(c.sequence_count for c in classes)
-    rho_out = apply(base, linalg.max_mixed(base.input_dim))
-    subspace = typical_subspace(rho_out, n, eps)
-    return ProductChannel(base=base, n=n, epsilon=eps, classes=tuple(classes),
-                          kraus_count=count, output_projector=subspace)
 
 
 # ------------------------------------------------------------------ reduced-channel reports
@@ -542,7 +413,7 @@ def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChann
     DENSE_OUTPUT_CAP.  The sum over typical Kraus sequences is never
     enumerated: `_sequence_sum` builds it class by class from composition
     sums over the two halves of the block, so the typical-set size is not
-    capped, only the output dimension.
+    capped, only the output dimension and the number of type classes.
     """
     base, weights = _typical_base(ch)
     entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
@@ -688,7 +559,3 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
                      geometric_decay_expected=rate + 4.0 * eps < info,
                      rows=tuple(rows))
 
-
-def subspace_restricted_info(ch: KrausChannel, code: CodeSubspace) -> float:
-    """Coherent information of the uniform density on a subspace."""
-    return coherent_information(normalized_projector(code), ch)

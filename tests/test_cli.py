@@ -228,6 +228,38 @@ def test_large_block_length_is_a_cap(capsys, argv):
         assert "2^1100" in err
 
 
+@pytest.mark.parametrize("channel, n_min, n_max", [
+    # C(259, 4) ~ 1.8e8 type classes over 256 Kraus weights: refused before enumerating
+    ("builtin:haar_random:16,16,256,1", "4", "4"),
+    # output dimension 2^17 at n = 17, before the typical-set series walks 3000 lengths
+    ("builtin:depolarizing:0.3", "2", "3000"),
+], ids=["composition-cap", "dimension-cap"])
+def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max):
+    elapsed = []
+    for _ in range(2):      # best of two: one run alone shows host speed phases
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "typicality", "--channel", channel, "--epsilon", "0.1",
+                                 "--n-min", n_min, "--n-max", n_max, "--seed", "1")
+        elapsed.append(time.perf_counter() - start)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err and "cap 2^16" in err
+    assert min(elapsed) < 1.0
+
+
+@pytest.mark.parametrize("channel, n_max", [
+    ("builtin:phase_flip:0.5", 16),
+    ("builtin:depolarizing:1", 8),
+])
+def test_unit_masses_rounded_above_one_are_not_errors(capsys, channel, n_max):
+    # every sequence is typical and the summed masses reach 1 + 2^-52
+    code, out, err = run_cli(capsys, "typicality", "--channel", channel, "--epsilon", "0.1",
+                             "--n-min", "1", "--n-max", str(n_max), "--seed", "1")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    for fit in ("sequence_decay", "typical_decay", "reduced_decay"):
+        assert record[fit]["deviations"] == [0.0] * n_max
+
+
 def test_seed_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["info", "--channel", "builtin:identity:2"])

@@ -1,9 +1,11 @@
 """Typical sequences/subspaces and reduced block channels, with dense oracles."""
 
+import collections
 import functools
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,19 +22,57 @@ def spec(weights, n, eps):
 
 
 def brute_force_typical(weights, n, eps):
-    """Oracle: enumerate the full sequence space and test each probability."""
+    """Oracle: enumerate the sequence space over the support, test each probability."""
     h = sum(-w * math.log2(w) for w in weights if w > 0)
+    logw = np.array([math.log2(w) if w > 0 else 0.0 for w in weights])
+    log2_probability = functools.cache(lambda counts: float(np.dot(counts, logw)))
     chosen = []
     mass = 0.0
-    for seq in itertools.product(range(len(weights)), repeat=n):
-        if any(weights[s] == 0.0 for s in seq):
-            continue
-        logp = float(np.dot(np.bincount(seq, minlength=len(weights)),
-                            [math.log2(w) if w > 0 else 0.0 for w in weights]))
+    for seq in itertools.product([j for j, w in enumerate(weights) if w > 0], repeat=n):
+        logp = log2_probability(tuple(map(seq.count, range(len(weights)))))
         if -n * (h + eps) <= logp <= -n * (h - eps):
             chosen.append(seq)
             mass += 2.0**logp
     return chosen, mass
+
+
+def binomial_typical(q, n, eps):
+    """Oracle: count and mass of the typical sequences of the weights (1 - q, q)."""
+    h = linalg.shannon_entropy([1 - q, q])
+    count, mass = 0, 0.0
+    for k in range(n + 1):
+        logp = (n - k) * math.log2(1 - q) + k * math.log2(q)
+        if -n * (h + eps) <= logp <= -n * (h - eps):
+            count += math.comb(n, k)
+            mass += math.comb(n, k) * 2.0**logp
+    return count, mass
+
+
+def classes_matching_brute_force(weights, n, eps):
+    """Type-class counts, asserted equal to those of the brute-force typical sequences."""
+    chosen, _ = brute_force_typical(weights, n, eps)
+    counts = {cls.counts: cls.sequence_count for cls in tp._typical_classes(weights, n, eps)[1]}
+    assert counts == collections.Counter(
+        tuple(map(int, np.bincount(seq, minlength=len(weights)))) for seq in chosen)
+    return counts
+
+
+def typical_kraus_channel(ch, n, eps, *, project):
+    """Oracle: the typical block channel as a dense Kraus family.
+
+    One Kronecker product of base Kraus operators per sequence that
+    `brute_force_typical` keeps; `project` left-multiplies each by the
+    typical output projector.
+    """
+    base = qch.minimal_kraus(ch)
+    chosen, _ = brute_force_typical(tuple(tp.kraus_distribution(base)), n, eps)
+    ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
+    if project:
+        rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
+        proj = tp.typical_subspace(rho_out, n, eps).projector()
+        ops = [proj @ op for op in ops]
+    return qch.KrausChannel(input_dim=base.input_dim**n, output_dim=base.output_dim**n,
+                            kraus_ops=tuple(ops), validate=False)
 
 
 # ---------------------------------------------------------------- typical sequences
@@ -60,17 +100,18 @@ def test_large_epsilon_majority_sequence():
     n = 5
     logp_majority = n * math.log2(0.8)
     assert -n * (h + eps) <= logp_majority <= -n * (h - eps)
-    seqs = tp.enumerate_typical_sequences(spec(w, n, eps))
-    assert tuple([0] * n) in seqs
+    assert classes_matching_brute_force(w, n, eps)[(n, 0)] == 1
 
 
 def test_zero_weight_symbols_never_typical():
-    rep = tp.typical_sequences(spec((0.9, 0.0, 0.1), 6, 0.2))
-    ref = tp.typical_sequences(spec((0.9, 0.1), 6, 0.2))
-    assert rep.typical_count == ref.typical_count
-    assert rep.mass == pytest.approx(ref.mass, abs=1e-15)
-    for seq in tp.enumerate_typical_sequences(spec((0.9, 0.0, 0.1), 6, 0.2)):
-        assert 1 not in seq
+    for eps in (0.2, 0.3):      # no typical sequence at 0.2, the one-minority class at 0.3
+        rep = tp.typical_sequences(spec((0.9, 0.0, 0.1), 6, eps))
+        ref = tp.typical_sequences(spec((0.9, 0.1), 6, eps))
+        assert rep.typical_count == ref.typical_count
+        assert rep.mass == pytest.approx(ref.mass, abs=1e-15)
+        counts = classes_matching_brute_force((0.9, 0.0, 0.1), 6, eps)
+        assert all(c[1] == 0 for c in counts)
+    assert counts == {(5, 0, 1): 6}
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 3),
@@ -85,12 +126,16 @@ def test_type_classes_match_brute_force(seed, n, alphabet, eps):
     assert rep.typical_count == len(chosen)
     assert rep.mass == pytest.approx(mass, abs=1e-12)
     assert rep.typical_count <= rep.count_bound
-    assert sorted(tp.enumerate_typical_sequences(spec(weights, n, eps))) == sorted(chosen)
+    classes_matching_brute_force(weights, n, eps)
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceededError):
-        tp.enumerate_typical_sequences(spec((0.5, 0.5), 20, 0.5))
+def test_composition_cap_raises_before_enumerating(monkeypatch):
+    # n = 1 over 256 symbols has 256 compositions; n = 4 has C(259, 4) ~ 1.8e8
+    uniform = np.full(256, 1 / 256)
+    assert tp.typical_sequences(spec(uniform, 1, 0.1)).typical_count == 256
+    monkeypatch.setattr(tp, "_compositions", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(CapExceededError, match="2\\^16"):
+        tp.typical_sequences(spec(uniform, 4, 0.1))
 
 
 def test_mass_beyond_float_counts():
@@ -121,6 +166,15 @@ def test_fit_decay_needs_three_interior_points():
         tp.fit_decay([1], [1.5], 0.1, 1.0)
 
 
+def test_fit_decay_stores_rounding_below_zero_as_zero():
+    # 1 - mass with a mass of 1 + 2^-52 from summing class masses
+    fit = tp.fit_decay([1, 2, 3], [-2.0**-52, -1e-12, 0.25], 0.1, 1.0)
+    assert fit.deviations == (0.0, 0.0, 0.25)
+    for bad in (-2e-12, -1e-6):
+        with pytest.raises(ValueError, match="deviations"):
+            tp.fit_decay([1], [bad], 0.1, 1.0)
+
+
 # ---------------------------------------------------------------- typical subspaces
 
 def test_pure_state_block_subspace():
@@ -146,15 +200,7 @@ def test_block_subspace_binomial_mass():
     rho = np.diag([0.75, 0.25]).astype(complex)
     n, eps = 8, 0.1
     sub = tp.typical_subspace(rho, n, eps)
-    # oracle: binomial type-class sum over typical eigenvalue patterns
-    h = linalg.shannon_entropy([0.75, 0.25])
-    mass = 0.0
-    rank = 0
-    for k in range(n + 1):
-        logp = (n - k) * math.log2(0.75) + k * math.log2(0.25)
-        if -n * (h + eps) <= logp <= -n * (h - eps):
-            rank += math.comb(n, k)
-            mass += math.comb(n, k) * 2.0**logp
+    rank, mass = binomial_typical(0.25, n, eps)
     assert sub.rank == rank
     assert sub.mass == pytest.approx(mass, abs=1e-14)
     assert sub.rank <= sub.rank_bound
@@ -217,29 +263,21 @@ def test_kraus_entropy_equals_entropy_exchange(seed):
 
 def test_typical_channel_of_identity_is_identity():
     for n, eps in [(3, 0.05), (6, 0.5)]:
-        pc = tp.epsilon_typical_channel(qch.identity_channel(2), n, eps)
-        assert pc.kraus_count == 1
-        assert pc.uniform_input_transmission() == pytest.approx(1.0, abs=1e-12)
-        dense = pc.to_kraus_channel()
+        rep = tp.reduced_channel_report(qch.identity_channel(2), n, eps)
+        assert rep.length == 1
+        assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
+        dense = typical_kraus_channel(qch.identity_channel(2), n, eps, project=False)
         assert qch.channels_equal(dense, qch.identity_channel(2**n))
 
 
 def test_typical_channel_phase_flip_mass():
     ch = qch.phase_flip(0.25)
     n, eps = 8, 0.1
-    pc = tp.epsilon_typical_channel(ch, n, eps)
-    # oracle: binomial mass over typical flip counts
-    h = linalg.shannon_entropy([0.75, 0.25])
-    mass = 0.0
-    count = 0
-    for k in range(n + 1):
-        logp = (n - k) * math.log2(0.75) + k * math.log2(0.25)
-        if -n * (h + eps) <= logp <= -n * (h - eps):
-            count += math.comb(n, k)
-            mass += math.comb(n, k) * 2.0**logp
-    assert pc.kraus_count == count
-    assert pc.uniform_input_transmission() == pytest.approx(mass, abs=1e-14)
-    dense = pc.to_kraus_channel()
+    rep = tp.reduced_channel_report(ch, n, eps)
+    count, mass = binomial_typical(0.25, n, eps)
+    assert rep.length == count
+    assert rep.typical_transmission == pytest.approx(mass, abs=1e-14)
+    dense = typical_kraus_channel(ch, n, eps, project=False)
     got = qch.transmission_probability(dense, linalg.max_mixed(2**n))
     assert got == pytest.approx(mass, abs=1e-12)
     assert 0.0 < got < 1.0
@@ -250,46 +288,65 @@ def test_uniform_gram_channel_everything_typical(rng):
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = qch.random_unitary_channel([u, u @ x])
     for eps in (0.01, 0.4):
-        pc = tp.epsilon_typical_channel(ch, 6, eps)
-        assert pc.kraus_count == 2**6
-        assert pc.uniform_input_transmission() == pytest.approx(1.0, abs=1e-12)
+        rep = tp.reduced_channel_report(ch, 6, eps)
+        assert rep.length == 2**6
+        assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
 
 
 def test_typical_channel_needs_trace_preserving():
     with pytest.raises(InvariantViolationError):
-        tp.epsilon_typical_channel(qch.reduce_channel(qch.phase_flip(0.3), [0]), 2, 0.1)
+        tp.reduced_channel_report(qch.reduce_channel(qch.phase_flip(0.3), [0]), 2, 0.1)
 
 
 # ---------------------------------------------------------------- reduced channels
 
 def test_reduced_channel_identity():
-    pc = tp.epsilon_reduced_channel(qch.identity_channel(2), 4, 0.2)
-    dense = pc.to_kraus_channel()
+    rep = tp.reduced_channel_report(qch.identity_channel(2), 4, 0.2)
+    assert rep.length == 1
+    assert rep.transmission == pytest.approx(1.0, abs=1e-12)
+    dense = typical_kraus_channel(qch.identity_channel(2), 4, 0.2, project=True)
     assert qch.channels_equal(dense, qch.identity_channel(16))
 
 
-def test_reduced_report_matches_dense_oracle():
-    ch = qch.phase_flip(0.25)
-    n, eps = 8, 0.1
+def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
+    """Compare every report field with the dense oracle; assert the branch taken."""
+    spy = mock.Mock(wraps=tp._sequence_sum)
+    monkeypatch.setattr(tp, "_sequence_sum", spy)
     rep = tp.reduced_channel_report(ch, n, eps)
-    pc = tp.epsilon_reduced_channel(ch, n, eps)
-    out = pc.apply(linalg.max_mixed(2**n))
+    assert spy.call_count == 1 and spy.call_args.args[0].ndim == (2 if diagonal else 3)
+    dense = typical_kraus_channel(ch, n, eps, project=True)
+    out = qch.apply(dense, linalg.max_mixed(2**n))
+    assert rep.length == len(dense.kraus_ops)
     assert rep.transmission == pytest.approx(float(np.real(np.trace(out))), abs=1e-12)
     assert rep.frobenius_sq == pytest.approx(float(np.sum(np.abs(out) ** 2)), abs=1e-12)
-    assert rep.length == pc.kraus_count
+    typical = typical_kraus_channel(ch, n, eps, project=False)
+    assert rep.typical_transmission == pytest.approx(
+        qch.transmission_probability(typical, linalg.max_mixed(2**n)), abs=1e-12)
     assert rep.counts_within_bound and rep.norm_within_bound
+    return rep
 
 
-def test_reduced_report_dense_oracle_nondiagonal(rng):
-    # haar channels give non-diagonal output factors: exercises the dense path
-    ch = qch.haar_random_channel(2, 2, 2, rng)
-    n, eps = 4, 0.3
-    rep = tp.reduced_channel_report(ch, n, eps)
-    pc = tp.epsilon_reduced_channel(ch, n, eps)
-    if pc.kraus_count:
-        out = pc.apply(linalg.max_mixed(2**n))
-        assert rep.transmission == pytest.approx(float(np.real(np.trace(out))), abs=1e-10)
-        assert rep.frobenius_sq == pytest.approx(float(np.sum(np.abs(out) ** 2)), abs=1e-10)
+def test_reduced_report_matches_dense_oracle(monkeypatch):
+    # the output state is maximally mixed: the projector keeps everything
+    check_report_against_oracle(monkeypatch, qch.phase_flip(0.25), 8, 0.1, diagonal=True)
+
+
+def test_reduced_report_projection_matches_dense_oracle(monkeypatch):
+    # amplitude damping: diagonal branch, projector rank 84 of 256
+    gamma = 0.3
+    ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])))
+    rep = check_report_against_oracle(monkeypatch, ch, 8, 0.1, diagonal=True)
+    assert rep.transmission == pytest.approx(0.209, abs=1e-3)
+    assert rep.typical_transmission == pytest.approx(0.385, abs=1e-3)
+
+
+def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
+    # 15 sequences on the dense branch.  Two typical output classes make the
+    # kept block complex; at n = 5 there is one and its imaginary part vanishes.
+    ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
+    check_report_against_oracle(monkeypatch, ch, 6, 0.1, diagonal=False)
 
 
 @pytest.mark.parametrize("channel, diagonal, ns", [
@@ -307,19 +364,19 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
         _, classes = tp._typical_classes(weights, n, 0.1)
         if not classes:
             continue
-        oracle = sum(functools.reduce(np.kron, factors[list(seq)])
-                     for cls in classes for seq in tp._multiset_permutations(cls.counts))
+        chosen, _ = brute_force_typical(tuple(weights), n, 0.1)
+        oracle = sum(functools.reduce(np.kron, factors[list(seq)]) for seq in chosen)
         got = tp._sequence_sum(factors, classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_reduced_report_beyond_sequence_cap():
-    # 91,728 typical Kraus sequences: summed by type class, never enumerated
+    # 91,728 > 2^16 typical Kraus sequences: summed by type class, never enumerated
     start = time.perf_counter()
     rep = tp.reduced_channel_report(qch.depolarizing(0.3), 14, 0.3)
     assert time.perf_counter() - start < 1.0
-    assert rep.length == 91728 > tp.SEQUENCE_ENUM_CAP
+    assert rep.length == 91728
     assert rep.counts_within_bound and rep.norm_within_bound
 
 
@@ -403,11 +460,10 @@ def test_fidelity_chain_under_reduction_and_projection():
     for n in (2, 4, 6):
         full = qch.tensor_power(qch.minimal_kraus(ch), n)
         for eps in (0.1, 0.4):
-            typ = tp.epsilon_typical_channel(ch, n, eps)
-            if typ.kraus_count == 0:
+            if tp.reduced_channel_report(ch, n, eps).length == 0:
                 continue
-            typ_dense = typ.to_kraus_channel()
-            red_dense = tp.epsilon_reduced_channel(ch, n, eps).to_kraus_channel()
+            typ_dense = typical_kraus_channel(ch, n, eps, project=False)
+            red_dense = typical_kraus_channel(ch, n, eps, project=True)
             for i in range(10):
                 rng = rc.sample_stream(99, n * 1000 + i)
                 k = int(rng.integers(1, 5))
@@ -420,14 +476,15 @@ def test_fidelity_chain_under_reduction_and_projection():
 
 
 # ---------------------------------------------------------------- restricted info
+# coherent information of the uniform density on a code subspace
 
 def test_subspace_restricted_info_full_space():
     ch = qch.phase_flip(0.25)
-    full = codes.CodeSubspace.full_space(2)
+    info = qch.coherent_information(codes.normalized_projector(codes.CodeSubspace.full_space(2)), ch)
     want = qch.coherent_information(linalg.max_mixed(2), ch)
-    assert tp.subspace_restricted_info(ch, full) == pytest.approx(want, abs=1e-12)
+    assert info == pytest.approx(want, abs=1e-12)
     h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-    assert tp.subspace_restricted_info(ch, full) == pytest.approx(1 - h2, abs=1e-12)
+    assert info == pytest.approx(1 - h2, abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -439,4 +496,5 @@ def test_subspace_restricted_info_pure_input_vanishes(seed):
     ch = qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng)
     code = codes.CodeSubspace(ambient_dim=dim, code_dim=1,
                               basis=linalg.haar_isometry(dim, 1, rng))
-    assert tp.subspace_restricted_info(ch, code) == pytest.approx(0.0, abs=1e-9)
+    info = qch.coherent_information(codes.normalized_projector(code), ch)
+    assert info == pytest.approx(0.0, abs=1e-9)
