@@ -32,10 +32,6 @@ from .errors import CapExceededError, FormatError, InvariantViolationError
 # stream index reserved for builtin channel construction, clear of sample indices
 CHANNEL_STREAM_INDEX = 1 << 48
 
-# Largest Kraus stack (N * output_dim * input_dim complex entries, 1 GiB) a
-# builtin channel may build; larger specs are rejected before any allocation.
-_BUILTIN_ENTRY_CAP = 1 << 26
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -101,13 +97,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ------------------------------------------------------------------ channel resolution
 
 def _check_builtin(name: str, entries: int, **sizes: int) -> None:
-    """Reject sizes below 1, and Kraus stacks of more than the cap's entries, before building."""
+    """Reject sizes below 1, and Kraus stacks above `linalg.ENTRY_CAP` entries, before building."""
     if min(sizes.values()) < 1:
         got = ", ".join(f"{key}={value}" for key, value in sizes.items())
         raise FormatError(f"builtin channel {name!r} needs sizes >= 1, got {got}")
-    if entries > _BUILTIN_ENTRY_CAP:
-        raise CapExceededError(f"builtin channel {name!r} needs {entries} Kraus entries, "
-                               f"above cap 2^{_BUILTIN_ENTRY_CAP.bit_length() - 1}")
+    linalg.check_entries(entries, f"builtin channel {name!r} Kraus stack")
 
 
 def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:

@@ -1,12 +1,12 @@
-"""Code subspaces, entanglement fidelity, and computable fidelity lower bounds.
+"""Code subspaces, entanglement fidelity, and the computable fidelity lower bound.
 
 A code is a K-dimensional subspace of the |Q|-dimensional channel input,
-stored as an isometry of orthonormal columns.  The central objects are the
-two equivalent lower bounds on the recovery-optimized code entanglement
-fidelity:
+stored as an isometry of orthonormal columns.  `bound_report` is the one
+per-code entry point: it computes, in one record, the lower bound on the
+recovery-optimized code entanglement fidelity in its two equivalent forms
 
-  state form   p - p * || rho'_RE - rho_R (x) rho'_E ||_1
   Kraus form   p - || D ||_1
+  state form   p - p * || rho'_RE - rho_R (x) rho'_E ||_1
 
 with p the transmission probability of the normalized code projector and D
 the Hermitian block operator
@@ -20,14 +20,14 @@ in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
 K, so the compression is exact and keeps 8-qubit demos tractable.
 
 Exact code entanglement fidelity (a maximum over recovery operations) is
-never computed here; the bounds above plus the recovery witnesses in
+never computed here; the bound above plus the recovery witnesses in
 `transpose_recovery` / `best_recovery_fidelity` stand in for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class CodeSubspace:
         defect = basis.conj().T @ basis - np.eye(k)
         if np.max(np.abs(defect)) > ORTHONORMALITY_ATOL:
             raise InvariantViolationError("basis columns are not orthonormal")
-
-    @property
-    def size_qubits(self) -> float:
-        """log2 of the code dimension."""
-        return math.log2(self.code_dim)
 
     @classmethod
     def full_space(cls, dim: int) -> "CodeSubspace":
@@ -122,6 +117,12 @@ def average_fidelity_from_fe(code_dim: int, fe: float) -> float:
     return (code_dim * fe + 1.0) / (code_dim + 1.0)
 
 
+def _code_entries(ch: KrausChannel, code_dim: int) -> int:
+    """Complex entries the D kernel holds per code: its basis, A_i B, and D (or the Gram stack)."""
+    n, k = len(ch), code_dim
+    return ch.input_dim * k + n * k * (ch.output_dim + n * k)
+
+
 def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
                      dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The one D kernel, over an (S, M, K) stack of code bases.
@@ -135,12 +136,14 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
     All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
     panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
     and the Gram blocks are one matrix product per code, so each code's bits
-    do not depend on S.
+    do not depend on S.  A code that needs more than `linalg.ENTRY_CAP`
+    entries (`_code_entries`) raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
     n, out = len(ch), ch.output_dim
+    linalg.check_entries(_code_entries(ch, k), f"D kernel for one code (K={k}, N={n})")
     flat = kraus_stack(ch).reshape(n * out, m)
     width = s * k
     panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
@@ -173,11 +176,6 @@ def deviation_operator(code: CodeSubspace, ch: KrausChannel) -> np.ndarray:
     return _deviation_batch(code.basis[None], ch, dense=True)[2][0]
 
 
-def deviation_frobenius_sq(code: CodeSubspace, ch: KrausChannel) -> float:
-    """||D||_F^2, without assembling D."""
-    return float(_deviation_batch(code.basis[None], ch, dense=False)[1][0])
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Fidelity lower bound for one (code, channel) pair.
@@ -190,56 +188,43 @@ class BoundReport:
     """
 
     transmission: float
-    deviation_trace_norm: float | None = None
-    deviation_frobenius_sq: float | None = None
-    bound_kraus: float | None = None
-    bound_states: float | None = None
+    deviation_trace_norm: float
+    deviation_frobenius_sq: float
+    bound_kraus: float
+    bound_states: float
 
 
-def fidelity_bound_kraus(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
-    """Kraus-form lower bound p - ||D||_1 on the code entanglement fidelity."""
+def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
+    """Both bound forms in one record; they agree within 1e-9.
+
+    The Kraus form runs first, so the kernel's entry cap fires before the
+    state form allocates its (K*N)^2 matrix.  The state form builds the
+    maximally entangled purification of pi_C, pushes it through the
+    Stinespring isometry, normalizes by its own transmission probability,
+    and measures how far reference+environment is from a product state.
+    """
     p, fro_sq, d = _deviation_batch(code.basis[None], ch, dense=True)
     p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])
+    k, n, out = code.code_dim, len(ch), ch.output_dim
+    psi = code.basis.T / math.sqrt(k)              # (K, M): reference-major purification
+    v = stinespring_isometry(ch)                   # (N*out, M), environment-major
+    phi = (psi @ v.T).reshape(k, n, out)           # indices (r, e, q')
+    p_states = float(np.sum(np.abs(phi) ** 2))
+    if p_states <= 1e-12:
+        raise DegenerateTransmissionError(
+            f"transmission probability {p_states:.3e} too small to normalize the final state"
+        )
+    rho_re = np.einsum("req,sfq->resf", phi, phi.conj()).reshape(k * n, k * n) / p_states
+    rho_e = np.einsum("req,rfq->ef", phi, phi.conj()) / p_states
+    rho_r = np.eye(k, dtype=np.complex128) / k
+    diff = rho_re - np.kron(rho_r, rho_e)
     return BoundReport(
         transmission=p,
         deviation_trace_norm=trace_norm_d,
         deviation_frobenius_sq=float(fro_sq[0]),
         bound_kraus=p - trace_norm_d,
+        bound_states=p_states - p_states * linalg.trace_norm(diff),
     )
-
-
-def fidelity_bound_states(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
-    """State-form lower bound from the final pure state of code + reference.
-
-    Builds the maximally entangled purification of pi_C, pushes it through
-    the Stinespring isometry, normalizes by the transmission probability p,
-    and measures how far reference+environment is from a product state.
-    """
-    if ch.input_dim != code.ambient_dim:
-        raise ValueError("code ambient dimension does not match channel input")
-    k, n, out = code.code_dim, len(ch), ch.output_dim
-    psi = code.basis.T / math.sqrt(k)              # (K, M): reference-major purification
-    v = stinespring_isometry(ch)                   # (N*out, M), environment-major
-    phi = (psi @ v.T).reshape(k, n, out)           # indices (r, e, q')
-    p = float(np.sum(np.abs(phi) ** 2))
-    if p <= 1e-12:
-        raise DegenerateTransmissionError(
-            f"transmission probability {p:.3e} too small to normalize the final state"
-        )
-    rho_re = np.einsum("req,sfq->resf", phi, phi.conj()).reshape(k * n, k * n) / p
-    rho_e = np.einsum("req,rfq->ef", phi, phi.conj()) / p
-    rho_r = np.eye(k, dtype=np.complex128) / k
-    diff = rho_re - np.kron(rho_r, rho_e)
-    return BoundReport(
-        transmission=p,
-        bound_states=p - p * linalg.trace_norm(diff),
-    )
-
-
-def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
-    """Both bound forms in one record; they agree within 1e-9."""
-    return replace(fidelity_bound_kraus(code, ch),
-                   bound_states=fidelity_bound_states(code, ch).bound_states)
 
 
 # ------------------------------------------------------------------ recovery witnesses

@@ -14,8 +14,8 @@ class DegenerateTransmissionError(InvariantViolationError):
 
 
 class CapExceededError(RuntimeError):
-    """A requested dense construction exceeds the configured dimension cap."""
+    """A requested dense construction exceeds a configured size cap."""
 
 
 class FormatError(ValueError):
-    """A serialized channel/code/report does not match the expected schema."""
+    """A serialized channel or a channel spec does not match the expected schema."""

@@ -19,6 +19,10 @@ from .errors import CapExceededError, InvariantViolationError
 # of dense Kronecker products.
 DIMENSION_CAP = 1 << 16
 
+# Largest number of complex entries (1 GiB) one array may hold: builtin Kraus
+# stacks and the per-code D kernel are checked against it before allocating.
+ENTRY_CAP = 1 << 26
+
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -43,8 +47,11 @@ def check_dimension(dim: int) -> int:
     return dim
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+def check_entries(entries: int, what: str) -> None:
+    """CapExceededError naming ``what`` when it needs more than ENTRY_CAP complex entries."""
+    if entries > ENTRY_CAP:
+        raise CapExceededError(f"{what} needs {entries} complex entries, "
+                               f"above cap 2^{ENTRY_CAP.bit_length() - 1}")
 
 
 def tensor(a, b) -> np.ndarray:
@@ -143,13 +150,6 @@ def assert_density_operator(rho, *, normalized: bool = True) -> np.ndarray:
     return rho
 
 
-def matrix_sqrt_psd(rho) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix."""
-    w, v = eigh(rho)
-    w = _clamped_spectrum(w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum(w log2 w) of a normalized density operator, in bits."""
     rho = assert_density_operator(rho, normalized=True)
@@ -174,21 +174,6 @@ def shannon_entropy(weights) -> float:
     p = assert_distribution(weights)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log2(p)))
-
-
-def fidelity(rho, sigma) -> float:
-    """State fidelity ||sqrt(rho) sqrt(sigma)||_1 ^ 2.
-
-    Lies in [0, 1]; equals 1 iff the states coincide, and reduces to
-    <psi|sigma|psi> when rho is the pure state |psi><psi|.
-    """
-    rho, sigma = as_matrix(rho), as_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sr = matrix_sqrt_psd(rho)
-    ss = matrix_sqrt_psd(sigma)
-    s = np.linalg.svd(sr @ ss, compute_uv=False)
-    return min(float(np.sum(s)) ** 2, 1.0)
 
 
 def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:

@@ -149,8 +149,7 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
 def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
                  reduce) -> np.ndarray:
     """reduce(bases) over chunks of Haar code bases on the channel input, concatenated."""
-    m, n = ch.input_dim, len(ch)
-    entries = m * code_dim + n * code_dim * (ch.output_dim + n * code_dim)
+    m, entries = ch.input_dim, codes._code_entries(ch, code_dim)
     return _sample_values(lambda rng: sample_code(m, code_dim, rng).basis,
                           sample_count, master_seed, reduce,
                           chunk=max(1, min(_CHUNK, _CHUNK_ENTRIES // entries)))
@@ -172,73 +171,6 @@ def mc_average_bound(ch: KrausChannel, code_dim: int, sample_count: int,
         return p - codes._trace_norms(d)
 
     values = _code_values(ch, code_dim, sample_count, master_seed, bounds)
-    return _estimate(values, master_seed)
-
-
-@dataclass(frozen=True)
-class TraceNormDiagnostic:
-    """< ||D||_1 > against its analytic majorant sqrt(K |N| < ||D||_F^2 >)."""
-
-    estimate: EnsembleEstimate
-    majorant: float
-
-
-def trace_norm_diagnostic(ch: KrausChannel, code_dim: int, sample_count: int,
-                          master_seed: int) -> TraceNormDiagnostic:
-    """Expose the rank/Jensen gap: how loose sqrt(K N <||D||^2>) is on average."""
-    def trace_norms(bases):
-        return codes._trace_norms(codes._deviation_batch(bases, ch, dense=True)[2])
-
-    values = _code_values(ch, code_dim, sample_count, master_seed, trace_norms)
-    majorant = math.sqrt(code_dim * minimal_length(ch)
-                         * closed_forms(ch, code_dim).deviation_sq)
-    return TraceNormDiagnostic(estimate=_estimate(values, master_seed), majorant=majorant)
-
-
-# ------------------------------------------------------------------ invariant form
-
-@dataclass(frozen=True)
-class CodeFormCoefficients:
-    """Coefficients of the two-term expansion alpha tr(V^dagger W) + beta tr V^dagger tr W."""
-
-    alpha: float
-    beta: float
-
-
-def code_form_coefficients(ambient_dim: int, code_dim: int) -> CodeFormCoefficients:
-    """Closed-form coefficients of the ensemble-averaged code form.
-
-    alpha = (1 - K^-2)/(M^2 - 1), beta = -alpha / M.  They satisfy
-    alpha + beta = (1 - K^-2)/(M^2 + M) and alpha M + beta M^2 = 0; the
-    latter is what direct evaluation of the form at V = W = 1 gives, and the
-    Monte Carlo estimator `code_form_mc` arbitrates it.
-    """
-    m, k = ambient_dim, code_dim
-    if m < 2:
-        raise InvariantViolationError("closed form needs ambient dimension >= 2")
-    if not 1 <= k <= m:
-        raise ValueError("need 1 <= code_dim <= ambient_dim")
-    alpha = (1.0 - k**-2) / (m**2 - 1)
-    return CodeFormCoefficients(alpha=alpha, beta=-alpha / m)
-
-
-def code_form_mc(v, w, ambient_dim: int, code_dim: int, sample_count: int,
-                 master_seed: int) -> EnsembleEstimate:
-    """Monte Carlo average of tr(pi_C V^dagger pi_C W) - tr(pi_C V^dagger) tr(pi_C W) / K."""
-    v = linalg.as_matrix(v)
-    w = linalg.as_matrix(w)
-    m, k = ambient_dim, code_dim
-    if v.shape != (m, m) or w.shape != (m, m):
-        raise ValueError(f"operators must be {m} x {m}")
-
-    def one(rng):
-        b = linalg.haar_isometry(m, k, rng)
-        vc = b.conj().T @ v @ b
-        wc = b.conj().T @ w @ b
-        return (np.trace(vc.conj().T @ wc) / k**2
-                - np.trace(vc.conj().T) * np.trace(wc) / k**3)
-
-    values = _sample_values(one, sample_count, master_seed)
     return _estimate(values, master_seed)
 
 

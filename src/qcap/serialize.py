@@ -1,4 +1,4 @@
-"""JSON/CSV codecs for matrices, channels, codes and report records.
+"""JSON/CSV codecs for matrices, channels and report records.
 
 Matrix wire format: a matrix is an array of rows, each row an array of
 [re, im] float pairs.  Python's json round-trips doubles through repr, so
@@ -93,29 +93,6 @@ def load_channel(path):
 def save_channel(ch, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(channel_to_dict(ch)))
-
-
-def code_to_dict(code) -> dict:
-    return {
-        "ambient_dim": code.ambient_dim,
-        "code_dim": code.code_dim,
-        "basis": matrix_to_pairs(code.basis),
-    }
-
-
-def code_from_dict(data: Any):
-    from .codes import CodeSubspace
-
-    if not isinstance(data, dict):
-        raise FormatError("code record must be a JSON object")
-    try:
-        basis = matrix_from_pairs(data["basis"])
-        m, k = data["ambient_dim"], data["code_dim"]
-    except KeyError as exc:
-        raise FormatError(f"code record is missing field {exc}") from exc
-    if basis.shape != (m, k):
-        raise FormatError(f"basis has shape {basis.shape}, expected ({m}, {k})")
-    return CodeSubspace(ambient_dim=m, code_dim=k, basis=basis)
 
 
 def jsonable(obj):

@@ -91,7 +91,7 @@ def test_criterion_03_exact_ensemble_average():
                 ok = False
                 detail = f"{ch.name} K={k}: |{est.mean:.6g} - {exact:.6g}| > {tol:.3g}"
         # degenerate full-space ensemble has no randomness at all
-        direct = codes.deviation_frobenius_sq(codes.CodeSubspace.full_space(m), ch)
+        direct = codes.bound_report(codes.CodeSubspace.full_space(m), ch).deviation_frobenius_sq
         if abs(rc.closed_forms(ch, m).deviation_sq - direct) > 1e-12:
             ok = False
             detail = f"{ch.name} degenerate K=M"

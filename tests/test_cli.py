@@ -173,6 +173,19 @@ def test_oversized_builtin_is_a_cap(capsys, spec):
     assert err.count("\n") == 1 and spec.split(":")[0] in err and "cap 2^26" in err
 
 
+@pytest.mark.parametrize("subcommand, extra", [("bound", []), ("ensemble", ["--samples", "2"])],
+                         ids=["bound", "ensemble"])
+def test_oversized_code_kernel_is_a_cap(capsys, subcommand, extra):
+    # K*N = 16 * 1024: one code's D alone would hold 2^28 complex entries (4 GiB);
+    # the kernel checks the entry cap before allocating
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:haar_random:16,1,1024",
+                             "--code-dim", "16", *extra, "--seed", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "D kernel" in err and "cap 2^26" in err
+
+
 @pytest.mark.parametrize("epsilon", ["0", "-0.1"])
 @pytest.mark.parametrize("subcommand, extra", [
     ("typicality", []),

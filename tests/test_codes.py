@@ -1,4 +1,4 @@
-"""Code subspaces, entanglement fidelity, and the two fidelity bound forms."""
+"""Code subspaces, entanglement fidelity, and the two forms of the fidelity bound."""
 
 import math
 
@@ -47,10 +47,6 @@ def test_code_validation():
         codes.CodeSubspace(ambient_dim=3, code_dim=2, basis=np.ones((3, 2)))
     with pytest.raises(InvariantViolationError):
         codes.CodeSubspace(ambient_dim=2, code_dim=3, basis=np.eye(2, 3))
-
-
-def test_code_size():
-    assert codes.CodeSubspace.standard(8, 2).size_qubits == pytest.approx(1.0)
 
 
 def test_normalized_projector_full_space():
@@ -179,7 +175,7 @@ def test_deviation_frobenius_formula_full_space():
             w = ai.conj().T @ aj
             oracle += np.real(np.trace(pi @ w.conj().T @ pi @ w)) \
                 - abs(np.trace(pi @ w)) ** 2 / k
-    got = codes.deviation_frobenius_sq(code, ch)
+    got = codes.bound_report(code, ch).deviation_frobenius_sq
     assert got == pytest.approx(oracle, abs=1e-12)
     d = codes.deviation_operator(code, ch)
     assert got == pytest.approx(np.linalg.norm(d) ** 2, abs=1e-12)
@@ -198,9 +194,10 @@ def test_batched_kernel_equals_single_code_entry_points(rng):
         assert none is None and np.array_equal(fro_sq_only, fro_sq)
         trace_norms = codes._trace_norms(d)
         for i, code in enumerate(code_list):
-            rep = codes.fidelity_bound_kraus(code, ch)
+            rep = codes.bound_report(code, ch)
+            _, single_fro_sq, _ = codes._deviation_batch(code.basis[None], ch, dense=False)
             assert p[i] == rep.transmission
-            assert fro_sq[i] == rep.deviation_frobenius_sq == codes.deviation_frobenius_sq(code, ch)
+            assert fro_sq[i] == rep.deviation_frobenius_sq == single_fro_sq[0]
             assert trace_norms[i] == rep.deviation_trace_norm
             assert np.array_equal(d[i], codes.deviation_operator(code, ch))
 
@@ -230,7 +227,7 @@ def test_bound_kraus_identity(rng):
     for m in (2, 4, 8):
         for k in (1, m // 2 or 1, m):
             code = random_code(rng, m, k)
-            rep = codes.fidelity_bound_kraus(code, qch.identity_channel(m))
+            rep = codes.bound_report(code, qch.identity_channel(m))
             assert rep.transmission == pytest.approx(1.0, abs=1e-12)
             assert rep.bound_kraus == pytest.approx(1.0, abs=1e-12)
 
@@ -239,7 +236,7 @@ def test_bound_kraus_trace_decreasing_scaling(rng):
     ops = (math.sqrt(0.5) * np.eye(2, dtype=complex),)
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     code = random_code(rng, 2, 1)
-    rep = codes.fidelity_bound_kraus(code, ch)
+    rep = codes.bound_report(code, ch)
     assert rep.transmission == pytest.approx(0.5, abs=1e-12)
     assert rep.deviation_trace_norm == pytest.approx(0.0, abs=1e-12)
     assert rep.bound_kraus == pytest.approx(0.5, abs=1e-12)
@@ -251,13 +248,13 @@ def test_bound_kraus_never_above_one(rng):
         ch = random_square_channel(rng, m, int(rng.integers(1, 4)),
                                    trace_decreasing=bool(rng.integers(2)))
         code = random_code(rng, m, int(rng.integers(1, m + 1)))
-        rep = codes.fidelity_bound_kraus(code, ch)
+        rep = codes.bound_report(code, ch)
         assert rep.bound_kraus <= 1.0 + 1e-12
 
 
 def test_bound_states_identity(rng):
     code = random_code(rng, 4, 2)
-    rep = codes.fidelity_bound_states(code, qch.identity_channel(4))
+    rep = codes.bound_report(code, qch.identity_channel(4))
     assert rep.bound_states == pytest.approx(1.0, abs=1e-12)
 
 
@@ -274,7 +271,7 @@ def test_bound_states_rejects_zero_transmission():
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a,))
     code = codes.CodeSubspace.standard(2, 1)
     with pytest.raises(DegenerateTransmissionError):
-        codes.fidelity_bound_states(code, ch)
+        codes.bound_report(code, ch)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -304,7 +301,7 @@ def test_bound_kraus_eight_qubit_mixture():
     us = [linalg.haar_unitary(dim, rng) for _ in range(2)]
     ch = qch.random_unitary_channel(us)
     code = random_code(rng, dim, 2)
-    rep = codes.fidelity_bound_kraus(code, ch)
+    rep = codes.bound_report(code, ch)
     assert rep.transmission == pytest.approx(1.0, abs=1e-10)
     assert 0.8 <= rep.bound_kraus <= 1.0
 
@@ -325,6 +322,6 @@ def test_some_recovery_achieves_the_bound(rng):
         m = int(rng.integers(2, 5))
         ch = random_square_channel(rng, m, int(rng.integers(1, 4)))
         code = random_code(rng, m, int(rng.integers(1, m + 1)))
-        bound = codes.fidelity_bound_kraus(code, ch).bound_kraus
+        bound = codes.bound_report(code, ch).bound_kraus
         achieved = codes.best_recovery_fidelity(code, ch)
         assert achieved >= bound - 1e-6

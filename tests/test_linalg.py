@@ -24,12 +24,6 @@ def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_tp_kraus(rng, dim, env):
-    """Random trace-preserving Kraus family from a Haar isometry, no channels dep."""
-    v = linalg.haar_isometry(dim * env, dim, rng)
-    return [v[k * dim:(k + 1) * dim, :] for k in range(env)]
-
-
 # ---------------------------------------------------------------- tensor
 
 def test_tensor_identity():
@@ -197,59 +191,6 @@ def test_shannon_entropy_values():
 def test_shannon_rejects_unnormalized():
     with pytest.raises(InvariantViolationError):
         linalg.shannon_entropy([0.5, 0.6])
-
-
-# ---------------------------------------------------------------- fidelity
-
-def test_fidelity_self(rng):
-    rho = linalg.random_density(3, rng)
-    assert linalg.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fidelity_orthogonal():
-    zero = np.diag([1.0, 0.0])
-    one = np.diag([0.0, 1.0])
-    assert linalg.fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_pure_against_mixed(rng):
-    # oracle: F(|psi><psi|, sigma) = <psi|sigma|psi>
-    zero = np.diag([1.0, 0.0])
-    assert linalg.fidelity(zero, np.eye(2) / 2) == pytest.approx(0.5, abs=1e-12)
-    psi = random_complex(rng, 2, 1).ravel()
-    psi /= np.linalg.norm(psi)
-    sigma = linalg.random_density(2, rng)
-    oracle = float(np.real(psi.conj() @ sigma @ psi))
-    assert linalg.fidelity(np.outer(psi, psi.conj()), sigma) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_fidelity_dim_mismatch():
-    with pytest.raises(ValueError):
-        linalg.fidelity(np.eye(2) / 2, np.eye(3) / 3)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-@settings(max_examples=40, deadline=None)
-def test_fidelity_trace_norm_sandwich(seed, dim):
-    rng = np.random.default_rng(seed)
-    rho = linalg.random_density(dim, rng)
-    sigma = linalg.random_density(dim, rng)
-    f = linalg.fidelity(rho, sigma)
-    d = linalg.trace_norm(rho - sigma)
-    assert 1 - d <= f + 1e-9
-    assert f <= 1 - 0.25 * d**2 + 1e-9
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 3))
-@settings(max_examples=30, deadline=None)
-def test_fidelity_monotone_under_channels(seed, dim, env):
-    rng = np.random.default_rng(seed)
-    rho = linalg.random_density(dim, rng)
-    sigma = linalg.random_density(dim, rng)
-    kraus = random_tp_kraus(rng, dim, env)
-    out_r = sum(a @ rho @ a.conj().T for a in kraus)
-    out_s = sum(a @ sigma @ a.conj().T for a in kraus)
-    assert linalg.fidelity(rho, sigma) <= linalg.fidelity(out_r, out_s) + 1e-9
 
 
 # ---------------------------------------------------------------- purification

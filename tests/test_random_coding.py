@@ -68,7 +68,7 @@ def test_exact_average_full_code_is_deterministic(rng):
     for _ in range(5):
         m = int(rng.integers(2, 5))
         ch = qch.haar_random_channel(m, m, int(rng.integers(1, 4)), rng)
-        direct = codes.deviation_frobenius_sq(codes.CodeSubspace.full_space(m), ch)
+        direct = codes.bound_report(codes.CodeSubspace.full_space(m), ch).deviation_frobenius_sq
         assert rc.closed_forms(ch, m).deviation_sq == pytest.approx(direct, abs=1e-12)
 
 
@@ -171,51 +171,6 @@ def test_mc_average_bound_dominates_analytic_bound():
     assert est.mean >= rc.closed_forms(ch, 1).fidelity_bound - 4 * est.std_error
 
 
-def test_trace_norm_diagnostic_majorant_holds():
-    ch = qch.phase_flip(0.25)
-    diag = rc.trace_norm_diagnostic(ch, 1, 500, master_seed=4)
-    assert diag.estimate.mean <= diag.majorant + 4 * diag.estimate.std_error
-
-
-# ---------------------------------------------------------------- code form
-
-def test_code_form_identity_vanishes_per_sample():
-    eye = np.eye(3)
-    est = rc.code_form_mc(eye, eye, 3, 2, 200, master_seed=5)
-    assert abs(est.mean) <= 1e-12
-    assert est.std_error <= 1e-12
-
-
-def test_code_form_projector_value():
-    m, k = 3, 2
-    psi = np.zeros((m, m), dtype=complex)
-    psi[0, 0] = 1.0
-    est = rc.code_form_mc(psi, psi, m, k, 10000, master_seed=6)
-    target = (1 - k**-2) / (m**2 + m)
-    assert abs(est.mean - target) <= 4 * est.std_error
-
-
-def test_code_form_matches_two_term_expansion(rng):
-    m, k = 3, 2
-    v = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    est = rc.code_form_mc(v, w, m, k, 20000, master_seed=8)
-    coeff = rc.code_form_coefficients(m, k)
-    closed = coeff.alpha * np.trace(v.conj().T @ w) + coeff.beta * np.trace(v.conj().T) * np.trace(w)
-    assert abs(est.mean - closed) <= 4 * est.std_error
-
-
-def test_code_form_coefficients_closed_form():
-    c = rc.code_form_coefficients(2, 2)
-    assert c.alpha == pytest.approx(0.25)
-    assert c.beta == pytest.approx(-0.125)
-    for m in (2, 3, 5):
-        for k in (1, 2):
-            c = rc.code_form_coefficients(m, k)
-            assert c.alpha + c.beta == pytest.approx((1 - k**-2) / (m**2 + m), abs=1e-14)
-            assert c.alpha * m + c.beta * m**2 == pytest.approx(0.0, abs=1e-14)
-
-
 # ---------------------------------------------------------------- Haar moments
 
 @pytest.mark.parametrize("dim,m4,mc", [(2, 1 / 3, 1 / 6), (3, 1 / 6, 1 / 12)])
@@ -303,9 +258,10 @@ def test_chunks_shrink_for_large_codes(monkeypatch):
     assert sum(sizes) == 7 and max(sizes) * 81920 <= rc._CHUNK_ENTRIES
 
 
-def test_trace_norm_diagnostic_matches_per_code_bounds():
+def test_mc_average_bound_matches_per_code_reports():
+    # 70 codes: one full chunk of 64 and a partial one of 6
     ch = qch.depolarizing(0.2, 3)
-    diag = rc.trace_norm_diagnostic(ch, 2, 70, 4)
-    norms = [codes.fidelity_bound_kraus(rc.sample_code(3, 2, rc.sample_stream(4, i)), ch)
-             .deviation_trace_norm for i in range(70)]
-    assert diag.estimate.mean == math.fsum(norms) / 70
+    est = rc.mc_average_bound(ch, 2, 70, 4)
+    bounds = [codes.bound_report(rc.sample_code(3, 2, rc.sample_stream(4, i)), ch).bound_kraus
+              for i in range(70)]
+    assert est.mean == math.fsum(bounds) / 70

@@ -1,4 +1,4 @@
-"""Wire formats: channel/code JSON schema round-trips and CSV number rendering."""
+"""Wire formats: channel JSON schema round-trips and CSV number rendering."""
 
 import json
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qcap import channels as qch
-from qcap import linalg, serialize
-from qcap.codes import CodeSubspace
+from qcap import serialize
 from qcap.errors import FormatError, InvariantViolationError
 
 
@@ -56,13 +55,6 @@ def test_matrix_pairs_schema_errors():
         serialize.matrix_from_pairs([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(FormatError):
         serialize.matrix_from_pairs([])
-
-
-def test_code_round_trip(rng):
-    basis = linalg.haar_isometry(4, 2, rng)
-    code = CodeSubspace(ambient_dim=4, code_dim=2, basis=basis)
-    back = serialize.code_from_dict(serialize.code_to_dict(code))
-    assert np.array_equal(code.basis, back.basis)
 
 
 def test_csv_number_round_trip():
