@@ -117,12 +117,6 @@ def average_fidelity_from_fe(code_dim: int, fe: float) -> float:
     return (code_dim * fe + 1.0) / (code_dim + 1.0)
 
 
-def _code_entries(ch: KrausChannel, code_dim: int) -> int:
-    """Complex entries the D kernel holds per code: its basis, A_i B, and D (or the Gram stack)."""
-    n, k = len(ch), code_dim
-    return ch.input_dim * k + n * k * (ch.output_dim + n * k)
-
-
 def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
                      dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The one D kernel, over an (S, M, K) stack of code bases.
@@ -136,14 +130,17 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
     All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
     panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
     and the Gram blocks are one matrix product per code, so each code's bits
-    do not depend on S.  A code that needs more than `linalg.ENTRY_CAP`
-    entries (`_code_entries`) raises CapExceededError before any allocation.
+    do not depend on S.  A code whose `bound_report` peak is above
+    `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
-    n, out = len(ch), ch.output_dim
-    linalg.check_entries(_code_entries(ch, k), f"D kernel for one code (K={k}, N={n})")
+    n, out, padded = len(ch), ch.output_dim, k + _PANEL_MULTIPLE
+    # bound_report's peak on one code: the kernel, then the state form, each holding about
+    # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and copies of the stack
+    linalg.check_entries(6 * (k * n) ** 2 + n * out * (m + 3 * padded) + m * padded,
+                         f"D kernel for one code (K={k}, N={n})")
     flat = kraus_stack(ch).reshape(n * out, m)
     width = s * k
     panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
@@ -197,11 +194,11 @@ class BoundReport:
 def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     """Both bound forms in one record; they agree within 1e-9.
 
-    The Kraus form runs first, so the kernel's entry cap fires before the
-    state form allocates its (K*N)^2 matrix.  The state form builds the
-    maximally entangled purification of pi_C, pushes it through the
-    Stinespring isometry, normalizes by its own transmission probability,
-    and measures how far reference+environment is from a product state.
+    The kernel's entry check counts the state form too, so it fires before
+    either form allocates.  The state form builds the maximally entangled
+    purification of pi_C, pushes it through the Stinespring isometry,
+    normalizes by its own transmission probability, and measures how far
+    reference+environment is from a product state.
     """
     p, fro_sq, d = _deviation_batch(code.basis[None], ch, dense=True)
     p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])

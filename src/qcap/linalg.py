@@ -14,13 +14,10 @@ import numpy as np
 
 from .errors import CapExceededError, InvariantViolationError
 
-# Largest dimension any dense matrix may have.  Tensor powers that would
-# exceed this must go through the structured paths in `typicality` instead
-# of dense Kronecker products.
-DIMENSION_CAP = 1 << 16
-
-# Largest number of complex entries (1 GiB) one array may hold: builtin Kraus
-# stacks and the per-code D kernel are checked against it before allocating.
+# The one memory cap: 2^26 complex entries (1 GiB).  Every dense step a
+# command can reach predicts its peak, all the arrays it holds at once, and
+# calls `check_entries` with it before allocating; a float64 or int64
+# element counts as one entry.
 ENTRY_CAP = 1 << 26
 
 HERMITICITY_ATOL = 1e-10
@@ -39,38 +36,24 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_dimension(dim: int) -> int:
-    """dim itself, or CapExceededError naming it as a power of two when above the cap."""
-    if dim > DIMENSION_CAP:
-        raise CapExceededError(f"dimension 2^{math.log2(dim):.6g} exceeds cap "
-                               f"2^{math.log2(DIMENSION_CAP):g}")
-    return dim
+def as_power_of_two(x: int) -> str:
+    """x written as 2^log2(x), readable however many digits x has."""
+    return f"2^{math.log2(x):.6g}"
 
 
 def check_entries(entries: int, what: str) -> None:
-    """CapExceededError naming ``what`` when it needs more than ENTRY_CAP complex entries."""
+    """CapExceededError naming ``what`` when its peak needs more than ENTRY_CAP entries."""
     if entries > ENTRY_CAP:
-        raise CapExceededError(f"{what} needs {entries} complex entries, "
-                               f"above cap 2^{ENTRY_CAP.bit_length() - 1}")
+        raise CapExceededError(f"{what} needs {as_power_of_two(entries)} entries, "
+                               f"above cap {as_power_of_two(ENTRY_CAP)}")
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the dimension cap enforced."""
+    """Kronecker product under the entry cap; its peak is the product itself."""
     a, b = as_matrix(a), as_matrix(b)
-    check_dimension(a.shape[0] * b.shape[0])
-    check_dimension(a.shape[1] * b.shape[1])
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    check_entries(rows * cols, f"Kronecker product {as_power_of_two(rows)} x {as_power_of_two(cols)}")
     return np.kron(a, b)
-
-
-def tensor_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:

@@ -36,10 +36,10 @@ from . import codes, linalg
 from .channels import KrausChannel, classify, gram_matrix, kraus_stack, minimal_length
 from .errors import InvariantViolationError
 
-# Samples per chunk of the sampling loop.  Monte Carlo over codes also caps
-# a chunk at about _CHUNK_ENTRIES complex entries of code bases, A_i B and D
-# (4 MiB per array), so codes with a large K*N get fewer samples per chunk
-# and peak memory stays near that of one sample at a time.
+# Samples per chunk of the sampling loop.  Monte Carlo over codes also caps a
+# chunk at about _CHUNK_ENTRIES complex entries (4 MiB) of the per-code arrays
+# that grow with it (bases, panel, A_i B and its copy, the Gram/D stack), so
+# codes with a large K*N get fewer samples per chunk.
 _CHUNK = 64
 _CHUNK_ENTRIES = 1 << 18
 
@@ -149,10 +149,11 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
 def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
                  reduce) -> np.ndarray:
     """reduce(bases) over chunks of Haar code bases on the channel input, concatenated."""
-    m, entries = ch.input_dim, codes._code_entries(ch, code_dim)
+    m, k, n = ch.input_dim, code_dim, len(ch)
+    per_code = 2 * k * (m + n * ch.output_dim) + (k * n) ** 2
     return _sample_values(lambda rng: sample_code(m, code_dim, rng).basis,
                           sample_count, master_seed, reduce,
-                          chunk=max(1, min(_CHUNK, _CHUNK_ENTRIES // entries)))
+                          chunk=max(1, min(_CHUNK, _CHUNK_ENTRIES // per_code)))
 
 
 def mc_deviation_sq(ch: KrausChannel, code_dim: int, sample_count: int,

@@ -85,7 +85,7 @@ def load_channel(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read channel file {path}: {exc}") from exc
     return channel_from_dict(data)
 

@@ -5,8 +5,9 @@ type classes (symbol-count compositions): a sequence's probability depends
 only on its composition, so reports stay polynomial in n even when the
 sequence space is exponential.  Class masses are summed in the log domain,
 so counts far beyond the float range do not overflow.  The number of
-compositions is checked against a cap before any is enumerated, and dense
-output-side operators are produced only under a dimension cap.
+compositions is checked against a cap before any is enumerated, and each
+step on the M'^n-dimensional output block checks its predicted peak
+(`_check_block`) against `linalg.ENTRY_CAP` before allocating.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel: keep only the Kraus products whose weight is typical for
@@ -26,7 +27,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .errors import CapExceededError, InvariantViolationError
 
 # guard on the number of symbol-count compositions enumerated per block length
 _COMPOSITION_CAP = 1 << 16
-# dense-matrix guard for output-side operators held in memory (dimension)
-DENSE_OUTPUT_CAP = 1 << 11
 
 
 # ------------------------------------------------------------------ type classes
@@ -216,13 +215,26 @@ def typical_set_series(weights, eps: float, ns) -> tuple[list[TypicalSetReport],
 
 # ------------------------------------------------------------------ typical subspaces
 
+def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
+    """Entry check for a step on the dim^n-dimensional block, naming its dimension.
+
+    The multi-index indicator holds (3 dim + 4) / 2 entries per index (the
+    diagonal branch measured 65, 113, 212 B at dim = 2, 4, 8); ``dense`` adds
+    3 per entry of the block matrix (a full-rank projector holds three such
+    matrices; the dense branch measured 32-35 B per entry at n = 5-10).
+    """
+    size = dim**n
+    entries = size * (3 * dim + 4) // 2 + (3 * size * size if dense else 0)
+    linalg.check_entries(entries, f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
+
+
 @dataclass(frozen=True)
 class TypicalSubspace:
     """Typical subspace of rho^(x)n in structured form.
 
     Stores the eigenbasis of rho with the rank and mass of the typical
     eigenvalue classes; the dense projector and the multi-index indicator
-    are derived on demand under the dimension caps.
+    are derived on demand under the entry cap.
     """
 
     eigenvalues: np.ndarray
@@ -245,7 +257,7 @@ class TypicalSubspace:
     @cached_property
     def indicator(self) -> np.ndarray:
         """Boolean mask over multi-indices in the tensor eigenbasis (first factor major)."""
-        linalg.check_dimension(self.block_dim)
+        _check_block(self.dim, self.n, False, "typical indicator")
         w = self.eigenvalues
         support = w > 0.0
         idx = np.arange(self.block_dim)
@@ -261,15 +273,9 @@ class TypicalSubspace:
 
     def projector(self) -> np.ndarray:
         """Dense projector onto the typical subspace of rho^(x)n."""
-        if self.block_dim > DENSE_OUTPUT_CAP:
-            raise CapExceededError(
-                f"dense projector of dimension {self.block_dim} exceeds cap {DENSE_OUTPUT_CAP}"
-            )
-        basis = self.eigenvectors
-        full = basis
-        for _ in range(self.n - 1):
-            full = np.kron(full, basis)
-        cols = full[:, self.indicator]
+        _check_block(self.dim, self.n, True, "typical projector")
+        # the Kronecker basis is freed once its typical columns are taken
+        cols = reduce(np.kron, [self.eigenvectors] * self.n)[:, self.indicator]
         return cols @ cols.conj().T
 
 
@@ -409,11 +415,11 @@ def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChann
     Works in the eigenbasis of the single-use output state, where the
     typical projector is diagonal; when every factor matrix is diagonal
     there too (unitary-mixture channels and friends), only vectors of
-    length M'^n are ever formed, otherwise M'^n x M'^n matrices under
-    DENSE_OUTPUT_CAP.  The sum over typical Kraus sequences is never
-    enumerated: `_sequence_sum` builds it class by class from composition
-    sums over the two halves of the block, so the typical-set size is not
-    capped, only the output dimension and the number of type classes.
+    length M'^n are ever formed, otherwise M'^n x M'^n matrices; one entry
+    check covers the branch taken.  The sum over typical Kraus sequences is
+    never enumerated: `_sequence_sum` builds it class by class from
+    composition sums over the two halves of the block, so only the branch's
+    peak and the number of type classes are capped, not the typical set.
     """
     base, weights = _typical_base(ch)
     entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
@@ -436,17 +442,16 @@ def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChann
     factors = _output_factor_matrices(base, subspace.eigenvectors)
     offdiag = factors - np.einsum("jab,ab->jab", factors,
                                   np.eye(base.output_dim))
+    diagonal = np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)
+    _check_block(base.output_dim, n, not diagonal, "reduced report")
     ind = subspace.indicator
 
-    if np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300):
+    if diagonal:
         diags = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
         kept = _sequence_sum(diags, classes, n)[ind]
         transmission = float(np.sum(kept))
         frobenius_sq = float(np.sum(kept ** 2))
     else:
-        if subspace.block_dim > DENSE_OUTPUT_CAP:
-            raise CapExceededError(
-                f"dense block output dimension {subspace.block_dim} exceeds cap")
         kept = _sequence_sum(factors, classes, n)[np.ix_(ind, ind)]
         transmission = float(np.real(np.trace(kept)))
         frobenius_sq = float(np.sum(np.abs(kept) ** 2))
@@ -475,6 +480,7 @@ class ReductionVerification:
 
 
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
+    _check_block(ch.output_dim, max(ns, default=1), False, "reduced report")   # before any report
     reports = tuple(reduced_channel_report(ch, int(n), eps) for n in ns)
     base, weights = _typical_base(ch)
     sigma_sq = log_probability_variance(weights)
@@ -539,6 +545,7 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     if top * rate >= sys.float_info.max_exp:
         raise CapExceededError(
             f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
+    _check_block(ch.output_dim, top, False, "reduced report")
     base, weights = _typical_base(ch)
     entropy_exchange_rate = linalg.shannon_entropy(weights)
     rho_out = apply(base, linalg.max_mixed(base.input_dim))

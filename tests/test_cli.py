@@ -112,6 +112,14 @@ def test_exit_2_malformed_file(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_non_utf8_channel_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(path) in err
+
+
 def test_exit_3_non_cp_channel(tmp_path, capsys):
     data = serialize.channel_to_dict(qch.identity_channel(2))
     data["kraus"].append(data["kraus"][0])
@@ -143,9 +151,19 @@ def test_exit_3_invalid_probability(capsys):
 
 def test_exit_4_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
-                           "--epsilon", "1.5", "--n-min", "20", "--n-max", "20",
+                           "--epsilon", "1.5", "--n-min", "30", "--n-max", "30",
                            "--seed", "0")
     assert code == 4 and "error" in err
+
+
+def test_diagonal_typicality_runs_past_n16(capsys):
+    # the diagonal branch holds about five entries per output index: n = 20 fits the cap
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
+                             "--epsilon", "1.5", "--n-min", "20", "--n-max", "20",
+                             "--seed", "0")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["counts_within_bounds"] is True and record["norms_within_bounds"] is True
 
 
 def test_unknown_builtin_is_an_input_error(capsys):
@@ -163,9 +181,10 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
 
 
 @pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
-                                  "random_unitary:60000,2"])
+                                  "random_unitary:60000,2", "identity:8192"])
 def test_oversized_builtin_is_a_cap(capsys, spec):
-    # each would need tens of GB; the Kraus-stack size is checked before building
+    # each would need GBs; the construction peak, not only the Kraus stack,
+    # is checked before building (identity:8192 has a 1 GiB stack)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
     assert time.perf_counter() - start < 1.0
@@ -173,17 +192,35 @@ def test_oversized_builtin_is_a_cap(capsys, spec):
     assert err.count("\n") == 1 and spec.split(":")[0] in err and "cap 2^26" in err
 
 
-@pytest.mark.parametrize("subcommand, extra", [("bound", []), ("ensemble", ["--samples", "2"])],
-                         ids=["bound", "ensemble"])
-def test_oversized_code_kernel_is_a_cap(capsys, subcommand, extra):
-    # K*N = 16 * 1024: one code's D alone would hold 2^28 complex entries (4 GiB);
-    # the kernel checks the entry cap before allocating
+@pytest.mark.parametrize("subcommand, extra, spec, code_dim", [
+    # K*N = 16 * 1024: one code's D alone would hold 2^28 complex entries (4 GiB)
+    ("bound", [], "haar_random:16,1,1024", "16"),
+    ("ensemble", ["--samples", "2"], "haar_random:16,1,1024", "16"),
+    # one D is 2^24 entries, under the cap, but bound_report holds about six such arrays
+    ("bound", [], "haar_random:32,32,128", "32"),
+], ids=["bound", "ensemble", "bound-peak"])
+def test_oversized_code_kernel_is_a_cap(capsys, subcommand, extra, spec, code_dim):
+    # the kernel checks the predicted peak before allocating
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:haar_random:16,1,1024",
-                             "--code-dim", "16", *extra, "--seed", "1")
+    code, out, err = run_cli(capsys, subcommand, "--channel", f"builtin:{spec}",
+                             "--code-dim", code_dim, *extra, "--seed", "1")
     assert time.perf_counter() - start < 2.0
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "D kernel" in err and "cap 2^26" in err
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("info", []),
+    ("typicality", ["--epsilon", "0.1", "--n-min", "2", "--n-max", "3"]),
+], ids=["info", "typicality"])
+def test_many_kraus_gram_matrix_is_a_cap(capsys, subcommand, extra):
+    # a 10^5-entry Kraus stack, but its Gram matrix alone would be 149 GiB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:haar_random:1,1,100000",
+                             *extra, "--seed", "1")
+    assert time.perf_counter() - start < 3.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Gram matrix" in err and "cap 2^26" in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.1"])
@@ -227,7 +264,7 @@ def test_rate_above_log2_input_dim_is_an_input_error(capsys):
     # code dimensions 2^1030 and 2^1025 are beyond the float range
     ("rate-demo", "--rate", "1", "--epsilon", "0.001", "--n-min", "1030", "--n-max", "1030"),
     ("rate-demo", "--rate", "1", "--epsilon", "0.0001", "--n-min", "1025", "--n-max", "1025"),
-    # class counts beyond the float range: masses in the log domain, then the dimension cap
+    # class counts beyond the float range: masses in the log domain, then the entry cap
     ("typicality", "--epsilon", "0.001", "--n-min", "1100", "--n-max", "1100"),
 ], ids=["rate-demo-1030", "rate-demo-1025", "typicality-1100"])
 def test_large_block_length_is_a_cap(capsys, argv):
@@ -241,13 +278,13 @@ def test_large_block_length_is_a_cap(capsys, argv):
         assert "2^1100" in err
 
 
-@pytest.mark.parametrize("channel, n_min, n_max", [
+@pytest.mark.parametrize("channel, n_min, n_max, cap", [
     # C(259, 4) ~ 1.8e8 type classes over 256 Kraus weights: refused before enumerating
-    ("builtin:haar_random:16,16,256,1", "4", "4"),
-    # output dimension 2^17 at n = 17, before the typical-set series walks 3000 lengths
-    ("builtin:depolarizing:0.3", "2", "3000"),
+    ("builtin:haar_random:16,16,256,1", "4", "4", "cap 2^16"),
+    # block dimension 2^3000 at n = 3000, before any report or the typical-set series
+    ("builtin:depolarizing:0.3", "2", "3000", "cap 2^26"),
 ], ids=["composition-cap", "dimension-cap"])
-def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max):
+def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, cap):
     elapsed = []
     for _ in range(2):      # best of two: one run alone shows host speed phases
         start = time.perf_counter()
@@ -255,7 +292,7 @@ def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max):
                                  "--n-min", n_min, "--n-max", n_max, "--seed", "1")
         elapsed.append(time.perf_counter() - start)
         assert code == 4 and out == ""
-        assert err.count("\n") == 1 and "Traceback" not in err and "cap 2^16" in err
+        assert err.count("\n") == 1 and "Traceback" not in err and cap in err
     assert min(elapsed) < 1.0
 
 
@@ -295,6 +332,15 @@ def test_thread_count_does_not_change_bytes(capsys):
     _, serial, _ = run_cli(capsys, *base, "--threads", "1")
     _, threaded, _ = run_cli(capsys, *base, "--threads", "8")
     assert serial == threaded
+
+
+def test_out_into_missing_directory_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "info", "--channel", "builtin:identity:2",
+                             "--seed", "0", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_out_file(tmp_path, capsys):

@@ -47,14 +47,15 @@ def test_tensor_mixed_product(seed):
 
 def test_tensor_dimension_cap():
     big = np.eye(300)
-    with pytest.raises(CapExceededError, match=r"dimension 2\^16\.4576 exceeds cap 2\^16$"):
+    with pytest.raises(CapExceededError, match=r"^Kronecker product 2\^16\.4576 x 2\^16\.4576 "
+                                               r"needs 2\^32\.9153 entries, above cap 2\^26$"):
         linalg.tensor(big, big)
 
 
 def test_dimension_cap_names_powers_of_two():
-    assert linalg.check_dimension(linalg.DIMENSION_CAP) == linalg.DIMENSION_CAP
-    with pytest.raises(CapExceededError, match=r"dimension 2\^1100 exceeds cap 2\^16$"):
-        linalg.check_dimension(2**1100)
+    assert linalg.check_entries(linalg.ENTRY_CAP, "block") is None
+    with pytest.raises(CapExceededError, match=r"^block needs 2\^1100 entries, above cap 2\^26$"):
+        linalg.check_entries(2**1100, "block")
 
 
 # ---------------------------------------------------------------- partial trace

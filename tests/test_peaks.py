@@ -1,0 +1,79 @@
+"""Each guarded step's predicted peak bounds what it allocates.
+
+Every dense step calls `linalg.check_entries` with its predicted peak before
+it allocates.  Here each step runs under tracemalloc at two shapes of at
+least 16 MiB, with `check_entries` wrapped to record the prediction; the
+traced peak must lie between a third of 16 B per predicted entry and 16 B
+per entry.  tracemalloc sees numpy's array data but not the workspaces that
+LAPACK and OpenBLAS allocate themselves (the eigensolvers' and QR's scratch),
+so the predictions count those while the measured peaks do not.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qcap import channels as qch
+from qcap import cli, codes, linalg
+from qcap import random_coding as rc
+from qcap import typicality as tp
+
+MIB = 1 << 20
+
+
+def assert_prediction_bounds_peak(monkeypatch, step):
+    predictions = []
+    check = linalg.check_entries
+
+    def recording_check(entries, what):
+        predictions.append(entries)
+        check(entries, what)
+
+    monkeypatch.setattr(linalg, "check_entries", recording_check)
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    predicted = 16 * max(predictions)
+    assert peak >= 16 * MIB
+    assert predicted / 3 <= peak <= predicted, (peak / MIB, predicted / MIB)
+
+
+@pytest.mark.parametrize("spec", [
+    "identity:512", "identity:768",
+    "depolarizing:0.3,24", "depolarizing:0.3,28",
+    "haar_random:64,64,96", "haar_random:256,64,24",
+    "random_unitary:128,16", "random_unitary:64,64",
+])
+def test_builtin_construction_peak(monkeypatch, spec):
+    assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
+
+
+@pytest.mark.parametrize("dims, code_dim", [((16, 16, 32), 16), ((16, 1, 256), 2)])
+def test_bound_report_peak(monkeypatch, dims, code_dim):
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    code = rc.sample_code(ch.input_dim, code_dim, np.random.default_rng(2))
+    assert_prediction_bounds_peak(monkeypatch, lambda: codes.bound_report(code, ch))
+
+
+@pytest.mark.parametrize("ch, n", [
+    (qch.phase_flip(0.25), 18),
+    (qch.tensor_power(qch.phase_flip(0.25), 2), 9),
+], ids=["qubit", "two-qubit"])
+def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
+    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
+
+
+@pytest.mark.parametrize("dims, n", [((2, 2, 3), 10), ((4, 4, 2), 5)])
+def test_dense_reduced_report_peak(monkeypatch, dims, n):
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1100), (2, 2, 1500)])
+def test_gram_matrix_peak(monkeypatch, dims):
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    assert_prediction_bounds_peak(monkeypatch, lambda: qch.gram_matrix(ch))

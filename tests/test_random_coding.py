@@ -253,9 +253,10 @@ def test_chunks_shrink_for_large_codes(monkeypatch):
     rc.mc_deviation_sq(qch.depolarizing(0.3), 2, 100, 1)
     assert sizes == [rc._CHUNK, 100 - rc._CHUNK]
     sizes.clear()
-    # K = 128 on a 256-dim identity: 256*128 + 128*(256 + 128) entries per sample
+    # K = 128 on a 256-dim identity: bases and panel 2*256*128, A_i B and its
+    # copy 2*256*128, and the Gram/D stack 128^2 entries per sample
     rc.mc_deviation_sq(qch.identity_channel(256), 128, 7, 1)
-    assert sum(sizes) == 7 and max(sizes) * 81920 <= rc._CHUNK_ENTRIES
+    assert sum(sizes) == 7 and max(sizes) * 147456 <= rc._CHUNK_ENTRIES
 
 
 def test_mc_average_bound_matches_per_code_reports():

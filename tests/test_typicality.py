@@ -221,7 +221,7 @@ def test_block_subspace_projector_properties(rng):
 
 def test_projector_cap():
     with pytest.raises(CapExceededError):
-        tp.typical_subspace(linalg.max_mixed(2), 12, 0.1).projector()
+        tp.typical_subspace(linalg.max_mixed(2), 13, 0.1).projector()
 
 
 # ---------------------------------------------------------------- Kraus distribution
