@@ -141,6 +141,10 @@ def diagonalize_kraus(ch: KrausChannel) -> KrausChannel:
     The channel action is unchanged.  Already-diagonal inputs are returned
     as-is; otherwise operators come back ordered by decreasing weight.
     """
+    # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors;
+    # the stack, its recombination and re-stacking (measured 3.0 N^2 + 3 stacks)
+    linalg.check_entries(4 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
+                         f"Gram matrix diagonalization of {len(ch)} Kraus operators")
     h = gram_matrix(ch)
     off = h - np.diag(np.diagonal(h))
     if not len(ch) > 1 or np.max(np.abs(off)) <= COMPLETENESS_ATOL:
@@ -278,8 +282,10 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     Unital: the maximally mixed input maps to the maximally mixed output
     (trace-norm deviation <= 1e-9).  Uniform: the nonzero weights of the
     diagonalized Gram matrix agree to relative deviation 1e-9, i.e. all
-    error operators fire with the same probability.  The entropy fields are
-    None for trace-decreasing channels, where they are not defined here.
+    error operators fire with the same probability.  The length counts those
+    nonzero weights, as `minimal_length` would from the same spectrum.  The
+    entropy fields are None for trace-decreasing channels, where they are
+    not defined here.
     """
     tp = is_trace_preserving(ch)
     pi_in = linalg.max_mixed(ch.input_dim)
@@ -299,7 +305,7 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
         is_trace_preserving=tp,
         is_unital=bool(unital),
         is_uniform=uniform,
-        length=minimal_length(ch),
+        length=int(nz.size),
         output_entropy=s_out,
         entropy_exchange=s_e,
         coherent_information=info,

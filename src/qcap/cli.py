@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -182,8 +183,8 @@ def _require(config: RunConfig, **fields) -> None:
 
 def _epsilon(config: RunConfig) -> float:
     _require(config, epsilon="--epsilon")
-    if not config.epsilon > 0.0:
-        raise ValueError("--epsilon must be positive")
+    if not 0.0 < config.epsilon < math.inf:
+        raise ValueError("--epsilon must be positive and finite")
     return config.epsilon
 
 
@@ -267,17 +268,20 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(config)
     eps = _epsilon(config)
     ns = _n_range(config)
-    # The reduced reports carry the caps; build them first so a capped range
-    # exits before any other work and before the typical-set series walks every n.
     verification = tp.verify_reduction_bounds(ch, ns, eps)
     weights = tp.kraus_distribution(qch.minimal_kraus(ch))
-    seq_reports, seq_fit = tp.typical_set_series(weights, eps, ns)
+    # The sequence_* keys repeat the reduced reports' typical-class counts
+    # under their own names; they stay so that the report keeps its keys.
+    entropy = linalg.shannon_entropy(weights)
+    reports = verification.reports
     record = {
         "config": _config_record(config),
         "kraus_weights": list(map(float, weights)),
-        "sequence_reports": [asdict(r) for r in seq_reports],
-        "sequence_decay": asdict(seq_fit),
-        "channel_reports": [asdict(r) for r in verification.reports],
+        "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
+                              "mass": r.typical_transmission, "entropy": entropy}
+                             for r in reports],
+        "sequence_decay": asdict(verification.typical_decay),
+        "channel_reports": [asdict(r) for r in reports],
         "counts_within_bounds": verification.counts_within_bounds,
         "norms_within_bounds": verification.norms_within_bounds,
         "typical_decay": asdict(verification.typical_decay),
@@ -286,11 +290,9 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     header = ["n", "typical_count", "count_bound", "sequence_mass", "length",
               "length_bound", "typical_transmission", "transmission",
               "frobenius_sq", "frobenius_bound"]
-    rows = []
-    for seq_rep, ch_rep in zip(seq_reports, verification.reports):
-        rows.append([ch_rep.n, seq_rep.typical_count, seq_rep.count_bound, seq_rep.mass,
-                     ch_rep.length, ch_rep.length_bound, ch_rep.typical_transmission,
-                     ch_rep.transmission, ch_rep.frobenius_sq, ch_rep.frobenius_bound])
+    rows = [[r.n, r.length, r.length_bound, r.typical_transmission,
+             r.length, r.length_bound, r.typical_transmission,
+             r.transmission, r.frobenius_sq, r.frobenius_bound] for r in reports]
     return record, header, rows
 
 

@@ -17,8 +17,12 @@ never enumerate sequences: the sum of Kronecker products over all typical
 Kraus sequences is built class by class, from prefix-composition sums over
 the two halves of the block joined in one contraction.
 
-All typicality inequalities are inclusive (<=), and count-versus-bound
-checks compare exact integer counts against real bounds.
+Typicality is decided in one place, `_typical_classes`, per type class; its
+inequalities are inclusive (<=).  The typical Kraus classes give a report's
+sequence count and typical mass, and the typical output classes give the
+subspace's rank, mass and multi-index indicator (a `_sequence_sum` of
+one-hot vectors).  Count-versus-bound checks compare exact integer counts
+against real bounds.
 """
 
 from __future__ import annotations
@@ -81,29 +85,6 @@ class TypeClass:
     sequence_count: int
 
 
-@dataclass(frozen=True)
-class TypicalSetSpec:
-    weights: tuple[float, ...]
-    block_length: int
-    epsilon: float
-
-    def __post_init__(self):
-        linalg.assert_distribution(self.weights)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.block_length < 1:
-            raise InvariantViolationError("block_length must be >= 1")
-        if not self.epsilon > 0.0:
-            raise InvariantViolationError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class TypicalSetReport:
-    typical_count: int
-    count_bound: float
-    mass: float
-    entropy: float
-
-
 def _power_of_two(exponent: float) -> float:
     try:
         return 2.0**exponent
@@ -150,16 +131,6 @@ def _typical_classes(weights, n: int, eps: float) -> tuple[float, list[TypeClass
     return entropy, classes
 
 
-def typical_sequences(spec: TypicalSetSpec) -> TypicalSetReport:
-    """Exact count and probability mass of the typical set, via type classes."""
-    entropy, classes = _typical_classes(spec.weights, spec.block_length, spec.epsilon)
-    count = sum(c.sequence_count for c in classes)
-    mass = _class_mass(classes)
-    bound = _power_of_two(spec.block_length * (entropy + spec.epsilon))
-    return TypicalSetReport(typical_count=count, count_bound=bound,
-                            mass=mass, entropy=entropy)
-
-
 def log_probability_variance(weights) -> float:
     """Variance of -log2 P(a) under P, the scale entering decay-rate estimates."""
     p = linalg.assert_distribution(weights)
@@ -204,27 +175,20 @@ def fit_decay(ns, deviations, epsilon: float, sigma_sq: float) -> DecayFit:
                     fitted_rate=rate, sigma_sq=sigma_sq)
 
 
-def typical_set_series(weights, eps: float, ns) -> tuple[list[TypicalSetReport], DecayFit]:
-    """Per-n typical-set reports plus the decay fit of 1 - mass."""
-    reports = [typical_sequences(TypicalSetSpec(weights=tuple(weights), block_length=n,
-                                                epsilon=eps)) for n in ns]
-    fit = fit_decay(ns, [1.0 - r.mass for r in reports], eps,
-                    log_probability_variance(weights))
-    return reports, fit
-
-
 # ------------------------------------------------------------------ typical subspaces
 
 def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
     """Entry check for a step on the dim^n-dimensional block, naming its dimension.
 
-    The multi-index indicator holds (3 dim + 4) / 2 entries per index (the
-    diagonal branch measured 65, 113, 212 B at dim = 2, 4, 8); ``dense`` adds
-    3 per entry of the block matrix (a full-rank projector holds three such
-    matrices; the dense branch measured 32-35 B per entry at n = 5-10).
+    Each output index holds 2 entries: the indicator's float sum before its
+    boolean mask, then the diagonal branch's float sum of Kraus factors and
+    its kept entries (the diagonal branch measured 17-18 B per index at
+    dim = 2, n = 18-23 and dim = 4, n = 9-11); ``dense`` adds 3 per entry of the block matrix (a
+    full-rank projector holds three such matrices; the dense branch measured
+    32-35 B per entry at n = 5-10).
     """
     size = dim**n
-    entries = size * (3 * dim + 4) // 2 + (3 * size * size if dense else 0)
+    entries = 2 * size + (3 * size * size if dense else 0)
     linalg.check_entries(entries, f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
 
 
@@ -232,19 +196,18 @@ def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
 class TypicalSubspace:
     """Typical subspace of rho^(x)n in structured form.
 
-    Stores the eigenbasis of rho with the rank and mass of the typical
-    eigenvalue classes; the dense projector and the multi-index indicator
-    are derived on demand under the entry cap.
+    Stores the eigenbasis of rho with the typical eigenvalue classes, their
+    rank and mass; the dense projector and the multi-index indicator are
+    derived from the classes on demand under the entry cap.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     n: int
-    epsilon: float
-    entropy: float
     rank: int
     rank_bound: float
     mass: float
+    classes: tuple[TypeClass, ...]
 
     @property
     def dim(self) -> int:
@@ -256,20 +219,16 @@ class TypicalSubspace:
 
     @cached_property
     def indicator(self) -> np.ndarray:
-        """Boolean mask over multi-indices in the tensor eigenbasis (first factor major)."""
+        """Boolean mask over multi-indices in the tensor eigenbasis (first factor major).
+
+        The sum over typical sequences of one-hot Kronecker products e_s1 (x)
+        ... (x) e_sn is 1 exactly at the typical multi-indices, so
+        `_sequence_sum` builds it from the stored classes.
+        """
         _check_block(self.dim, self.n, False, "typical indicator")
-        w = self.eigenvalues
-        support = w > 0.0
-        idx = np.arange(self.block_dim)
-        counts = np.zeros((self.block_dim, self.dim), dtype=np.int64)
-        for k in range(self.n):
-            digits = (idx // self.dim ** (self.n - 1 - k)) % self.dim
-            counts += np.eye(self.dim, dtype=np.int64)[digits]
-        bad = counts[:, ~support].sum(axis=1) > 0
-        logp = counts[:, support].astype(float) @ np.log2(w[support])
-        lo = -self.n * (self.entropy + self.epsilon)
-        hi = -self.n * (self.entropy - self.epsilon)
-        return ~bad & (logp >= lo) & (logp <= hi)
+        if not self.classes:
+            return np.zeros(self.block_dim, dtype=bool)
+        return _sequence_sum(np.eye(self.dim), self.classes, self.n) > 0.5
 
     def projector(self) -> np.ndarray:
         """Dense projector onto the typical subspace of rho^(x)n."""
@@ -293,8 +252,8 @@ def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
     rank = sum(c.sequence_count for c in classes)
     mass = _class_mass(classes)
     return TypicalSubspace(
-        eigenvalues=w, eigenvectors=v, n=n, epsilon=eps, entropy=entropy, rank=rank,
-        rank_bound=_power_of_two(n * (entropy + eps)), mass=mass,
+        eigenvalues=w, eigenvectors=v, n=n, rank=rank,
+        rank_bound=_power_of_two(n * (entropy + eps)), mass=mass, classes=tuple(classes),
     )
 
 

@@ -146,9 +146,16 @@ def test_criterion_06_coherent_information_closed_forms():
 def test_criterion_07_typicality_exact_bounds():
     weights = (0.9, 0.1)
     eps = 0.1
-    reports, fit = tp.typical_set_series(weights, eps, range(1, 61))
-    counts_ok = all(r.typical_count <= r.count_bound for r in reports)
-    mass_ok = reports[59].mass > reports[9].mass
+    ns = range(1, 61)
+    counts, bounds, masses = [], [], []
+    for n in ns:
+        entropy, classes = tp._typical_classes(weights, n, eps)
+        counts.append(sum(c.sequence_count for c in classes))
+        bounds.append(2.0 ** (n * (entropy + eps)))
+        masses.append(tp._class_mass(classes))
+    fit = tp.fit_decay(ns, [1.0 - m for m in masses], eps, tp.log_probability_variance(weights))
+    counts_ok = all(c <= b for c, b in zip(counts, bounds))
+    mass_ok = masses[59] > masses[9]
     rate = fit.fitted_rate
     target = eps**2 / (2.0 * fit.sigma_sq)
     fit_ok = rate is not None and rate > 0.0 and target / 4 <= rate <= target * 4

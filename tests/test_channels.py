@@ -1,6 +1,7 @@
 """Kraus channel algebra, representations and information quantities."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -343,6 +344,22 @@ def test_classify_trace_decreasing_has_no_entropies():
     rep = qch.classify(half_identity())
     assert not rep.is_trace_preserving
     assert rep.output_entropy is None and rep.coherent_information is None
+
+
+def test_classify_length_from_its_one_gram_spectrum(monkeypatch, rng):
+    a = linalg.haar_unitary(2, rng)
+    channels = [
+        qch.identity_channel(3), qch.phase_flip(0.3), amplitude_damping(0.4), half_identity(),
+        qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a / math.sqrt(2),) * 2),
+        qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(np.eye(2), np.zeros((2, 2)))),
+        qch.haar_random_channel(2, 3, 4, rng),
+    ]
+    want = [qch.minimal_length(ch) for ch in channels]
+    assert want == [1, 2, 2, 1, 1, 1, 4]
+    spy = mock.Mock(wraps=qch.gram_matrix)
+    monkeypatch.setattr(qch, "gram_matrix", spy)
+    assert [qch.classify(ch).length for ch in channels] == want
+    assert spy.call_count == len(channels)
 
 
 # ---------------------------------------------------------------- constructors

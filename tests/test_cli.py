@@ -157,13 +157,18 @@ def test_exit_4_cap_exceeded(capsys):
 
 
 def test_diagonal_typicality_runs_past_n16(capsys):
-    # the diagonal branch holds about five entries per output index: n = 20 fits the cap
+    # the diagonal branch holds two entries per output index: n = 25 fits the cap, n = 26 not
     code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
-                             "--epsilon", "1.5", "--n-min", "20", "--n-max", "20",
+                             "--epsilon", "1.5", "--n-min", "25", "--n-max", "25",
                              "--seed", "0")
     assert code == 0 and err == ""
     record = json.loads(out)
     assert record["counts_within_bounds"] is True and record["norms_within_bounds"] is True
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
+                             "--epsilon", "1.5", "--n-min", "26", "--n-max", "26",
+                             "--seed", "0")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "cap 2^26" in err
 
 
 def test_unknown_builtin_is_an_input_error(capsys):
@@ -223,7 +228,7 @@ def test_many_kraus_gram_matrix_is_a_cap(capsys, subcommand, extra):
     assert err.count("\n") == 1 and "Gram matrix" in err and "cap 2^26" in err
 
 
-@pytest.mark.parametrize("epsilon", ["0", "-0.1"])
+@pytest.mark.parametrize("epsilon", ["0", "-0.1", "inf"])
 @pytest.mark.parametrize("subcommand, extra", [
     ("typicality", []),
     ("rate-demo", ["--rate", "0.1"]),

@@ -60,8 +60,8 @@ def test_bound_report_peak(monkeypatch, dims, code_dim):
 
 
 @pytest.mark.parametrize("ch, n", [
-    (qch.phase_flip(0.25), 18),
-    (qch.tensor_power(qch.phase_flip(0.25), 2), 9),
+    (qch.phase_flip(0.25), 20),
+    (qch.tensor_power(qch.phase_flip(0.25), 2), 10),
 ], ids=["qubit", "two-qubit"])
 def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
     assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
@@ -77,3 +77,9 @@ def test_dense_reduced_report_peak(monkeypatch, dims, n):
 def test_gram_matrix_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.gram_matrix(ch))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1024), (2, 2, 1024)])
+def test_minimal_kraus_peak(monkeypatch, dims):
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    assert_prediction_bounds_peak(monkeypatch, lambda: qch.minimal_kraus(ch))

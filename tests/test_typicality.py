@@ -17,10 +17,6 @@ from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
 
 
-def spec(weights, n, eps):
-    return tp.TypicalSetSpec(weights=tuple(weights), block_length=n, epsilon=eps)
-
-
 def brute_force_typical(weights, n, eps):
     """Oracle: enumerate the sequence space over the support, test each probability."""
     h = sum(-w * math.log2(w) for w in weights if w > 0)
@@ -34,6 +30,21 @@ def brute_force_typical(weights, n, eps):
             chosen.append(seq)
             mass += 2.0**logp
     return chosen, mass
+
+
+TypicalSet = collections.namedtuple("TypicalSet", "count bound mass entropy")
+
+
+def typical_set(weights, n, eps):
+    """Count, count bound 2^(n (H + eps)), mass and entropy H of the typical set.
+
+    Read from the type classes that every report counts (`_typical_classes`
+    and `_class_mass`), as the `typicality` command's sequence rows are.
+    """
+    entropy, classes = tp._typical_classes(weights, n, eps)
+    return TypicalSet(count=sum(c.sequence_count for c in classes),
+                      bound=tp._power_of_two(n * (entropy + eps)),
+                      mass=tp._class_mass(classes), entropy=entropy)
 
 
 def binomial_typical(q, n, eps):
@@ -62,14 +73,21 @@ def typical_kraus_channel(ch, n, eps, *, project):
 
     One Kronecker product of base Kraus operators per sequence that
     `brute_force_typical` keeps; `project` left-multiplies each by the
-    typical output projector.
+    typical output projector: the eigenvectors of the output state, tensored
+    along each index sequence that `brute_force_typical` keeps for its
+    eigenvalues.
     """
     base = qch.minimal_kraus(ch)
     chosen, _ = brute_force_typical(tuple(tp.kraus_distribution(base)), n, eps)
     ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
     if project:
-        rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
-        proj = tp.typical_subspace(rho_out, n, eps).projector()
+        w, v = linalg.eigh(qch.apply(base, linalg.max_mixed(base.input_dim)))
+        w = np.maximum(w, 0.0)
+        kept, _ = brute_force_typical(tuple(w / np.sum(w)), n, eps)
+        cols = np.zeros((base.output_dim**n, len(kept)), dtype=complex)
+        for i, seq in enumerate(kept):
+            cols[:, i] = functools.reduce(np.kron, [v[:, j] for j in seq])
+        proj = cols @ cols.conj().T
         ops = [proj @ op for op in ops]
     return qch.KrausChannel(input_dim=base.input_dim**n, output_dim=base.output_dim**n,
                             kraus_ops=tuple(ops), validate=False)
@@ -79,17 +97,17 @@ def typical_kraus_channel(ch, n, eps, *, project):
 
 def test_uniform_distribution_everything_typical():
     for n in (1, 4, 9):
-        rep = tp.typical_sequences(spec((0.5, 0.5), n, 0.05))
-        assert rep.typical_count == 2**n
+        rep = typical_set((0.5, 0.5), n, 0.05)
+        assert rep.count == 2**n
         assert rep.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binomial_type_class_report():
-    rep = tp.typical_sequences(spec((0.9, 0.1), 10, 0.1))
-    assert rep.typical_count == 10                     # exactly the k=1 class
+    rep = typical_set((0.9, 0.1), 10, 0.1)
+    assert rep.count == 10                             # exactly the k=1 class
     assert rep.mass == pytest.approx(10 * 0.9**9 * 0.1, abs=1e-15)
-    assert rep.typical_count <= rep.count_bound
-    assert rep.count_bound == pytest.approx(2 ** (10 * (rep.entropy + 0.1)))
+    assert rep.count <= rep.bound
+    assert rep.bound == pytest.approx(2 ** (10 * (rep.entropy + 0.1)))
 
 
 def test_large_epsilon_majority_sequence():
@@ -105,9 +123,9 @@ def test_large_epsilon_majority_sequence():
 
 def test_zero_weight_symbols_never_typical():
     for eps in (0.2, 0.3):      # no typical sequence at 0.2, the one-minority class at 0.3
-        rep = tp.typical_sequences(spec((0.9, 0.0, 0.1), 6, eps))
-        ref = tp.typical_sequences(spec((0.9, 0.1), 6, eps))
-        assert rep.typical_count == ref.typical_count
+        rep = typical_set((0.9, 0.0, 0.1), 6, eps)
+        ref = typical_set((0.9, 0.1), 6, eps)
+        assert rep.count == ref.count
         assert rep.mass == pytest.approx(ref.mass, abs=1e-15)
         counts = classes_matching_brute_force((0.9, 0.0, 0.1), 6, eps)
         assert all(c[1] == 0 for c in counts)
@@ -121,39 +139,41 @@ def test_type_classes_match_brute_force(seed, n, alphabet, eps):
     rng = np.random.default_rng(seed)
     raw = rng.dirichlet(np.ones(alphabet))
     weights = tuple(raw / raw.sum())
-    rep = tp.typical_sequences(spec(weights, n, eps))
+    rep = typical_set(weights, n, eps)
     chosen, mass = brute_force_typical(weights, n, eps)
-    assert rep.typical_count == len(chosen)
+    assert rep.count == len(chosen)
     assert rep.mass == pytest.approx(mass, abs=1e-12)
-    assert rep.typical_count <= rep.count_bound
+    assert rep.count <= rep.bound
     classes_matching_brute_force(weights, n, eps)
 
 
 def test_composition_cap_raises_before_enumerating(monkeypatch):
     # n = 1 over 256 symbols has 256 compositions; n = 4 has C(259, 4) ~ 1.8e8
     uniform = np.full(256, 1 / 256)
-    assert tp.typical_sequences(spec(uniform, 1, 0.1)).typical_count == 256
+    assert typical_set(uniform, 1, 0.1).count == 256
     monkeypatch.setattr(tp, "_compositions", mock.Mock(side_effect=AssertionError))
     with pytest.raises(CapExceededError, match="2\\^16"):
-        tp.typical_sequences(spec(uniform, 4, 0.1))
+        typical_set(uniform, 4, 0.1)
 
 
 def test_mass_beyond_float_counts():
     # 2^1100 sequences: the count overflows a float, the log-domain mass does not
-    rep = tp.typical_sequences(spec((0.5, 0.5), 1100, 0.1))
-    assert rep.typical_count == 2**1100
+    rep = typical_set((0.5, 0.5), 1100, 0.1)
+    assert rep.count == 2**1100
     assert rep.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_grows_with_block_length():
-    r10 = tp.typical_sequences(spec((0.9, 0.1), 10, 0.1))
-    r60 = tp.typical_sequences(spec((0.9, 0.1), 60, 0.1))
+    r10 = typical_set((0.9, 0.1), 10, 0.1)
+    r60 = typical_set((0.9, 0.1), 60, 0.1)
     assert r60.mass > r10.mass
-    assert r60.typical_count <= r60.count_bound
+    assert r60.count <= r60.bound
 
 
 def test_decay_fit_on_sequence_masses():
-    reports, fit = tp.typical_set_series((0.9, 0.1), 0.1, range(1, 61))
+    ns = range(1, 61)
+    deviations = [1.0 - typical_set((0.9, 0.1), n, 0.1).mass for n in ns]
+    fit = tp.fit_decay(ns, deviations, 0.1, tp.log_probability_variance((0.9, 0.1)))
     assert fit.fitted_rate is not None and fit.fitted_rate > 0.0
     target = 0.1**2 / (2 * fit.sigma_sq)
     assert target / 4 <= fit.fitted_rate <= target * 4
@@ -217,6 +237,41 @@ def test_block_subspace_projector_properties(rng):
     assert np.allclose(proj, proj.conj().T, atol=1e-12)
     assert np.allclose(proj @ proj, proj, atol=1e-10)
     assert int(sub.indicator.sum()) == sub.rank
+
+
+def random_spectrum(seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+    if rng.integers(2):
+        w[rng.integers(w.size)] = 0.0
+    return tuple(w / w.sum())
+
+
+SPECTRA = st.one_of(
+    st.integers(0, 2**32 - 1).map(random_spectrum),
+    # dyadic: the log-probabilities and, at these epsilons, lo and hi are exact,
+    # so whole classes sit on the inclusive edges of the window
+    st.sampled_from([(0.5, 0.5), (0.5, 0.25, 0.25), (0.5, 0.25, 0.125, 0.125), (0.25,) * 4]),
+    st.sampled_from([(1.0, 0.0), (0.5, 0.0, 0.5), (0.5, 0.25, 0.0, 0.25)]),
+)
+
+
+@given(SPECTRA, st.integers(1, 6), st.sampled_from([0.125, 0.25, 0.5, 0.75]) | st.floats(0.01, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_indicator_matches_brute_force(spectrum, n, eps):
+    sub = tp.typical_subspace(np.diag(spectrum), n, eps)
+    chosen, _ = brute_force_typical(tuple(sub.eigenvalues), n, eps)
+    want = np.zeros(sub.block_dim, dtype=bool)
+    for seq in chosen:
+        want[np.ravel_multi_index(seq, (sub.dim,) * n)] = True
+    assert np.array_equal(sub.indicator, want)
+    assert int(sub.indicator.sum()) == sub.rank
+
+
+def test_indicator_keeps_inclusive_edges():
+    # H = 1.5 and eps = 0.5: the classes at log2 p = -4 = lo and -2 = hi are typical
+    sub = tp.typical_subspace(np.diag([0.5, 0.25, 0.25]), 2, 0.5)
+    assert sub.indicator.all() and sub.rank == 9
 
 
 def test_projector_cap():
@@ -313,7 +368,11 @@ def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     spy = mock.Mock(wraps=tp._sequence_sum)
     monkeypatch.setattr(tp, "_sequence_sum", spy)
     rep = tp.reduced_channel_report(ch, n, eps)
-    assert spy.call_count == 1 and spy.call_args.args[0].ndim == (2 if diagonal else 3)
+    # one sum over the Kraus factors; the indicator's sum of one-hot vectors is the other
+    kraus_calls = [call for call in spy.call_args_list
+                   if not np.array_equal(call.args[0], np.eye(ch.output_dim))]
+    assert spy.call_count == 2 and len(kraus_calls) == 1
+    assert kraus_calls[0].args[0].ndim == (2 if diagonal else 3)
     dense = typical_kraus_channel(ch, n, eps, project=True)
     out = qch.apply(dense, linalg.max_mixed(2**n))
     assert rep.length == len(dense.kraus_ops)
