@@ -5,16 +5,16 @@
          [--n-min a --n-max b] [--epsilon e] [--samples s] --seed S
          [--format json|csv] [--out path] [--threads T]
 
+One parser serves all six subcommands; options may precede the subcommand.
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build and BLAS thread count.  Exit
-codes: 0 success, 2 input error, 3 domain invariant violation, 4 resource
-cap exceeded.
+codes: 0 success, 2 input error (or a non-finite report number), 3 domain
+invariant violation, 4 resource cap exceeded.
 
-Sampling is serial.  ``--threads`` is accepted (and must be >= 1) so that
-existing command lines keep working, but it has no effect: a thread pool
-over Monte Carlo samples never beat the serial loop on a 2-core host (see
-`qcap.random_coding`), so it was removed.
+Sampling is serial.  ``--threads`` (>= 1) is accepted so that existing command
+lines keep working, but it has no effect: a thread pool over Monte Carlo
+samples never beat the serial loop on a 2-core host (`qcap.random_coding`).
 """
 
 from __future__ import annotations
@@ -50,28 +50,29 @@ class RunConfig:
     threads: int
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # one stderr line, without the multi-line usage block
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcap",
-        description="channel-coding numerics: bounds, ensembles, typicality demos",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("info", "bound", "ensemble", "moments", "typicality", "rate-demo"):
-        p = sub.add_parser(name)
-        p.add_argument("--channel", required=True,
-                       help="channel JSON file or builtin:name:params")
-        p.add_argument("--code-dim", type=int, default=None)
-        p.add_argument("--rate", type=float, default=None)
-        p.add_argument("--n-min", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; sampling is serial")
-    return parser
+    p = _Parser(prog="qcap",
+                description="channel-coding numerics: bounds, ensembles, typicality demos")
+    p.add_argument("subcommand", choices=tuple(_COMMANDS))
+    p.add_argument("--channel", required=True,
+                   help="channel JSON file or builtin:name:params")
+    p.add_argument("--code-dim", type=int, default=None)
+    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--n-min", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; sampling is serial")
+    return p
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -269,14 +270,13 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     eps = _epsilon(config)
     ns = _n_range(config)
     verification = tp.verify_reduction_bounds(ch, ns, eps)
-    weights = tp.kraus_distribution(qch.minimal_kraus(ch))
     # The sequence_* keys repeat the reduced reports' typical-class counts
     # under their own names; they stay so that the report keeps its keys.
-    entropy = linalg.shannon_entropy(weights)
+    entropy = linalg.shannon_entropy(verification.weights)
     reports = verification.reports
     record = {
         "config": _config_record(config),
-        "kraus_weights": list(map(float, weights)),
+        "kraus_weights": list(map(float, verification.weights)),
         "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
                               "mass": r.typical_transmission, "entropy": entropy}
                              for r in reports],
@@ -334,8 +334,8 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([serialize.csv_number(x) if isinstance(x, (int, float, bool))
-                         else str(x) for x in row])
+        writer.writerow([serialize.csv_number(x, name) if isinstance(x, (int, float, bool))
+                         else str(x) for name, x in zip(header, row)])
     return buf.getvalue()
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -95,25 +96,27 @@ def save_channel(ch, path) -> None:
         fh.write(canonical_json(channel_to_dict(ch)))
 
 
-def jsonable(obj):
-    """Convert dataclasses / numpy values / complex numbers to JSON-safe data."""
+def jsonable(obj, field: str = "report"):
+    """JSON-safe data from dataclasses, numpy and complex values; raises on a non-finite float."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v, f"{field}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [jsonable(v, f"{field}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return matrix_to_pairs(obj) if obj.ndim == 2 else [jsonable(z) for z in obj]
-        return obj.tolist()
+        if np.iscomplexobj(obj) and obj.ndim == 2:
+            return jsonable(matrix_to_pairs(obj), field)
+        return jsonable(obj.tolist(), field)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [jsonable(float(obj.real), f"{field}[0]"), jsonable(float(obj.imag), f"{field}[1]")]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{field} is {float(obj)}, not a finite number")
         return float(obj)
     return obj
 
@@ -123,10 +126,12 @@ def canonical_json(obj) -> str:
     return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def csv_number(x) -> str:
+def csv_number(x, field: str = "value") -> str:
     """Full round-trip decimal formatting (17 significant digits) for CSV cells."""
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if not math.isfinite(x):
+        raise ValueError(f"{field} is {float(x)}, not a finite number")
     return format(float(x), ".17g")

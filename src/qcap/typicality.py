@@ -12,17 +12,17 @@ step on the M'^n-dimensional output block checks its predicted peak
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel: keep only the Kraus products whose weight is typical for
 the per-use Kraus weight distribution, then project the output onto the
-typical subspace of the single-use output state.  Reduced-channel reports
-never enumerate sequences: the sum of Kronecker products over all typical
-Kraus sequences is built class by class, from prefix-composition sums over
-the two halves of the block joined in one contraction.
+typical subspace of the single-use output state.  A series of reduced-channel
+reports prepares the n-independent part (minimal Kraus family, output
+eigenbasis, factor matrices) once, and never enumerates sequences: the sum of
+Kronecker products over the typical Kraus sequences is built class by class,
+from composition sums over the two halves of the block joined in one contraction.
 
 Typicality is decided in one place, `_typical_classes`, per type class; its
-inequalities are inclusive (<=).  The typical Kraus classes give a report's
-sequence count and typical mass, and the typical output classes give the
-subspace's rank, mass and multi-index indicator (a `_sequence_sum` of
-one-hot vectors).  Count-versus-bound checks compare exact integer counts
-against real bounds.
+inequalities are inclusive (<=).  Typical Kraus classes give a report's count
+and typical mass, typical output classes the subspace's rank, mass and
+multi-index indicator (a `_sequence_sum` of one-hot vectors).  Count-versus-
+bound checks compare exact integer counts against real bounds.
 """
 
 from __future__ import annotations
@@ -240,14 +240,21 @@ class TypicalSubspace:
 
 def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
     """Typical eigenspaces of the n-fold product of a normalized density."""
-    rho = linalg.assert_density_operator(rho)
+    return _typical_subspace(*_normalized_eigh(rho), n, eps)
+
+
+def _normalized_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a density operator, clipped at 0 and summing to 1, and its eigenvectors."""
+    w, v = linalg.eigh(linalg.assert_density_operator(rho))
+    w = np.maximum(w, 0.0)
+    return w / float(np.sum(w)), v
+
+
+def _typical_subspace(w: np.ndarray, v: np.ndarray, n: int, eps: float) -> TypicalSubspace:
     if n < 1:
         raise InvariantViolationError("n must be >= 1")
     if not eps > 0.0:
         raise InvariantViolationError("epsilon must be positive")
-    w, v = linalg.eigh(rho)
-    w = np.maximum(w, 0.0)
-    w = w / float(np.sum(w))
     entropy, classes = _typical_classes(w, n, eps)
     rank = sum(c.sequence_count for c in classes)
     mass = _class_mass(classes)
@@ -325,6 +332,13 @@ def _output_factor_matrices(base: KrausChannel, basis: np.ndarray) -> np.ndarray
     return rotated / base.input_dim
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices, bit for bit, without its overhead on small blocks."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
 def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
     """Sum over all sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
@@ -350,7 +364,7 @@ def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
                 grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
                 if not any(all(map(int.__le__, grown, top)) for top in tops):
                     continue
-                term = np.kron(block, factor)
+                term = _kron(block, factor)
                 if grown in grown_level:
                     grown_level[grown] += term
                 else:
@@ -369,56 +383,59 @@ def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
 
 
 def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChannelReport:
-    """Transmission and output-norm summary of the reduced block channel.
+    """Transmission and output-norm summary of the reduced block channel at one n."""
+    return reduced_channel_reports(ch, (n,), eps)[0]
 
-    Works in the eigenbasis of the single-use output state, where the
-    typical projector is diagonal; when every factor matrix is diagonal
-    there too (unitary-mixture channels and friends), only vectors of
-    length M'^n are ever formed, otherwise M'^n x M'^n matrices; one entry
-    check covers the branch taken.  The sum over typical Kraus sequences is
-    never enumerated: `_sequence_sum` builds it class by class from
-    composition sums over the two halves of the block, so only the branch's
-    peak and the number of type classes are capped, not the typical set.
+
+def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedChannelReport, ...]:
+    """Transmission and output-norm summaries of the reduced block channel, one per n.
+
+    Works in the eigenbasis of the single-use output state, where the typical
+    projector is diagonal.  When every factor matrix is diagonal there too
+    (unitary mixtures and friends) only length-M'^n vectors are formed, else
+    M'^n x M'^n matrices; one entry check per n covers the branch taken.
+    `_sequence_sum` builds the sum over typical Kraus sequences class by class,
+    never enumerating it, so only the branch's peak and the number of type
+    classes are capped, not the typical set.  The n-independent work runs once.
     """
-    base, weights = _typical_base(ch)
-    entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
-    count = sum(c.sequence_count for c in classes)
-    typical_transmission = _class_mass(classes)
+    return _reduced_series(ch, ns, eps)[2]
 
+
+def _reduced_series(ch: KrausChannel, ns, eps: float):
+    """Kraus weights, output entropy S(N(pi)) and the reduced-channel reports over ns."""
+    base, weights = _typical_base(ch)
     rho_out = apply(base, linalg.max_mixed(base.input_dim))
     output_entropy = linalg.von_neumann_entropy(rho_out)
-    subspace = typical_subspace(rho_out, n, eps)
-
-    length_bound = _power_of_two(n * (entropy_exchange_rate + eps))
-    frobenius_bound = _power_of_two(-n * (output_entropy - 3.0 * eps))
-
-    if count == 0:
-        return ReducedChannelReport(
-            n=n, epsilon=eps, length=0, length_bound=length_bound,
-            typical_transmission=0.0, transmission=0.0,
-            frobenius_sq=0.0, frobenius_bound=frobenius_bound)
-
-    factors = _output_factor_matrices(base, subspace.eigenvectors)
-    offdiag = factors - np.einsum("jab,ab->jab", factors,
-                                  np.eye(base.output_dim))
+    spectrum, basis = _normalized_eigh(rho_out)
+    factors = _output_factor_matrices(base, basis)
+    offdiag = factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))
     diagonal = np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)
-    _check_block(base.output_dim, n, not diagonal, "reduced report")
-    ind = subspace.indicator
-
     if diagonal:
-        diags = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
-        kept = _sequence_sum(diags, classes, n)[ind]
-        transmission = float(np.sum(kept))
-        frobenius_sq = float(np.sum(kept ** 2))
-    else:
-        kept = _sequence_sum(factors, classes, n)[np.ix_(ind, ind)]
-        transmission = float(np.real(np.trace(kept)))
-        frobenius_sq = float(np.sum(np.abs(kept) ** 2))
-
-    return ReducedChannelReport(
-        n=n, epsilon=eps, length=count, length_bound=length_bound,
-        typical_transmission=typical_transmission, transmission=transmission,
-        frobenius_sq=frobenius_sq, frobenius_bound=frobenius_bound)
+        factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
+    reports = []
+    for n in map(int, ns):
+        entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
+        count = sum(c.sequence_count for c in classes)
+        subspace = _typical_subspace(spectrum, basis, n, eps)
+        transmission = frobenius_sq = 0.0
+        if count:
+            _check_block(base.output_dim, n, not diagonal, "reduced report")
+            ind = subspace.indicator
+            if diagonal:
+                kept = _sequence_sum(factors, classes, n)[ind]
+                transmission = float(np.sum(kept))
+                frobenius_sq = float(np.sum(kept ** 2))
+            else:
+                kept = _sequence_sum(factors, classes, n)[np.ix_(ind, ind)]
+                transmission = float(np.real(np.trace(kept)))
+                frobenius_sq = float(np.sum(np.abs(kept) ** 2))
+            del kept        # so that the next n's block is not held beside this one
+        reports.append(ReducedChannelReport(
+            n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
+            length_bound=_power_of_two(n * (entropy_exchange_rate + eps)),
+            transmission=transmission, frobenius_sq=frobenius_sq,
+            frobenius_bound=_power_of_two(-n * (output_entropy - 3.0 * eps))))
+    return weights, output_entropy, tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -431,6 +448,7 @@ class ReductionVerification:
     """
 
     epsilon: float
+    weights: np.ndarray                  # Kraus weight distribution of the minimal family
     reports: tuple[ReducedChannelReport, ...]
     counts_within_bounds: bool
     norms_within_bounds: bool
@@ -440,8 +458,7 @@ class ReductionVerification:
 
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
     _check_block(ch.output_dim, max(ns, default=1), False, "reduced report")   # before any report
-    reports = tuple(reduced_channel_report(ch, int(n), eps) for n in ns)
-    base, weights = _typical_base(ch)
+    weights, _, reports = _reduced_series(ch, ns, eps)
     sigma_sq = log_probability_variance(weights)
     typical_fit = fit_decay([r.n for r in reports],
                             [1.0 - r.typical_transmission for r in reports], eps, sigma_sq)
@@ -449,6 +466,7 @@ def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerifi
                             [1.0 - r.transmission for r in reports], eps, sigma_sq)
     return ReductionVerification(
         epsilon=eps,
+        weights=weights,
         reports=reports,
         counts_within_bounds=all(r.counts_within_bound for r in reports),
         norms_within_bounds=all(r.norm_within_bound for r in reports),
@@ -505,15 +523,12 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
         raise CapExceededError(
             f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
     _check_block(ch.output_dim, top, False, "reduced report")
-    base, weights = _typical_base(ch)
+    weights, output_entropy, reports = _reduced_series(ch, ns, eps)
     entropy_exchange_rate = linalg.shannon_entropy(weights)
-    rho_out = apply(base, linalg.max_mixed(base.input_dim))
-    output_entropy = linalg.von_neumann_entropy(rho_out)
     info = output_entropy - entropy_exchange_rate
     exponent_rate = rate + entropy_exchange_rate - output_entropy + 4.0 * eps
     rows = []
-    for n in ns:
-        rep = reduced_channel_report(ch, n, eps)
+    for n, rep in zip(ns, reports):
         code_dim = int(math.floor(2.0 ** (n * rate)))
         penalty = math.sqrt(code_dim * rep.length) * math.sqrt(rep.frobenius_sq)
         rows.append(RateRow(

@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import math
 import time
+from unittest import mock
 
 import pytest
 
 from qcap import channels as qch
 from qcap import cli, serialize
+from qcap import typicality as tp
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,42 @@ def test_rate_demo_includes_unital_curve(capsys):
     assert "unital_curve" in record
     majorants = [row["penalty_majorant"] for row in record["rows"]]
     assert all(b < a for a, b in zip(majorants, majorants[1:]))
+
+
+def test_minimal_kraus_runs_once_per_command(monkeypatch, capsys):
+    # the n-independent reduction work is prepared once per table, not once per n
+    spy = mock.Mock(wraps=qch.minimal_kraus)
+    monkeypatch.setattr(qch, "minimal_kraus", spy)
+    monkeypatch.setattr(tp, "minimal_kraus", spy)
+    for argv in (("typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1"),
+                 ("rate-demo", "--channel", "builtin:phase_flip:0.1", "--rate", "0.1",
+                  "--epsilon", "0.1")):
+        spy.reset_mock()
+        code, _, _ = run_cli(capsys, *argv, "--n-min", "2", "--n-max", "9", "--seed", "1")
+        assert code == 0 and spy.call_count == 1
+
+
+# ---------------------------------------------------------------- grammar
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{info,bound,ensemble,moments,typicality,rate-demo}" in capsys.readouterr().out
+
+
+def test_misspelled_subcommand_is_a_one_line_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["typicalty", "--channel", "builtin:identity:2", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("\n") == 1 and "'typicalty'" in err
+
+
+def test_options_may_precede_the_subcommand(capsys):
+    _, usual, _ = run_cli(capsys, "info", "--channel", "builtin:phase_flip:0.25", "--seed", "1")
+    code, out, _ = run_cli(capsys, "--seed", "1", "--channel", "builtin:phase_flip:0.25", "info")
+    assert code == 0 and out == usual
 
 
 # ---------------------------------------------------------------- exit codes
@@ -299,6 +338,42 @@ def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, ca
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err and cap in err
     assert min(elapsed) < 1.0
+
+
+@pytest.mark.parametrize("argv, output_format, field", [
+    (("typicality",), "json", "report.sequence_reports[0].count_bound"),
+    (("typicality",), "csv", "count_bound"),
+    (("rate-demo", "--rate", "0.1"), "json", "report.rows[0].penalty_majorant"),
+])
+def test_non_finite_report_float_is_an_input_error(tmp_path, capsys, argv, output_format, field):
+    # 2^(n (S + eps)) overflows at eps = 1e300; JSON has no Infinity
+    path = tmp_path / "report"
+    code, out, err = run_cli(capsys, *argv, "--channel", "builtin:phase_flip:0.25",
+                             "--epsilon", "1e300", "--n-min", "2", "--n-max", "3", "--seed", "0",
+                             "--format", output_format, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and field in err and "Traceback" not in err
+    assert not path.exists()
+
+
+def test_rate_demo_csv_at_huge_epsilon_is_finite(capsys):
+    # the CSV leaves out penalty_majorant, the one rate-demo field that overflows here
+    code, out, _ = run_cli(capsys, "rate-demo", "--channel", "builtin:phase_flip:0.25",
+                           "--rate", "0.1", "--epsilon", "1e300", "--n-min", "2", "--n-max", "3",
+                           "--seed", "0", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def test_oversized_classify_is_a_cap(capsys):
+    # a 4000 x 4000 output state: the build is cheap, classify's M'^2 steps are not
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "--channel", "builtin:haar_random:1,4000,1",
+                             "--seed", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "classifying" in err and "cap 2^26" in err
 
 
 @pytest.mark.parametrize("channel, n_max", [

@@ -83,3 +83,9 @@ def test_gram_matrix_peak(monkeypatch, dims):
 def test_minimal_kraus_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.minimal_kraus(ch))
+
+
+@pytest.mark.parametrize("spec", ["identity:768", "haar_random:8,1024,1"])
+def test_classify_peak(monkeypatch, spec):
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    assert_prediction_bounds_peak(monkeypatch, lambda: qch.classify(ch))

@@ -1,6 +1,7 @@
 """Wire formats: channel JSON schema round-trips and CSV number rendering."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,3 +70,17 @@ def test_canonical_json_is_deterministic():
     rec = {"b": 1.25, "a": [np.float64(0.1), np.int64(3)], "c": complex(1, -2)}
     assert serialize.canonical_json(rec) == serialize.canonical_json(rec)
     assert '"a"' in serialize.canonical_json(rec)
+
+
+def test_non_finite_floats_name_their_field():
+    with pytest.raises(ValueError, match=r"report\.b\[1\]\.x is inf, not a finite number"):
+        serialize.canonical_json({"a": 1.0, "b": [0.5, {"x": math.inf}]})
+    # the first field reached is named
+    with pytest.raises(ValueError, match=r"report\.b is nan"):
+        serialize.canonical_json({"b": np.float64("nan"), "a": math.inf})
+    with pytest.raises(ValueError, match=r"report\.c\[0\] is inf"):
+        serialize.canonical_json({"c": complex(math.inf, 0.0)})
+    with pytest.raises(ValueError, match=r"report\.m\[1\]\[0\]\[1\] is nan"):
+        serialize.canonical_json({"m": np.array([[1, 2], [complex(0, math.nan), 3]])})
+    with pytest.raises(ValueError, match="bound is -inf"):
+        serialize.csv_number(-math.inf, "bound")

@@ -9,12 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcap import channels as qch
 from qcap import cli, codes, linalg
 from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
+from test_channels import amplitude_damping
 
 
 def brute_force_typical(weights, n, eps):
@@ -428,6 +429,41 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
         got = tp._sequence_sum(factors, classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(),
+       st.tuples(st.integers(1, 16), st.integers(1, 16)),
+       st.tuples(st.integers(1, 4), st.integers(1, 4)))
+@example(0, 1, False, (1, 1), (2, 2))     # the (1,) and (1, 1) seed blocks of `_sequence_sum`
+@example(0, 2, True, (1, 1), (2, 2))
+@settings(max_examples=60, deadline=None)
+def test_broadcast_kron_is_np_kron_bit_for_bit(seed, ndim, is_complex, a_shape, b_shape):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = rng.standard_normal(shape[:ndim])
+        return x + 1j * rng.standard_normal(shape[:ndim]) if is_complex else x
+
+    a, b = draw(a_shape), draw(b_shape)
+    got, want = tp._kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make_channel", [
+    lambda: qch.phase_flip(0.25),
+    lambda: amplitude_damping(0.3),
+    lambda: qch.depolarizing(0.3, 3),
+    lambda: cli._parse_builtin("builtin:haar_random:2,2,3,1", 0),
+], ids=["phase_flip", "amplitude_damping", "depolarizing-qutrit", "haar_random"])
+def test_report_series_equals_single_reports(make_channel):
+    ch = make_channel()
+    ns = (9, 4, 1, 7, 10, 6)        # unsorted and gapped
+    series = tp.reduced_channel_reports(ch, ns, 0.1)
+    assert series == tuple(tp.reduced_channel_report(ch, n, 0.1) for n in ns)
+    assert [rep.n for rep in series] == list(ns)
+    # each channel has empty and nonempty typical sets among these n
+    assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
 
 
 def test_reduced_report_beyond_sequence_cap():
