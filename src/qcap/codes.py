@@ -138,8 +138,8 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
         raise ValueError("code ambient dimension does not match channel input")
     n, out, padded = len(ch), ch.output_dim, k + _PANEL_MULTIPLE
     # bound_report's peak on one code: the kernel, then the state form, each holding about
-    # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and copies of the stack
-    linalg.check_entries(6 * (k * n) ** 2 + n * out * (m + 3 * padded) + m * padded,
+    # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and the panel's products
+    linalg.check_entries(6 * (k * n) ** 2 + 3 * n * out * padded + m * padded,
                          f"D kernel for one code (K={k}, N={n})")
     flat = kraus_stack(ch).reshape(n * out, m)
     width = s * k

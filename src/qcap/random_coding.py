@@ -12,17 +12,18 @@ its upper bound ||N(pi)||_F^2, and the averaged fidelity bound
   < Fe >_K >= tr N(pi) - sqrt(K |N|) ||N(pi)||_F .
 
 Reproducibility contract: every Monte Carlo sample draws from its own
-counter-based stream keyed by (master_seed, sample_index), and aggregation
-uses exact (fsum) summation, so results depend only on the seed and the
-sample count.  Sampling is one serial loop over fixed chunks of samples:
-each code is drawn from its own stream, and the D kernel then runs on the
-chunk's stacked bases at once: one zero-padded matrix product for every
-A_i B, then Gram blocks per code, so the bits do not depend on the chunk
-size.  No function here takes a worker count, and the CLI's ``--threads``
-has no effect: a thread pool over samples never beat the serial loop on
-a 2-core host (`mc_deviation_sq` on depolarizing(0.3), K=2, 3000 samples:
-0.40-0.48 s serial, 0.49-1.03 s on 2 or 4 threads with default BLAS, and
-no faster with single-thread BLAS).
+counter-based Philox stream keyed by (master_seed, sample_index), and
+aggregation uses exact (fsum) summation, so results depend only on the seed
+and the sample count.  A sampling loop rekeys one Philox generator per
+sample, which reproduces `sample_stream` bit for bit.  Sampling is one
+serial loop over fixed chunks of samples: each code is drawn from its own
+stream, and the D kernel then runs on the chunk's stacked bases at once:
+one zero-padded matrix product for every A_i B, then Gram blocks per code,
+so the bits do not depend on the chunk size.  No function here takes a
+worker count, and the CLI's ``--threads`` has no effect: a thread pool over
+samples never beat the serial loop on a 2-core host (`mc_deviation_sq` on
+depolarizing(0.3), K=2, 3000 samples: 0.40-0.48 s serial, 0.49-1.03 s on 2
+or 4 threads with default BLAS, and no faster with single-thread BLAS).
 """
 
 from __future__ import annotations
@@ -44,10 +45,28 @@ _CHUNK = 64
 _CHUNK_ENTRIES = 1 << 18
 
 
+def _stream_key(master_seed: int, index: int) -> np.ndarray:
+    return np.array([master_seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
+
+
 def sample_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-sample RNG stream from a counter-based (seed, index) key."""
-    key = np.array([master_seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, index)))
+
+
+def _rekeyed_streams(master_seed: int, indices):
+    """sample_stream(master_seed, i) for each i in turn, bit for bit, from one rekeyed Philox.
+
+    Each step resets the one generator to the fresh state of key (master_seed, i):
+    zero counter, empty buffer.  The same Generator is yielded every time, so a
+    caller must finish drawing from one stream before asking for the next.
+    """
+    rng = sample_stream(master_seed, 0)
+    fresh = rng.bit_generator.state
+    for i in indices:
+        fresh["state"]["key"] = _stream_key(master_seed, i)
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def sample_code(ambient_dim: int, code_dim: int, rng: np.random.Generator) -> codes.CodeSubspace:
@@ -71,7 +90,8 @@ def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
     """Per-sample results over the streams (master_seed, 0..sample_count-1), in index order.
 
     One serial loop over fixed chunks of ``chunk`` samples (default
-    `_CHUNK`): each sample's draw(rng) comes from its own stream, a chunk's
+    `_CHUNK`): each sample's draw(rng) comes from its own stream (one Philox
+    generator, rekeyed per sample by `_rekeyed_streams`), a chunk's
     draws are stacked, and reduce(stack) turns them into that chunk's
     results at once.  A chunk only batches work that treats every sample
     alike, so the results do not depend on the chunk size.
@@ -79,10 +99,11 @@ def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     chunk = chunk or _CHUNK
+    streams = _rekeyed_streams(master_seed, range(sample_count))
     chunks = []
     for start in range(0, sample_count, chunk):
         stop = min(start + chunk, sample_count)
-        drawn = np.array([draw(sample_stream(master_seed, i)) for i in range(start, stop)])
+        drawn = np.array([draw(next(streams)) for _ in range(start, stop)])
         chunks.append(reduce(drawn))
     return np.concatenate(chunks)
 

@@ -326,6 +326,12 @@ class ReducedChannelReport:
 
 def _output_factor_matrices(base: KrausChannel, basis: np.ndarray) -> np.ndarray:
     """(N, M', M') array of A_j A_j^dagger / M in the output eigenbasis."""
+    n, mp = len(base), base.output_dim
+    # the stack's conjugate, then the products, the rotation's intermediate and its
+    # transposed copy and the result, beside the basis, its copies and the caller's
+    # output state (measured 4.0 N M'^2 + 3.1 M'^2 in `reduced_channel_reports`)
+    linalg.check_entries((4 * n + 5) * mp * mp + n * mp * base.input_dim,
+                         f"output factor matrices of {n} Kraus operators")
     stack = kraus_stack(base)
     prods = np.einsum("jab,jcb->jac", stack, stack.conj())
     rotated = np.einsum("da,jab,be->jde", basis.conj().T, prods, basis, optimize=True)

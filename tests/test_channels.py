@@ -46,6 +46,99 @@ def test_trace_decreasing_is_accepted():
     assert not qch.is_trace_preserving(ch)
 
 
+def test_kraus_stack_is_stored_once_and_read_only():
+    ops = [math.sqrt(0.5) * np.eye(2, dtype=complex), math.sqrt(0.5) * np.diag([1.0, -1.0])]
+    before = [a.copy() for a in ops]
+    ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=tuple(ops))
+    stack = qch.kraus_stack(ch)
+    assert qch.kraus_stack(ch) is stack
+    assert stack.shape == (2, 2, 2) and stack.dtype == np.complex128
+    assert not stack.flags.writeable
+    for a, b, op in zip(ch.kraus_ops, stack, before):
+        assert np.shares_memory(a, stack) and not a.flags.writeable
+        assert np.array_equal(a, b) and np.array_equal(a, op)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 2.0
+    ops[0][0, 0] = 7.0                   # the caller's arrays are not the channel's
+    assert np.array_equal(ch.kraus_ops[0], before[0])
+
+
+# ---------------------------------------------------------------- completeness certificate
+
+def assert_decisions_match_eigvalsh(ops, input_dim, output_dim):
+    """Validation and `is_trace_preserving` decide as the eigvalsh oracle does."""
+    unchecked = qch.KrausChannel(input_dim=input_dim, output_dim=output_dim,
+                                 kraus_ops=tuple(ops), validate=False)
+    lo, hi = qch.completeness_defect_bounds(unchecked)
+    try:
+        qch.KrausChannel(input_dim=input_dim, output_dim=output_dim, kraus_ops=tuple(ops))
+        accepted = True
+    except InvariantViolationError:
+        accepted = False
+    assert accepted == (hi <= qch.COMPLETENESS_ATOL), (lo, hi)
+    assert qch.is_trace_preserving(unchecked) == (max(abs(lo), abs(hi)) <= qch.COMPLETENESS_ATOL)
+
+
+def isometry_blocks(seed, m, n, extra):
+    """Kraus blocks of a Haar isometry from C^m into n output blocks of dimension out."""
+    out = -(-m // n) + extra
+    v = linalg.haar_isometry(n * out, m, np.random.default_rng(seed))
+    return [v[k * out:(k + 1) * out] for k in range(n)], out
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 64), n=st.integers(1, 4),
+       extra=st.integers(0, 2), delta=st.sampled_from([1e-11, 1e-10, 1e-9]),
+       sign=st.sampled_from([-1.0, 1.0]), power=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_certificate_decides_scaled_isometries_as_eigvalsh(seed, m, n, extra, delta, sign, power):
+    # sum A^dagger A = (1 +- delta)^(2 power): power 1/2 puts the defect at the tolerance
+    ops, out = isometry_blocks(seed, m, n, extra)
+    scale = (1.0 + sign * delta) ** power
+    assert_decisions_match_eigvalsh([scale * a for a in ops], m, out)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 32), n=st.integers(1, 4),
+       extra=st.integers(0, 2), scale=st.floats(0.0, 1.0), drop=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_certificate_decides_trace_decreasing_families_as_eigvalsh(seed, m, n, extra, scale, drop):
+    ops, out = isometry_blocks(seed, m, n, extra)
+    if drop and n > 1:
+        ops = ops[1:]
+    assert_decisions_match_eigvalsh([scale * a for a in ops], m, out)
+
+
+def rank_one_excess(m, t):
+    """One operator with sum A^dagger A = 1 + t |psi><psi|, psi a fixed unit vector."""
+    psi = linalg.haar_isometry(m, 1, np.random.default_rng(3))
+    return [np.eye(m) + (math.sqrt(1.0 + t) - 1.0) * (psi @ psi.conj().T)]
+
+
+@pytest.mark.parametrize("ops, m", [
+    ([np.eye(64)], 64),
+    (rank_one_excess(8, 1.0001e-10), 8),
+    (rank_one_excess(8, -1.0001e-10), 8),
+    (rank_one_excess(8, 1e-10), 8),
+    (rank_one_excess(8, -1e-10), 8),
+    ([np.diag([math.sqrt(1.0 + 1e-10), 1.0])], 2),
+], ids=["identity:64", "excess-above", "deficit-above", "excess-boundary", "deficit-boundary",
+        "diagonal-boundary"])
+def test_certificate_decides_explicit_families_as_eigvalsh(ops, m):
+    assert_decisions_match_eigvalsh(ops, m, m)
+
+
+def test_complete_families_skip_the_eigensolve(monkeypatch, rng):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for ch in (qch.identity_channel(64), qch.haar_random_channel(16, 8, 4, rng),
+               qch.depolarizing(0.3, 3)):
+        assert qch.is_trace_preserving(ch)
+    assert calls == []
+    # a trace-decreasing family falls back, once to validate and once to check
+    assert not qch.is_trace_preserving(half_identity())
+    assert calls == [(2, 2), (2, 2)]
+
+
 # ---------------------------------------------------------------- apply
 
 def test_apply_identity(rng):

@@ -225,7 +225,7 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
 
 
 @pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
-                                  "random_unitary:60000,2", "identity:8192"])
+                                  "random_unitary:60000,2", "identity:8192", "identity:4034"])
 def test_oversized_builtin_is_a_cap(capsys, spec):
     # each would need GBs; the construction peak, not only the Kraus stack,
     # is checked before building (identity:8192 has a 1 GiB stack)
@@ -265,6 +265,15 @@ def test_many_kraus_gram_matrix_is_a_cap(capsys, subcommand, extra):
     assert time.perf_counter() - start < 3.0
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "Gram matrix" in err and "cap 2^26" in err
+
+
+def test_output_factor_matrices_are_a_cap(capsys):
+    # 16 Kraus operators into 1024 output dimensions: the factor matrices would
+    # hold about 70 M entries, past the cap
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:haar_random:1,1024,16",
+                             "--epsilon", "0.1", "--n-min", "1", "--n-max", "1", "--seed", "1")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "output factor matrices" in err and "cap 2^26" in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.1", "inf"])

@@ -73,6 +73,12 @@ def test_dense_reduced_report_peak(monkeypatch, dims, n):
     assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
 
 
+@pytest.mark.parametrize("dims", [(1, 256, 16), (4, 128, 64)])
+def test_output_factor_matrices_peak(monkeypatch, dims):
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_reports(ch, (1,), 0.5))
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 1100), (2, 2, 1500)])
 def test_gram_matrix_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))

@@ -26,6 +26,24 @@ def test_sample_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+def test_rekeyed_streams_match_fresh_streams_bit_for_bit(seed):
+    indices = [0, 1, 63, 64, 2**48, 2**64 - 1]
+    draws = [lambda rng: linalg.haar_isometry(256, 2, rng),
+             lambda rng: linalg.haar_isometry(5, 3, rng),
+             lambda rng: linalg.haar_unitary(4, rng)]
+    for draw in draws:
+        got = [draw(rng) for rng in rc._rekeyed_streams(seed, indices)]
+        want = [draw(rc.sample_stream(seed, i)) for i in indices]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # one generator through every shape in turn: nothing of a stream carries into the next
+    mixed = [(i, j % 3) for j, i in enumerate(indices * 3)]
+    got = [draws[d](rng) for rng, (_, d) in zip(rc._rekeyed_streams(seed, [i for i, _ in mixed]),
+                                              mixed)]
+    want = [draws[d](rc.sample_stream(seed, i)) for i, d in mixed]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 # ---------------------------------------------------------------- sample_code
 
 def test_sample_code_full_dimension_is_uniform():
