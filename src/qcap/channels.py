@@ -2,8 +2,9 @@
 
 A channel is a completely positive map rho -> sum_k A_k rho A_k^dagger with
 sum_k A_k^dagger A_k <= 1 (trace-decreasing families are first class; they
-model transmission loss, and the trace-preserving-only quantities reject
-them explicitly instead of renormalizing).
+model transmission loss).  Construction decides once which kind a family is
+and records it in ``trace_preserving``; the trace-preserving-only quantities
+read that flag and reject trace-decreasing input instead of renormalizing.
 
 Kraus lists are not canonical: unitary recombinations represent the same
 map, so channel equality is always decided extensionally, by action on a
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +28,10 @@ UNITAL_ATOL = 1e-9
 UNIFORM_RTOL = 1e-9
 GRAM_RANK_RTOL = 1e-10
 
+# The certificate accepts a hair below the tolerance, so that rounding in the norm
+# and in eigvalsh cannot let it accept a family whose eigvalsh spectrum lies past it.
+_CERTIFICATE_SLACK = 1.0 - 1e-6
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -35,25 +40,23 @@ class KrausChannel:
     Each operator has shape (output_dim, input_dim).  The operators are
     copied once into a read-only (N, output_dim, input_dim) stack, which
     `kraus_stack` returns; ``kraus_ops`` are views into it, so later changes
-    to the caller's arrays do not reach the channel.  Construction verifies
-    that sum A^dagger A has no eigenvalue above 1 + 1e-10: the defect
-    Delta = sum A^dagger A - 1 is formed once, and a Frobenius norm
-    ||Delta||_F below 1e-10 (less a rounding margin) accepts without an
-    eigensolve, since it bounds every |eigenvalue|; only a larger norm (every
-    trace-decreasing family, and defects near the tolerance) falls back to
-    `eigvalsh`, which decides as before.
-    Internal callers that build channels from already-validated ones may
-    skip the check.
+    to the caller's arrays do not reach the channel.  Every channel is checked
+    once, here: the defect Delta = sum A^dagger A - 1 is formed once, and a
+    Frobenius norm ||Delta||_F below 1e-10 (less a rounding margin) certifies
+    without an eigensolve that every |eigenvalue| is within 1e-10; a larger
+    norm (every trace-decreasing family, and defects near the tolerance) falls
+    back to `eigvalsh`.  A family with an eigenvalue above 1e-10 is rejected,
+    and ``trace_preserving`` records whether all of them lie within 1e-10.
     """
 
     input_dim: int
     output_dim: int
     kraus_ops: tuple[np.ndarray, ...]
     name: str = ""
-    validate: InitVar[bool] = True
+    trace_preserving: bool = field(init=False, repr=False, compare=False)
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         ops = tuple(self.kraus_ops)
         if not ops:
             raise InvariantViolationError("channel needs at least one Kraus operator")
@@ -68,12 +71,18 @@ class KrausChannel:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))
-        if validate:
-            bounds = _uncertified_defect_bounds(self, COMPLETENESS_ATOL)
-            if bounds is not None and bounds[1] > COMPLETENESS_ATOL:
-                raise InvariantViolationError(
-                    f"Kraus family is not trace-nonincreasing: defect {bounds[1]:.3e}"
-                )
+        delta = _completeness_defect(stack)
+        # the norm of the Hermitian matrix that eigvalsh reads, Delta's lower triangle,
+        # since rounding can leave Delta itself slightly non-Hermitian
+        fro_sq = 2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2 + np.linalg.norm(np.diagonal(delta)) ** 2
+        lo = hi = 0.0
+        if math.sqrt(fro_sq) > _CERTIFICATE_SLACK * COMPLETENESS_ATOL:
+            w = np.linalg.eigvalsh(delta)
+            lo, hi = float(w[0]), float(w[-1])
+        if hi > COMPLETENESS_ATOL:
+            raise InvariantViolationError(f"Kraus family is not trace-nonincreasing: defect {hi:.3e}")
+        # two-sided: with hi within the tolerance, every |eigenvalue| is iff lo is
+        object.__setattr__(self, "trace_preserving", -lo <= COMPLETENESS_ATOL)
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
@@ -84,42 +93,23 @@ def kraus_stack(ch: KrausChannel) -> np.ndarray:
     return ch._stack
 
 
-def _completeness_defect(ch: KrausChannel) -> np.ndarray:
-    """Delta = sum A^dagger A - 1, with the identity subtracted in place."""
-    flat = kraus_stack(ch).reshape(-1, ch.input_dim)
+def _completeness_defect(stack: np.ndarray) -> np.ndarray:
+    """Delta = sum A^dagger A - 1 of an (N, M', M) Kraus stack, the identity subtracted in place."""
+    m = stack.shape[-1]
+    flat = stack.reshape(-1, m)
     delta = flat.conj().T @ flat
-    delta[np.diag_indices(ch.input_dim)] -= 1.0
+    delta[np.diag_indices(m)] -= 1.0
     return delta
 
 
-def completeness_defect_bounds(ch: KrausChannel) -> tuple[float, float]:
-    """(min, max) eigenvalue of sum A^dagger A - 1."""
-    w = np.linalg.eigvalsh(_completeness_defect(ch))
-    return float(w[0]), float(w[-1])
+def completeness_defect_bounds(stack: np.ndarray) -> tuple[float, float]:
+    """(min, max) eigenvalue of sum A^dagger A - 1 for an (N, M', M) Kraus stack.
 
-
-# The certificate accepts a hair below the tolerance, so that rounding in the norm
-# and in eigvalsh cannot let it accept a family whose eigvalsh spectrum lies past it.
-_CERTIFICATE_SLACK = 1.0 - 1e-6
-
-
-def _uncertified_defect_bounds(ch: KrausChannel, atol: float) -> tuple[float, float] | None:
-    """None when ||Delta||_F certifies every |eigenvalue| <= atol, else the eigvalsh bounds.
-
-    The norm is taken of the Hermitian matrix that eigvalsh reads, the lower
-    triangle of Delta, since rounding can leave Delta itself slightly non-Hermitian.
+    The eigvalsh oracle for construction's decision, from the same Delta; it
+    takes a stack so that it also reaches families construction rejects.
     """
-    delta = _completeness_defect(ch)
-    fro_sq = 2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2 + np.linalg.norm(np.diagonal(delta)) ** 2
-    if math.sqrt(fro_sq) <= _CERTIFICATE_SLACK * atol:
-        return None
-    w = np.linalg.eigvalsh(delta)
+    w = np.linalg.eigvalsh(_completeness_defect(stack))
     return float(w[0]), float(w[-1])
-
-
-def is_trace_preserving(ch: KrausChannel, atol: float = COMPLETENESS_ATOL) -> bool:
-    bounds = _uncertified_defect_bounds(ch, atol)
-    return bounds is None or max(abs(bounds[0]), abs(bounds[1])) <= atol
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
@@ -145,21 +135,18 @@ def stinespring_isometry(ch: KrausChannel) -> np.ndarray:
     return kraus_stack(ch).reshape(-1, ch.input_dim)
 
 
-def kraus_from_isometry(v, env_dim: int, *, name: str = "",
-                        require_trace_preserving: bool = False) -> KrausChannel:
-    """Channel with Kraus blocks read off an isometry-like map Q -> E (x) Q'."""
+def kraus_from_isometry(v, env_dim: int, *, name: str = "") -> KrausChannel:
+    """Channel with Kraus blocks read off a map Q -> E (x) Q' with V^dagger V <= 1.
+
+    The channel's ``trace_preserving`` says whether V is an isometry within 1e-10.
+    """
     v = linalg.as_matrix(v)
     rows, input_dim = v.shape
     if env_dim < 1 or rows % env_dim:
         raise ValueError(f"row count {rows} is not divisible by env_dim {env_dim}")
     output_dim = rows // env_dim
-    # the two-sided trace-preserving check implies validation, so it runs in its place
-    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name=name,
-                      kraus_ops=v.reshape(env_dim, output_dim, input_dim),
-                      validate=not require_trace_preserving)
-    if require_trace_preserving and not is_trace_preserving(ch):
-        raise InvariantViolationError("map is not an isometry within tolerance")
-    return ch
+    return KrausChannel(input_dim=input_dim, output_dim=output_dim, name=name,
+                        kraus_ops=v.reshape(env_dim, output_dim, input_dim))
 
 
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
@@ -189,7 +176,7 @@ def diagonalize_kraus(ch: KrausChannel) -> KrausChannel:
     stack = kraus_stack(ch)
     new_ops = np.einsum("jm,jab->mab", v, stack)[::-1]
     return KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
-                        kraus_ops=tuple(new_ops), name=ch.name, validate=False)
+                        kraus_ops=tuple(new_ops), name=ch.name)
 
 
 def minimal_length(ch: KrausChannel) -> int:
@@ -216,7 +203,7 @@ def minimal_kraus(ch: KrausChannel) -> KrausChannel:
     if len(keep) == len(diag.kraus_ops):
         return diag
     return KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
-                        kraus_ops=tuple(keep), name=ch.name, validate=False)
+                        kraus_ops=tuple(keep), name=ch.name)
 
 
 def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
@@ -225,14 +212,16 @@ def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
         raise ValueError("n must be >= 1")
     if n == 1:
         return ch
-    # the operators and the channel's copies of them (measured 2.0-2.2 times)
-    linalg.check_entries(2 * (len(ch) * ch.input_dim * ch.output_dim) ** n,
+    # the operators, the channel's stack and its conjugate for the completeness check,
+    # Delta with its triangle or an eigensolver's copy, and array overhead per operator
+    # (measured 3.0 stacks + 1.0-2.0 M^2n + 27-48 entries per operator)
+    linalg.check_entries(3 * (len(ch) * ch.input_dim * ch.output_dim) ** n
+                         + 2 * ch.input_dim ** (2 * n) + 64 * len(ch) ** n,
                          f"tensor power {len(ch)}^{n} of Kraus operators")
     ops = tuple(functools.reduce(linalg.tensor, combo)
                 for combo in itertools.product(ch.kraus_ops, repeat=n))
     return KrausChannel(input_dim=ch.input_dim ** n, output_dim=ch.output_dim ** n,
-                        kraus_ops=ops, name=f"{ch.name}^{n}" if ch.name else "",
-                        validate=False)
+                        kraus_ops=ops, name=f"{ch.name}^{n}" if ch.name else "")
 
 
 def reduce_channel(ch: KrausChannel, indices) -> KrausChannel:
@@ -246,16 +235,7 @@ def reduce_channel(ch: KrausChannel, indices) -> KrausChannel:
         raise ValueError(f"reduction indices out of range 0..{len(ch) - 1}")
     ops = tuple(ch.kraus_ops[i] for i in indices)
     return KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
-                        kraus_ops=ops, name=ch.name, validate=False)
-
-
-def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """outer after inner, with the product Kraus family."""
-    if inner.output_dim != outer.input_dim:
-        raise ValueError("composition dimension mismatch")
-    ops = tuple(b @ a for b in outer.kraus_ops for a in inner.kraus_ops)
-    return KrausChannel(input_dim=inner.input_dim, output_dim=outer.output_dim,
-                        kraus_ops=ops, validate=False)
+                        kraus_ops=ops, name=ch.name)
 
 
 # ------------------------------------------------------------------ information
@@ -269,7 +249,7 @@ def entropy_exchange(rho, ch: KrausChannel) -> float:
     rho = linalg.assert_density_operator(rho)
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError("state dimension does not match channel input")
-    if not is_trace_preserving(ch):
+    if not ch.trace_preserving:
         raise InvariantViolationError("entropy exchange needs a trace-preserving channel")
     # three stack copies, W, two Hermiticity temporaries, an eigensolver's copy (measured 3.0 N^2)
     linalg.check_entries(len(ch) * (3 * ch.output_dim * ch.input_dim + 4 * len(ch)),
@@ -283,7 +263,7 @@ def entropy_exchange(rho, ch: KrausChannel) -> float:
 def entropy_exchange_via_purification(rho, ch: KrausChannel) -> float:
     """Same quantity through an explicit minimal purification; cross-check path."""
     rho = linalg.assert_density_operator(rho)
-    if not is_trace_preserving(ch):
+    if not ch.trace_preserving:
         raise InvariantViolationError("entropy exchange needs a trace-preserving channel")
     psi = linalg.purify(rho)                      # (r, input_dim)
     r = psi.shape[0]
@@ -323,12 +303,11 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     entropy fields are None for trace-decreasing channels, where they are
     not defined here.
     """
-    # completeness and entropy exchange: 2 stack copies + 1-3 M^2; apply, trace_norm, entropy:
-    # 3-4 M'^2 (measured 5.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 3.0 M^2 at N M' = M)
+    # entropy exchange: 2 stack copies + 1-3 M^2; apply, trace_norm, entropy: 3-4 M'^2
+    # (measured 5.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 3.1 M^2 at N M' = M)
     m, mp = ch.input_dim, ch.output_dim
     linalg.check_entries(3 * m * m + 5 * mp * mp + 2 * len(ch) * m * mp,
                          f"classifying a {m} -> {mp} channel")
-    tp = is_trace_preserving(ch)
     pi_in = linalg.max_mixed(ch.input_dim)
     out = apply(ch, pi_in)
     unital = linalg.trace_norm(out - linalg.max_mixed(ch.output_dim)) <= UNITAL_ATOL
@@ -336,14 +315,14 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     top = float(w[-1])
     nz = w[w > GRAM_RANK_RTOL * top] if top > 0.0 else w[:0]
     uniform = bool(nz.size) and float((nz[-1] - nz[0]) / nz[-1]) <= UNIFORM_RTOL
-    if tp:
+    if ch.trace_preserving:
         s_out = linalg.von_neumann_entropy(out)
         s_e = entropy_exchange(pi_in, ch)
         info = s_out - s_e
     else:
         s_out = s_e = info = None
     return ChannelInfoReport(
-        is_trace_preserving=tp,
+        is_trace_preserving=ch.trace_preserving,
         is_unital=bool(unital),
         is_uniform=uniform,
         length=int(nz.size),
@@ -404,8 +383,8 @@ def depolarizing(p: float, dim: int = 2) -> KrausChannel:
                         name=f"depolarizing({p})")
 
 
-def random_unitary_channel(unitaries, probs=None, name: str = "random_unitary") -> KrausChannel:
-    """Mixture rho -> sum_i p_i U_i rho U_i^dagger of unitary errors."""
+def random_unitary_channel(unitaries, name: str = "random_unitary") -> KrausChannel:
+    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n unitary errors."""
     unitaries = [linalg.as_matrix(u) for u in unitaries]
     if not unitaries:
         raise ValueError("need at least one unitary")
@@ -415,12 +394,7 @@ def random_unitary_channel(unitaries, probs=None, name: str = "random_unitary") 
             raise ValueError("all unitaries must be square with equal dimension")
         if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-9:
             raise InvariantViolationError("operator is not unitary within tolerance")
-    if probs is None:
-        probs = np.full(len(unitaries), 1.0 / len(unitaries))
-    probs = linalg.assert_distribution(probs)
-    if probs.size != len(unitaries):
-        raise ValueError("probs length must match the number of unitaries")
-    ops = tuple(math.sqrt(p) * u for p, u in zip(probs, unitaries))
+    ops = tuple(math.sqrt(1.0 / len(unitaries)) * u for u in unitaries)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name=name)
 
 
@@ -430,5 +404,8 @@ def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
     if output_dim * kraus_count < input_dim:
         raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
-    return kraus_from_isometry(v, kraus_count, name=name, require_trace_preserving=True)
+    ch = kraus_from_isometry(v, kraus_count, name=name)
+    if not ch.trace_preserving:
+        raise InvariantViolationError("map is not an isometry within tolerance")
+    return ch
 

@@ -24,7 +24,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import channels as qch
 from . import codes, linalg, random_coding as rc, serialize, typicality as tp
@@ -32,22 +32,6 @@ from .errors import CapExceededError, FormatError, InvariantViolationError
 
 # stream index reserved for builtin channel construction, clear of sample indices
 CHANNEL_STREAM_INDEX = 1 << 48
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    channel: str
-    code_dim: int | None
-    rate: float | None
-    n_min: int | None
-    n_max: int | None
-    epsilon: float | None
-    samples: int | None
-    master_seed: int
-    output_format: str
-    out_path: str | None
-    threads: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,33 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, required=True)
+    p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; sampling is serial")
     return p
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
-    return RunConfig(
-        subcommand=args.subcommand,
-        channel=args.channel,
-        code_dim=args.code_dim,
-        rate=args.rate,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        epsilon=args.epsilon,
-        samples=args.samples,
-        master_seed=args.seed,
-        output_format=args.format,
-        out_path=args.out,
-        threads=args.threads,
-    )
 
 
 # ------------------------------------------------------------------ channel resolution
@@ -158,51 +121,50 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     raise FormatError(f"unknown builtin channel {name!r}")
 
 
-def resolve_channel(config: RunConfig) -> qch.KrausChannel:
-    if config.channel.startswith("builtin:"):
-        return _parse_builtin(config.channel, config.master_seed)
-    return serialize.load_channel(config.channel)
+def resolve_channel(args: argparse.Namespace) -> qch.KrausChannel:
+    if args.channel.startswith("builtin:"):
+        return _parse_builtin(args.channel, args.master_seed)
+    return serialize.load_channel(args.channel)
 
 
-def _config_record(config: RunConfig) -> dict:
+def _config_record(args: argparse.Namespace) -> dict:
     """Embedded experiment description: everything that determines the numbers.
 
     Execution knobs that cannot change any result (thread count, output
     destination) are excluded, so runs differing only in those are
     byte-comparable.
     """
-    record = asdict(config)
-    record.pop("threads")
-    record.pop("out_path")
+    record = dict(vars(args))
+    del record["threads"], record["out"]
     return record
 
 
-def _require(config: RunConfig, **fields) -> None:
+def _require(args: argparse.Namespace, **fields) -> None:
     for attr, flag in fields.items():
-        if getattr(config, attr) is None:
-            raise ValueError(f"{config.subcommand} requires {flag}")
+        if getattr(args, attr) is None:
+            raise ValueError(f"{args.subcommand} requires {flag}")
 
 
-def _epsilon(config: RunConfig) -> float:
-    _require(config, epsilon="--epsilon")
-    if not 0.0 < config.epsilon < math.inf:
+def _epsilon(args: argparse.Namespace) -> float:
+    _require(args, epsilon="--epsilon")
+    if not 0.0 < args.epsilon < math.inf:
         raise ValueError("--epsilon must be positive and finite")
-    return config.epsilon
+    return args.epsilon
 
 
-def _n_range(config: RunConfig) -> range:
-    _require(config, n_min="--n-min", n_max="--n-max")
-    if config.n_min < 1 or config.n_max < config.n_min:
+def _n_range(args: argparse.Namespace) -> range:
+    _require(args, n_min="--n-min", n_max="--n-max")
+    if args.n_min < 1 or args.n_max < args.n_min:
         raise ValueError("need 1 <= n-min <= n-max")
-    return range(config.n_min, config.n_max + 1)
+    return range(args.n_min, args.n_max + 1)
 
 
 # ------------------------------------------------------------------ subcommands
 
-def cmd_info(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
+def cmd_info(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
     report = qch.classify(ch)
-    record = {"config": _config_record(config), "channel_name": ch.name,
+    record = {"config": _config_record(args), "channel_name": ch.name,
               "input_dim": ch.input_dim, "output_dim": ch.output_dim,
               "report": asdict(report)}
     header = ["is_trace_preserving", "is_unital", "is_uniform", "length",
@@ -211,28 +173,28 @@ def cmd_info(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     return record, header, [row]
 
 
-def cmd_bound(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
-    _require(config, code_dim="--code-dim")
-    samples = config.samples if config.samples is not None else 1
+def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
+    _require(args, code_dim="--code-dim")
+    samples = args.samples if args.samples is not None else 1
     if samples < 1:
         raise ValueError("sample_count must be >= 1")
     reports = []
     for i in range(samples):
-        code = rc.sample_code(ch.input_dim, config.code_dim, rc.sample_stream(config.master_seed, i))
+        code = rc.sample_code(ch.input_dim, args.code_dim, rc.sample_stream(args.master_seed, i))
         rep = codes.bound_report(code, ch)
         reports.append({"sample": i, **asdict(rep)})
-    record = {"config": _config_record(config), "reports": reports}
+    record = {"config": _config_record(args), "reports": reports}
     header = ["sample", "transmission", "deviation_trace_norm",
               "deviation_frobenius_sq", "bound_kraus", "bound_states"]
     rows = [[r[h] for h in header] for r in reports]
     return record, header, rows
 
 
-def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
-    _require(config, code_dim="--code-dim", samples="--samples")
-    k, n, seed = config.code_dim, config.samples, config.master_seed
+def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
+    _require(args, code_dim="--code-dim", samples="--samples")
+    k, n, seed = args.code_dim, args.samples, args.master_seed
     d2_mc = rc.mc_deviation_sq(ch, k, n, seed)
     closed = rc.closed_forms(ch, k)
     d2_exact, bound_analytic = closed.deviation_sq, closed.fidelity_bound
@@ -240,7 +202,7 @@ def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     bound_mc = rc.mc_average_bound(ch, k, n, seed)
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
     record = {
-        "config": _config_record(config),
+        "config": _config_record(args),
         "deviation_sq": {"estimate": asdict(d2_mc), "closed_form": d2_exact,
                          "upper_bound": closed.upper_bound, "pass": d2_pass},
         "fidelity_bound": {"estimate": asdict(bound_mc), "closed_form": bound_analytic,
@@ -255,28 +217,28 @@ def cmd_ensemble(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     return record, header, rows
 
 
-def cmd_moments(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
-    _require(config, samples="--samples")
-    report = rc.haar_moment_suite(ch.input_dim, config.samples, config.master_seed)
-    record = {"config": _config_record(config), "report": asdict(report),
+def cmd_moments(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
+    _require(args, samples="--samples")
+    report = rc.haar_moment_suite(ch.input_dim, args.samples, args.master_seed)
+    record = {"config": _config_record(args), "report": asdict(report),
               "all_pass": report.all_pass}
     header = ["name", "estimate", "std_error", "target", "passed"]
     rows = [[c.name, c.estimate, c.std_error, c.target, c.passed] for c in report.checks]
     return record, header, rows
 
 
-def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
-    eps = _epsilon(config)
-    ns = _n_range(config)
+def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
+    eps = _epsilon(args)
+    ns = _n_range(args)
     verification = tp.verify_reduction_bounds(ch, ns, eps)
     # The sequence_* keys repeat the reduced reports' typical-class counts
     # under their own names; they stay so that the report keeps its keys.
     entropy = linalg.shannon_entropy(verification.weights)
     reports = verification.reports
     record = {
-        "config": _config_record(config),
+        "config": _config_record(args),
         "kraus_weights": list(map(float, verification.weights)),
         "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
                               "mass": r.typical_transmission, "entropy": entropy}
@@ -297,20 +259,20 @@ def cmd_typicality(config: RunConfig) -> tuple[dict, list[str], list[list]]:
     return record, header, rows
 
 
-def cmd_rate_demo(config: RunConfig) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(config)
-    _require(config, rate="--rate")
-    eps = _epsilon(config)
-    ns = _n_range(config)
-    table = tp.achievable_rate_table(ch, config.rate, eps, ns)
+def cmd_rate_demo(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
+    ch = resolve_channel(args)
+    _require(args, rate="--rate")
+    eps = _epsilon(args)
+    ns = _n_range(args)
+    table = tp.achievable_rate_table(ch, args.rate, eps, ns)
     record = {
-        "config": _config_record(config),
+        "config": _config_record(args),
         "coherent_information": table.coherent_information,
         "geometric_decay_expected": table.geometric_decay_expected,
         "rows": [asdict(r) for r in table.rows],
     }
     if qch.classify(ch).is_unital:
-        curve = rc.hamming_rate_curve(ch, config.rate, ns)
+        curve = rc.hamming_rate_curve(ch, args.rate, ns)
         record["unital_curve"] = asdict(curve)
     header = ["n", "K_n", "reduced_length", "transmission", "penalty", "bound"]
     rows = [[r.n, r.code_dim, r.reduced_length, r.transmission, r.penalty, r.bound]
@@ -340,9 +302,9 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def run(config: RunConfig) -> str:
-    record, header, rows = _COMMANDS[config.subcommand](config)
-    if config.output_format == "csv":
+def run(args: argparse.Namespace) -> str:
+    record, header, rows = _COMMANDS[args.subcommand](args)
+    if args.output_format == "csv":
         return render_csv(header, rows)
     return serialize.canonical_json(record)
 
@@ -351,8 +313,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        text = run(config)
+        if args.master_seed < 0:
+            raise ValueError("--seed must be nonnegative")
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
+        text = run(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

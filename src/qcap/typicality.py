@@ -40,7 +40,6 @@ from .channels import (
     KrausChannel,
     apply,
     gram_matrix,
-    is_trace_preserving,
     kraus_stack,
     minimal_kraus,
 )
@@ -273,7 +272,7 @@ def kraus_distribution(ch: KrausChannel) -> np.ndarray:
     `minimal_kraus` first); its Shannon entropy equals the entropy exchange
     at the uniform input.
     """
-    if not is_trace_preserving(ch):
+    if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     h = gram_matrix(ch)
     off = h - np.diag(np.diagonal(h))

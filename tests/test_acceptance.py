@@ -113,7 +113,7 @@ def test_criterion_04_haar_moments():
 def test_criterion_05_hamming_attainability():
     rng = rc.sample_stream(505, 0)
     unitaries = [linalg.haar_unitary(256, rng) for _ in range(2)]
-    ch = qch.random_unitary_channel(unitaries, probs=[0.5, 0.5], name="eight_qubit_mixture")
+    ch = qch.random_unitary_channel(unitaries, name="eight_qubit_mixture")
     target = 1.0 - math.sqrt(2 * 2 / 256)
     assert target == pytest.approx(0.875)
     analytic = rc.closed_forms(ch, 2).fidelity_bound

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import linalg
+from qcap import codes, linalg, serialize
 from qcap.errors import CapExceededError, InvariantViolationError
 
 H2 = lambda p: 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -43,7 +43,7 @@ def test_rejects_empty_family():
 
 def test_trace_decreasing_is_accepted():
     ch = half_identity()
-    assert not qch.is_trace_preserving(ch)
+    assert not ch.trace_preserving
 
 
 def test_kraus_stack_is_stored_once_and_read_only():
@@ -66,17 +66,19 @@ def test_kraus_stack_is_stored_once_and_read_only():
 # ---------------------------------------------------------------- completeness certificate
 
 def assert_decisions_match_eigvalsh(ops, input_dim, output_dim):
-    """Validation and `is_trace_preserving` decide as the eigvalsh oracle does."""
-    unchecked = qch.KrausChannel(input_dim=input_dim, output_dim=output_dim,
-                                 kraus_ops=tuple(ops), validate=False)
-    lo, hi = qch.completeness_defect_bounds(unchecked)
+    """Construction accepts, and records `trace_preserving`, as the eigvalsh oracle decides.
+
+    Returns the accepted channel, or None for a rejected family.
+    """
+    lo, hi = qch.completeness_defect_bounds(np.array(ops, dtype=np.complex128))
     try:
-        qch.KrausChannel(input_dim=input_dim, output_dim=output_dim, kraus_ops=tuple(ops))
-        accepted = True
+        ch = qch.KrausChannel(input_dim=input_dim, output_dim=output_dim, kraus_ops=tuple(ops))
     except InvariantViolationError:
-        accepted = False
-    assert accepted == (hi <= qch.COMPLETENESS_ATOL), (lo, hi)
-    assert qch.is_trace_preserving(unchecked) == (max(abs(lo), abs(hi)) <= qch.COMPLETENESS_ATOL)
+        assert hi > qch.COMPLETENESS_ATOL, (lo, hi)
+        return None
+    assert hi <= qch.COMPLETENESS_ATOL, (lo, hi)
+    assert ch.trace_preserving == (max(abs(lo), abs(hi)) <= qch.COMPLETENESS_ATOL), (lo, hi)
+    return ch
 
 
 def isometry_blocks(seed, m, n, extra):
@@ -132,11 +134,55 @@ def test_complete_families_skip_the_eigensolve(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     for ch in (qch.identity_channel(64), qch.haar_random_channel(16, 8, 4, rng),
                qch.depolarizing(0.3, 3)):
-        assert qch.is_trace_preserving(ch)
+        assert ch.trace_preserving
     assert calls == []
-    # a trace-decreasing family falls back, once to validate and once to check
-    assert not qch.is_trace_preserving(half_identity())
-    assert calls == [(2, 2), (2, 2)]
+    # a trace-decreasing family falls back once, at construction
+    assert not half_identity().trace_preserving
+    assert calls == [(2, 2)]
+
+
+def derived_recovery(seed, m, out, n, k):
+    rng = np.random.default_rng(seed)
+    ch = qch.haar_random_channel(m, out, n, rng)
+    code = codes.CodeSubspace(ambient_dim=m, code_dim=k, basis=linalg.haar_isometry(m, k, rng))
+    return codes.transpose_recovery(code, ch)
+
+
+def derived_haar(seed, *dims):
+    return qch.haar_random_channel(*dims, np.random.default_rng(seed))
+
+
+def derived_round_trip(ch):
+    return serialize.channel_from_dict(serialize.channel_to_dict(ch))
+
+
+# Channels built from other channels, trace-preserving and trace-decreasing ones.
+DERIVED_CHANNELS = {
+    "diagonalize": lambda: qch.diagonalize_kraus(derived_haar(1, 3, 3, 3)),
+    "diagonalize-decreasing": lambda: qch.diagonalize_kraus(
+        qch.reduce_channel(derived_haar(2, 3, 3, 3), [0, 2])),
+    "minimal": lambda: qch.minimal_kraus(derived_haar(3, 4, 2, 4)),
+    "minimal-decreasing": lambda: qch.minimal_kraus(half_identity()),
+    "reduce-all": lambda: qch.reduce_channel(amplitude_damping(0.3), [1, 0]),
+    "reduce": lambda: qch.reduce_channel(derived_haar(4, 3, 5, 4), [0, 2]),
+    "tensor-power": lambda: qch.tensor_power(derived_haar(5, 2, 2, 3), 3),
+    "tensor-power-decreasing": lambda: qch.tensor_power(half_identity(), 2),
+    "isometry": lambda: qch.kraus_from_isometry(
+        linalg.haar_isometry(6, 2, np.random.default_rng(6)), 3),
+    "isometry-decreasing": lambda: qch.kraus_from_isometry(
+        0.9 * linalg.haar_isometry(6, 2, np.random.default_rng(7)), 2),
+    "transpose-recovery": lambda: derived_recovery(8, 3, 3, 2, 2),
+    "transpose-recovery-decreasing": lambda: derived_recovery(10, 2, 4, 1, 1),
+    "deserialized": lambda: derived_round_trip(derived_haar(9, 3, 2, 3)),
+    "deserialized-decreasing": lambda: derived_round_trip(half_identity()),
+}
+
+
+@pytest.mark.parametrize("derive", DERIVED_CHANNELS.values(), ids=DERIVED_CHANNELS.keys())
+def test_derived_channels_carry_the_oracle_decision(derive):
+    ch = derive()
+    rebuilt = assert_decisions_match_eigvalsh(ch.kraus_ops, ch.input_dim, ch.output_dim)
+    assert ch.trace_preserving == rebuilt.trace_preserving
 
 
 # ---------------------------------------------------------------- apply
@@ -205,7 +251,7 @@ def test_completeness_defect_matches_operator_loop(rng):
         for a in ch.kraus_ops:
             total += a.conj().T @ a
         w = np.linalg.eigvalsh(total - np.eye(ch.input_dim))
-        lo, hi = qch.completeness_defect_bounds(ch)
+        lo, hi = qch.completeness_defect_bounds(qch.kraus_stack(ch))
         # relative to ||sum A^dagger A||, since the defect itself may be ~0
         scale = np.linalg.norm(total, 2)
         assert abs(lo - w[0]) <= 1e-12 * scale and abs(hi - w[-1]) <= 1e-12 * scale
@@ -239,9 +285,9 @@ def test_kraus_from_identity_isometry():
 
 def test_haar_isometry_gives_trace_preserving(rng):
     v = linalg.haar_isometry(6, 2, rng)
-    ch = qch.kraus_from_isometry(v, env_dim=3, require_trace_preserving=True)
-    lo, hi = qch.completeness_defect_bounds(ch)
-    assert max(abs(lo), abs(hi)) <= 1e-10
+    ch = qch.kraus_from_isometry(v, env_dim=3)
+    lo, hi = qch.completeness_defect_bounds(qch.kraus_stack(ch))
+    assert ch.trace_preserving and max(abs(lo), abs(hi)) <= 1e-10
 
 
 # ---------------------------------------------------------------- representations
@@ -485,10 +531,10 @@ def test_depolarizing_general_dim(rng):
 
 def test_random_unitary_mixture_length(rng):
     us = [linalg.haar_unitary(4, rng) for _ in range(2)]
-    ch = qch.random_unitary_channel(us, probs=[0.5, 0.5])
+    ch = qch.random_unitary_channel(us)
     assert qch.minimal_length(ch) == 2
 
 
 def test_make_channel_haar_random(rng):
     ch = qch.haar_random_channel(2, 2, 2, rng)
-    assert qch.is_trace_preserving(ch)
+    assert ch.trace_preserving

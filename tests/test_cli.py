@@ -119,6 +119,23 @@ def test_minimal_kraus_runs_once_per_command(monkeypatch, capsys):
         assert code == 0 and spy.call_count == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "--channel", "builtin:haar_random:4,4,3"),
+    ("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
+     "--epsilon", "0.1", "--n-min", "2", "--n-max", "6"),
+], ids=["info", "rate-demo"])
+def test_completeness_defect_is_formed_once_per_channel(monkeypatch, capsys, argv):
+    # construction decides trace preservation; nothing downstream forms sum A^dagger A again
+    defects, built = [], []
+    defect, post_init = qch._completeness_defect, qch.KrausChannel.__post_init__
+    monkeypatch.setattr(qch, "_completeness_defect", lambda *a: defects.append(1) or defect(*a))
+    monkeypatch.setattr(qch.KrausChannel, "__post_init__",
+                        lambda self, *a: built.append(1) or post_init(self, *a))
+    code, _, _ = run_cli(capsys, *argv, "--seed", "11")
+    assert code == 0
+    assert built and len(defects) == len(built), (len(defects), len(built))
+
+
 # ---------------------------------------------------------------- grammar
 
 def test_help_lists_every_subcommand(capsys):

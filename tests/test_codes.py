@@ -312,7 +312,7 @@ def test_transpose_recovery_is_valid_channel(rng):
     ch = random_square_channel(rng, 3, 2)
     code = random_code(rng, 3, 2)
     rec = codes.transpose_recovery(code, ch)
-    lo, hi = qch.completeness_defect_bounds(rec)
+    lo, hi = qch.completeness_defect_bounds(qch.kraus_stack(rec))
     assert hi <= 1e-9
 
 
@@ -323,5 +323,9 @@ def test_some_recovery_achieves_the_bound(rng):
         ch = random_square_channel(rng, m, int(rng.integers(1, 4)))
         code = random_code(rng, m, int(rng.integers(1, m + 1)))
         bound = codes.bound_report(code, ch).bound_kraus
-        achieved = codes.best_recovery_fidelity(code, ch)
+        # transpose-recovery fidelity F_T = sum_kl |tr(pi_C R_k A_l)|^2
+        recovery = qch.kraus_stack(codes.transpose_recovery(code, ch))
+        amps = np.einsum("ij,kjb,lbi->kl", codes.normalized_projector(code),
+                         recovery, qch.kraus_stack(ch))
+        achieved = float(np.sum(np.abs(amps) ** 2))
         assert achieved >= bound - 1e-6

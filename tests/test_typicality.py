@@ -91,7 +91,7 @@ def typical_kraus_channel(ch, n, eps, *, project):
         proj = cols @ cols.conj().T
         ops = [proj @ op for op in ops]
     return qch.KrausChannel(input_dim=base.input_dim**n, output_dim=base.output_dim**n,
-                            kraus_ops=tuple(ops), validate=False)
+                            kraus_ops=tuple(ops))
 
 
 # ---------------------------------------------------------------- typical sequences
