@@ -158,52 +158,49 @@ def gram_matrix(ch: KrausChannel) -> np.ndarray:
     return np.einsum("iab,jab->ij", stack.conj(), stack)
 
 
-def diagonalize_kraus(ch: KrausChannel) -> KrausChannel:
-    """Unitarily recombine the Kraus list so the Gram matrix is diagonal.
+def _nonzero(spectrum: np.ndarray) -> np.ndarray:
+    """Mask of the Gram eigenvalues or weights above 1e-10 times the largest.
 
-    The channel action is unchanged.  Already-diagonal inputs are returned
-    as-is; otherwise operators come back ordered by decreasing weight.
+    The cutoff is scale-free; nothing counts when the largest is not positive.
+    """
+    top = float(np.max(spectrum))
+    return spectrum > GRAM_RANK_RTOL * top if top > 0.0 else np.zeros(spectrum.shape, dtype=bool)
+
+
+def minimal_length(ch: KrausChannel) -> int:
+    """Minimal number of Kraus operators: the rank of the Gram matrix (`_nonzero` eigenvalues)."""
+    return int(np.count_nonzero(_nonzero(np.linalg.eigvalsh(gram_matrix(ch)))))
+
+
+def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
+    """The minimal diagonal Kraus family and its weights tr(A_k^dagger A_k)/M.
+
+    The one place where the Gram spectrum of a family is decided.  A family
+    whose Gram matrix has off-diagonal entries within 1e-10 is kept as it is;
+    otherwise the eigenvectors of the Gram matrix recombine it unitarily, in
+    decreasing weight, and the recombined family's Gram diagonal gives the
+    weights.  The channel action is unchanged.  Operators whose weight is not
+    `_nonzero` are dropped, unless all are (an all-zero family comes back
+    whole).  For a trace-preserving channel the weights are a distribution
+    whose Shannon entropy is the entropy exchange at the uniform input.
     """
     # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors;
     # the stack, its recombination and re-stacking (measured 3.0 N^2 + 3 stacks)
     linalg.check_entries(4 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
                          f"Gram matrix diagonalization of {len(ch)} Kraus operators")
     h = gram_matrix(ch)
-    off = h - np.diag(np.diagonal(h))
-    if not len(ch) > 1 or np.max(np.abs(off)) <= COMPLETENESS_ATOL:
-        return ch
-    _, v = np.linalg.eigh(h)
-    stack = kraus_stack(ch)
-    new_ops = np.einsum("jm,jab->mab", v, stack)[::-1]
-    return KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
-                        kraus_ops=tuple(new_ops), name=ch.name)
-
-
-def minimal_length(ch: KrausChannel) -> int:
-    """Minimal number of Kraus operators: the rank of the Gram matrix.
-
-    Eigenvalues above 1e-10 times the largest one count toward the rank,
-    which makes the cutoff scale-free.
-    """
-    w = np.linalg.eigvalsh(gram_matrix(ch))
-    top = float(w[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.sum(w > GRAM_RANK_RTOL * top))
-
-
-def minimal_kraus(ch: KrausChannel) -> KrausChannel:
-    """Diagonal representation with the null operators dropped."""
-    diag = diagonalize_kraus(ch)
-    weights = np.real(np.diagonal(gram_matrix(diag)))
-    top = float(np.max(weights))
-    if top <= 0.0:
-        return diag
-    keep = [a for a, w in zip(diag.kraus_ops, weights) if w > GRAM_RANK_RTOL * top]
-    if len(keep) == len(diag.kraus_ops):
-        return diag
-    return KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
-                        kraus_ops=tuple(keep), name=ch.name)
+    if len(ch) > 1 and np.max(np.abs(h - np.diag(np.diagonal(h)))) > COMPLETENESS_ATOL:
+        _, v = np.linalg.eigh(h)
+        ch = KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
+                          kraus_ops=np.einsum("jm,jab->mab", v, kraus_stack(ch))[::-1])
+        del h, v        # so that the recombined family's Gram matrix is not held beside them
+        h = gram_matrix(ch)
+    diag = np.real(np.diagonal(h))
+    keep = _nonzero(diag)
+    if keep.all() or not keep.any():
+        return ch, diag / ch.input_dim
+    return (KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
+                         kraus_ops=tuple(kraus_stack(ch)[keep])), diag[keep] / ch.input_dim)
 
 
 def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
@@ -296,12 +293,12 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     """Structural flags plus the information quantities at the uniform input.
 
     Unital: the maximally mixed input maps to the maximally mixed output
-    (trace-norm deviation <= 1e-9).  Uniform: the nonzero weights of the
-    diagonalized Gram matrix agree to relative deviation 1e-9, i.e. all
-    error operators fire with the same probability.  The length counts those
-    nonzero weights, as `minimal_length` would from the same spectrum.  The
-    entropy fields are None for trace-decreasing channels, where they are
-    not defined here.
+    (trace-norm deviation <= 1e-9).  Uniform: the `_nonzero` eigenvalues of
+    the Gram matrix agree to relative deviation 1e-9, i.e. all error
+    operators of a minimal family fire with the same probability.  The
+    length counts those eigenvalues, as `minimal_length` does; one Gram
+    matrix serves both.  The entropy fields are None for trace-decreasing
+    channels, where they are not defined here.
     """
     # entropy exchange: 2 stack copies + 1-3 M^2; apply, trace_norm, entropy: 3-4 M'^2
     # (measured 5.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 3.1 M^2 at N M' = M)
@@ -312,8 +309,7 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     out = apply(ch, pi_in)
     unital = linalg.trace_norm(out - linalg.max_mixed(ch.output_dim)) <= UNITAL_ATOL
     w = np.linalg.eigvalsh(gram_matrix(ch))
-    top = float(w[-1])
-    nz = w[w > GRAM_RANK_RTOL * top] if top > 0.0 else w[:0]
+    nz = w[_nonzero(w)]
     uniform = bool(nz.size) and float((nz[-1] - nz[0]) / nz[-1]) <= UNIFORM_RTOL
     if ch.trace_preserving:
         s_out = linalg.von_neumann_entropy(out)

@@ -271,9 +271,9 @@ def cmd_rate_demo(args: argparse.Namespace) -> tuple[dict, list[str], list[list]
         "geometric_decay_expected": table.geometric_decay_expected,
         "rows": [asdict(r) for r in table.rows],
     }
-    if qch.classify(ch).is_unital:
-        curve = rc.hamming_rate_curve(ch, args.rate, ns)
-        record["unital_curve"] = asdict(curve)
+    info = qch.classify(ch)
+    if info.is_unital:
+        record["unital_curve"] = asdict(rc.hamming_rate_curve(info, ch.output_dim, args.rate, ns))
     header = ["n", "K_n", "reduced_length", "transmission", "penalty", "bound"]
     rows = [[r.n, r.code_dim, r.reduced_length, r.transmission, r.penalty, r.bound]
             for r in table.rows]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, linalg
-from .channels import KrausChannel, classify, gram_matrix, kraus_stack, minimal_length
+from .channels import ChannelInfoReport, KrausChannel, _nonzero, gram_matrix, kraus_stack
 from .errors import InvariantViolationError
 
 # Samples per chunk of the sampling loop.  Monte Carlo over codes also caps a
@@ -142,11 +142,13 @@ class ClosedForms:
 
 
 def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
-    """All ensemble closed forms from one product N(pi) = V V^dagger / M.
+    """All ensemble closed forms from one product N(pi) = V V^dagger / M and one Gram matrix.
 
     V is the (out, N*M) matrix [A_1 ... A_N], so V V^dagger = sum_k A_k A_k^dagger,
     and sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
-    replaces the N^2 Gram products of the exact average.
+    replaces the N^2 Gram products of the exact average.  The Gram matrix
+    G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of its
+    `_nonzero` eigenvalues (as `minimal_length` counts them).
     """
     m = ch.input_dim
     if m < 2:
@@ -157,10 +159,12 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     v = kraus_stack(ch).transpose(1, 0, 2).reshape(out, n * m)
     image = (v @ v.conj().T) / m
     fro_sq = float(np.sum(np.abs(image) ** 2))
-    sum_tr = float(np.sum(np.abs(gram_matrix(ch)) ** 2))
+    gram = gram_matrix(ch)
+    sum_tr = float(np.sum(np.abs(gram) ** 2))
     deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
     transmission = float(np.real(np.trace(image)))
-    penalty = math.sqrt(code_dim * minimal_length(ch) * fro_sq)
+    length = int(np.count_nonzero(_nonzero(np.linalg.eigvalsh(gram))))
+    penalty = math.sqrt(code_dim * length * fro_sq)
     return ClosedForms(deviation_sq=deviation_sq, upper_bound=fro_sq,
                        fidelity_bound=transmission - penalty)
 
@@ -270,20 +274,20 @@ class HammingCurve:
     rows: tuple[HammingPoint, ...]
 
 
-def hamming_rate_curve(ch: KrausChannel, rate: float, ns) -> HammingCurve:
+def hamming_rate_curve(info: ChannelInfoReport, output_dim: int, rate: float, ns) -> HammingCurve:
     """Random-coding fidelity curve over block lengths for a unital channel.
 
-    The bound tends to 1 exactly when the rate is below
+    Reads the channel's `classify` report (unitality and minimal length) and
+    its output dimension.  The bound tends to 1 exactly when the rate is below
     log2(output_dim) - log2(minimal length), the random-coding capacity
     bound that attains the quantum Hamming packing scaling.
     """
-    info = classify(ch)
     if not info.is_unital:
         raise InvariantViolationError("rate curve is defined for unital channels")
     length = info.length
-    base = (2.0**rate) * length / ch.output_dim
+    base = (2.0**rate) * length / output_dim
     rows = tuple(HammingPoint(n=int(n), bound=1.0 - base ** (n / 2.0)) for n in ns)
-    capacity_bound = math.log2(ch.output_dim) - math.log2(length)
-    return HammingCurve(rate=rate, kraus_length=length, output_dim=ch.output_dim,
+    capacity_bound = math.log2(output_dim) - math.log2(length)
+    return HammingCurve(rate=rate, kraus_length=length, output_dim=output_dim,
                         capacity_bound=capacity_bound, converges=rate < capacity_bound,
                         rows=rows)

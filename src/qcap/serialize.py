@@ -68,7 +68,7 @@ def channel_from_dict(data: Any):
         kraus = data["kraus"]
     except KeyError as exc:
         raise FormatError(f"channel record is missing field {exc}") from exc
-    if not isinstance(input_dim, int) or not isinstance(output_dim, int):
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in (input_dim, output_dim)):
         raise FormatError("input_dim and output_dim must be integers")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("kraus must be a nonempty array of matrices")

@@ -1,4 +1,4 @@
-"""Typical sequences, typical subspaces, and reduced tensor-power channels.
+"""Typical sequences, typical-subspace indicators, and reduced tensor-power channels.
 
 Counting and probability mass over length-n sequences are computed through
 type classes (symbol-count compositions): a sequence's probability depends
@@ -10,18 +10,20 @@ step on the M'^n-dimensional output block checks its predicted peak
 (`_check_block`) against `linalg.ENTRY_CAP` before allocating.
 
 The block-channel constructions follow the two-step reduction of an n-fold
-product channel: keep only the Kraus products whose weight is typical for
-the per-use Kraus weight distribution, then project the output onto the
-typical subspace of the single-use output state.  A series of reduced-channel
-reports prepares the n-independent part (minimal Kraus family, output
-eigenbasis, factor matrices) once, and never enumerates sequences: the sum of
-Kronecker products over the typical Kraus sequences is built class by class,
-from composition sums over the two halves of the block joined in one contraction.
+product channel, which reads two spectra: keep only the Kraus products whose
+weight is typical for the per-use Kraus weight distribution (the weights of
+`channels.minimal_kraus`), then project the output onto the typical subspace
+of the single-use output state (the typical classes of its spectrum).  A
+series of reduced-channel reports prepares the n-independent part (minimal
+Kraus family and weights, output spectrum and eigenbasis, factor matrices)
+once, and never enumerates sequences: the sum of Kronecker products over the
+typical Kraus sequences is built class by class, from composition sums over
+the two halves of the block joined in one contraction.
 
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
-and typical mass, typical output classes the subspace's rank, mass and
-multi-index indicator (a `_sequence_sum` of one-hot vectors).  Count-versus-
+and typical mass, typical output classes the subspace's multi-index indicator
+(`_typical_indicator`, a `_sequence_sum` of one-hot vectors).  Count-versus-
 bound checks compare exact integer counts against real bounds.
 """
 
@@ -31,18 +33,11 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
 
 import numpy as np
 
 from . import linalg
-from .channels import (
-    KrausChannel,
-    apply,
-    gram_matrix,
-    kraus_stack,
-    minimal_kraus,
-)
+from .channels import KrausChannel, apply, kraus_stack, minimal_kraus
 from .errors import CapExceededError, InvariantViolationError
 
 # guard on the number of symbol-count compositions enumerated per block length
@@ -184,62 +179,33 @@ def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
     its kept entries (the diagonal branch measured 17-18 B per index at
     dim = 2, n = 18-23 and dim = 4, n = 9-11); ``dense`` adds 3 per entry of the block matrix (a
     full-rank projector holds three such matrices; the dense branch measured
-    32-35 B per entry at n = 5-10).
+    32-35 B per entry at n = 5-10).  A block past the cap on its own is
+    refused from n log2(dim) alone, without forming dim^n, which has that
+    many bits.
     """
+    log2_size = n * math.log2(dim)
+    if log2_size > math.log2(linalg.ENTRY_CAP):
+        log2_entries = (2 * log2_size + math.log2(3 + 2.0 ** (1 - log2_size)) if dense
+                        else log2_size + 1)
+        raise CapExceededError(f"{what} at n={n}, block dimension 2^{log2_size:.6g}, needs "
+                               f"2^{log2_entries:.6g} entries, above cap "
+                               f"{linalg.as_power_of_two(linalg.ENTRY_CAP)}")
     size = dim**n
     entries = 2 * size + (3 * size * size if dense else 0)
     linalg.check_entries(entries, f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
 
 
-@dataclass(frozen=True)
-class TypicalSubspace:
-    """Typical subspace of rho^(x)n in structured form.
+def _typical_indicator(dim: int, classes, n: int) -> np.ndarray:
+    """Boolean mask of the typical multi-indices in the tensor eigenbasis (first factor major).
 
-    Stores the eigenbasis of rho with the typical eigenvalue classes, their
-    rank and mass; the dense projector and the multi-index indicator are
-    derived from the classes on demand under the entry cap.
+    The sum over typical sequences of one-hot Kronecker products e_s1 (x)
+    ... (x) e_sn is 1 exactly at the typical multi-indices, so
+    `_sequence_sum` builds it from the typical output classes.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    n: int
-    rank: int
-    rank_bound: float
-    mass: float
-    classes: tuple[TypeClass, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def block_dim(self) -> int:
-        return self.dim**self.n
-
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """Boolean mask over multi-indices in the tensor eigenbasis (first factor major).
-
-        The sum over typical sequences of one-hot Kronecker products e_s1 (x)
-        ... (x) e_sn is 1 exactly at the typical multi-indices, so
-        `_sequence_sum` builds it from the stored classes.
-        """
-        _check_block(self.dim, self.n, False, "typical indicator")
-        if not self.classes:
-            return np.zeros(self.block_dim, dtype=bool)
-        return _sequence_sum(np.eye(self.dim), self.classes, self.n) > 0.5
-
-    def projector(self) -> np.ndarray:
-        """Dense projector onto the typical subspace of rho^(x)n."""
-        _check_block(self.dim, self.n, True, "typical projector")
-        # the Kronecker basis is freed once its typical columns are taken
-        cols = reduce(np.kron, [self.eigenvectors] * self.n)[:, self.indicator]
-        return cols @ cols.conj().T
-
-
-def typical_subspace(rho, n: int, eps: float) -> TypicalSubspace:
-    """Typical eigenspaces of the n-fold product of a normalized density."""
-    return _typical_subspace(*_normalized_eigh(rho), n, eps)
+    _check_block(dim, n, False, "typical indicator")
+    if not classes:
+        return np.zeros(dim**n, dtype=bool)
+    return _sequence_sum(np.eye(dim), classes, n) > 0.5
 
 
 def _normalized_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -247,48 +213,6 @@ def _normalized_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
     w, v = linalg.eigh(linalg.assert_density_operator(rho))
     w = np.maximum(w, 0.0)
     return w / float(np.sum(w)), v
-
-
-def _typical_subspace(w: np.ndarray, v: np.ndarray, n: int, eps: float) -> TypicalSubspace:
-    if n < 1:
-        raise InvariantViolationError("n must be >= 1")
-    if not eps > 0.0:
-        raise InvariantViolationError("epsilon must be positive")
-    entropy, classes = _typical_classes(w, n, eps)
-    rank = sum(c.sequence_count for c in classes)
-    mass = _class_mass(classes)
-    return TypicalSubspace(
-        eigenvalues=w, eigenvectors=v, n=n, rank=rank,
-        rank_bound=_power_of_two(n * (entropy + eps)), mass=mass, classes=tuple(classes),
-    )
-
-
-# ------------------------------------------------------------------ Kraus weight distribution
-
-def kraus_distribution(ch: KrausChannel) -> np.ndarray:
-    """Weight tr(A^dagger A)/|Q| of each Kraus operator, as a distribution.
-
-    Requires a trace-preserving channel in diagonal form (run
-    `minimal_kraus` first); its Shannon entropy equals the entropy exchange
-    at the uniform input.
-    """
-    if not ch.trace_preserving:
-        raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
-    h = gram_matrix(ch)
-    off = h - np.diag(np.diagonal(h))
-    top = max(float(np.max(np.abs(np.diagonal(h)))), 1.0)
-    if np.max(np.abs(off)) > 1e-10 * top:
-        raise InvariantViolationError("Kraus family is not diagonal; diagonalize first")
-    weights = np.real(np.diagonal(h)) / ch.input_dim
-    return linalg.assert_distribution(weights, atol=1e-10)
-
-
-# ------------------------------------------------------------------ block channels
-
-def _typical_base(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
-    base = minimal_kraus(ch)
-    weights = kraus_distribution(base)
-    return base, weights
 
 
 # ------------------------------------------------------------------ reduced-channel reports
@@ -408,7 +332,12 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
 
 def _reduced_series(ch: KrausChannel, ns, eps: float):
     """Kraus weights, output entropy S(N(pi)) and the reduced-channel reports over ns."""
-    base, weights = _typical_base(ch)
+    if not ch.trace_preserving:
+        raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
+    base, weights = minimal_kraus(ch)
+    weights = linalg.assert_distribution(weights, atol=1e-10)
+    if not eps > 0.0:
+        raise InvariantViolationError("epsilon must be positive")
     rho_out = apply(base, linalg.max_mixed(base.input_dim))
     output_entropy = linalg.von_neumann_entropy(rho_out)
     spectrum, basis = _normalized_eigh(rho_out)
@@ -419,13 +348,15 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
     reports = []
     for n in map(int, ns):
+        if n < 1:
+            raise InvariantViolationError("n must be >= 1")
         entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
         count = sum(c.sequence_count for c in classes)
-        subspace = _typical_subspace(spectrum, basis, n, eps)
+        _, output_classes = _typical_classes(spectrum, n, eps)
         transmission = frobenius_sq = 0.0
         if count:
             _check_block(base.output_dim, n, not diagonal, "reduced report")
-            ind = subspace.indicator
+            ind = _typical_indicator(base.output_dim, output_classes, n)
             if diagonal:
                 kept = _sequence_sum(factors, classes, n)[ind]
                 transmission = float(np.sum(kept))
@@ -461,8 +392,15 @@ class ReductionVerification:
     reduced_decay: DecayFit
 
 
+def _block_lengths(ns) -> tuple:
+    """ns as a range or a tuple of ints, and the largest (1 if none); a range is read at its ends."""
+    ns = ns if isinstance(ns, range) else tuple(map(int, ns))
+    return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
+
+
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
-    _check_block(ch.output_dim, max(ns, default=1), False, "reduced report")   # before any report
+    ns, top = _block_lengths(ns)
+    _check_block(ch.output_dim, top, False, "reduced report")   # before any report
     weights, _, reports = _reduced_series(ch, ns, eps)
     sigma_sq = log_probability_variance(weights)
     typical_fit = fit_decay([r.n for r in reports],
@@ -521,9 +459,8 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     max_rate = math.log2(ch.input_dim)
     if not 0.0 <= rate <= max_rate:
         raise ValueError(f"rate must lie in [0, log2 M] = [0, {max_rate:g}], got {rate:g}")
-    ns = [int(n) for n in ns]
     # K_n = floor(2^(nR)) must be a finite float before any report is built.
-    top = max(ns, default=0)
+    ns, top = _block_lengths(ns)
     if top * rate >= sys.float_info.max_exp:
         raise CapExceededError(
             f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
@@ -533,7 +470,8 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     info = output_entropy - entropy_exchange_rate
     exponent_rate = rate + entropy_exchange_rate - output_entropy + 4.0 * eps
     rows = []
-    for n, rep in zip(ns, reports):
+    for rep in reports:
+        n = rep.n
         code_dim = int(math.floor(2.0 ** (n * rate)))
         penalty = math.sqrt(code_dim * rep.length) * math.sqrt(rep.frobenius_sq)
         rows.append(RateRow(

@@ -158,11 +158,11 @@ def derived_round_trip(ch):
 
 # Channels built from other channels, trace-preserving and trace-decreasing ones.
 DERIVED_CHANNELS = {
-    "diagonalize": lambda: qch.diagonalize_kraus(derived_haar(1, 3, 3, 3)),
-    "diagonalize-decreasing": lambda: qch.diagonalize_kraus(
-        qch.reduce_channel(derived_haar(2, 3, 3, 3), [0, 2])),
-    "minimal": lambda: qch.minimal_kraus(derived_haar(3, 4, 2, 4)),
-    "minimal-decreasing": lambda: qch.minimal_kraus(half_identity()),
+    "diagonalize": lambda: qch.minimal_kraus(derived_haar(1, 3, 3, 3))[0],
+    "diagonalize-decreasing": lambda: qch.minimal_kraus(
+        qch.reduce_channel(derived_haar(2, 3, 3, 3), [0, 2]))[0],
+    "minimal": lambda: qch.minimal_kraus(derived_haar(3, 4, 2, 4))[0],
+    "minimal-decreasing": lambda: qch.minimal_kraus(half_identity())[0],
     "reduce-all": lambda: qch.reduce_channel(amplitude_damping(0.3), [1, 0]),
     "reduce": lambda: qch.reduce_channel(derived_haar(4, 3, 5, 4), [0, 2]),
     "tensor-power": lambda: qch.tensor_power(derived_haar(5, 2, 2, 3), 3),
@@ -294,8 +294,9 @@ def test_haar_isometry_gives_trace_preserving(rng):
 
 def test_diagonalize_keeps_already_diagonal():
     ch = qch.phase_flip(0.3)
-    out = qch.diagonalize_kraus(ch)
+    out, weights = qch.minimal_kraus(ch)
     assert out is ch
+    assert weights == pytest.approx([0.7, 0.3], abs=1e-15)
 
 
 def test_diagonalize_projector_pair():
@@ -304,7 +305,7 @@ def test_diagonalize_projector_pair():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     mixed = ((p0 + p1) / math.sqrt(2), (p0 - p1) / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=mixed)
-    out = qch.diagonalize_kraus(ch)
+    out, _ = qch.minimal_kraus(ch)
     gram = qch.gram_matrix(out)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert qch.channels_equal(ch, out)
@@ -315,7 +316,7 @@ def test_diagonalize_projector_pair():
 def test_diagonalize_preserves_action(seed):
     rng = np.random.default_rng(seed)
     ch = qch.haar_random_channel(3, 3, 3, rng)
-    out = qch.diagonalize_kraus(ch)
+    out, _ = qch.minimal_kraus(ch)
     gram = qch.gram_matrix(out)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert qch.channels_equal(ch, out)
@@ -335,8 +336,9 @@ def test_minimal_length_duplicated_operator(rng):
     ops = (a / math.sqrt(2), a / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     assert qch.minimal_length(ch) == 1
-    assert len(qch.minimal_kraus(ch)) == 1
-    assert qch.channels_equal(qch.minimal_kraus(ch), ch)
+    out, weights = qch.minimal_kraus(ch)
+    assert len(out) == 1 and weights == pytest.approx([1.0], abs=1e-12)
+    assert qch.channels_equal(out, ch)
 
 
 def test_tensor_power_base_cases():

@@ -11,6 +11,7 @@ import pytest
 
 from qcap import channels as qch
 from qcap import cli, serialize
+from qcap import random_coding as rc
 from qcap import typicality as tp
 
 
@@ -119,6 +120,36 @@ def test_minimal_kraus_runs_once_per_command(monkeypatch, capsys):
         assert code == 0 and spy.call_count == 1
 
 
+@pytest.mark.parametrize("argv, grams", [
+    (("typicality", "--channel", "builtin:phase_flip:0.25", "--epsilon", "0.1"), 1),
+    # the Haar family is not diagonal: its recombination forms the second
+    (("typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1"), 2),
+    # minimal_kraus and classify
+    (("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
+      "--epsilon", "0.1"), 2),
+    (("ensemble", "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
+      "--samples", "20"), 1),
+], ids=["typicality-diagonal", "typicality-recombined", "rate-demo", "ensemble"])
+def test_gram_matrices_per_command(monkeypatch, capsys, argv, grams):
+    # each family's Gram spectrum is decided from one Gram matrix
+    spy = mock.Mock(wraps=qch.gram_matrix)
+    for module in (qch, rc, tp):
+        monkeypatch.setattr(module, "gram_matrix", spy, raising=False)
+    code, _, _ = run_cli(capsys, *argv, "--n-min", "2", "--n-max", "6", "--seed", "11")
+    assert code == 0 and spy.call_count == grams
+
+
+def test_rate_demo_classifies_once(monkeypatch, capsys):
+    spy = mock.Mock(wraps=qch.classify)
+    for module in (qch, rc):
+        monkeypatch.setattr(module, "classify", spy, raising=False)
+    code, out, _ = run_cli(capsys, "rate-demo", "--channel", "builtin:depolarizing:0.3",
+                           "--rate", "0.1", "--epsilon", "0.1", "--n-min", "2", "--n-max", "6",
+                           "--seed", "11")
+    assert code == 0 and "unital_curve" in json.loads(out)
+    assert spy.call_count == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "--channel", "builtin:haar_random:4,4,3"),
     ("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
@@ -166,6 +197,20 @@ def test_exit_2_malformed_file(tmp_path, capsys):
     path.write_text("{broken")
     code, _, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "0")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("info", []),
+    ("typicality", ["--epsilon", "0.1", "--n-min", "1", "--n-max", "2"]),
+    ("bound", ["--code-dim", "1"]),
+    ("ensemble", ["--code-dim", "1", "--samples", "2"]),
+])
+def test_boolean_dimensions_are_an_input_error(tmp_path, capsys, subcommand, extra):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"input_dim": True, "output_dim": True, "kraus": [[[[1, 0]]]]}))
+    code, out, err = run_cli(capsys, subcommand, "--channel", str(path), *extra, "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err and "must be integers" in err
 
 
 def test_non_utf8_channel_file_names_the_file(tmp_path, capsys):
@@ -364,6 +409,23 @@ def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, ca
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err and cap in err
     assert min(elapsed) < 1.0
+
+
+@pytest.mark.parametrize("n_max", ["100000000", "1000000000"])
+@pytest.mark.parametrize("subcommand, extra", [
+    ("typicality", []),
+    ("rate-demo", ["--rate", "0"]),
+])
+def test_long_n_range_is_a_cap_before_it_is_built(capsys, subcommand, extra, n_max):
+    # the largest n is read off the range's ends, and the cap decided from n log2(2):
+    # neither the range nor 2^n is ever formed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25", *extra,
+                             "--epsilon", "0.1", "--n-min", "1", "--n-max", n_max, "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"at n={n_max}, block dimension 2^{float(n_max):.6g}," in err
 
 
 @pytest.mark.parametrize("argv, output_format, field", [

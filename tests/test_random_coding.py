@@ -100,7 +100,7 @@ def test_exact_average_matches_mc_phase_flip():
 def test_exact_average_representation_independent(rng):
     ch = qch.haar_random_channel(3, 3, 2, rng)
     assert rc.closed_forms(ch, 2).deviation_sq == pytest.approx(
-        rc.closed_forms(qch.diagonalize_kraus(ch), 2).deviation_sq, abs=1e-12)
+        rc.closed_forms(qch.minimal_kraus(ch)[0], 2).deviation_sq, abs=1e-12)
 
 
 def test_exact_average_rejects_scalar_space():
@@ -130,7 +130,7 @@ def oracle_closed_forms(ch, k):
     image = qch.apply(ch, linalg.max_mixed(m))
     fro = linalg.frobenius_norm(image)
     return ((1.0 - k**-2) / (m**2 - 1) * (sum_sq - sum_tr / m), fro**2,
-            float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch))) * fro)
+            float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch)[0])) * fro)
 
 
 def test_closed_forms_match_gram_oracle(rng):
@@ -215,14 +215,14 @@ def test_haar_moment_degenerate_code_consistency():
 # ---------------------------------------------------------------- unital rate curve
 
 def test_hamming_curve_vacuous_for_tight_space():
-    curve = rc.hamming_rate_curve(qch.phase_flip(0.3), rate=0.5, ns=range(1, 8))
+    curve = rc.hamming_rate_curve(qch.classify(qch.phase_flip(0.3)), 2, rate=0.5, ns=range(1, 8))
     assert not curve.converges
     assert all(row.bound <= 0.0 for row in curve.rows)
 
 
 def test_hamming_curve_converges_when_room():
     ch = qch.random_unitary_channel(weyl_pair(4))
-    curve = rc.hamming_rate_curve(ch, rate=0.5, ns=range(1, 30))
+    curve = rc.hamming_rate_curve(qch.classify(ch), ch.output_dim, rate=0.5, ns=range(1, 30))
     assert curve.converges and curve.capacity_bound == pytest.approx(1.0)
     bounds = [row.bound for row in curve.rows]
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
@@ -232,7 +232,7 @@ def test_hamming_curve_converges_when_room():
 
 def test_hamming_curve_boundary_rate_is_zero():
     ch = qch.random_unitary_channel(weyl_pair(4))
-    curve = rc.hamming_rate_curve(ch, rate=1.0, ns=[2, 4, 6])
+    curve = rc.hamming_rate_curve(qch.classify(ch), ch.output_dim, rate=1.0, ns=[2, 4, 6])
     assert all(row.bound == pytest.approx(0.0, abs=1e-12) for row in curve.rows)
     assert not curve.converges
 
@@ -242,7 +242,7 @@ def test_hamming_curve_rejects_non_unital():
     a1 = np.array([[0.0, math.sqrt(0.5)], [0.0, 0.0]], dtype=complex)
     damp = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a0, a1))
     with pytest.raises(InvariantViolationError):
-        rc.hamming_rate_curve(damp, rate=0.1, ns=[1, 2])
+        rc.hamming_rate_curve(qch.classify(damp), 2, rate=0.1, ns=[1, 2])
 
 
 # ---------------------------------------------------------------- chunked sampling

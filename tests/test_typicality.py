@@ -78,8 +78,8 @@ def typical_kraus_channel(ch, n, eps, *, project):
     along each index sequence that `brute_force_typical` keeps for its
     eigenvalues.
     """
-    base = qch.minimal_kraus(ch)
-    chosen, _ = brute_force_typical(tuple(tp.kraus_distribution(base)), n, eps)
+    base, weights = qch.minimal_kraus(ch)
+    chosen, _ = brute_force_typical(tuple(weights), n, eps)
     ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
     if project:
         w, v = linalg.eigh(qch.apply(base, linalg.max_mixed(base.input_dim)))
@@ -198,12 +198,38 @@ def test_fit_decay_stores_rounding_below_zero_as_zero():
 
 # ---------------------------------------------------------------- typical subspaces
 
+OutputSubspace = collections.namedtuple(
+    "OutputSubspace", "eigenvalues eigenvectors n indicator rank rank_bound mass")
+
+
+def output_subspace(rho, n, eps):
+    """The typical subspace of rho^(x)n as a reduced report reads it.
+
+    The typical classes of rho's normalized spectrum give its rank, rank
+    bound 2^(n (S + eps)) and mass; `_typical_indicator` marks its
+    multi-indices in the Kronecker eigenbasis.
+    """
+    w, v = tp._normalized_eigh(rho)
+    entropy, classes = tp._typical_classes(w, n, eps)
+    return OutputSubspace(eigenvalues=w, eigenvectors=v, n=n,
+                          indicator=tp._typical_indicator(w.size, classes, n),
+                          rank=sum(c.sequence_count for c in classes),
+                          rank_bound=tp._power_of_two(n * (entropy + eps)),
+                          mass=tp._class_mass(classes))
+
+
+def dense_projector(sub):
+    """Oracle: the projector onto the Kronecker eigenvectors that the indicator keeps."""
+    cols = functools.reduce(np.kron, [sub.eigenvectors] * sub.n)[:, sub.indicator]
+    return cols @ cols.conj().T
+
+
 def test_pure_state_block_subspace():
     psi = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho = np.outer(psi, psi.conj())
-    sub = tp.typical_subspace(rho, 3, 0.2)
+    sub = output_subspace(rho, 3, 0.2)
     assert sub.rank == 1
-    proj = sub.projector()
+    proj = dense_projector(sub)
     block = rho
     for _ in range(2):
         block = np.kron(block, rho)
@@ -211,16 +237,16 @@ def test_pure_state_block_subspace():
 
 
 def test_max_mixed_block_subspace_is_everything():
-    sub = tp.typical_subspace(linalg.max_mixed(2), 5, 0.3)
+    sub = output_subspace(linalg.max_mixed(2), 5, 0.3)
     assert sub.rank == 32
-    assert np.allclose(sub.projector(), np.eye(32), atol=1e-12)
+    assert np.allclose(dense_projector(sub), np.eye(32), atol=1e-12)
     assert sub.mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_subspace_binomial_mass():
     rho = np.diag([0.75, 0.25]).astype(complex)
     n, eps = 8, 0.1
-    sub = tp.typical_subspace(rho, n, eps)
+    sub = output_subspace(rho, n, eps)
     rank, mass = binomial_typical(0.25, n, eps)
     assert sub.rank == rank
     assert sub.mass == pytest.approx(mass, abs=1e-14)
@@ -228,16 +254,7 @@ def test_block_subspace_binomial_mass():
     block = rho
     for _ in range(n - 1):
         block = np.kron(block, rho)
-    assert np.real(np.trace(sub.projector() @ block)) == pytest.approx(mass, abs=1e-12)
-
-
-def test_block_subspace_projector_properties(rng):
-    rho = linalg.random_density(2, rng)
-    sub = tp.typical_subspace(rho, 4, 0.25)
-    proj = sub.projector()
-    assert np.allclose(proj, proj.conj().T, atol=1e-12)
-    assert np.allclose(proj @ proj, proj, atol=1e-10)
-    assert int(sub.indicator.sum()) == sub.rank
+    assert np.real(np.trace(dense_projector(sub) @ block)) == pytest.approx(mass, abs=1e-12)
 
 
 def random_spectrum(seed):
@@ -260,48 +277,63 @@ SPECTRA = st.one_of(
 @given(SPECTRA, st.integers(1, 6), st.sampled_from([0.125, 0.25, 0.5, 0.75]) | st.floats(0.01, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_indicator_matches_brute_force(spectrum, n, eps):
-    sub = tp.typical_subspace(np.diag(spectrum), n, eps)
+    sub = output_subspace(np.diag(spectrum), n, eps)
     chosen, _ = brute_force_typical(tuple(sub.eigenvalues), n, eps)
-    want = np.zeros(sub.block_dim, dtype=bool)
+    want = np.zeros(len(spectrum) ** n, dtype=bool)
     for seq in chosen:
-        want[np.ravel_multi_index(seq, (sub.dim,) * n)] = True
+        want[np.ravel_multi_index(seq, (len(spectrum),) * n)] = True
     assert np.array_equal(sub.indicator, want)
     assert int(sub.indicator.sum()) == sub.rank
 
 
 def test_indicator_keeps_inclusive_edges():
     # H = 1.5 and eps = 0.5: the classes at log2 p = -4 = lo and -2 = hi are typical
-    sub = tp.typical_subspace(np.diag([0.5, 0.25, 0.25]), 2, 0.5)
+    sub = output_subspace(np.diag([0.5, 0.25, 0.25]), 2, 0.5)
     assert sub.indicator.all() and sub.rank == 9
 
 
-def test_projector_cap():
-    with pytest.raises(CapExceededError):
-        tp.typical_subspace(linalg.max_mixed(2), 13, 0.1).projector()
+def test_dense_reduced_report_cap_at_n13():
+    # the dense branch at eps = 1.5, where most sequences are typical, fits at n = 12, not at 13
+    ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
+    rep = tp.reduced_channel_report(ch, 12, 1.5)
+    assert 0 < rep.length <= 3**12 and rep.counts_within_bound and rep.norm_within_bound
+    with pytest.raises(CapExceededError, match=r"n=13, block dimension 2\^13, needs 2\^27.5851"):
+        tp.reduced_channel_report(ch, 13, 1.5)
 
 
 # ---------------------------------------------------------------- Kraus distribution
 
 def test_kraus_distribution_phase_flip():
-    weights = tp.kraus_distribution(qch.phase_flip(0.25))
+    weights = qch.minimal_kraus(qch.phase_flip(0.25))[1]
     assert np.allclose(sorted(weights), [0.25, 0.75])
 
 
 def test_kraus_distribution_identity():
-    assert np.allclose(tp.kraus_distribution(qch.identity_channel(3)), [1.0])
+    assert np.allclose(qch.minimal_kraus(qch.identity_channel(3))[1], [1.0])
 
 
-def test_kraus_distribution_rejects_non_diagonal(rng):
-    ch = qch.haar_random_channel(2, 2, 2, rng)
-    if np.max(np.abs(qch.gram_matrix(ch) - np.diag(np.diagonal(qch.gram_matrix(ch))))) > 1e-8:
-        with pytest.raises(InvariantViolationError):
-            tp.kraus_distribution(ch)
-    assert tp.kraus_distribution(qch.minimal_kraus(ch)) is not None
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_kraus_distribution_of_non_diagonal_family(seed):
+    # the weights are read off a recombined family whose Gram matrix is diagonal,
+    # and they are the Gram eigenvalues of the original family over M
+    rng = np.random.default_rng(seed)
+    ch = qch.haar_random_channel(2, 2, int(rng.integers(2, 5)), rng)
+    gram = qch.gram_matrix(ch)
+    assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) > 1e-8
+    out, weights = qch.minimal_kraus(ch)
+    out_gram = qch.gram_matrix(out)
+    assert np.max(np.abs(out_gram - np.diag(np.diagonal(out_gram)))) <= 1e-10
+    eigenvalues = np.linalg.eigvalsh(gram)[::-1][:len(out)] / ch.input_dim
+    assert np.max(np.abs(weights - eigenvalues)) <= 1e-12
 
 
 def test_kraus_distribution_rejects_trace_decreasing():
-    with pytest.raises(InvariantViolationError):
-        tp.kraus_distribution(qch.reduce_channel(qch.phase_flip(0.3), [0]))
+    # minimal_kraus weighs a trace-decreasing family; the reduced reports refuse it
+    ch = qch.reduce_channel(qch.phase_flip(0.3), [0])
+    assert qch.minimal_kraus(ch)[1] == pytest.approx([0.7], abs=1e-15)
+    with pytest.raises(InvariantViolationError, match="Kraus weight distribution needs a trace-preserving"):
+        tp.reduced_channel_reports(ch, (1, 2), 0.1)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -309,8 +341,7 @@ def test_kraus_distribution_rejects_trace_decreasing():
 def test_kraus_entropy_equals_entropy_exchange(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    ch = qch.minimal_kraus(qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng))
-    weights = tp.kraus_distribution(ch)
+    ch, weights = qch.minimal_kraus(qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng))
     se = qch.entropy_exchange(linalg.max_mixed(dim), ch)
     assert linalg.shannon_entropy(weights) == pytest.approx(se, abs=1e-10)
 
@@ -347,6 +378,17 @@ def test_uniform_gram_channel_everything_typical(rng):
         rep = tp.reduced_channel_report(ch, 6, eps)
         assert rep.length == 2**6
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ns, eps, message", [
+    ((0,), 0.1, "n must be >= 1"),
+    ((3, 0), 0.1, "n must be >= 1"),
+    ((3,), 0.0, "epsilon must be positive"),
+    ((3,), -0.1, "epsilon must be positive"),
+])
+def test_reduced_reports_reject_nonpositive_n_and_epsilon(ns, eps, message):
+    with pytest.raises(InvariantViolationError, match=message):
+        tp.reduced_channel_reports(qch.phase_flip(0.25), ns, eps)
 
 
 def test_typical_channel_needs_trace_preserving():
@@ -415,7 +457,7 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
     ("builtin:depolarizing:0.3", True, (4, 5, 8, 9)),          # 3 and 6 classes
 ])
 def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
-    base, weights = tp._typical_base(cli._parse_builtin(channel, 0))
+    base, weights = qch.minimal_kraus(cli._parse_builtin(channel, 0))
     rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
     factors = tp._output_factor_matrices(base, linalg.eigh(rho_out)[1])
     if diagonal:
@@ -481,7 +523,7 @@ def test_reduced_transmission_lower_bound():
     for n in (4, 8):
         for eps in (0.1, 0.2):
             rep = tp.reduced_channel_report(ch, n, eps)
-            out_mass = tp.typical_subspace(qch.apply(ch, linalg.max_mixed(2)), n, eps).mass
+            out_mass = output_subspace(qch.apply(ch, linalg.max_mixed(2)), n, eps).mass
             assert rep.transmission >= out_mass - (1.0 - rep.typical_transmission) - 1e-12
 
 
@@ -542,6 +584,8 @@ def test_rate_table_rejects_code_dim_beyond_floats():
 def test_rate_table_code_dims():
     table = tp.achievable_rate_table(qch.phase_flip(0.25), 0.5, 0.1, [2, 4, 6])
     assert [row.code_dim for row in table.rows] == [2, 4, 8]
+    # block lengths from an iterator are read once
+    assert tp.achievable_rate_table(qch.phase_flip(0.25), 0.5, 0.1, iter([2, 4, 6])) == table
 
 
 def test_fidelity_chain_under_reduction_and_projection():
@@ -553,7 +597,7 @@ def test_fidelity_chain_under_reduction_and_projection():
 
     ch = qch.phase_flip(0.25)
     for n in (2, 4, 6):
-        full = qch.tensor_power(qch.minimal_kraus(ch), n)
+        full = qch.tensor_power(qch.minimal_kraus(ch)[0], n)
         for eps in (0.1, 0.4):
             if tp.reduced_channel_report(ch, n, eps).length == 0:
                 continue
