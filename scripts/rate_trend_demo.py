@@ -36,7 +36,7 @@ def main() -> None:
           f"norm bounds hold: {verification.norms_within_bounds}")
 
     table = tp.achievable_rate_table(ch, args.rate, args.epsilon, ns)
-    print(f"\ncoherent information I(pi, N) = {csv_number(table.coherent_information)}")
+    print(f"\ncoherent information I(pi, N) = {csv_number(table.info.coherent_information)}")
     print(f"rate {args.rate} + 4 eps < I: geometric decay expected = "
           f"{table.geometric_decay_expected}")
     print("n  K_n  |N~|  transmission  penalty  bound  penalty_majorant")

@@ -71,12 +71,16 @@ class KrausChannel:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus_ops", tuple(stack))
-        delta = _completeness_defect(stack)
-        # the norm of the Hermitian matrix that eigvalsh reads, Delta's lower triangle,
-        # since rounding can leave Delta itself slightly non-Hermitian
-        fro_sq = 2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2 + np.linalg.norm(np.diagonal(delta)) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):     # an overflow is refused below
+            delta = _completeness_defect(stack)
+            # the norm of the Hermitian matrix that eigvalsh reads, Delta's lower triangle,
+            # since rounding can leave Delta itself slightly non-Hermitian
+            fro_sq = (2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2
+                      + np.linalg.norm(np.diagonal(delta)) ** 2)
         lo = hi = 0.0
-        if math.sqrt(fro_sq) > _CERTIFICATE_SLACK * COMPLETENESS_ATOL:
+        if not math.isfinite(fro_sq):       # sum A^dagger A, or its norm, overflowed
+            hi = math.inf
+        elif math.sqrt(fro_sq) > _CERTIFICATE_SLACK * COMPLETENESS_ATOL:
             w = np.linalg.eigvalsh(delta)
             lo, hi = float(w[0]), float(w[-1])
         if hi > COMPLETENESS_ATOL:
@@ -175,14 +179,14 @@ def minimal_length(ch: KrausChannel) -> int:
 def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     """The minimal diagonal Kraus family and its weights tr(A_k^dagger A_k)/M.
 
-    The one place where the Gram spectrum of a family is decided.  A family
-    whose Gram matrix has off-diagonal entries within 1e-10 is kept as it is;
-    otherwise the eigenvectors of the Gram matrix recombine it unitarily, in
-    decreasing weight, and the recombined family's Gram diagonal gives the
-    weights.  The channel action is unchanged.  Operators whose weight is not
-    `_nonzero` are dropped, unless all are (an all-zero family comes back
-    whole).  For a trace-preserving channel the weights are a distribution
-    whose Shannon entropy is the entropy exchange at the uniform input.
+    The one place where a Gram spectrum is decided, from one Gram matrix: a
+    family whose Gram off-diagonal is within 1e-10 is kept, its diagonal the
+    weights; else one product with the Gram eigenvectors recombines the
+    flattened stack unitarily, in decreasing weight, the eigenvalues the
+    weights.  Operators whose weight is not `_nonzero` are dropped, unless all
+    are (an all-zero family comes back whole).  The channel action is kept;
+    for a trace-preserving channel the weights are a distribution whose
+    Shannon entropy is the entropy exchange at the uniform input.
     """
     # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors;
     # the stack, its recombination and re-stacking (measured 3.0 N^2 + 3 stacks)
@@ -190,17 +194,17 @@ def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
                          f"Gram matrix diagonalization of {len(ch)} Kraus operators")
     h = gram_matrix(ch)
     if len(ch) > 1 and np.max(np.abs(h - np.diag(np.diagonal(h)))) > COMPLETENESS_ATOL:
-        _, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(h)
+        spectrum, flat = w[::-1], kraus_stack(ch).reshape(len(ch), -1)
         ch = KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                          kraus_ops=np.einsum("jm,jab->mab", v, kraus_stack(ch))[::-1])
-        del h, v        # so that the recombined family's Gram matrix is not held beside them
-        h = gram_matrix(ch)
-    diag = np.real(np.diagonal(h))
-    keep = _nonzero(diag)
+                          kraus_ops=(v[:, ::-1].T @ flat).reshape(kraus_stack(ch).shape))
+    else:
+        spectrum = np.real(np.diagonal(h))
+    keep = _nonzero(spectrum)
     if keep.all() or not keep.any():
-        return ch, diag / ch.input_dim
+        return ch, spectrum / ch.input_dim
     return (KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                         kraus_ops=tuple(kraus_stack(ch)[keep])), diag[keep] / ch.input_dim)
+                         kraus_ops=tuple(kraus_stack(ch)[keep])), spectrum[keep] / ch.input_dim)
 
 
 def tensor_power(ch: KrausChannel, n: int) -> KrausChannel:
@@ -240,8 +244,8 @@ def reduce_channel(ch: KrausChannel, indices) -> KrausChannel:
 def entropy_exchange(rho, ch: KrausChannel) -> float:
     """Entropy passed to the environment, from the matrix W_ij = tr(A_i rho A_j^dagger).
 
-    Defined here for trace-preserving channels only; trace-decreasing input
-    is rejected rather than silently renormalized.
+    The kernel for any input (`classify` reads S_e at pi from the Kraus weights);
+    trace-decreasing channels are rejected rather than silently renormalized.
     """
     rho = linalg.assert_density_operator(rho)
     if rho.shape != (ch.input_dim, ch.input_dim):
@@ -292,40 +296,36 @@ class ChannelInfoReport:
 def classify(ch: KrausChannel) -> ChannelInfoReport:
     """Structural flags plus the information quantities at the uniform input.
 
-    Unital: the maximally mixed input maps to the maximally mixed output
-    (trace-norm deviation <= 1e-9).  Uniform: the `_nonzero` eigenvalues of
-    the Gram matrix agree to relative deviation 1e-9, i.e. all error
-    operators of a minimal family fire with the same probability.  The
-    length counts those eigenvalues, as `minimal_length` does; one Gram
-    matrix serves both.  The entropy fields are None for trace-decreasing
-    channels, where they are not defined here.
+    Read from the `minimal_kraus` weights and N(pi), as `typicality`'s reduced
+    series reads them (`_info_report`).  Length: the `_nonzero` weights
+    (`minimal_length`); uniform: they agree to relative deviation 1e-9;
+    unital: N(pi) is maximally mixed (trace-norm deviation <= 1e-9).  S_e is
+    their Shannon entropy, I = S(N(pi)) - S_e; both are None when trace-decreasing.
     """
-    # entropy exchange: 2 stack copies + 1-3 M^2; apply, trace_norm, entropy: 3-4 M'^2
-    # (measured 5.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 3.1 M^2 at N M' = M)
+    return _info_report(ch, minimal_kraus(ch)[1], _uniform_output(ch))
+
+
+def _uniform_output(ch: KrausChannel) -> np.ndarray:
+    """N(pi) = apply(ch, pi), after checking the peak of the steps on it."""
+    # the input state, apply's products, the output's trace norm and entropy
+    # (measured 4.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 1.1 M^2 at M >> M')
     m, mp = ch.input_dim, ch.output_dim
-    linalg.check_entries(3 * m * m + 5 * mp * mp + 2 * len(ch) * m * mp,
-                         f"classifying a {m} -> {mp} channel")
-    pi_in = linalg.max_mixed(ch.input_dim)
-    out = apply(ch, pi_in)
+    linalg.check_entries(3 * m * m + 5 * mp * mp + 2 * m * mp, f"classifying a {m} -> {mp} channel")
+    return apply(ch, linalg.max_mixed(m))
+
+
+def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> ChannelInfoReport:
+    """The `classify` report from the `minimal_kraus` weights and N(pi) = ``out``."""
+    nz = weights[_nonzero(weights)]
+    uniform = bool(nz.size) and float((np.max(nz) - np.min(nz)) / np.max(nz)) <= UNIFORM_RTOL
     unital = linalg.trace_norm(out - linalg.max_mixed(ch.output_dim)) <= UNITAL_ATOL
-    w = np.linalg.eigvalsh(gram_matrix(ch))
-    nz = w[_nonzero(w)]
-    uniform = bool(nz.size) and float((nz[-1] - nz[0]) / nz[-1]) <= UNIFORM_RTOL
+    s_out = s_e = info = None
     if ch.trace_preserving:
-        s_out = linalg.von_neumann_entropy(out)
-        s_e = entropy_exchange(pi_in, ch)
+        s_out, s_e = linalg.von_neumann_entropy(out), linalg.shannon_entropy(weights)
         info = s_out - s_e
-    else:
-        s_out = s_e = info = None
-    return ChannelInfoReport(
-        is_trace_preserving=ch.trace_preserving,
-        is_unital=bool(unital),
-        is_uniform=uniform,
-        length=int(nz.size),
-        output_entropy=s_out,
-        entropy_exchange=s_e,
-        coherent_information=info,
-    )
+    return ChannelInfoReport(is_trace_preserving=ch.trace_preserving, is_unital=bool(unital),
+                             is_uniform=uniform, length=int(nz.size), output_entropy=s_out,
+                             entropy_exchange=s_e, coherent_information=info)
 
 
 def channels_equal(a: KrausChannel, b: KrausChannel, *, states: int = 20,

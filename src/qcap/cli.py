@@ -179,6 +179,8 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     samples = args.samples if args.samples is not None else 1
     if samples < 1:
         raise ValueError("sample_count must be >= 1")
+    # each report's dict, row and rendering (measured 138-148 entries as JSON, 45-51 as CSV)
+    linalg.check_entries(192 * samples, f"keeping {samples} bound reports")
     reports = []
     for i in range(samples):
         code = rc.sample_code(ch.input_dim, args.code_dim, rc.sample_stream(args.master_seed, i))
@@ -267,13 +269,12 @@ def cmd_rate_demo(args: argparse.Namespace) -> tuple[dict, list[str], list[list]
     table = tp.achievable_rate_table(ch, args.rate, eps, ns)
     record = {
         "config": _config_record(args),
-        "coherent_information": table.coherent_information,
+        "coherent_information": table.info.coherent_information,
         "geometric_decay_expected": table.geometric_decay_expected,
         "rows": [asdict(r) for r in table.rows],
     }
-    info = qch.classify(ch)
-    if info.is_unital:
-        record["unital_curve"] = asdict(rc.hamming_rate_curve(info, ch.output_dim, args.rate, ns))
+    if table.info.is_unital:
+        record["unital_curve"] = asdict(rc.hamming_rate_curve(table.info, ch.output_dim, args.rate, ns))
     header = ["n", "K_n", "reduced_length", "transmission", "penalty", "bound"]
     rows = [[r.n, r.code_dim, r.reduced_length, r.transmission, r.penalty, r.bound]
             for r in table.rows]

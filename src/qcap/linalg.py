@@ -23,7 +23,6 @@ ENTRY_CAP = 1 << 26
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-DISTRIBUTION_ATOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -134,29 +133,30 @@ def assert_density_operator(rho, *, normalized: bool = True) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(w log2 w) of a normalized density operator, in bits."""
+    """Entropy -sum(w log2 w) of a normalized density operator, in bits (+0.0, never -0.0)."""
     rho = assert_density_operator(rho, normalized=True)
     w = _clamped_spectrum(np.linalg.eigvalsh(rho))
     w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
+    return float(-np.sum(w * np.log2(w))) + 0.0
 
 
-def assert_distribution(weights, atol: float = DISTRIBUTION_ATOL) -> np.ndarray:
+def assert_distribution(weights) -> np.ndarray:
+    """Nonnegative weights summing to 1 within 1e-10, the tolerance of a density's trace."""
     p = np.asarray(weights, dtype=float).ravel()
     if p.size == 0:
         raise InvariantViolationError("empty probability distribution")
     if np.min(p) < 0.0:
         raise InvariantViolationError("probability weights must be nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > atol:
+    if abs(float(np.sum(p)) - 1.0) > TRACE_ATOL:
         raise InvariantViolationError(f"probability weights sum to {np.sum(p)}, not 1")
     return p
 
 
 def shannon_entropy(weights) -> float:
-    """Shannon entropy of a distribution in bits, with 0 log 0 = 0."""
+    """Shannon entropy of a distribution in bits, with 0 log 0 = 0 (+0.0, never -0.0)."""
     p = assert_distribution(weights)
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(-np.sum(p * np.log2(p))) + 0.0
 
 
 def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:

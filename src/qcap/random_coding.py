@@ -175,6 +175,10 @@ def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed
                  reduce) -> np.ndarray:
     """reduce(bases) over chunks of Haar code bases on the channel input, concatenated."""
     m, k, n = ch.input_dim, code_dim, len(ch)
+    if not 1 <= k <= m:
+        raise ValueError("need 1 <= code_dim <= input_dim")
+    # each value kept in its chunk, the joined values and `_estimate`'s list (measured 2.5)
+    linalg.check_entries(3 * sample_count, f"keeping the results of {sample_count} samples")
     per_code = 2 * k * (m + n * ch.output_dim) + (k * n) ** 2
     return _sample_values(lambda rng: sample_code(m, code_dim, rng).basis,
                           sample_count, master_seed, reduce,
@@ -232,6 +236,8 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
     """
     if dim < 2:
         raise InvariantViolationError("moment suite needs dim >= 2")
+    # three values kept per sample, then one column's list in `_estimate` (measured 3.5)
+    linalg.check_entries(5 * sample_count, f"keeping the results of {sample_count} samples")
 
     def one(rng):
         u = linalg.haar_unitary(dim, rng)

@@ -37,10 +37,13 @@ def matrix_from_pairs(rows: Any) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise FormatError("matrix entries must be [re, im] number pairs")
-            line.append(complex(entry[0], entry[1]))
+            try:
+                line.append(complex(entry[0], entry[1]))
+            except OverflowError as exc:        # an integer past the float range
+                raise FormatError("matrix entry is beyond the float range") from exc
         out.append(line)
     if width == 0:
         raise FormatError("matrix rows must be nonempty")

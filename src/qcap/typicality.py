@@ -20,6 +20,10 @@ once, and never enumerates sequences: the sum of Kronecker products over the
 typical Kraus sequences is built class by class, from composition sums over
 the two halves of the block joined in one contraction.
 
+A series also builds the channel's `classify` report, from the same weights
+and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
+that `typicality` and `rate-demo` read are the bits that `info` prints.
+
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
 and typical mass, typical output classes the subspace's multi-index indicator
@@ -37,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, apply, kraus_stack, minimal_kraus
+from .channels import (ChannelInfoReport, KrausChannel, _info_report, _uniform_output, kraus_stack,
+                       minimal_kraus)
 from .errors import CapExceededError, InvariantViolationError
 
 # guard on the number of symbol-count compositions enumerated per block length
@@ -331,15 +336,14 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
 
 
 def _reduced_series(ch: KrausChannel, ns, eps: float):
-    """Kraus weights, output entropy S(N(pi)) and the reduced-channel reports over ns."""
+    """The channel's `classify` report, Kraus weights and reduced-channel reports over ns."""
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     base, weights = minimal_kraus(ch)
-    weights = linalg.assert_distribution(weights, atol=1e-10)
     if not eps > 0.0:
         raise InvariantViolationError("epsilon must be positive")
-    rho_out = apply(base, linalg.max_mixed(base.input_dim))
-    output_entropy = linalg.von_neumann_entropy(rho_out)
+    rho_out = _uniform_output(ch)
+    info = _info_report(ch, weights, rho_out)
     spectrum, basis = _normalized_eigh(rho_out)
     factors = _output_factor_matrices(base, basis)
     offdiag = factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))
@@ -350,7 +354,7 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     for n in map(int, ns):
         if n < 1:
             raise InvariantViolationError("n must be >= 1")
-        entropy_exchange_rate, classes = _typical_classes(weights, n, eps)
+        _, classes = _typical_classes(weights, n, eps)
         count = sum(c.sequence_count for c in classes)
         _, output_classes = _typical_classes(spectrum, n, eps)
         transmission = frobenius_sq = 0.0
@@ -368,10 +372,10 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
             del kept        # so that the next n's block is not held beside this one
         reports.append(ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
-            length_bound=_power_of_two(n * (entropy_exchange_rate + eps)),
+            length_bound=_power_of_two(n * (info.entropy_exchange + eps)),
             transmission=transmission, frobenius_sq=frobenius_sq,
-            frobenius_bound=_power_of_two(-n * (output_entropy - 3.0 * eps))))
-    return weights, output_entropy, tuple(reports)
+            frobenius_bound=_power_of_two(-n * (info.output_entropy - 3.0 * eps))))
+    return info, weights, tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -401,7 +405,7 @@ def _block_lengths(ns) -> tuple:
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
     ns, top = _block_lengths(ns)
     _check_block(ch.output_dim, top, False, "reduced report")   # before any report
-    weights, _, reports = _reduced_series(ch, ns, eps)
+    _, weights, reports = _reduced_series(ch, ns, eps)
     sigma_sq = log_probability_variance(weights)
     typical_fit = fit_decay([r.n for r in reports],
                             [1.0 - r.typical_transmission for r in reports], eps, sigma_sq)
@@ -444,7 +448,7 @@ class RateRow:
 class RateTable:
     rate: float
     epsilon: float
-    coherent_information: float
+    info: ChannelInfoReport              # the channel's `classify` report, I(pi, N) among it
     geometric_decay_expected: bool
     rows: tuple[RateRow, ...]
 
@@ -465,10 +469,8 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
         raise CapExceededError(
             f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
     _check_block(ch.output_dim, top, False, "reduced report")
-    weights, output_entropy, reports = _reduced_series(ch, ns, eps)
-    entropy_exchange_rate = linalg.shannon_entropy(weights)
-    info = output_entropy - entropy_exchange_rate
-    exponent_rate = rate + entropy_exchange_rate - output_entropy + 4.0 * eps
+    info, _, reports = _reduced_series(ch, ns, eps)
+    exponent_rate = rate + info.entropy_exchange - info.output_entropy + 4.0 * eps
     rows = []
     for rep in reports:
         n = rep.n
@@ -479,7 +481,7 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
             transmission=rep.transmission, penalty=penalty,
             bound=rep.transmission - penalty,
             penalty_majorant=_power_of_two(0.5 * n * exponent_rate)))
-    return RateTable(rate=rate, epsilon=eps, coherent_information=info,
-                     geometric_decay_expected=rate + 4.0 * eps < info,
+    return RateTable(rate=rate, epsilon=eps, info=info,
+                     geometric_decay_expected=rate + 4.0 * eps < info.coherent_information,
                      rows=tuple(rows))
 

@@ -1,6 +1,7 @@
 """Kraus channel algebra, representations and information quantities."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,15 @@ def test_rejects_overcomplete_family():
 def test_rejects_empty_family():
     with pytest.raises(InvariantViolationError):
         qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=())
+
+
+def test_overflowing_family_is_refused_without_warnings():
+    # sum A^dagger A overflows to inf and nan; its Frobenius norm must not certify it
+    op = np.array([[1e200, 1e200], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolationError, match="not trace-nonincreasing: defect inf"):
+            qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(op,))
 
 
 def test_trace_decreasing_is_accepted():
@@ -501,6 +511,20 @@ def test_classify_length_from_its_one_gram_spectrum(monkeypatch, rng):
     monkeypatch.setattr(qch, "gram_matrix", spy)
     assert [qch.classify(ch).length for ch in channels] == want
     assert spy.call_count == len(channels)
+
+
+def test_minimal_kraus_weights_are_the_gram_eigenvalues(rng):
+    ch = qch.haar_random_channel(2, 3, 4, rng)
+    spy = mock.Mock(wraps=qch.gram_matrix)
+    with mock.patch.object(qch, "gram_matrix", spy):
+        base, weights = qch.minimal_kraus(ch)
+    assert spy.call_count == 1
+    want = np.linalg.eigvalsh(qch.gram_matrix(ch))[::-1] / ch.input_dim
+    assert np.allclose(weights, want, rtol=0, atol=1e-14)
+    assert list(weights) == sorted(weights, reverse=True)
+    gram = qch.gram_matrix(base)        # the recombined family is diagonal, with those weights
+    assert np.allclose(gram, np.diag(weights * ch.input_dim), atol=1e-12)
+    assert qch.channels_equal(base, ch)
 
 
 # ---------------------------------------------------------------- constructors

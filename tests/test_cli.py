@@ -7,6 +7,7 @@ import math
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from qcap import channels as qch
@@ -122,11 +123,11 @@ def test_minimal_kraus_runs_once_per_command(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, grams", [
     (("typicality", "--channel", "builtin:phase_flip:0.25", "--epsilon", "0.1"), 1),
-    # the Haar family is not diagonal: its recombination forms the second
-    (("typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1"), 2),
-    # minimal_kraus and classify
+    # the Haar family is not diagonal: its weights are the eigenvalues of the one Gram matrix
+    (("typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1"), 1),
+    # minimal_kraus feeds both the reduced series and the channel report
     (("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
-      "--epsilon", "0.1"), 2),
+      "--epsilon", "0.1"), 1),
     (("ensemble", "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
       "--samples", "20"), 1),
 ], ids=["typicality-diagonal", "typicality-recombined", "rate-demo", "ensemble"])
@@ -140,14 +141,27 @@ def test_gram_matrices_per_command(monkeypatch, capsys, argv, grams):
 
 
 def test_rate_demo_classifies_once(monkeypatch, capsys):
-    spy = mock.Mock(wraps=qch.classify)
-    for module in (qch, rc):
-        monkeypatch.setattr(module, "classify", spy, raising=False)
+    # the reduced series builds the channel report; rate-demo does not classify again
+    classify, report = mock.Mock(wraps=qch.classify), mock.Mock(wraps=qch._info_report)
+    for module in (qch, rc, tp, cli):
+        monkeypatch.setattr(module, "classify", classify, raising=False)
+        monkeypatch.setattr(module, "_info_report", report, raising=False)
     code, out, _ = run_cli(capsys, "rate-demo", "--channel", "builtin:depolarizing:0.3",
                            "--rate", "0.1", "--epsilon", "0.1", "--n-min", "2", "--n-max", "6",
                            "--seed", "11")
     assert code == 0 and "unital_curve" in json.loads(out)
-    assert spy.call_count == 1
+    assert report.call_count == 1 and classify.call_count == 0
+
+
+def test_no_command_reaches_entropy_exchange(monkeypatch, capsys):
+    # the W-matrix kernel is the general-input oracle; commands read S_e from the Kraus weights
+    spy = mock.Mock(wraps=qch.entropy_exchange)
+    monkeypatch.setattr(qch, "entropy_exchange", spy)
+    for argv in (("info",), ("typicality", "--epsilon", "0.1", "--n-min", "1", "--n-max", "3"),
+                 ("rate-demo", "--rate", "0.1", "--epsilon", "0.1", "--n-min", "1", "--n-max", "3")):
+        code, _, _ = run_cli(capsys, *argv, "--channel", "builtin:haar_random:2,2,3,1", "--seed", "1")
+        assert code == 0
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,6 +476,90 @@ def test_oversized_classify_is_a_cap(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "classifying" in err and "cap 2^26" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ensemble", "--code-dim", "1", "--samples", str(2**64)),
+    ("bound", "--code-dim", "1", "--samples", "1000000000000"),
+    ("moments", "--samples", "1000000000000"),
+], ids=["ensemble", "bound", "moments"])
+def test_kept_sample_results_are_a_cap(capsys, argv):
+    # the per-sample results a run would keep are predicted before the first sample
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--channel", "builtin:phase_flip:0.25", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "cap 2^26" in err
+
+
+@pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
+@pytest.mark.parametrize("code_dim", ["0", "-1", "3"])
+def test_code_dim_outside_the_input_is_an_input_error(capsys, subcommand, code_dim):
+    code, _, err = run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25",
+                           "--code-dim", code_dim, "--samples", "3", "--seed", "1")
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_overflowing_channel_file_is_one_invariant_line(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"input_dim": 2, "output_dim": 2,
+                                "kraus": [[[[1e200, 0], [1e200, 0]], [[0, 0], [0, 0]]]]}))
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 3 and out == ""
+    assert err == "error: Kraus family is not trace-nonincreasing: defect inf\n"
+
+
+def test_boolean_channel_entries_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "boolean.json"
+    path.write_text('{"input_dim": 1, "output_dim": 1, "kraus": [[[[true, false]]]]}')
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+
+
+def test_zero_entropies_are_positive_zero(capsys):
+    _, out, _ = run_cli(capsys, "info", "--channel", "builtin:identity:1", "--seed", "1")
+    report = json.loads(out)["report"]
+    assert '"entropy_exchange": 0.0' in out and '"output_entropy": 0.0' in out
+    assert math.copysign(1.0, report["entropy_exchange"]) == 1.0
+    _, out, _ = run_cli(capsys, "info", "--channel", "builtin:identity:1", "--seed", "1",
+                        "--format", "csv")
+    assert "-0" not in out.splitlines()[1]
+    _, out, _ = run_cli(capsys, "typicality", "--channel", "builtin:identity:2", "--epsilon",
+                        "0.1", "--n-min", "1", "--n-max", "2", "--seed", "1")
+    assert "-0.0" not in out
+    assert [r["entropy"] for r in json.loads(out)["sequence_reports"]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("spec", ["haar_random:4,4,3,7", "haar_random:3,5,4,2",
+                                  "haar_random:2,3,4,9", "haar_random:2,2,3,1",
+                                  "depolarizing:0.3,3", "phase_flip:0.1"])
+def test_info_rate_demo_and_typicality_report_one_channel(capsys, spec):
+    # one kernel: the same Kraus weights and N(pi) give the same bits in every command
+    channel = ("--channel", f"builtin:{spec}", "--seed", "1")
+    _, out, _ = run_cli(capsys, "info", *channel)
+    report = json.loads(out)["report"]
+    _, out, _ = run_cli(capsys, "rate-demo", *channel, "--rate", "0", "--epsilon", "0.2",
+                        "--n-min", "1", "--n-max", "1")
+    assert json.loads(out)["coherent_information"] == report["coherent_information"]
+    _, out, _ = run_cli(capsys, "typicality", *channel, "--epsilon", "0.2",
+                        "--n-min", "1", "--n-max", "3")
+    rows = json.loads(out)["sequence_reports"]
+    assert [r["entropy"] for r in rows] == [report["entropy_exchange"]] * 3
+
+
+def test_near_trace_preserving_file_runs(tmp_path, capsys):
+    # defect 5e-11: construction certifies it trace-preserving, so the weights are a distribution
+    a0 = math.sqrt(0.75 + 5e-11) * np.eye(2)
+    a1 = 0.5 * np.diag([1.0, -1.0])
+    path = tmp_path / "near.json"
+    serialize.save_channel(qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a0, a1)), path)
+    common = ("--channel", str(path), "--epsilon", "0.1", "--n-min", "1", "--n-max", "8",
+              "--seed", "1")
+    code, out, err = run_cli(capsys, "typicality", *common)
+    assert code == 0, err
+    assert json.loads(out)["counts_within_bounds"] is True
+    code, out, err = run_cli(capsys, "rate-demo", *common, "--rate", "0.1")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("channel, n_max", [

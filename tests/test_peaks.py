@@ -22,7 +22,8 @@ from qcap import typicality as tp
 MIB = 1 << 20
 
 
-def assert_prediction_bounds_peak(monkeypatch, step):
+def traced(monkeypatch, step):
+    """The traced peak of step() in bytes, and its largest predicted peak in bytes."""
     predictions = []
     check = linalg.check_entries
 
@@ -37,9 +38,31 @@ def assert_prediction_bounds_peak(monkeypatch, step):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    predicted = 16 * max(predictions)
+        monkeypatch.setattr(linalg, "check_entries", check)
+    return peak, 16 * max(predictions)
+
+
+def assert_prediction_bounds_peak(monkeypatch, step):
+    peak, predicted = traced(monkeypatch, step)
     assert peak >= 16 * MIB
     assert predicted / 3 <= peak <= predicted, (peak / MIB, predicted / MIB)
+
+
+def assert_prediction_bounds_growth(monkeypatch, step, small, large):
+    """The same window for a peak that grows with a count: kept per-sample results.
+
+    The traced peak's growth from step(small) to step(large) must lie between
+    a third of the predicted growth and all of it; taking the difference
+    drops the fixed part of a run (the channel, the first chunk), so the
+    growth need only reach 2 MiB.  A first, untraced step(small) keeps
+    one-time imports out of both peaks.
+    """
+    step(small)
+    peak_small, predicted_small = traced(monkeypatch, lambda: step(small))
+    peak_large, predicted_large = traced(monkeypatch, lambda: step(large))
+    growth, predicted = peak_large - peak_small, predicted_large - predicted_small
+    assert growth >= 2 * MIB
+    assert predicted / 3 <= growth <= predicted, (growth / MIB, predicted / MIB)
 
 
 @pytest.mark.parametrize("spec", [
@@ -95,3 +118,29 @@ def test_minimal_kraus_peak(monkeypatch, dims):
 def test_classify_peak(monkeypatch, spec):
     ch = cli._parse_builtin(f"builtin:{spec}", 1)
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.classify(ch))
+
+
+def test_kept_ensemble_values_peak(monkeypatch):
+    # one value per sample; the codes' draw and kernel are per chunk, so a fixed code stands in
+    ch = qch.phase_flip(0.25)
+    code = rc.sample_code(2, 1, np.random.default_rng(1))
+    monkeypatch.setattr(rc, "sample_code", lambda m, k, rng: code)
+    assert_prediction_bounds_growth(
+        monkeypatch, lambda samples: rc._estimate(rc._code_values(
+            ch, 1, samples, 0, lambda bases: np.ones(len(bases))), 0), 2000, 82000)
+
+
+def test_kept_moment_values_peak(monkeypatch):
+    # three values per sample; a fixed unitary stands in for the per-sample draw
+    monkeypatch.setattr(linalg, "haar_unitary", lambda dim, rng: np.eye(dim, dtype=complex))
+    assert_prediction_bounds_growth(
+        monkeypatch, lambda samples: rc.haar_moment_suite(2, samples, 0), 2000, 62000)
+
+
+def test_kept_bound_reports_peak(monkeypatch):
+    def run(samples):
+        cli.run(cli.build_parser().parse_args(
+            ["bound", "--channel", "builtin:identity:2", "--code-dim", "1",
+             "--samples", str(samples), "--seed", "1"]))
+
+    assert_prediction_bounds_growth(monkeypatch, run, 100, 1300)

@@ -58,6 +58,13 @@ def test_matrix_pairs_schema_errors():
         serialize.matrix_from_pairs([])
 
 
+@pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], [10**400, 0]])
+def test_matrix_entries_must_be_floats(entry):
+    # JSON booleans are not numbers here, and an integer must fit a float
+    with pytest.raises(FormatError):
+        serialize.matrix_from_pairs([[entry]])
+
+
 def test_csv_number_round_trip():
     values = [1 / 3, 0.1, 2**-52, 123456.789, 0.875]
     for v in values:
