@@ -306,24 +306,30 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
 
 
 def _uniform_output(ch: KrausChannel) -> np.ndarray:
-    """N(pi) = apply(ch, pi), after checking the peak of the steps on it."""
-    # the input state, apply's products, the output's trace norm and entropy
-    # (measured 4.0 M^2 at M = M', 4.0 M'^2 at M' >> M, 1.1 M^2 at M >> M')
-    m, mp = ch.input_dim, ch.output_dim
-    linalg.check_entries(3 * m * m + 5 * mp * mp + 2 * m * mp, f"classifying a {m} -> {mp} channel")
-    return apply(ch, linalg.max_mixed(m))
+    """The one N(pi) kernel: V V^dagger / M, with V the (M', N M) matrix [A_1 ... A_N]."""
+    # V and its conjugate, N(pi), and an eigensolve's Hermiticity temporaries and copy
+    # (measured 3.0 M'^2 at N M <= M', 2.0 N M M' + 1.0 M'^2 at N M >> M')
+    n, m, mp = len(ch), ch.input_dim, ch.output_dim
+    linalg.check_entries(2 * n * m * mp + 5 * mp * mp, f"classifying a {m} -> {mp} channel")
+    v = kraus_stack(ch).transpose(1, 0, 2).reshape(mp, n * m)
+    return (v @ v.conj().T) / m
 
 
 def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> ChannelInfoReport:
-    """The `classify` report from the `minimal_kraus` weights and N(pi) = ``out``."""
+    """The `classify` report from the `minimal_kraus` weights and N(pi) = ``out``.
+
+    One eigvalsh decides N(pi)'s spectrum: unital is sum |lambda - 1/M'| <= 1e-9,
+    and S(N(pi)) is its Shannon entropy, whose sum check is the trace check.
+    """
     nz = weights[_nonzero(weights)]
     uniform = bool(nz.size) and float((np.max(nz) - np.min(nz)) / np.max(nz)) <= UNIFORM_RTOL
-    unital = linalg.trace_norm(out - linalg.max_mixed(ch.output_dim)) <= UNITAL_ATOL
+    spectrum = linalg._psd_spectrum(out)
+    unital = float(np.sum(np.abs(spectrum - 1.0 / ch.output_dim))) <= UNITAL_ATOL
     s_out = s_e = info = None
     if ch.trace_preserving:
-        s_out, s_e = linalg.von_neumann_entropy(out), linalg.shannon_entropy(weights)
+        s_out, s_e = linalg.shannon_entropy(spectrum), linalg.shannon_entropy(weights)
         info = s_out - s_e
-    return ChannelInfoReport(is_trace_preserving=ch.trace_preserving, is_unital=bool(unital),
+    return ChannelInfoReport(is_trace_preserving=ch.trace_preserving, is_unital=unital,
                              is_uniform=uniform, length=int(nz.size), output_entropy=s_out,
                              entropy_exchange=s_e, coherent_information=info)
 

@@ -113,31 +113,24 @@ def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def assert_density_operator(rho, *, normalized: bool = True) -> np.ndarray:
-    """Validate Hermiticity, positivity and trace of a density operator.
-
-    With ``normalized=False`` the trace may lie anywhere in [0, 1], which is
-    what trace-decreasing channels produce.
-    """
-    rho = as_matrix(rho)
-    if not is_hermitian(rho):
+def _psd_spectrum(m) -> np.ndarray:
+    """One eigvalsh's `_clamped_spectrum` of a matrix that must be Hermitian within 1e-10."""
+    m = as_matrix(m)
+    if not is_hermitian(m):
         raise InvariantViolationError("density operator is not Hermitian")
-    _clamped_spectrum(np.linalg.eigvalsh(rho))
-    tr = float(np.real(np.trace(rho)))
-    if normalized:
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvariantViolationError(f"density operator has trace {tr}, not 1")
-    elif not -TRACE_ATOL <= tr <= 1.0 + TRACE_ATOL:
-        raise InvariantViolationError(f"subnormalized density has trace {tr} outside [0, 1]")
+    return _clamped_spectrum(np.linalg.eigvalsh(m))
+
+
+def assert_density_operator(rho) -> np.ndarray:
+    """Validate a density operator: Hermitian, and its spectrum a distribution (within 1e-10)."""
+    rho = as_matrix(rho)
+    assert_distribution(_psd_spectrum(rho))
     return rho
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(w log2 w) of a normalized density operator, in bits (+0.0, never -0.0)."""
-    rho = assert_density_operator(rho, normalized=True)
-    w = _clamped_spectrum(np.linalg.eigvalsh(rho))
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w))) + 0.0
+    """Entropy of a density operator in bits: the Shannon entropy of its one-eigvalsh spectrum."""
+    return shannon_entropy(_psd_spectrum(rho))
 
 
 def assert_distribution(weights) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, linalg
-from .channels import ChannelInfoReport, KrausChannel, _nonzero, gram_matrix, kraus_stack
+from .channels import ChannelInfoReport, KrausChannel, _nonzero, _uniform_output, gram_matrix
 from .errors import InvariantViolationError
 
 # Samples per chunk of the sampling loop.  Monte Carlo over codes also caps a
@@ -77,9 +77,9 @@ def sample_code(ambient_dim: int, code_dim: int, rng: np.random.Generator) -> co
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
-    """Sample mean (complex for complex samples) and its standard error."""
+    """Sample mean and its standard error."""
 
-    mean: float | complex
+    mean: float
     std_error: float
     sample_count: int
     master_seed: int
@@ -109,17 +109,14 @@ def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
 
 
 def _estimate(values: np.ndarray, master_seed: int) -> EnsembleEstimate:
-    """Exact-sum mean and standard error; complex samples pool both parts' variance."""
+    """Exact-sum mean and standard error of real samples."""
     n = len(values)
-    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-    means = [math.fsum(part) / n for part in parts]
+    mean = math.fsum(values) / n
     if n > 1:
-        var = math.fsum(math.fsum((v - mu) ** 2 for v in part.tolist())
-                        for part, mu in zip(parts, means)) / (n - 1)
+        var = math.fsum((v - mean) ** 2 for v in values.tolist()) / (n - 1)
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    mean = complex(*means) if len(means) == 2 else means[0]
     return EnsembleEstimate(mean=mean, std_error=se, sample_count=n, master_seed=master_seed)
 
 
@@ -142,10 +139,10 @@ class ClosedForms:
 
 
 def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
-    """All ensemble closed forms from one product N(pi) = V V^dagger / M and one Gram matrix.
+    """All ensemble closed forms from one N(pi) (`_uniform_output`) and one Gram matrix.
 
-    V is the (out, N*M) matrix [A_1 ... A_N], so V V^dagger = sum_k A_k A_k^dagger,
-    and sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
+    N(pi) = V V^dagger / M with V = [A_1 ... A_N], so
+    sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
     replaces the N^2 Gram products of the exact average.  The Gram matrix
     G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of its
     `_nonzero` eigenvalues (as `minimal_length` counts them).
@@ -155,9 +152,7 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
         raise InvariantViolationError("closed form needs input dimension >= 2")
     if not 1 <= code_dim <= m:
         raise ValueError("need 1 <= code_dim <= input_dim")
-    n, out = len(ch), ch.output_dim
-    v = kraus_stack(ch).transpose(1, 0, 2).reshape(out, n * m)
-    image = (v @ v.conj().T) / m
+    image = _uniform_output(ch)
     fro_sq = float(np.sum(np.abs(image) ** 2))
     gram = gram_matrix(ch)
     sum_tr = float(np.sum(np.abs(gram) ** 2))

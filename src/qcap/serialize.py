@@ -47,7 +47,10 @@ def matrix_from_pairs(rows: Any) -> np.ndarray:
         out.append(line)
     if width == 0:
         raise FormatError("matrix rows must be nonempty")
-    return np.array(out, dtype=np.complex128)
+    matrix = np.array(out, dtype=np.complex128)
+    if not np.isfinite(matrix).all():           # NaN, Infinity, or a float literal such as 1e400
+        raise FormatError("matrix entries must be finite")
+    return matrix
 
 
 def channel_to_dict(ch) -> dict:

@@ -213,13 +213,6 @@ def _typical_indicator(dim: int, classes, n: int) -> np.ndarray:
     return _sequence_sum(np.eye(dim), classes, n) > 0.5
 
 
-def _normalized_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a density operator, clipped at 0 and summing to 1, and its eigenvectors."""
-    w, v = linalg.eigh(linalg.assert_density_operator(rho))
-    w = np.maximum(w, 0.0)
-    return w / float(np.sum(w)), v
-
-
 # ------------------------------------------------------------------ reduced-channel reports
 
 @dataclass(frozen=True)
@@ -316,6 +309,12 @@ def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
         [a * b for a, b in zip(joined.shape[:k], joined.shape[k:])])
 
 
+def _block_lengths(ns) -> tuple:
+    """ns as a range or a tuple of ints, and the largest (1 if none); a range is read at its ends."""
+    ns = ns if isinstance(ns, range) else tuple(map(int, ns))
+    return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
+
+
 def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChannelReport:
     """Transmission and output-norm summary of the reduced block channel at one n."""
     return reduced_channel_reports(ch, (n,), eps)[0]
@@ -336,7 +335,13 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
 
 
 def _reduced_series(ch: KrausChannel, ns, eps: float):
-    """The channel's `classify` report, Kraus weights and reduced-channel reports over ns."""
+    """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
+
+    The top n's block is checked before any report.  The report's eigvalsh gives
+    S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output classes.
+    """
+    ns, top = _block_lengths(ns)
+    _check_block(ch.output_dim, top, False, "reduced report")
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     base, weights = minimal_kraus(ch)
@@ -344,7 +349,9 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         raise InvariantViolationError("epsilon must be positive")
     rho_out = _uniform_output(ch)
     info = _info_report(ch, weights, rho_out)
-    spectrum, basis = _normalized_eigh(rho_out)
+    spectrum, basis = np.linalg.eigh(rho_out)
+    spectrum = np.maximum(spectrum, 0.0)
+    spectrum /= np.sum(spectrum)
     factors = _output_factor_matrices(base, basis)
     offdiag = factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))
     diagonal = np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)
@@ -396,15 +403,7 @@ class ReductionVerification:
     reduced_decay: DecayFit
 
 
-def _block_lengths(ns) -> tuple:
-    """ns as a range or a tuple of ints, and the largest (1 if none); a range is read at its ends."""
-    ns = ns if isinstance(ns, range) else tuple(map(int, ns))
-    return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
-
-
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
-    ns, top = _block_lengths(ns)
-    _check_block(ch.output_dim, top, False, "reduced report")   # before any report
     _, weights, reports = _reduced_series(ch, ns, eps)
     sigma_sq = log_probability_variance(weights)
     typical_fit = fit_decay([r.n for r in reports],
@@ -468,7 +467,6 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     if top * rate >= sys.float_info.max_exp:
         raise CapExceededError(
             f"code dimension 2^(n R) = 2^{top * rate:g} at n={top} exceeds the float range")
-    _check_block(ch.output_dim, top, False, "reduced report")
     info, _, reports = _reduced_series(ch, ns, eps)
     exponent_rate = rate + info.entropy_exchange - info.output_entropy + 4.0 * eps
     rows = []

@@ -164,6 +164,32 @@ def test_no_command_reaches_entropy_exchange(monkeypatch, capsys):
     assert spy.call_count == 0
 
 
+@pytest.mark.parametrize("argv, solves", [
+    (("info",), 1),
+    (("typicality", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2),
+    (("rate-demo", "--rate", "0.1", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2),
+    (("ensemble", "--code-dim", "2", "--samples", "8"), None),
+], ids=["info", "typicality", "rate-demo", "ensemble"])
+def test_uniform_output_is_formed_once_and_decomposed_once_per_spectrum(monkeypatch, capsys,
+                                                                        argv, solves):
+    # M' = 5 is neither N = 4 (the Gram matrix) nor M = 3 (sum A^dagger A), so every 5 x 5
+    # eigensolve is of N(pi): info's eigvalsh, and the reduced series' eigh for its eigenbasis
+    eigensolves = []
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _solver=solver, **kw: (
+            eigensolves.append(np.shape(a)) or _solver(a, *args, **kw)))
+    uniform_output, apply = mock.Mock(wraps=qch._uniform_output), mock.Mock(wraps=qch.apply)
+    for module in (qch, rc, tp):
+        monkeypatch.setattr(module, "_uniform_output", uniform_output, raising=False)
+    monkeypatch.setattr(qch, "apply", apply)
+    code, _, err = run_cli(capsys, *argv, "--channel", "builtin:haar_random:3,5,4,2", "--seed", "1")
+    assert code == 0, err
+    assert uniform_output.call_count == 1 and apply.call_count == 0
+    if solves is not None:
+        assert eigensolves.count((5, 5)) == solves, eigensolves
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "--channel", "builtin:haar_random:4,4,3"),
     ("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
@@ -514,6 +540,15 @@ def test_boolean_channel_entries_are_an_input_error(tmp_path, capsys):
     path.write_text('{"input_dim": 1, "output_dim": 1, "kraus": [[[[true, false]]]]}')
     code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_channel_entries_are_an_input_error(tmp_path, capsys, literal):
+    # Python's json reads these as nan and inf; the file is malformed, not the channel
+    path = tmp_path / "non_finite.json"
+    path.write_text('{"input_dim": 1, "output_dim": 1, "kraus": [[[[%s, 0]]]]}' % literal)
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 2 and out == "" and err == "error: matrix entries must be finite\n"
 
 
 def test_zero_entropies_are_positive_zero(capsys):

@@ -58,9 +58,10 @@ def test_matrix_pairs_schema_errors():
         serialize.matrix_from_pairs([])
 
 
-@pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], [10**400, 0]])
+@pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], [10**400, 0],
+                                   [math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]])
 def test_matrix_entries_must_be_floats(entry):
-    # JSON booleans are not numbers here, and an integer must fit a float
+    # JSON booleans are not numbers here, an integer must fit a float, and a float must be finite
     with pytest.raises(FormatError):
         serialize.matrix_from_pairs([[entry]])
 

@@ -205,11 +205,13 @@ OutputSubspace = collections.namedtuple(
 def output_subspace(rho, n, eps):
     """The typical subspace of rho^(x)n as a reduced report reads it.
 
-    The typical classes of rho's normalized spectrum give its rank, rank
-    bound 2^(n (S + eps)) and mass; `_typical_indicator` marks its
-    multi-indices in the Kronecker eigenbasis.
+    The typical classes of rho's eigh spectrum, clipped at 0 and normalized,
+    give its rank, rank bound 2^(n (S + eps)) and mass; `_typical_indicator`
+    marks its multi-indices in the Kronecker eigenbasis.
     """
-    w, v = tp._normalized_eigh(rho)
+    w, v = np.linalg.eigh(rho)
+    w = np.maximum(w, 0.0)
+    w /= np.sum(w)
     entropy, classes = tp._typical_classes(w, n, eps)
     return OutputSubspace(eigenvalues=w, eigenvectors=v, n=n,
                           indicator=tp._typical_indicator(w.size, classes, n),
@@ -506,6 +508,14 @@ def test_report_series_equals_single_reports(make_channel):
     assert [rep.n for rep in series] == list(ns)
     # each channel has empty and nonempty typical sets among these n
     assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
+
+
+def test_report_series_refuses_a_capped_range_before_any_report():
+    # n = 22..25 fit the diagonal branch, n = 26 does not: the series checks its top n first
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="n=99999999"):
+        tp.reduced_channel_reports(qch.phase_flip(0.1), range(22, 10**8), 0.1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reduced_report_beyond_sequence_cap():
