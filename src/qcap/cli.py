@@ -237,7 +237,7 @@ def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list
     verification = tp.verify_reduction_bounds(ch, ns, eps)
     # The sequence_* keys repeat the reduced reports' typical-class counts
     # under their own names; they stay so that the report keeps its keys.
-    entropy = linalg.shannon_entropy(verification.weights)
+    entropy = verification.info.entropy_exchange
     reports = verification.reports
     record = {
         "config": _config_record(args),

@@ -1,11 +1,11 @@
 """Typical sequences, typical-subspace indicators, and reduced tensor-power channels.
 
 Counting and probability mass over length-n sequences are computed through
-type classes (symbol-count compositions): a sequence's probability depends
-only on its composition, so reports stay polynomial in n even when the
-sequence space is exponential.  Class masses are summed in the log domain,
-so counts far beyond the float range do not overflow.  The number of
-compositions is checked against a cap before any is enumerated, and each
+type classes (compositions of n over the groups of equal weight): a sequence's
+probability depends only on its group counts, so reports stay polynomial in
+n even when the sequence space is exponential.  Class masses are summed in
+the log domain, so counts far beyond the float range do not overflow.  The
+number of compositions is checked against a cap before any is enumerated, and each
 step on the M'^n-dimensional output block checks its predicted peak
 (`_check_block`) against `linalg.ENTRY_CAP` before allocating.
 
@@ -27,12 +27,13 @@ that `typicality` and `rate-demo` read are the bits that `info` prints.
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
 and typical mass, typical output classes the subspace's multi-index indicator
-(`_typical_indicator`, a `_sequence_sum` of one-hot vectors).  Count-versus-
+(`_typical_indicator`, a `_sequence_sum` of group indicators).  Count-versus-
 bound checks compare exact integer counts against real bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -45,39 +46,24 @@ from .channels import (ChannelInfoReport, KrausChannel, _info_report, _uniform_o
                        minimal_kraus)
 from .errors import CapExceededError, InvariantViolationError
 
-# guard on the number of symbol-count compositions enumerated per block length
+# guard on the number of group-count compositions enumerated per block length
 _COMPOSITION_CAP = 1 << 16
+# weights that agree within this relative tolerance form one group
+_GROUP_RTOL = 1e-12
 
 
 # ------------------------------------------------------------------ type classes
 
 def _compositions(total: int, bins: int):
-    """All tuples of nonnegative ints of length `bins` summing to `total`."""
-    if bins == 1:
-        yield (total,)
-        return
+    """All tuples of nonnegative ints of length `bins` summing to `total`, by divider positions."""
     for dividers in itertools.combinations(range(total + bins - 1), bins - 1):
-        prev = -1
-        counts = []
-        for d in dividers:
-            counts.append(d - prev - 1)
-            prev = d
-        counts.append(total + bins - 1 - prev - 1)
-        yield tuple(counts)
-
-
-def _multinomial(counts) -> int:
-    total = sum(counts)
-    out = 1
-    for c in counts:
-        out *= math.comb(total, c)
-        total -= c
-    return out
+        edges = (-1, *dividers, total + bins - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
 class TypeClass:
-    """One symbol-count composition: all its sequences share one probability."""
+    """One group-count composition: all its sequences share one probability."""
 
     counts: tuple[int, ...]
     log2_probability: float
@@ -101,41 +87,53 @@ def _class_mass(classes) -> float:
                      for c in classes)
 
 
-def _typical_classes(weights, n: int, eps: float) -> tuple[float, list[TypeClass]]:
-    """Entropy and the typical type classes of the product distribution.
+def _weight_groups(weights) -> list[np.ndarray]:
+    """The symbols of the positive weights, in groups of equal weight, ordered by first symbol.
 
-    Symbols with zero weight never occur in a positive-probability sequence
-    and are excluded from the compositions outright.  Their number,
-    C(n + k - 1, k - 1) over k support symbols, is capped before any is
-    enumerated.
+    Sorted weights whose gap is within `_GROUP_RTOL` relative share a group;
+    zero weights occur in no positive-probability sequence and join none.
     """
     p = linalg.assert_distribution(weights)
-    entropy = linalg.shannon_entropy(p)
-    support = np.flatnonzero(p > 0.0)
-    if math.comb(n + support.size - 1, support.size - 1) > _COMPOSITION_CAP:
-        raise CapExceededError(f"type classes of {support.size} symbols at n={n} exceed "
+    order = np.flatnonzero(p > 0.0)[np.argsort(p[p > 0.0], kind="stable")]
+    starts = np.flatnonzero(np.diff(p[order]) > _GROUP_RTOL * p[order][1:]) + 1
+    return sorted((np.sort(group) for group in np.split(order, starts)), key=lambda g: g[0])
+
+
+def _group_sums(stack: np.ndarray, groups) -> np.ndarray:
+    """(G, ...) stack of the sums of `stack` over each group; a singleton is copied exactly."""
+    return np.stack([functools.reduce(np.add, stack[group]) for group in groups])
+
+
+def _typical_classes(weights, groups, entropy: float, n: int, eps: float) -> list[TypeClass]:
+    """The typical type classes of the product distribution over its `_weight_groups`.
+
+    Class t's sequences share the log2 probability sum_g t_g log2 w_g, w_g the
+    weight of group g's first symbol, and number multinomial(t) prod_g |g|^(t_g).
+    The window is read at the caller's entropy.  The compositions,
+    C(n + G - 1, G - 1) over G groups, are capped before any is enumerated.
+    """
+    if math.comb(n + len(groups) - 1, len(groups) - 1) > _COMPOSITION_CAP:
+        raise CapExceededError(f"type classes of {len(groups)} weight groups at n={n} exceed "
                                f"cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
-    logp = np.log2(p[support])
+    logp = np.log2([weights[group[0]] for group in groups])
     lo = -n * (entropy + eps)
     hi = -n * (entropy - eps)
     classes = []
-    for comp in _compositions(n, support.size):
+    for comp in _compositions(n, len(groups)):
         log2p = float(np.dot(np.asarray(comp, dtype=float), logp))
         if lo <= log2p <= hi:
-            full = [0] * p.size
-            for idx, c in zip(support, comp):
-                full[idx] = c
-            classes.append(TypeClass(counts=tuple(full), log2_probability=log2p,
-                                     sequence_count=_multinomial(comp)))
-    return entropy, classes
+            multinomial = math.factorial(n) // math.prod(map(math.factorial, comp))
+            sizes = math.prod(g.size**t for g, t in zip(groups, comp))
+            classes.append(TypeClass(counts=comp, log2_probability=log2p,
+                                     sequence_count=multinomial * sizes))
+    return classes
 
 
 def log_probability_variance(weights) -> float:
     """Variance of -log2 P(a) under P, the scale entering decay-rate estimates."""
     p = linalg.assert_distribution(weights)
-    sup = p[p > 0.0]
-    h = float(-np.sum(sup * np.log2(sup)))
-    return float(np.sum(sup * (-np.log2(sup) - h) ** 2))
+    p = p[p > 0.0]
+    return float(np.sum(p * (-np.log2(p) - linalg.shannon_entropy(p)) ** 2))
 
 
 # ------------------------------------------------------------------ decay fits
@@ -200,17 +198,17 @@ def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
     linalg.check_entries(entries, f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
 
 
-def _typical_indicator(dim: int, classes, n: int) -> np.ndarray:
+def _typical_indicator(dim: int, groups, classes, n: int) -> np.ndarray:
     """Boolean mask of the typical multi-indices in the tensor eigenbasis (first factor major).
 
     The sum over typical sequences of one-hot Kronecker products e_s1 (x)
-    ... (x) e_sn is 1 exactly at the typical multi-indices, so
-    `_sequence_sum` builds it from the typical output classes.
+    ... (x) e_sn is 1 exactly at the typical multi-indices; `_sequence_sum`
+    builds it from the typical output classes over group indicators sum_{a in g} e_a.
     """
     _check_block(dim, n, False, "typical indicator")
     if not classes:
         return np.zeros(dim**n, dtype=bool)
-    return _sequence_sum(np.eye(dim), classes, n) > 0.5
+    return _sequence_sum(_group_sums(np.eye(dim), groups), classes, n) > 0.5
 
 
 # ------------------------------------------------------------------ reduced-channel reports
@@ -269,16 +267,17 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
     """Sum over all sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
-    `factors` is an (N, M') stack of vectors or an (N, M', M') stack of
-    matrices; the result is the matching M'^n vector or M'^n x M'^n matrix
-    (first factor major).  S_m(c), the sum over length-m sequences of
-    composition c, obeys S_m(c) = sum_j S_(m-1)(c - e_j) (x) F_j; only
-    compositions below some typical class are kept.  A sequence of type T
-    splits into a prefix of length h = n // 2 and type c <= T and a suffix
-    of type T - c, so the sum is sum_c S_h(c) (x) sum_{T >= c} S_r(T - c)
-    with r = n - h.  The recursion stops at level r, so the blocks it sums
-    have at most M'^r entries per axis; the halves are joined in one
-    contraction.
+    `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
+    one per weight group: the sum of its symbols' factors, so that a group
+    sequence sums all its symbol sequences.  The result is the matching M'^n
+    vector or M'^n x M'^n matrix (first factor major).  S_m(c), the sum over
+    length-m sequences of composition c, obeys
+    S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g; only compositions below some
+    typical class are kept.  A sequence of type T splits into a prefix of
+    length h = n // 2 and type c <= T and a suffix of type T - c, so the sum is
+    sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
+    stops at level r, so the blocks it sums have at most M'^r entries per axis;
+    the halves are joined in one contraction.
     """
     tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
@@ -315,11 +314,6 @@ def _block_lengths(ns) -> tuple:
     return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
 
 
-def reduced_channel_report(ch: KrausChannel, n: int, eps: float) -> ReducedChannelReport:
-    """Transmission and output-norm summary of the reduced block channel at one n."""
-    return reduced_channel_reports(ch, (n,), eps)[0]
-
-
 def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedChannelReport, ...]:
     """Transmission and output-norm summaries of the reduced block channel, one per n.
 
@@ -338,7 +332,8 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
 
     The top n's block is checked before any report.  The report's eigvalsh gives
-    S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output classes.
+    S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output classes, read
+    at its own entropy.  The Kraus classes read `info`'s S_e.  Each spectrum is grouped once.
     """
     ns, top = _block_lengths(ns)
     _check_block(ch.output_dim, top, False, "reduced report")
@@ -352,22 +347,25 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     spectrum, basis = np.linalg.eigh(rho_out)
     spectrum = np.maximum(spectrum, 0.0)
     spectrum /= np.sum(spectrum)
+    output_entropy = linalg.shannon_entropy(spectrum)
+    kraus_groups, output_groups = _weight_groups(weights), _weight_groups(spectrum)
     factors = _output_factor_matrices(base, basis)
     offdiag = factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))
     diagonal = np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)
     if diagonal:
         factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
+    factors = _group_sums(factors, kraus_groups)
     reports = []
     for n in map(int, ns):
         if n < 1:
             raise InvariantViolationError("n must be >= 1")
-        _, classes = _typical_classes(weights, n, eps)
+        classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
         count = sum(c.sequence_count for c in classes)
-        _, output_classes = _typical_classes(spectrum, n, eps)
+        output_classes = _typical_classes(spectrum, output_groups, output_entropy, n, eps)
         transmission = frobenius_sq = 0.0
         if count:
             _check_block(base.output_dim, n, not diagonal, "reduced report")
-            ind = _typical_indicator(base.output_dim, output_classes, n)
+            ind = _typical_indicator(base.output_dim, output_groups, output_classes, n)
             if diagonal:
                 kept = _sequence_sum(factors, classes, n)[ind]
                 transmission = float(np.sum(kept))
@@ -395,6 +393,7 @@ class ReductionVerification:
     """
 
     epsilon: float
+    info: ChannelInfoReport              # the channel's `classify` report, S_e among it
     weights: np.ndarray                  # Kraus weight distribution of the minimal family
     reports: tuple[ReducedChannelReport, ...]
     counts_within_bounds: bool
@@ -404,7 +403,7 @@ class ReductionVerification:
 
 
 def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerification:
-    _, weights, reports = _reduced_series(ch, ns, eps)
+    info, weights, reports = _reduced_series(ch, ns, eps)
     sigma_sq = log_probability_variance(weights)
     typical_fit = fit_decay([r.n for r in reports],
                             [1.0 - r.typical_transmission for r in reports], eps, sigma_sq)
@@ -412,6 +411,7 @@ def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerifi
                             [1.0 - r.transmission for r in reports], eps, sigma_sq)
     return ReductionVerification(
         epsilon=eps,
+        info=info,
         weights=weights,
         reports=reports,
         counts_within_bounds=all(r.counts_within_bound for r in reports),

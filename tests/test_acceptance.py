@@ -148,8 +148,9 @@ def test_criterion_07_typicality_exact_bounds():
     eps = 0.1
     ns = range(1, 61)
     counts, bounds, masses = [], [], []
+    entropy = linalg.shannon_entropy(weights)
     for n in ns:
-        entropy, classes = tp._typical_classes(weights, n, eps)
+        classes = tp._typical_classes(weights, tp._weight_groups(weights), entropy, n, eps)
         counts.append(sum(c.sequence_count for c in classes))
         bounds.append(2.0 ** (n * (entropy + eps)))
         masses.append(tp._class_mass(classes))

@@ -451,6 +451,19 @@ def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, ca
     assert min(elapsed) < 1.0
 
 
+def test_equal_weight_groups_reach_block_cap(capsys):
+    # 9 Kraus symbols in 2 weight groups: C(n + 1, 1) compositions, so the
+    # block cap, not the composition cap, ends the reach (3^16 > 2^25)
+    common = ("--channel", "builtin:depolarizing:0.3,3", "--epsilon", "0.3", "--seed", "1")
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "15", "--n-max", "15")
+    assert code == 0, err
+    report = json.loads(out)["channel_reports"][0]
+    assert report["length"] > 0 and 0.0 < report["transmission"] < 1.0
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "16", "--n-max", "16")
+    assert code == 4 and out == "" and err.count("\n") == 1
+    assert "n=16, block dimension 2^25.3594" in err and "type classes" not in err
+
+
 @pytest.mark.parametrize("n_max", ["100000000", "1000000000"])
 @pytest.mark.parametrize("subcommand, extra", [
     ("typicality", []),

@@ -87,13 +87,15 @@ def test_bound_report_peak(monkeypatch, dims, code_dim):
     (qch.tensor_power(qch.phase_flip(0.25), 2), 10),
 ], ids=["qubit", "two-qubit"])
 def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
-    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
+    assert_prediction_bounds_peak(monkeypatch,
+                                  lambda: tp.reduced_channel_reports(ch, (n,), 0.1)[0])
 
 
 @pytest.mark.parametrize("dims, n", [((2, 2, 3), 10), ((4, 4, 2), 5)])
 def test_dense_reduced_report_peak(monkeypatch, dims, n):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
-    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_report(ch, n, 0.1))
+    assert_prediction_bounds_peak(monkeypatch,
+                                  lambda: tp.reduced_channel_reports(ch, (n,), 0.1)[0])
 
 
 @pytest.mark.parametrize("dims", [(1, 256, 16), (4, 128, 64)])

@@ -36,13 +36,19 @@ def brute_force_typical(weights, n, eps):
 TypicalSet = collections.namedtuple("TypicalSet", "count bound mass entropy")
 
 
+def typical_classes(weights, n, eps):
+    """The typical type classes over the weight groups, read at the weights' entropy."""
+    entropy = linalg.shannon_entropy(weights)
+    return entropy, tp._typical_classes(weights, tp._weight_groups(weights), entropy, n, eps)
+
+
 def typical_set(weights, n, eps):
     """Count, count bound 2^(n (H + eps)), mass and entropy H of the typical set.
 
     Read from the type classes that every report counts (`_typical_classes`
     and `_class_mass`), as the `typicality` command's sequence rows are.
     """
-    entropy, classes = tp._typical_classes(weights, n, eps)
+    entropy, classes = typical_classes(weights, n, eps)
     return TypicalSet(count=sum(c.sequence_count for c in classes),
                       bound=tp._power_of_two(n * (entropy + eps)),
                       mass=tp._class_mass(classes), entropy=entropy)
@@ -61,11 +67,18 @@ def binomial_typical(q, n, eps):
 
 
 def classes_matching_brute_force(weights, n, eps):
-    """Type-class counts, asserted equal to those of the brute-force typical sequences."""
+    """Group-count classes, asserted equal to those of the brute-force typical sequences.
+
+    Each brute-force sequence's symbol counts are summed into the counts of
+    the weight groups its symbols fall in.
+    """
     chosen, _ = brute_force_typical(weights, n, eps)
-    counts = {cls.counts: cls.sequence_count for cls in tp._typical_classes(weights, n, eps)[1]}
+    groups = tp._weight_groups(weights)
+    group_of = {int(j): g for g, members in enumerate(groups) for j in members}
+    counts = {cls.counts: cls.sequence_count for cls in typical_classes(weights, n, eps)[1]}
     assert counts == collections.Counter(
-        tuple(map(int, np.bincount(seq, minlength=len(weights)))) for seq in chosen)
+        tuple(map(int, np.bincount([group_of[j] for j in seq], minlength=len(groups))))
+        for seq in chosen)
     return counts
 
 
@@ -129,17 +142,47 @@ def test_zero_weight_symbols_never_typical():
         assert rep.count == ref.count
         assert rep.mass == pytest.approx(ref.mass, abs=1e-15)
         counts = classes_matching_brute_force((0.9, 0.0, 0.1), 6, eps)
-        assert all(c[1] == 0 for c in counts)
-    assert counts == {(5, 0, 1): 6}
+    assert [list(g) for g in tp._weight_groups((0.9, 0.0, 0.1))] == [[0], [2]]
+    assert counts == {(5, 1): 6}
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(2, 3),
-       st.floats(0.01, 1.5))
+def near_equal_kraus_weights():
+    """`minimal_kraus` weights of depolarizing(0.3, 3) with its family first recombined
+    by a Haar unitary: the eigensolve returns the eight equal weights tens of ulps apart."""
+    ch = qch.depolarizing(0.3, 3)
+    v = linalg.haar_unitary(len(ch), np.random.default_rng(0))
+    rotated = qch.KrausChannel(input_dim=3, output_dim=3,
+                               kraus_ops=tuple(np.einsum("jk,kab->jab", v, qch.kraus_stack(ch))))
+    return tuple(qch.minimal_kraus(rotated)[1])
+
+
+EQUAL_WEIGHTS = [
+    (0.25,) * 4,
+    (0.1, 0.3, 0.3, 0.3),
+    (0.2, 0.4, 0.2, 0.2),            # one group's symbols on both sides of another's
+    tuple(qch.minimal_kraus(qch.depolarizing(0.3, 3))[1]),
+    near_equal_kraus_weights(),
+]
+
+
+def test_near_equal_weights_form_one_group():
+    weights = near_equal_kraus_weights()
+    assert len(set(weights)) > 2
+    assert [list(g) for g in tp._weight_groups(weights)] == [[0], list(range(1, 9))]
+    assert [list(g) for g in tp._weight_groups((0.2, 0.4, 0.2, 0.2))] == [[0, 2, 3], [1]]
+
+
+def dirichlet_weights(seed_and_size):
+    seed, size = seed_and_size
+    raw = np.random.default_rng(seed).dirichlet(np.ones(size))
+    return tuple(raw / raw.sum())
+
+
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 3)).map(dirichlet_weights)
+       | st.sampled_from(EQUAL_WEIGHTS), st.integers(1, 7), st.floats(0.01, 1.5))
 @settings(max_examples=40, deadline=None)
-def test_type_classes_match_brute_force(seed, n, alphabet, eps):
-    rng = np.random.default_rng(seed)
-    raw = rng.dirichlet(np.ones(alphabet))
-    weights = tuple(raw / raw.sum())
+def test_type_classes_match_brute_force(weights, n, eps):
+    n = min(n, int(math.log(30000, len(weights))))      # the oracle walks len(weights)^n sequences
     rep = typical_set(weights, n, eps)
     chosen, mass = brute_force_typical(weights, n, eps)
     assert rep.count == len(chosen)
@@ -149,12 +192,14 @@ def test_type_classes_match_brute_force(seed, n, alphabet, eps):
 
 
 def test_composition_cap_raises_before_enumerating(monkeypatch):
-    # n = 1 over 256 symbols has 256 compositions; n = 4 has C(259, 4) ~ 1.8e8
-    uniform = np.full(256, 1 / 256)
-    assert typical_set(uniform, 1, 0.1).count == 256
+    # 256 equal weights are one group: n = 4 has one composition, of 256^4 sequences
+    assert typical_set(np.full(256, 1 / 256), 4, 0.1).count == 256**4
+    # 256 distinct weights: n = 1 has 256 compositions, n = 4 has C(259, 4) ~ 1.8e8
+    distinct = np.arange(1, 257) / (256 * 257 // 2)
+    assert typical_set(distinct, 1, 8.0).count == 256       # eps = 8 keeps every symbol
     monkeypatch.setattr(tp, "_compositions", mock.Mock(side_effect=AssertionError))
-    with pytest.raises(CapExceededError, match="2\\^16"):
-        typical_set(uniform, 4, 0.1)
+    with pytest.raises(CapExceededError, match="256 weight groups at n=4 exceed cap 2\\^16"):
+        typical_set(distinct, 4, 0.1)
 
 
 def test_mass_beyond_float_counts():
@@ -206,15 +251,16 @@ def output_subspace(rho, n, eps):
     """The typical subspace of rho^(x)n as a reduced report reads it.
 
     The typical classes of rho's eigh spectrum, clipped at 0 and normalized,
-    give its rank, rank bound 2^(n (S + eps)) and mass; `_typical_indicator`
-    marks its multi-indices in the Kronecker eigenbasis.
+    over its weight groups, give its rank, rank bound 2^(n (S + eps)) and
+    mass; `_typical_indicator` marks its multi-indices in the Kronecker
+    eigenbasis.
     """
     w, v = np.linalg.eigh(rho)
     w = np.maximum(w, 0.0)
     w /= np.sum(w)
-    entropy, classes = tp._typical_classes(w, n, eps)
+    entropy, classes = typical_classes(w, n, eps)
     return OutputSubspace(eigenvalues=w, eigenvectors=v, n=n,
-                          indicator=tp._typical_indicator(w.size, classes, n),
+                          indicator=tp._typical_indicator(w.size, tp._weight_groups(w), classes, n),
                           rank=sum(c.sequence_count for c in classes),
                           rank_bound=tp._power_of_two(n * (entropy + eps)),
                           mass=tp._class_mass(classes))
@@ -273,12 +319,14 @@ SPECTRA = st.one_of(
     # so whole classes sit on the inclusive edges of the window
     st.sampled_from([(0.5, 0.5), (0.5, 0.25, 0.25), (0.5, 0.25, 0.125, 0.125), (0.25,) * 4]),
     st.sampled_from([(1.0, 0.0), (0.5, 0.0, 0.5), (0.5, 0.25, 0.0, 0.25)]),
+    st.sampled_from(EQUAL_WEIGHTS),
 )
 
 
 @given(SPECTRA, st.integers(1, 6), st.sampled_from([0.125, 0.25, 0.5, 0.75]) | st.floats(0.01, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_indicator_matches_brute_force(spectrum, n, eps):
+    n = min(n, int(math.log(30000, len(spectrum))))
     sub = output_subspace(np.diag(spectrum), n, eps)
     chosen, _ = brute_force_typical(tuple(sub.eigenvalues), n, eps)
     want = np.zeros(len(spectrum) ** n, dtype=bool)
@@ -297,10 +345,10 @@ def test_indicator_keeps_inclusive_edges():
 def test_dense_reduced_report_cap_at_n13():
     # the dense branch at eps = 1.5, where most sequences are typical, fits at n = 12, not at 13
     ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
-    rep = tp.reduced_channel_report(ch, 12, 1.5)
+    rep = tp.reduced_channel_reports(ch, (12,), 1.5)[0]
     assert 0 < rep.length <= 3**12 and rep.counts_within_bound and rep.norm_within_bound
     with pytest.raises(CapExceededError, match=r"n=13, block dimension 2\^13, needs 2\^27.5851"):
-        tp.reduced_channel_report(ch, 13, 1.5)
+        tp.reduced_channel_reports(ch, (13,), 1.5)[0]
 
 
 # ---------------------------------------------------------------- Kraus distribution
@@ -352,7 +400,7 @@ def test_kraus_entropy_equals_entropy_exchange(seed):
 
 def test_typical_channel_of_identity_is_identity():
     for n, eps in [(3, 0.05), (6, 0.5)]:
-        rep = tp.reduced_channel_report(qch.identity_channel(2), n, eps)
+        rep = tp.reduced_channel_reports(qch.identity_channel(2), (n,), eps)[0]
         assert rep.length == 1
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
         dense = typical_kraus_channel(qch.identity_channel(2), n, eps, project=False)
@@ -362,7 +410,7 @@ def test_typical_channel_of_identity_is_identity():
 def test_typical_channel_phase_flip_mass():
     ch = qch.phase_flip(0.25)
     n, eps = 8, 0.1
-    rep = tp.reduced_channel_report(ch, n, eps)
+    rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
     count, mass = binomial_typical(0.25, n, eps)
     assert rep.length == count
     assert rep.typical_transmission == pytest.approx(mass, abs=1e-14)
@@ -377,7 +425,7 @@ def test_uniform_gram_channel_everything_typical(rng):
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = qch.random_unitary_channel([u, u @ x])
     for eps in (0.01, 0.4):
-        rep = tp.reduced_channel_report(ch, 6, eps)
+        rep = tp.reduced_channel_reports(ch, (6,), eps)[0]
         assert rep.length == 2**6
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
 
@@ -395,13 +443,13 @@ def test_reduced_reports_reject_nonpositive_n_and_epsilon(ns, eps, message):
 
 def test_typical_channel_needs_trace_preserving():
     with pytest.raises(InvariantViolationError):
-        tp.reduced_channel_report(qch.reduce_channel(qch.phase_flip(0.3), [0]), 2, 0.1)
+        tp.reduced_channel_reports(qch.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)[0]
 
 
 # ---------------------------------------------------------------- reduced channels
 
 def test_reduced_channel_identity():
-    rep = tp.reduced_channel_report(qch.identity_channel(2), 4, 0.2)
+    rep = tp.reduced_channel_reports(qch.identity_channel(2), (4,), 0.2)[0]
     assert rep.length == 1
     assert rep.transmission == pytest.approx(1.0, abs=1e-12)
     dense = typical_kraus_channel(qch.identity_channel(2), 4, 0.2, project=True)
@@ -412,10 +460,11 @@ def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     """Compare every report field with the dense oracle; assert the branch taken."""
     spy = mock.Mock(wraps=tp._sequence_sum)
     monkeypatch.setattr(tp, "_sequence_sum", spy)
-    rep = tp.reduced_channel_report(ch, n, eps)
-    # one sum over the Kraus factors; the indicator's sum of one-hot vectors is the other
+    rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
+    # one sum over the Kraus group factors; the indicator's sum of 0/1 group
+    # indicators is the other
     kraus_calls = [call for call in spy.call_args_list
-                   if not np.array_equal(call.args[0], np.eye(ch.output_dim))]
+                   if not np.isin(call.args[0], (0.0, 1.0)).all()]
     assert spy.call_count == 2 and len(kraus_calls) == 1
     assert kraus_calls[0].args[0].ndim == (2 if diagonal else 3)
     dense = typical_kraus_channel(ch, n, eps, project=True)
@@ -456,21 +505,23 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
 @pytest.mark.parametrize("channel, diagonal, ns", [
     ("builtin:haar_random:2,2,3,1", False, (1, 3, 5, 8, 9)),   # 2 classes at n=5, 8; 3 at n=9
     ("builtin:phase_flip:0.25", True, (4, 5, 7, 8)),           # one class each
-    ("builtin:depolarizing:0.3", True, (4, 5, 8, 9)),          # 3 and 6 classes
+    ("builtin:depolarizing:0.3", True, (4, 5, 8, 9)),          # one class of 2 groups each
+    ("builtin:depolarizing:0.3,3", True, (4,)),                # groups of 1 and 8 symbols
 ])
 def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
+    # the sum over group sequences of the group factors equals the per-symbol enumeration
     base, weights = qch.minimal_kraus(cli._parse_builtin(channel, 0))
     rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
     factors = tp._output_factor_matrices(base, linalg.eigh(rho_out)[1])
     if diagonal:
         factors = np.real(np.einsum("jaa->ja", factors))
     for n in ns:
-        _, classes = tp._typical_classes(weights, n, 0.1)
+        _, classes = typical_classes(weights, n, 0.1)
         if not classes:
             continue
         chosen, _ = brute_force_typical(tuple(weights), n, 0.1)
         oracle = sum(functools.reduce(np.kron, factors[list(seq)]) for seq in chosen)
-        got = tp._sequence_sum(factors, classes, n)
+        got = tp._sequence_sum(tp._group_sums(factors, tp._weight_groups(weights)), classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -504,7 +555,7 @@ def test_report_series_equals_single_reports(make_channel):
     ch = make_channel()
     ns = (9, 4, 1, 7, 10, 6)        # unsorted and gapped
     series = tp.reduced_channel_reports(ch, ns, 0.1)
-    assert series == tuple(tp.reduced_channel_report(ch, n, 0.1) for n in ns)
+    assert series == tuple(tp.reduced_channel_reports(ch, (n,), 0.1)[0] for n in ns)
     assert [rep.n for rep in series] == list(ns)
     # each channel has empty and nonempty typical sets among these n
     assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
@@ -521,7 +572,7 @@ def test_report_series_refuses_a_capped_range_before_any_report():
 def test_reduced_report_beyond_sequence_cap():
     # 91,728 > 2^16 typical Kraus sequences: summed by type class, never enumerated
     start = time.perf_counter()
-    rep = tp.reduced_channel_report(qch.depolarizing(0.3), 14, 0.3)
+    rep = tp.reduced_channel_reports(qch.depolarizing(0.3), (14,), 0.3)[0]
     assert time.perf_counter() - start < 1.0
     assert rep.length == 91728
     assert rep.counts_within_bound and rep.norm_within_bound
@@ -532,7 +583,7 @@ def test_reduced_transmission_lower_bound():
     ch = qch.phase_flip(0.25)
     for n in (4, 8):
         for eps in (0.1, 0.2):
-            rep = tp.reduced_channel_report(ch, n, eps)
+            rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
             out_mass = output_subspace(qch.apply(ch, linalg.max_mixed(2)), n, eps).mass
             assert rep.transmission >= out_mass - (1.0 - rep.typical_transmission) - 1e-12
 
@@ -609,7 +660,7 @@ def test_fidelity_chain_under_reduction_and_projection():
     for n in (2, 4, 6):
         full = qch.tensor_power(qch.minimal_kraus(ch)[0], n)
         for eps in (0.1, 0.4):
-            if tp.reduced_channel_report(ch, n, eps).length == 0:
+            if tp.reduced_channel_reports(ch, (n,), eps)[0].length == 0:
                 continue
             typ_dense = typical_kraus_channel(ch, n, eps, project=False)
             red_dense = typical_kraus_channel(ch, n, eps, project=True)
