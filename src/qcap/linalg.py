@@ -178,11 +178,19 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
     Reduced QR of a (dim, cols) complex Ginibre matrix, with the R-diagonal
     phases divided out; without that correction the raw QR output is not
-    Haar distributed.  The resulting isometry is unitarily invariant.
+    Haar distributed.  The resulting isometry is unitarily invariant.  The
+    real parts, then the imaginary parts, come from one draw of normals
+    scaled by 1/sqrt(2); numpy divides by a complex scalar by multiplying by
+    its reciprocal, so these are the bits of (a + 1j b) / sqrt(2) from two
+    draws a, b.
     """
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
-    z = (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / math.sqrt(2)
+    normals = rng.standard_normal((2, dim, cols))
+    normals *= 1 / math.sqrt(2)
+    z = np.empty((dim, cols), dtype=np.complex128)
+    z.real, z.imag = normals
+    del normals     # so that the draw is not held through the QR
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     ph = d / np.abs(d)

@@ -7,7 +7,8 @@ n even when the sequence space is exponential.  Class masses are summed in
 the log domain, so counts far beyond the float range do not overflow.  The
 number of compositions is checked against a cap before any is enumerated, and each
 step on the M'^n-dimensional output block checks its predicted peak
-(`_check_block`) against `linalg.ENTRY_CAP` before allocating.
+(`_check_block` on the diagonal branch, `_dense_norms` on the dense one)
+against `linalg.ENTRY_CAP` before allocating.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel, which reads two spectra: keep only the Kraus products whose
@@ -18,7 +19,11 @@ series of reduced-channel reports prepares the n-independent part (minimal
 Kraus family and weights, output spectrum and eigenbasis, factor matrices)
 once, and never enumerates sequences: the sum of Kronecker products over the
 typical Kraus sequences is built class by class, from composition sums over
-the two halves of the block joined in one contraction.
+the two halves of the block (`_sequence_sum`).  On the diagonal branch the
+halves are joined into M'^n vectors.  On the dense branch the projector
+splits along the same halves, by the output types of prefix and suffix, and
+the transmission and squared 2-norm are contracted from the halves type
+block by type block (`_projected_norms`); no M'^n x M'^n matrix is formed.
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
@@ -27,8 +32,10 @@ that `typicality` and `rate-demo` read are the bits that `info` prints.
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
 and typical mass, typical output classes the subspace's multi-index indicator
-(`_typical_indicator`, a `_sequence_sum` of group indicators).  Count-versus-
-bound checks compare exact integer counts against real bounds.
+(`_typical_indicator`, a `_sequence_sum` of group indicators) on the diagonal
+branch and the typical pairs of prefix and suffix output types on the dense
+one.  Count-versus-bound checks compare exact integer counts against real
+bounds.
 """
 
 from __future__ import annotations
@@ -174,28 +181,24 @@ def fit_decay(ns, deviations, epsilon: float, sigma_sq: float) -> DecayFit:
 
 # ------------------------------------------------------------------ typical subspaces
 
-def _check_block(dim: int, n: int, dense: bool, what: str) -> None:
+def _check_block(dim: int, n: int, what: str) -> None:
     """Entry check for a step on the dim^n-dimensional block, naming its dimension.
 
     Each output index holds 2 entries: the indicator's float sum before its
     boolean mask, then the diagonal branch's float sum of Kraus factors and
     its kept entries (the diagonal branch measured 17-18 B per index at
-    dim = 2, n = 18-23 and dim = 4, n = 9-11); ``dense`` adds 3 per entry of the block matrix (a
-    full-rank projector holds three such matrices; the dense branch measured
-    32-35 B per entry at n = 5-10).  A block past the cap on its own is
-    refused from n log2(dim) alone, without forming dim^n, which has that
-    many bits.
+    dim = 2, n = 18-23 and dim = 4, n = 9-11).  A block past the cap on its
+    own is refused from n log2(dim) alone, without forming dim^n, which has
+    that many bits.
     """
     log2_size = n * math.log2(dim)
     if log2_size > math.log2(linalg.ENTRY_CAP):
-        log2_entries = (2 * log2_size + math.log2(3 + 2.0 ** (1 - log2_size)) if dense
-                        else log2_size + 1)
         raise CapExceededError(f"{what} at n={n}, block dimension 2^{log2_size:.6g}, needs "
-                               f"2^{log2_entries:.6g} entries, above cap "
+                               f"2^{log2_size + 1:.6g} entries, above cap "
                                f"{linalg.as_power_of_two(linalg.ENTRY_CAP)}")
     size = dim**n
-    entries = 2 * size + (3 * size * size if dense else 0)
-    linalg.check_entries(entries, f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
+    linalg.check_entries(2 * size,
+                         f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
 
 
 def _typical_indicator(dim: int, groups, classes, n: int) -> np.ndarray:
@@ -205,7 +208,7 @@ def _typical_indicator(dim: int, groups, classes, n: int) -> np.ndarray:
     ... (x) e_sn is 1 exactly at the typical multi-indices; `_sequence_sum`
     builds it from the typical output classes over group indicators sum_{a in g} e_a.
     """
-    _check_block(dim, n, False, "typical indicator")
+    _check_block(dim, n, "typical indicator")
     if not classes:
         return np.zeros(dim**n, dtype=bool)
     return _sequence_sum(_group_sums(np.eye(dim), groups), classes, n) > 0.5
@@ -264,48 +267,209 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
-def _sequence_sum(factors: np.ndarray, classes, n: int) -> np.ndarray:
+def _kept_levels(tops, n: int, r: int) -> list[set]:
+    """The compositions of each length m = 0..r that lie below some top (<= in every count).
+
+    The tops are compositions of n; taking one count at a time off them
+    reaches exactly the compositions below them, without comparing any
+    composition with every top.
+    """
+    level, kept = set(tops), []
+    for m in range(n, -1, -1):
+        if m <= r:
+            kept.append(level)
+        level = {comp[:g] + (comp[g] - 1,) + comp[g + 1:]
+                 for comp in level for g in range(len(comp)) if comp[g]}
+    return kept[::-1]
+
+
+def _kron_join(lefts, rights, pairing) -> np.ndarray:
+    """sum_c lefts[c] (x) sum_{j in pairing[c]} rights[j], first factor major."""
+    sums = np.zeros((len(lefts), *rights[0].shape), dtype=rights[0].dtype)
+    for row, columns in zip(sums, pairing):
+        for j in columns:
+            row += rights[j]
+    joined = np.tensordot(np.stack(lefts), sums, axes=(0, 0))
+    k = lefts[0].ndim
+    interleave = [axis for pair in zip(range(k), range(k, 2 * k)) for axis in pair]
+    return joined.transpose(interleave).reshape(
+        [a * b for a, b in zip(joined.shape[:k], joined.shape[k:])])
+
+
+def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
+    """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each kept composition c, in a fixed order."""
+    grown_level: dict = {}
+    for comp, block in level.items():
+        for j, factor in enumerate(factors):
+            grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
+            if grown not in kept:
+                continue
+            if grown in grown_level:
+                grown_level[grown] += _kron(block, factor)
+            else:
+                grown_level[grown] = _kron(block, factor)
+    return grown_level
+
+
+def _sequence_sum(factors: np.ndarray, classes, n: int, join=_kron_join):
     """Sum over all sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
     `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
     one per weight group: the sum of its symbols' factors, so that a group
-    sequence sums all its symbol sequences.  The result is the matching M'^n
-    vector or M'^n x M'^n matrix (first factor major).  S_m(c), the sum over
-    length-m sequences of composition c, obeys
+    sequence sums all its symbol sequences.  With the default `join` the
+    result is the matching M'^n vector or M'^n x M'^n matrix (first factor
+    major).  S_m(c), the sum over length-m sequences of composition c, obeys
     S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g; only compositions below some
-    typical class are kept.  A sequence of type T splits into a prefix of
-    length h = n // 2 and type c <= T and a suffix of type T - c, so the sum is
-    sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
-    stops at level r, so the blocks it sums have at most M'^r entries per axis;
-    the halves are joined in one contraction.
+    typical class are kept (`_kept_levels`).  A sequence of type T splits into
+    a prefix of length h = n // 2 and type c <= T and a suffix of type T - c,
+    so the sum is sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.
+    The recursion stops at level r, so the blocks it sums have at most M'^r
+    entries per axis.  `join` receives the halves: the lists of the S_h(c)
+    and of the S_r(d), and for each prefix c the indices of its d = T - c,
+    in class order (the suffix list is the prefix list when h = r).  The
+    default joins them in one contraction; the dense reduced report
+    contracts them further (`_projected_norms`).
     """
     tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
+    kept = _kept_levels(tops, n, r)
     level = {(0,) * len(factors): np.ones((1,) * (factors.ndim - 1), dtype=factors.dtype)}
     halves = {0: level}
     for m in range(1, r + 1):
-        grown_level: dict = {}
-        for comp, block in level.items():
-            for j, factor in enumerate(factors):
-                grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
-                if not any(all(map(int.__le__, grown, top)) for top in tops):
-                    continue
-                term = _kron(block, factor)
-                if grown in grown_level:
-                    grown_level[grown] += term
-                else:
-                    grown_level[grown] = term
-        level = grown_level
+        level = _grown_level(level, factors, kept[m])
         if m in (h, r):
             halves[m] = level
-    rights = [sum(halves[r][tuple(map(int.__sub__, top, comp))] for top in tops
-                  if all(map(int.__le__, comp, top)))
-              for comp in halves[h]]
-    joined = np.tensordot(np.stack(list(halves[h].values())), np.stack(rights), axes=(0, 0))
-    k = factors.ndim - 1
-    interleave = [axis for pair in zip(range(k), range(k, 2 * k)) for axis in pair]
-    return joined.transpose(interleave).reshape(
-        [a * b for a, b in zip(joined.shape[:k], joined.shape[k:])])
+    index = {comp: j for j, comp in enumerate(halves[r])}
+    pairing = [[index[tuple(map(int.__sub__, top, comp))] for top in tops
+                if all(map(int.__le__, comp, top))] for comp in halves[h]]
+    lefts = list(halves[h].values())
+    return join(lefts, lefts if h == r else list(halves[r].values()), pairing)
+
+
+# ------------------------------------------------------------------ the dense branch
+
+def _type_sets(groups, dim: int, m: int, types) -> list[np.ndarray]:
+    """The length-m multi-indices (first factor major) of each output type in `types`.
+
+    An output type is a multi-index's tuple of group counts; one holding a
+    symbol of no group (a zero weight) has none.  Type ids grow one factor at
+    a time through a (type, symbol) -> type table, so any number of groups
+    fits.  Every composition of m over the groups is some multi-index's type.
+    """
+    seen, ids = [(0,) * len(groups)], np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        grown: dict = {}
+        table = np.full((len(seen) + 1, dim), -1, dtype=np.intp)  # its last row keeps id -1 at -1
+        for t, counts in enumerate(seen):
+            for g, group in enumerate(groups):
+                table[t, group] = grown.setdefault(counts[:g] + (counts[g] + 1,) + counts[g + 1:],
+                                                   len(grown))
+        seen, ids = list(grown), table[ids].reshape(-1)
+    index = {counts: k for k, counts in enumerate(seen)}
+    return [np.flatnonzero(ids == index[counts]) for counts in types]
+
+
+def _type_traces(blocks, index_sets) -> np.ndarray:
+    """(C, U): the trace of each matrix over each set of indices."""
+    diagonal = np.stack([np.real(np.diagonal(block)) for block in blocks])
+    return np.stack([diagonal[:, rows].sum(axis=1) for rows in index_sets], axis=1)
+
+
+def _block_grams(blocks, index_sets, mix=None):
+    """For each pair (u, u') of index sets, row-major, the (C, C) Gram matrix of its blocks.
+
+    Its (c, d) entry is sum_{i in u, j in u'} X_c[i, j] conj(X_d[i, j]), where
+    X_c is blocks[c], or with a (C, len(blocks)) `mix` the combination
+    sum_e mix[c, e] blocks[e].  The rows of set u are copied once per u.
+    """
+    for rows in index_sets:
+        strip = np.empty((len(blocks), len(rows), blocks[0].shape[1]), dtype=blocks[0].dtype)
+        for row, block in zip(strip, blocks):
+            row[...] = block[rows]
+        for cols in index_sets:
+            part = strip[:, :, cols].reshape(len(blocks), -1)
+            if mix is not None:
+                part = mix @ part
+            yield part @ part.conj().T
+
+
+def _projected_norms(lefts, rights, pairing, prefix_sets, suffix_sets,
+                     pairs: np.ndarray) -> tuple[float, float]:
+    """tr(P S P) and ||P S P||_F^2 for S = sum_c L_c (x) R'_c, never forming S.
+
+    L_c = lefts[c] and the rights are Hermitian; R'_c sums the rights[d] for
+    d in pairing[c].  E_u is the diagonal projector onto prefix_sets[u], E'_v
+    the one onto suffix_sets[v], and P = sum over the pairs (u, v) with
+    pairs[u, v] = 1 of E_u (x) E'_v.  Then tr(PSP) = sum_c sum_(u,v)
+    tr(E_u L_c) tr(E'_v R'_c), and ||PSP||_F^2 = tr(PSPS) = sum_(c,d) sum
+    over pairs (u, v) and (u', v') of alpha_cd(u, u') beta_cd(v, v'), where
+    alpha_cd(u, u') sums L_c conj(L_d), entry by entry, over the (u, u')
+    block (`_block_grams`) and beta does the same over R'.  Each term
+    tr(V_c V_d), V_c = P (L_c (x) R'_c) P, is >= 0, so the sum does not
+    cancel.  beta is held for all (v, v') and the pairs are applied to it,
+    W_uu' = sum_(v,v') pairs[u, v] pairs[u', v'] beta(v, v'), one prefix type
+    u at a time; each alpha(u, u') is formed only to be contracted with W_uu'.
+    """
+    paired = np.zeros((len(lefts), len(rights)))
+    for row, columns in zip(paired, pairing):
+        row[columns] = 1.0
+    transmission = np.sum((_type_traces(lefts, prefix_sets) @ pairs)
+                          * (paired @ _type_traces(rights, suffix_sets)))
+    u, v = pairs.shape
+    beta = np.empty((v * v, len(lefts) ** 2), dtype=lefts[0].dtype)
+    for row, gram in zip(beta, _block_grams(rights, suffix_sets, paired)):
+        row[...] = gram.reshape(-1)
+    half = pairs @ beta.reshape(v, -1)      # half[u] = sum_v pairs[u, v] beta(v, .)
+    del beta        # so that it is not held beside the prefix blocks' copies
+    alphas = _block_grams(lefts, prefix_sets)
+    frobenius_sq = 0.0
+    for a in range(u):
+        for weights in pairs @ half[a].reshape(v, -1):
+            frobenius_sq += float(np.real(np.einsum("k,k->", next(alphas).reshape(-1), weights)))
+    return float(transmission), frobenius_sq
+
+
+def _dense_norms(factors: np.ndarray, classes, output_groups, output_classes,
+                 n: int) -> tuple[float, float]:
+    """transmission and frobenius_sq of the reduced output on the dense branch.
+
+    An output multi-index is typical exactly when the output type of its
+    prefix plus that of its suffix is a typical output class, so the
+    projector splits along `_sequence_sum`'s halves and `_projected_norms`
+    contracts them type block by type block; no M'^n x M'^n array is formed.
+    Only the types below some typical output class (`_kept_levels`) enter.
+    The step's peak is checked first, from the kept Kraus composition counts
+    K_m and the U prefix and V suffix types.  The recursion holds levels
+    r - 1 and r, K_(r-1) M'^(2r-2) + (K_r + 1) M'^(2r) entries with one term,
+    beside the caller's G M'^2 group factors; that is at least the two
+    halves.  The contraction adds the K_h x K_r pairing, a copy of the rows
+    of its largest type (n of them) per half sum, up to three copies of a
+    type block of B <= n^2 entries per half sum, the (V^2, K_h^2) suffix
+    Gram array, which the pairs turn into a (U, V K_h^2) one, the U K_h^2
+    rows of one prefix type and two K_h x K_h Gram matrices.
+    """
+    dim, h, r = factors.shape[-1], n // 2, n - n // 2
+    kraus = [len(level) for level in _kept_levels([cls.counts for cls in classes], n, r)]
+    output = _kept_levels([cls.counts for cls in output_classes], n, r)
+    prefix_types, suffix_types = sorted(output[h]), sorted(output[r])
+    prefix_sets = _type_sets(output_groups, dim, h, prefix_types)
+    suffix_sets = _type_sets(output_groups, dim, r, suffix_types)
+    largest = max(map(len, prefix_sets + suffix_sets), default=0)
+    u, v = len(prefix_types), len(suffix_types)
+    entries = (len(factors) * dim**2 + kraus[r - 1] * dim**(2 * r - 2)
+               + (kraus[r] + 1) * dim**(2 * r) + 3 * kraus[h] * kraus[r]
+               + (max(kraus[h], kraus[r]) + 1) * largest * dim**r
+               + (2 * kraus[h] + kraus[r]) * largest**2
+               + kraus[h]**2 * (v * v + u * v + u + 2) + 2 * (dim**h + dim**r))
+    linalg.check_entries(entries, f"dense reduced report at n={n}, {kraus[r]} half sums of "
+                                  f"dimension {linalg.as_power_of_two(dim**r)},")
+    if not output_classes:
+        return 0.0, 0.0
+    typical = {cls.counts for cls in output_classes}
+    pairs = np.array([[tuple(map(int.__add__, a, b)) in typical for b in suffix_types]
+                      for a in prefix_types], dtype=float)
+    return _sequence_sum(factors, classes, n, join=lambda lefts, rights, pairing: _projected_norms(
+        lefts, rights, pairing, prefix_sets, suffix_sets, pairs))
 
 
 def _block_lengths(ns) -> tuple:
@@ -320,7 +484,9 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
     Works in the eigenbasis of the single-use output state, where the typical
     projector is diagonal.  When every factor matrix is diagonal there too
     (unitary mixtures and friends) only length-M'^n vectors are formed, else
-    M'^n x M'^n matrices; one entry check per n covers the branch taken.
+    matrices of the two half lengths, at most M'^r x M'^r with
+    r = n - n // 2, contracted by output type (`_dense_norms`); one entry
+    check per n covers the branch taken.
     `_sequence_sum` builds the sum over typical Kraus sequences class by class,
     never enumerating it, so only the branch's peak and the number of type
     classes are capped, not the typical set.  The n-independent work runs once.
@@ -336,7 +502,7 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     at its own entropy.  The Kraus classes read `info`'s S_e.  Each spectrum is grouped once.
     """
     ns, top = _block_lengths(ns)
-    _check_block(ch.output_dim, top, False, "reduced report")
+    _check_block(ch.output_dim, top, "reduced report")
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     base, weights = minimal_kraus(ch)
@@ -350,8 +516,8 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     output_entropy = linalg.shannon_entropy(spectrum)
     kraus_groups, output_groups = _weight_groups(weights), _weight_groups(spectrum)
     factors = _output_factor_matrices(base, basis)
-    offdiag = factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))
-    diagonal = np.max(np.abs(offdiag)) <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)
+    diagonal = (np.max(np.abs(factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))))
+                <= 1e-12 * max(np.max(np.abs(factors)), 1e-300))
     if diagonal:
         factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
     factors = _group_sums(factors, kraus_groups)
@@ -363,18 +529,16 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         count = sum(c.sequence_count for c in classes)
         output_classes = _typical_classes(spectrum, output_groups, output_entropy, n, eps)
         transmission = frobenius_sq = 0.0
-        if count:
-            _check_block(base.output_dim, n, not diagonal, "reduced report")
+        if count and diagonal:
+            _check_block(base.output_dim, n, "reduced report")
             ind = _typical_indicator(base.output_dim, output_groups, output_classes, n)
-            if diagonal:
-                kept = _sequence_sum(factors, classes, n)[ind]
-                transmission = float(np.sum(kept))
-                frobenius_sq = float(np.sum(kept ** 2))
-            else:
-                kept = _sequence_sum(factors, classes, n)[np.ix_(ind, ind)]
-                transmission = float(np.real(np.trace(kept)))
-                frobenius_sq = float(np.sum(np.abs(kept) ** 2))
+            kept = _sequence_sum(factors, classes, n)[ind]
+            transmission = float(np.sum(kept))
+            frobenius_sq = float(np.sum(kept ** 2))
             del kept        # so that the next n's block is not held beside this one
+        elif count:
+            transmission, frobenius_sq = _dense_norms(factors, classes, output_groups,
+                                                      output_classes, n)
         reports.append(ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
             length_bound=_power_of_two(n * (info.entropy_exchange + eps)),

@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -310,6 +314,23 @@ def test_diagonal_typicality_runs_past_n16(capsys):
                              "--seed", "0")
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "cap 2^26" in err
+
+
+def test_dense_typicality_runs_at_n16_and_caps_at_n21(capsys):
+    # the dense branch holds half sums of 2^r x 2^r entries, r = n - n // 2, not a
+    # 2^n x 2^n block: n = 16 runs, and n = 21 is refused from its prediction alone
+    common = ("--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1", "--seed", "1")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "16", "--n-max", "16")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    report = json.loads(out)["channel_reports"][0]
+    assert report["length"] > 0 and 0.0 < report["transmission"] < 1.0
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "21", "--n-max", "21")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == "" and err.count("\n") == 1
+    assert "dense reduced report at n=21" in err and "cap 2^26" in err
 
 
 def test_unknown_builtin_is_an_input_error(capsys):
@@ -640,12 +661,25 @@ def test_repeat_runs_byte_identical(capsys):
     assert first == second
 
 
-def test_thread_count_does_not_change_bytes(capsys):
-    base = ["ensemble", "--channel", "builtin:phase_flip:0.25", "--code-dim", "2",
-            "--samples", "96", "--seed", "7"]
-    _, serial, _ = run_cli(capsys, *base, "--threads", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "8")
-    assert serial == threaded
+def run_with_blas_threads(argv, threads: int) -> bytes:
+    """stdout of `qcap argv` in a child process whose BLAS runs `threads` threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads), "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "import sys; from qcap import cli; "
+                           "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_thread_count_does_not_change_bytes():
+    # one and two BLAS threads: the ensemble's kernels and, past n = 12, the dense
+    # reduced report's type-block GEMMs
+    for argv in (["ensemble", "--channel", "builtin:phase_flip:0.25", "--code-dim", "2",
+                  "--samples", "96", "--seed", "7"],
+                 ["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
+                  "--n-min", "2", "--n-max", "14", "--seed", "7"]):
+        assert run_with_blas_threads(argv, 1) == run_with_blas_threads(argv, 2)
 
 
 def test_out_into_missing_directory_is_an_input_error(tmp_path, capsys):

@@ -224,6 +224,19 @@ def test_haar_isometry_columns(rng):
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("dim, cols", [(256, 2), (2, 2), (5, 3), (256, 256), (3, 1), (1, 1)])
+def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
+    # the one-draw Ginibre matrix against the two-draw expression it replaced
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        want = q * (d / np.abs(d))
+        got = linalg.haar_isometry(dim, cols, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_haar_first_moments_smoke():
     # quick seeded check; the full three-moment suite runs in acceptance
     rng = np.random.default_rng(7)

@@ -91,7 +91,7 @@ def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
                                   lambda: tp.reduced_channel_reports(ch, (n,), 0.1)[0])
 
 
-@pytest.mark.parametrize("dims, n", [((2, 2, 3), 10), ((4, 4, 2), 5)])
+@pytest.mark.parametrize("dims, n", [((2, 2, 3), 16), ((4, 4, 2), 9)])
 def test_dense_reduced_report_peak(monkeypatch, dims, n):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch,

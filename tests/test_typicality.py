@@ -342,13 +342,16 @@ def test_indicator_keeps_inclusive_edges():
     assert sub.indicator.all() and sub.rank == 9
 
 
-def test_dense_reduced_report_cap_at_n13():
-    # the dense branch at eps = 1.5, where most sequences are typical, fits at n = 12, not at 13
+def test_dense_reduced_report_cap_at_n19():
+    # the dense branch at eps = 1.5, where most sequences are typical, holds two levels
+    # of half sums: 45 of 2^8 x 2^8 entries and 55 of 2^9 x 2^9 fit at n = 18, 55 of
+    # 2^9 x 2^9 and 66 of 2^10 x 2^10 at n = 19 do not
     ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
-    rep = tp.reduced_channel_reports(ch, (12,), 1.5)[0]
-    assert 0 < rep.length <= 3**12 and rep.counts_within_bound and rep.norm_within_bound
-    with pytest.raises(CapExceededError, match=r"n=13, block dimension 2\^13, needs 2\^27.5851"):
-        tp.reduced_channel_reports(ch, (13,), 1.5)[0]
+    rep = tp.reduced_channel_reports(ch, (18,), 1.5)[0]
+    assert 0 < rep.length <= 3**18 and rep.counts_within_bound and rep.norm_within_bound
+    with pytest.raises(CapExceededError, match=r"dense reduced report at n=19, 66 half sums of "
+                                               r"dimension 2\^10, needs 2\^26.763 entries"):
+        tp.reduced_channel_reports(ch, (19,), 1.5)[0]
 
 
 # ---------------------------------------------------------------- Kraus distribution
@@ -459,13 +462,17 @@ def test_reduced_channel_identity():
 def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     """Compare every report field with the dense oracle; assert the branch taken."""
     spy = mock.Mock(wraps=tp._sequence_sum)
+    indicator = mock.Mock(wraps=tp._typical_indicator)
     monkeypatch.setattr(tp, "_sequence_sum", spy)
+    monkeypatch.setattr(tp, "_typical_indicator", indicator)
     rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
-    # one sum over the Kraus group factors; the indicator's sum of 0/1 group
-    # indicators is the other
+    # one sum over the Kraus group factors; on the diagonal branch the
+    # indicator's sum of 0/1 group indicators is the other, while the dense
+    # branch contracts the projector by output type and forms no indicator
     kraus_calls = [call for call in spy.call_args_list
                    if not np.isin(call.args[0], (0.0, 1.0)).all()]
-    assert spy.call_count == 2 and len(kraus_calls) == 1
+    assert spy.call_count == (2 if diagonal else 1) and len(kraus_calls) == 1
+    assert indicator.call_count == (1 if diagonal else 0)
     assert kraus_calls[0].args[0].ndim == (2 if diagonal else 3)
     dense = typical_kraus_channel(ch, n, eps, project=True)
     out = qch.apply(dense, linalg.max_mixed(2**n))
@@ -524,6 +531,60 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
         got = tp._sequence_sum(tp._group_sums(factors, tp._weight_groups(weights)), classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@st.composite
+def dense_branch_cases(draw):
+    """Random PSD group factors, an output partition and random Kraus and output class sets.
+
+    Symbols labelled -1 belong to no output group, as zero output weights do.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8 if dim == 2 else 5))
+    kraus_groups = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim)
+                  .filter(lambda labels: max(labels) >= 0))
+    output_groups = [np.flatnonzero(np.array(labels) == g)
+                     for g in sorted(set(labels) - {-1}, key=labels.index)]
+    classes = draw(st.lists(st.sampled_from(list(tp._compositions(n, kraus_groups))),
+                            min_size=1, unique=True))
+    output_classes = draw(st.lists(st.sampled_from(list(tp._compositions(n, len(output_groups)))),
+                                   unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (kraus_groups, dim, dim)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (x @ x.conj().transpose(0, 2, 1), [tp.TypeClass(c, 0.0, 1) for c in classes],
+            output_groups, [tp.TypeClass(c, 0.0, 1) for c in output_classes], n)
+
+
+def masked_join_norms(factors, classes, output_groups, output_classes, n):
+    """Oracle: the full M'^n x M'^n join of the halves, masked by brute-force output typicality."""
+    dim = factors.shape[-1]
+    lefts, rights, pairing = tp._sequence_sum(factors, classes, n, join=lambda *halves: halves)
+    sums = np.stack([sum(rights[j] for j in columns) for columns in pairing])
+    joined = np.tensordot(np.stack(lefts), sums, axes=(0, 0))
+    full = joined.transpose(0, 2, 1, 3).reshape(dim**n, dim**n)
+    group_of = {int(a): g for g, group in enumerate(output_groups) for a in group}
+    typical = {cls.counts for cls in output_classes}
+    mask = np.zeros(dim**n, dtype=bool)
+    for index, seq in enumerate(itertools.product(range(dim), repeat=n)):
+        if all(a in group_of for a in seq):
+            counts = collections.Counter(group_of[a] for a in seq)
+            mask[index] = tuple(counts[g] for g in range(len(output_groups))) in typical
+    kept = full[np.ix_(mask, mask)]
+    return float(np.real(np.trace(kept))), float(np.sum(np.abs(kept) ** 2))
+
+
+@given(dense_branch_cases())
+@example((np.eye(2)[None] + 0.5, [tp.TypeClass((1,), 0.0, 1)], [np.array([1])],
+          [tp.TypeClass((1,), 0.0, 1)], 1))        # n = 1; symbol 0 in no output group
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_dense_norms_match_the_masked_join(case):
+    # the contraction by output type against the full join of the same halves plus the mask
+    got = tp._dense_norms(*case)
+    want = masked_join_norms(*case)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(),
