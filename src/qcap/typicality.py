@@ -1,14 +1,13 @@
-"""Typical sequences, typical-subspace indicators, and reduced tensor-power channels.
+"""Typical sequences, typical output types, and reduced tensor-power channels.
 
 Counting and probability mass over length-n sequences are computed through
 type classes (compositions of n over the groups of equal weight): a sequence's
 probability depends only on its group counts, so reports stay polynomial in
 n even when the sequence space is exponential.  Class masses are summed in
 the log domain, so counts far beyond the float range do not overflow.  The
-number of compositions is checked against a cap before any is enumerated, and each
-step on the M'^n-dimensional output block checks its predicted peak
-(`_check_block` on the diagonal branch, `_dense_norms` on the dense one)
-against `linalg.ENTRY_CAP` before allocating.
+number of compositions is checked against a cap before any is enumerated,
+and each reduced report checks its predicted peak (`_checked_types`) against
+`linalg.ENTRY_CAP` before allocating.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel, which reads two spectra: keep only the Kraus products whose
@@ -17,13 +16,11 @@ weight is typical for the per-use Kraus weight distribution (the weights of
 of the single-use output state (the typical classes of its spectrum).  A
 series of reduced-channel reports prepares the n-independent part (minimal
 Kraus family and weights, output spectrum and eigenbasis, factor matrices)
-once, and never enumerates sequences: the sum of Kronecker products over the
-typical Kraus sequences is built class by class, from composition sums over
-the two halves of the block (`_sequence_sum`).  On the diagonal branch the
-halves are joined into M'^n vectors.  On the dense branch the projector
-splits along the same halves, by the output types of prefix and suffix, and
-the transmission and squared 2-norm are contracted from the halves type
-block by type block (`_projected_norms`); no M'^n x M'^n matrix is formed.
+once, and never enumerates sequences nor forms an M'^n-dimensional vector or
+matrix: the sum over the typical Kraus sequences is built class by class on
+the two halves of the block (`_sequence_sum`), and the projector, split by
+the output types of prefix and suffix, is contracted with the halves type
+by type (`_reduced_norms`).
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
@@ -31,11 +28,8 @@ that `typicality` and `rate-demo` read are the bits that `info` prints.
 
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
-and typical mass, typical output classes the subspace's multi-index indicator
-(`_typical_indicator`, a `_sequence_sum` of group indicators) on the diagonal
-branch and the typical pairs of prefix and suffix output types on the dense
-one.  Count-versus-bound checks compare exact integer counts against real
-bounds.
+and typical mass, typical output classes the typical pairs of output types.
+Count-versus-bound checks compare exact integer counts against real bounds.
 """
 
 from __future__ import annotations
@@ -111,11 +105,17 @@ def _group_sums(stack: np.ndarray, groups) -> np.ndarray:
     return np.stack([functools.reduce(np.add, stack[group]) for group in groups])
 
 
+def _class_size(groups, counts) -> int:
+    """multinomial(t) prod_g |g|^(t_g): the symbol sequences whose group counts are t."""
+    multinomial = math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+    return multinomial * math.prod(g.size**t for g, t in zip(groups, counts))
+
+
 def _typical_classes(weights, groups, entropy: float, n: int, eps: float) -> list[TypeClass]:
     """The typical type classes of the product distribution over its `_weight_groups`.
 
     Class t's sequences share the log2 probability sum_g t_g log2 w_g, w_g the
-    weight of group g's first symbol, and number multinomial(t) prod_g |g|^(t_g).
+    weight of group g's first symbol, and number `_class_size(groups, t)`.
     The window is read at the caller's entropy.  The compositions,
     C(n + G - 1, G - 1) over G groups, are capped before any is enumerated.
     """
@@ -129,10 +129,8 @@ def _typical_classes(weights, groups, entropy: float, n: int, eps: float) -> lis
     for comp in _compositions(n, len(groups)):
         log2p = float(np.dot(np.asarray(comp, dtype=float), logp))
         if lo <= log2p <= hi:
-            multinomial = math.factorial(n) // math.prod(map(math.factorial, comp))
-            sizes = math.prod(g.size**t for g, t in zip(groups, comp))
             classes.append(TypeClass(counts=comp, log2_probability=log2p,
-                                     sequence_count=multinomial * sizes))
+                                     sequence_count=_class_size(groups, comp)))
     return classes
 
 
@@ -177,41 +175,6 @@ def fit_decay(ns, deviations, epsilon: float, sigma_sq: float) -> DecayFit:
         rate = float(-slope)
     return DecayFit(epsilon=epsilon, block_lengths=ns, deviations=deviations,
                     fitted_rate=rate, sigma_sq=sigma_sq)
-
-
-# ------------------------------------------------------------------ typical subspaces
-
-def _check_block(dim: int, n: int, what: str) -> None:
-    """Entry check for a step on the dim^n-dimensional block, naming its dimension.
-
-    Each output index holds 2 entries: the indicator's float sum before its
-    boolean mask, then the diagonal branch's float sum of Kraus factors and
-    its kept entries (the diagonal branch measured 17-18 B per index at
-    dim = 2, n = 18-23 and dim = 4, n = 9-11).  A block past the cap on its
-    own is refused from n log2(dim) alone, without forming dim^n, which has
-    that many bits.
-    """
-    log2_size = n * math.log2(dim)
-    if log2_size > math.log2(linalg.ENTRY_CAP):
-        raise CapExceededError(f"{what} at n={n}, block dimension 2^{log2_size:.6g}, needs "
-                               f"2^{log2_size + 1:.6g} entries, above cap "
-                               f"{linalg.as_power_of_two(linalg.ENTRY_CAP)}")
-    size = dim**n
-    linalg.check_entries(2 * size,
-                         f"{what} at n={n}, block dimension {linalg.as_power_of_two(size)},")
-
-
-def _typical_indicator(dim: int, groups, classes, n: int) -> np.ndarray:
-    """Boolean mask of the typical multi-indices in the tensor eigenbasis (first factor major).
-
-    The sum over typical sequences of one-hot Kronecker products e_s1 (x)
-    ... (x) e_sn is 1 exactly at the typical multi-indices; `_sequence_sum`
-    builds it from the typical output classes over group indicators sum_{a in g} e_a.
-    """
-    _check_block(dim, n, "typical indicator")
-    if not classes:
-        return np.zeros(dim**n, dtype=bool)
-    return _sequence_sum(_group_sums(np.eye(dim), groups), classes, n) > 0.5
 
 
 # ------------------------------------------------------------------ reduced-channel reports
@@ -283,19 +246,6 @@ def _kept_levels(tops, n: int, r: int) -> list[set]:
     return kept[::-1]
 
 
-def _kron_join(lefts, rights, pairing) -> np.ndarray:
-    """sum_c lefts[c] (x) sum_{j in pairing[c]} rights[j], first factor major."""
-    sums = np.zeros((len(lefts), *rights[0].shape), dtype=rights[0].dtype)
-    for row, columns in zip(sums, pairing):
-        for j in columns:
-            row += rights[j]
-    joined = np.tensordot(np.stack(lefts), sums, axes=(0, 0))
-    k = lefts[0].ndim
-    interleave = [axis for pair in zip(range(k), range(k, 2 * k)) for axis in pair]
-    return joined.transpose(interleave).reshape(
-        [a * b for a, b in zip(joined.shape[:k], joined.shape[k:])])
-
-
 def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
     """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each kept composition c, in a fixed order."""
     grown_level: dict = {}
@@ -311,24 +261,21 @@ def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
     return grown_level
 
 
-def _sequence_sum(factors: np.ndarray, classes, n: int, join=_kron_join):
-    """Sum over all sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
+def _sequence_sum(factors: np.ndarray, classes, n: int):
+    """Halves of the sum over the sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
     `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
     one per weight group: the sum of its symbols' factors, so that a group
-    sequence sums all its symbol sequences.  With the default `join` the
-    result is the matching M'^n vector or M'^n x M'^n matrix (first factor
-    major).  S_m(c), the sum over length-m sequences of composition c, obeys
-    S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g; only compositions below some
-    typical class are kept (`_kept_levels`).  A sequence of type T splits into
-    a prefix of length h = n // 2 and type c <= T and a suffix of type T - c,
-    so the sum is sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.
-    The recursion stops at level r, so the blocks it sums have at most M'^r
-    entries per axis.  `join` receives the halves: the lists of the S_h(c)
-    and of the S_r(d), and for each prefix c the indices of its d = T - c,
-    in class order (the suffix list is the prefix list when h = r).  The
-    default joins them in one contraction; the dense reduced report
-    contracts them further (`_projected_norms`).
+    sequence sums all its symbol sequences.  S_m(c), the sum over length-m
+    sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
+    only compositions below some typical class are kept (`_kept_levels`).  A
+    sequence of type T splits into a prefix of length h = n // 2 and type
+    c <= T and a suffix of type T - c, so the sum is
+    sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
+    stops at level r, and the sum is not formed: the result is (lefts,
+    rights, pairing), the S_h(c), the S_r(d) and, for each prefix c, the
+    indices of its d = T - c, in class order (the suffix list is the prefix
+    list when h = r).
     """
     tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
@@ -343,10 +290,10 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, join=_kron_join):
     pairing = [[index[tuple(map(int.__sub__, top, comp))] for top in tops
                 if all(map(int.__le__, comp, top))] for comp in halves[h]]
     lefts = list(halves[h].values())
-    return join(lefts, lefts if h == r else list(halves[r].values()), pairing)
+    return lefts, lefts if h == r else list(halves[r].values()), pairing
 
 
-# ------------------------------------------------------------------ the dense branch
+# ------------------------------------------------------------------ contraction by output type
 
 def _type_sets(groups, dim: int, m: int, types) -> list[np.ndarray]:
     """The length-m multi-indices (first factor major) of each output type in `types`.
@@ -429,47 +376,92 @@ def _projected_norms(lefts, rights, pairing, prefix_sets, suffix_sets,
     return float(transmission), frobenius_sq
 
 
-def _dense_norms(factors: np.ndarray, classes, output_groups, output_classes,
-                 n: int) -> tuple[float, float]:
-    """transmission and frobenius_sq of the reduced output on the dense branch.
+def _vector_norms(lefts, rights, pairing, prefix_sets, suffix_sets,
+                  pairs: np.ndarray) -> tuple[float, float]:
+    """`_projected_norms` for a diagonal S, each L_c and rights[d] given by its diagonal.
 
-    An output multi-index is typical exactly when the output type of its
-    prefix plus that of its suffix is a typical output class, so the
-    projector splits along `_sequence_sum`'s halves and `_projected_norms`
-    contracts them type block by type block; no M'^n x M'^n array is formed.
-    Only the types below some typical output class (`_kept_levels`) enter.
-    The step's peak is checked first, from the kept Kraus composition counts
-    K_m and the U prefix and V suffix types.  The recursion holds levels
-    r - 1 and r, K_(r-1) M'^(2r-2) + (K_r + 1) M'^(2r) entries with one term,
-    beside the caller's G M'^2 group factors; that is at least the two
-    halves.  The contraction adds the K_h x K_r pairing, a copy of the rows
-    of its largest type (n of them) per half sum, up to three copies of a
-    type block of B <= n^2 entries per half sum, the (V^2, K_h^2) suffix
-    Gram array, which the pairs turn into a (U, V K_h^2) one, the U K_h^2
-    rows of one prefix type and two K_h x K_h Gram matrices.
+    Off-type blocks of a diagonal operator vanish, so with t_c(u) the sum of
+    l_c = lefts[c] over prefix_sets[u] and alpha_cd(u) = sum_{i in u}
+    l_c[i] l_d[i], and t'_c(v) and beta_cd(v) the same sums of R'_c over
+    suffix_sets[v]: tr(PSP) = sum_c sum_(u,v) pairs[u, v] t_c(u) t'_c(v) and
+    ||PSP||_F^2 = sum_(u,v) pairs[u, v] <alpha(u), beta(v)>; all entries are
+    >= 0.  One set at a time, its entries are gathered straight into the R'_c.
+    """
+    def grams(index_sets, terms):   # per set, the sums and Gram matrix of x_c = sum(terms[c])
+        for rows in index_sets:
+            strip = np.zeros((len(terms), len(rows)))
+            for row, vectors in zip(strip, terms):
+                for vector in vectors:
+                    row += vector[rows]
+            yield strip.sum(axis=1), strip @ strip.T
+
+    sums, beta = map(np.stack, zip(*grams(suffix_sets, [[rights[d] for d in c] for c in pairing])))
+    t, alpha = map(np.stack, zip(*grams(prefix_sets, [[left] for left in lefts])))
+    transmission = np.sum(t * (pairs @ sums))       # row u of pairs @ x sums the x(v) paired with u
+    frobenius_sq = np.sum(alpha.reshape(len(alpha), -1) * (pairs @ beta.reshape(len(beta), -1)))
+    return float(transmission), float(frobenius_sq)
+
+
+def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
+                   output_classes) -> tuple[list, list]:
+    """The kept prefix and suffix output types at n, once the report's predicted peak is checked.
+
+    Only the output types below some typical output class (`_kept_levels`)
+    enter: U of length h = n // 2 and V of length r = n - h, the largest of
+    B multi-indices (`_class_size`).  From the kept Kraus composition counts
+    K_m: the recursion holds levels r - 1 and r and a term, K_(r-1) D_(r-1) +
+    (K_r + 1) D_r entries with D_m = M'^m for vectors, M'^(2m) for matrices,
+    beside the G group factors; the type ids and sets add 2 (M'^h + M'^r).
+    Vectors add one type's entries of the K_h sums and a term, the (V, K_h^2)
+    suffix Grams and their copy, the prefix ones likewise, what the pairs
+    make of the first and its product with the second, and the type sums.
+    Matrices add the pairing, a copy of the rows of the largest type (n of
+    them) per half sum, up to three copies of a type block of B <= n^2
+    entries per half sum, the (V^2, K_h^2) suffix Grams, which the pairs
+    make (U, V K_h^2), and K_h^2 (U + 2) Gram entries.
     """
     dim, h, r = factors.shape[-1], n // 2, n - n // 2
     kraus = [len(level) for level in _kept_levels([cls.counts for cls in classes], n, r)]
     output = _kept_levels([cls.counts for cls in output_classes], n, r)
     prefix_types, suffix_types = sorted(output[h]), sorted(output[r])
-    prefix_sets = _type_sets(output_groups, dim, h, prefix_types)
-    suffix_sets = _type_sets(output_groups, dim, r, suffix_types)
-    largest = max(map(len, prefix_sets + suffix_sets), default=0)
+    largest = max((_class_size(output_groups, t) for t in prefix_types + suffix_types), default=0)
     u, v = len(prefix_types), len(suffix_types)
-    entries = (len(factors) * dim**2 + kraus[r - 1] * dim**(2 * r - 2)
-               + (kraus[r] + 1) * dim**(2 * r) + 3 * kraus[h] * kraus[r]
-               + (max(kraus[h], kraus[r]) + 1) * largest * dim**r
-               + (2 * kraus[h] + kraus[r]) * largest**2
-               + kraus[h]**2 * (v * v + u * v + u + 2) + 2 * (dim**h + dim**r))
-    linalg.check_entries(entries, f"dense reduced report at n={n}, {kraus[r]} half sums of "
-                                  f"dimension {linalg.as_power_of_two(dim**r)},")
+    if factors.ndim == 2:
+        branch, entries = "diagonal", (
+            len(factors) * dim + kraus[r - 1] * dim**(r - 1) + (kraus[r] + 1) * dim**r
+            + (kraus[h] + 1) * largest + kraus[h]**2 * (3 * u + 2 * v) + 2 * kraus[h] * (u + v))
+    else:
+        branch, entries = "dense", (
+            len(factors) * dim**2 + kraus[r - 1] * dim**(2 * r - 2)
+            + (kraus[r] + 1) * dim**(2 * r) + 3 * kraus[h] * kraus[r]
+            + (max(kraus[h], kraus[r]) + 1) * largest * dim**r
+            + (2 * kraus[h] + kraus[r]) * largest**2 + kraus[h]**2 * (v * v + u * v + u + 2))
+    if classes:         # with no typical Kraus class, nothing is built
+        linalg.check_entries(entries + 2 * (dim**h + dim**r),
+                             f"{branch} reduced report at n={n}, {kraus[r]} half sums of "
+                             f"dimension {linalg.as_power_of_two(dim**r)},")
+    return prefix_types, suffix_types
+
+
+def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
+                   output_classes) -> tuple[float, float]:
+    """transmission and frobenius_sq of the reduced output at n, from `_sequence_sum`'s halves.
+
+    A multi-index is typical exactly when its prefix's output type plus its
+    suffix's is a typical output class, so the projector splits along the
+    halves, contracted type by type as the vectors or matrices `factors` holds.
+    """
+    prefix_types, suffix_types = _checked_types(factors, output_groups, n, classes, output_classes)
     if not output_classes:
         return 0.0, 0.0
+    dim, h = factors.shape[-1], n // 2
+    prefix_sets = _type_sets(output_groups, dim, h, prefix_types)
+    suffix_sets = _type_sets(output_groups, dim, n - h, suffix_types)
     typical = {cls.counts for cls in output_classes}
     pairs = np.array([[tuple(map(int.__add__, a, b)) in typical for b in suffix_types]
                       for a in prefix_types], dtype=float)
-    return _sequence_sum(factors, classes, n, join=lambda lefts, rights, pairing: _projected_norms(
-        lefts, rights, pairing, prefix_sets, suffix_sets, pairs))
+    contract = _vector_norms if factors.ndim == 2 else _projected_norms
+    return contract(*_sequence_sum(factors, classes, n), prefix_sets, suffix_sets, pairs)
 
 
 def _block_lengths(ns) -> tuple:
@@ -483,13 +475,11 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
 
     Works in the eigenbasis of the single-use output state, where the typical
     projector is diagonal.  When every factor matrix is diagonal there too
-    (unitary mixtures and friends) only length-M'^n vectors are formed, else
-    matrices of the two half lengths, at most M'^r x M'^r with
-    r = n - n // 2, contracted by output type (`_dense_norms`); one entry
-    check per n covers the branch taken.
-    `_sequence_sum` builds the sum over typical Kraus sequences class by class,
-    never enumerating it, so only the branch's peak and the number of type
-    classes are capped, not the typical set.  The n-independent work runs once.
+    (unitary mixtures and friends) the halves of the block are vectors of
+    length at most M'^r with r = n - n // 2, else M'^r x M'^r matrices
+    (`_reduced_norms`).  Sequences are summed by type class, never
+    enumerated, so only the peak and the number of type classes are capped,
+    not the typical set.  The n-independent work runs once.
     """
     return _reduced_series(ch, ns, eps)[2]
 
@@ -497,12 +487,18 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
 def _reduced_series(ch: KrausChannel, ns, eps: float):
     """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
 
-    The top n's block is checked before any report.  The report's eigvalsh gives
-    S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output classes, read
-    at its own entropy.  The Kraus classes read `info`'s S_e.  Each spectrum is grouped once.
+    Before any class is enumerated, the top n's half block is refused from
+    r log2 M' alone; before any report, so are the top n's peak and more than
+    2^16 kept Kraus compositions in all, at most C(r + G, G) per n over G
+    groups (this bounds a one-dimensional output).  The report's eigvalsh
+    gives S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output
+    classes, read at its own entropy.  The Kraus classes read `info`'s S_e.
     """
     ns, top = _block_lengths(ns)
-    _check_block(ch.output_dim, top, "reduced report")
+    log2_half = (top - top // 2) * math.log2(ch.output_dim)
+    if log2_half > math.log2(linalg.ENTRY_CAP):
+        raise CapExceededError(f"reduced report at n={top}, half-block dimension 2^{log2_half:.6g},"
+                               f" above cap {linalg.as_power_of_two(linalg.ENTRY_CAP)}")
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     base, weights = minimal_kraus(ch)
@@ -516,29 +512,32 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     output_entropy = linalg.shannon_entropy(spectrum)
     kraus_groups, output_groups = _weight_groups(weights), _weight_groups(spectrum)
     factors = _output_factor_matrices(base, basis)
-    diagonal = (np.max(np.abs(factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))))
-                <= 1e-12 * max(np.max(np.abs(factors)), 1e-300))
-    if diagonal:
+    if (np.max(np.abs(factors - np.einsum("jab,ab->jab", factors, np.eye(base.output_dim))))
+            <= 1e-12 * max(np.max(np.abs(factors)), 1e-300)):
         factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
     factors = _group_sums(factors, kraus_groups)
-    reports = []
-    for n in map(int, ns):
+
+    def classes_at(n):
+        return (_typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps),
+                _typical_classes(spectrum, output_groups, output_entropy, n, eps))
+
+    kept = 0
+    for n in ns:
         if n < 1:
             raise InvariantViolationError("n must be >= 1")
-        classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
+        kept += math.comb(n - n // 2 + len(kraus_groups), len(kraus_groups))
+        if kept > _COMPOSITION_CAP:
+            raise CapExceededError(f"type classes of {len(kraus_groups)} weight groups kept through"
+                                   f" n={n} exceed cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
+    _checked_types(factors, output_groups, top, *classes_at(top))
+    reports = []
+    for n in ns:
+        classes, output_classes = classes_at(n)
         count = sum(c.sequence_count for c in classes)
-        output_classes = _typical_classes(spectrum, output_groups, output_entropy, n, eps)
         transmission = frobenius_sq = 0.0
-        if count and diagonal:
-            _check_block(base.output_dim, n, "reduced report")
-            ind = _typical_indicator(base.output_dim, output_groups, output_classes, n)
-            kept = _sequence_sum(factors, classes, n)[ind]
-            transmission = float(np.sum(kept))
-            frobenius_sq = float(np.sum(kept ** 2))
-            del kept        # so that the next n's block is not held beside this one
-        elif count:
-            transmission, frobenius_sq = _dense_norms(factors, classes, output_groups,
-                                                      output_classes, n)
+        if count:
+            transmission, frobenius_sq = _reduced_norms(factors, output_groups, n, classes,
+                                                        output_classes)
         reports.append(ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
             length_bound=_power_of_two(n * (info.entropy_exchange + eps)),

@@ -296,24 +296,25 @@ def test_exit_3_invalid_probability(capsys):
 
 def test_exit_4_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
-                           "--epsilon", "1.5", "--n-min", "30", "--n-max", "30",
+                           "--epsilon", "1.5", "--n-min", "41", "--n-max", "41",
                            "--seed", "0")
     assert code == 4 and "error" in err
 
 
 def test_diagonal_typicality_runs_past_n16(capsys):
-    # the diagonal branch holds two entries per output index: n = 25 fits the cap, n = 26 not
+    # the diagonal branch holds two levels of half sums, vectors of 2^r entries with
+    # r = n - n // 2, not a 2^n vector: n = 40 fits the cap, n = 41 not
     code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
-                             "--epsilon", "1.5", "--n-min", "25", "--n-max", "25",
+                             "--epsilon", "1.5", "--n-min", "40", "--n-max", "40",
                              "--seed", "0")
     assert code == 0 and err == ""
     record = json.loads(out)
     assert record["counts_within_bounds"] is True and record["norms_within_bounds"] is True
     code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:phase_flip:0.25",
-                             "--epsilon", "1.5", "--n-min", "26", "--n-max", "26",
+                             "--epsilon", "1.5", "--n-min", "41", "--n-max", "41",
                              "--seed", "0")
     assert code == 4 and out == ""
-    assert err.count("\n") == 1 and "cap 2^26" in err
+    assert err.count("\n") == 1 and "diagonal reduced report at n=41" in err and "cap 2^26" in err
 
 
 def test_dense_typicality_runs_at_n16_and_caps_at_n21(capsys):
@@ -440,7 +441,7 @@ def test_rate_above_log2_input_dim_is_an_input_error(capsys):
     # code dimensions 2^1030 and 2^1025 are beyond the float range
     ("rate-demo", "--rate", "1", "--epsilon", "0.001", "--n-min", "1030", "--n-max", "1030"),
     ("rate-demo", "--rate", "1", "--epsilon", "0.0001", "--n-min", "1025", "--n-max", "1025"),
-    # class counts beyond the float range: masses in the log domain, then the entry cap
+    # class counts beyond the float range: refused from the half-block dimension 2^550
     ("typicality", "--epsilon", "0.001", "--n-min", "1100", "--n-max", "1100"),
 ], ids=["rate-demo-1030", "rate-demo-1025", "typicality-1100"])
 def test_large_block_length_is_a_cap(capsys, argv):
@@ -451,15 +452,19 @@ def test_large_block_length_is_a_cap(capsys, argv):
     # the dimension shows as a power of two, not as its 332 decimal digits
     assert len(err) < 200
     if argv[0] == "typicality":
-        assert "2^1100" in err
+        assert "half-block dimension 2^550," in err
 
 
 @pytest.mark.parametrize("channel, n_min, n_max, cap", [
     # C(259, 4) ~ 1.8e8 type classes over 256 Kraus weights: refused before enumerating
     ("builtin:haar_random:16,16,256,1", "4", "4", "cap 2^16"),
-    # block dimension 2^3000 at n = 3000, before any report or the typical-set series
+    # half-block dimension 2^1500 at n = 3000, before any report or the typical-set series
     ("builtin:depolarizing:0.3", "2", "3000", "cap 2^26"),
-], ids=["composition-cap", "dimension-cap"])
+    # a one-dimensional output: no block grows, but the series' kept compositions,
+    # at most C(r + G, G) per n, pass 2^16 at n = 510, before any report
+    ("builtin:identity:1", "1", "100000000", "cap 2^16"),
+    ("builtin:haar_random:2,1,2,1", "1", "100000000", "cap 2^16"),
+], ids=["composition-cap", "dimension-cap", "one-dimensional-identity", "one-dimensional-haar"])
 def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, cap):
     elapsed = []
     for _ in range(2):      # best of two: one run alone shows host speed phases
@@ -472,17 +477,35 @@ def test_predictable_typicality_caps_exit_fast(capsys, channel, n_min, n_max, ca
     assert min(elapsed) < 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("typicality", "--channel", "builtin:haar_random:2,2,3,1", "--n-min", "2", "--n-max", "21"),
+     "dense reduced report at n=21,"),
+    (("rate-demo", "--channel", "builtin:phase_flip:0.1", "--rate", "0.1", "--n-min", "4",
+      "--n-max", "43"), "diagonal reduced report at n=43,"),
+], ids=["dense", "diagonal"])
+def test_top_n_prediction_is_a_cap_before_any_report(capsys, argv, message):
+    # the top n's predicted peak is checked first: the smaller n are not built before it
+    elapsed = []
+    for _ in range(2):      # best of two: one run alone shows host speed phases
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--epsilon", "0.1", "--seed", "1")
+        elapsed.append(time.perf_counter() - start)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and message in err and "cap 2^26" in err
+    assert min(elapsed) < 0.1
+
+
 def test_equal_weight_groups_reach_block_cap(capsys):
     # 9 Kraus symbols in 2 weight groups: C(n + 1, 1) compositions, so the
-    # block cap, not the composition cap, ends the reach (3^16 > 2^25)
+    # entry cap on the half sums, not the composition cap, ends the reach
     common = ("--channel", "builtin:depolarizing:0.3,3", "--epsilon", "0.3", "--seed", "1")
-    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "15", "--n-max", "15")
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "26", "--n-max", "26")
     assert code == 0, err
     report = json.loads(out)["channel_reports"][0]
     assert report["length"] > 0 and 0.0 < report["transmission"] < 1.0
-    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "16", "--n-max", "16")
+    code, out, err = run_cli(capsys, "typicality", *common, "--n-min", "27", "--n-max", "27")
     assert code == 4 and out == "" and err.count("\n") == 1
-    assert "n=16, block dimension 2^25.3594" in err and "type classes" not in err
+    assert "n=27, 10 half sums of dimension 2^22.1895" in err and "type classes" not in err
 
 
 @pytest.mark.parametrize("n_max", ["100000000", "1000000000"])
@@ -491,15 +514,15 @@ def test_equal_weight_groups_reach_block_cap(capsys):
     ("rate-demo", ["--rate", "0"]),
 ])
 def test_long_n_range_is_a_cap_before_it_is_built(capsys, subcommand, extra, n_max):
-    # the largest n is read off the range's ends, and the cap decided from n log2(2):
-    # neither the range nor 2^n is ever formed
+    # the largest n is read off the range's ends, and the cap decided from r log2(2),
+    # r = n - n // 2: neither the range nor 2^r is ever formed
     start = time.perf_counter()
     code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25", *extra,
                              "--epsilon", "0.1", "--n-min", "1", "--n-max", n_max, "--seed", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert f"at n={n_max}, block dimension 2^{float(n_max):.6g}," in err
+    assert f"at n={n_max}, half-block dimension 2^{int(n_max) - int(n_max) // 2:.6g}," in err
 
 
 @pytest.mark.parametrize("argv, output_format, field", [

@@ -83,8 +83,8 @@ def test_bound_report_peak(monkeypatch, dims, code_dim):
 
 
 @pytest.mark.parametrize("ch, n", [
-    (qch.phase_flip(0.25), 20),
-    (qch.tensor_power(qch.phase_flip(0.25), 2), 10),
+    (qch.phase_flip(0.25), 35),
+    (qch.tensor_power(qch.phase_flip(0.25), 2), 16),
 ], ids=["qubit", "two-qubit"])
 def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
     assert_prediction_bounds_peak(monkeypatch,

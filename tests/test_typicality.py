@@ -247,12 +247,31 @@ OutputSubspace = collections.namedtuple(
     "OutputSubspace", "eigenvalues eigenvectors n indicator rank rank_bound mass")
 
 
+def typical_indicator(dim, groups, classes, n):
+    """The typical multi-indices (first factor major), split as a reduced report splits them.
+
+    A multi-index is typical exactly when the output type of its prefix of
+    length n // 2 plus that of its suffix is a typical class: the typical
+    pairs of the kept prefix and suffix types, whose multi-indices
+    `_type_sets` lists.
+    """
+    h, r = n // 2, n - n // 2
+    types = [sorted(level) for level in tp._kept_levels([c.counts for c in classes], n, r)]
+    typical = {c.counts for c in classes}
+    suffix_sets = tp._type_sets(groups, dim, r, types[r])
+    mask = np.zeros((dim**h, dim**r), dtype=bool)
+    for u, rows in zip(types[h], tp._type_sets(groups, dim, h, types[h])):
+        for v, cols in zip(types[r], suffix_sets):
+            mask[np.ix_(rows, cols)] = tuple(map(int.__add__, u, v)) in typical
+    return mask.reshape(-1)
+
+
 def output_subspace(rho, n, eps):
     """The typical subspace of rho^(x)n as a reduced report reads it.
 
     The typical classes of rho's eigh spectrum, clipped at 0 and normalized,
     over its weight groups, give its rank, rank bound 2^(n (S + eps)) and
-    mass; `_typical_indicator` marks its multi-indices in the Kronecker
+    mass; `typical_indicator` marks its multi-indices in the Kronecker
     eigenbasis.
     """
     w, v = np.linalg.eigh(rho)
@@ -260,7 +279,7 @@ def output_subspace(rho, n, eps):
     w /= np.sum(w)
     entropy, classes = typical_classes(w, n, eps)
     return OutputSubspace(eigenvalues=w, eigenvectors=v, n=n,
-                          indicator=tp._typical_indicator(w.size, tp._weight_groups(w), classes, n),
+                          indicator=typical_indicator(w.size, tp._weight_groups(w), classes, n),
                           rank=sum(c.sequence_count for c in classes),
                           rank_bound=tp._power_of_two(n * (entropy + eps)),
                           mass=tp._class_mass(classes))
@@ -462,18 +481,12 @@ def test_reduced_channel_identity():
 def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     """Compare every report field with the dense oracle; assert the branch taken."""
     spy = mock.Mock(wraps=tp._sequence_sum)
-    indicator = mock.Mock(wraps=tp._typical_indicator)
     monkeypatch.setattr(tp, "_sequence_sum", spy)
-    monkeypatch.setattr(tp, "_typical_indicator", indicator)
     rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
-    # one sum over the Kraus group factors; on the diagonal branch the
-    # indicator's sum of 0/1 group indicators is the other, while the dense
-    # branch contracts the projector by output type and forms no indicator
-    kraus_calls = [call for call in spy.call_args_list
-                   if not np.isin(call.args[0], (0.0, 1.0)).all()]
-    assert spy.call_count == (2 if diagonal else 1) and len(kraus_calls) == 1
-    assert indicator.call_count == (1 if diagonal else 0)
-    assert kraus_calls[0].args[0].ndim == (2 if diagonal else 3)
+    # one sum over the Kraus group factors, vectors on the diagonal branch and
+    # matrices on the dense one; both contract the projector by output type
+    assert spy.call_count == 1
+    assert spy.call_args.args[0].ndim == (2 if diagonal else 3)
     dense = typical_kraus_channel(ch, n, eps, project=True)
     out = qch.apply(dense, linalg.max_mixed(2**n))
     assert rep.length == len(dense.kraus_ops)
@@ -509,6 +522,13 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
     check_report_against_oracle(monkeypatch, ch, 6, 0.1, diagonal=False)
 
 
+def joined_halves(factors, classes, n):
+    """Oracle: sum_c L_c (x) R'_c joined from `_sequence_sum`'s halves (first factor major)."""
+    lefts, rights, pairing = tp._sequence_sum(factors, classes, n)
+    return sum(np.kron(left, sum(rights[j] for j in columns))
+               for left, columns in zip(lefts, pairing))
+
+
 @pytest.mark.parametrize("channel, diagonal, ns", [
     ("builtin:haar_random:2,2,3,1", False, (1, 3, 5, 8, 9)),   # 2 classes at n=5, 8; 3 at n=9
     ("builtin:phase_flip:0.25", True, (4, 5, 7, 8)),           # one class each
@@ -516,7 +536,8 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
     ("builtin:depolarizing:0.3,3", True, (4,)),                # groups of 1 and 8 symbols
 ])
 def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
-    # the sum over group sequences of the group factors equals the per-symbol enumeration
+    # the halves of the sum over group sequences of the group factors, joined,
+    # equal the per-symbol enumeration
     base, weights = qch.minimal_kraus(cli._parse_builtin(channel, 0))
     rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
     factors = tp._output_factor_matrices(base, linalg.eigh(rho_out)[1])
@@ -528,16 +549,18 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
             continue
         chosen, _ = brute_force_typical(tuple(weights), n, 0.1)
         oracle = sum(functools.reduce(np.kron, factors[list(seq)]) for seq in chosen)
-        got = tp._sequence_sum(tp._group_sums(factors, tp._weight_groups(weights)), classes, n)
+        got = joined_halves(tp._group_sums(factors, tp._weight_groups(weights)), classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 @st.composite
-def dense_branch_cases(draw):
-    """Random PSD group factors, an output partition and random Kraus and output class sets.
+def reduced_norm_cases(draw):
+    """Random group factors, an output partition and random Kraus and output class sets.
 
-    Symbols labelled -1 belong to no output group, as zero output weights do.
+    The factors are PSD matrices (the dense branch) or the nonnegative
+    diagonals of such (the diagonal branch).  Symbols labelled -1 belong to
+    no output group, as zero output weights do.
     """
     dim = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 8 if dim == 2 else 5))
@@ -553,17 +576,20 @@ def dense_branch_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (kraus_groups, dim, dim)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return (x @ x.conj().transpose(0, 2, 1), [tp.TypeClass(c, 0.0, 1) for c in classes],
-            output_groups, [tp.TypeClass(c, 0.0, 1) for c in output_classes], n)
+    factors = x @ x.conj().transpose(0, 2, 1)
+    if draw(st.booleans()):
+        factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
+    return (factors, output_groups, n, [tp.TypeClass(c, 0.0, 1) for c in classes],
+            [tp.TypeClass(c, 0.0, 1) for c in output_classes])
 
 
-def masked_join_norms(factors, classes, output_groups, output_classes, n):
-    """Oracle: the full M'^n x M'^n join of the halves, masked by brute-force output typicality."""
+def masked_join_norms(factors, output_groups, n, classes, output_classes):
+    """Oracle: the full M'^n-dimensional join of the halves, masked by brute-force typicality.
+
+    A joined vector is the diagonal of the operator it stands for.
+    """
     dim = factors.shape[-1]
-    lefts, rights, pairing = tp._sequence_sum(factors, classes, n, join=lambda *halves: halves)
-    sums = np.stack([sum(rights[j] for j in columns) for columns in pairing])
-    joined = np.tensordot(np.stack(lefts), sums, axes=(0, 0))
-    full = joined.transpose(0, 2, 1, 3).reshape(dim**n, dim**n)
+    full = joined_halves(factors, classes, n)
     group_of = {int(a): g for g, group in enumerate(output_groups) for a in group}
     typical = {cls.counts for cls in output_classes}
     mask = np.zeros(dim**n, dtype=bool)
@@ -571,17 +597,20 @@ def masked_join_norms(factors, classes, output_groups, output_classes, n):
         if all(a in group_of for a in seq):
             counts = collections.Counter(group_of[a] for a in seq)
             mask[index] = tuple(counts[g] for g in range(len(output_groups))) in typical
-    kept = full[np.ix_(mask, mask)]
+    kept = np.diag(full[mask]) if full.ndim == 1 else full[np.ix_(mask, mask)]
     return float(np.real(np.trace(kept))), float(np.sum(np.abs(kept) ** 2))
 
 
-@given(dense_branch_cases())
-@example((np.eye(2)[None] + 0.5, [tp.TypeClass((1,), 0.0, 1)], [np.array([1])],
-          [tp.TypeClass((1,), 0.0, 1)], 1))        # n = 1; symbol 0 in no output group
-@settings(max_examples=80, deadline=None, derandomize=True)
+@given(reduced_norm_cases())
+@example((np.eye(2)[None] + 0.5, [np.array([1])], 1, [tp.TypeClass((1,), 0.0, 1)],
+          [tp.TypeClass((1,), 0.0, 1)]))        # n = 1; symbol 0 in no output group
+@example((np.array([[1.5, 0.5]]), [np.array([1])], 1, [tp.TypeClass((1,), 0.0, 1)],
+          [tp.TypeClass((1,), 0.0, 1)]))        # the same on the diagonal branch
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_dense_norms_match_the_masked_join(case):
-    # the contraction by output type against the full join of the same halves plus the mask
-    got = tp._dense_norms(*case)
+    # the contraction by output type, of matrices (the dense branch) or vectors
+    # (the diagonal one), against the full join of the same halves plus the mask
+    got = tp._reduced_norms(*case)
     want = masked_join_norms(*case)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
@@ -623,11 +652,14 @@ def test_report_series_equals_single_reports(make_channel):
 
 
 def test_report_series_refuses_a_capped_range_before_any_report():
-    # n = 22..25 fit the diagonal branch, n = 26 does not: the series checks its top n first
-    start = time.perf_counter()
-    with pytest.raises(CapExceededError, match="n=99999999"):
-        tp.reduced_channel_reports(qch.phase_flip(0.1), range(22, 10**8), 0.1)
-    assert time.perf_counter() - start < 0.1
+    # n = 22..42 fit the diagonal branch, n = 43 does not: the series checks its top n
+    # first, from its half-block dimension alone, then from its predicted peak
+    for ns, message in [(range(22, 10**8), r"n=99999999, half-block dimension 2\^5e\+07,"),
+                        (range(22, 44), "diagonal reduced report at n=43,")]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=message):
+            tp.reduced_channel_reports(qch.phase_flip(0.1), ns, 0.1)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_reduced_report_beyond_sequence_cap():
