@@ -171,35 +171,44 @@ def _nonzero(spectrum: np.ndarray) -> np.ndarray:
     return spectrum > GRAM_RANK_RTOL * top if top > 0.0 else np.zeros(spectrum.shape, dtype=bool)
 
 
+def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one decision of a Gram spectrum, and the unitary that reaches it, if any.
+
+    A Gram matrix whose off-diagonal is within 1e-10 is taken as diagonal:
+    its diagonal is the spectrum, and no recombination (None) is needed.
+    Else eigh's eigenvalues and eigenvectors, in decreasing order.
+    """
+    if len(h) > 1 and np.max(np.abs(h - np.diag(np.diagonal(h)))) > COMPLETENESS_ATOL:
+        w, v = np.linalg.eigh(h)
+        return w[::-1], v[:, ::-1]
+    return np.real(np.diagonal(h)), None
+
+
 def minimal_length(ch: KrausChannel) -> int:
-    """Minimal number of Kraus operators: the rank of the Gram matrix (`_nonzero` eigenvalues)."""
-    return int(np.count_nonzero(_nonzero(np.linalg.eigvalsh(gram_matrix(ch)))))
+    """Minimal number of Kraus operators: the `_nonzero` values of the `_gram_spectrum`."""
+    return int(np.count_nonzero(_nonzero(_gram_spectrum(gram_matrix(ch))[0])))
 
 
 def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     """The minimal diagonal Kraus family and its weights tr(A_k^dagger A_k)/M.
 
-    The one place where a Gram spectrum is decided, from one Gram matrix: a
-    family whose Gram off-diagonal is within 1e-10 is kept, its diagonal the
-    weights; else one product with the Gram eigenvectors recombines the
-    flattened stack unitarily, in decreasing weight, the eigenvalues the
-    weights.  Operators whose weight is not `_nonzero` are dropped, unless all
-    are (an all-zero family comes back whole).  The channel action is kept;
-    for a trace-preserving channel the weights are a distribution whose
-    Shannon entropy is the entropy exchange at the uniform input.
+    From one Gram matrix and its `_gram_spectrum`: a diagonal family is kept,
+    else one product with the Gram eigenvectors recombines the flattened
+    stack unitarily, in decreasing weight, the eigenvalues the weights.
+    Operators whose weight is not `_nonzero` are dropped, unless all are (an
+    all-zero family comes back whole).  The channel action is kept; for a
+    trace-preserving channel the weights are a distribution whose Shannon
+    entropy is the entropy exchange at the uniform input.
     """
     # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors;
     # the stack, its recombination and re-stacking (measured 3.0 N^2 + 3 stacks)
     linalg.check_entries(4 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
                          f"Gram matrix diagonalization of {len(ch)} Kraus operators")
-    h = gram_matrix(ch)
-    if len(ch) > 1 and np.max(np.abs(h - np.diag(np.diagonal(h)))) > COMPLETENESS_ATOL:
-        w, v = np.linalg.eigh(h)
-        spectrum, flat = w[::-1], kraus_stack(ch).reshape(len(ch), -1)
+    spectrum, rotation = _gram_spectrum(gram_matrix(ch))
+    if rotation is not None:
+        flat = kraus_stack(ch).reshape(len(ch), -1)
         ch = KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                          kraus_ops=(v[:, ::-1].T @ flat).reshape(kraus_stack(ch).shape))
-    else:
-        spectrum = np.real(np.diagonal(h))
+                          kraus_ops=(rotation.T @ flat).reshape(kraus_stack(ch).shape))
     keep = _nonzero(spectrum)
     if keep.all() or not keep.any():
         return ch, spectrum / ch.input_dim

@@ -34,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codes, linalg
-from .channels import ChannelInfoReport, KrausChannel, _nonzero, _uniform_output, gram_matrix
+from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _nonzero, _uniform_output,
+                       gram_matrix)
 from .errors import InvariantViolationError
+from .typicality import _power_of_two
 
 # Samples per chunk of the sampling loop.  Monte Carlo over codes also caps a
 # chunk at about _CHUNK_ENTRIES complex entries (4 MiB) of the per-code arrays
@@ -144,8 +146,8 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     N(pi) = V V^dagger / M with V = [A_1 ... A_N], so
     sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
     replaces the N^2 Gram products of the exact average.  The Gram matrix
-    G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of its
-    `_nonzero` eigenvalues (as `minimal_length` counts them).
+    G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of the
+    `_nonzero` values of its `_gram_spectrum` (as `minimal_length` counts them).
     """
     m = ch.input_dim
     if m < 2:
@@ -158,7 +160,7 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     sum_tr = float(np.sum(np.abs(gram) ** 2))
     deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
     transmission = float(np.real(np.trace(image)))
-    length = int(np.count_nonzero(_nonzero(np.linalg.eigvalsh(gram))))
+    length = int(np.count_nonzero(_nonzero(_gram_spectrum(gram)[0])))
     penalty = math.sqrt(code_dim * length * fro_sq)
     return ClosedForms(deviation_sq=deviation_sq, upper_bound=fro_sq,
                        fidelity_bound=transmission - penalty)
@@ -286,9 +288,10 @@ def hamming_rate_curve(info: ChannelInfoReport, output_dim: int, rate: float, ns
     if not info.is_unital:
         raise InvariantViolationError("rate curve is defined for unital channels")
     length = info.length
-    base = (2.0**rate) * length / output_dim
-    rows = tuple(HammingPoint(n=int(n), bound=1.0 - base ** (n / 2.0)) for n in ns)
     capacity_bound = math.log2(output_dim) - math.log2(length)
+    # (2^R |N| / |Q'|)^(n/2) in the log domain, so that a large n does not overflow
+    rows = tuple(HammingPoint(n=int(n), bound=1.0 - _power_of_two((rate - capacity_bound) * n / 2))
+                 for n in ns)
     return HammingCurve(rate=rate, kraus_length=length, output_dim=output_dim,
                         capacity_bound=capacity_bound, converges=rate < capacity_bound,
                         rows=rows)

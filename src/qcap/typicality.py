@@ -20,7 +20,10 @@ once, and never enumerates sequences nor forms an M'^n-dimensional vector or
 matrix: the sum over the typical Kraus sequences is built class by class on
 the two halves of the block (`_sequence_sum`), and the projector, split by
 the output types of prefix and suffix, is contracted with the halves type
-by type (`_reduced_norms`).
+by type (`_reduced_norms`).  The halves are matrices, or vectors when every
+factor is diagonal in the output eigenbasis; a diagonal operator is the case
+whose off-type blocks vanish, so one contraction and one peak prediction
+(`_checked_types`, in k = 1 for vectors and k = 2 for matrices) serve both.
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
@@ -261,16 +264,17 @@ def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
     return grown_level
 
 
-def _sequence_sum(factors: np.ndarray, classes, n: int):
+def _sequence_sum(factors: np.ndarray, classes, n: int, kept=None):
     """Halves of the sum over the sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
     `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
     one per weight group: the sum of its symbols' factors, so that a group
     sequence sums all its symbol sequences.  S_m(c), the sum over length-m
     sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
-    only compositions below some typical class are kept (`_kept_levels`).  A
-    sequence of type T splits into a prefix of length h = n // 2 and type
-    c <= T and a suffix of type T - c, so the sum is
+    only compositions below some typical class are kept (`_kept_levels`,
+    passed as ``kept`` by a caller that has them).  A sequence of type T
+    splits into a prefix of length h = n // 2 and type c <= T and a suffix of
+    type T - c, so the sum is
     sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
     stops at level r, and the sum is not formed: the result is (lefts,
     rights, pairing), the S_h(c), the S_r(d) and, for each prefix c, the
@@ -279,7 +283,7 @@ def _sequence_sum(factors: np.ndarray, classes, n: int):
     """
     tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
-    kept = _kept_levels(tops, n, r)
+    kept = kept or _kept_levels(tops, n, r)
     level = {(0,) * len(factors): np.ones((1,) * (factors.ndim - 1), dtype=factors.dtype)}
     halves = {0: level}
     for m in range(1, r + 1):
@@ -316,152 +320,119 @@ def _type_sets(groups, dim: int, m: int, types) -> list[np.ndarray]:
     return [np.flatnonzero(ids == index[counts]) for counts in types]
 
 
-def _type_traces(blocks, index_sets) -> np.ndarray:
-    """(C, U): the trace of each matrix over each set of indices."""
-    diagonal = np.stack([np.real(np.diagonal(block)) for block in blocks])
-    return np.stack([diagonal[:, rows].sum(axis=1) for rows in index_sets], axis=1)
+def _type_blocks(operators, combos, index_sets):
+    """Per index set u, the traces over u of X_c = sum_{d in combos[c]} operators[d], and Grams.
 
-
-def _block_grams(blocks, index_sets, mix=None):
-    """For each pair (u, u') of index sets, row-major, the (C, C) Gram matrix of its blocks.
-
-    Its (c, d) entry is sum_{i in u, j in u'} X_c[i, j] conj(X_d[i, j]), where
-    X_c is blocks[c], or with a (C, len(blocks)) `mix` the combination
-    sum_e mix[c, e] blocks[e].  The rows of set u are copied once per u.
+    Set u's rows of every X_c are gathered straight into one strip, so no
+    X_c is formed whole.  The (C, C) Gram matrix of a block has (c, d) entry
+    sum over the block of X_c conj(X_d): for matrices one per (u, u') block,
+    u' in set order; for diagonal operators given by their diagonals only
+    that of the (u, u) block, since their off-type blocks vanish.
     """
     for rows in index_sets:
-        strip = np.empty((len(blocks), len(rows), blocks[0].shape[1]), dtype=blocks[0].dtype)
-        for row, block in zip(strip, blocks):
-            row[...] = block[rows]
-        for cols in index_sets:
-            part = strip[:, :, cols].reshape(len(blocks), -1)
-            if mix is not None:
-                part = mix @ part
-            yield part @ part.conj().T
+        first = operators[0]
+        strip = np.zeros((len(combos), len(rows), *first.shape[1:]), dtype=first.dtype)
+        for row, combo in zip(strip, combos):
+            for d in combo:
+                row += operators[d][rows]
+        if strip.ndim == 2:
+            diagonal, blocks = strip, [strip]
+        else:
+            diagonal = strip[:, np.arange(len(rows)), rows]
+            blocks = (strip[:, :, cols].reshape(len(strip), -1) for cols in index_sets)
+        yield np.real(diagonal).sum(axis=1), [block @ block.conj().T for block in blocks]
 
 
-def _projected_norms(lefts, rights, pairing, prefix_sets, suffix_sets,
-                     pairs: np.ndarray) -> tuple[float, float]:
-    """tr(P S P) and ||P S P||_F^2 for S = sum_c L_c (x) R'_c, never forming S.
+def _paired_suffix(rights, pairing, suffix_sets, pairs: np.ndarray):
+    """The suffix half met with the pairs: pairs @ its (V, C) traces, and (pairs^(x)k) beta.
 
-    L_c = lefts[c] and the rights are Hermitian; R'_c sums the rights[d] for
-    d in pairing[c].  E_u is the diagonal projector onto prefix_sets[u], E'_v
-    the one onto suffix_sets[v], and P = sum over the pairs (u, v) with
-    pairs[u, v] = 1 of E_u (x) E'_v.  Then tr(PSP) = sum_c sum_(u,v)
-    tr(E_u L_c) tr(E'_v R'_c), and ||PSP||_F^2 = tr(PSPS) = sum_(c,d) sum
-    over pairs (u, v) and (u', v') of alpha_cd(u, u') beta_cd(v, v'), where
-    alpha_cd(u, u') sums L_c conj(L_d), entry by entry, over the (u, u')
-    block (`_block_grams`) and beta does the same over R'.  Each term
-    tr(V_c V_d), V_c = P (L_c (x) R'_c) P, is >= 0, so the sum does not
-    cancel.  beta is held for all (v, v') and the pairs are applied to it,
-    W_uu' = sum_(v,v') pairs[u, v] pairs[u', v'] beta(v, v'), one prefix type
-    u at a time; each alpha(u, u') is formed only to be contracted with W_uu'.
+    beta holds the Grams of the suffix blocks (`_type_blocks`); the rows of
+    (pairs^(x)k) beta come one prefix block at a time, row-major.  The pairs
+    meet one factor of beta at a time, and beta lives only until the first.
     """
-    paired = np.zeros((len(lefts), len(rights)))
-    for row, columns in zip(paired, pairing):
-        row[columns] = 1.0
-    transmission = np.sum((_type_traces(lefts, prefix_sets) @ pairs)
-                          * (paired @ _type_traces(rights, suffix_sets)))
-    u, v = pairs.shape
-    beta = np.empty((v * v, len(lefts) ** 2), dtype=lefts[0].dtype)
-    for row, gram in zip(beta, _block_grams(rights, suffix_sets, paired)):
-        row[...] = gram.reshape(-1)
-    half = pairs @ beta.reshape(v, -1)      # half[u] = sum_v pairs[u, v] beta(v, .)
-    del beta        # so that it is not held beside the prefix blocks' copies
-    alphas = _block_grams(lefts, prefix_sets)
-    frobenius_sq = 0.0
-    for a in range(u):
-        for weights in pairs @ half[a].reshape(v, -1):
-            frobenius_sq += float(np.real(np.einsum("k,k->", next(alphas).reshape(-1), weights)))
-    return float(transmission), frobenius_sq
-
-
-def _vector_norms(lefts, rights, pairing, prefix_sets, suffix_sets,
-                  pairs: np.ndarray) -> tuple[float, float]:
-    """`_projected_norms` for a diagonal S, each L_c and rights[d] given by its diagonal.
-
-    Off-type blocks of a diagonal operator vanish, so with t_c(u) the sum of
-    l_c = lefts[c] over prefix_sets[u] and alpha_cd(u) = sum_{i in u}
-    l_c[i] l_d[i], and t'_c(v) and beta_cd(v) the same sums of R'_c over
-    suffix_sets[v]: tr(PSP) = sum_c sum_(u,v) pairs[u, v] t_c(u) t'_c(v) and
-    ||PSP||_F^2 = sum_(u,v) pairs[u, v] <alpha(u), beta(v)>; all entries are
-    >= 0.  One set at a time, its entries are gathered straight into the R'_c.
-    """
-    def grams(index_sets, terms):   # per set, the sums and Gram matrix of x_c = sum(terms[c])
-        for rows in index_sets:
-            strip = np.zeros((len(terms), len(rows)))
-            for row, vectors in zip(strip, terms):
-                for vector in vectors:
-                    row += vector[rows]
-            yield strip.sum(axis=1), strip @ strip.T
-
-    sums, beta = map(np.stack, zip(*grams(suffix_sets, [[rights[d] for d in c] for c in pairing])))
-    t, alpha = map(np.stack, zip(*grams(prefix_sets, [[left] for left in lefts])))
-    transmission = np.sum(t * (pairs @ sums))       # row u of pairs @ x sums the x(v) paired with u
-    frobenius_sq = np.sum(alpha.reshape(len(alpha), -1) * (pairs @ beta.reshape(len(beta), -1)))
-    return float(transmission), float(frobenius_sq)
+    v, k = len(suffix_sets), rights[0].ndim
+    traces = np.empty((v, len(pairing)))
+    beta = np.empty((v, v ** (k - 1), len(pairing) ** 2), dtype=rights[0].dtype)
+    for row, rows, (t, grams) in zip(traces, beta, _type_blocks(rights, pairing, suffix_sets)):
+        row[...] = t
+        for gram_row, gram in zip(rows, grams):
+            gram_row[...] = gram.reshape(-1)
+    half = pairs @ beta.reshape(v, -1)
+    return pairs @ traces, (iter(half) if k == 1 else
+                            (row for part in half for row in pairs @ part.reshape(v, -1)))
 
 
 def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
-                   output_classes) -> tuple[list, list]:
-    """The kept prefix and suffix output types at n, once the report's predicted peak is checked.
+                   output_classes) -> tuple[list, list, list]:
+    """The kept Kraus levels and output types at n, once the report's predicted peak is checked.
 
-    Only the output types below some typical output class (`_kept_levels`)
-    enter: U of length h = n // 2 and V of length r = n - h, the largest of
-    B multi-indices (`_class_size`).  From the kept Kraus composition counts
-    K_m: the recursion holds levels r - 1 and r and a term, K_(r-1) D_(r-1) +
-    (K_r + 1) D_r entries with D_m = M'^m for vectors, M'^(2m) for matrices,
-    beside the G group factors; the type ids and sets add 2 (M'^h + M'^r).
-    Vectors add one type's entries of the K_h sums and a term, the (V, K_h^2)
-    suffix Grams and their copy, the prefix ones likewise, what the pairs
-    make of the first and its product with the second, and the type sums.
-    Matrices add the pairing, a copy of the rows of the largest type (n of
-    them) per half sum, up to three copies of a type block of B <= n^2
-    entries per half sum, the (V^2, K_h^2) suffix Grams, which the pairs
-    make (U, V K_h^2), and K_h^2 (U + 2) Gram entries.
+    Only the Kraus compositions and output types below some typical class
+    (`_kept_levels`) enter: K_m Kraus compositions of each length m, U output
+    types of length h = n // 2 and V of length r = n - h, the largest of B
+    multi-indices (`_class_size`).  With k = 1 for factors given by their
+    diagonals and k = 2 for matrices, a length-m half sum has D_m = M'^(k m)
+    entries.  The recursion holds levels r - 1 and r and a term,
+    K_(r-1) D_(r-1) + (K_r + 1) D_r entries, beside the G group factors; the
+    type ids and sets add 2 (M'^h + M'^r), the pairing K_h K_r.  The
+    contraction holds one set's rows of the K_h paired sums and a term,
+    (K_h + 1) B M'^((k-1) r); for matrices a type block's copy and its
+    conjugate, 2 (k - 1) K_h B^k; the V^k suffix Grams of K_h^2 entries and
+    what the pairs make of them, U V^(k-1) more; and 2 U + 2 Grams beside:
+    a prefix type's and their weights.
     """
-    dim, h, r = factors.shape[-1], n // 2, n - n // 2
-    kraus = [len(level) for level in _kept_levels([cls.counts for cls in classes], n, r)]
+    k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
+    kraus = _kept_levels([cls.counts for cls in classes], n, r)
     output = _kept_levels([cls.counts for cls in output_classes], n, r)
     prefix_types, suffix_types = sorted(output[h]), sorted(output[r])
     largest = max((_class_size(output_groups, t) for t in prefix_types + suffix_types), default=0)
-    u, v = len(prefix_types), len(suffix_types)
-    if factors.ndim == 2:
-        branch, entries = "diagonal", (
-            len(factors) * dim + kraus[r - 1] * dim**(r - 1) + (kraus[r] + 1) * dim**r
-            + (kraus[h] + 1) * largest + kraus[h]**2 * (3 * u + 2 * v) + 2 * kraus[h] * (u + v))
-    else:
-        branch, entries = "dense", (
-            len(factors) * dim**2 + kraus[r - 1] * dim**(2 * r - 2)
-            + (kraus[r] + 1) * dim**(2 * r) + 3 * kraus[h] * kraus[r]
-            + (max(kraus[h], kraus[r]) + 1) * largest * dim**r
-            + (2 * kraus[h] + kraus[r]) * largest**2 + kraus[h]**2 * (v * v + u * v + u + 2))
+    u, v, low, kh, kr = (len(prefix_types), len(suffix_types),
+                         len(kraus[r - 1]), len(kraus[h]), len(kraus[r]))
+    entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
+               + 2 * (dim**h + dim**r) + kh * kr + (kh + 1) * largest * dim**(k * r - r)
+               + 2 * (k - 1) * kh * largest**k + kh**2 * (v**k + u * v**(k - 1) + 2 * u + 2))
     if classes:         # with no typical Kraus class, nothing is built
-        linalg.check_entries(entries + 2 * (dim**h + dim**r),
-                             f"{branch} reduced report at n={n}, {kraus[r]} half sums of "
-                             f"dimension {linalg.as_power_of_two(dim**r)},")
-    return prefix_types, suffix_types
+        linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
+                             f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
+    return kraus, prefix_types, suffix_types
 
 
 def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
                    output_classes) -> tuple[float, float]:
-    """transmission and frobenius_sq of the reduced output at n, from `_sequence_sum`'s halves.
+    """tr(P S P) and ||P S P||_F^2 of the reduced output at n, never forming S or P.
 
-    A multi-index is typical exactly when its prefix's output type plus its
-    suffix's is a typical output class, so the projector splits along the
-    halves, contracted type by type as the vectors or matrices `factors` holds.
+    S = sum_c L_c (x) R'_c from `_sequence_sum`'s halves: L_c = lefts[c], R'_c
+    the sum of rights[d] for d in pairing[c], all Hermitian matrices (k = 2),
+    or diagonal ones given by their diagonals (k = 1).  A multi-index is
+    typical exactly when its prefix's output type u plus its suffix's v is a
+    typical output class, so P = sum over the pairs (u, v) with pairs[u, v] = 1
+    of E_u (x) E'_v, the diagonal projectors onto prefix and suffix type sets.
+    Then tr(PSP) = sum_c sum_(u,v) pairs[u, v] tr(E_u L_c) tr(E'_v R'_c), and
+    ||PSP||_F^2 = tr(PSPS) = sum_(c,d) sum over prefix blocks b and suffix
+    blocks b' of alpha_cd(b) (pairs^(x)k)[b, b'] beta_cd(b'), where alpha_cd(b)
+    sums L_c conj(L_d), entry by entry, over block b and beta does the same
+    over R' (`_type_blocks`); a block is a pair of types for matrices, one
+    type for diagonals.  Each term tr(V_c V_d), V_c = P (L_c (x) R'_c) P, is
+    >= 0, so the sum does not cancel.  Each alpha(b) is formed only to be
+    contracted with its row of `_paired_suffix`.
     """
-    prefix_types, suffix_types = _checked_types(factors, output_groups, n, classes, output_classes)
+    kept, prefix_types, suffix_types = _checked_types(factors, output_groups, n, classes,
+                                                      output_classes)
     if not output_classes:
         return 0.0, 0.0
     dim, h = factors.shape[-1], n // 2
-    prefix_sets = _type_sets(output_groups, dim, h, prefix_types)
-    suffix_sets = _type_sets(output_groups, dim, n - h, suffix_types)
     typical = {cls.counts for cls in output_classes}
     pairs = np.array([[tuple(map(int.__add__, a, b)) in typical for b in suffix_types]
                       for a in prefix_types], dtype=float)
-    contract = _vector_norms if factors.ndim == 2 else _projected_norms
-    return contract(*_sequence_sum(factors, classes, n), prefix_sets, suffix_sets, pairs)
+    lefts, rights, pairing = _sequence_sum(factors, classes, n, kept)
+    paired_traces, weights = _paired_suffix(
+        rights, pairing, _type_sets(output_groups, dim, n - h, suffix_types), pairs)
+    traces, frobenius_sq = [], 0.0
+    for t, alphas in _type_blocks(lefts, [[c] for c in range(len(lefts))],
+                                  _type_sets(output_groups, dim, h, prefix_types)):
+        traces.append(t)
+        for alpha in alphas:
+            frobenius_sq += float(np.real(np.sum(alpha.reshape(-1) * next(weights))))
+    return float(np.sum(np.array(traces) * paired_traces)), frobenius_sq
 
 
 def _block_lengths(ns) -> tuple:
@@ -476,10 +447,10 @@ def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedCh
     Works in the eigenbasis of the single-use output state, where the typical
     projector is diagonal.  When every factor matrix is diagonal there too
     (unitary mixtures and friends) the halves of the block are vectors of
-    length at most M'^r with r = n - n // 2, else M'^r x M'^r matrices
-    (`_reduced_norms`).  Sequences are summed by type class, never
-    enumerated, so only the peak and the number of type classes are capped,
-    not the typical set.  The n-independent work runs once.
+    length at most M'^r with r = n - n // 2, else M'^r x M'^r matrices; one
+    contraction serves both (`_reduced_norms`).  Sequences are summed by type
+    class, never enumerated, so only the peak and the number of type classes
+    are capped, not the typical set.  The n-independent work runs once.
     """
     return _reduced_series(ch, ns, eps)[2]
 
@@ -488,9 +459,10 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
 
     Before any class is enumerated, the top n's half block is refused from
-    r log2 M' alone; before any report, so are the top n's peak and more than
-    2^16 kept Kraus compositions in all, at most C(r + G, G) per n over G
-    groups (this bounds a one-dimensional output).  The report's eigvalsh
+    r log2 M' alone, and so are more than 2^16 kept Kraus compositions in
+    all, at most C(r + G, G) per n over G groups (this bounds a
+    one-dimensional output).  The top n's report is built first, so its peak
+    is checked before any other report is built.  The report's eigvalsh
     gives S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output
     classes, read at its own entropy.  The Kraus classes read `info`'s S_e.
     """
@@ -517,10 +489,6 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
     factors = _group_sums(factors, kraus_groups)
 
-    def classes_at(n):
-        return (_typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps),
-                _typical_classes(spectrum, output_groups, output_entropy, n, eps))
-
     kept = 0
     for n in ns:
         if n < 1:
@@ -529,21 +497,21 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         if kept > _COMPOSITION_CAP:
             raise CapExceededError(f"type classes of {len(kraus_groups)} weight groups kept through"
                                    f" n={n} exceed cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
-    _checked_types(factors, output_groups, top, *classes_at(top))
-    reports = []
-    for n in ns:
-        classes, output_classes = classes_at(n)
+    reports = {}
+    for n in sorted(set(ns), key=lambda n: (n != top, n)):      # the top n first
+        classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
+        output_classes = _typical_classes(spectrum, output_groups, output_entropy, n, eps)
         count = sum(c.sequence_count for c in classes)
         transmission = frobenius_sq = 0.0
         if count:
             transmission, frobenius_sq = _reduced_norms(factors, output_groups, n, classes,
                                                         output_classes)
-        reports.append(ReducedChannelReport(
+        reports[n] = ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
             length_bound=_power_of_two(n * (info.entropy_exchange + eps)),
             transmission=transmission, frobenius_sq=frobenius_sq,
-            frobenius_bound=_power_of_two(-n * (info.output_entropy - 3.0 * eps))))
-    return info, weights, tuple(reports)
+            frobenius_bound=_power_of_two(-n * (info.output_entropy - 3.0 * eps)))
+    return info, weights, tuple(reports[n] for n in ns)
 
 
 @dataclass(frozen=True)
@@ -636,7 +604,9 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
     for rep in reports:
         n = rep.n
         code_dim = int(math.floor(2.0 ** (n * rate)))
-        penalty = math.sqrt(code_dim * rep.length) * math.sqrt(rep.frobenius_sq)
+        # sqrt(K_n * length) in the log domain: the product may pass the float range
+        log2_size = math.log2(code_dim * rep.length) if rep.length else -math.inf
+        penalty = _power_of_two(0.5 * log2_size) * math.sqrt(rep.frobenius_sq)
         rows.append(RateRow(
             n=n, code_dim=code_dim, reduced_length=rep.length,
             transmission=rep.transmission, penalty=penalty,

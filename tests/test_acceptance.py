@@ -6,8 +6,6 @@ Statistical checks use 4 standard errors on seeded, reproducible streams.
 """
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from qcap import channels as qch
 from qcap import codes, linalg
 from qcap import random_coding as rc
 from qcap import typicality as tp
+from test_cli import run_with_blas_threads
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -203,13 +202,9 @@ def test_criterion_09_achievable_rate_trend():
 
 
 def test_criterion_10_cli_determinism():
-    base = [sys.executable, "-m", "qcap.cli", "ensemble",
-            "--channel", "builtin:haar_random:2,2,2", "--code-dim", "2",
+    # child processes whose BLAS runs one and two threads print the same bytes
+    argv = ["ensemble", "--channel", "builtin:haar_random:2,2,2", "--code-dim", "2",
             "--samples", "128", "--seed", "777"]
-    runs = []
-    for threads in ("1", "8"):
-        proc = subprocess.run(base + ["--threads", threads],
-                              capture_output=True, check=True)
-        runs.append(proc.stdout)
+    runs = [run_with_blas_threads(argv, threads) for threads in (1, 2)]
     ok = runs[0] == runs[1] and len(runs[0]) > 0
-    _verdict(10, "CLI determinism across thread counts", ok)
+    _verdict(10, "CLI determinism across BLAS thread counts", ok)

@@ -330,6 +330,8 @@ def test_diagonalize_preserves_action(seed):
     gram = qch.gram_matrix(out)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert qch.channels_equal(ch, out)
+    # one Gram spectrum decides the length wherever it is read
+    assert qch.minimal_length(ch) == qch.classify(ch).length == len(out)
 
 
 def test_minimal_length_identity():

@@ -455,6 +455,21 @@ def test_large_block_length_is_a_cap(capsys, argv):
         assert "half-block dimension 2^550," in err
 
 
+@pytest.mark.parametrize("n, exit_code", [("1100", 0), ("3000", 2)])
+def test_rate_demo_past_the_float_range(capsys, n, exit_code):
+    # a one-dimensional output: sqrt(K_n length) and the unital curve's (2^R |N| / M')^(n/2)
+    # are formed in the log domain, so n = 1100 reports a finite penalty, and n = 3000
+    # an infinite one, which the report refuses as it refuses any non-finite float
+    code, out, err = run_cli(capsys, "rate-demo", "--channel", "builtin:haar_random:2,1,2",
+                             "--rate", "0", "--epsilon", "0.1", "--n-min", n, "--n-max", n,
+                             "--seed", "1")
+    assert code == exit_code and "Traceback" not in err
+    if exit_code == 0:
+        assert err == "" and math.isfinite(json.loads(out)["rows"][0]["penalty"])
+    else:
+        assert out == "" and err == "error: report.rows[0].penalty is inf, not a finite number\n"
+
+
 @pytest.mark.parametrize("channel, n_min, n_max, cap", [
     # C(259, 4) ~ 1.8e8 type classes over 256 Kraus weights: refused before enumerating
     ("builtin:haar_random:16,16,256,1", "4", "4", "cap 2^16"),
@@ -696,12 +711,14 @@ def run_with_blas_threads(argv, threads: int) -> bytes:
 
 
 def test_thread_count_does_not_change_bytes():
-    # one and two BLAS threads: the ensemble's kernels and, past n = 12, the dense
-    # reduced report's type-block GEMMs
+    # one and two BLAS threads: the ensemble's kernels and the reduced reports'
+    # type-block GEMMs, on the dense branch past n = 12 and on the diagonal one
     for argv in (["ensemble", "--channel", "builtin:phase_flip:0.25", "--code-dim", "2",
                   "--samples", "96", "--seed", "7"],
                  ["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
-                  "--n-min", "2", "--n-max", "14", "--seed", "7"]):
+                  "--n-min", "2", "--n-max", "14", "--seed", "7"],
+                 ["rate-demo", "--channel", "builtin:phase_flip:0.1", "--rate", "0.1",
+                  "--epsilon", "0.1", "--n-min", "4", "--n-max", "24", "--seed", "7"]):
         assert run_with_blas_threads(argv, 1) == run_with_blas_threads(argv, 2)
 
 

@@ -369,7 +369,7 @@ def test_dense_reduced_report_cap_at_n19():
     rep = tp.reduced_channel_reports(ch, (18,), 1.5)[0]
     assert 0 < rep.length <= 3**18 and rep.counts_within_bound and rep.norm_within_bound
     with pytest.raises(CapExceededError, match=r"dense reduced report at n=19, 66 half sums of "
-                                               r"dimension 2\^10, needs 2\^26.763 entries"):
+                                               r"dimension 2\^10, needs 2\^26.6714 entries"):
         tp.reduced_channel_reports(ch, (19,), 1.5)[0]
 
 
