@@ -8,7 +8,8 @@
 One parser serves all six subcommands; options may precede the subcommand.
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
-byte-identical output on one numpy/BLAS build and BLAS thread count.  Exit
+byte-identical output on one numpy/BLAS build, at any BLAS thread count when
+numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
 invariant violation, 4 resource cap exceeded.
 
@@ -24,7 +25,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict
 
 from . import channels as qch
 from . import codes, linalg, random_coding as rc, serialize, typicality as tp
@@ -166,7 +166,7 @@ def cmd_info(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     report = qch.classify(ch)
     record = {"config": _config_record(args), "channel_name": ch.name,
               "input_dim": ch.input_dim, "output_dim": ch.output_dim,
-              "report": asdict(report)}
+              "report": report}
     header = ["is_trace_preserving", "is_unital", "is_uniform", "length",
               "output_entropy", "entropy_exchange", "coherent_information"]
     row = [getattr(report, h) for h in header]
@@ -185,7 +185,7 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     for i in range(samples):
         code = rc.sample_code(ch.input_dim, args.code_dim, rc.sample_stream(args.master_seed, i))
         rep = codes.bound_report(code, ch)
-        reports.append({"sample": i, **asdict(rep)})
+        reports.append({"sample": i, **vars(rep)})
     record = {"config": _config_record(args), "reports": reports}
     header = ["sample", "transmission", "deviation_trace_norm",
               "deviation_frobenius_sq", "bound_kraus", "bound_states"]
@@ -205,9 +205,9 @@ def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
     record = {
         "config": _config_record(args),
-        "deviation_sq": {"estimate": asdict(d2_mc), "closed_form": d2_exact,
+        "deviation_sq": {"estimate": d2_mc, "closed_form": d2_exact,
                          "upper_bound": closed.upper_bound, "pass": d2_pass},
-        "fidelity_bound": {"estimate": asdict(bound_mc), "closed_form": bound_analytic,
+        "fidelity_bound": {"estimate": bound_mc, "closed_form": bound_analytic,
                            "pass": bound_pass},
     }
     header = ["quantity", "mean", "std_error", "sample_count", "reference", "pass"]
@@ -223,7 +223,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(args)
     _require(args, samples="--samples")
     report = rc.haar_moment_suite(ch.input_dim, args.samples, args.master_seed)
-    record = {"config": _config_record(args), "report": asdict(report),
+    record = {"config": _config_record(args), "report": report,
               "all_pass": report.all_pass}
     header = ["name", "estimate", "std_error", "target", "passed"]
     rows = [[c.name, c.estimate, c.std_error, c.target, c.passed] for c in report.checks]
@@ -245,12 +245,12 @@ def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list
         "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
                               "mass": r.typical_transmission, "entropy": entropy}
                              for r in reports],
-        "sequence_decay": asdict(verification.typical_decay),
-        "channel_reports": [asdict(r) for r in reports],
+        "sequence_decay": verification.typical_decay,
+        "channel_reports": reports,
         "counts_within_bounds": verification.counts_within_bounds,
         "norms_within_bounds": verification.norms_within_bounds,
-        "typical_decay": asdict(verification.typical_decay),
-        "reduced_decay": asdict(verification.reduced_decay),
+        "typical_decay": verification.typical_decay,
+        "reduced_decay": verification.reduced_decay,
     }
     header = ["n", "typical_count", "count_bound", "sequence_mass", "length",
               "length_bound", "typical_transmission", "transmission",
@@ -271,10 +271,10 @@ def cmd_rate_demo(args: argparse.Namespace) -> tuple[dict, list[str], list[list]
         "config": _config_record(args),
         "coherent_information": table.info.coherent_information,
         "geometric_decay_expected": table.geometric_decay_expected,
-        "rows": [asdict(r) for r in table.rows],
+        "rows": table.rows,
     }
     if table.info.is_unital:
-        record["unital_curve"] = asdict(rc.hamming_rate_curve(table.info, ch.output_dim, args.rate, ns))
+        record["unital_curve"] = rc.hamming_rate_curve(table.info, ch.output_dim, args.rate, ns)
     header = ["n", "K_n", "reduced_length", "transmission", "penalty", "bound"]
     rows = [[r.n, r.code_dim, r.reduced_length, r.transmission, r.penalty, r.bound]
             for r in table.rows]

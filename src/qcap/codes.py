@@ -1,4 +1,4 @@
-"""Code subspaces, entanglement fidelity, and the computable fidelity lower bound.
+"""Code subspaces and the computable fidelity lower bound.
 
 A code is a K-dimensional subspace of the |Q|-dimensional channel input,
 stored as an isometry of orthonormal columns.  `bound_report` is the one
@@ -19,10 +19,15 @@ isometric relabeling that leaves the trace norm invariant.  D is assembled
 in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
 K, so the compression is exact and keeps 8-qubit demos tractable.
 
-Exact code entanglement fidelity (a maximum over recovery operations) is
-never computed here; the bound above stands in for it, together with the
-transpose-channel recovery `transpose_recovery`, whose fidelity
-F_T = sum_kl |tr(pi_C R_k A_l)|^2 the test suite checks against the bound.
+One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2
+and D for a stack of codes, and `_trace_norms` gives ||D||_1 and the state
+form's trace norm.  Exact code entanglement fidelity (a maximum over
+recovery operations) is never computed here; the bound above stands in for
+it.  The entanglement fidelity and the transpose-channel recovery
+R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}, whose fidelity
+F_T = sum_kl |tr(pi_C R_k A_l)|^2 the test suite checks against the bound,
+are reference paths in ``tests/oracles.py``.  A code compares (``==``,
+``hash``, ``in``) by identity only.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, apply, kraus_stack, stinespring_isometry
+from .channels import KrausChannel, kraus_stack, stinespring_isometry
 from .errors import DegenerateTransmissionError, InvariantViolationError
 
 ORTHONORMALITY_ATOL = 1e-10
@@ -46,7 +51,7 @@ ORTHONORMALITY_ATOL = 1e-10
 _PANEL_MULTIPLE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSubspace:
     """K-dimensional subspace of an M-dimensional space, as an M x K isometry."""
 
@@ -76,50 +81,6 @@ class CodeSubspace:
         """Span of the first code_dim canonical basis vectors."""
         return cls(ambient_dim=ambient_dim, code_dim=code_dim,
                    basis=np.eye(ambient_dim, code_dim, dtype=np.complex128))
-
-
-def normalized_projector(code: CodeSubspace) -> np.ndarray:
-    """pi_C = (projector onto the code) / K; a rank-K density operator."""
-    return (code.basis @ code.basis.conj().T) / code.code_dim
-
-
-def entanglement_fidelity(rho, ch: KrausChannel) -> float:
-    """sum_k |tr(rho A_k)|^2, valid for trace-decreasing channels as well."""
-    rho = linalg.assert_density_operator(rho)
-    if ch.input_dim != ch.output_dim:
-        raise ValueError("entanglement fidelity needs matching input/output spaces")
-    if rho.shape != (ch.input_dim, ch.input_dim):
-        raise ValueError("state dimension does not match channel input")
-    amps = np.einsum("ij,kji->k", rho, kraus_stack(ch))
-    return float(np.sum(np.abs(amps) ** 2))
-
-
-def entanglement_fidelity_via_purification(rho, ch: KrausChannel) -> float:
-    """Definitional path: overlap of a minimal purification with its image.
-
-    Cross-checks the Kraus-sum path; the two agree within 1e-9.
-    """
-    rho = linalg.assert_density_operator(rho)
-    if ch.input_dim != ch.output_dim:
-        raise ValueError("entanglement fidelity needs matching input/output spaces")
-    psi = linalg.purify(rho)                       # (r, d)
-    vec = psi.ravel()
-    total = 0.0
-    for a in ch.kraus_ops:
-        out = (psi @ a.T).ravel()
-        total += abs(np.vdot(vec, out)) ** 2
-    return float(total)
-
-
-def average_fidelity_from_fe(code_dim: int, fe: float) -> float:
-    """Average pure-state fidelity over the code, (K * Fe + 1) / (K + 1).
-
-    Written as Fe + (1 - Fe) / (K + 1): adding a nonnegative term cannot round
-    below Fe, which the quotient form does near Fe = 1.
-    """
-    if code_dim < 1:
-        raise ValueError("code_dim must be >= 1")
-    return fe + (1.0 - fe) / (code_dim + 1.0)
 
 
 def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
@@ -169,13 +130,10 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
 
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
-    """Trace norms of a Hermitian matrix, or of each one in a stack."""
-    return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=-1)
-
-
-def deviation_operator(code: CodeSubspace, ch: KrausChannel) -> np.ndarray:
-    """The Hermitian (K*N) x (K*N) block operator whose trace norm bounds recoverability."""
-    return _deviation_batch(code.basis[None], ch, dense=True)[2][0]
+    """Trace norms of a Hermitian matrix, or of each one in a stack; eigvalsh reads the lower triangle."""
+    with linalg.one_blas_thread():
+        w = np.linalg.eigvalsh(d)
+    return np.sum(np.abs(w), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -225,30 +183,5 @@ def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
         deviation_trace_norm=trace_norm_d,
         deviation_frobenius_sq=float(fro_sq[0]),
         bound_kraus=p - trace_norm_d,
-        bound_states=p_states - p_states * linalg.trace_norm(diff),
+        bound_states=p_states - p_states * float(_trace_norms(diff)),
     )
-
-
-# ------------------------------------------------------------------ recovery witness
-#
-# Not part of the bound machinery: a practical recovery map used by the test
-# suite to confirm, one-sidedly, that some recovery really achieves at least
-# the computed bound.
-
-def transpose_recovery(code: CodeSubspace, ch: KrausChannel) -> KrausChannel:
-    """Transpose-channel recovery R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}.
-
-    Trace-decreasing in general (it acts on the output support only), which
-    still witnesses a lower bound: completing it to trace-preserving can
-    only add Kraus terms and raise the entanglement fidelity.
-    """
-    pi_c = normalized_projector(code)
-    sigma = apply(ch, pi_c)
-    w, u = linalg.eigh(sigma)
-    w = np.maximum(w, 0.0)
-    inv = np.where(w > 1e-12 * max(float(w[-1]), 1e-300), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    sigma_inv_sqrt = (u * inv) @ u.conj().T
-    root_pi = code.basis @ code.basis.conj().T / math.sqrt(code.code_dim)
-    ops = tuple(root_pi @ a.conj().T @ sigma_inv_sqrt for a in ch.kraus_ops)
-    return KrausChannel(input_dim=ch.output_dim, output_dim=ch.input_dim,
-                        kraus_ops=ops, name="transpose_recovery")

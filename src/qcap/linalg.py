@@ -4,11 +4,16 @@ Everything in this module operates on plain ``numpy`` arrays (``complex128``,
 row-major) and is a pure function of its inputs.  Randomness always enters
 through an explicit ``numpy.random.Generator``; no function touches global
 RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
+Every LAPACK call in the package (eigensolvers and QR) runs under
+`one_blas_thread`, so its bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -19,6 +24,9 @@ from .errors import CapExceededError, InvariantViolationError
 # calls `check_entries` with it before allocating; a float64 or int64
 # element counts as one entry.
 ENTRY_CAP = 1 << 26
+
+# `is_hermitian` compares this many entries of m and m^dagger at a time
+_HERMITIAN_BLOCK = 1 << 16
 
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -47,61 +55,59 @@ def check_entries(entries: int, what: str) -> None:
                                f"above cap {as_power_of_two(ENTRY_CAP)}")
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product under the entry cap; its peak is the product itself."""
-    a, b = as_matrix(a), as_matrix(b)
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    check_entries(rows * cols, f"Kronecker product {as_power_of_two(rows)} x {as_power_of_two(cols)}")
-    return np.kron(a, b)
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None without them."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    for name in sorted(n for n in names if n.startswith("libscipy_openblas64_")):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Partial trace of an operator on H_A (x) H_B over the discarded factor.
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its thread count.
 
-    ``keep`` selects the surviving factor, "A" or "B".  The full trace is
-    preserved: trace(partial_trace(m)) == trace(m).
+    LAPACK rounds differently when OpenBLAS splits its work over threads, so
+    an eigensolve or QR under this pin has its one-thread bits whatever
+    OPENBLAS_NUM_THREADS says.  The library is looked up once; a count that is
+    already 1 is left alone.  Without numpy's bundled OpenBLAS (no
+    ``scipy_openblas_*_num_threads64_`` symbols) the block runs unpinned.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1] or m.shape[0] != dim_a * dim_b:
-        raise ValueError(
-            f"operator shape {m.shape} incompatible with dims ({dim_a}, {dim_b})"
-        )
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijil->jl", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    threads = _openblas_threads()
+    count = threads[0]() if threads else 1
+    if count == 1:
+        yield
+        return
+    threads[1](1)
+    try:
+        yield
+    finally:
+        threads[1](count)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
+    """Whether m is square and every entry of m - m^dagger is within ``atol``.
 
-
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of eigenvectors as columns) with
-    h == V diag(w) V^dagger up to reconstruction error <= 1e-9 * ||h||_F.
-    Rejects inputs that are not Hermitian within 1e-10.
+    Row blocks of m are compared with the column blocks of m^dagger that they
+    meet, so the temporaries are a block of `_HERMITIAN_BLOCK` entries, not
+    the whole matrix.
     """
-    h = as_matrix(h)
-    if not is_hermitian(h):
-        raise InvariantViolationError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
-
-
-def trace_norm(a) -> float:
-    """Schatten-1 norm: sum of singular values (sum |eigenvalue| if Hermitian)."""
-    a = as_matrix(a)
-    if is_hermitian(a):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def frobenius_norm(a) -> float:
-    """Schatten-2 norm sqrt(trace(A^dagger A))."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+    if m.shape[0] != m.shape[1]:
+        return False
+    rows = max(1, _HERMITIAN_BLOCK // len(m))
+    return all(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T)) <= atol
+               for i in range(0, len(m), rows))
 
 
 def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
@@ -118,19 +124,9 @@ def _psd_spectrum(m) -> np.ndarray:
     m = as_matrix(m)
     if not is_hermitian(m):
         raise InvariantViolationError("density operator is not Hermitian")
-    return _clamped_spectrum(np.linalg.eigvalsh(m))
-
-
-def assert_density_operator(rho) -> np.ndarray:
-    """Validate a density operator: Hermitian, and its spectrum a distribution (within 1e-10)."""
-    rho = as_matrix(rho)
-    assert_distribution(_psd_spectrum(rho))
-    return rho
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy of a density operator in bits: the Shannon entropy of its one-eigvalsh spectrum."""
-    return shannon_entropy(_psd_spectrum(rho))
+    with one_blas_thread():
+        w = np.linalg.eigvalsh(m)
+    return _clamped_spectrum(w)
 
 
 def assert_distribution(weights) -> np.ndarray:
@@ -150,22 +146,6 @@ def shannon_entropy(weights) -> float:
     p = assert_distribution(weights)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log2(p))) + 0.0
-
-
-def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
-    """Minimal purification of a density operator.
-
-    Returns an (r, d) array Psi with r = rank(rho); the purifying vector in
-    R (x) Q (reference-major layout) is ``Psi.ravel()`` and satisfies
-    tr_R |psi><psi| = rho and tr_Q |psi><psi| = diag of the kept eigenvalues.
-    """
-    rho = as_matrix(rho)
-    w, v = eigh(rho)
-    w = _clamped_spectrum(w)
-    keep = w > rank_tol
-    if not np.any(keep):
-        raise InvariantViolationError("cannot purify an (almost) zero operator")
-    return (np.sqrt(w[keep])[:, None] * v[:, keep].T).astype(np.complex128)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,22 +171,8 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     z = np.empty((dim, cols), dtype=np.complex128)
     z.real, z.imag = normals
     del normals     # so that the draw is not held through the QR
-    q, r = np.linalg.qr(z)
+    with one_blas_thread():
+        q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     ph = d / np.abs(d)
     return q * ph
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density operator from a normalized Wishart matrix of given rank."""
-    rank = dim if rank is None else rank
-    if not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}")
-    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / math.sqrt(2)
-    m = g @ g.conj().T
-    return m / np.real(np.trace(m))
-
-
-def max_mixed(dim: int) -> np.ndarray:
-    """The homogeneous density 1/dim on a dim-dimensional space."""
-    return np.eye(dim, dtype=np.complex128) / dim

@@ -97,11 +97,6 @@ def load_channel(path):
     return channel_from_dict(data)
 
 
-def save_channel(ch, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(channel_to_dict(ch)))
-
-
 def jsonable(obj, field: str = "report"):
     """JSON-safe data from dataclasses, numpy and complex values; raises on a non-finite float."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -478,7 +478,8 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         raise InvariantViolationError("epsilon must be positive")
     rho_out = _uniform_output(ch)
     info = _info_report(ch, weights, rho_out)
-    spectrum, basis = np.linalg.eigh(rho_out)
+    with linalg.one_blas_thread():
+        spectrum, basis = np.linalg.eigh(rho_out)
     spectrum = np.maximum(spectrum, 0.0)
     spectrum /= np.sum(spectrum)
     output_entropy = linalg.shannon_entropy(spectrum)

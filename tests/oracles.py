@@ -1,0 +1,274 @@
+"""Dense reference paths that the tests check the package's kernels against.
+
+No `qcap` command reaches these.  Each computes a quantity the definitional
+way, on full matrices: a channel's action, tensor powers and sub-channels,
+the entropy exchange through the W matrix and through a purification, the
+entanglement fidelity, the transpose-channel recovery, and extensional
+channel equality.  The package computes what the commands need with one
+kernel per quantity (`channels._uniform_output`, `channels.minimal_kraus`,
+`codes._deviation_batch`, `codes._trace_norms`); the tests compare the two.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from qcap import channels as qch
+from qcap import codes, linalg, serialize
+from qcap.errors import InvariantViolationError
+
+
+# ------------------------------------------------------------------ matrices and states
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product under the entry cap; its peak is the product itself."""
+    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    linalg.check_entries(rows * cols, f"Kronecker product {linalg.as_power_of_two(rows)} x "
+                                      f"{linalg.as_power_of_two(cols)}")
+    return np.kron(a, b)
+
+
+def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
+    """Partial trace of an operator on H_A (x) H_B over the discarded factor.
+
+    ``keep`` selects the surviving factor, "A" or "B".  The full trace is
+    preserved: trace(partial_trace(m)) == trace(m).
+    """
+    m = linalg.as_matrix(m)
+    if m.shape[0] != m.shape[1] or m.shape[0] != dim_a * dim_b:
+        raise ValueError(
+            f"operator shape {m.shape} incompatible with dims ({dim_a}, {dim_b})"
+        )
+    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    if keep == "A":
+        return np.einsum("ijkj->ik", r)
+    if keep == "B":
+        return np.einsum("ijil->jl", r)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns (eigenvalues ascending, unitary of eigenvectors as columns) with
+    h == V diag(w) V^dagger up to reconstruction error <= 1e-9 * ||h||_F.
+    Rejects inputs that are not Hermitian within 1e-10.
+    """
+    h = linalg.as_matrix(h)
+    if not linalg.is_hermitian(h):
+        raise InvariantViolationError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigh(h)
+
+
+def assert_density_operator(rho) -> np.ndarray:
+    """Validate a density operator: Hermitian, and its spectrum a distribution (within 1e-10)."""
+    rho = linalg.as_matrix(rho)
+    linalg.assert_distribution(linalg._psd_spectrum(rho))
+    return rho
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy of a density operator in bits: the Shannon entropy of its one-eigvalsh spectrum."""
+    return linalg.shannon_entropy(linalg._psd_spectrum(rho))
+
+
+def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
+    """Minimal purification of a density operator.
+
+    Returns an (r, d) array Psi with r = rank(rho); the purifying vector in
+    R (x) Q (reference-major layout) is ``Psi.ravel()`` and satisfies
+    tr_R |psi><psi| = rho and tr_Q |psi><psi| = diag of the kept eigenvalues.
+    """
+    rho = linalg.as_matrix(rho)
+    w, v = eigh(rho)
+    w = linalg._clamped_spectrum(w)
+    keep = w > rank_tol
+    if not np.any(keep):
+        raise InvariantViolationError("cannot purify an (almost) zero operator")
+    return (np.sqrt(w[keep])[:, None] * v[:, keep].T).astype(np.complex128)
+
+
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random density operator from a normalized Wishart matrix of given rank."""
+    rank = dim if rank is None else rank
+    if not 1 <= rank <= dim:
+        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}")
+    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / math.sqrt(2)
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def max_mixed(dim: int) -> np.ndarray:
+    """The homogeneous density 1/dim on a dim-dimensional space."""
+    return np.eye(dim, dtype=np.complex128) / dim
+
+
+# ------------------------------------------------------------------ channels
+
+def completeness_defect_bounds(stack: np.ndarray) -> tuple[float, float]:
+    """(min, max) eigenvalue of sum A^dagger A - 1 for an (N, M', M) Kraus stack.
+
+    The eigvalsh oracle for construction's decision, from the same Delta; it
+    takes a stack so that it also reaches families construction rejects.
+    """
+    w = np.linalg.eigvalsh(qch._completeness_defect(stack))
+    return float(w[0]), float(w[-1])
+
+
+def apply(ch: qch.KrausChannel, rho) -> np.ndarray:
+    """sum_k A_k rho A_k^dagger; positivity-preserving and trace-nonincreasing."""
+    rho = linalg.as_matrix(rho)
+    if rho.shape != (ch.input_dim, ch.input_dim):
+        raise ValueError(f"state shape {rho.shape} != channel input dim {ch.input_dim}")
+    return sum((a @ rho) @ a.conj().T for a in ch.kraus_ops)
+
+
+def tensor_power(ch: qch.KrausChannel, n: int) -> qch.KrausChannel:
+    """n independent uses of the channel, as a dense |N|^n-operator family."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return ch
+    # the operators, the channel's stack and its conjugate for the completeness check,
+    # Delta with its triangle or an eigensolver's copy, and array overhead per operator
+    # (measured 3.0 stacks + 1.0-2.0 M^2n + 27-48 entries per operator)
+    linalg.check_entries(3 * (len(ch) * ch.input_dim * ch.output_dim) ** n
+                         + 2 * ch.input_dim ** (2 * n) + 64 * len(ch) ** n,
+                         f"tensor power {len(ch)}^{n} of Kraus operators")
+    ops = tuple(functools.reduce(tensor, combo)
+                for combo in itertools.product(ch.kraus_ops, repeat=n))
+    return qch.KrausChannel(input_dim=ch.input_dim ** n, output_dim=ch.output_dim ** n,
+                            kraus_ops=ops, name=f"{ch.name}^{n}" if ch.name else "")
+
+
+def reduce_channel(ch: qch.KrausChannel, indices) -> qch.KrausChannel:
+    """Sub-channel keeping only the listed Kraus operators (trace-decreasing)."""
+    indices = list(indices)
+    if not indices:
+        raise ValueError("reduction needs a nonempty index subset")
+    if len(set(indices)) != len(indices):
+        raise ValueError("reduction indices must be distinct")
+    if not all(0 <= i < len(ch) for i in indices):
+        raise ValueError(f"reduction indices out of range 0..{len(ch) - 1}")
+    ops = tuple(ch.kraus_ops[i] for i in indices)
+    return qch.KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
+                            kraus_ops=ops, name=ch.name)
+
+
+def entropy_exchange(rho, ch: qch.KrausChannel) -> float:
+    """Entropy passed to the environment, from the matrix W_ij = tr(A_i rho A_j^dagger).
+
+    The oracle for any input (`classify` reads S_e at pi from the Kraus weights);
+    trace-decreasing channels are rejected rather than silently renormalized.
+    """
+    rho = assert_density_operator(rho)
+    if rho.shape != (ch.input_dim, ch.input_dim):
+        raise ValueError("state dimension does not match channel input")
+    if not ch.trace_preserving:
+        raise InvariantViolationError("entropy exchange needs a trace-preserving channel")
+    # three stack copies, W and an eigensolver's copy (measured 1.1 N^2 beside the stacks)
+    linalg.check_entries(len(ch) * (3 * ch.output_dim * ch.input_dim + 2 * len(ch)),
+                         f"entropy exchange of {len(ch)} Kraus operators")
+    stack = qch.kraus_stack(ch)
+    tmp = stack @ rho
+    w = np.einsum("iab,jab->ij", tmp, stack.conj())
+    return von_neumann_entropy(w)
+
+
+def entropy_exchange_via_purification(rho, ch: qch.KrausChannel) -> float:
+    """Same quantity through an explicit minimal purification; cross-check path."""
+    rho = assert_density_operator(rho)
+    if not ch.trace_preserving:
+        raise InvariantViolationError("entropy exchange needs a trace-preserving channel")
+    psi = purify(rho)                             # (r, input_dim)
+    r = psi.shape[0]
+    dim = r * ch.output_dim
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for a in ch.kraus_ops:
+        v = (psi @ a.T).ravel()
+        out += np.outer(v, v.conj())
+    return von_neumann_entropy(out)
+
+
+def coherent_information(rho, ch: qch.KrausChannel) -> float:
+    """Output entropy minus entropy exchange, in bits."""
+    se = entropy_exchange(rho, ch)
+    return von_neumann_entropy(apply(ch, rho)) - se
+
+
+def channels_equal(a: qch.KrausChannel, b: qch.KrausChannel, *, states: int = 20,
+                   seed: int = 0x51A7E5, atol: float = 1e-10) -> bool:
+    """Extensional equality on a fixed battery of pseudo-random densities."""
+    if (a.input_dim, a.output_dim) != (b.input_dim, b.output_dim):
+        return False
+    battery_rng = np.random.default_rng(seed)
+    for _ in range(states):
+        rho = random_density(a.input_dim, battery_rng)
+        if np.max(np.abs(apply(a, rho) - apply(b, rho))) > atol:
+            return False
+    return True
+
+
+def save_channel(ch: qch.KrausChannel, path) -> None:
+    """Write a channel file that `serialize.load_channel` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize.canonical_json(serialize.channel_to_dict(ch)))
+
+
+# ------------------------------------------------------------------ codes
+
+def normalized_projector(code: codes.CodeSubspace) -> np.ndarray:
+    """pi_C = (projector onto the code) / K; a rank-K density operator."""
+    return (code.basis @ code.basis.conj().T) / code.code_dim
+
+
+def entanglement_fidelity(rho, ch: qch.KrausChannel) -> float:
+    """sum_k |tr(rho A_k)|^2, valid for trace-decreasing channels as well."""
+    rho = assert_density_operator(rho)
+    if ch.input_dim != ch.output_dim:
+        raise ValueError("entanglement fidelity needs matching input/output spaces")
+    if rho.shape != (ch.input_dim, ch.input_dim):
+        raise ValueError("state dimension does not match channel input")
+    amps = np.einsum("ij,kji->k", rho, qch.kraus_stack(ch))
+    return float(np.sum(np.abs(amps) ** 2))
+
+
+def entanglement_fidelity_via_purification(rho, ch: qch.KrausChannel) -> float:
+    """Definitional path: overlap of a minimal purification with its image.
+
+    Cross-checks the Kraus-sum path; the two agree within 1e-9.
+    """
+    rho = assert_density_operator(rho)
+    if ch.input_dim != ch.output_dim:
+        raise ValueError("entanglement fidelity needs matching input/output spaces")
+    psi = purify(rho)                              # (r, d)
+    vec = psi.ravel()
+    total = 0.0
+    for a in ch.kraus_ops:
+        out = (psi @ a.T).ravel()
+        total += abs(np.vdot(vec, out)) ** 2
+    return float(total)
+
+
+def transpose_recovery(code: codes.CodeSubspace, ch: qch.KrausChannel) -> qch.KrausChannel:
+    """Transpose-channel recovery R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}.
+
+    Trace-decreasing in general (it acts on the output support only), which
+    still witnesses a lower bound: completing it to trace-preserving can
+    only add Kraus terms and raise the entanglement fidelity.
+    """
+    pi_c = normalized_projector(code)
+    sigma = apply(ch, pi_c)
+    w, u = eigh(sigma)
+    w = np.maximum(w, 0.0)
+    inv = np.where(w > 1e-12 * max(float(w[-1]), 1e-300), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
+    sigma_inv_sqrt = (u * inv) @ u.conj().T
+    root_pi = code.basis @ code.basis.conj().T / math.sqrt(code.code_dim)
+    ops = tuple(root_pi @ a.conj().T @ sigma_inv_sqrt for a in ch.kraus_ops)
+    return qch.KrausChannel(input_dim=ch.output_dim, output_dim=ch.input_dim,
+                            kraus_ops=ops, name="transpose_recovery")

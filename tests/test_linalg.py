@@ -1,4 +1,4 @@
-"""Core linear algebra: tensor/partial-trace plumbing, norms, entropies, Haar."""
+"""Linear algebra: the oracles' tensor and partial trace, the trace norm, entropies, Haar."""
 
 import math
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcap import linalg
+from qcap import codes, linalg
 from qcap.errors import CapExceededError, InvariantViolationError
+import oracles
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -27,11 +28,11 @@ def random_complex(rng, rows, cols):
 # ---------------------------------------------------------------- tensor
 
 def test_tensor_identity():
-    assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.allclose(oracles.tensor(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_diagonal():
-    got = linalg.tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+    got = oracles.tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.allclose(got, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
@@ -40,8 +41,8 @@ def test_tensor_diagonal():
 def test_tensor_mixed_product(seed):
     rng = np.random.default_rng(seed)
     a, b, c, d = (random_complex(rng, 2, 2) for _ in range(4))
-    lhs = linalg.tensor(a, b) @ linalg.tensor(c, d)
-    rhs = linalg.tensor(a @ c, b @ d)
+    lhs = oracles.tensor(a, b) @ oracles.tensor(c, d)
+    rhs = oracles.tensor(a @ c, b @ d)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -49,7 +50,7 @@ def test_tensor_dimension_cap():
     big = np.eye(300)
     with pytest.raises(CapExceededError, match=r"^Kronecker product 2\^16\.4576 x 2\^16\.4576 "
                                                r"needs 2\^32\.9153 entries, above cap 2\^26$"):
-        linalg.tensor(big, big)
+        oracles.tensor(big, big)
 
 
 def test_dimension_cap_names_powers_of_two():
@@ -63,16 +64,16 @@ def test_dimension_cap_names_powers_of_two():
 def test_partial_trace_product_state(rng):
     a = random_complex(rng, 3, 3)
     b = random_complex(rng, 2, 2)
-    m = linalg.tensor(a, b)
-    assert np.allclose(linalg.partial_trace(m, 3, 2, keep="A"), a * np.trace(b))
-    assert np.allclose(linalg.partial_trace(m, 3, 2, keep="B"), b * np.trace(a))
+    m = oracles.tensor(a, b)
+    assert np.allclose(oracles.partial_trace(m, 3, 2, keep="A"), a * np.trace(b))
+    assert np.allclose(oracles.partial_trace(m, 3, 2, keep="B"), b * np.trace(a))
 
 
 def test_partial_trace_bell_state():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / math.sqrt(2)
     rho = np.outer(bell, bell.conj())
-    assert np.allclose(linalg.partial_trace(rho, 2, 2, keep="A"), np.eye(2) / 2)
+    assert np.allclose(oracles.partial_trace(rho, 2, 2, keep="A"), np.eye(2) / 2)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4))
@@ -81,30 +82,30 @@ def test_partial_trace_preserves_trace(seed, da, db):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, da * db, da * db)
     m = m + m.conj().T
-    red = linalg.partial_trace(m, da, db, keep="A")
+    red = oracles.partial_trace(m, da, db, keep="A")
     assert np.trace(red) == pytest.approx(np.trace(m), abs=1e-10)
 
 
 def test_partial_trace_positivity(rng):
-    rho = linalg.random_density(6, rng)
-    red = linalg.partial_trace(rho, 2, 3, keep="B")
+    rho = oracles.random_density(6, rng)
+    red = oracles.partial_trace(rho, 2, 3, keep="B")
     assert np.min(np.linalg.eigvalsh(red)) >= -1e-12
 
 
 def test_partial_trace_dim_mismatch():
     with pytest.raises(ValueError):
-        linalg.partial_trace(np.eye(5), 2, 2)
+        oracles.partial_trace(np.eye(5), 2, 2)
 
 
 # ---------------------------------------------------------------- eigh
 
 def test_eigh_diagonal():
-    w, _ = linalg.eigh(np.diag([3.0, 1.0, 2.0]))
+    w, _ = oracles.eigh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_eigh_pauli_x():
-    w, _ = linalg.eigh(X)
+    w, _ = oracles.eigh(X)
     assert np.allclose(w, [-1.0, 1.0])
 
 
@@ -112,7 +113,7 @@ def test_eigh_pauli_x():
 def test_eigh_reconstruction(dim, rng):
     h = random_complex(rng, dim, dim)
     h = h + h.conj().T
-    w, v = linalg.eigh(h)
+    w, v = oracles.eigh(h)
     err = np.linalg.norm((v * w) @ v.conj().T - h)
     assert err <= 1e-9 * np.linalg.norm(h)
     assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
@@ -120,66 +121,60 @@ def test_eigh_reconstruction(dim, rng):
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(InvariantViolationError):
-        linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        oracles.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# ---------------------------------------------------------------- norms
+# ---------------------------------------------------------------- trace norm
+
+def random_hermitian(rng, dim, rank=None):
+    g = random_complex(rng, dim, rank or dim)
+    return g @ np.diag(rng.standard_normal(rank or dim)) @ g.conj().T
+
 
 def test_trace_norm_diagonal():
-    assert linalg.trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0)
+    assert codes._trace_norms(np.diag([1.0, -2.0])) == pytest.approx(3.0)
 
 
 def test_trace_norm_zero_difference(rng):
-    rho = linalg.random_density(4, rng)
-    assert linalg.trace_norm(rho - rho) == pytest.approx(0.0, abs=1e-14)
+    rho = oracles.random_density(4, rng)
+    assert codes._trace_norms(rho - rho) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trace_norm_matches_singular_values(rng):
-    # oracle: singular values from the eigenvalues of A^dagger A
+    # oracle: singular values from the eigenvalues of H^dagger H
     for _ in range(10):
-        a = random_complex(rng, 5, 5)
-        oracle = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(a.conj().T @ a), 0.0)))
-        assert linalg.trace_norm(a) == pytest.approx(oracle, abs=1e-9)
-
-
-def test_frobenius_identity():
-    for m in (2, 5, 9):
-        assert linalg.frobenius_norm(np.eye(m)) == pytest.approx(math.sqrt(m))
-
-
-def test_frobenius_uniform_density():
-    for dim in (2, 4, 8):
-        assert linalg.frobenius_norm(linalg.max_mixed(dim)) == pytest.approx(dim**-0.5)
+        h = random_hermitian(rng, 5)
+        oracle = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h), 0.0)))
+        assert codes._trace_norms(h) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_trace_norm_rank_bound(rng):
-    # ||A||_1 <= sqrt(rank) ||A||_2 on random low-rank A
+    # ||H||_1 <= sqrt(rank) ||H||_2 on random low-rank Hermitian H
     for rank in (1, 2, 3):
-        g = random_complex(rng, 6, rank)
-        a = g @ random_complex(rng, rank, 6)
-        assert linalg.trace_norm(a) <= math.sqrt(rank) * linalg.frobenius_norm(a) + 1e-9
+        h = random_hermitian(rng, 6, rank)
+        assert codes._trace_norms(h) <= math.sqrt(rank) * np.linalg.norm(h) + 1e-9
 
 
 # ---------------------------------------------------------------- entropies
 
 def test_von_neumann_pure_state():
     psi = np.array([1.0, 1.0j]) / math.sqrt(2)
-    assert linalg.von_neumann_entropy(np.outer(psi, psi.conj())) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.von_neumann_entropy(np.outer(psi, psi.conj())) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_von_neumann_max_mixed():
-    assert linalg.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
+    assert oracles.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
 
 
 def test_von_neumann_binary():
     rho = np.diag([0.75, 0.25])
-    assert linalg.von_neumann_entropy(rho) == pytest.approx(binary_entropy(0.25), abs=1e-12)
-    assert linalg.von_neumann_entropy(rho) == pytest.approx(0.811278, abs=1e-6)
+    assert oracles.von_neumann_entropy(rho) == pytest.approx(binary_entropy(0.25), abs=1e-12)
+    assert oracles.von_neumann_entropy(rho) == pytest.approx(0.811278, abs=1e-6)
 
 
 def test_von_neumann_rejects_subnormalized():
     with pytest.raises(InvariantViolationError):
-        linalg.von_neumann_entropy(np.eye(2) / 4)
+        oracles.von_neumann_entropy(np.eye(2) / 4)
 
 
 def test_shannon_entropy_values():
@@ -201,13 +196,13 @@ def test_shannon_rejects_unnormalized():
 def test_purify_reduces_back(seed, dim):
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, dim + 1))
-    rho = linalg.random_density(dim, rng, rank=rank)
-    psi_mat = linalg.purify(rho)
+    rho = oracles.random_density(dim, rng, rank=rank)
+    psi_mat = oracles.purify(rho)
     r = psi_mat.shape[0]
     assert r == rank
     psi = psi_mat.ravel()
     full = np.outer(psi, psi.conj())
-    assert np.allclose(linalg.partial_trace(full, r, dim, keep="B"), rho, atol=1e-10)
+    assert np.allclose(oracles.partial_trace(full, r, dim, keep="B"), rho, atol=1e-10)
 
 
 # ---------------------------------------------------------------- Haar sampling
@@ -226,11 +221,13 @@ def test_haar_isometry_columns(rng):
 
 @pytest.mark.parametrize("dim, cols", [(256, 2), (2, 2), (5, 3), (256, 256), (3, 1), (1, 1)])
 def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
-    # the one-draw Ginibre matrix against the two-draw expression it replaced
+    # the one-draw Ginibre matrix against the two-draw expression it replaced, both QRs
+    # on one BLAS thread
     for seed in range(20):
         rng = np.random.default_rng(seed)
         z = (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / math.sqrt(2)
-        q, r = np.linalg.qr(z)
+        with linalg.one_blas_thread():
+            q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         want = q * (d / np.abs(d))
         got = linalg.haar_isometry(dim, cols, np.random.default_rng(seed))
@@ -255,6 +252,6 @@ def test_haar_first_moments_smoke():
 
 
 def test_random_density_is_density(rng):
-    rho = linalg.random_density(5, rng, rank=2)
-    linalg.assert_density_operator(rho)
+    rho = oracles.random_density(5, rng, rank=2)
+    oracles.assert_density_operator(rho)
     assert np.sum(np.linalg.eigvalsh(rho) > 1e-10) == 2

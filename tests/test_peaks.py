@@ -18,6 +18,7 @@ from qcap import channels as qch
 from qcap import cli, codes, linalg
 from qcap import random_coding as rc
 from qcap import typicality as tp
+import oracles
 
 MIB = 1 << 20
 
@@ -84,7 +85,7 @@ def test_bound_report_peak(monkeypatch, dims, code_dim):
 
 @pytest.mark.parametrize("ch, n", [
     (qch.phase_flip(0.25), 35),
-    (qch.tensor_power(qch.phase_flip(0.25), 2), 16),
+    (oracles.tensor_power(qch.phase_flip(0.25), 2), 16),
 ], ids=["qubit", "two-qubit"])
 def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
     assert_prediction_bounds_peak(monkeypatch,

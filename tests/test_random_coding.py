@@ -9,6 +9,7 @@ from qcap import channels as qch
 from qcap import cli, codes, linalg
 from qcap import random_coding as rc
 from qcap.errors import InvariantViolationError
+import oracles
 
 
 def weyl_pair(dim):
@@ -49,15 +50,15 @@ def test_rekeyed_streams_match_fresh_streams_bit_for_bit(seed):
 def test_sample_code_full_dimension_is_uniform():
     for i in range(5):
         code = rc.sample_code(3, 3, rc.sample_stream(2, i))
-        assert np.allclose(codes.normalized_projector(code), linalg.max_mixed(3), atol=1e-10)
+        assert np.allclose(oracles.normalized_projector(code), oracles.max_mixed(3), atol=1e-10)
 
 
 def test_sample_code_mean_projector_is_uniform():
     m, k, n = 3, 2, 4000
     total = np.zeros((m, m), dtype=complex)
     for i in range(n):
-        total += codes.normalized_projector(rc.sample_code(m, k, rc.sample_stream(9, i)))
-    assert np.max(np.abs(total / n - linalg.max_mixed(m))) <= 0.015
+        total += oracles.normalized_projector(rc.sample_code(m, k, rc.sample_stream(9, i)))
+    assert np.max(np.abs(total / n - oracles.max_mixed(m))) <= 0.015
 
 
 def test_sample_code_overlap_second_moment():
@@ -67,7 +68,7 @@ def test_sample_code_overlap_second_moment():
     psi[0] = 1.0
     vals = np.empty(n)
     for i in range(n):
-        pi = codes.normalized_projector(rc.sample_code(m, k, rc.sample_stream(17, i)))
+        pi = oracles.normalized_projector(rc.sample_code(m, k, rc.sample_stream(17, i)))
         vals[i] = np.real(psi.conj() @ pi @ psi) ** 2
     target = (1 + 1 / k) / (m**2 + m)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -127,8 +128,8 @@ def oracle_closed_forms(ch, k):
     grams = np.einsum("iab,jac->ijbc", stack.conj(), stack, optimize=True)
     sum_sq = float(np.sum(np.abs(grams) ** 2))
     sum_tr = float(np.sum(np.abs(np.einsum("ijbb->ij", grams)) ** 2))
-    image = qch.apply(ch, linalg.max_mixed(m))
-    fro = linalg.frobenius_norm(image)
+    image = oracles.apply(ch, oracles.max_mixed(m))
+    fro = float(np.linalg.norm(image))
     return ((1.0 - k**-2) / (m**2 - 1) * (sum_sq - sum_tr / m), fro**2,
             float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch)[0])) * fro)
 
@@ -207,7 +208,7 @@ def test_haar_moment_degenerate_code_consistency():
     psi[1] = 1.0
     vals = []
     for i in range(50):
-        pi = codes.normalized_projector(rc.sample_code(m, m, rc.sample_stream(12, i)))
+        pi = oracles.normalized_projector(rc.sample_code(m, m, rc.sample_stream(12, i)))
         vals.append(np.real(psi.conj() @ pi @ psi) ** 2)
     assert np.allclose(vals, 1 / m**2, atol=1e-10)
 

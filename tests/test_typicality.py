@@ -15,6 +15,7 @@ from qcap import channels as qch
 from qcap import cli, codes, linalg
 from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
+import oracles
 from test_channels import amplitude_damping
 
 
@@ -95,7 +96,7 @@ def typical_kraus_channel(ch, n, eps, *, project):
     chosen, _ = brute_force_typical(tuple(weights), n, eps)
     ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
     if project:
-        w, v = linalg.eigh(qch.apply(base, linalg.max_mixed(base.input_dim)))
+        w, v = oracles.eigh(oracles.apply(base, oracles.max_mixed(base.input_dim)))
         w = np.maximum(w, 0.0)
         kept, _ = brute_force_typical(tuple(w / np.sum(w)), n, eps)
         cols = np.zeros((base.output_dim**n, len(kept)), dtype=complex)
@@ -304,7 +305,7 @@ def test_pure_state_block_subspace():
 
 
 def test_max_mixed_block_subspace_is_everything():
-    sub = output_subspace(linalg.max_mixed(2), 5, 0.3)
+    sub = output_subspace(oracles.max_mixed(2), 5, 0.3)
     assert sub.rank == 32
     assert np.allclose(dense_projector(sub), np.eye(32), atol=1e-12)
     assert sub.mass == pytest.approx(1.0, abs=1e-12)
@@ -402,7 +403,7 @@ def test_kraus_distribution_of_non_diagonal_family(seed):
 
 def test_kraus_distribution_rejects_trace_decreasing():
     # minimal_kraus weighs a trace-decreasing family; the reduced reports refuse it
-    ch = qch.reduce_channel(qch.phase_flip(0.3), [0])
+    ch = oracles.reduce_channel(qch.phase_flip(0.3), [0])
     assert qch.minimal_kraus(ch)[1] == pytest.approx([0.7], abs=1e-15)
     with pytest.raises(InvariantViolationError, match="Kraus weight distribution needs a trace-preserving"):
         tp.reduced_channel_reports(ch, (1, 2), 0.1)
@@ -414,7 +415,7 @@ def test_kraus_entropy_equals_entropy_exchange(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     ch, weights = qch.minimal_kraus(qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng))
-    se = qch.entropy_exchange(linalg.max_mixed(dim), ch)
+    se = oracles.entropy_exchange(oracles.max_mixed(dim), ch)
     assert linalg.shannon_entropy(weights) == pytest.approx(se, abs=1e-10)
 
 
@@ -426,7 +427,7 @@ def test_typical_channel_of_identity_is_identity():
         assert rep.length == 1
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
         dense = typical_kraus_channel(qch.identity_channel(2), n, eps, project=False)
-        assert qch.channels_equal(dense, qch.identity_channel(2**n))
+        assert oracles.channels_equal(dense, qch.identity_channel(2**n))
 
 
 def test_typical_channel_phase_flip_mass():
@@ -437,7 +438,7 @@ def test_typical_channel_phase_flip_mass():
     assert rep.length == count
     assert rep.typical_transmission == pytest.approx(mass, abs=1e-14)
     dense = typical_kraus_channel(ch, n, eps, project=False)
-    got = qch.transmission_probability(dense, linalg.max_mixed(2**n))
+    got = np.real(np.trace(oracles.apply(dense, oracles.max_mixed(2**n))))
     assert got == pytest.approx(mass, abs=1e-12)
     assert 0.0 < got < 1.0
 
@@ -465,7 +466,7 @@ def test_reduced_reports_reject_nonpositive_n_and_epsilon(ns, eps, message):
 
 def test_typical_channel_needs_trace_preserving():
     with pytest.raises(InvariantViolationError):
-        tp.reduced_channel_reports(qch.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)[0]
+        tp.reduced_channel_reports(oracles.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)[0]
 
 
 # ---------------------------------------------------------------- reduced channels
@@ -475,7 +476,7 @@ def test_reduced_channel_identity():
     assert rep.length == 1
     assert rep.transmission == pytest.approx(1.0, abs=1e-12)
     dense = typical_kraus_channel(qch.identity_channel(2), 4, 0.2, project=True)
-    assert qch.channels_equal(dense, qch.identity_channel(16))
+    assert oracles.channels_equal(dense, qch.identity_channel(16))
 
 
 def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
@@ -488,13 +489,13 @@ def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     assert spy.call_count == 1
     assert spy.call_args.args[0].ndim == (2 if diagonal else 3)
     dense = typical_kraus_channel(ch, n, eps, project=True)
-    out = qch.apply(dense, linalg.max_mixed(2**n))
+    out = oracles.apply(dense, oracles.max_mixed(2**n))
     assert rep.length == len(dense.kraus_ops)
     assert rep.transmission == pytest.approx(float(np.real(np.trace(out))), abs=1e-12)
     assert rep.frobenius_sq == pytest.approx(float(np.sum(np.abs(out) ** 2)), abs=1e-12)
     typical = typical_kraus_channel(ch, n, eps, project=False)
     assert rep.typical_transmission == pytest.approx(
-        qch.transmission_probability(typical, linalg.max_mixed(2**n)), abs=1e-12)
+        np.real(np.trace(oracles.apply(typical, oracles.max_mixed(2**n)))), abs=1e-12)
     assert rep.counts_within_bound and rep.norm_within_bound
     return rep
 
@@ -539,8 +540,8 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
     # the halves of the sum over group sequences of the group factors, joined,
     # equal the per-symbol enumeration
     base, weights = qch.minimal_kraus(cli._parse_builtin(channel, 0))
-    rho_out = qch.apply(base, linalg.max_mixed(base.input_dim))
-    factors = tp._output_factor_matrices(base, linalg.eigh(rho_out)[1])
+    rho_out = oracles.apply(base, oracles.max_mixed(base.input_dim))
+    factors = tp._output_factor_matrices(base, oracles.eigh(rho_out)[1])
     if diagonal:
         factors = np.real(np.einsum("jaa->ja", factors))
     for n in ns:
@@ -677,7 +678,7 @@ def test_reduced_transmission_lower_bound():
     for n in (4, 8):
         for eps in (0.1, 0.2):
             rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
-            out_mass = output_subspace(qch.apply(ch, linalg.max_mixed(2)), n, eps).mass
+            out_mass = output_subspace(oracles.apply(ch, oracles.max_mixed(2)), n, eps).mass
             assert rep.transmission >= out_mass - (1.0 - rep.typical_transmission) - 1e-12
 
 
@@ -751,7 +752,7 @@ def test_fidelity_chain_under_reduction_and_projection():
 
     ch = qch.phase_flip(0.25)
     for n in (2, 4, 6):
-        full = qch.tensor_power(qch.minimal_kraus(ch)[0], n)
+        full = oracles.tensor_power(qch.minimal_kraus(ch)[0], n)
         for eps in (0.1, 0.4):
             if tp.reduced_channel_reports(ch, (n,), eps)[0].length == 0:
                 continue
@@ -760,10 +761,10 @@ def test_fidelity_chain_under_reduction_and_projection():
             for i in range(10):
                 rng = rc.sample_stream(99, n * 1000 + i)
                 k = int(rng.integers(1, 5))
-                pi_c = codes.normalized_projector(rc.sample_code(2**n, k, rng))
-                fe_full = codes.entanglement_fidelity(pi_c, full)
-                fe_typ = codes.entanglement_fidelity(pi_c, typ_dense)
-                fe_red = codes.entanglement_fidelity(pi_c, red_dense)
+                pi_c = oracles.normalized_projector(rc.sample_code(2**n, k, rng))
+                fe_full = oracles.entanglement_fidelity(pi_c, full)
+                fe_typ = oracles.entanglement_fidelity(pi_c, typ_dense)
+                fe_red = oracles.entanglement_fidelity(pi_c, red_dense)
                 assert fe_typ <= fe_full + 1e-10
                 assert fe_red <= fe_typ + 1e-10
 
@@ -773,8 +774,8 @@ def test_fidelity_chain_under_reduction_and_projection():
 
 def test_subspace_restricted_info_full_space():
     ch = qch.phase_flip(0.25)
-    info = qch.coherent_information(codes.normalized_projector(codes.CodeSubspace.full_space(2)), ch)
-    want = qch.coherent_information(linalg.max_mixed(2), ch)
+    info = oracles.coherent_information(oracles.normalized_projector(codes.CodeSubspace.full_space(2)), ch)
+    want = oracles.coherent_information(oracles.max_mixed(2), ch)
     assert info == pytest.approx(want, abs=1e-12)
     h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     assert info == pytest.approx(1 - h2, abs=1e-12)
@@ -789,5 +790,5 @@ def test_subspace_restricted_info_pure_input_vanishes(seed):
     ch = qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng)
     code = codes.CodeSubspace(ambient_dim=dim, code_dim=1,
                               basis=linalg.haar_isometry(dim, 1, rng))
-    info = qch.coherent_information(codes.normalized_projector(code), ch)
+    info = oracles.coherent_information(oracles.normalized_projector(code), ch)
     assert info == pytest.approx(0.0, abs=1e-9)
