@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Random-code fidelity of an 8-qubit two-unitary mixture channel.
 
-Draws a channel rho -> (U1 rho U1^dagger + U2 rho U2^dagger)/2 on 2^8
-dimensions, samples Haar-random 2-dimensional codes, and compares the Monte
-Carlo mean of the per-code bound p - ||D||_1 with the analytic ensemble
-bound 1 - sqrt(K |N| / |Q'|) = 0.875.
+Builds the channel rho -> (U1 rho U1^dagger + U2 rho U2^dagger)/2 on 2^8
+dimensions (builtin:random_unitary:256,2,SEED), samples Haar-random
+2-dimensional codes, and compares the Monte Carlo mean of the per-code bound
+p - ||D||_1 with the analytic ensemble bound 1 - sqrt(K |N| / |Q'|) = 0.875.
 """
 
 import argparse
 import math
 
 from qcap import channels as qch
-from qcap import linalg
+from qcap import cli
 from qcap import random_coding as rc
 from qcap.serialize import csv_number
 
@@ -25,15 +25,14 @@ def main() -> None:
     args = parser.parse_args()
 
     dim = 2**args.qubits
-    rng = rc.sample_stream(args.seed, 1 << 48)
-    unitaries = [linalg.haar_unitary(dim, rng) for _ in range(2)]
-    ch = qch.random_unitary_channel(unitaries, name=f"{args.qubits}-qubit mixture")
+    spec = f"builtin:random_unitary:{dim},2,{args.seed}"
+    ch = cli.resolve_channel(argparse.Namespace(channel=spec, master_seed=args.seed))
 
     analytic = rc.closed_forms(ch, args.code_dim).fidelity_bound
     est = rc.mc_average_bound(ch, args.code_dim, args.samples, args.seed)
     closed = 1.0 - math.sqrt(args.code_dim * 2 / dim)
 
-    print(f"channel: {ch.name}, |Q'| = {dim}, |N| = {qch.minimal_length(ch)}")
+    print(f"channel: {ch.name}, |Q'| = {dim}, |N| = {qch.classify(ch).length}")
     print(f"analytic ensemble bound : {csv_number(analytic)}")
     print(f"closed form 1-sqrt(K|N|/|Q'|): {csv_number(closed)}")
     print(f"MC mean of p - ||D||_1  : {csv_number(est.mean)} "

@@ -2,7 +2,7 @@
 
 Subpackages:
   linalg        dense complex linear algebra, entropies, Haar sampling
-  channels      Kraus channels: algebra, representations, information quantities
+  channels      Kraus channels: construction, minimal families, information quantities
   codes         code subspaces, entanglement fidelity, computable fidelity bounds
   random_coding Haar code ensembles: Monte Carlo and exact averages
   typicality    typical sequences/subspaces and reduced block channels

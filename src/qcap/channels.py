@@ -41,10 +41,10 @@ _CERTIFICATE_SLACK = 1.0 - 1e-6
 class KrausChannel:
     """A (possibly trace-decreasing) CP map given by its Kraus operators.
 
-    Each operator has shape (output_dim, input_dim).  The operators are
-    copied once into a read-only (N, output_dim, input_dim) stack, which
-    `kraus_stack` returns; ``kraus_ops`` are views into it, so later changes
-    to the caller's arrays do not reach the channel.  Every channel is checked
+    Each operator has shape (output_dim, input_dim).  ``kraus_ops`` is the
+    channel's one representation: the operators copied once into a read-only
+    (N, output_dim, input_dim) complex128 stack, so later changes to the
+    caller's arrays do not reach the channel.  Every channel is checked
     once, here: the defect Delta = sum A^dagger A - 1 is formed once, and a
     Frobenius norm ||Delta||_F below 1e-10 (less a rounding margin) certifies
     without an eigensolve that every |eigenvalue| is within 1e-10; a larger
@@ -55,10 +55,9 @@ class KrausChannel:
 
     input_dim: int
     output_dim: int
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
     name: str = ""
     trace_preserving: bool = field(init=False, repr=False)
-    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(self.kraus_ops)
@@ -73,8 +72,7 @@ class KrausChannel:
         if not all(np.all(np.isfinite(a)) for a in stack):     # no stack-sized temporary
             raise InvariantViolationError("Kraus operator has non-finite entries")
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus_ops", tuple(stack))
+        object.__setattr__(self, "kraus_ops", stack)
         with np.errstate(over="ignore", invalid="ignore"):     # an overflow is refused below
             delta = _completeness_defect(stack)
             # the norm of the Hermitian matrix that eigvalsh reads, Delta's lower triangle,
@@ -97,11 +95,6 @@ class KrausChannel:
         return len(self.kraus_ops)
 
 
-def kraus_stack(ch: KrausChannel) -> np.ndarray:
-    """The channel's read-only (N, output_dim, input_dim) array of Kraus operators."""
-    return ch._stack
-
-
 def _completeness_defect(stack: np.ndarray) -> np.ndarray:
     """Delta = sum A^dagger A - 1 of an (N, M', M) Kraus stack, the identity subtracted in place."""
     m = stack.shape[-1]
@@ -111,37 +104,12 @@ def _completeness_defect(stack: np.ndarray) -> np.ndarray:
     return delta
 
 
-def stinespring_isometry(ch: KrausChannel) -> np.ndarray:
-    """Block isometry V: Q -> E (x) Q' with environment-major row layout.
-
-    Rows [k*output_dim, (k+1)*output_dim) hold A_k, so tracing out E from
-    V rho V^dagger reproduces the channel and V^dagger V = sum A^dagger A
-    (the identity iff the channel is trace-preserving, <= 1 otherwise).
-    """
-    return kraus_stack(ch).reshape(-1, ch.input_dim)
-
-
-def kraus_from_isometry(v, env_dim: int, *, name: str = "") -> KrausChannel:
-    """Channel with Kraus blocks read off a map Q -> E (x) Q' with V^dagger V <= 1.
-
-    The channel's ``trace_preserving`` says whether V is an isometry within 1e-10.
-    """
-    v = linalg.as_matrix(v)
-    rows, input_dim = v.shape
-    if env_dim < 1 or rows % env_dim:
-        raise ValueError(f"row count {rows} is not divisible by env_dim {env_dim}")
-    output_dim = rows // env_dim
-    return KrausChannel(input_dim=input_dim, output_dim=output_dim, name=name,
-                        kraus_ops=v.reshape(env_dim, output_dim, input_dim))
-
-
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
     """Hermitian N x N matrix of overlaps tr(A_i^dagger A_j)."""
     # the stack and its conjugate, the result and an eigensolver's copy (measured 1.0 N^2 alone)
     linalg.check_entries(2 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
                          f"Gram matrix of {len(ch)} Kraus operators")
-    stack = kraus_stack(ch)
-    return np.einsum("iab,jab->ij", stack.conj(), stack)
+    return np.einsum("iab,jab->ij", ch.kraus_ops.conj(), ch.kraus_ops)
 
 
 def _nonzero(spectrum: np.ndarray) -> np.ndarray:
@@ -167,11 +135,6 @@ def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return np.real(np.diagonal(h)), None
 
 
-def minimal_length(ch: KrausChannel) -> int:
-    """Minimal number of Kraus operators: the `_nonzero` values of the `_gram_spectrum`."""
-    return int(np.count_nonzero(_nonzero(_gram_spectrum(gram_matrix(ch))[0])))
-
-
 def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     """The minimal diagonal Kraus family and its weights tr(A_k^dagger A_k)/M.
 
@@ -189,14 +152,14 @@ def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
                          f"Gram matrix diagonalization of {len(ch)} Kraus operators")
     spectrum, rotation = _gram_spectrum(gram_matrix(ch))
     if rotation is not None:
-        flat = kraus_stack(ch).reshape(len(ch), -1)
+        flat = ch.kraus_ops.reshape(len(ch), -1)
         ch = KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                          kraus_ops=(rotation.T @ flat).reshape(kraus_stack(ch).shape))
+                          kraus_ops=(rotation.T @ flat).reshape(ch.kraus_ops.shape))
     keep = _nonzero(spectrum)
     if keep.all() or not keep.any():
         return ch, spectrum / ch.input_dim
     return (KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                         kraus_ops=tuple(kraus_stack(ch)[keep])), spectrum[keep] / ch.input_dim)
+                         kraus_ops=ch.kraus_ops[keep]), spectrum[keep] / ch.input_dim)
 
 
 # ------------------------------------------------------------------ information
@@ -216,8 +179,8 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     """Structural flags plus the information quantities at the uniform input.
 
     Read from the `minimal_kraus` weights and N(pi), as `typicality`'s reduced
-    series reads them (`_info_report`).  Length: the `_nonzero` weights
-    (`minimal_length`); uniform: they agree to relative deviation 1e-9;
+    series reads them (`_info_report`).  Length: the `_nonzero` weights;
+    uniform: they agree to relative deviation 1e-9;
     unital: N(pi) is maximally mixed (trace-norm deviation <= 1e-9).  S_e is
     their Shannon entropy, I = S(N(pi)) - S_e; both are None when trace-decreasing.
     """
@@ -230,7 +193,7 @@ def _uniform_output(ch: KrausChannel) -> np.ndarray:
     # 2.0 M'^2 at N M = M', 1.1 M'^2 at N M << M', 2.0 N M M' + 1.0 M'^2 at N M >> M')
     n, m, mp = len(ch), ch.input_dim, ch.output_dim
     linalg.check_entries(2 * n * m * mp + 3 * mp * mp, f"classifying a {m} -> {mp} channel")
-    v = kraus_stack(ch).transpose(1, 0, 2).reshape(mp, n * m)
+    v = ch.kraus_ops.transpose(1, 0, 2).reshape(mp, n * m)
     return (v @ v.conj().T) / m
 
 
@@ -255,9 +218,9 @@ def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> Chan
 
 # ------------------------------------------------------------------ constructors
 
-def identity_channel(dim: int, name: str = "identity") -> KrausChannel:
+def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel(input_dim=dim, output_dim=dim,
-                        kraus_ops=(np.eye(dim, dtype=np.complex128),), name=name)
+                        kraus_ops=(np.eye(dim, dtype=np.complex128),), name="identity")
 
 
 def phase_flip(p: float) -> KrausChannel:
@@ -291,19 +254,10 @@ def depolarizing(p: float, dim: int = 2) -> KrausChannel:
                         name=f"depolarizing({p})")
 
 
-def random_unitary_channel(unitaries, name: str = "random_unitary") -> KrausChannel:
-    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n unitary errors."""
-    unitaries = [linalg.as_matrix(u) for u in unitaries]
-    if not unitaries:
-        raise ValueError("need at least one unitary")
-    dim = unitaries[0].shape[0]
-    for u in unitaries:
-        if u.shape != (dim, dim):
-            raise ValueError("all unitaries must be square with equal dimension")
-        if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-9:
-            raise InvariantViolationError("operator is not unitary within tolerance")
-    ops = tuple(math.sqrt(1.0 / len(unitaries)) * u for u in unitaries)
-    return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name=name)
+def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> KrausChannel:
+    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries."""
+    ops = [math.sqrt(1.0 / count) * linalg.haar_unitary(dim, rng) for _ in range(count)]
+    return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
 
 def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
@@ -312,7 +266,8 @@ def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
     if output_dim * kraus_count < input_dim:
         raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
-    ch = kraus_from_isometry(v, kraus_count, name=name)
+    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name=name,
+                      kraus_ops=v.reshape(kraus_count, output_dim, input_dim))
     if not ch.trace_preserving:
         raise InvariantViolationError("map is not an isometry within tolerance")
     return ch

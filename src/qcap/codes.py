@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import KrausChannel, kraus_stack, stinespring_isometry
-from .errors import DegenerateTransmissionError, InvariantViolationError
+from .channels import KrausChannel
+from .errors import InvariantViolationError
 
 ORTHONORMALITY_ATOL = 1e-10
 
@@ -72,16 +72,6 @@ class CodeSubspace:
         if np.max(np.abs(defect)) > ORTHONORMALITY_ATOL:
             raise InvariantViolationError("basis columns are not orthonormal")
 
-    @classmethod
-    def full_space(cls, dim: int) -> "CodeSubspace":
-        return cls(ambient_dim=dim, code_dim=dim, basis=np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def standard(cls, ambient_dim: int, code_dim: int) -> "CodeSubspace":
-        """Span of the first code_dim canonical basis vectors."""
-        return cls(ambient_dim=ambient_dim, code_dim=code_dim,
-                   basis=np.eye(ambient_dim, code_dim, dtype=np.complex128))
-
 
 def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
                      dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -107,7 +97,7 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
     # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and the panel's products
     linalg.check_entries(6 * (k * n) ** 2 + 3 * n * out * padded + m * padded,
                          f"D kernel for one code (K={k}, N={n})")
-    flat = kraus_stack(ch).reshape(n * out, m)
+    flat = ch.kraus_ops.reshape(n * out, m)
     width = s * k
     panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
     panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)
@@ -167,11 +157,11 @@ def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])
     k, n, out = code.code_dim, len(ch), ch.output_dim
     psi = code.basis.T / math.sqrt(k)              # (K, M): reference-major purification
-    v = stinespring_isometry(ch)                   # (N*out, M), environment-major
+    v = ch.kraus_ops.reshape(n * out, -1)          # (N*out, M): environment-major Stinespring
     phi = (psi @ v.T).reshape(k, n, out)           # indices (r, e, q')
     p_states = float(np.sum(np.abs(phi) ** 2))
     if p_states <= 1e-12:
-        raise DegenerateTransmissionError(
+        raise InvariantViolationError(
             f"transmission probability {p_states:.3e} too small to normalize the final state"
         )
     rho_re = np.einsum("req,sfq->resf", phi, phi.conj()).reshape(k * n, k * n) / p_states

@@ -9,10 +9,6 @@ class InvariantViolationError(ValueError):
     """A domain invariant does not hold (non-CP channel, non-density state, ...)."""
 
 
-class DegenerateTransmissionError(InvariantViolationError):
-    """Transmission probability too close to zero to normalize the final state."""
-
-
 class CapExceededError(RuntimeError):
     """A requested dense construction exceeds a configured size cap."""
 

@@ -96,8 +96,8 @@ def one_blas_thread():
         threads[1](count)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    """Whether m is square and every entry of m - m^dagger is within ``atol``.
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether m is square and every entry of m - m^dagger is within 1e-10.
 
     Row blocks of m are compared with the column blocks of m^dagger that they
     meet, so the temporaries are a block of `_HERMITIAN_BLOCK` entries, not
@@ -106,7 +106,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     rows = max(1, _HERMITIAN_BLOCK // len(m))
-    return all(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T)) <= atol
+    return all(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T)) <= HERMITICITY_ATOL
                for i in range(0, len(m), rows))
 
 

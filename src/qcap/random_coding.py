@@ -147,7 +147,7 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
     replaces the N^2 Gram products of the exact average.  The Gram matrix
     G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of the
-    `_nonzero` values of its `_gram_spectrum` (as `minimal_length` counts them).
+    `_nonzero` values of its `_gram_spectrum` (as `classify` counts the length).
     """
     m = ch.input_dim
     if m < 2:

@@ -53,15 +53,6 @@ def matrix_from_pairs(rows: Any) -> np.ndarray:
     return matrix
 
 
-def channel_to_dict(ch) -> dict:
-    return {
-        "name": ch.name,
-        "input_dim": ch.input_dim,
-        "output_dim": ch.output_dim,
-        "kraus": [matrix_to_pairs(a) for a in ch.kraus_ops],
-    }
-
-
 def channel_from_dict(data: Any):
     from .channels import KrausChannel
 

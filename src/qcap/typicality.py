@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import (ChannelInfoReport, KrausChannel, _info_report, _uniform_output, kraus_stack,
-                       minimal_kraus)
+from .channels import ChannelInfoReport, KrausChannel, _info_report, _uniform_output, minimal_kraus
 from .errors import CapExceededError, InvariantViolationError
 
 # guard on the number of group-count compositions enumerated per block length
@@ -217,11 +216,10 @@ def _output_factor_matrices(base: KrausChannel, basis: np.ndarray) -> np.ndarray
     n, mp = len(base), base.output_dim
     # the stack's conjugate, then the products, the rotation's intermediate and its
     # transposed copy and the result, beside the basis, its copies and the caller's
-    # output state (measured 4.0 N M'^2 + 3.1 M'^2 in `reduced_channel_reports`)
+    # output state (measured 4.0 N M'^2 + 3.1 M'^2 in a reduced series)
     linalg.check_entries((4 * n + 5) * mp * mp + n * mp * base.input_dim,
                          f"output factor matrices of {n} Kraus operators")
-    stack = kraus_stack(base)
-    prods = np.einsum("jab,jcb->jac", stack, stack.conj())
+    prods = np.einsum("jab,jcb->jac", base.kraus_ops, base.kraus_ops.conj())
     rotated = np.einsum("da,jab,be->jde", basis.conj().T, prods, basis, optimize=True)
     return rotated / base.input_dim
 
@@ -264,15 +262,15 @@ def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
     return grown_level
 
 
-def _sequence_sum(factors: np.ndarray, classes, n: int, kept=None):
+def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
     """Halves of the sum over the sequences s in `classes` of factors[s_1] (x) ... (x) factors[s_n].
 
     `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
     one per weight group: the sum of its symbols' factors, so that a group
     sequence sums all its symbol sequences.  S_m(c), the sum over length-m
     sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
-    only compositions below some typical class are kept (`_kept_levels`,
-    passed as ``kept`` by a caller that has them).  A sequence of type T
+    only compositions below some typical class are kept (``kept``, from
+    `_kept_levels`).  A sequence of type T
     splits into a prefix of length h = n // 2 and type c <= T and a suffix of
     type T - c, so the sum is
     sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
@@ -283,7 +281,6 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, kept=None):
     """
     tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
-    kept = kept or _kept_levels(tops, n, r)
     level = {(0,) * len(factors): np.ones((1,) * (factors.ndim - 1), dtype=factors.dtype)}
     halves = {0: level}
     for m in range(1, r + 1):
@@ -441,30 +438,18 @@ def _block_lengths(ns) -> tuple:
     return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
 
 
-def reduced_channel_reports(ch: KrausChannel, ns, eps: float) -> tuple[ReducedChannelReport, ...]:
-    """Transmission and output-norm summaries of the reduced block channel, one per n.
-
-    Works in the eigenbasis of the single-use output state, where the typical
-    projector is diagonal.  When every factor matrix is diagonal there too
-    (unitary mixtures and friends) the halves of the block are vectors of
-    length at most M'^r with r = n - n // 2, else M'^r x M'^r matrices; one
-    contraction serves both (`_reduced_norms`).  Sequences are summed by type
-    class, never enumerated, so only the peak and the number of type classes
-    are capped, not the typical set.  The n-independent work runs once.
-    """
-    return _reduced_series(ch, ns, eps)[2]
-
-
 def _reduced_series(ch: KrausChannel, ns, eps: float):
     """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
 
-    Before any class is enumerated, the top n's half block is refused from
-    r log2 M' alone, and so are more than 2^16 kept Kraus compositions in
-    all, at most C(r + G, G) per n over G groups (this bounds a
-    one-dimensional output).  The top n's report is built first, so its peak
-    is checked before any other report is built.  The report's eigvalsh
-    gives S(N(pi)) `info`'s bits; one eigh gives the eigenbasis and output
-    classes, read at its own entropy.  The Kraus classes read `info`'s S_e.
+    Works in the eigenbasis of the single-use output state, where the typical
+    projector is diagonal; the n-independent work runs once.  Before any
+    class is enumerated, the top n's half block is refused from r log2 M'
+    alone, and so are more than 2^16 kept Kraus compositions in all, at most
+    C(r + G, G) per n over G groups (this bounds a one-dimensional output).
+    The top n's report is built first, so its peak is checked before any
+    other report is built.  The report's eigvalsh gives S(N(pi)) `info`'s
+    bits; one eigh gives the eigenbasis and output classes, read at its own
+    entropy.  The Kraus classes read `info`'s S_e.
     """
     ns, top = _block_lengths(ns)
     log2_half = (top - top // 2) * math.log2(ch.output_dim)
@@ -524,7 +509,6 @@ class ReductionVerification:
     reported as decay fits rather than pass/fail.
     """
 
-    epsilon: float
     info: ChannelInfoReport              # the channel's `classify` report, S_e among it
     weights: np.ndarray                  # Kraus weight distribution of the minimal family
     reports: tuple[ReducedChannelReport, ...]
@@ -542,7 +526,6 @@ def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerifi
     reduced_fit = fit_decay([r.n for r in reports],
                             [1.0 - r.transmission for r in reports], eps, sigma_sq)
     return ReductionVerification(
-        epsilon=eps,
         info=info,
         weights=weights,
         reports=reports,
@@ -577,8 +560,6 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateTable:
-    rate: float
-    epsilon: float
     info: ChannelInfoReport              # the channel's `classify` report, I(pi, N) among it
     geometric_decay_expected: bool
     rows: tuple[RateRow, ...]
@@ -613,7 +594,7 @@ def achievable_rate_table(ch: KrausChannel, rate: float, eps: float, ns) -> Rate
             transmission=rep.transmission, penalty=penalty,
             bound=rep.transmission - penalty,
             penalty_majorant=_power_of_two(0.5 * n * exponent_rate)))
-    return RateTable(rate=rate, epsilon=eps, info=info,
+    return RateTable(info=info,
                      geometric_decay_expected=rate + 4.0 * eps < info.coherent_information,
                      rows=tuple(rows))
 

@@ -7,6 +7,9 @@ entanglement fidelity, the transpose-channel recovery, and extensional
 channel equality.  The package computes what the commands need with one
 kernel per quantity (`channels._uniform_output`, `channels.minimal_kraus`,
 `codes._deviation_batch`, `codes._trace_norms`); the tests compare the two.
+Beside them are fixtures that no command needs: mixtures of given unitaries
+(`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
+`save_channel`), whose files `serialize.load_channel` reads.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def entropy_exchange(rho, ch: qch.KrausChannel) -> float:
     # three stack copies, W and an eigensolver's copy (measured 1.1 N^2 beside the stacks)
     linalg.check_entries(len(ch) * (3 * ch.output_dim * ch.input_dim + 2 * len(ch)),
                          f"entropy exchange of {len(ch)} Kraus operators")
-    stack = qch.kraus_stack(ch)
+    stack = ch.kraus_ops
     tmp = stack @ rho
     w = np.einsum("iab,jab->ij", tmp, stack.conj())
     return von_neumann_entropy(w)
@@ -214,10 +217,26 @@ def channels_equal(a: qch.KrausChannel, b: qch.KrausChannel, *, states: int = 20
     return True
 
 
+def unitary_mixture(unitaries) -> qch.KrausChannel:
+    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of the given n unitaries."""
+    ops = [math.sqrt(1.0 / len(unitaries)) * np.asarray(u, dtype=np.complex128) for u in unitaries]
+    return qch.KrausChannel(input_dim=len(ops[0]), output_dim=len(ops[0]), kraus_ops=ops)
+
+
+def channel_to_dict(ch: qch.KrausChannel) -> dict:
+    """The channel-file record that `serialize.channel_from_dict` reads."""
+    return {
+        "name": ch.name,
+        "input_dim": ch.input_dim,
+        "output_dim": ch.output_dim,
+        "kraus": [serialize.matrix_to_pairs(a) for a in ch.kraus_ops],
+    }
+
+
 def save_channel(ch: qch.KrausChannel, path) -> None:
     """Write a channel file that `serialize.load_channel` reads back."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize.canonical_json(serialize.channel_to_dict(ch)))
+        fh.write(serialize.canonical_json(channel_to_dict(ch)))
 
 
 # ------------------------------------------------------------------ codes
@@ -234,7 +253,7 @@ def entanglement_fidelity(rho, ch: qch.KrausChannel) -> float:
         raise ValueError("entanglement fidelity needs matching input/output spaces")
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError("state dimension does not match channel input")
-    amps = np.einsum("ij,kji->k", rho, qch.kraus_stack(ch))
+    amps = np.einsum("ij,kji->k", rho, ch.kraus_ops)
     return float(np.sum(np.abs(amps) ** 2))
 
 

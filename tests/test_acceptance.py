@@ -91,7 +91,8 @@ def test_criterion_03_exact_ensemble_average():
                 ok = False
                 detail = f"{ch.name} K={k}: |{est.mean:.6g} - {exact:.6g}| > {tol:.3g}"
         # degenerate full-space ensemble has no randomness at all
-        direct = codes.bound_report(codes.CodeSubspace.full_space(m), ch).deviation_frobenius_sq
+        full = codes.CodeSubspace(ambient_dim=m, code_dim=m, basis=np.eye(m))
+        direct = codes.bound_report(full, ch).deviation_frobenius_sq
         if abs(rc.closed_forms(ch, m).deviation_sq - direct) > 1e-12:
             ok = False
             detail = f"{ch.name} degenerate K=M"
@@ -111,9 +112,7 @@ def test_criterion_04_haar_moments():
 
 
 def test_criterion_05_hamming_attainability():
-    rng = rc.sample_stream(505, 0)
-    unitaries = [linalg.haar_unitary(256, rng) for _ in range(2)]
-    ch = qch.random_unitary_channel(unitaries, name="eight_qubit_mixture")
+    ch = qch.random_unitary_channel(256, 2, rc.sample_stream(505, 0))
     target = 1.0 - math.sqrt(2 * 2 / 256)
     assert target == pytest.approx(0.875)
     analytic = rc.closed_forms(ch, 2).fidelity_bound

@@ -61,29 +61,32 @@ def test_channels_and_codes_compare_by_identity():
     # a field-wise == would compare arrays (ValueError) and a frozen dataclass would hash
     # them (TypeError); equality of maps is oracles.channels_equal
     a, b = qch.phase_flip(0.1), qch.phase_flip(0.1)
-    code = codes.CodeSubspace.standard(2, 1)
+    code, same = (codes.CodeSubspace(ambient_dim=2, code_dim=1, basis=np.eye(2, 1)) for _ in range(2))
     assert a == a and a != b and not (a == b)
     assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
     assert hash(a) == hash(a) and {code: 1}[code] == 1
-    assert code == code and code != codes.CodeSubspace.standard(2, 1)
+    assert code == code and code != same
     assert oracles.channels_equal(a, b)
 
 
 def test_kraus_stack_is_stored_once_and_read_only():
+    # kraus_ops is the channel's one copy of its operators, a read-only stack
     ops = [math.sqrt(0.5) * np.eye(2, dtype=complex), math.sqrt(0.5) * np.diag([1.0, -1.0])]
     before = [a.copy() for a in ops]
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=tuple(ops))
-    stack = qch.kraus_stack(ch)
-    assert qch.kraus_stack(ch) is stack
-    assert stack.shape == (2, 2, 2) and stack.dtype == np.complex128
-    assert not stack.flags.writeable
-    for a, b, op in zip(ch.kraus_ops, stack, before):
-        assert np.shares_memory(a, stack) and not a.flags.writeable
-        assert np.array_equal(a, b) and np.array_equal(a, op)
+    stack = ch.kraus_ops
+    assert isinstance(stack, np.ndarray) and stack.base is None and ch.kraus_ops is stack
+    assert stack.shape == (2, 2, 2) and stack.dtype == np.complex128 and len(ch) == 2
+    assert not stack.flags.writeable and not stack[0].flags.writeable
+    assert not any(np.shares_memory(stack, op) for op in ops)
+    assert all(np.array_equal(a, op) for a, op in zip(stack, before))
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 2.0
     ops[0][0, 0] = 7.0                   # the caller's arrays are not the channel's
     assert np.array_equal(ch.kraus_ops[0], before[0])
+    # a stack passed in is copied too
+    again = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=stack)
+    assert not np.shares_memory(again.kraus_ops, stack)
 
 
 # ---------------------------------------------------------------- completeness certificate
@@ -175,8 +178,15 @@ def derived_haar(seed, *dims):
     return qch.haar_random_channel(*dims, np.random.default_rng(seed))
 
 
+def isometry_channel(v, env_dim):
+    """The channel whose Kraus stack is a map V: Q -> E (x) Q' read as env_dim blocks of rows."""
+    rows, m = v.shape
+    return qch.KrausChannel(input_dim=m, output_dim=rows // env_dim,
+                            kraus_ops=v.reshape(env_dim, rows // env_dim, m))
+
+
 def derived_round_trip(ch):
-    return serialize.channel_from_dict(serialize.channel_to_dict(ch))
+    return serialize.channel_from_dict(oracles.channel_to_dict(ch))
 
 
 # Channels built from other channels, trace-preserving and trace-decreasing ones.
@@ -190,9 +200,8 @@ DERIVED_CHANNELS = {
     "reduce": lambda: oracles.reduce_channel(derived_haar(4, 3, 5, 4), [0, 2]),
     "tensor-power": lambda: oracles.tensor_power(derived_haar(5, 2, 2, 3), 3),
     "tensor-power-decreasing": lambda: oracles.tensor_power(half_identity(), 2),
-    "isometry": lambda: qch.kraus_from_isometry(
-        linalg.haar_isometry(6, 2, np.random.default_rng(6)), 3),
-    "isometry-decreasing": lambda: qch.kraus_from_isometry(
+    "isometry": lambda: isometry_channel(linalg.haar_isometry(6, 2, np.random.default_rng(6)), 3),
+    "isometry-decreasing": lambda: isometry_channel(
         0.9 * linalg.haar_isometry(6, 2, np.random.default_rng(7)), 2),
     "transpose-recovery": lambda: derived_recovery(8, 3, 3, 2, 2),
     "transpose-recovery-decreasing": lambda: derived_recovery(10, 2, 4, 1, 1),
@@ -276,7 +285,7 @@ def test_completeness_defect_matches_operator_loop(rng):
         for a in ch.kraus_ops:
             total += a.conj().T @ a
         w = np.linalg.eigvalsh(total - np.eye(ch.input_dim))
-        lo, hi = oracles.completeness_defect_bounds(qch.kraus_stack(ch))
+        lo, hi = oracles.completeness_defect_bounds(ch.kraus_ops)
         # relative to ||sum A^dagger A||, since the defect itself may be ~0
         scale = np.linalg.norm(total, 2)
         assert abs(lo - w[0]) <= 1e-12 * scale and abs(hi - w[-1]) <= 1e-12 * scale
@@ -284,34 +293,10 @@ def test_completeness_defect_matches_operator_loop(rng):
 
 # ---------------------------------------------------------------- Stinespring
 
-def test_stinespring_identity_channel():
-    assert np.allclose(qch.stinespring_isometry(qch.identity_channel(2)), np.eye(2))
-
-
-def test_stinespring_phase_flip_isometry():
-    v = qch.stinespring_isometry(qch.phase_flip(0.3))
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_stinespring_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    ch = qch.haar_random_channel(3, 2, 3, rng)
-    back = qch.kraus_from_isometry(qch.stinespring_isometry(ch), env_dim=len(ch))
-    rho = oracles.random_density(3, rng)
-    assert np.max(np.abs(oracles.apply(ch, rho) - oracles.apply(back, rho))) <= 1e-10
-
-
-def test_kraus_from_identity_isometry():
-    ch = qch.kraus_from_isometry(np.eye(2), env_dim=1)
-    assert oracles.channels_equal(ch, qch.identity_channel(2))
-
-
 def test_haar_isometry_gives_trace_preserving(rng):
     v = linalg.haar_isometry(6, 2, rng)
-    ch = qch.kraus_from_isometry(v, env_dim=3)
-    lo, hi = oracles.completeness_defect_bounds(qch.kraus_stack(ch))
+    ch = isometry_channel(v, env_dim=3)
+    lo, hi = oracles.completeness_defect_bounds(ch.kraus_ops)
     assert ch.trace_preserving and max(abs(lo), abs(hi)) <= 1e-10
 
 
@@ -346,23 +331,23 @@ def test_diagonalize_preserves_action(seed):
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert oracles.channels_equal(ch, out)
     # one Gram spectrum decides the length wherever it is read
-    assert qch.minimal_length(ch) == qch.classify(ch).length == len(out)
+    assert qch.classify(ch).length == len(out)
 
 
 def test_minimal_length_identity():
-    assert qch.minimal_length(qch.identity_channel(5)) == 1
+    assert qch.classify(qch.identity_channel(5)).length == 1
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
 def test_minimal_length_phase_flip(p):
-    assert qch.minimal_length(qch.phase_flip(p)) == 2
+    assert qch.classify(qch.phase_flip(p)).length == 2
 
 
 def test_minimal_length_duplicated_operator(rng):
     a = linalg.haar_unitary(2, rng)
     ops = (a / math.sqrt(2), a / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
-    assert qch.minimal_length(ch) == 1
+    assert qch.classify(ch).length == 1
     out, weights = qch.minimal_kraus(ch)
     assert len(out) == 1 and weights == pytest.approx([1.0], abs=1e-12)
     assert oracles.channels_equal(out, ch)
@@ -390,7 +375,7 @@ def test_tensor_power_cap():
 
 def test_minimal_length_multiplicative():
     ch = qch.phase_flip(0.25)
-    assert qch.minimal_length(oracles.tensor_power(ch, 3)) == 2**3
+    assert qch.classify(oracles.tensor_power(ch, 3)).length == 2**3
 
 
 def test_reduce_full_set_is_identity_action(rng):
@@ -434,7 +419,7 @@ def weyl_ops(dim: int) -> list[np.ndarray]:
 
 def test_entropy_exchange_uniform_channel():
     # equal-probability orthogonal-unitary mixture: S_e at the uniform input is log2(count)
-    ch = qch.random_unitary_channel(weyl_ops(4)[:3])
+    ch = oracles.unitary_mixture(weyl_ops(4)[:3])
     got = oracles.entropy_exchange(oracles.max_mixed(4), ch)
     assert got == pytest.approx(math.log2(3), abs=1e-9)
 
@@ -467,7 +452,7 @@ def test_coherent_information_phase_flip():
 
 
 def test_coherent_information_uniform_unital():
-    ch = qch.random_unitary_channel(weyl_ops(4)[:2])
+    ch = oracles.unitary_mixture(weyl_ops(4)[:2])
     got = oracles.coherent_information(oracles.max_mixed(4), ch)
     assert got == pytest.approx(math.log2(4) - math.log2(2), abs=1e-9)
 
@@ -487,14 +472,14 @@ def test_classify_random_unitary_mixture(rng):
     # equal probabilities with trace-orthogonal unitaries: unital and uniform
     u = linalg.haar_unitary(2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    rep = qch.classify(qch.random_unitary_channel([u, u @ x]))
+    rep = qch.classify(oracles.unitary_mixture([u, u @ x]))
     assert rep.is_unital and rep.is_uniform and rep.length == 2
 
 
 def test_classify_generic_haar_mixture_is_unital_not_uniform(rng):
     # generic pair: tr(U1^dagger U2) != 0, so the diagonal Gram weights differ
     us = [linalg.haar_unitary(2, rng) for _ in range(2)]
-    rep = qch.classify(qch.random_unitary_channel(us))
+    rep = qch.classify(oracles.unitary_mixture(us))
     assert rep.is_unital and not rep.is_uniform
 
 
@@ -522,11 +507,9 @@ def test_classify_length_from_its_one_gram_spectrum(monkeypatch, rng):
         qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(np.eye(2), np.zeros((2, 2)))),
         qch.haar_random_channel(2, 3, 4, rng),
     ]
-    want = [qch.minimal_length(ch) for ch in channels]
-    assert want == [1, 2, 2, 1, 1, 1, 4]
     spy = mock.Mock(wraps=qch.gram_matrix)
     monkeypatch.setattr(qch, "gram_matrix", spy)
-    assert [qch.classify(ch).length for ch in channels] == want
+    assert [qch.classify(ch).length for ch in channels] == [1, 2, 2, 1, 1, 1, 4]
     assert spy.call_count == len(channels)
 
 
@@ -574,8 +557,8 @@ def test_depolarizing_general_dim(rng):
 
 def test_random_unitary_mixture_length(rng):
     us = [linalg.haar_unitary(4, rng) for _ in range(2)]
-    ch = qch.random_unitary_channel(us)
-    assert qch.minimal_length(ch) == 2
+    ch = oracles.unitary_mixture(us)
+    assert qch.classify(ch).length == 2
 
 
 def test_make_channel_haar_random(rng):

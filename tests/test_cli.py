@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from qcap import channels as qch
-from qcap import cli, codes, linalg, serialize
+from qcap import cli, codes, errors, linalg, serialize
 from qcap import random_coding as rc
 from qcap import typicality as tp
 import oracles
@@ -161,7 +162,9 @@ def test_rate_demo_classifies_once(monkeypatch, capsys):
 
 # names that left the package: the dense reference paths in oracles.py, and those deleted
 _REMOVED_NAMES = {"transmission_probability", "deviation_operator", "average_fidelity_from_fe",
-                  "frobenius_norm", "trace_norm"}
+                  "frobenius_norm", "trace_norm", "kraus_stack", "stinespring_isometry",
+                  "kraus_from_isometry", "minimal_length", "reduced_channel_reports",
+                  "DegenerateTransmissionError", "full_space", "standard", "_stack"}
 
 
 def test_no_command_can_reach_an_oracle():
@@ -170,8 +173,10 @@ def test_no_command_can_reach_an_oracle():
     oracle_names = {name for name, obj in vars(oracles).items()
                     if getattr(obj, "__module__", None) == "oracles"}
     assert {"apply", "entropy_exchange", "channels_equal", "partial_trace"} <= oracle_names
-    for module in (qch, cli, codes, linalg, rc, serialize, tp):
+    for module in (qch, cli, codes, errors, linalg, rc, serialize, tp):
         assert not (oracle_names | _REMOVED_NAMES) & set(vars(module)), module.__name__
+    for cls in (qch.KrausChannel, codes.CodeSubspace):
+        assert not _REMOVED_NAMES & {*vars(cls), *(f.name for f in dataclasses.fields(cls))}
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     for path in [*Path(cli.__file__).parent.glob("*.py"), *scripts.glob("*.py")]:
         tree = ast.parse(path.read_text())
@@ -278,7 +283,7 @@ def test_non_utf8_channel_file_names_the_file(tmp_path, capsys):
 
 
 def test_exit_3_non_cp_channel(tmp_path, capsys):
-    data = serialize.channel_to_dict(qch.identity_channel(2))
+    data = oracles.channel_to_dict(qch.identity_channel(2))
     data["kraus"].append(data["kraus"][0])
     path = tmp_path / "noncp.json"
     path.write_text(json.dumps(data))
@@ -608,6 +613,15 @@ def test_code_dim_outside_the_input_is_an_input_error(capsys, subcommand, code_d
     code, _, err = run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25",
                            "--code-dim", code_dim, "--samples", "3", "--seed", "1")
     assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code_dim", ["0", "3"])
+def test_bound_checks_the_code_dim_as_ensemble_does(capsys, code_dim):
+    # the code dimension is checked before any code is drawn, not by the Haar sampler
+    runs = [run_cli(capsys, subcommand, "--channel", "builtin:phase_flip:0.25",
+                    "--code-dim", code_dim, "--samples", "3", "--seed", "1")
+            for subcommand in ("bound", "ensemble")]
+    assert runs[0] == runs[1] == (2, "", "error: need 1 <= code_dim <= input_dim\n")
 
 
 def test_overflowing_channel_file_is_one_invariant_line(tmp_path, capsys):

@@ -70,7 +70,7 @@ def assert_prediction_bounds_growth(monkeypatch, step, small, large):
     "identity:512", "identity:768",
     "depolarizing:0.3,24", "depolarizing:0.3,28",
     "haar_random:64,64,96", "haar_random:256,64,24",
-    "random_unitary:128,16", "random_unitary:64,64",
+    "random_unitary:128,24", "random_unitary:64,96",
 ])
 def test_builtin_construction_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
@@ -89,20 +89,20 @@ def test_bound_report_peak(monkeypatch, dims, code_dim):
 ], ids=["qubit", "two-qubit"])
 def test_diagonal_reduced_report_peak(monkeypatch, ch, n):
     assert_prediction_bounds_peak(monkeypatch,
-                                  lambda: tp.reduced_channel_reports(ch, (n,), 0.1)[0])
+                                  lambda: tp.verify_reduction_bounds(ch, (n,), 0.1).reports[0])
 
 
 @pytest.mark.parametrize("dims, n", [((2, 2, 3), 16), ((4, 4, 2), 9)])
 def test_dense_reduced_report_peak(monkeypatch, dims, n):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch,
-                                  lambda: tp.reduced_channel_reports(ch, (n,), 0.1)[0])
+                                  lambda: tp.verify_reduction_bounds(ch, (n,), 0.1).reports[0])
 
 
 @pytest.mark.parametrize("dims", [(1, 256, 16), (4, 128, 64)])
 def test_output_factor_matrices_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
-    assert_prediction_bounds_peak(monkeypatch, lambda: tp.reduced_channel_reports(ch, (1,), 0.5))
+    assert_prediction_bounds_peak(monkeypatch, lambda: tp.verify_reduction_bounds(ch, (1,), 0.5))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1100), (2, 2, 1500)])

@@ -87,7 +87,8 @@ def test_exact_average_full_code_is_deterministic(rng):
     for _ in range(5):
         m = int(rng.integers(2, 5))
         ch = qch.haar_random_channel(m, m, int(rng.integers(1, 4)), rng)
-        direct = codes.bound_report(codes.CodeSubspace.full_space(m), ch).deviation_frobenius_sq
+        full = codes.CodeSubspace(ambient_dim=m, code_dim=m, basis=np.eye(m))
+        direct = codes.bound_report(full, ch).deviation_frobenius_sq
         assert rc.closed_forms(ch, m).deviation_sq == pytest.approx(direct, abs=1e-12)
 
 
@@ -124,7 +125,7 @@ def test_upper_bound_values(rng):
 def oracle_closed_forms(ch, k):
     """The closed forms as first written: N^2 Gram products and N(pi) by apply."""
     m = ch.input_dim
-    stack = qch.kraus_stack(ch)
+    stack = ch.kraus_ops
     grams = np.einsum("iab,jac->ijbc", stack.conj(), stack, optimize=True)
     sum_sq = float(np.sum(np.abs(grams) ** 2))
     sum_tr = float(np.sum(np.abs(np.einsum("ijbb->ij", grams)) ** 2))
@@ -222,7 +223,7 @@ def test_hamming_curve_vacuous_for_tight_space():
 
 
 def test_hamming_curve_converges_when_room():
-    ch = qch.random_unitary_channel(weyl_pair(4))
+    ch = oracles.unitary_mixture(weyl_pair(4))
     curve = rc.hamming_rate_curve(qch.classify(ch), ch.output_dim, rate=0.5, ns=range(1, 30))
     assert curve.converges and curve.capacity_bound == pytest.approx(1.0)
     bounds = [row.bound for row in curve.rows]
@@ -232,7 +233,7 @@ def test_hamming_curve_converges_when_room():
 
 
 def test_hamming_curve_boundary_rate_is_zero():
-    ch = qch.random_unitary_channel(weyl_pair(4))
+    ch = oracles.unitary_mixture(weyl_pair(4))
     curve = rc.hamming_rate_curve(qch.classify(ch), ch.output_dim, rate=1.0, ns=[2, 4, 6])
     assert all(row.bound == pytest.approx(0.0, abs=1e-12) for row in curve.rows)
     assert not curve.converges

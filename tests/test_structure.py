@@ -1,0 +1,67 @@
+"""Structure of the package: no public name exists only for the tests.
+
+Every public module-level function and class in ``src/qcap``, and every
+public method of a public class, must be named somewhere in ``src/qcap`` or
+``scripts`` other than in its own definition: as a name, an attribute, or a
+``from`` import.  Names the tests use do not count.  Methods of private
+classes (argparse's ``_Parser.error`` override) are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def public_definitions(tree: ast.Module):
+    """(label, name, node) of the public functions, classes and methods of public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def references(tree: ast.Module):
+    """(name, node) of every Name, Attribute and from-imported alias in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def unreached_names(paths) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    refs = [(name, id(node)) for tree in trees.values() for name, node in references(tree)]
+    unreached = []
+    for path, tree in trees.items():
+        if path.parent.name != "qcap":
+            continue
+        for label, name, definition in public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and node not in inside for ref, node in refs):
+                unreached.append(f"{path.stem}.{label}")
+    return sorted(unreached)
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    paths = sorted((ROOT / "src" / "qcap").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(paths) > 5
+    assert unreached_names(paths) == []
+
+
+def test_a_name_only_its_own_body_uses_is_unreached(tmp_path):
+    module = tmp_path / "qcap" / "m.py"
+    module.parent.mkdir()
+    module.write_text("def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\n"
+                      "class C:\n    def reached(self):\n        return used()\n\n"
+                      "    def lonely(self):\n        return self.reached()\n\n\n"
+                      "class _P:\n    def error(self):\n        pass\n\n\nC()\n")
+    assert unreached_names([module]) == ["m.C.lonely", "m.unused"]

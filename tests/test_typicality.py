@@ -153,7 +153,7 @@ def near_equal_kraus_weights():
     ch = qch.depolarizing(0.3, 3)
     v = linalg.haar_unitary(len(ch), np.random.default_rng(0))
     rotated = qch.KrausChannel(input_dim=3, output_dim=3,
-                               kraus_ops=tuple(np.einsum("jk,kab->jab", v, qch.kraus_stack(ch))))
+                               kraus_ops=tuple(np.einsum("jk,kab->jab", v, ch.kraus_ops)))
     return tuple(qch.minimal_kraus(rotated)[1])
 
 
@@ -367,11 +367,11 @@ def test_dense_reduced_report_cap_at_n19():
     # of half sums: 45 of 2^8 x 2^8 entries and 55 of 2^9 x 2^9 fit at n = 18, 55 of
     # 2^9 x 2^9 and 66 of 2^10 x 2^10 at n = 19 do not
     ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
-    rep = tp.reduced_channel_reports(ch, (18,), 1.5)[0]
+    rep = tp.verify_reduction_bounds(ch, (18,), 1.5).reports[0]
     assert 0 < rep.length <= 3**18 and rep.counts_within_bound and rep.norm_within_bound
     with pytest.raises(CapExceededError, match=r"dense reduced report at n=19, 66 half sums of "
                                                r"dimension 2\^10, needs 2\^26.6714 entries"):
-        tp.reduced_channel_reports(ch, (19,), 1.5)[0]
+        tp.verify_reduction_bounds(ch, (19,), 1.5).reports[0]
 
 
 # ---------------------------------------------------------------- Kraus distribution
@@ -406,7 +406,7 @@ def test_kraus_distribution_rejects_trace_decreasing():
     ch = oracles.reduce_channel(qch.phase_flip(0.3), [0])
     assert qch.minimal_kraus(ch)[1] == pytest.approx([0.7], abs=1e-15)
     with pytest.raises(InvariantViolationError, match="Kraus weight distribution needs a trace-preserving"):
-        tp.reduced_channel_reports(ch, (1, 2), 0.1)
+        tp.verify_reduction_bounds(ch, (1, 2), 0.1)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -423,7 +423,7 @@ def test_kraus_entropy_equals_entropy_exchange(seed):
 
 def test_typical_channel_of_identity_is_identity():
     for n, eps in [(3, 0.05), (6, 0.5)]:
-        rep = tp.reduced_channel_reports(qch.identity_channel(2), (n,), eps)[0]
+        rep = tp.verify_reduction_bounds(qch.identity_channel(2), (n,), eps).reports[0]
         assert rep.length == 1
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
         dense = typical_kraus_channel(qch.identity_channel(2), n, eps, project=False)
@@ -433,7 +433,7 @@ def test_typical_channel_of_identity_is_identity():
 def test_typical_channel_phase_flip_mass():
     ch = qch.phase_flip(0.25)
     n, eps = 8, 0.1
-    rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
+    rep = tp.verify_reduction_bounds(ch, (n,), eps).reports[0]
     count, mass = binomial_typical(0.25, n, eps)
     assert rep.length == count
     assert rep.typical_transmission == pytest.approx(mass, abs=1e-14)
@@ -446,9 +446,9 @@ def test_typical_channel_phase_flip_mass():
 def test_uniform_gram_channel_everything_typical(rng):
     u = linalg.haar_unitary(2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    ch = qch.random_unitary_channel([u, u @ x])
+    ch = oracles.unitary_mixture([u, u @ x])
     for eps in (0.01, 0.4):
-        rep = tp.reduced_channel_reports(ch, (6,), eps)[0]
+        rep = tp.verify_reduction_bounds(ch, (6,), eps).reports[0]
         assert rep.length == 2**6
         assert rep.typical_transmission == pytest.approx(1.0, abs=1e-12)
 
@@ -461,18 +461,18 @@ def test_uniform_gram_channel_everything_typical(rng):
 ])
 def test_reduced_reports_reject_nonpositive_n_and_epsilon(ns, eps, message):
     with pytest.raises(InvariantViolationError, match=message):
-        tp.reduced_channel_reports(qch.phase_flip(0.25), ns, eps)
+        tp.verify_reduction_bounds(qch.phase_flip(0.25), ns, eps)
 
 
 def test_typical_channel_needs_trace_preserving():
     with pytest.raises(InvariantViolationError):
-        tp.reduced_channel_reports(oracles.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)[0]
+        tp.verify_reduction_bounds(oracles.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)
 
 
 # ---------------------------------------------------------------- reduced channels
 
 def test_reduced_channel_identity():
-    rep = tp.reduced_channel_reports(qch.identity_channel(2), (4,), 0.2)[0]
+    rep = tp.verify_reduction_bounds(qch.identity_channel(2), (4,), 0.2).reports[0]
     assert rep.length == 1
     assert rep.transmission == pytest.approx(1.0, abs=1e-12)
     dense = typical_kraus_channel(qch.identity_channel(2), 4, 0.2, project=True)
@@ -483,7 +483,7 @@ def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     """Compare every report field with the dense oracle; assert the branch taken."""
     spy = mock.Mock(wraps=tp._sequence_sum)
     monkeypatch.setattr(tp, "_sequence_sum", spy)
-    rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
+    rep = tp.verify_reduction_bounds(ch, (n,), eps).reports[0]
     # one sum over the Kraus group factors, vectors on the diagonal branch and
     # matrices on the dense one; both contract the projector by output type
     assert spy.call_count == 1
@@ -525,7 +525,8 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
 
 def joined_halves(factors, classes, n):
     """Oracle: sum_c L_c (x) R'_c joined from `_sequence_sum`'s halves (first factor major)."""
-    lefts, rights, pairing = tp._sequence_sum(factors, classes, n)
+    kept = tp._kept_levels([cls.counts for cls in classes], n, n - n // 2)
+    lefts, rights, pairing = tp._sequence_sum(factors, classes, n, kept)
     return sum(np.kron(left, sum(rights[j] for j in columns))
                for left, columns in zip(lefts, pairing))
 
@@ -645,8 +646,8 @@ def test_broadcast_kron_is_np_kron_bit_for_bit(seed, ndim, is_complex, a_shape, 
 def test_report_series_equals_single_reports(make_channel):
     ch = make_channel()
     ns = (9, 4, 1, 7, 10, 6)        # unsorted and gapped
-    series = tp.reduced_channel_reports(ch, ns, 0.1)
-    assert series == tuple(tp.reduced_channel_reports(ch, (n,), 0.1)[0] for n in ns)
+    series = tp.verify_reduction_bounds(ch, ns, 0.1).reports
+    assert series == tuple(tp.verify_reduction_bounds(ch, (n,), 0.1).reports[0] for n in ns)
     assert [rep.n for rep in series] == list(ns)
     # each channel has empty and nonempty typical sets among these n
     assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
@@ -659,14 +660,14 @@ def test_report_series_refuses_a_capped_range_before_any_report():
                         (range(22, 44), "diagonal reduced report at n=43,")]:
         start = time.perf_counter()
         with pytest.raises(CapExceededError, match=message):
-            tp.reduced_channel_reports(qch.phase_flip(0.1), ns, 0.1)
+            tp.verify_reduction_bounds(qch.phase_flip(0.1), ns, 0.1)
         assert time.perf_counter() - start < 0.1
 
 
 def test_reduced_report_beyond_sequence_cap():
     # 91,728 > 2^16 typical Kraus sequences: summed by type class, never enumerated
     start = time.perf_counter()
-    rep = tp.reduced_channel_reports(qch.depolarizing(0.3), (14,), 0.3)[0]
+    rep = tp.verify_reduction_bounds(qch.depolarizing(0.3), (14,), 0.3).reports[0]
     assert time.perf_counter() - start < 1.0
     assert rep.length == 91728
     assert rep.counts_within_bound and rep.norm_within_bound
@@ -677,7 +678,7 @@ def test_reduced_transmission_lower_bound():
     ch = qch.phase_flip(0.25)
     for n in (4, 8):
         for eps in (0.1, 0.2):
-            rep = tp.reduced_channel_reports(ch, (n,), eps)[0]
+            rep = tp.verify_reduction_bounds(ch, (n,), eps).reports[0]
             out_mass = output_subspace(oracles.apply(ch, oracles.max_mixed(2)), n, eps).mass
             assert rep.transmission >= out_mass - (1.0 - rep.typical_transmission) - 1e-12
 
@@ -754,7 +755,7 @@ def test_fidelity_chain_under_reduction_and_projection():
     for n in (2, 4, 6):
         full = oracles.tensor_power(qch.minimal_kraus(ch)[0], n)
         for eps in (0.1, 0.4):
-            if tp.reduced_channel_reports(ch, (n,), eps)[0].length == 0:
+            if tp.verify_reduction_bounds(ch, (n,), eps).reports[0].length == 0:
                 continue
             typ_dense = typical_kraus_channel(ch, n, eps, project=False)
             red_dense = typical_kraus_channel(ch, n, eps, project=True)
@@ -774,7 +775,8 @@ def test_fidelity_chain_under_reduction_and_projection():
 
 def test_subspace_restricted_info_full_space():
     ch = qch.phase_flip(0.25)
-    info = oracles.coherent_information(oracles.normalized_projector(codes.CodeSubspace.full_space(2)), ch)
+    full = codes.CodeSubspace(ambient_dim=2, code_dim=2, basis=np.eye(2))
+    info = oracles.coherent_information(oracles.normalized_projector(full), ch)
     want = oracles.coherent_information(oracles.max_mixed(2), ch)
     assert info == pytest.approx(want, abs=1e-12)
     h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
