@@ -29,7 +29,7 @@ def main() -> None:
     ch = cli.resolve_channel(argparse.Namespace(channel=spec, master_seed=args.seed))
 
     analytic = rc.closed_forms(ch, args.code_dim).fidelity_bound
-    est = rc.mc_average_bound(ch, args.code_dim, args.samples, args.seed)
+    _, est = rc.mc_code_values(ch, args.code_dim, args.samples, args.seed)
     closed = 1.0 - math.sqrt(args.code_dim * 2 / dim)
 
     print(f"channel: {ch.name}, |Q'| = {dim}, |N| = {qch.classify(ch).length}")

@@ -13,9 +13,10 @@ numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
 invariant violation, 4 resource cap exceeded.
 
-Sampling is serial.  ``--threads`` (>= 1) is accepted so that existing command
-lines keep working, but it has no effect: a thread pool over Monte Carlo
-samples never beat the serial loop on a 2-core host (`qcap.random_coding`).
+Sampling is one serial pass: each code's Ginibre normals come from its own
+stream, and a chunk of codes takes one batched QR and one D-kernel call for
+both `ensemble` estimates.  ``--threads`` (>= 1) is accepted, with no effect:
+a thread pool over samples never beat the serial loop on a 2-core host.
 """
 
 from __future__ import annotations
@@ -194,11 +195,10 @@ def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]
     ch = resolve_channel(args)
     _require(args, code_dim="--code-dim", samples="--samples")
     k, n, seed = args.code_dim, args.samples, args.master_seed
-    d2_mc = rc.mc_deviation_sq(ch, k, n, seed)
+    d2_mc, bound_mc = rc.mc_code_values(ch, k, n, seed)
     closed = rc.closed_forms(ch, k)
     d2_exact, bound_analytic = closed.deviation_sq, closed.fidelity_bound
     d2_pass = abs(d2_mc.mean - d2_exact) <= max(4.0 * d2_mc.std_error, 1e-12)
-    bound_mc = rc.mc_average_bound(ch, k, n, seed)
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
     record = {
         "config": _config_record(args),

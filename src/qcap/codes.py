@@ -68,17 +68,23 @@ class CodeSubspace:
             raise InvariantViolationError(f"need 1 <= code_dim <= ambient_dim, got {k}, {m}")
         if basis.shape != (m, k):
             raise InvariantViolationError(f"basis shape {basis.shape} != ({m}, {k})")
-        defect = basis.conj().T @ basis - np.eye(k)
-        if np.max(np.abs(defect)) > ORTHONORMALITY_ATOL:
-            raise InvariantViolationError("basis columns are not orthonormal")
+        _orthonormal(basis[None])
 
 
-def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
-                     dense: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _orthonormal(bases: np.ndarray) -> np.ndarray:
+    """An (S, M, K) stack of bases, checked to have orthonormal columns within 1e-10."""
+    defect = np.matmul(bases.conj().transpose(0, 2, 1), bases) - np.eye(bases.shape[2])
+    if np.max(np.abs(defect)) > ORTHONORMALITY_ATOL:
+        raise InvariantViolationError("basis columns are not orthonormal")
+    return bases
+
+
+def _deviation_batch(bases: np.ndarray,
+                     ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one D kernel, over an (S, M, K) stack of code bases.
 
-    Returns length-S arrays of p and ||D||_F^2 and, with ``dense``, the
-    (S, K*N, K*N) stack of Hermitian D.  W_ij = B^dagger A_i^dagger A_j B is
+    Returns length-S arrays of p and ||D||_F^2, and the (S, K*N, K*N) stack
+    of Hermitian D.  W_ij = B^dagger A_i^dagger A_j B is
     formed in the K-dimensional code basis, p = tr N(pi_C) = (1/K) sum_i
     ||A_i B||_F^2 comes from the same intermediates, and
     ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
@@ -111,8 +117,6 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel, *,
     traces = np.einsum("sjlil->sij", blocks)
     fro_sq = (np.sum(np.abs(gram.reshape(s, -1)) ** 2, axis=1) / k**2
               - np.sum(np.abs(traces.reshape(s, -1)) ** 2, axis=1) / k**3)
-    if not dense:
-        return p, fro_sq, None
     eye = np.eye(k)[None, None, :, None, :]
     dev = (blocks - traces.transpose(0, 2, 1)[:, :, None, :, None] * eye / k) / k
     d = dev.transpose(0, 4, 3, 2, 1).reshape(s, k * n, k * n)   # rows (l, i), columns (m, j)
@@ -153,7 +157,7 @@ def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
     normalizes by its own transmission probability, and measures how far
     reference+environment is from a product state.
     """
-    p, fro_sq, d = _deviation_batch(code.basis[None], ch, dense=True)
+    p, fro_sq, d = _deviation_batch(code.basis[None], ch)
     p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])
     k, n, out = code.code_dim, len(ch), ch.output_dim
     psi = code.basis.T / math.sqrt(k)              # (K, M): reference-major purification

@@ -154,15 +154,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``cols`` columns of a Haar unitary, drawn directly.
+    """First ``cols`` columns of a Haar unitary: the one-matrix case of `haar_isometries`."""
+    return haar_isometries(ginibre(dim, cols, rng)[None])[0]
 
-    Reduced QR of a (dim, cols) complex Ginibre matrix, with the R-diagonal
-    phases divided out; without that correction the raw QR output is not
-    Haar distributed.  The resulting isometry is unitarily invariant.  The
-    real parts, then the imaginary parts, come from one draw of normals
-    scaled by 1/sqrt(2); numpy divides by a complex scalar by multiplying by
-    its reciprocal, so these are the bits of (a + 1j b) / sqrt(2) from two
-    draws a, b.
+
+def ginibre(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A (dim, cols) complex Ginibre matrix: (a + 1j b) / sqrt(2), a and b standard normal.
+
+    a, then b, come from one draw of normals scaled by 1/sqrt(2), the bits of that
+    quotient: numpy divides by a complex scalar by multiplying by its reciprocal.
     """
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
@@ -170,9 +170,16 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     normals *= 1 / math.sqrt(2)
     z = np.empty((dim, cols), dtype=np.complex128)
     z.real, z.imag = normals
-    del normals     # so that the draw is not held through the QR
+    return z
+
+
+def haar_isometries(z: np.ndarray) -> np.ndarray:
+    """Haar isometries from an (S, dim, cols) stack of `ginibre` matrices: one reduced QR.
+
+    The R-diagonal phases are divided out, as raw QR output is not Haar distributed.
+    LAPACK runs on each matrix in turn, so each isometry's bits do not depend on S.
+    """
     with one_blas_thread():
         q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]

@@ -12,18 +12,13 @@ its upper bound ||N(pi)||_F^2, and the averaged fidelity bound
   < Fe >_K >= tr N(pi) - sqrt(K |N|) ||N(pi)||_F .
 
 Reproducibility contract: every Monte Carlo sample draws from its own
-counter-based Philox stream keyed by (master_seed, sample_index), and
-aggregation uses exact (fsum) summation, so results depend only on the seed
-and the sample count.  A sampling loop rekeys one Philox generator per
-sample, which reproduces `sample_stream` bit for bit.  Sampling is one
-serial loop over fixed chunks of samples: each code is drawn from its own
-stream, and the D kernel then runs on the chunk's stacked bases at once:
-one zero-padded matrix product for every A_i B, then Gram blocks per code,
-so the bits do not depend on the chunk size.  No function here takes a
-worker count, and the CLI's ``--threads`` has no effect: a thread pool over
-samples never beat the serial loop on a 2-core host (`mc_deviation_sq` on
-depolarizing(0.3), K=2, 3000 samples: 0.40-0.48 s serial, 0.49-1.03 s on 2
-or 4 threads with default BLAS, and no faster with single-thread BLAS).
+counter-based Philox stream keyed by (master_seed, sample_index), one
+generator rekeyed per sample, and aggregation uses exact (fsum) summation,
+so results depend only on the seed and the sample count.  Sampling is one
+serial pass over fixed chunks of samples: each code's Ginibre normals come
+from its own stream, and a chunk takes one batched QR and one D-kernel call
+for both of a code's values, whose bits do not depend on the chunk size.
+No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -39,10 +34,10 @@ from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _nonzero
 from .errors import InvariantViolationError
 from .typicality import _power_of_two
 
-# Samples per chunk of the sampling loop.  Monte Carlo over codes also caps a
-# chunk at about _CHUNK_ENTRIES complex entries (4 MiB) of the per-code arrays
-# that grow with it (bases, panel, A_i B and its copy, the Gram/D stack), so
-# codes with a large K*N get fewer samples per chunk.
+# Samples per chunk of the sampling loop.  A chunk is also capped at about
+# _CHUNK_ENTRIES complex entries (4 MiB) of the per-sample arrays that grow
+# with it (the Ginibre stack and the QR outputs; for codes also the panel,
+# A_i B and the Gram/D stack), so large samples come fewer to a chunk.
 _CHUNK = 64
 _CHUNK_ENTRIES = 1 << 18
 
@@ -88,19 +83,18 @@ class EnsembleEstimate:
 
 
 def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
-                   chunk: int | None = None) -> np.ndarray:
+                   entries: int = 1) -> np.ndarray:
     """Per-sample results over the streams (master_seed, 0..sample_count-1), in index order.
 
-    One serial loop over fixed chunks of ``chunk`` samples (default
-    `_CHUNK`): each sample's draw(rng) comes from its own stream (one Philox
-    generator, rekeyed per sample by `_rekeyed_streams`), a chunk's
-    draws are stacked, and reduce(stack) turns them into that chunk's
-    results at once.  A chunk only batches work that treats every sample
-    alike, so the results do not depend on the chunk size.
+    Each sample's draw(rng) comes from its own stream (`_rekeyed_streams`), and
+    reduce(stack) turns a chunk's stacked draws into its results at once.  A
+    chunk holds `_CHUNK` samples, or as many as keep their ``entries`` entries
+    each within `_CHUNK_ENTRIES`; it batches only work that treats every sample
+    alike, so the results do not depend on its size.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    chunk = chunk or _CHUNK
+    chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // entries))
     streams = _rekeyed_streams(master_seed, range(sample_count))
     chunks = []
     for start in range(0, sample_count, chunk):
@@ -168,37 +162,29 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
 
 # ------------------------------------------------------------------ Monte Carlo
 
-def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
-                 reduce) -> np.ndarray:
-    """reduce(bases) over chunks of Haar code bases on the channel input, concatenated."""
+def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
+                   master_seed: int) -> tuple[EnsembleEstimate, EnsembleEstimate]:
+    """Monte Carlo estimates of < ||D||_F^2 >_K and of the mean per-code bound p - ||D||_1.
+
+    One pass over the Haar codes: per chunk, one batched QR, one orthonormality
+    check, one `_deviation_batch` call and one `_trace_norms`.
+    """
     m, k, n = ch.input_dim, code_dim, len(ch)
     if not 1 <= k <= m:
         raise ValueError("need 1 <= code_dim <= input_dim")
-    # each value kept in its chunk, the joined values and `_estimate`'s list (measured 2.5)
-    linalg.check_entries(3 * sample_count, f"keeping the results of {sample_count} samples")
-    per_code = 2 * k * (m + n * ch.output_dim) + (k * n) ** 2
-    return _sample_values(lambda rng: sample_code(m, code_dim, rng).basis,
-                          sample_count, master_seed, reduce,
-                          chunk=max(1, min(_CHUNK, _CHUNK_ENTRIES // per_code)))
+    # two values kept per chunk, the joined values, one column's list (measured 3.0)
+    linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
+    def values(ginibre):
+        bases = codes._orthonormal(linalg.haar_isometries(ginibre))
+        p, fro_sq, d = codes._deviation_batch(bases, ch)
+        return np.stack([fro_sq, p - codes._trace_norms(d)], axis=1)
 
-def mc_deviation_sq(ch: KrausChannel, code_dim: int, sample_count: int,
-                    master_seed: int) -> EnsembleEstimate:
-    """Monte Carlo estimate of < ||D||_F^2 >_K over Haar codes."""
-    values = _code_values(ch, code_dim, sample_count, master_seed,
-                          lambda bases: codes._deviation_batch(bases, ch, dense=False)[1])
-    return _estimate(values, master_seed)
-
-
-def mc_average_bound(ch: KrausChannel, code_dim: int, sample_count: int,
-                     master_seed: int) -> EnsembleEstimate:
-    """Monte Carlo mean of the per-code Kraus-form bound p - ||D||_1."""
-    def bounds(bases):
-        p, _, d = codes._deviation_batch(bases, ch, dense=True)
-        return p - codes._trace_norms(d)
-
-    values = _code_values(ch, code_dim, sample_count, master_seed, bounds)
-    return _estimate(values, master_seed)
+    # the Ginibre stack, Q and R, bases, panel, A_i B and its copy, the Gram/D stack
+    per_code = k * (4 * m + 2 * n * ch.output_dim + k) + (k * n) ** 2
+    both = _sample_values(lambda rng: linalg.ginibre(m, k, rng), sample_count, master_seed,
+                          values, entries=per_code)
+    return _estimate(both[:, 0], master_seed), _estimate(both[:, 1], master_seed)
 
 
 # ------------------------------------------------------------------ Haar moments
@@ -228,20 +214,23 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
     """Three matrix-element moments of the Haar sampler, checked at 4 sigma.
 
     Targets: E|U_11|^2 = 1/M, E|U_11|^4 = 2/(M^2+M), E|U_11|^2 |U_12|^2 =
-    1/(M^2+M).  The suite samples the actual unitary sampler (not a faster
-    row-vector shortcut) because the sampler itself is under test.
+    1/(M^2+M).  The suite samples the codes' sampler (per-stream Ginibre draws,
+    batched QR), not a faster row-vector shortcut, since that is under test.
     """
     if dim < 2:
         raise InvariantViolationError("moment suite needs dim >= 2")
     # three values kept per sample, then one column's list in `_estimate` (measured 3.5)
     linalg.check_entries(5 * sample_count, f"keeping the results of {sample_count} samples")
 
-    def one(rng):
-        u = linalg.haar_unitary(dim, rng)
-        a2 = abs(u[0, 0]) ** 2
-        return (a2, a2 * a2, a2 * abs(u[0, 1]) ** 2)
+    def moments(ginibre):
+        # Python's abs of each entry: numpy's vectorized abs rounds some last bits differently
+        rows = linalg.haar_isometries(ginibre)[:, 0, :2].tolist()
+        a2, b2 = np.array([[abs(u) ** 2 for u in row] for row in rows]).T
+        return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
-    raw = _sample_values(one, sample_count, master_seed)
+    # the Ginibre stack, Q and R, and the unitaries
+    raw = _sample_values(lambda rng: linalg.ginibre(dim, dim, rng), sample_count, master_seed,
+                         moments, entries=4 * dim * dim)
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

@@ -58,7 +58,7 @@ def test_criterion_02_identity_channel_exactness():
         ch = qch.identity_channel(m)
         for k in range(1, m + 1):
             code = rc.sample_code(m, k, rc.sample_stream(202, m * 16 + k))
-            dev = codes._deviation_batch(code.basis[None], ch, dense=True)[2][0]
+            dev = codes._deviation_batch(code.basis[None], ch)[2][0]
             rep = codes.bound_report(code, ch)
             good = (np.linalg.norm(dev) <= 1e-12
                     and abs(rep.bound_kraus - 1.0) <= 1e-12
@@ -85,7 +85,7 @@ def test_criterion_03_exact_ensemble_average():
             if k > m:
                 continue
             exact = rc.closed_forms(ch, k).deviation_sq
-            est = rc.mc_deviation_sq(ch, k, 10000, master_seed=303_000 + ch_index)
+            est, _ = rc.mc_code_values(ch, k, 10000, master_seed=303_000 + ch_index)
             tol = max(4.0 * est.std_error, 1e-12)
             if abs(est.mean - exact) > tol:
                 ok = False
@@ -116,7 +116,7 @@ def test_criterion_05_hamming_attainability():
     target = 1.0 - math.sqrt(2 * 2 / 256)
     assert target == pytest.approx(0.875)
     analytic = rc.closed_forms(ch, 2).fidelity_bound
-    est = rc.mc_average_bound(ch, 2, 200, master_seed=505)
+    _, est = rc.mc_code_values(ch, 2, 200, master_seed=505)
     ok = (abs(analytic - target) <= 1e-9
           and est.mean >= target - 4.0 * est.std_error)
     _verdict(5, "quantum Hamming attainability", ok,

@@ -26,7 +26,7 @@ def random_square_channel(rng, dim, n_kraus, trace_decreasing=False):
 
 def deviation_operator(code, ch):
     """The Hermitian (K*N) x (K*N) block operator D of one code, from the kernel."""
-    return codes._deviation_batch(code.basis[None], ch, dense=True)[2][0]
+    return codes._deviation_batch(code.basis[None], ch)[2][0]
 
 
 def ambient_deviation_operator(code, ch):
@@ -183,13 +183,11 @@ def test_batched_kernel_equals_single_code_entry_points(rng):
     for k in (1, 2, 3):
         code_list = [random_code(rng, 3, k) for _ in range(9)]
         bases = np.stack([c.basis for c in code_list])
-        p, fro_sq, d = codes._deviation_batch(bases, ch, dense=True)
-        _, fro_sq_only, none = codes._deviation_batch(bases, ch, dense=False)
-        assert none is None and np.array_equal(fro_sq_only, fro_sq)
+        p, fro_sq, d = codes._deviation_batch(bases, ch)
         trace_norms = codes._trace_norms(d)
         for i, code in enumerate(code_list):
             rep = codes.bound_report(code, ch)
-            _, single_fro_sq, _ = codes._deviation_batch(code.basis[None], ch, dense=False)
+            _, single_fro_sq, _ = codes._deviation_batch(code.basis[None], ch)
             assert p[i] == rep.transmission
             assert fro_sq[i] == rep.deviation_frobenius_sq == single_fro_sq[0]
             assert trace_norms[i] == rep.deviation_trace_norm
@@ -207,9 +205,9 @@ def test_kernel_bits_do_not_depend_on_stack_size(rng, family, k):
         row = 0.9 * linalg.haar_isometry(4, 1, rng).T
         ch = qch.KrausChannel(input_dim=4, output_dim=1, kraus_ops=(row,))
     bases = np.stack([linalg.haar_isometry(ch.input_dim, k, rng) for _ in range(64)])
-    whole = codes._deviation_batch(bases, ch, dense=True)
+    whole = codes._deviation_batch(bases, ch)
     for size in (1, 7, 8, 9):
-        parts = [codes._deviation_batch(bases[i:i + size], ch, dense=True)
+        parts = [codes._deviation_batch(bases[i:i + size], ch)
                  for i in range(0, len(bases), size)]
         for field, expected in enumerate(whole):
             assert np.array_equal(np.concatenate([part[field] for part in parts]), expected)

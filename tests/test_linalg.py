@@ -234,6 +234,15 @@ def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim, cols", [(2, 1), (2, 2), (3, 2), (5, 3), (256, 2), (64, 17)])
+def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
+    # one batched QR over a stack of per-stream Ginibre matrices against one QR per matrix
+    stack = np.array([linalg.ginibre(dim, cols, np.random.default_rng(seed)) for seed in range(9)])
+    got = linalg.haar_isometries(stack)
+    want = [linalg.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_haar_first_moments_smoke():
     # quick seeded check; the full three-moment suite runs in acceptance
     rng = np.random.default_rng(7)

@@ -124,18 +124,19 @@ def test_classify_peak(monkeypatch, spec):
 
 
 def test_kept_ensemble_values_peak(monkeypatch):
-    # one value per sample; the codes' draw and kernel are per chunk, so a fixed code stands in
-    ch = qch.phase_flip(0.25)
-    code = rc.sample_code(2, 1, np.random.default_rng(1))
-    monkeypatch.setattr(rc, "sample_code", lambda m, k, rng: code)
+    # two values per sample; the codes' finish and kernel are per chunk, so a fixed
+    # Ginibre matrix stands in for the per-stream draw
+    z = linalg.ginibre(2, 1, np.random.default_rng(1))
+    monkeypatch.setattr(linalg, "ginibre", lambda dim, cols, rng: z)
     assert_prediction_bounds_growth(
-        monkeypatch, lambda samples: rc._estimate(rc._code_values(
-            ch, 1, samples, 0, lambda bases: np.ones(len(bases))), 0), 2000, 82000)
+        monkeypatch, lambda samples: rc.mc_code_values(qch.phase_flip(0.25), 1, samples, 0),
+        2000, 82000)
 
 
 def test_kept_moment_values_peak(monkeypatch):
-    # three values per sample; a fixed unitary stands in for the per-sample draw
-    monkeypatch.setattr(linalg, "haar_unitary", lambda dim, rng: np.eye(dim, dtype=complex))
+    # three values per sample; a fixed Ginibre matrix stands in for the per-stream draw
+    z = linalg.ginibre(2, 2, np.random.default_rng(1))
+    monkeypatch.setattr(linalg, "ginibre", lambda dim, cols, rng: z)
     assert_prediction_bounds_growth(
         monkeypatch, lambda samples: rc.haar_moment_suite(2, samples, 0), 2000, 62000)
 

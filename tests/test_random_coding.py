@@ -95,7 +95,7 @@ def test_exact_average_full_code_is_deterministic(rng):
 def test_exact_average_matches_mc_phase_flip():
     ch = qch.phase_flip(0.25)
     exact = rc.closed_forms(ch, 2).deviation_sq
-    est = rc.mc_deviation_sq(ch, 2, 2000, master_seed=3)
+    est, _ = rc.mc_code_values(ch, 2, 2000, master_seed=3)
     assert abs(est.mean - exact) <= max(4 * est.std_error, 1e-12)
 
 
@@ -179,14 +179,14 @@ def test_averaged_bound_minimizes_kraus_first(rng):
 
 
 def test_mc_average_bound_identity():
-    est = rc.mc_average_bound(qch.identity_channel(4), 2, 50, master_seed=1)
+    _, est = rc.mc_code_values(qch.identity_channel(4), 2, 50, master_seed=1)
     assert est.mean == pytest.approx(1.0, abs=1e-10)
     assert est.std_error <= 1e-10
 
 
 def test_mc_average_bound_dominates_analytic_bound():
     ch = qch.phase_flip(0.25)
-    est = rc.mc_average_bound(ch, 1, 1000, master_seed=2)
+    _, est = rc.mc_code_values(ch, 1, 1000, master_seed=2)
     assert 0.0 <= est.mean <= 1.0
     assert est.mean >= rc.closed_forms(ch, 1).fidelity_bound - 4 * est.std_error
 
@@ -249,6 +249,20 @@ def test_hamming_curve_rejects_non_unital():
 
 # ---------------------------------------------------------------- chunked sampling
 
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """The number of codes in each `codes._deviation_batch` call, in call order."""
+    sizes = []
+    kernel = codes._deviation_batch
+
+    def spy(bases, ch):
+        sizes.append(len(bases))
+        return kernel(bases, ch)
+
+    monkeypatch.setattr(codes, "_deviation_batch", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("channel", ["builtin:haar_random:4,4,3", "builtin:random_unitary:16,2,5"])
 def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, channel):
     argv = ["ensemble", "--channel", channel, "--code-dim", "2", "--samples", "150",
@@ -261,28 +275,36 @@ def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, channel
     assert all(out == outputs[0] for out in outputs[1:])
 
 
-def test_chunks_shrink_for_large_codes(monkeypatch):
-    sizes = []
-    kernel = codes._deviation_batch
-
-    def spy(bases, ch, *, dense):
-        sizes.append(len(bases))
-        return kernel(bases, ch, dense=dense)
-
-    monkeypatch.setattr(codes, "_deviation_batch", spy)
-    rc.mc_deviation_sq(qch.depolarizing(0.3), 2, 100, 1)
+def test_chunks_shrink_for_large_codes(kernel_sizes):
+    sizes = kernel_sizes
+    rc.mc_code_values(qch.depolarizing(0.3), 2, 100, 1)
     assert sizes == [rc._CHUNK, 100 - rc._CHUNK]
     sizes.clear()
-    # K = 128 on a 256-dim identity: bases and panel 2*256*128, A_i B and its
-    # copy 2*256*128, and the Gram/D stack 128^2 entries per sample
-    rc.mc_deviation_sq(qch.identity_channel(256), 128, 7, 1)
-    assert sum(sizes) == 7 and max(sizes) * 147456 <= rc._CHUNK_ENTRIES
+    # K = 128 on a 256-dim identity: the Ginibre stack, Q, the bases and the panel
+    # 4*256*128, R 128^2, A_i B and its copy 2*256*128, and the Gram/D stack 128^2
+    # entries per sample
+    rc.mc_code_values(qch.identity_channel(256), 128, 7, 1)
+    assert sum(sizes) == 7 and max(sizes) * 229376 <= rc._CHUNK_ENTRIES
 
 
-def test_mc_average_bound_matches_per_code_reports():
-    # 70 codes: one full chunk of 64 and a partial one of 6
-    ch = qch.depolarizing(0.2, 3)
-    est = rc.mc_average_bound(ch, 2, 70, 4)
-    bounds = [codes.bound_report(rc.sample_code(3, 2, rc.sample_stream(4, i)), ch).bound_kraus
-              for i in range(70)]
-    assert est.mean == math.fsum(bounds) / 70
+def test_mc_average_bound_matches_per_code_reports(kernel_sizes):
+    # both of mc_code_values' estimates against a per-code loop, bit for bit, at sample
+    # counts on both sides of a chunk boundary
+    sizes = kernel_sizes
+    for spec, code_dim, chunk in [
+        ("depolarizing:0.2,3", 2, 64),
+        # the Ginibre stack, Q, bases, panel, A_i B and its copy, R and the Gram/D stack
+        # take 8720 entries per code, so `_CHUNK_ENTRIES` caps a chunk at 30 codes
+        ("haar_random:32,32,16,3", 4, 30),
+    ]:
+        ch = cli._parse_builtin(f"builtin:{spec}", 1)
+        for samples in (1, 64, 65, 130):
+            sizes.clear()
+            got = rc.mc_code_values(ch, code_dim, samples, 4)
+            assert sizes[0] == min(chunk, samples) and sum(sizes) == samples
+            reports = [codes.bound_report(rc.sample_code(ch.input_dim, code_dim,
+                                                         rc.sample_stream(4, i)), ch)
+                       for i in range(samples)]
+            want = [rc._estimate(np.array([getattr(r, field) for r in reports]), 4)
+                    for field in ("deviation_frobenius_sq", "bound_kraus")]
+            assert list(got) == want, (spec, samples)
