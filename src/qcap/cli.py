@@ -13,17 +13,18 @@ numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
 invariant violation, 4 resource cap exceeded.
 
-Sampling is one serial pass: each code's Ginibre normals come from its own
-stream, and a chunk of codes takes one batched QR and one D-kernel call for
-both `ensemble` estimates.  ``--threads`` (>= 1) is accepted, with no effect:
-a thread pool over samples never beat the serial loop on a 2-core host.
+Sampling is one serial pass for `bound` and `ensemble` alike: each code's
+normals come from its own stream, and a chunk of codes takes one batched QR
+and one D-kernel call, for both `ensemble` estimates or for every `bound`
+column with its state form.  ``--threads`` (>= 1) is accepted, with no
+effect: a thread pool over samples never beat the serial loop on a 2-core
+host.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import math
 import sys
@@ -177,15 +178,13 @@ def cmd_info(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
 def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     ch = resolve_channel(args)
     _require(args, code_dim="--code-dim")
-    m, k = ch.input_dim, args.code_dim
-    if not 1 <= k <= m:
+    if not 1 <= args.code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
     samples = args.samples if args.samples is not None else 1
     # each report's dict, row and rendering (measured 138-148 entries as JSON, 45-51 as CSV)
     linalg.check_entries(192 * samples, f"keeping {samples} bound reports")
-    values = rc._sample_values(lambda rng: dataclasses.astuple(
-        codes.bound_report(rc.sample_code(m, k, rng), ch)), samples, args.master_seed)
-    header = ["sample", *(f.name for f in dataclasses.fields(codes.BoundReport))]
+    values = rc.bound_values(ch, args.code_dim, samples, args.master_seed)
+    header = ["sample", *codes.BOUND_COLUMNS]
     rows = [[i, *row] for i, row in enumerate(values.tolist())]
     record = {"config": _config_record(args), "reports": [dict(zip(header, r)) for r in rows]}
     return record, header, rows

@@ -1,9 +1,10 @@
-"""Code subspaces and the computable fidelity lower bound.
+"""The computable fidelity lower bound over a stack of codes.
 
 A code is a K-dimensional subspace of the |Q|-dimensional channel input,
-stored as an isometry of orthonormal columns.  `bound_report` is the one
-per-code entry point: it computes, in one record, the lower bound on the
-recovery-optimized code entanglement fidelity in its two equivalent forms
+stored as an M x K isometry of orthonormal columns; the functions here take
+an (S, M, K) stack of them, one chunk of the sampling loop.  `bound_columns`
+computes, per code, the lower bound on the recovery-optimized code
+entanglement fidelity in its two equivalent forms
 
   Kraus form   p - || D ||_1
   state form   p - p * || rho'_RE - rho_R (x) rho'_E ||_1
@@ -20,20 +21,19 @@ in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
 K, so the compression is exact and keeps 8-qubit demos tractable.
 
 One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2
-and D for a stack of codes, and `_trace_norms` gives ||D||_1 and the state
-form's trace norm.  Exact code entanglement fidelity (a maximum over
+and D, and `_trace_norms` gives ||D||_1 and the state form's trace norm.
+`_kraus_form` is the Kraus-form columns that the ensemble estimates and
+`bound_columns` share.  Exact code entanglement fidelity (a maximum over
 recovery operations) is never computed here; the bound above stands in for
 it.  The entanglement fidelity and the transpose-channel recovery
 R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}, whose fidelity
 F_T = sum_kl |tr(pi_C R_k A_l)|^2 the test suite checks against the bound,
-are reference paths in ``tests/oracles.py``.  A code compares (``==``,
-``hash``, ``in``) by identity only.
+are reference paths in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +49,6 @@ ORTHONORMALITY_ATOL = 1e-10
 # with the padding every code's columns land in full tiles, so each code's
 # bits do not depend on how many codes share the product.
 _PANEL_MULTIPLE = 16
-
-
-@dataclass(frozen=True, eq=False)
-class CodeSubspace:
-    """K-dimensional subspace of an M-dimensional space, as an M x K isometry."""
-
-    ambient_dim: int
-    code_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.array(self.basis, dtype=np.complex128)
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        m, k = self.ambient_dim, self.code_dim
-        if not 1 <= k <= m:
-            raise InvariantViolationError(f"need 1 <= code_dim <= ambient_dim, got {k}, {m}")
-        if basis.shape != (m, k):
-            raise InvariantViolationError(f"basis shape {basis.shape} != ({m}, {k})")
-        _orthonormal(basis[None])
 
 
 def _orthonormal(bases: np.ndarray) -> np.ndarray:
@@ -92,19 +72,19 @@ def _deviation_batch(bases: np.ndarray,
     All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
     panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
     and the Gram blocks are one matrix product per code, so each code's bits
-    do not depend on S.  A code whose `bound_report` peak is above
+    do not depend on S.  A stack whose `bound_columns` peak is above
     `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
-    n, out, padded = len(ch), ch.output_dim, k + _PANEL_MULTIPLE
-    # bound_report's peak on one code: the kernel, then the state form, each holding about
+    n, out, width = len(ch), ch.output_dim, s * k
+    # bound_columns' peak: per code the kernel, then the state form, each holding about
     # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and the panel's products
-    linalg.check_entries(6 * (k * n) ** 2 + 3 * n * out * padded + m * padded,
-                         f"D kernel for one code (K={k}, N={n})")
+    what = f"{s} codes" if s > 1 else "one code"
+    linalg.check_entries(6 * s * (k * n) ** 2 + (3 * n * out + m) * (width + _PANEL_MULTIPLE),
+                         f"D kernel for {what} (K={k}, N={n})")
     flat = ch.kraus_ops.reshape(n * out, m)
-    width = s * k
     panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
     panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)
     # (S, N*out, K), rows (i, a), made contiguous so later steps see one layout for any S
@@ -130,52 +110,48 @@ def _trace_norms(d: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(w), axis=-1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Fidelity lower bound for one (code, channel) pair.
+# The columns of `bound_columns`, one row per code:
+#   transmission            p = tr N(pi_C)
+#   deviation_trace_norm    ||D||_1            (Kraus form)
+#   deviation_frobenius_sq  ||D||_F^2
+#   bound_kraus             p - ||D||_1
+#   bound_states            p - p * || rho'_RE - rho_R (x) rho'_E ||_1
+BOUND_COLUMNS = ("transmission", "deviation_trace_norm", "deviation_frobenius_sq", "bound_kraus",
+                 "bound_states")
 
-    transmission            p = tr N(pi_C)
-    deviation_trace_norm    ||D||_1            (Kraus form)
-    deviation_frobenius_sq  ||D||_F^2
-    bound_kraus             p - ||D||_1
-    bound_states            p - p * || rho'_RE - rho_R (x) rho'_E ||_1
+
+def _kraus_form(bases: np.ndarray, ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Length-S arrays of p, ||D||_F^2 and ||D||_1 over an (S, M, K) stack of code bases."""
+    p, fro_sq, d = _deviation_batch(bases, ch)
+    return p, fro_sq, _trace_norms(d)
+
+
+def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
+    """The (S, 5) `BOUND_COLUMNS` of an (S, M, K) stack of code bases.
+
+    The two bound forms agree within 1e-9.  The kernel's entry check counts
+    the state form too, so it fires before either form allocates.  The state
+    form builds each code's maximally entangled purification of pi_C, pushes
+    it through the Stinespring isometry, normalizes by its own transmission
+    probability, and measures how far reference+environment is from a
+    product state.  Every step treats each code alone, so a code's row does
+    not depend on S.
     """
-
-    transmission: float
-    deviation_trace_norm: float
-    deviation_frobenius_sq: float
-    bound_kraus: float
-    bound_states: float
-
-
-def bound_report(code: CodeSubspace, ch: KrausChannel) -> BoundReport:
-    """Both bound forms in one record; they agree within 1e-9.
-
-    The kernel's entry check counts the state form too, so it fires before
-    either form allocates.  The state form builds the maximally entangled
-    purification of pi_C, pushes it through the Stinespring isometry,
-    normalizes by its own transmission probability, and measures how far
-    reference+environment is from a product state.
-    """
-    p, fro_sq, d = _deviation_batch(code.basis[None], ch)
-    p, trace_norm_d = float(p[0]), float(_trace_norms(d)[0])
-    k, n, out = code.code_dim, len(ch), ch.output_dim
-    psi = code.basis.T / math.sqrt(k)              # (K, M): reference-major purification
-    v = ch.kraus_ops.reshape(n * out, -1)          # (N*out, M): environment-major Stinespring
-    phi = (psi @ v.T).reshape(k, n, out)           # indices (r, e, q')
-    p_states = float(np.sum(np.abs(phi) ** 2))
-    if p_states <= 1e-12:
-        raise InvariantViolationError(
-            f"transmission probability {p_states:.3e} too small to normalize the final state"
-        )
-    rho_re = np.einsum("req,sfq->resf", phi, phi.conj()).reshape(k * n, k * n) / p_states
-    rho_e = np.einsum("req,rfq->ef", phi, phi.conj()) / p_states
+    p, fro_sq, trace_norm_d = _kraus_form(bases, ch)
+    (s, m, k), n, out = bases.shape, len(ch), ch.output_dim
+    psi = bases.transpose(0, 2, 1) / math.sqrt(k)  # (S, K, M): reference-major purifications
+    v = ch.kraus_ops.reshape(n * out, m)            # (N*out, M): environment-major Stinespring
+    phi = np.matmul(psi, v.T).reshape(s, k, n, out)  # indices (r, e, q')
+    p_states = np.sum(np.abs(phi.reshape(s, -1)) ** 2, axis=1)
+    small = np.flatnonzero(p_states <= 1e-12)
+    if small.size:
+        raise InvariantViolationError(f"transmission probability {p_states[small[0]]:.3e} "
+                                      "too small to normalize the final state")
+    scale = p_states[:, None, None]
+    rho_re = np.einsum("xreq,xsfq->xresf", phi, phi.conj()).reshape(s, k * n, k * n) / scale
+    rho_e = np.einsum("xreq,xrfq->xef", phi, phi.conj()) / scale
     rho_r = np.eye(k, dtype=np.complex128) / k
-    diff = rho_re - np.kron(rho_r, rho_e)
-    return BoundReport(
-        transmission=p,
-        deviation_trace_norm=trace_norm_d,
-        deviation_frobenius_sq=float(fro_sq[0]),
-        bound_kraus=p - trace_norm_d,
-        bound_states=p_states - p_states * float(_trace_norms(diff)),
-    )
+    # rho_R (x) rho'_E with np.kron's products: entry (r, e), (s, f) is rho_R[r, s] * rho'_E[e, f]
+    product = (rho_r[None, :, None, :, None] * rho_e[:, None, :, None, :]).reshape(s, k * n, k * n)
+    bound_states = p_states - p_states * _trace_norms(rho_re - product)
+    return np.stack([p, trace_norm_d, fro_sq, p - trace_norm_d, bound_states], axis=1)

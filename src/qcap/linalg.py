@@ -155,21 +155,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First ``cols`` columns of a Haar unitary: the one-matrix case of `haar_isometries`."""
-    return haar_isometries(ginibre(dim, cols, rng)[None])[0]
-
-
-def ginibre(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """A (dim, cols) complex Ginibre matrix: (a + 1j b) / sqrt(2), a and b standard normal.
-
-    a, then b, come from one draw of normals scaled by 1/sqrt(2), the bits of that
-    quotient: numpy divides by a complex scalar by multiplying by its reciprocal.
-    """
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
-    normals = rng.standard_normal((2, dim, cols))
+    return haar_isometries(ginibre(rng.standard_normal((1, 2, dim, cols))))[0]
+
+
+def ginibre(normals: np.ndarray) -> np.ndarray:
+    """(S, dim, cols) complex Ginibre matrices (a + 1j b) / sqrt(2) from (S, 2, dim, cols) normals.
+
+    The normals are scaled in place by 1/sqrt(2), the bits of that quotient (numpy
+    divides by a complex scalar by multiplying by its reciprocal); every step is elementwise.
+    """
     normals *= 1 / math.sqrt(2)
-    z = np.empty((dim, cols), dtype=np.complex128)
-    z.real, z.imag = normals
+    z = np.empty(normals.shape[:1] + normals.shape[2:], dtype=np.complex128)
+    z.real, z.imag = normals[:, 0], normals[:, 1]
     return z
 
 

@@ -15,9 +15,10 @@ Reproducibility contract: every Monte Carlo sample draws from its own
 counter-based Philox stream keyed by (master_seed, sample_index), one
 generator rekeyed per sample, and aggregation uses exact (fsum) summation,
 so results depend only on the seed and the sample count.  Sampling is one
-serial pass over fixed chunks of samples: each code's Ginibre normals come
-from its own stream, and a chunk takes one batched QR and one D-kernel call
-for both of a code's values, whose bits do not depend on the chunk size.
+serial pass over fixed chunks of samples: each sample draws only its normals
+from its own stream, and a chunk takes one Ginibre packing, one batched QR
+and, for codes, one D-kernel call, for both ensemble estimates or for every
+per-code bound column (`bound_values`); no bits depend on the chunk size.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
@@ -66,12 +67,6 @@ def _rekeyed_streams(master_seed: int, indices):
         yield rng
 
 
-def sample_code(ambient_dim: int, code_dim: int, rng: np.random.Generator) -> codes.CodeSubspace:
-    """Draw a code from the unitarily invariant ensemble of K-dim subspaces."""
-    basis = linalg.haar_isometry(ambient_dim, code_dim, rng)
-    return codes.CodeSubspace(ambient_dim=ambient_dim, code_dim=code_dim, basis=basis)
-
-
 @dataclass(frozen=True)
 class EnsembleEstimate:
     """Sample mean and its standard error."""
@@ -82,12 +77,13 @@ class EnsembleEstimate:
     master_seed: int
 
 
-def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
-                   entries: int = 1) -> np.ndarray:
-    """Per-sample results over the streams (master_seed, 0..sample_count-1), in index order.
+def _sample_values(shape: tuple[int, ...], sample_count: int, master_seed: int, reduce,
+                   entries: int) -> np.ndarray:
+    """reduce's per-sample results over the streams (master_seed, 0..sample_count-1), in order.
 
-    Each sample's draw(rng) comes from its own stream (`_rekeyed_streams`), and
-    reduce(stack) turns a chunk's stacked draws into its results at once.  A
+    Each sample draws ``standard_normal`` normals of ``shape`` from its own
+    stream (`_rekeyed_streams`) straight into its row of the chunk's stack,
+    and reduce(normals) turns the stack into the chunk's results at once.  A
     chunk holds `_CHUNK` samples, or as many as keep their ``entries`` entries
     each within `_CHUNK_ENTRIES`; it batches only work that treats every sample
     alike, so the results do not depend on its size.
@@ -98,9 +94,10 @@ def _sample_values(draw, sample_count: int, master_seed: int, reduce=np.asarray,
     streams = _rekeyed_streams(master_seed, range(sample_count))
     chunks = []
     for start in range(0, sample_count, chunk):
-        stop = min(start + chunk, sample_count)
-        drawn = np.array([draw(next(streams)) for _ in range(start, stop)])
-        chunks.append(reduce(drawn))
+        normals = np.empty((min(chunk, sample_count - start), *shape))
+        for row in normals:
+            next(streams).standard_normal(out=row)
+        chunks.append(reduce(normals))
     return np.concatenate(chunks)
 
 
@@ -162,29 +159,58 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
 
 # ------------------------------------------------------------------ Monte Carlo
 
+def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
+                 columns, extra: int = 0) -> np.ndarray:
+    """columns(bases, ch) of the Haar codes of streams (master_seed, 0..sample_count-1), in order.
+
+    Each stream draws one code's normals; per chunk, one packing into Ginibre
+    matrices, one batched QR, one orthonormality check and one call of
+    ``columns``, which holds ``extra`` entries per code beyond the D kernel's.
+    """
+    m, k, n = ch.input_dim, code_dim, len(ch)
+
+    def chunk_columns(normals):
+        return columns(codes._orthonormal(linalg.haar_isometries(linalg.ginibre(normals))), ch)
+
+    # the Ginibre stack, Q and R, bases, panel, A_i B and its copy, the Gram/D stack
+    per_code = k * (4 * m + 2 * n * ch.output_dim + k) + (k * n) ** 2
+    return _sample_values((2, m, k), sample_count, master_seed, chunk_columns, per_code + extra)
+
+
 def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
                    master_seed: int) -> tuple[EnsembleEstimate, EnsembleEstimate]:
     """Monte Carlo estimates of < ||D||_F^2 >_K and of the mean per-code bound p - ||D||_1.
 
-    One pass over the Haar codes: per chunk, one batched QR, one orthonormality
-    check, one `_deviation_batch` call and one `_trace_norms`.
+    One pass over the Haar codes: per chunk, the Kraus form's columns
+    (`codes._kraus_form`) of every code at once.
     """
-    m, k, n = ch.input_dim, code_dim, len(ch)
-    if not 1 <= k <= m:
+    if not 1 <= code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
     # two values kept per chunk, the joined values, one column's list (measured 3.0)
     linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
-    def values(ginibre):
-        bases = codes._orthonormal(linalg.haar_isometries(ginibre))
-        p, fro_sq, d = codes._deviation_batch(bases, ch)
-        return np.stack([fro_sq, p - codes._trace_norms(d)], axis=1)
+    def values(bases, ch):
+        p, fro_sq, trace_norm_d = codes._kraus_form(bases, ch)
+        return np.stack([fro_sq, p - trace_norm_d], axis=1)
 
-    # the Ginibre stack, Q and R, bases, panel, A_i B and its copy, the Gram/D stack
-    per_code = k * (4 * m + 2 * n * ch.output_dim + k) + (k * n) ** 2
-    both = _sample_values(lambda rng: linalg.ginibre(m, k, rng), sample_count, master_seed,
-                          values, entries=per_code)
+    both = _code_values(ch, code_dim, sample_count, master_seed, values)
     return _estimate(both[:, 0], master_seed), _estimate(both[:, 1], master_seed)
+
+
+def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
+                 master_seed: int) -> np.ndarray:
+    """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
+
+    The codes of `mc_code_values`, and per chunk the same Kraus form, with the
+    state form beside it (`codes.bound_columns`).  The caller checks that
+    1 <= code_dim <= M, before it predicts the reports it keeps.
+    """
+    kn = code_dim * len(ch)
+    # the state form's phi, its conjugate and |phi|^2, then rho'_RE, its normalized copy,
+    # rho_R (x) rho'_E and their difference (with tracemalloc: 2.5 K*N*out at K*N = 4,
+    # 3.2-3.8 (K*N)^2 at K*N >= 64)
+    return _code_values(ch, code_dim, sample_count, master_seed, codes.bound_columns,
+                        3 * kn * ch.output_dim + 4 * kn**2)
 
 
 # ------------------------------------------------------------------ Haar moments
@@ -222,15 +248,14 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
     # three values kept per sample, then one column's list in `_estimate` (measured 3.5)
     linalg.check_entries(5 * sample_count, f"keeping the results of {sample_count} samples")
 
-    def moments(ginibre):
+    def moments(normals):
         # Python's abs of each entry: numpy's vectorized abs rounds some last bits differently
-        rows = linalg.haar_isometries(ginibre)[:, 0, :2].tolist()
+        rows = linalg.haar_isometries(linalg.ginibre(normals))[:, 0, :2].tolist()
         a2, b2 = np.array([[abs(u) ** 2 for u in row] for row in rows]).T
         return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
     # the Ginibre stack, Q and R, and the unitaries
-    raw = _sample_values(lambda rng: linalg.ginibre(dim, dim, rng), sample_count, master_seed,
-                         moments, entries=4 * dim * dim)
+    raw = _sample_values((2, dim, dim), sample_count, master_seed, moments, 4 * dim * dim)
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from qcap import channels as qch
-from qcap import codes, linalg, serialize
+from qcap import linalg, serialize
 from qcap.errors import InvariantViolationError
 
 
@@ -241,9 +241,9 @@ def save_channel(ch: qch.KrausChannel, path) -> None:
 
 # ------------------------------------------------------------------ codes
 
-def normalized_projector(code: codes.CodeSubspace) -> np.ndarray:
-    """pi_C = (projector onto the code) / K; a rank-K density operator."""
-    return (code.basis @ code.basis.conj().T) / code.code_dim
+def normalized_projector(basis: np.ndarray) -> np.ndarray:
+    """pi_C = (projector onto the span of an M x K isometry) / K; a rank-K density operator."""
+    return (basis @ basis.conj().T) / basis.shape[1]
 
 
 def entanglement_fidelity(rho, ch: qch.KrausChannel) -> float:
@@ -274,20 +274,20 @@ def entanglement_fidelity_via_purification(rho, ch: qch.KrausChannel) -> float:
     return float(total)
 
 
-def transpose_recovery(code: codes.CodeSubspace, ch: qch.KrausChannel) -> qch.KrausChannel:
+def transpose_recovery(basis: np.ndarray, ch: qch.KrausChannel) -> qch.KrausChannel:
     """Transpose-channel recovery R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}.
 
     Trace-decreasing in general (it acts on the output support only), which
     still witnesses a lower bound: completing it to trace-preserving can
     only add Kraus terms and raise the entanglement fidelity.
     """
-    pi_c = normalized_projector(code)
+    pi_c = normalized_projector(basis)
     sigma = apply(ch, pi_c)
     w, u = eigh(sigma)
     w = np.maximum(w, 0.0)
     inv = np.where(w > 1e-12 * max(float(w[-1]), 1e-300), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     sigma_inv_sqrt = (u * inv) @ u.conj().T
-    root_pi = code.basis @ code.basis.conj().T / math.sqrt(code.code_dim)
+    root_pi = basis @ basis.conj().T / math.sqrt(basis.shape[1])
     ops = tuple(root_pi @ a.conj().T @ sigma_inv_sqrt for a in ch.kraus_ops)
     return qch.KrausChannel(input_dim=ch.output_dim, output_dim=ch.input_dim,
                             kraus_ops=ops, name="transpose_recovery")

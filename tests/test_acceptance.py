@@ -16,6 +16,7 @@ from qcap import random_coding as rc
 from qcap import typicality as tp
 import oracles
 from test_cli import run_with_blas_threads
+from test_codes import bound_report
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -45,8 +46,8 @@ def test_criterion_01_bound_form_equivalence():
         if n > 1 and rng.integers(2):
             keep = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             ch = oracles.reduce_channel(ch, keep)
-        code = rc.sample_code(m, k, rng)
-        rep = codes.bound_report(code, ch)
+        code = linalg.haar_isometry(m, k, rng)
+        rep = bound_report(code, ch)
         worst = max(worst, abs(rep.bound_kraus - rep.bound_states))
     _verdict(1, "bound-form equivalence", worst <= 1e-9, f"worst gap {worst:.3e}")
 
@@ -57,9 +58,9 @@ def test_criterion_02_identity_channel_exactness():
     for m in range(1, 9):
         ch = qch.identity_channel(m)
         for k in range(1, m + 1):
-            code = rc.sample_code(m, k, rc.sample_stream(202, m * 16 + k))
-            dev = codes._deviation_batch(code.basis[None], ch)[2][0]
-            rep = codes.bound_report(code, ch)
+            code = linalg.haar_isometry(m, k, rc.sample_stream(202, m * 16 + k))
+            dev = codes._deviation_batch(code[None], ch)[2][0]
+            rep = bound_report(code, ch)
             good = (np.linalg.norm(dev) <= 1e-12
                     and abs(rep.bound_kraus - 1.0) <= 1e-12
                     and abs(rep.bound_states - 1.0) <= 1e-12)
@@ -91,8 +92,7 @@ def test_criterion_03_exact_ensemble_average():
                 ok = False
                 detail = f"{ch.name} K={k}: |{est.mean:.6g} - {exact:.6g}| > {tol:.3g}"
         # degenerate full-space ensemble has no randomness at all
-        full = codes.CodeSubspace(ambient_dim=m, code_dim=m, basis=np.eye(m))
-        direct = codes.bound_report(full, ch).deviation_frobenius_sq
+        direct = bound_report(np.eye(m), ch).deviation_frobenius_sq
         if abs(rc.closed_forms(ch, m).deviation_sq - direct) > 1e-12:
             ok = False
             detail = f"{ch.name} degenerate K=M"

@@ -1,6 +1,7 @@
-"""Code subspaces, entanglement fidelity, and the two forms of the fidelity bound."""
+"""Code bases, entanglement fidelity, and the two forms of the fidelity bound."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ import oracles
 
 
 def random_code(rng, m, k):
-    return codes.CodeSubspace(ambient_dim=m, code_dim=k, basis=linalg.haar_isometry(m, k, rng))
+    """A Haar-random code: its M x K isometry."""
+    return linalg.haar_isometry(m, k, rng)
+
+
+def bound_report(code, ch):
+    """The `codes.BOUND_COLUMNS` of one code, as attributes."""
+    return SimpleNamespace(**dict(zip(codes.BOUND_COLUMNS, codes.bound_columns(code[None], ch)[0])))
 
 
 def random_square_channel(rng, dim, n_kraus, trace_decreasing=False):
@@ -26,15 +33,14 @@ def random_square_channel(rng, dim, n_kraus, trace_decreasing=False):
 
 def deviation_operator(code, ch):
     """The Hermitian (K*N) x (K*N) block operator D of one code, from the kernel."""
-    return codes._deviation_batch(code.basis[None], ch)[2][0]
+    return codes._deviation_batch(code[None], ch)[2][0]
 
 
 def ambient_deviation_operator(code, ch):
     """Oracle: assemble the block operator at full ambient dimension M*N."""
     pi = oracles.normalized_projector(code)
-    k = code.code_dim
+    m, k = code.shape
     n = len(ch)
-    m = code.ambient_dim
     d = np.zeros((m * n, m * n), dtype=complex)
     for i, ai in enumerate(ch.kraus_ops):
         for j, aj in enumerate(ch.kraus_ops):
@@ -46,17 +52,23 @@ def ambient_deviation_operator(code, ch):
     return d
 
 
-# ---------------------------------------------------------------- CodeSubspace
+# ---------------------------------------------------------------- code bases
 
 def test_code_validation():
-    with pytest.raises(InvariantViolationError):
-        codes.CodeSubspace(ambient_dim=3, code_dim=2, basis=np.ones((3, 2)))
-    with pytest.raises(InvariantViolationError):
-        codes.CodeSubspace(ambient_dim=2, code_dim=3, basis=np.eye(2, 3))
+    # equal columns, and more columns than rows, are not orthonormal; the stack check
+    # names no code, so one bad code among good ones is rejected too
+    good = random_code(np.random.default_rng(1), 3, 2)
+    for bad in (np.ones((3, 2)), np.eye(3, 2) * (1 + 2e-10)):
+        with pytest.raises(InvariantViolationError, match="not orthonormal"):
+            codes._orthonormal(np.stack([good, bad]))
+    with pytest.raises(InvariantViolationError, match="not orthonormal"):
+        codes._orthonormal(np.eye(2, 3)[None])
+    stack = good[None]
+    assert codes._orthonormal(stack) is stack
 
 
 def test_normalized_projector_full_space():
-    code = codes.CodeSubspace(ambient_dim=4, code_dim=4, basis=np.eye(4))
+    code = np.eye(4)
     assert np.allclose(oracles.normalized_projector(code), oracles.max_mixed(4))
 
 
@@ -160,7 +172,7 @@ def test_deviation_frobenius_formula_full_space():
     # K = M: direct evaluation of the explicit double sum
     p = 0.35
     ch = qch.phase_flip(p)
-    code = codes.CodeSubspace(ambient_dim=2, code_dim=2, basis=np.eye(2))
+    code = np.eye(2)
     pi = oracles.max_mixed(2)
     k = 2
     oracle = 0.0
@@ -169,28 +181,24 @@ def test_deviation_frobenius_formula_full_space():
             w = ai.conj().T @ aj
             oracle += np.real(np.trace(pi @ w.conj().T @ pi @ w)) \
                 - abs(np.trace(pi @ w)) ** 2 / k
-    got = codes.bound_report(code, ch).deviation_frobenius_sq
+    got = bound_report(code, ch).deviation_frobenius_sq
     assert got == pytest.approx(oracle, abs=1e-12)
     d = deviation_operator(code, ch)
     assert got == pytest.approx(np.linalg.norm(d) ** 2, abs=1e-12)
 
 
-def test_batched_kernel_equals_single_code_entry_points(rng):
+def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
     # rectangular (out 5 != in 3) with N = 4 Kraus operators; the padded panel
-    # keeps each code's A_i B bits, and every code gets its own Gram product
-    # and eigensolver call, so equality is exact
+    # keeps each code's A_i B bits, and every code gets its own Gram product,
+    # state-form products and eigensolver calls, so equality is exact
     ch = qch.haar_random_channel(3, 5, 4, rng)
     for k in (1, 2, 3):
-        code_list = [random_code(rng, 3, k) for _ in range(9)]
-        bases = np.stack([c.basis for c in code_list])
+        bases = np.stack([random_code(rng, 3, k) for _ in range(9)])
+        columns = codes.bound_columns(bases, ch)
         p, fro_sq, d = codes._deviation_batch(bases, ch)
-        trace_norms = codes._trace_norms(d)
-        for i, code in enumerate(code_list):
-            rep = codes.bound_report(code, ch)
-            _, single_fro_sq, _ = codes._deviation_batch(code.basis[None], ch)
-            assert p[i] == rep.transmission
-            assert fro_sq[i] == rep.deviation_frobenius_sq == single_fro_sq[0]
-            assert trace_norms[i] == rep.deviation_trace_norm
+        assert np.array_equal(columns[:, 0], p) and np.array_equal(columns[:, 2], fro_sq)
+        for i, code in enumerate(bases):
+            assert columns[i].tobytes() == codes.bound_columns(code[None], ch)[0].tobytes()
             assert np.array_equal(d[i], deviation_operator(code, ch))
 
 
@@ -219,7 +227,7 @@ def test_bound_kraus_identity(rng):
     for m in (2, 4, 8):
         for k in (1, m // 2 or 1, m):
             code = random_code(rng, m, k)
-            rep = codes.bound_report(code, qch.identity_channel(m))
+            rep = bound_report(code, qch.identity_channel(m))
             assert rep.transmission == pytest.approx(1.0, abs=1e-12)
             assert rep.bound_kraus == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +236,7 @@ def test_bound_kraus_trace_decreasing_scaling(rng):
     ops = (math.sqrt(0.5) * np.eye(2, dtype=complex),)
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     code = random_code(rng, 2, 1)
-    rep = codes.bound_report(code, ch)
+    rep = bound_report(code, ch)
     assert rep.transmission == pytest.approx(0.5, abs=1e-12)
     assert rep.deviation_trace_norm == pytest.approx(0.0, abs=1e-12)
     assert rep.bound_kraus == pytest.approx(0.5, abs=1e-12)
@@ -240,20 +248,20 @@ def test_bound_kraus_never_above_one(rng):
         ch = random_square_channel(rng, m, int(rng.integers(1, 4)),
                                    trace_decreasing=bool(rng.integers(2)))
         code = random_code(rng, m, int(rng.integers(1, m + 1)))
-        rep = codes.bound_report(code, ch)
+        rep = bound_report(code, ch)
         assert rep.bound_kraus <= 1.0 + 1e-12
 
 
 def test_bound_states_identity(rng):
     code = random_code(rng, 4, 2)
-    rep = codes.bound_report(code, qch.identity_channel(4))
+    rep = bound_report(code, qch.identity_channel(4))
     assert rep.bound_states == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bound_states_phase_flip_pointer_code():
     # span{|0>}: fixed up to phase
-    code = codes.CodeSubspace(ambient_dim=2, code_dim=1, basis=np.eye(2, 1))
-    rep = codes.bound_report(code, qch.phase_flip(0.25))
+    code = np.eye(2, 1)
+    rep = bound_report(code, qch.phase_flip(0.25))
     assert rep.bound_states == pytest.approx(1.0, abs=1e-10)
     assert rep.bound_kraus == pytest.approx(1.0, abs=1e-10)
 
@@ -262,9 +270,9 @@ def test_bound_states_rejects_zero_transmission():
     # single Kraus operator that kills |0>; code = span{|0>} has p = 0
     a = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a,))
-    code = codes.CodeSubspace(ambient_dim=2, code_dim=1, basis=np.eye(2, 1))
+    code = np.eye(2, 1)
     with pytest.raises(InvariantViolationError, match="too small to normalize"):
-        codes.bound_report(code, ch)
+        bound_report(code, ch)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -282,7 +290,7 @@ def test_bound_forms_agree(seed):
         keep = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         ch = oracles.reduce_channel(ch, keep)
     code = random_code(rng, m, k)
-    rep = codes.bound_report(code, ch)
+    rep = bound_report(code, ch)
     assert rep.bound_kraus == pytest.approx(rep.bound_states, abs=1e-9)
 
 
@@ -294,7 +302,7 @@ def test_bound_kraus_eight_qubit_mixture():
     us = [linalg.haar_unitary(dim, rng) for _ in range(2)]
     ch = oracles.unitary_mixture(us)
     code = random_code(rng, dim, 2)
-    rep = codes.bound_report(code, ch)
+    rep = bound_report(code, ch)
     assert rep.transmission == pytest.approx(1.0, abs=1e-10)
     assert 0.8 <= rep.bound_kraus <= 1.0
 
@@ -315,7 +323,7 @@ def test_some_recovery_achieves_the_bound(rng):
         m = int(rng.integers(2, 5))
         ch = random_square_channel(rng, m, int(rng.integers(1, 4)))
         code = random_code(rng, m, int(rng.integers(1, m + 1)))
-        bound = codes.bound_report(code, ch).bound_kraus
+        bound = bound_report(code, ch).bound_kraus
         # transpose-recovery fidelity F_T = sum_kl |tr(pi_C R_k A_l)|^2
         recovery = oracles.transpose_recovery(code, ch).kraus_ops
         amps = np.einsum("ij,kjb,lbi->kl", oracles.normalized_projector(code),

@@ -236,9 +236,11 @@ def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
 
 @pytest.mark.parametrize("dim, cols", [(2, 1), (2, 2), (3, 2), (5, 3), (256, 2), (64, 17)])
 def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
-    # one batched QR over a stack of per-stream Ginibre matrices against one QR per matrix
-    stack = np.array([linalg.ginibre(dim, cols, np.random.default_rng(seed)) for seed in range(9)])
-    got = linalg.haar_isometries(stack)
+    # one packing and one batched QR over a stack of per-stream normals against one of
+    # each per matrix
+    normals = np.array([np.random.default_rng(seed).standard_normal((2, dim, cols))
+                        for seed in range(9)])
+    got = linalg.haar_isometries(linalg.ginibre(normals))
     want = [linalg.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

@@ -9,13 +9,15 @@ LAPACK and OpenBLAS allocate themselves (the eigensolvers' and QR's scratch),
 so the predictions count those while the measured peaks do not.
 """
 
+import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qcap import channels as qch
-from qcap import cli, codes, linalg
+from qcap import cli, linalg
 from qcap import random_coding as rc
 from qcap import typicality as tp
 import oracles
@@ -76,11 +78,17 @@ def test_builtin_construction_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
 
 
-@pytest.mark.parametrize("dims, code_dim", [((16, 16, 32), 16), ((16, 1, 256), 2)])
-def test_bound_report_peak(monkeypatch, dims, code_dim):
+@pytest.mark.parametrize("dims, code_dim, samples", [
+    ((16, 16, 32), 16, 1), ((16, 1, 256), 2, 1),
+    # a full chunk of `_CHUNK` codes, each about 0.34 MiB at its peak
+    ((8, 8, 16), 4, rc._CHUNK),
+], ids=["dims0-16", "dims1-2", "chunk"])
+def test_bound_report_peak(monkeypatch, dims, code_dim, samples):
+    # the D kernel's peak, then the state form's; the chunk budget is lifted so
+    # that the sampling loop puts every code in one kernel call
+    monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 1 << 26)
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
-    code = rc.sample_code(ch.input_dim, code_dim, np.random.default_rng(2))
-    assert_prediction_bounds_peak(monkeypatch, lambda: codes.bound_report(code, ch))
+    assert_prediction_bounds_peak(monkeypatch, lambda: rc.bound_values(ch, code_dim, samples, 2))
 
 
 @pytest.mark.parametrize("ch, n", [
@@ -123,20 +131,29 @@ def test_classify_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.classify(ch))
 
 
+def fixed_normals(monkeypatch, shape):
+    """Every stream of the sampling loop draws the same normals, without a Philox rekey."""
+    normals = np.random.default_rng(1).standard_normal(shape)
+
+    def standard_normal(out):
+        out[...] = normals
+
+    stream = SimpleNamespace(standard_normal=standard_normal)
+    monkeypatch.setattr(rc, "_rekeyed_streams", lambda seed, indices: itertools.repeat(stream))
+
+
 def test_kept_ensemble_values_peak(monkeypatch):
-    # two values per sample; the codes' finish and kernel are per chunk, so a fixed
-    # Ginibre matrix stands in for the per-stream draw
-    z = linalg.ginibre(2, 1, np.random.default_rng(1))
-    monkeypatch.setattr(linalg, "ginibre", lambda dim, cols, rng: z)
+    # two values per sample; the codes' finish and kernel are per chunk, so fixed
+    # normals stand in for the per-stream draw
+    fixed_normals(monkeypatch, (2, 2, 1))
     assert_prediction_bounds_growth(
         monkeypatch, lambda samples: rc.mc_code_values(qch.phase_flip(0.25), 1, samples, 0),
         2000, 82000)
 
 
 def test_kept_moment_values_peak(monkeypatch):
-    # three values per sample; a fixed Ginibre matrix stands in for the per-stream draw
-    z = linalg.ginibre(2, 2, np.random.default_rng(1))
-    monkeypatch.setattr(linalg, "ginibre", lambda dim, cols, rng: z)
+    # three values per sample; fixed normals stand in for the per-stream draw
+    fixed_normals(monkeypatch, (2, 2, 2))
     assert_prediction_bounds_growth(
         monkeypatch, lambda samples: rc.haar_moment_suite(2, samples, 0), 2000, 62000)
 

@@ -10,6 +10,7 @@ from qcap import cli, codes, linalg
 from qcap import random_coding as rc
 from qcap.errors import InvariantViolationError
 import oracles
+from test_codes import bound_report
 
 
 def weyl_pair(dim):
@@ -45,19 +46,23 @@ def test_rekeyed_streams_match_fresh_streams_bit_for_bit(seed):
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
-# ---------------------------------------------------------------- sample_code
+# ---------------------------------------------------------------- sampled codes
+
+def sampled_codes(m, k, count, seed):
+    """The code bases that the sampling loop draws from streams (seed, 0..count-1)."""
+    return rc._code_values(qch.identity_channel(m), k, count, seed, lambda bases, _: bases)
+
 
 def test_sample_code_full_dimension_is_uniform():
-    for i in range(5):
-        code = rc.sample_code(3, 3, rc.sample_stream(2, i))
+    for code in sampled_codes(3, 3, 5, 2):
         assert np.allclose(oracles.normalized_projector(code), oracles.max_mixed(3), atol=1e-10)
 
 
 def test_sample_code_mean_projector_is_uniform():
     m, k, n = 3, 2, 4000
     total = np.zeros((m, m), dtype=complex)
-    for i in range(n):
-        total += oracles.normalized_projector(rc.sample_code(m, k, rc.sample_stream(9, i)))
+    for code in sampled_codes(m, k, n, 9):
+        total += oracles.normalized_projector(code)
     assert np.max(np.abs(total / n - oracles.max_mixed(m))) <= 0.015
 
 
@@ -67,8 +72,8 @@ def test_sample_code_overlap_second_moment():
     psi = np.zeros(m, dtype=complex)
     psi[0] = 1.0
     vals = np.empty(n)
-    for i in range(n):
-        pi = oracles.normalized_projector(rc.sample_code(m, k, rc.sample_stream(17, i)))
+    for i, code in enumerate(sampled_codes(m, k, n, 17)):
+        pi = oracles.normalized_projector(code)
         vals[i] = np.real(psi.conj() @ pi @ psi) ** 2
     target = (1 + 1 / k) / (m**2 + m)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -87,8 +92,7 @@ def test_exact_average_full_code_is_deterministic(rng):
     for _ in range(5):
         m = int(rng.integers(2, 5))
         ch = qch.haar_random_channel(m, m, int(rng.integers(1, 4)), rng)
-        full = codes.CodeSubspace(ambient_dim=m, code_dim=m, basis=np.eye(m))
-        direct = codes.bound_report(full, ch).deviation_frobenius_sq
+        direct = bound_report(np.eye(m), ch).deviation_frobenius_sq
         assert rc.closed_forms(ch, m).deviation_sq == pytest.approx(direct, abs=1e-12)
 
 
@@ -208,8 +212,8 @@ def test_haar_moment_degenerate_code_consistency():
     psi = np.zeros(m, dtype=complex)
     psi[1] = 1.0
     vals = []
-    for i in range(50):
-        pi = oracles.normalized_projector(rc.sample_code(m, m, rc.sample_stream(12, i)))
+    for code in sampled_codes(m, m, 50, 12):
+        pi = oracles.normalized_projector(code)
         vals.append(np.real(psi.conj() @ pi @ psi) ** 2)
     assert np.allclose(vals, 1 / m**2, atol=1e-10)
 
@@ -263,9 +267,13 @@ def kernel_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("channel", ["builtin:haar_random:4,4,3", "builtin:random_unitary:16,2,5"])
-def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, channel):
-    argv = ["ensemble", "--channel", channel, "--code-dim", "2", "--samples", "150",
+@pytest.mark.parametrize("subcommand, channel", [
+    ("ensemble", "builtin:haar_random:4,4,3"),
+    ("ensemble", "builtin:random_unitary:16,2,5"),
+    ("bound", "builtin:haar_random:4,4,3"),
+], ids=["builtin:haar_random:4,4,3", "builtin:random_unitary:16,2,5", "bound"])
+def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, subcommand, channel):
+    argv = [subcommand, "--channel", channel, "--code-dim", "2", "--samples", "150",
             "--seed", "31"]
     outputs = []
     for chunk in (1, 7, 64, 150, 1000):
@@ -287,24 +295,25 @@ def test_chunks_shrink_for_large_codes(kernel_sizes):
     assert sum(sizes) == 7 and max(sizes) * 229376 <= rc._CHUNK_ENTRIES
 
 
-def test_mc_average_bound_matches_per_code_reports(kernel_sizes):
-    # both of mc_code_values' estimates against a per-code loop, bit for bit, at sample
-    # counts on both sides of a chunk boundary
+def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
+    # both of mc_code_values' estimates against `_estimate` of bound_values' columns on the
+    # same codes, bit for bit, at sample counts on both sides of a chunk boundary
     sizes = kernel_sizes
-    for spec, code_dim, chunk in [
-        ("depolarizing:0.2,3", 2, 64),
+    for spec, code_dim, chunk, bound_chunk in [
+        ("depolarizing:0.2,3", 2, 64, 64),
         # the Ginibre stack, Q, bases, panel, A_i B and its copy, R and the Gram/D stack
-        # take 8720 entries per code, so `_CHUNK_ENTRIES` caps a chunk at 30 codes
-        ("haar_random:32,32,16,3", 4, 30),
+        # take 8720 entries per code, so `_CHUNK_ENTRIES` caps a chunk at 30 codes; the
+        # state form's 22528 more cap bound's chunks at 8
+        ("haar_random:32,32,16,3", 4, 30, 8),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
         for samples in (1, 64, 65, 130):
             sizes.clear()
             got = rc.mc_code_values(ch, code_dim, samples, 4)
             assert sizes[0] == min(chunk, samples) and sum(sizes) == samples
-            reports = [codes.bound_report(rc.sample_code(ch.input_dim, code_dim,
-                                                         rc.sample_stream(4, i)), ch)
-                       for i in range(samples)]
-            want = [rc._estimate(np.array([getattr(r, field) for r in reports]), 4)
-                    for field in ("deviation_frobenius_sq", "bound_kraus")]
+            sizes.clear()
+            columns = rc.bound_values(ch, code_dim, samples, 4)
+            assert sizes[0] == min(bound_chunk, samples) and sum(sizes) == samples
+            want = [rc._estimate(columns[:, codes.BOUND_COLUMNS.index(name)], 4)
+                    for name in ("deviation_frobenius_sq", "bound_kraus")]
             assert list(got) == want, (spec, samples)

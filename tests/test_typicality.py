@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import cli, codes, linalg
+from qcap import cli, linalg
 from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
 import oracles
@@ -762,7 +762,7 @@ def test_fidelity_chain_under_reduction_and_projection():
             for i in range(10):
                 rng = rc.sample_stream(99, n * 1000 + i)
                 k = int(rng.integers(1, 5))
-                pi_c = oracles.normalized_projector(rc.sample_code(2**n, k, rng))
+                pi_c = oracles.normalized_projector(linalg.haar_isometry(2**n, k, rng))
                 fe_full = oracles.entanglement_fidelity(pi_c, full)
                 fe_typ = oracles.entanglement_fidelity(pi_c, typ_dense)
                 fe_red = oracles.entanglement_fidelity(pi_c, red_dense)
@@ -775,8 +775,7 @@ def test_fidelity_chain_under_reduction_and_projection():
 
 def test_subspace_restricted_info_full_space():
     ch = qch.phase_flip(0.25)
-    full = codes.CodeSubspace(ambient_dim=2, code_dim=2, basis=np.eye(2))
-    info = oracles.coherent_information(oracles.normalized_projector(full), ch)
+    info = oracles.coherent_information(oracles.normalized_projector(np.eye(2)), ch)
     want = oracles.coherent_information(oracles.max_mixed(2), ch)
     assert info == pytest.approx(want, abs=1e-12)
     h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
@@ -790,7 +789,6 @@ def test_subspace_restricted_info_pure_input_vanishes(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     ch = qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng)
-    code = codes.CodeSubspace(ambient_dim=dim, code_dim=1,
-                              basis=linalg.haar_isometry(dim, 1, rng))
+    code = linalg.haar_isometry(dim, 1, rng)
     info = oracles.coherent_information(oracles.normalized_projector(code), ch)
     assert info == pytest.approx(0.0, abs=1e-9)
