@@ -76,6 +76,13 @@ def _check_builtin(name: str, entries: int, **sizes: int) -> None:
     linalg.check_entries(entries, f"builtin channel {name!r}")
 
 
+def _check_seed(seed: int, what: str) -> int:
+    """seed, or a ValueError naming ``what`` when it is outside a stream key's [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -84,7 +91,7 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     params = [p for p in raw.split(",") if p]
 
     def channel_rng(seed_param: str | None):
-        seed = int(seed_param) if seed_param is not None else master_seed
+        seed = _check_seed(int(seed_param), "SEED") if seed_param is not None else master_seed
         return rc.sample_stream(seed, CHANNEL_STREAM_INDEX)
 
     try:
@@ -310,8 +317,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.master_seed < 0:
-            raise ValueError("--seed must be nonnegative")
+        _check_seed(args.master_seed, "--seed")
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         text = run(args)

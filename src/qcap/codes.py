@@ -59,6 +59,13 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
     return bases
 
 
+def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
+    """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
+    # per code the kernel, then the state form, each about five (K*N)^2 (5.1 at K*N = 1024)
+    return (6 * stack * (code_dim * len(ch)) ** 2
+            + (3 * len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + _PANEL_MULTIPLE))
+
+
 def _deviation_batch(bases: np.ndarray,
                      ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one D kernel, over an (S, M, K) stack of code bases.
@@ -72,18 +79,15 @@ def _deviation_batch(bases: np.ndarray,
     All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
     panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
     and the Gram blocks are one matrix product per code, so each code's bits
-    do not depend on S.  A stack whose `bound_columns` peak is above
-    `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
+    do not depend on S.  A stack whose `bound_columns` peak (`_stack_entries`)
+    is above `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
         raise ValueError("code ambient dimension does not match channel input")
     n, out, width = len(ch), ch.output_dim, s * k
-    # bound_columns' peak: per code the kernel, then the state form, each holding about
-    # five (K*N)^2 arrays (measured 5.1 (K*N)^2 at K*N = 1024), and the panel's products
     what = f"{s} codes" if s > 1 else "one code"
-    linalg.check_entries(6 * s * (k * n) ** 2 + (3 * n * out + m) * (width + _PANEL_MULTIPLE),
-                         f"D kernel for {what} (K={k}, N={n})")
+    linalg.check_entries(_stack_entries(s, k, ch), f"D kernel for {what} (K={k}, N={n})")
     flat = ch.kraus_ops.reshape(n * out, m)
     panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
     panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)

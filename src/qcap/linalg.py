@@ -48,6 +48,14 @@ def as_power_of_two(x: int) -> str:
     return f"2^{math.log2(x):.6g}"
 
 
+def _power_of_two(exponent: float) -> float:
+    """2.0**exponent, or inf where the power overflows the float range."""
+    try:
+        return 2.0**exponent
+    except OverflowError:
+        return math.inf
+
+
 def check_entries(entries: int, what: str) -> None:
     """CapExceededError naming ``what`` when its peak needs more than ENTRY_CAP entries."""
     if entries > ENTRY_CAP:
@@ -160,15 +168,21 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return haar_isometries(ginibre(rng.standard_normal((1, 2, dim, cols))))[0]
 
 
+def _haar_entries(dim: int, cols: int) -> int:
+    """Peak entries per matrix of `haar_isometries` of `ginibre`, the normals included."""
+    # the normals' buffer, QR's copy (then the isometries), Q and R (3.0-3.1 dim*cols + cols^2)
+    return 3 * dim * cols + cols * cols
+
+
 def ginibre(normals: np.ndarray) -> np.ndarray:
     """(S, dim, cols) complex Ginibre matrices (a + 1j b) / sqrt(2) from (S, 2, dim, cols) normals.
 
     The normals are scaled in place by 1/sqrt(2), the bits of that quotient (numpy
-    divides by a complex scalar by multiplying by its reciprocal); every step is elementwise.
+    divides by a complex scalar by multiplying by its reciprocal); the matrices overwrite them.
     """
     normals *= 1 / math.sqrt(2)
-    z = np.empty(normals.shape[:1] + normals.shape[2:], dtype=np.complex128)
-    z.real, z.imag = normals[:, 0], normals[:, 1]
+    z = normals.reshape(len(normals), -1).view(np.complex128).reshape(-1, *normals.shape[2:])
+    z.real, z.imag = normals.copy().swapaxes(0, 1)
     return z
 
 

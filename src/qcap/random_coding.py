@@ -15,10 +15,13 @@ Reproducibility contract: every Monte Carlo sample draws from its own
 counter-based Philox stream keyed by (master_seed, sample_index), one
 generator rekeyed per sample, and aggregation uses exact (fsum) summation,
 so results depend only on the seed and the sample count.  Sampling is one
-serial pass over fixed chunks of samples: each sample draws only its normals
-from its own stream, and a chunk takes one Ginibre packing, one batched QR
-and, for codes, one D-kernel call, for both ensemble estimates or for every
+serial pass over chunks of samples: each sample draws only its normals from
+its own stream, and a chunk takes one Ginibre packing, one batched QR and,
+for codes, one D-kernel call, for both ensemble estimates or for every
 per-code bound column (`bound_values`); no bits depend on the chunk size.
+A chunk is the largest stack of at most `_CHUNK` samples whose peak, as the
+modules that allocate it predict (`linalg._haar_entries` for the finish,
+`codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
@@ -33,12 +36,10 @@ from . import codes, linalg
 from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _nonzero, _uniform_output,
                        gram_matrix)
 from .errors import InvariantViolationError
-from .typicality import _power_of_two
+from .linalg import _power_of_two
 
-# Samples per chunk of the sampling loop.  A chunk is also capped at about
-# _CHUNK_ENTRIES complex entries (4 MiB) of the per-sample arrays that grow
-# with it (the Ginibre stack and the QR outputs; for codes also the panel,
-# A_i B and the Gram/D stack), so large samples come fewer to a chunk.
+# The most samples in a chunk of the sampling loop, and the chunk's budget:
+# 2^18 complex entries (4 MiB) of predicted peak (`_sample_values`).
 _CHUNK = 64
 _CHUNK_ENTRIES = 1 << 18
 
@@ -77,27 +78,30 @@ class EnsembleEstimate:
     master_seed: int
 
 
-def _sample_values(shape: tuple[int, ...], sample_count: int, master_seed: int, reduce,
-                   entries: int) -> np.ndarray:
-    """reduce's per-sample results over the streams (master_seed, 0..sample_count-1), in order.
+def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, reduce,
+                   entries) -> np.ndarray:
+    """reduce's results on Haar isometries of streams (master_seed, 0..sample_count-1), in order.
 
-    Each sample draws ``standard_normal`` normals of ``shape`` from its own
-    stream (`_rekeyed_streams`) straight into its row of the chunk's stack,
-    and reduce(normals) turns the stack into the chunk's results at once.  A
-    chunk holds `_CHUNK` samples, or as many as keep their ``entries`` entries
-    each within `_CHUNK_ENTRIES`; it batches only work that treats every sample
-    alike, so the results do not depend on its size.
+    Each sample draws the ``standard_normal`` normals of one Ginibre matrix of
+    ``shape`` (dim, cols) from its own stream (`_rekeyed_streams`) straight
+    into its row of the chunk's stack; one packing and one batched QR make the
+    stack's isometries, and reduce turns them into the chunk's results at
+    once.  A chunk is the largest stack of at most `_CHUNK` samples whose
+    finish (`linalg._haar_entries`) and reduce's peak, entries(stack), fit
+    `_CHUNK_ENTRIES` (one sample when none fits); it batches only work that
+    treats every sample alike, so the results do not depend on its size.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // entries))
+    chunk = max((s for s in range(1, _CHUNK + 1)
+                 if s * linalg._haar_entries(*shape) + entries(s) <= _CHUNK_ENTRIES), default=1)
     streams = _rekeyed_streams(master_seed, range(sample_count))
     chunks = []
     for start in range(0, sample_count, chunk):
-        normals = np.empty((min(chunk, sample_count - start), *shape))
+        normals = np.empty((min(chunk, sample_count - start), 2, *shape))
         for row in normals:
             next(streams).standard_normal(out=row)
-        chunks.append(reduce(normals))
+        chunks.append(reduce(linalg.haar_isometries(linalg.ginibre(normals))))
     return np.concatenate(chunks)
 
 
@@ -160,21 +164,15 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
 # ------------------------------------------------------------------ Monte Carlo
 
 def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed: int,
-                 columns, extra: int = 0) -> np.ndarray:
+                 columns) -> np.ndarray:
     """columns(bases, ch) of the Haar codes of streams (master_seed, 0..sample_count-1), in order.
 
-    Each stream draws one code's normals; per chunk, one packing into Ginibre
-    matrices, one batched QR, one orthonormality check and one call of
-    ``columns``, which holds ``extra`` entries per code beyond the D kernel's.
+    Each stream draws one code; per chunk, one orthonormality check and one
+    call of ``columns``, whose peak is the D kernel's (`codes._stack_entries`).
     """
-    m, k, n = ch.input_dim, code_dim, len(ch)
-
-    def chunk_columns(normals):
-        return columns(codes._orthonormal(linalg.haar_isometries(linalg.ginibre(normals))), ch)
-
-    # the Ginibre stack, Q and R, bases, panel, A_i B and its copy, the Gram/D stack
-    per_code = k * (4 * m + 2 * n * ch.output_dim + k) + (k * n) ** 2
-    return _sample_values((2, m, k), sample_count, master_seed, chunk_columns, per_code + extra)
+    return _sample_values((ch.input_dim, code_dim), sample_count, master_seed,
+                          lambda bases: columns(codes._orthonormal(bases), ch),
+                          lambda stack: codes._stack_entries(stack, code_dim, ch))
 
 
 def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
@@ -201,16 +199,11 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
                  master_seed: int) -> np.ndarray:
     """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
 
-    The codes of `mc_code_values`, and per chunk the same Kraus form, with the
-    state form beside it (`codes.bound_columns`).  The caller checks that
-    1 <= code_dim <= M, before it predicts the reports it keeps.
+    The codes and chunks of `mc_code_values`, and per chunk the same Kraus
+    form, with the state form beside it (`codes.bound_columns`).  The caller
+    checks that 1 <= code_dim <= M, before it predicts the reports it keeps.
     """
-    kn = code_dim * len(ch)
-    # the state form's phi, its conjugate and |phi|^2, then rho'_RE, its normalized copy,
-    # rho_R (x) rho'_E and their difference (with tracemalloc: 2.5 K*N*out at K*N = 4,
-    # 3.2-3.8 (K*N)^2 at K*N >= 64)
-    return _code_values(ch, code_dim, sample_count, master_seed, codes.bound_columns,
-                        3 * kn * ch.output_dim + 4 * kn**2)
+    return _code_values(ch, code_dim, sample_count, master_seed, codes.bound_columns)
 
 
 # ------------------------------------------------------------------ Haar moments
@@ -248,14 +241,14 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
     # three values kept per sample, then one column's list in `_estimate` (measured 3.5)
     linalg.check_entries(5 * sample_count, f"keeping the results of {sample_count} samples")
 
-    def moments(normals):
+    def moments(unitaries):
         # Python's abs of each entry: numpy's vectorized abs rounds some last bits differently
-        rows = linalg.haar_isometries(linalg.ginibre(normals))[:, 0, :2].tolist()
+        rows = unitaries[:, 0, :2].tolist()
         a2, b2 = np.array([[abs(u) ** 2 for u in row] for row in rows]).T
         return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
-    # the Ginibre stack, Q and R, and the unitaries
-    raw = _sample_values((2, dim, dim), sample_count, master_seed, moments, 4 * dim * dim)
+    # beyond the finish, a chunk holds a few values per sample, which `_CHUNK` bounds
+    raw = _sample_values((dim, dim), sample_count, master_seed, moments, lambda stack: 0)
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

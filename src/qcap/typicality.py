@@ -48,6 +48,7 @@ import numpy as np
 from . import linalg
 from .channels import ChannelInfoReport, KrausChannel, _info_report, _uniform_output, minimal_kraus
 from .errors import CapExceededError, InvariantViolationError
+from .linalg import _power_of_two
 
 # guard on the number of group-count compositions enumerated per block length
 _COMPOSITION_CAP = 1 << 16
@@ -71,13 +72,6 @@ class TypeClass:
     counts: tuple[int, ...]
     log2_probability: float
     sequence_count: int
-
-
-def _power_of_two(exponent: float) -> float:
-    try:
-        return 2.0**exponent
-    except OverflowError:
-        return math.inf
 
 
 def _class_mass(classes) -> float:

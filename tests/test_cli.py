@@ -306,6 +306,25 @@ def test_exit_2_bad_builtin_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_exit_2_seed_outside_64_bits(capsys, seed):
+    # a stream key holds 64 bits, so a wider seed would alias one inside [0, 2^64)
+    code, out, err = run_cli(capsys, "ensemble", "--channel", "builtin:phase_flip:0.25",
+                             "--code-dim", "1", "--samples", "2", "--seed", seed)
+    assert code == 2 and out == "" and err.count("\n") == 1 and "--seed" in err
+    code, out, err = run_cli(capsys, "info", "--channel", f"builtin:haar_random:3,3,2,{seed}",
+                             "--seed", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1 and "SEED" in err
+
+
+def test_largest_seed_runs(capsys):
+    top = str(2**64 - 1)
+    code, out, err = run_cli(capsys, "ensemble", "--channel", f"builtin:haar_random:3,3,2,{top}",
+                             "--code-dim", "2", "--samples", "3", "--seed", top)
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["master_seed"] == 2**64 - 1
+
+
 def test_exit_3_invalid_probability(capsys):
     code, _, err = run_cli(capsys, "info", "--channel", "builtin:phase_flip:1.5",
                            "--seed", "0")

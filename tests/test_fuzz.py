@@ -27,7 +27,7 @@ NOT_FLOATS = (True, 10**400)
 REQUIRED = {"info": (), "bound": ("--code-dim",), "ensemble": ("--code-dim", "--samples"),
             "moments": ("--samples",), "typicality": ("--epsilon", "--n-min", "--n-max"),
             "rate-demo": ("--rate", "--epsilon", "--n-min", "--n-max")}
-USABLE = {"--seed": ("0", "1", str(2**64)), "--code-dim": ("1", "3"), "--samples": ("1", "3"),
+USABLE = {"--seed": ("0", "1", str(2**64 - 1)), "--code-dim": ("1", "3"), "--samples": ("1", "3"),
           "--epsilon": ("1", "3"), "--n-min": ("1",), "--n-max": ("1", "3"), "--rate": ("0", "1"),
           "--threads": ("1", "3")}
 BUILTINS = ("builtin:phase_flip:0.25", "builtin:depolarizing:0.3", "builtin:identity:{}",

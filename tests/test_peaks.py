@@ -91,6 +91,16 @@ def test_bound_report_peak(monkeypatch, dims, code_dim, samples):
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.bound_values(ch, code_dim, samples, 2))
 
 
+@pytest.mark.parametrize("spec", ["haar_random:8,8,16", "haar_random:32,32,16,3"])
+def test_kernel_heavy_ensemble_chunk_peak_within_budget(monkeypatch, spec):
+    # K*N = 64: the D kernel, not the codes' finish, sets the chunk, which must hold
+    # to the 4 MiB `_CHUNK_ENTRIES` budget; the run's fixed part is its kept values
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    rc.mc_code_values(ch, 4, 1, 2)
+    peak, _ = traced(monkeypatch, lambda: rc.mc_code_values(ch, 4, rc._CHUNK, 2))
+    assert peak <= 16 * (rc._CHUNK_ENTRIES + 4 * rc._CHUNK), peak / MIB
+
+
 @pytest.mark.parametrize("ch, n", [
     (qch.phase_flip(0.25), 35),
     (oracles.tensor_power(qch.phase_flip(0.25), 2), 16),

@@ -283,28 +283,42 @@ def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, subcomm
     assert all(out == outputs[0] for out in outputs[1:])
 
 
+@pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
+def test_bytes_do_not_depend_on_chunk_budget(monkeypatch, capsys, kernel_sizes, subcommand):
+    # K*N = 64, where `_CHUNK_ENTRIES` sets the chunk: one code, a few codes, all codes
+    argv = [subcommand, "--channel", "builtin:haar_random:8,8,16", "--code-dim", "4",
+            "--samples", "20", "--seed", "31"]
+    outputs = []
+    for budget, chunk in ((1 << 15, 1), (1 << 17, 4), (1 << 26, 20)):
+        monkeypatch.setattr(rc, "_CHUNK_ENTRIES", budget)
+        kernel_sizes.clear()
+        assert cli.main(argv) == 0
+        assert kernel_sizes[0] == chunk and sum(kernel_sizes) == 20
+        outputs.append(capsys.readouterr().out)
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 def test_chunks_shrink_for_large_codes(kernel_sizes):
     sizes = kernel_sizes
     rc.mc_code_values(qch.depolarizing(0.3), 2, 100, 1)
     assert sizes == [rc._CHUNK, 100 - rc._CHUNK]
     sizes.clear()
-    # K = 128 on a 256-dim identity: the Ginibre stack, Q, the bases and the panel
-    # 4*256*128, R 128^2, A_i B and its copy 2*256*128, and the Gram/D stack 128^2
-    # entries per sample
+    # K = 128 on a 256-dim identity: the finish's 3*256*128 + 128^2 and the D kernel's
+    # 6*128^2 + (3*256 + 256)*128 entries per code, 344064, and the panel's 16384 more
+    # are past the budget at one code, which comes alone
     rc.mc_code_values(qch.identity_channel(256), 128, 7, 1)
-    assert sum(sizes) == 7 and max(sizes) * 229376 <= rc._CHUNK_ENTRIES
+    assert sizes == [1] * 7
 
 
 def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
     # both of mc_code_values' estimates against `_estimate` of bound_values' columns on the
     # same codes, bit for bit, at sample counts on both sides of a chunk boundary
     sizes = kernel_sizes
-    for spec, code_dim, chunk, bound_chunk in [
-        ("depolarizing:0.2,3", 2, 64, 64),
-        # the Ginibre stack, Q, bases, panel, A_i B and its copy, R and the Gram/D stack
-        # take 8720 entries per code, so `_CHUNK_ENTRIES` caps a chunk at 30 codes; the
-        # state form's 22528 more cap bound's chunks at 8
-        ("haar_random:32,32,16,3", 4, 30, 8),
+    for spec, code_dim, chunk in [
+        ("depolarizing:0.2,3", 2, 64),
+        # the finish's 400 entries and the D kernel's 30848 per code, beside the panel's
+        # 25088, cap a chunk at 7 codes, for ensemble and bound alike
+        ("haar_random:32,32,16,3", 4, 7),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
         for samples in (1, 64, 65, 130):
@@ -313,7 +327,7 @@ def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
             assert sizes[0] == min(chunk, samples) and sum(sizes) == samples
             sizes.clear()
             columns = rc.bound_values(ch, code_dim, samples, 4)
-            assert sizes[0] == min(bound_chunk, samples) and sum(sizes) == samples
+            assert sizes[0] == min(chunk, samples) and sum(sizes) == samples
             want = [rc._estimate(columns[:, codes.BOUND_COLUMNS.index(name)], 4)
                     for name in ("deviation_frobenius_sq", "bound_kraus")]
             assert list(got) == want, (spec, samples)

@@ -51,7 +51,7 @@ def typical_set(weights, n, eps):
     """
     entropy, classes = typical_classes(weights, n, eps)
     return TypicalSet(count=sum(c.sequence_count for c in classes),
-                      bound=tp._power_of_two(n * (entropy + eps)),
+                      bound=linalg._power_of_two(n * (entropy + eps)),
                       mass=tp._class_mass(classes), entropy=entropy)
 
 
@@ -282,7 +282,7 @@ def output_subspace(rho, n, eps):
     return OutputSubspace(eigenvalues=w, eigenvectors=v, n=n,
                           indicator=typical_indicator(w.size, tp._weight_groups(w), classes, n),
                           rank=sum(c.sequence_count for c in classes),
-                          rank_bound=tp._power_of_two(n * (entropy + eps)),
+                          rank_bound=linalg._power_of_two(n * (entropy + eps)),
                           mass=tp._class_mass(classes))
 
 
