@@ -75,10 +75,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", stack)
         with np.errstate(over="ignore", invalid="ignore"):     # an overflow is refused below
             delta = _completeness_defect(stack)
-            # the norm of the Hermitian matrix that eigvalsh reads, Delta's lower triangle,
-            # since rounding can leave Delta itself slightly non-Hermitian
-            fro_sq = (2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2
-                      + np.linalg.norm(np.diagonal(delta)) ** 2)
+            fro_sq = _lower_norm_sq(delta)
         lo = hi = 0.0
         if not math.isfinite(fro_sq):       # sum A^dagger A, or its norm, overflowed
             hi = math.inf
@@ -95,21 +92,64 @@ class KrausChannel:
         return len(self.kraus_ops)
 
 
+def _construction_entries(n: int, mp: int, m: int) -> int:
+    """Peak entries of building a channel of n M' x M operators, beside the caller's operators.
+
+    The stack and Delta, and a block: the conjugated columns of one product
+    of Delta with numpy's ufunc buffer, as the columns are strided, or the
+    mask that zeroes the upper triangle of its diagonal block.
+    """
+    return n * mp * m + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
+
+
 def _completeness_defect(stack: np.ndarray) -> np.ndarray:
-    """Delta = sum A^dagger A - 1 of an (N, M', M) Kraus stack, the identity subtracted in place."""
+    """The lower triangle of Delta = sum A^dagger A - 1 of an (N, M', M) Kraus stack, zero above.
+
+    The lower triangle is all that eigvalsh reads.  Each of the `linalg._blocks`
+    of rows is one product of a conjugated column block of the stacked
+    operators with the stack's columns up to the block's last, so no pass
+    holds a conjugated copy of the whole stack; the triangle has the bits of
+    one product, and the identity is subtracted in place.
+    """
     m = stack.shape[-1]
     flat = stack.reshape(-1, m)
-    delta = flat.conj().T @ flat
+    delta = np.zeros((m, m), dtype=np.complex128)
+    for rows in linalg._blocks(m):
+        np.matmul(flat[:, rows].conj().T, flat[:, :rows.stop], out=delta[rows, :rows.stop])
+        corner = delta[rows, rows]
+        corner[~np.tri(len(corner), dtype=bool)] = 0.0
     delta[np.diag_indices(m)] -= 1.0
     return delta
 
 
+def _lower_norm_sq(delta: np.ndarray) -> float:
+    """||H||_F^2 of the Hermitian H whose lower triangle is delta's (`_completeness_defect`).
+
+    2 ||strict lower triangle||_F^2 + ||diagonal||^2, with the bits of the
+    norms of ``np.tril(delta, -1)`` and of the diagonal but without a copy of
+    delta: its diagonal is set aside while the norm of the rest runs.
+    """
+    diagonal = np.diagonal(delta).copy()
+    np.fill_diagonal(delta, 0.0)
+    strict = np.linalg.norm(delta)
+    np.fill_diagonal(delta, diagonal)
+    return 2.0 * strict ** 2 + np.linalg.norm(diagonal) ** 2
+
+
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
-    """Hermitian N x N matrix of overlaps tr(A_i^dagger A_j)."""
-    # the stack and its conjugate, the result and an eigensolver's copy (measured 1.0 N^2 alone)
-    linalg.check_entries(2 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
-                         f"Gram matrix of {len(ch)} Kraus operators")
-    return np.einsum("iab,jab->ij", ch.kraus_ops.conj(), ch.kraus_ops)
+    """Hermitian N x N matrix of overlaps tr(A_i^dagger A_j).
+
+    Each of the `linalg._blocks` of rows contracts a conjugated block of
+    operators with the stack, with the bits of one contraction.
+    """
+    n = len(ch)
+    # the result, a conjugated block of operators, and an eigensolver's copy of the result
+    linalg.check_entries(2 * n * n + linalg._widest_block(n) * ch.output_dim * ch.input_dim,
+                         f"Gram matrix of {n} Kraus operators")
+    gram = np.empty((n, n), dtype=np.complex128)
+    for rows in linalg._blocks(n):
+        np.einsum("iab,jab->ij", ch.kraus_ops[rows].conj(), ch.kraus_ops, out=gram[rows])
+    return gram
 
 
 def _nonzero(spectrum: np.ndarray) -> np.ndarray:
@@ -146,20 +186,25 @@ def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     trace-preserving channel the weights are a distribution whose Shannon
     entropy is the entropy exchange at the uniform input.
     """
-    # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors;
-    # the stack, its recombination and re-stacking (measured 3.0 N^2 + 3 stacks)
-    linalg.check_entries(4 * len(ch) * (ch.output_dim * ch.input_dim + len(ch)),
-                         f"Gram matrix diagonalization of {len(ch)} Kraus operators")
+    n, mp, m = len(ch), ch.output_dim, ch.input_dim
+    # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors
+    linalg.check_entries(4 * n * n, f"Gram matrix diagonalization of {n} Kraus operators")
     spectrum, rotation = _gram_spectrum(gram_matrix(ch))
-    if rotation is not None:
-        flat = ch.kraus_ops.reshape(len(ch), -1)
-        ch = KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                          kraus_ops=(rotation.T @ flat).reshape(ch.kraus_ops.shape))
     keep = _nonzero(spectrum)
-    if keep.all() or not keep.any():
-        return ch, spectrum / ch.input_dim
-    return (KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, name=ch.name,
-                         kraus_ops=ch.kraus_ops[keep]), spectrum[keep] / ch.input_dim)
+    drop = keep.any() and not keep.all()
+    if rotation is not None or drop:
+        # the rotation and the recombined stack, then the kept operators and their
+        # construction beside the recombined channel
+        linalg.check_entries(n * n + 2 * n * mp * m + _construction_entries(n, mp, m),
+                             f"recombining {n} Kraus operators")
+    if rotation is not None:
+        flat = ch.kraus_ops.reshape(n, -1)
+        ch = KrausChannel(input_dim=m, output_dim=mp, name=ch.name,
+                          kraus_ops=(rotation.T @ flat).reshape(ch.kraus_ops.shape))
+    if not drop:
+        return ch, spectrum / m
+    return (KrausChannel(input_dim=m, output_dim=mp, name=ch.name, kraus_ops=ch.kraus_ops[keep]),
+            spectrum[keep] / m)
 
 
 # ------------------------------------------------------------------ information
@@ -188,13 +233,31 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
 
 
 def _uniform_output(ch: KrausChannel) -> np.ndarray:
-    """The one N(pi) kernel: V V^dagger / M, with V the (M', N M) matrix [A_1 ... A_N]."""
-    # V and its conjugate beside N(pi), then N(pi) beside an eigensolver's copy (measured
-    # 2.0 M'^2 at N M = M', 1.1 M'^2 at N M << M', 2.0 N M M' + 1.0 M'^2 at N M >> M')
+    """The one N(pi) kernel: V V^dagger / M, with V the (M', N M) matrix [A_1 ... A_N].
+
+    Block (r, c) of the `linalg._blocks` of output rows and columns is one
+    product of rows r of V with conjugated rows c, each gathered from views
+    of the stack, so no pass holds V or its conjugate whole; the bits are
+    those of one product.
+    """
     n, m, mp = len(ch), ch.input_dim, ch.output_dim
-    linalg.check_entries(2 * n * m * mp + 3 * mp * mp, f"classifying a {m} -> {mp} channel")
-    v = ch.kraus_ops.transpose(1, 0, 2).reshape(mp, n * m)
-    return (v @ v.conj().T) / m
+    width = linalg._widest_block(mp)
+    # N(pi) beside a row block of V and a conjugated one, then N(pi) beside an
+    # eigensolver's copy
+    linalg.check_entries(2 * width * n * m + 2 * mp * mp, f"classifying a {m} -> {mp} channel")
+    image = np.empty((mp, mp), dtype=np.complex128)
+    rows = np.empty((width, n, m), dtype=np.complex128)
+    cols = np.empty_like(rows)
+    for c in linalg._blocks(mp):
+        v_c = cols[:c.stop - c.start]
+        v_c[...] = ch.kraus_ops[:, c].transpose(1, 0, 2)
+        np.conjugate(v_c, out=v_c)
+        for r in linalg._blocks(mp):
+            v_r = rows[:r.stop - r.start]
+            v_r[...] = ch.kraus_ops[:, r].transpose(1, 0, 2)
+            np.matmul(v_r.reshape(-1, n * m), v_c.reshape(-1, n * m).T, out=image[r, c])
+    image /= m
+    return image
 
 
 def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> ChannelInfoReport:

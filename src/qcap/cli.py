@@ -67,8 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_builtin(name: str, entries: int, **sizes: int) -> None:
     """Reject sizes below 1, and a construction peak above `linalg.ENTRY_CAP`, before building.
 
-    The peak counts the Kraus stack, each Haar draw's QR, the validation of
-    sum A^dagger A, and about 32 entries of array overhead per operator.
+    The peak counts the caller's operators, each Haar draw's QR, and the
+    construction (`channels._construction_entries`: the Kraus stack and the
+    validation of sum A^dagger A), and about 32 entries of array overhead per
+    operator.
     """
     if min(sizes.values()) < 1:
         got = ", ".join(f"{key}={value}" for key, value in sizes.items())
@@ -98,7 +100,8 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
         if name == "identity":
             (dim,) = params
             dim = int(dim)
-            _check_builtin(name, 33 * dim * dim // 8, dim=dim)         # measured 4.06 M^2
+            # the identity beside its construction (measured 3.26-3.28 M^2)
+            _check_builtin(name, dim * dim + qch._construction_entries(1, dim, dim), dim=dim)
             return qch.identity_channel(dim)
         if name == "phase_flip":
             (p,) = params
@@ -106,8 +109,10 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
         if name == "depolarizing":
             p = float(params[0])
             dim = int(params[1]) if len(params) > 1 else 2
-            # measured 4.0 dim^4 + 27 dim^2
-            _check_builtin(name, 4 * dim**4 + 64 * dim**2, dim=dim)
+            # the Weyl operators and their scaled copies beside the construction
+            # (measured 3.6-3.7 dim^4 at dim = 24-28)
+            _check_builtin(name, 2 * dim**4 + 64 * dim**2
+                           + qch._construction_entries(dim * dim, dim, dim), dim=dim)
             return qch.depolarizing(p, dim)
         if name == "haar_random":
             in_dim, out_dim, count = (int(x) for x in params[:3])
@@ -118,9 +123,10 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
             return qch.haar_random_channel(in_dim, out_dim, count, rng)
         if name == "random_unitary":
             dim, count = int(params[0]), int(params[1])
-            # measured 3.0-3.1 count*dim^2 + 1.0-1.3 dim^2
-            _check_builtin(name, 13 * count * dim * dim // 4 + 3 * dim * dim + 64 * count,
-                           dim=dim, count=count)
+            # the unitaries and the last draw's QR beside the construction (measured
+            # 2.3-2.4 count*dim^2)
+            _check_builtin(name, count * dim * dim + 3 * dim * dim + 64 * count
+                           + qch._construction_entries(count, dim, dim), dim=dim, count=count)
             rng = channel_rng(params[2] if len(params) > 2 else None)
             return qch.random_unitary_channel(dim, count, rng)
     except (TypeError, ValueError) as exc:

@@ -43,14 +43,6 @@ from .errors import InvariantViolationError
 
 ORTHONORMALITY_ATOL = 1e-10
 
-# The code bases of one kernel call are laid side by side as one panel of
-# columns, zero-padded to a multiple of this width.  OpenBLAS rounds a column
-# differently when it falls in a partial register tile at the panel's edge;
-# with the padding every code's columns land in full tiles, so each code's
-# bits do not depend on how many codes share the product.
-_PANEL_MULTIPLE = 16
-
-
 def _orthonormal(bases: np.ndarray) -> np.ndarray:
     """An (S, M, K) stack of bases, checked to have orthonormal columns within 1e-10."""
     defect = np.matmul(bases.conj().transpose(0, 2, 1), bases) - np.eye(bases.shape[2])
@@ -63,7 +55,7 @@ def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
     """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
     # per code the kernel, then the state form, each about five (K*N)^2 (5.1 at K*N = 1024)
     return (6 * stack * (code_dim * len(ch)) ** 2
-            + (3 * len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + _PANEL_MULTIPLE))
+            + (3 * len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
 
 
 def _deviation_batch(bases: np.ndarray,
@@ -77,9 +69,10 @@ def _deviation_batch(bases: np.ndarray,
     ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
     (i, j) of D is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
     All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
-    panel of bases, zero-padded to a multiple of `_PANEL_MULTIPLE` columns,
-    and the Gram blocks are one matrix product per code, so each code's bits
-    do not depend on S.  A stack whose `bound_columns` peak (`_stack_entries`)
+    panel of bases, zero-padded to a multiple of `linalg._TILE` columns so
+    that every code's columns land in full register tiles, and the Gram
+    blocks are one matrix product per code, so each code's bits do not
+    depend on S.  A stack whose `bound_columns` peak (`_stack_entries`)
     is above `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
@@ -89,7 +82,7 @@ def _deviation_batch(bases: np.ndarray,
     what = f"{s} codes" if s > 1 else "one code"
     linalg.check_entries(_stack_entries(s, k, ch), f"D kernel for {what} (K={k}, N={n})")
     flat = ch.kraus_ops.reshape(n * out, m)
-    panel = np.zeros((m, -(-width // _PANEL_MULTIPLE) * _PANEL_MULTIPLE), dtype=np.complex128)
+    panel = np.zeros((m, -(-width // linalg._TILE) * linalg._TILE), dtype=np.complex128)
     panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)
     # (S, N*out, K), rows (i, a), made contiguous so later steps see one layout for any S
     ab = np.ascontiguousarray((flat @ panel)[:, :width].reshape(n * out, s, k).transpose(1, 0, 2))

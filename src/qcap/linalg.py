@@ -28,6 +28,14 @@ ENTRY_CAP = 1 << 26
 # `is_hermitian` compares this many entries of m and m^dagger at a time
 _HERMITIAN_BLOCK = 1 << 16
 
+# OpenBLAS rounds a row or column differently when it falls in a partial
+# register tile at a product's edge.  Panels padded to a multiple of this
+# width, and blocks that start at one, put every row and column in the tiles
+# it meets in the whole product, so its bits do not depend on the split.
+_TILE = 16
+# `_blocks` splits a dimension into at most this many
+_MAX_BLOCKS = 4
+
 HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -118,6 +126,25 @@ def is_hermitian(m: np.ndarray) -> bool:
                for i in range(0, len(m), rows))
 
 
+def _blocks(n: int) -> list[slice]:
+    """At most `_MAX_BLOCKS` slices that cover range(n), each starting at a multiple of `_TILE`.
+
+    A product formed block by block of its output rows or columns has the
+    whole product's bits.  Only a whole dimension of 1 makes a one-wide block:
+    numpy sends a one-wide product to gemv, which sums in another order than gemm.
+    """
+    width = max(1, -(-n // (_MAX_BLOCKS * _TILE))) * _TILE
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
+def _widest_block(n: int) -> int:
+    """The width of the widest of `_blocks(n)`, which the peak predictions count."""
+    return max((s.stop - s.start for s in _blocks(n)), default=0)
+
+
 def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out spurious negative eigenvalues in [-PSD_ATOL, 0); reject worse."""
     if w.size and w[0] < -PSD_ATOL:
@@ -195,4 +222,5 @@ def haar_isometries(z: np.ndarray) -> np.ndarray:
     with one_blas_thread():
         q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return q

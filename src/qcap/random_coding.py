@@ -79,7 +79,7 @@ class EnsembleEstimate:
 
 
 def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, reduce,
-                   entries) -> np.ndarray:
+                   entries, what: str) -> np.ndarray:
     """reduce's results on Haar isometries of streams (master_seed, 0..sample_count-1), in order.
 
     Each sample draws the ``standard_normal`` normals of one Ginibre matrix of
@@ -90,9 +90,13 @@ def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, 
     finish (`linalg._haar_entries`) and reduce's peak, entries(stack), fit
     `_CHUNK_ENTRIES` (one sample when none fits); it batches only work that
     treats every sample alike, so the results do not depend on its size.
+    Before any draw, one sample's finish and entries(1), reduce's peak named
+    ``what``, are checked against `linalg.ENTRY_CAP`.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    linalg.check_entries(linalg._haar_entries(*shape) + entries(1),
+                         f"one {shape[0]} x {shape[1]} Haar sample and its {what}")
     chunk = max((s for s in range(1, _CHUNK + 1)
                  if s * linalg._haar_entries(*shape) + entries(s) <= _CHUNK_ENTRIES), default=1)
     streams = _rekeyed_streams(master_seed, range(sample_count))
@@ -172,7 +176,8 @@ def _code_values(ch: KrausChannel, code_dim: int, sample_count: int, master_seed
     """
     return _sample_values((ch.input_dim, code_dim), sample_count, master_seed,
                           lambda bases: columns(codes._orthonormal(bases), ch),
-                          lambda stack: codes._stack_entries(stack, code_dim, ch))
+                          lambda stack: codes._stack_entries(stack, code_dim, ch),
+                          f"D kernel (K={code_dim}, N={len(ch)})")
 
 
 def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
@@ -248,7 +253,8 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
         return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
     # beyond the finish, a chunk holds a few values per sample, which `_CHUNK` bounds
-    raw = _sample_values((dim, dim), sample_count, master_seed, moments, lambda stack: 0)
+    raw = _sample_values((dim, dim), sample_count, master_seed, moments, lambda stack: 0,
+                         "moments")
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

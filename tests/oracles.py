@@ -7,6 +7,9 @@ entanglement fidelity, the transpose-channel recovery, and extensional
 channel equality.  The package computes what the commands need with one
 kernel per quantity (`channels._uniform_output`, `channels.minimal_kraus`,
 `codes._deviation_batch`, `codes._trace_norms`); the tests compare the two.
+The one-product forms of the passes the package forms in blocks (Delta,
+N(pi), the Gram matrix, the output factor matrices) are kept here too, as
+the bits each blocked pass must reproduce.
 Beside them are fixtures that no command needs: mixtures of given unitaries
 (`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
 `save_channel`), whose files `serialize.load_channel` reads.
@@ -123,6 +126,42 @@ def completeness_defect_bounds(stack: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+# The one-product forms of the package's blocked passes over a Kraus stack; each
+# blocked pass must give these bits (`linalg._blocks`).
+
+def one_product_defect(stack: np.ndarray) -> np.ndarray:
+    """Delta = sum A^dagger A - 1 from one product of the conjugated, transposed stack."""
+    m = stack.shape[-1]
+    flat = stack.reshape(-1, m)
+    delta = flat.conj().T @ flat
+    delta[np.diag_indices(m)] -= 1.0
+    return delta
+
+
+def tril_norm_sq(delta: np.ndarray) -> float:
+    """2 ||strict lower triangle||_F^2 + ||diagonal||^2, from a copy of the triangle."""
+    return 2.0 * np.linalg.norm(np.tril(delta, -1)) ** 2 + np.linalg.norm(np.diagonal(delta)) ** 2
+
+
+def one_product_uniform_output(ch: qch.KrausChannel) -> np.ndarray:
+    """N(pi) = V V^dagger / M from V = [A_1 ... A_N] and its conjugate, whole."""
+    n, m, mp = len(ch), ch.input_dim, ch.output_dim
+    v = ch.kraus_ops.transpose(1, 0, 2).reshape(mp, n * m)
+    return (v @ v.conj().T) / m
+
+
+def one_product_gram(ch: qch.KrausChannel) -> np.ndarray:
+    """tr(A_i^dagger A_j) from one contraction of the conjugated stack with the stack."""
+    return np.einsum("iab,jab->ij", ch.kraus_ops.conj(), ch.kraus_ops)
+
+
+def one_product_factor_matrices(base: qch.KrausChannel, basis: np.ndarray) -> np.ndarray:
+    """A_j A_j^dagger / M in the output eigenbasis, from one pass over the whole stack."""
+    prods = np.einsum("jab,jcb->jac", base.kraus_ops, base.kraus_ops.conj())
+    rotated = np.einsum("da,jab,be->jde", basis.conj().T, prods, basis, optimize=True)
+    return rotated / base.input_dim
+
+
 def apply(ch: qch.KrausChannel, rho) -> np.ndarray:
     """sum_k A_k rho A_k^dagger; positivity-preserving and trace-nonincreasing."""
     rho = linalg.as_matrix(rho)
@@ -137,11 +176,11 @@ def tensor_power(ch: qch.KrausChannel, n: int) -> qch.KrausChannel:
         raise ValueError("n must be >= 1")
     if n == 1:
         return ch
-    # the operators, the channel's stack and its conjugate for the completeness check,
-    # Delta with its triangle or an eigensolver's copy, and array overhead per operator
-    # (measured 3.0 stacks + 1.0-2.0 M^2n + 27-48 entries per operator)
-    linalg.check_entries(3 * (len(ch) * ch.input_dim * ch.output_dim) ** n
-                         + 2 * ch.input_dim ** (2 * n) + 64 * len(ch) ** n,
+    # the operators beside the channel's construction, an eigensolver's copy of Delta,
+    # and array overhead per operator
+    linalg.check_entries((len(ch) * ch.input_dim * ch.output_dim) ** n + ch.input_dim ** (2 * n)
+                         + qch._construction_entries(len(ch) ** n, ch.output_dim ** n,
+                                                     ch.input_dim ** n) + 64 * len(ch) ** n,
                          f"tensor power {len(ch)}^{n} of Kraus operators")
     ops = tuple(functools.reduce(tensor, combo)
                 for combo in itertools.product(ch.kraus_ops, repeat=n))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import linalg, serialize
+from qcap import cli, linalg, serialize
+from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
 import oracles
 
@@ -85,6 +86,35 @@ def test_kraus_stack_is_stored_once_and_read_only():
     # a stack passed in is copied too
     again = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=stack)
     assert not np.shares_memory(again.kraus_ops, stack)
+
+
+# ---------------------------------------------------------------- blocked passes
+
+@pytest.mark.parametrize("spec", [
+    "haar_random:37,45,3,2", "haar_random:100,100,2,9", "haar_random:8,200,3,4",
+    "random_unitary:256,2,505",
+    # 33 = 2 * 16 + 1: the last row block takes the one row left over
+    "haar_random:33,17,40,1",
+    # 70 operators: the Gram matrix and the factor matrices in three blocks
+    "haar_random:4,4,70,3",
+])
+def test_blocked_kraus_passes_equal_one_product_bit_for_bit(spec):
+    # each pass over the stack, formed in blocks of output rows or columns, gives the
+    # bits of its one-product form
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    n, mp, m = len(ch), ch.output_dim, ch.input_dim
+    assert max(len(linalg._blocks(d)) for d in (n, mp, m)) >= 2
+    # Delta's lower triangle, which eigvalsh reads, and zeros above it
+    delta, want = qch._completeness_defect(ch.kraus_ops), oracles.one_product_defect(ch.kraus_ops)
+    assert np.array_equal(delta, np.tril(want))
+    assert qch._lower_norm_sq(delta) == oracles.tril_norm_sq(want)
+    assert np.array_equal(delta, np.tril(want))                 # the norm puts the diagonal back
+    image = qch._uniform_output(ch)
+    assert np.array_equal(image, oracles.one_product_uniform_output(ch))
+    assert np.array_equal(qch.gram_matrix(ch), oracles.one_product_gram(ch))
+    basis = np.linalg.eigh(image)[1]
+    assert np.array_equal(tp._output_factor_matrices(ch, basis),
+                          oracles.one_product_factor_matrices(ch, basis))
 
 
 # ---------------------------------------------------------------- completeness certificate

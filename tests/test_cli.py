@@ -386,7 +386,7 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
 
 
 @pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
-                                  "random_unitary:60000,2", "identity:8192", "identity:4034"])
+                                  "random_unitary:60000,2", "identity:8192", "identity:4376"])
 def test_oversized_builtin_is_a_cap(capsys, spec):
     # each would need GBs; the construction peak, not only the Kraus stack,
     # is checked before building (identity:8192 has a 1 GiB stack)
@@ -605,9 +605,9 @@ def test_rate_demo_csv_at_huge_epsilon_is_finite(capsys):
 
 
 def test_oversized_classify_is_a_cap(capsys):
-    # a 5000 x 5000 output state: the build is cheap, classify's M'^2 steps are not
+    # a 6000 x 6000 output state: the build is cheap, classify's M'^2 steps are not
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "info", "--channel", "builtin:haar_random:1,5000,1",
+    code, out, err = run_cli(capsys, "info", "--channel", "builtin:haar_random:1,6000,1",
                              "--seed", "1")
     assert time.perf_counter() - start < 2.0
     assert code == 4 and out == ""
@@ -626,6 +626,25 @@ def test_kept_sample_results_are_a_cap(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "cap 2^26" in err
+
+
+def test_haar_finish_is_a_cap_before_any_draw(monkeypatch, tmp_path, capsys):
+    # moments finishes one M x M Haar unitary per sample, about 4 M^2 entries; on a
+    # channel file with a 64-dimensional input, under a cap lowered to 2^12 entries,
+    # one sample's finish alone passes the cap, so the run exits before any draw
+    functional = np.zeros((1, 64))
+    functional[0, 0] = 1.0
+    path = tmp_path / "wide.json"
+    oracles.save_channel(qch.KrausChannel(input_dim=64, output_dim=1, kraus_ops=(functional,)),
+                         path)
+    monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 12)
+    drawn, streams = [], rc._rekeyed_streams
+    monkeypatch.setattr(rc, "_rekeyed_streams", lambda *a: drawn.append(a) or streams(*a))
+    code, out, err = run_cli(capsys, "moments", "--channel", str(path), "--samples", "10",
+                             "--seed", "1")
+    assert code == 4 and out == "" and not drawn
+    assert err == ("error: one 64 x 64 Haar sample and its moments needs 2^14 entries, "
+                   "above cap 2^12\n")
 
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])

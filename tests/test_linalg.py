@@ -245,6 +245,17 @@ def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
+def test_blocks_split_a_dimension_at_tile_multiples():
+    for n in range(1, 1200):
+        blocks = linalg._blocks(n)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert 1 <= len(blocks) <= linalg._MAX_BLOCKS
+        assert all(b.start % linalg._TILE == 0 for b in blocks)
+        # a one-wide product would go to gemv, whose sums round differently
+        assert n == 1 or min(b.stop - b.start for b in blocks) >= 2
+        assert linalg._widest_block(n) == max(b.stop - b.start for b in blocks)
+
+
 def test_haar_first_moments_smoke():
     # quick seeded check; the full three-moment suite runs in acceptance
     rng = np.random.default_rng(7)

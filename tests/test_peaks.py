@@ -69,13 +69,42 @@ def assert_prediction_bounds_growth(monkeypatch, step, small, large):
 
 
 @pytest.mark.parametrize("spec", [
-    "identity:512", "identity:768",
+    "identity:640", "identity:768",
     "depolarizing:0.3,24", "depolarizing:0.3,28",
     "haar_random:64,64,96", "haar_random:256,64,24",
-    "random_unitary:128,24", "random_unitary:64,96",
+    "random_unitary:160,24", "random_unitary:64,128",
 ])
 def test_builtin_construction_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
+
+
+def rebuilt(ch):
+    return qch.KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
+                            kraus_ops=ch.kraus_ops)
+
+
+@pytest.mark.parametrize("spec, step, held", [
+    # a build from the operators of another channel: the stack, Delta and one block
+    ("random_unitary:64,96", rebuilt, qch._construction_entries),
+    # N(pi), a row block of V and a conjugated one
+    ("haar_random:64,64,96", qch._uniform_output,
+     lambda n, mp, m: mp * mp + 2 * linalg._widest_block(mp) * n * m),
+    # the Gram matrix and a conjugated block of operators
+    ("haar_random:16,16,100", qch.gram_matrix,
+     lambda n, mp, m: n * n + linalg._widest_block(n) * mp * m),
+], ids=["construction", "uniform-output", "gram"])
+def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
+    # no pass over the stack holds a conjugated or transposed copy of all of it
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    step(ch)
+    tracemalloc.start()
+    try:
+        step(ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = held(len(ch), ch.output_dim, ch.input_dim)
+    assert peak <= 16 * (entries + 1024), (peak / 16, entries)     # 16 KiB of objects
 
 
 @pytest.mark.parametrize("dims, code_dim, samples", [
@@ -135,7 +164,7 @@ def test_minimal_kraus_peak(monkeypatch, dims):
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.minimal_kraus(ch))
 
 
-@pytest.mark.parametrize("spec", ["identity:768", "haar_random:8,1024,1"])
+@pytest.mark.parametrize("spec", ["identity:1024", "haar_random:8,1024,1"])
 def test_classify_peak(monkeypatch, spec):
     ch = cli._parse_builtin(f"builtin:{spec}", 1)
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.classify(ch))
