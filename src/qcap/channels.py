@@ -51,6 +51,8 @@ class KrausChannel:
     norm (every trace-decreasing family, and defects near the tolerance) falls
     back to `eigvalsh`.  A family with an eigenvalue above 1e-10 is rejected,
     and ``trace_preserving`` records whether all of them lie within 1e-10.
+    The caller's operators and the whole construction
+    (`_construction_entries`) are checked against the entry cap first.
     """
 
     input_dim: int
@@ -68,6 +70,9 @@ class KrausChannel:
                 raise InvariantViolationError(
                     f"Kraus operator shape {np.shape(a)} != ({self.output_dim}, {self.input_dim})"
                 )
+        n, mp, m = len(ops), self.output_dim, self.input_dim
+        linalg.check_entries(n * mp * m + _construction_entries(n, mp, m),
+                             f"building a {m} -> {mp} channel of {n} Kraus operators")
         stack = np.array(ops, dtype=np.complex128)
         if not all(np.all(np.isfinite(a)) for a in stack):     # no stack-sized temporary
             raise InvariantViolationError("Kraus operator has non-finite entries")
@@ -175,14 +180,16 @@ def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return np.real(np.diagonal(h)), None
 
 
-def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
-    """The minimal diagonal Kraus family and its weights tr(A_k^dagger A_k)/M.
+def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal diagonal Kraus family, a read-only (N', M', M) stack, and its weights.
 
-    From one Gram matrix and its `_gram_spectrum`: a diagonal family is kept,
-    else one product with the Gram eigenvectors recombines the flattened
-    stack unitarily, in decreasing weight, the eigenvalues the weights.
-    Operators whose weight is not `_nonzero` are dropped, unless all are (an
-    all-zero family comes back whole).  The channel action is kept; for a
+    The weights are tr(A_k^dagger A_k)/M, from one Gram matrix and its
+    `_gram_spectrum`: a diagonal family is the channel's own stack, else one
+    product with the Gram eigenvectors recombines the flattened stack
+    unitarily, in decreasing weight, the eigenvalues the weights.  Operators
+    whose weight is not `_nonzero` are dropped, unless all are (an all-zero
+    family comes back whole).  The family keeps the channel's action, which
+    construction checked, so it is not built as a channel again; for a
     trace-preserving channel the weights are a distribution whose Shannon
     entropy is the entropy exchange at the uniform input.
     """
@@ -193,18 +200,15 @@ def minimal_kraus(ch: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     keep = _nonzero(spectrum)
     drop = keep.any() and not keep.all()
     if rotation is not None or drop:
-        # the rotation and the recombined stack, then the kept operators and their
-        # construction beside the recombined channel
-        linalg.check_entries(n * n + 2 * n * mp * m + _construction_entries(n, mp, m),
-                             f"recombining {n} Kraus operators")
+        # the rotation, the recombined stack and its kept operators
+        linalg.check_entries(n * n + 2 * n * mp * m, f"recombining {n} Kraus operators")
+    stack = ch.kraus_ops
     if rotation is not None:
-        flat = ch.kraus_ops.reshape(n, -1)
-        ch = KrausChannel(input_dim=m, output_dim=mp, name=ch.name,
-                          kraus_ops=(rotation.T @ flat).reshape(ch.kraus_ops.shape))
-    if not drop:
-        return ch, spectrum / m
-    return (KrausChannel(input_dim=m, output_dim=mp, name=ch.name, kraus_ops=ch.kraus_ops[keep]),
-            spectrum[keep] / m)
+        stack = (rotation.T @ stack.reshape(n, -1)).reshape(stack.shape)
+    if drop:
+        stack, spectrum = stack[keep], spectrum[keep]
+    stack.setflags(write=False)
+    return stack, spectrum / m
 
 
 # ------------------------------------------------------------------ information
@@ -229,20 +233,20 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
     unital: N(pi) is maximally mixed (trace-norm deviation <= 1e-9).  S_e is
     their Shannon entropy, I = S(N(pi)) - S_e; both are None when trace-decreasing.
     """
-    return _info_report(ch, minimal_kraus(ch)[1], _uniform_output(ch))
+    return _info_report(ch, minimal_kraus(ch)[1], _uniform_output(ch.kraus_ops))
 
 
-def _uniform_output(ch: KrausChannel) -> np.ndarray:
-    """The one N(pi) kernel: V V^dagger / M, with V the (M', N M) matrix [A_1 ... A_N].
+def _uniform_output(stack: np.ndarray) -> np.ndarray:
+    """The one A A^dagger kernel: V V^dagger / M, V = [A_1 ... A_N] of an (N, M', M) Kraus stack.
 
-    Block (r, c) of the `linalg._blocks` of output rows and columns is one
-    product of rows r of V with conjugated rows c, each gathered from views
-    of the stack, so no pass holds V or its conjugate whole; the bits are
-    those of one product.
+    Of a channel's stack it is N(pi).  Block (r, c) of the
+    `linalg._blocks` of output rows and columns is one product of rows r of
+    V with conjugated rows c, each gathered from views of the stack, so no
+    pass holds V or its conjugate whole; the bits are those of one product.
     """
-    n, m, mp = len(ch), ch.input_dim, ch.output_dim
+    n, mp, m = stack.shape
     width = linalg._widest_block(mp)
-    # N(pi) beside a row block of V and a conjugated one, then N(pi) beside an
+    # the result beside a row block of V and a conjugated one, then beside an
     # eigensolver's copy
     linalg.check_entries(2 * width * n * m + 2 * mp * mp, f"classifying a {m} -> {mp} channel")
     image = np.empty((mp, mp), dtype=np.complex128)
@@ -250,11 +254,11 @@ def _uniform_output(ch: KrausChannel) -> np.ndarray:
     cols = np.empty_like(rows)
     for c in linalg._blocks(mp):
         v_c = cols[:c.stop - c.start]
-        v_c[...] = ch.kraus_ops[:, c].transpose(1, 0, 2)
+        v_c[...] = stack[:, c].transpose(1, 0, 2)
         np.conjugate(v_c, out=v_c)
         for r in linalg._blocks(mp):
             v_r = rows[:r.stop - r.start]
-            v_r[...] = ch.kraus_ops[:, r].transpose(1, 0, 2)
+            v_r[...] = stack[:, r].transpose(1, 0, 2)
             np.matmul(v_r.reshape(-1, n * m), v_c.reshape(-1, n * m).T, out=image[r, c])
     image /= m
     return image

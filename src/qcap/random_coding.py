@@ -153,7 +153,7 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
         raise InvariantViolationError("closed form needs input dimension >= 2")
     if not 1 <= code_dim <= m:
         raise ValueError("need 1 <= code_dim <= input_dim")
-    image = _uniform_output(ch)
+    image = _uniform_output(ch.kraus_ops)
     fro_sq = float(np.sum(np.abs(image) ** 2))
     gram = gram_matrix(ch)
     sum_tr = float(np.sum(np.abs(gram) ** 2))

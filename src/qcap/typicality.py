@@ -15,7 +15,7 @@ weight is typical for the per-use Kraus weight distribution (the weights of
 `channels.minimal_kraus`), then project the output onto the typical subspace
 of the single-use output state (the typical classes of its spectrum).  A
 series of reduced-channel reports prepares the n-independent part (minimal
-Kraus family and weights, output spectrum and eigenbasis, factor matrices)
+Kraus family and weights, output spectrum and eigenbasis, group factors)
 once, and never enumerates sequences nor forms an M'^n-dimensional vector or
 matrix: the sum over the typical Kraus sequences is built class by class on
 the two halves of the block (`_sequence_sum`), and the projector, split by
@@ -37,7 +37,6 @@ Count-versus-bound checks compare exact integer counts against real bounds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -94,14 +93,6 @@ def _weight_groups(weights) -> list[np.ndarray]:
     order = np.flatnonzero(p > 0.0)[np.argsort(p[p > 0.0], kind="stable")]
     starts = np.flatnonzero(np.diff(p[order]) > _GROUP_RTOL * p[order][1:]) + 1
     return sorted((np.sort(group) for group in np.split(order, starts)), key=lambda g: g[0])
-
-
-def _group_sums(stack: np.ndarray, groups) -> np.ndarray:
-    """(G, ...) stack of the sums of `stack` over each group; a singleton is copied exactly.
-
-    Each sum adds views of its members in order, so only the sums are new arrays.
-    """
-    return np.array([functools.reduce(np.add, (stack[j] for j in group)) for group in groups])
 
 
 def _class_size(groups, counts) -> int:
@@ -208,32 +199,26 @@ class ReducedChannelReport:
         return self.frobenius_sq <= self.frobenius_bound
 
 
-def _output_factor_matrices(base: KrausChannel, basis: np.ndarray) -> np.ndarray:
-    """(N, M', M') array of A_j A_j^dagger / M in the output eigenbasis.
+def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
+    """Each weight group's factor F_g = sum_(j in g) A_j A_j^dagger / M in the output eigenbasis U.
 
-    Formed by `linalg._blocks` of operators, each from a conjugated block of
-    the stack, with the bits of one pass over all of them.
+    F_g is `_uniform_output` of the group's operators rotated by U^dagger, so
+    the one A A^dagger kernel forms every factor.  Factors that are
+    `_all_diagonal` come back as their (G, M') real diagonals, else the
+    (G, M', M') matrices.  `_reduced_series` checks the step's peak before
+    it forms N(pi).
     """
-    n, mp = len(base), base.output_dim
-    width = linalg._widest_block(n)
-    # a block's conjugate, then its products, the rotation's intermediate and the
-    # rotated block, beside the blocks done; then the blocks and the joined result
-    # (measured 4.0 N M'^2 in one block, 2.0 in more); beside the stack, the basis,
-    # its copies and the caller's output state
-    linalg.check_entries((n + max(n, 3 * width) + 5) * mp * mp + (n + width) * mp * base.input_dim,
-                         f"output factor matrices of {n} Kraus operators")
-
-    def rotated(block):
-        prods = np.einsum("jab,jcb->jac", block, block.conj())
-        factors = np.einsum("da,jab,be->jde", basis.conj().T, prods, basis, optimize=True)
-        factors /= base.input_dim
-        return factors
-
-    return np.concatenate([rotated(base.kraus_ops[ops]) for ops in linalg._blocks(n)])
+    adjoint = basis.conj().T
+    factors = np.empty((len(groups), *adjoint.shape), dtype=np.complex128)
+    for factor, group in zip(factors, groups):
+        factor[...] = _uniform_output(adjoint @ stack[group])
+    if _all_diagonal(factors):
+        return np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
+    return factors
 
 
 def _all_diagonal(factors: np.ndarray) -> bool:
-    """Whether no off-diagonal entry of an (N, M', M') stack passes 1e-12 times its largest entry.
+    """Whether no off-diagonal entry of a (G, M', M') stack passes 1e-12 times its largest entry.
 
     Read by `linalg._blocks` of matrices, so no temporary is the size of the stack.
     """
@@ -397,7 +382,8 @@ def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
     (K_h + 1) B M'^((k-1) r); for matrices a type block's copy and its
     conjugate, 2 (k - 1) K_h B^k; the V^k suffix Grams of K_h^2 entries and
     what the pairs make of them, U V^(k-1) more; and 2 U + 2 Grams beside:
-    a prefix type's and their weights.
+    a prefix type's and their weights.  The typical classes and the kept
+    compositions and types are tuples of one count per group, an entry each.
     """
     k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
     kraus = _kept_levels([cls.counts for cls in classes], n, r)
@@ -408,7 +394,9 @@ def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
                          len(kraus[r - 1]), len(kraus[h]), len(kraus[r]))
     entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
                + 2 * (dim**h + dim**r) + kh * kr + (kh + 1) * largest * dim**(k * r - r)
-               + 2 * (k - 1) * kh * largest**k + kh**2 * (v**k + u * v**(k - 1) + 2 * u + 2))
+               + 2 * (k - 1) * kh * largest**k + kh**2 * (v**k + u * v**(k - 1) + 2 * u + 2)
+               + (len(classes) + sum(map(len, kraus))) * len(factors)
+               + (len(output_classes) + sum(map(len, output))) * len(output_groups))
     if classes:         # with no typical Kraus class, nothing is built
         linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
                              f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
@@ -480,21 +468,27 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
                                f" above cap {linalg.as_power_of_two(linalg.ENTRY_CAP)}")
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
-    base, weights = minimal_kraus(ch)
+    stack, weights = minimal_kraus(ch)
     if not eps > 0.0:
         raise InvariantViolationError("epsilon must be positive")
-    rho_out = _uniform_output(ch)
+    kraus_groups, mp, m = _weight_groups(weights), ch.output_dim, ch.input_dim
+    widest = max(group.size for group in kraus_groups)
+    # `_group_factors`: the factors, U^dagger and a factor being formed, beside N(pi)
+    # and U; one group's gathered and rotated operators and `_uniform_output`'s
+    # blocks; `_all_diagonal`'s block temporaries
+    linalg.check_entries((len(kraus_groups) + 4 + 2 * linalg._widest_block(len(kraus_groups)))
+                         * mp * mp + 2 * widest * m * (mp + linalg._widest_block(mp)),
+                         f"output factor matrices of {len(kraus_groups)} weight groups")
+    rho_out = _uniform_output(ch.kraus_ops)
     info = _info_report(ch, weights, rho_out)
     with linalg.one_blas_thread():
         spectrum, basis = np.linalg.eigh(rho_out)
     spectrum = np.maximum(spectrum, 0.0)
     spectrum /= np.sum(spectrum)
     output_entropy = linalg.shannon_entropy(spectrum)
-    kraus_groups, output_groups = _weight_groups(weights), _weight_groups(spectrum)
-    factors = _output_factor_matrices(base, basis)
-    if _all_diagonal(factors):
-        factors = np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
-    factors = _group_sums(factors, kraus_groups)
+    output_groups = _weight_groups(spectrum)
+    factors = _group_factors(stack, basis, kraus_groups)
+    del stack, rho_out, basis       # the reports read the factors alone
 
     kept = 0
     for n in ns:

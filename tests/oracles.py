@@ -8,8 +8,9 @@ channel equality.  The package computes what the commands need with one
 kernel per quantity (`channels._uniform_output`, `channels.minimal_kraus`,
 `codes._deviation_batch`, `codes._trace_norms`); the tests compare the two.
 The one-product forms of the passes the package forms in blocks (Delta,
-N(pi), the Gram matrix, the output factor matrices) are kept here too, as
-the bits each blocked pass must reproduce.
+N(pi), the Gram matrix) are kept here too, as the bits each blocked pass
+must reproduce, and the per-operator output factor matrices that each
+weight group's factor sums.
 Beside them are fixtures that no command needs: mixtures of given unitaries
 (`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
 `save_channel`), whose files `serialize.load_channel` reads.
@@ -155,11 +156,17 @@ def one_product_gram(ch: qch.KrausChannel) -> np.ndarray:
     return np.einsum("iab,jab->ij", ch.kraus_ops.conj(), ch.kraus_ops)
 
 
-def one_product_factor_matrices(base: qch.KrausChannel, basis: np.ndarray) -> np.ndarray:
-    """A_j A_j^dagger / M in the output eigenbasis, from one pass over the whole stack."""
-    prods = np.einsum("jab,jcb->jac", base.kraus_ops, base.kraus_ops.conj())
+def one_product_factor_matrices(stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """A_j A_j^dagger / M in the output eigenbasis, one per operator of a Kraus stack."""
+    prods = np.einsum("jab,jcb->jac", stack, stack.conj())
     rotated = np.einsum("da,jab,be->jde", basis.conj().T, prods, basis, optimize=True)
-    return rotated / base.input_dim
+    return rotated / stack.shape[-1]
+
+
+def minimal_channel(ch: qch.KrausChannel) -> qch.KrausChannel:
+    """The channel whose Kraus operators are `channels.minimal_kraus`'s stack."""
+    return qch.KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim,
+                            kraus_ops=qch.minimal_kraus(ch)[0], name=ch.name)
 
 
 def apply(ch: qch.KrausChannel, rho) -> np.ndarray:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
 from qcap import cli, linalg, serialize
-from qcap import typicality as tp
 from qcap.errors import CapExceededError, InvariantViolationError
 import oracles
 
@@ -95,7 +94,7 @@ def test_kraus_stack_is_stored_once_and_read_only():
     "random_unitary:256,2,505",
     # 33 = 2 * 16 + 1: the last row block takes the one row left over
     "haar_random:33,17,40,1",
-    # 70 operators: the Gram matrix and the factor matrices in three blocks
+    # 70 operators: the Gram matrix in three blocks
     "haar_random:4,4,70,3",
 ])
 def test_blocked_kraus_passes_equal_one_product_bit_for_bit(spec):
@@ -109,12 +108,8 @@ def test_blocked_kraus_passes_equal_one_product_bit_for_bit(spec):
     assert np.array_equal(delta, np.tril(want))
     assert qch._lower_norm_sq(delta) == oracles.tril_norm_sq(want)
     assert np.array_equal(delta, np.tril(want))                 # the norm puts the diagonal back
-    image = qch._uniform_output(ch)
-    assert np.array_equal(image, oracles.one_product_uniform_output(ch))
+    assert np.array_equal(qch._uniform_output(ch.kraus_ops), oracles.one_product_uniform_output(ch))
     assert np.array_equal(qch.gram_matrix(ch), oracles.one_product_gram(ch))
-    basis = np.linalg.eigh(image)[1]
-    assert np.array_equal(tp._output_factor_matrices(ch, basis),
-                          oracles.one_product_factor_matrices(ch, basis))
 
 
 # ---------------------------------------------------------------- completeness certificate
@@ -218,11 +213,11 @@ def derived_round_trip(ch):
 
 # Channels built from other channels, trace-preserving and trace-decreasing ones.
 DERIVED_CHANNELS = {
-    "diagonalize": lambda: qch.minimal_kraus(derived_haar(1, 3, 3, 3))[0],
-    "diagonalize-decreasing": lambda: qch.minimal_kraus(
-        oracles.reduce_channel(derived_haar(2, 3, 3, 3), [0, 2]))[0],
-    "minimal": lambda: qch.minimal_kraus(derived_haar(3, 4, 2, 4))[0],
-    "minimal-decreasing": lambda: qch.minimal_kraus(half_identity())[0],
+    "diagonalize": lambda: oracles.minimal_channel(derived_haar(1, 3, 3, 3)),
+    "diagonalize-decreasing": lambda: oracles.minimal_channel(
+        oracles.reduce_channel(derived_haar(2, 3, 3, 3), [0, 2])),
+    "minimal": lambda: oracles.minimal_channel(derived_haar(3, 4, 2, 4)),
+    "minimal-decreasing": lambda: oracles.minimal_channel(half_identity()),
     "reduce-all": lambda: oracles.reduce_channel(amplitude_damping(0.3), [1, 0]),
     "reduce": lambda: oracles.reduce_channel(derived_haar(4, 3, 5, 4), [0, 2]),
     "tensor-power": lambda: oracles.tensor_power(derived_haar(5, 2, 2, 3), 3),
@@ -332,7 +327,7 @@ def test_haar_isometry_gives_trace_preserving(rng):
 def test_diagonalize_keeps_already_diagonal():
     ch = qch.phase_flip(0.3)
     out, weights = qch.minimal_kraus(ch)
-    assert out is ch
+    assert out is ch.kraus_ops
     assert weights == pytest.approx([0.7, 0.3], abs=1e-15)
 
 
@@ -342,7 +337,7 @@ def test_diagonalize_projector_pair():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     mixed = ((p0 + p1) / math.sqrt(2), (p0 - p1) / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=mixed)
-    out, _ = qch.minimal_kraus(ch)
+    out = oracles.minimal_channel(ch)
     gram = qch.gram_matrix(out)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert oracles.channels_equal(ch, out)
@@ -353,7 +348,7 @@ def test_diagonalize_projector_pair():
 def test_diagonalize_preserves_action(seed):
     rng = np.random.default_rng(seed)
     ch = qch.haar_random_channel(3, 3, 3, rng)
-    out, _ = qch.minimal_kraus(ch)
+    out = oracles.minimal_channel(ch)
     gram = qch.gram_matrix(out)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) <= 1e-10
     assert oracles.channels_equal(ch, out)
@@ -375,9 +370,9 @@ def test_minimal_length_duplicated_operator(rng):
     ops = (a / math.sqrt(2), a / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     assert qch.classify(ch).length == 1
-    out, weights = qch.minimal_kraus(ch)
-    assert len(out) == 1 and weights == pytest.approx([1.0], abs=1e-12)
-    assert oracles.channels_equal(out, ch)
+    stack, weights = qch.minimal_kraus(ch)
+    assert len(stack) == 1 and weights == pytest.approx([1.0], abs=1e-12)
+    assert oracles.channels_equal(oracles.minimal_channel(ch), ch)
 
 
 def test_tensor_power_base_cases():
@@ -544,13 +539,13 @@ def test_minimal_kraus_weights_are_the_gram_eigenvalues(rng):
     ch = qch.haar_random_channel(2, 3, 4, rng)
     spy = mock.Mock(wraps=qch.gram_matrix)
     with mock.patch.object(qch, "gram_matrix", spy):
-        base, weights = qch.minimal_kraus(ch)
+        weights = qch.minimal_kraus(ch)[1]
     assert spy.call_count == 1
     want = np.linalg.eigvalsh(qch.gram_matrix(ch))[::-1] / ch.input_dim
     assert np.allclose(weights, want, rtol=0, atol=1e-14)
     assert list(weights) == sorted(weights, reverse=True)
-    gram = qch.gram_matrix(base)        # the recombined family is diagonal, with those weights
-    assert np.allclose(gram, np.diag(weights * ch.input_dim), atol=1e-12)
+    base = oracles.minimal_channel(ch)  # the recombined family is diagonal, with those weights
+    assert np.allclose(qch.gram_matrix(base), np.diag(weights * ch.input_dim), atol=1e-12)
     assert oracles.channels_equal(base, ch)
 
 

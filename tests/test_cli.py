@@ -187,16 +187,18 @@ def test_no_command_can_reach_an_oracle():
         assert not [m for m in imported if m.startswith(("oracles", "tests", "test_", "conftest"))], path
 
 
-@pytest.mark.parametrize("argv, solves", [
-    (("info",), 1),
-    (("typicality", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2),
-    (("rate-demo", "--rate", "0.1", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2),
-    (("ensemble", "--code-dim", "2", "--samples", "8"), None),
+@pytest.mark.parametrize("argv, solves, groups", [
+    (("info",), 1, 0),
+    (("typicality", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2, 4),
+    (("rate-demo", "--rate", "0.1", "--epsilon", "0.2", "--n-min", "1", "--n-max", "3"), 2, 4),
+    (("ensemble", "--code-dim", "2", "--samples", "8"), None, 0),
 ], ids=["info", "typicality", "rate-demo", "ensemble"])
 def test_uniform_output_is_formed_once_and_decomposed_once_per_spectrum(monkeypatch, capsys,
-                                                                        argv, solves):
+                                                                        argv, solves, groups):
     # M' = 5 is neither N = 4 (the Gram matrix) nor M = 3 (sum A^dagger A), so every 5 x 5
-    # eigensolve is of N(pi): info's eigvalsh, and the reduced series' eigh for its eigenbasis
+    # eigensolve is of N(pi): info's eigvalsh, and the reduced series' eigh for its eigenbasis.
+    # N(pi) is formed once, from the channel's 4 operators; the reduced series forms each
+    # of its 4 weight groups' factors with the same kernel, from the group's one operator
     eigensolves = []
     for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
         solver = getattr(np.linalg, name)
@@ -207,7 +209,8 @@ def test_uniform_output_is_formed_once_and_decomposed_once_per_spectrum(monkeypa
         monkeypatch.setattr(module, "_uniform_output", uniform_output, raising=False)
     code, _, err = run_cli(capsys, *argv, "--channel", "builtin:haar_random:3,5,4,2", "--seed", "1")
     assert code == 0, err
-    assert uniform_output.call_count == 1
+    shapes = [np.shape(call.args[0]) for call in uniform_output.call_args_list]
+    assert shapes == [(4, 5, 3)] + [(1, 5, 3)] * groups
     if solves is not None:
         assert eigensolves.count((5, 5)) == solves, eigensolves
 
@@ -216,9 +219,14 @@ def test_uniform_output_is_formed_once_and_decomposed_once_per_spectrum(monkeypa
     ("info", "--channel", "builtin:haar_random:4,4,3"),
     ("rate-demo", "--channel", "builtin:depolarizing:0.3", "--rate", "0.1",
      "--epsilon", "0.1", "--n-min", "2", "--n-max", "6"),
-], ids=["info", "rate-demo"])
+    # three operators of rank at most M = 2: the minimal family recombines and drops one
+    ("info", "--channel", "builtin:haar_random:2,1,3"),
+    ("typicality", "--channel", "builtin:haar_random:2,1,3", "--epsilon", "0.2",
+     "--n-min", "1", "--n-max", "4"),
+], ids=["info", "rate-demo", "info-dropped", "typicality-dropped"])
 def test_completeness_defect_is_formed_once_per_channel(monkeypatch, capsys, argv):
-    # construction decides trace preservation; nothing downstream forms sum A^dagger A again
+    # construction decides trace preservation; nothing downstream builds a channel or forms
+    # sum A^dagger A again, not even for the minimal Kraus family
     defects, built = [], []
     defect, post_init = qch._completeness_defect, qch.KrausChannel.__post_init__
     monkeypatch.setattr(qch, "_completeness_defect", lambda *a: defects.append(1) or defect(*a))
@@ -226,7 +234,7 @@ def test_completeness_defect_is_formed_once_per_channel(monkeypatch, capsys, arg
                         lambda self, *a: built.append(1) or post_init(self, *a))
     code, _, _ = run_cli(capsys, *argv, "--seed", "11")
     assert code == 0
-    assert built and len(defects) == len(built), (len(defects), len(built))
+    assert len(built) == len(defects) == 1, (len(defects), len(built))
 
 
 # ---------------------------------------------------------------- grammar
@@ -430,12 +438,23 @@ def test_many_kraus_gram_matrix_is_a_cap(capsys, subcommand, extra):
 
 
 def test_output_factor_matrices_are_a_cap(capsys):
-    # 16 Kraus operators into 1024 output dimensions: the factor matrices would
-    # hold about 70 M entries, past the cap
-    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:haar_random:1,1024,16",
+    # 512 Kraus operators of distinct weight into 512 output dimensions: the 512 group
+    # factors alone would hold 2^27 entries, past the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:haar_random:1,512,512",
                              "--epsilon", "0.1", "--n-min", "1", "--n-max", "1", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
     assert code == 4 and out == ""
-    assert err.count("\n") == 1 and "output factor matrices" in err and "cap 2^26" in err
+    assert err.count("\n") == 1 and "cap 2^26" in err
+    assert "output factor matrices of 512 weight groups" in err
+
+
+def test_output_factor_matrices_of_128_groups_fit(capsys):
+    # 128 group factors of 512 x 512 entries, 2^25, fit beside the step's blocks
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:haar_random:1,512,128",
+                             "--epsilon", "0.1", "--n-min", "1", "--n-max", "1", "--seed", "1")
+    assert code == 0, err
+    assert json.loads(out)["channel_reports"][0]["n"] == 1
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.1", "inf"])
@@ -630,21 +649,38 @@ def test_kept_sample_results_are_a_cap(capsys, argv):
 
 def test_haar_finish_is_a_cap_before_any_draw(monkeypatch, tmp_path, capsys):
     # moments finishes one M x M Haar unitary per sample, about 4 M^2 entries; on a
-    # channel file with a 64-dimensional input, under a cap lowered to 2^12 entries,
-    # one sample's finish alone passes the cap, so the run exits before any draw
-    functional = np.zeros((1, 64))
+    # channel file with a 128-dimensional input, under a cap lowered to 2^15 entries,
+    # the channel's construction fits but one sample's finish passes the cap, so the
+    # run exits before any draw
+    functional = np.zeros((1, 128))
     functional[0, 0] = 1.0
     path = tmp_path / "wide.json"
-    oracles.save_channel(qch.KrausChannel(input_dim=64, output_dim=1, kraus_ops=(functional,)),
+    oracles.save_channel(qch.KrausChannel(input_dim=128, output_dim=1, kraus_ops=(functional,)),
                          path)
-    monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 12)
+    monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 15)
     drawn, streams = [], rc._rekeyed_streams
     monkeypatch.setattr(rc, "_rekeyed_streams", lambda *a: drawn.append(a) or streams(*a))
     code, out, err = run_cli(capsys, "moments", "--channel", str(path), "--samples", "10",
                              "--seed", "1")
     assert code == 4 and out == "" and not drawn
-    assert err == ("error: one 64 x 64 Haar sample and its moments needs 2^14 entries, "
-                   "above cap 2^12\n")
+    assert err == ("error: one 128 x 128 Haar sample and its moments needs 2^16 entries, "
+                   "above cap 2^15\n")
+
+
+def test_channel_file_construction_is_a_cap(monkeypatch, tmp_path, capsys):
+    # a file holding one 1 x 1500 functional: building the channel forms the 1500 x 1500
+    # sum A^dagger A, so under a cap lowered to 2^20 entries the file is refused first
+    functional = np.full((1, 1500), 1e-3)
+    path = tmp_path / "wide.json"
+    oracles.save_channel(qch.KrausChannel(input_dim=1500, output_dim=1, kraus_ops=(functional,)),
+                         path)
+    monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 20)
+    defects, defect = [], qch._completeness_defect
+    monkeypatch.setattr(qch, "_completeness_defect", lambda *a: defects.append(1) or defect(*a))
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 4 and out == "" and not defects
+    assert err.count("\n") == 1
+    assert "building a 1500 -> 1 channel of 1 Kraus operators" in err and "cap 2^20" in err
 
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
@@ -786,6 +822,9 @@ def test_thread_count_does_not_change_bytes():
                  ["ensemble", "--channel", "builtin:random_unitary:256,2,505", "--code-dim", "2",
                   "--samples", "20", "--seed", "3"],
                  ["info", "--channel", "builtin:haar_random:64,256,4", "--seed", "1"],
+                 # M' = 200 in four row blocks: the group factors' `_uniform_output`
+                 ["typicality", "--channel", "builtin:haar_random:8,200,3,4", "--epsilon", "0.5",
+                  "--n-min", "1", "--n-max", "1", "--seed", "1"],
                  ["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
                   "--n-min", "2", "--n-max", "14", "--seed", "7"],
                  ["rate-demo", "--channel", "builtin:phase_flip:0.1", "--rate", "0.1",

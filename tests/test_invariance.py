@@ -6,7 +6,7 @@ A_k -> sum_l u_kl A_l, which keeps the map itself.  Each leaves the uniform
 input pi, the spectrum of N(pi), the Kraus weights and the Gram spectrum
 alone, so `classify`, the closed forms and the reduced reports must agree;
 they reach them through N(pi), the Gram matrix, the minimal Kraus family,
-the output eigenbasis and the factor matrices, so a wrong basis or a
+the output eigenbasis and the group factors, so a wrong basis or a
 basis-dependent branch shows here.  Lengths and flags must agree exactly,
 floats to rounding.  Monte Carlo estimates of a mapped channel meet other
 codes, so they agree within 4 sigma.

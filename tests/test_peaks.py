@@ -87,7 +87,7 @@ def rebuilt(ch):
     # a build from the operators of another channel: the stack, Delta and one block
     ("random_unitary:64,96", rebuilt, qch._construction_entries),
     # N(pi), a row block of V and a conjugated one
-    ("haar_random:64,64,96", qch._uniform_output,
+    ("haar_random:64,64,96", lambda ch: qch._uniform_output(ch.kraus_ops),
      lambda n, mp, m: mp * mp + 2 * linalg._widest_block(mp) * n * m),
     # the Gram matrix and a conjugated block of operators
     ("haar_random:16,16,100", qch.gram_matrix,
@@ -150,6 +150,41 @@ def test_dense_reduced_report_peak(monkeypatch, dims, n):
 def test_output_factor_matrices_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch, lambda: tp.verify_reduction_bounds(ch, (1,), 0.5))
+
+
+@pytest.mark.parametrize("dims, n, eps", [((4, 128, 64), 1, 0.5), ((4, 4, 2), 9, 0.1)],
+                         ids=["groups64", "dense-n9"])
+def test_reduced_norms_own_peak(monkeypatch, dims, n, eps):
+    # the contraction step's own traced peak, from its entry on, counts what the series
+    # holds beside it (the group factors, the typical classes); at (4, 128, 64) that is
+    # 16 MiB of factors against 10 MiB made in the step
+    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    norms, check, steps = tp._reduced_norms, linalg.check_entries, []
+
+    def measured_norms(*args):
+        predictions = []
+
+        def recording_check(entries, what):
+            predictions.append(entries)
+            check(entries, what)
+
+        monkeypatch.setattr(linalg, "check_entries", recording_check)
+        tracemalloc.reset_peak()
+        try:
+            return norms(*args)
+        finally:
+            steps.append((tracemalloc.get_traced_memory()[1], 16 * max(predictions)))
+            monkeypatch.setattr(linalg, "check_entries", check)
+
+    monkeypatch.setattr(tp, "_reduced_norms", measured_norms)
+    tracemalloc.start()
+    try:
+        tp.verify_reduction_bounds(ch, (n,), eps)
+    finally:
+        tracemalloc.stop()
+    (peak, predicted), = steps
+    assert peak >= 16 * MIB
+    assert predicted / 3 <= peak <= predicted, (peak / MIB, predicted / MIB)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1100), (2, 2, 1500)])

@@ -106,7 +106,7 @@ def test_exact_average_matches_mc_phase_flip():
 def test_exact_average_representation_independent(rng):
     ch = qch.haar_random_channel(3, 3, 2, rng)
     assert rc.closed_forms(ch, 2).deviation_sq == pytest.approx(
-        rc.closed_forms(qch.minimal_kraus(ch)[0], 2).deviation_sq, abs=1e-12)
+        rc.closed_forms(oracles.minimal_channel(ch), 2).deviation_sq, abs=1e-12)
 
 
 def test_exact_average_rejects_scalar_space():
@@ -136,7 +136,7 @@ def oracle_closed_forms(ch, k):
     image = oracles.apply(ch, oracles.max_mixed(m))
     fro = float(np.linalg.norm(image))
     return ((1.0 - k**-2) / (m**2 - 1) * (sum_sq - sum_tr / m), fro**2,
-            float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch)[0])) * fro)
+            float(np.real(np.trace(image))) - math.sqrt(k * len(qch.minimal_kraus(ch)[1])) * fro)
 
 
 def test_closed_forms_match_gram_oracle(rng):

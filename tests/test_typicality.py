@@ -92,7 +92,7 @@ def typical_kraus_channel(ch, n, eps, *, project):
     along each index sequence that `brute_force_typical` keeps for its
     eigenvalues.
     """
-    base, weights = qch.minimal_kraus(ch)
+    base, weights = oracles.minimal_channel(ch), qch.minimal_kraus(ch)[1]
     chosen, _ = brute_force_typical(tuple(weights), n, eps)
     ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
     if project:
@@ -394,7 +394,7 @@ def test_kraus_distribution_of_non_diagonal_family(seed):
     ch = qch.haar_random_channel(2, 2, int(rng.integers(2, 5)), rng)
     gram = qch.gram_matrix(ch)
     assert np.max(np.abs(gram - np.diag(np.diagonal(gram)))) > 1e-8
-    out, weights = qch.minimal_kraus(ch)
+    out, weights = oracles.minimal_channel(ch), qch.minimal_kraus(ch)[1]
     out_gram = qch.gram_matrix(out)
     assert np.max(np.abs(out_gram - np.diag(np.diagonal(out_gram)))) <= 1e-10
     eigenvalues = np.linalg.eigvalsh(gram)[::-1][:len(out)] / ch.input_dim
@@ -414,8 +414,9 @@ def test_kraus_distribution_rejects_trace_decreasing():
 def test_kraus_entropy_equals_entropy_exchange(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    ch, weights = qch.minimal_kraus(qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng))
-    se = oracles.entropy_exchange(oracles.max_mixed(dim), ch)
+    ch = qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng)
+    weights = qch.minimal_kraus(ch)[1]
+    se = oracles.entropy_exchange(oracles.max_mixed(dim), oracles.minimal_channel(ch))
     assert linalg.shannon_entropy(weights) == pytest.approx(se, abs=1e-10)
 
 
@@ -540,9 +541,12 @@ def joined_halves(factors, classes, n):
 def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
     # the halves of the sum over group sequences of the group factors, joined,
     # equal the per-symbol enumeration
-    base, weights = qch.minimal_kraus(cli._parse_builtin(channel, 0))
-    rho_out = oracles.apply(base, oracles.max_mixed(base.input_dim))
-    factors = tp._output_factor_matrices(base, oracles.eigh(rho_out)[1])
+    ch = cli._parse_builtin(channel, 0)
+    stack, weights = qch.minimal_kraus(ch)
+    basis = oracles.eigh(oracles.apply(ch, oracles.max_mixed(ch.input_dim)))[1]
+    factors = oracles.one_product_factor_matrices(stack, basis)
+    group_factors = tp._group_factors(stack, basis, tp._weight_groups(weights))
+    assert group_factors.ndim == (3, 2)[diagonal]
     if diagonal:
         factors = np.real(np.einsum("jaa->ja", factors))
     for n in ns:
@@ -551,9 +555,32 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
             continue
         chosen, _ = brute_force_typical(tuple(weights), n, 0.1)
         oracle = sum(functools.reduce(np.kron, factors[list(seq)]) for seq in chosen)
-        got = joined_halves(tp._group_sums(factors, tp._weight_groups(weights)), classes, n)
+        got = joined_halves(group_factors, classes, n)
         assert got.shape == oracle.shape
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("spec", [
+    "haar_random:3,5,4,2",
+    "depolarizing:0.3,3",           # groups of 1 and 8 symbols, on the diagonal branch
+    "haar_random:8,200,3,4",        # M' = 200 in four row blocks
+    "random_unitary:4,3,7",
+])
+def test_group_factors_sum_the_per_operator_factors(spec):
+    # each group's factor, one `_uniform_output` of its rotated operators, is the sum
+    # of its operators' A A^dagger / M in the output eigenbasis
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    stack, weights = qch.minimal_kraus(ch)
+    basis = np.linalg.eigh(qch._uniform_output(ch.kraus_ops))[1]
+    groups = tp._weight_groups(weights)
+    per_operator = oracles.one_product_factor_matrices(stack, basis)
+    factors = tp._group_factors(stack, basis, groups)
+    assert len(factors) == len(groups)
+    for factor, group in zip(factors, groups):
+        want = per_operator[group].sum(axis=0)
+        if factor.ndim == 1:
+            want = np.real(np.diagonal(want))
+        assert np.linalg.norm(factor - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @st.composite
@@ -753,7 +780,7 @@ def test_fidelity_chain_under_reduction_and_projection():
 
     ch = qch.phase_flip(0.25)
     for n in (2, 4, 6):
-        full = oracles.tensor_power(qch.minimal_kraus(ch)[0], n)
+        full = oracles.tensor_power(oracles.minimal_channel(ch), n)
         for eps in (0.1, 0.4):
             if tp.verify_reduction_bounds(ch, (n,), eps).reports[0].length == 0:
                 continue
