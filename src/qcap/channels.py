@@ -13,8 +13,10 @@ pseudo-random states, in the test suite's ``oracles.channels_equal``; the
 dense reference paths (the channel's action, tensor powers, sub-channels,
 the entropy exchange at any input) live beside it in ``tests/oracles.py``.
 This module holds what the commands run: construction and its completeness
-check, the Gram spectrum and minimal Kraus family, and the uniform-input
-report, N(pi) with S_e read from the Kraus weights.
+check, the Gram spectrum and minimal Kraus family, the uniform-input
+report, N(pi) with S_e read from the Kraus weights, and the builtin
+families, each of which refuses sizes below 1 and its build peak above the
+entry cap (`_check_build`) before it allocates.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ def _construction_entries(n: int, mp: int, m: int) -> int:
 
     The stack and Delta, and a block: the conjugated columns of one product
     of Delta with numpy's ufunc buffer, as the columns are strided, or the
-    mask that zeroes the upper triangle of its diagonal block.
+    mask that zeroes the upper triangle of its diagonal block; and about 16
+    entries per operator for the views that ``tuple(kraus_ops)`` makes.
     """
-    return n * mp * m + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
+    return n * (mp * m + 16) + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
 
 
 def _completeness_defect(stack: np.ndarray) -> np.ndarray:
@@ -285,7 +288,22 @@ def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> Chan
 
 # ------------------------------------------------------------------ constructors
 
+def _check_build(name: str, n: int, mp: int, m: int, draw: int = 0, **sizes: int) -> None:
+    """Refuse sizes below 1, then a build peak above the cap, before a constructor allocates.
+
+    The peak is the larger of the draw phase, ``draw`` entries beside a QR's
+    workspace, and the n M' x M operators beside their construction
+    (`_construction_entries`).
+    """
+    if min(sizes.values()) < 1:
+        got = ", ".join(f"{key}={value}" for key, value in sizes.items())
+        raise ValueError(f"{name} channel needs sizes >= 1, got {got}")
+    peak = max(draw + np.getbufsize(), n * mp * m + _construction_entries(n, mp, m))
+    linalg.check_entries(peak, f"building a {name} channel of {n} {mp} x {m} Kraus operators")
+
+
 def identity_channel(dim: int) -> KrausChannel:
+    _check_build("identity", 1, dim, dim, dim=dim)
     return KrausChannel(input_dim=dim, output_dim=dim,
                         kraus_ops=(np.eye(dim, dtype=np.complex128),), name="identity")
 
@@ -299,30 +317,28 @@ def phase_flip(p: float) -> KrausChannel:
     return KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops, name=f"phase_flip({p})")
 
 
-def _weyl_operators(dim: int) -> list[np.ndarray]:
-    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    return [
-        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-        for a in range(dim) for b in range(dim)
-    ]
-
-
 def depolarizing(p: float, dim: int = 2) -> KrausChannel:
-    """rho -> (1-p) rho + p * tr(rho) * 1/dim, via the Weyl operator family."""
+    """rho -> (1-p) rho + p tr(rho) 1/dim, via the Weyl operators X^a Z^b formed in one stack."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    weyl = _weyl_operators(dim)
-    w_id = 1.0 - p + p / dim**2
-    w_err = p / dim**2
-    ops = [math.sqrt(w_id) * weyl[0]]
-    ops += [math.sqrt(w_err) * w for w in weyl[1:]]
-    return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=tuple(ops),
-                        name=f"depolarizing({p})")
+    _check_build("depolarizing", dim * dim, dim, dim, dim=dim)
+    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    ops = np.empty((dim * dim, dim, dim), dtype=np.complex128)
+    for a in range(dim):
+        shift_a = np.linalg.matrix_power(shift, a)
+        for b in range(dim):
+            np.matmul(shift_a, np.linalg.matrix_power(clock, b), out=ops[a * dim + b])
+    ops[0] *= math.sqrt(1.0 - p + p / dim**2)
+    ops[1:] *= math.sqrt(p / dim**2)
+    return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name=f"depolarizing({p})")
 
 
 def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> KrausChannel:
     """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries."""
+    # the draw phase: the last draw beside the unitaries
+    draw = count * dim * dim + linalg._haar_entries(dim, dim)
+    _check_build("random_unitary", count, dim, dim, draw, dim=dim, count=count)
     ops = [math.sqrt(1.0 / count) * linalg.haar_unitary(dim, rng) for _ in range(count)]
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
@@ -330,6 +346,9 @@ def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> Kr
 def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
                         rng: np.random.Generator, name: str = "haar_random") -> KrausChannel:
     """Trace-preserving channel from a Haar-random Stinespring isometry."""
+    _check_build(name, kraus_count, output_dim, input_dim,
+                 linalg._haar_entries(output_dim * kraus_count, input_dim),
+                 input_dim=input_dim, output_dim=output_dim, kraus_count=kraus_count)
     if output_dim * kraus_count < input_dim:
         raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
@@ -338,4 +357,3 @@ def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
     if not ch.trace_preserving:
         raise InvariantViolationError("map is not an isometry within tolerance")
     return ch
-

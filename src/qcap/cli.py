@@ -11,7 +11,9 @@ timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build, at any BLAS thread count when
 numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
-invariant violation, 4 resource cap exceeded.
+invariant violation, 4 resource cap exceeded.  A builtin channel spec is
+only parsed here: its constructor in `channels` refuses bad sizes (exit 2)
+and its build peak (exit 4) before it allocates.
 
 Sampling is one serial pass for `bound` and `ensemble` alike: each code's
 normals come from its own stream, and a chunk of codes takes one batched QR
@@ -64,20 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------------ channel resolution
 
-def _check_builtin(name: str, entries: int, **sizes: int) -> None:
-    """Reject sizes below 1, and a construction peak above `linalg.ENTRY_CAP`, before building.
-
-    The peak counts the caller's operators, each Haar draw's QR, and the
-    construction (`channels._construction_entries`: the Kraus stack and the
-    validation of sum A^dagger A), and about 32 entries of array overhead per
-    operator.
-    """
-    if min(sizes.values()) < 1:
-        got = ", ".join(f"{key}={value}" for key, value in sizes.items())
-        raise FormatError(f"builtin channel {name!r} needs sizes >= 1, got {got}")
-    linalg.check_entries(entries, f"builtin channel {name!r}")
-
-
 def _check_seed(seed: int, what: str) -> int:
     """seed, or a ValueError naming ``what`` when it is outside a stream key's [0, 2^64)."""
     if not 0 <= seed < 1 << 64:
@@ -99,34 +87,20 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     try:
         if name == "identity":
             (dim,) = params
-            dim = int(dim)
-            # the identity beside its construction (measured 3.26-3.28 M^2)
-            _check_builtin(name, dim * dim + qch._construction_entries(1, dim, dim), dim=dim)
-            return qch.identity_channel(dim)
+            return qch.identity_channel(int(dim))
         if name == "phase_flip":
             (p,) = params
             return qch.phase_flip(float(p))
         if name == "depolarizing":
             p = float(params[0])
             dim = int(params[1]) if len(params) > 1 else 2
-            # the Weyl operators and their scaled copies beside the construction
-            # (measured 3.6-3.7 dim^4 at dim = 24-28)
-            _check_builtin(name, 2 * dim**4 + 64 * dim**2
-                           + qch._construction_entries(dim * dim, dim, dim), dim=dim)
             return qch.depolarizing(p, dim)
         if name == "haar_random":
             in_dim, out_dim, count = (int(x) for x in params[:3])
-            # measured 3.0-3.2 count*out*in + 1.0 in^2
-            _check_builtin(name, 13 * count * out_dim * in_dim // 4 + in_dim**2 + 32 * count,
-                           input_dim=in_dim, output_dim=out_dim, kraus_count=count)
             rng = channel_rng(params[3] if len(params) > 3 else None)
             return qch.haar_random_channel(in_dim, out_dim, count, rng)
         if name == "random_unitary":
             dim, count = int(params[0]), int(params[1])
-            # the unitaries and the last draw's QR beside the construction (measured
-            # 2.3-2.4 count*dim^2)
-            _check_builtin(name, count * dim * dim + 3 * dim * dim + 64 * count
-                           + qch._construction_entries(count, dim, dim), dim=dim, count=count)
             rng = channel_rng(params[2] if len(params) > 2 else None)
             return qch.random_unitary_channel(dim, count, rng)
     except (TypeError, ValueError) as exc:

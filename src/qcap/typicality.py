@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChannelInfoReport, KrausChannel, _info_report, _uniform_output, minimal_kraus
+from .channels import (ChannelInfoReport, KrausChannel, _info_report, _nonzero, _uniform_output,
+                       minimal_kraus)
 from .errors import CapExceededError, InvariantViolationError
 from .linalg import _power_of_two
 
@@ -84,13 +85,15 @@ def _class_mass(classes) -> float:
 
 
 def _weight_groups(weights) -> list[np.ndarray]:
-    """The symbols of the positive weights, in groups of equal weight, ordered by first symbol.
+    """The symbols of the nonzero weights, in groups of equal weight, ordered by first symbol.
 
-    Sorted weights whose gap is within `_GROUP_RTOL` relative share a group;
-    zero weights occur in no positive-probability sequence and join none.
+    Sorted weights whose gap is within `_GROUP_RTOL` relative share a group.
+    Zero weights, decided by `channels._nonzero` as for the Kraus weights (the
+    rounding noise of a rank-deficient N(pi)'s spectrum among them), join none.
     """
     p = linalg.assert_distribution(weights)
-    order = np.flatnonzero(p > 0.0)[np.argsort(p[p > 0.0], kind="stable")]
+    nonzero = _nonzero(p)
+    order = np.flatnonzero(nonzero)[np.argsort(p[nonzero], kind="stable")]
     starts = np.flatnonzero(np.diff(p[order]) > _GROUP_RTOL * p[order][1:]) + 1
     return sorted((np.sort(group) for group in np.split(order, starts)), key=lambda g: g[0])
 
@@ -220,14 +223,15 @@ def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
 def _all_diagonal(factors: np.ndarray) -> bool:
     """Whether no off-diagonal entry of a (G, M', M') stack passes 1e-12 times its largest entry.
 
-    Read by `linalg._blocks` of matrices, so no temporary is the size of the stack.
+    Read by `linalg._blocks` of matrices, with one temporary per block: its
+    magnitudes, whose diagonal is then zeroed in place.
     """
-    off = ~np.eye(factors.shape[-1], dtype=bool)
     tops, offs = [], []
     for ops in linalg._blocks(len(factors)):
         size = np.abs(factors[ops])
         tops.append(np.max(size))
-        offs.append(np.max(size[:, off], initial=0.0))
+        size.reshape(len(size), -1)[:, ::factors.shape[-1] + 1] = 0.0      # the diagonals
+        offs.append(np.max(size))
     return np.max(offs) <= 1e-12 * max(np.max(tops), 1e-300)
 
 
@@ -475,8 +479,8 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     widest = max(group.size for group in kraus_groups)
     # `_group_factors`: the factors, U^dagger and a factor being formed, beside N(pi)
     # and U; one group's gathered and rotated operators and `_uniform_output`'s
-    # blocks; `_all_diagonal`'s block temporaries
-    linalg.check_entries((len(kraus_groups) + 4 + 2 * linalg._widest_block(len(kraus_groups)))
+    # blocks; `_all_diagonal`'s block temporary
+    linalg.check_entries((len(kraus_groups) + 4 + linalg._widest_block(len(kraus_groups)))
                          * mp * mp + 2 * widest * m * (mp + linalg._widest_block(mp)),
                          f"output factor matrices of {len(kraus_groups)} weight groups")
     rho_out = _uniform_output(ch.kraus_ops)

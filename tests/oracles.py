@@ -11,6 +11,8 @@ The one-product forms of the passes the package forms in blocks (Delta,
 N(pi), the Gram matrix) are kept here too, as the bits each blocked pass
 must reproduce, and the per-operator output factor matrices that each
 weight group's factor sums.
+The per-operator lists that the builtin constructors once built
+(`weyl_kraus_ops`, `scaled_unitaries`) are the bits of their stacks.
 Beside them are fixtures that no command needs: mixtures of given unitaries
 (`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
 `save_channel`), whose files `serialize.load_channel` reads.
@@ -261,6 +263,21 @@ def channels_equal(a: qch.KrausChannel, b: qch.KrausChannel, *, states: int = 20
         if np.max(np.abs(apply(a, rho) - apply(b, rho))) > atol:
             return False
     return True
+
+
+def weyl_kraus_ops(p: float, dim: int) -> list[np.ndarray]:
+    """The depolarizing channel's Kraus operators: each Weyl operator X^a Z^b formed alone."""
+    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    weyl = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(dim) for b in range(dim)]
+    w_id, w_err = 1.0 - p + p / dim**2, p / dim**2
+    return [math.sqrt(w_id) * weyl[0]] + [math.sqrt(w_err) * w for w in weyl[1:]]
+
+
+def scaled_unitaries(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The random-unitary channel's Kraus operators: count Haar unitaries, each scaled alone."""
+    return [math.sqrt(1.0 / count) * linalg.haar_unitary(dim, rng) for _ in range(count)]
 
 
 def unitary_mixture(unitaries) -> qch.KrausChannel:

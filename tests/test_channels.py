@@ -1,6 +1,7 @@
 """Kraus channel algebra, representations and information quantities."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
 from qcap import cli, linalg, serialize
+from qcap import random_coding as rc
 from qcap.errors import CapExceededError, InvariantViolationError
 import oracles
 
@@ -550,6 +552,51 @@ def test_minimal_kraus_weights_are_the_gram_eigenvalues(rng):
 
 
 # ---------------------------------------------------------------- constructors
+
+@pytest.mark.parametrize("spec, seed, oracle", [
+    ("identity:5", 1, lambda rng: [np.eye(5, dtype=np.complex128)]),
+    ("phase_flip:0.25", 1, lambda rng: [math.sqrt(0.75) * np.eye(2, dtype=np.complex128),
+                                        math.sqrt(0.25) * np.diag([1.0, -1.0]).astype(complex)]),
+    ("depolarizing:0.3", 1, lambda rng: oracles.weyl_kraus_ops(0.3, 2)),
+    ("depolarizing:0.2,7", 1, lambda rng: oracles.weyl_kraus_ops(0.2, 7)),
+    ("depolarizing:0.3,28", 1, lambda rng: oracles.weyl_kraus_ops(0.3, 28)),
+    ("random_unitary:4,3,7", 7, lambda rng: oracles.scaled_unitaries(4, 3, rng)),
+    ("random_unitary:256,2,505", 505, lambda rng: oracles.scaled_unitaries(256, 2, rng)),
+    ("haar_random:3,5,4,2", 2, lambda rng: linalg.haar_isometry(20, 3, rng).reshape(4, 5, 3)),
+])
+def test_builtin_stacks_equal_the_per_operator_lists_bit_for_bit(spec, seed, oracle):
+    # each builtin's Kraus stack has the bits of its operators formed one at a time
+    want = np.array(oracle(rc.sample_stream(seed, cli.CHANNEL_STREAM_INDEX)))
+    assert cli._parse_builtin(f"builtin:{spec}", 1).kraus_ops.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: qch.identity_channel(0),
+    lambda rng: qch.depolarizing(0.3, 0),
+    lambda rng: qch.random_unitary_channel(0, 2, rng),
+    lambda rng: qch.random_unitary_channel(4, 0, rng),
+    lambda rng: qch.haar_random_channel(0, 2, 2, rng),
+    lambda rng: qch.haar_random_channel(2, 0, 2, rng),
+    lambda rng: qch.haar_random_channel(2, 2, 0, rng),
+], ids=["identity", "depolarizing", "random_unitary-dim", "random_unitary-count",
+        "haar_random-in", "haar_random-out", "haar_random-count"])
+def test_constructors_refuse_sizes_below_one(rng, build):
+    with pytest.raises(ValueError, match="channel needs sizes >= 1, got"):
+        build(rng)
+
+
+def test_depolarizing_cap_is_checked_before_any_operator(monkeypatch):
+    # its 256 operators alone hold 2^16 entries: refused before any is formed
+    monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="depolarizing channel of 256 16 x 16"):
+            qch.depolarizing(0.3, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
 
 def test_phase_flip_zero_is_identity():
     assert oracles.channels_equal(qch.phase_flip(0.0), qch.identity_channel(2))

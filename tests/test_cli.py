@@ -379,6 +379,15 @@ def test_dense_typicality_runs_at_n16_and_caps_at_n21(capsys):
     assert "dense reduced report at n=21" in err and "cap 2^26" in err
 
 
+def test_rank_deficient_output_stays_under_the_composition_cap(capsys):
+    # N(pi) has rank 8 at M' = 1024: the rounding noise of its other eigenvalues (1e-21
+    # to 1e-16) is zero weight, not 480 output groups whose classes pass 2^16 at n = 2
+    code, out, err = run_cli(capsys, "typicality", "--channel", "builtin:haar_random:1,1024,8,1",
+                             "--epsilon", "0.5", "--n-min", "2", "--n-max", "2", "--seed", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["channel_reports"][0]["length"] > 0
+
+
 def test_unknown_builtin_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "info", "--channel", "builtin:squeeze:1", "--seed", "0")
     assert code == 2
@@ -390,7 +399,8 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
     code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
     name = spec.split(":")[0]
     assert code == 2 and out == ""
-    assert err == f"error: builtin channel {name!r} needs sizes >= 1, got dim=0\n"
+    assert err == (f"error: bad parameters for builtin channel {name!r}: "
+                   f"{name} channel needs sizes >= 1, got dim=0\n")
 
 
 @pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
