@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,8 +217,7 @@ def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------------------------ information
 
-@dataclass(frozen=True)
-class ChannelInfoReport:
+class ChannelInfoReport(NamedTuple):
     is_trace_preserving: bool
     is_unital: bool
     is_uniform: bool
@@ -318,17 +318,23 @@ def phase_flip(p: float) -> KrausChannel:
 
 
 def depolarizing(p: float, dim: int = 2) -> KrausChannel:
-    """rho -> (1-p) rho + p tr(rho) 1/dim, via the Weyl operators X^a Z^b formed in one stack."""
+    """rho -> (1-p) rho + p tr(rho) 1/dim, via the Weyl operators X^a Z^b filled into one stack.
+
+    X^a Z^b is a phased permutation: entry ((j + a) mod dim, j) is w_j^b, w_j =
+    exp(2 pi i j / dim), the clock powers taken as repeated elementwise products.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     _check_build("depolarizing", dim * dim, dim, dim, dim=dim)
-    shift = np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    ops = np.empty((dim * dim, dim, dim), dtype=np.complex128)
+    cols = np.arange(dim)
+    clock = np.exp(2j * np.pi * cols / dim)
+    powers = np.empty((dim, dim), dtype=np.complex128)    # row b: w^b
+    powers[0] = 1.0
+    for b in range(1, dim):
+        np.multiply(powers[b - 1], clock, out=powers[b])
+    ops = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
     for a in range(dim):
-        shift_a = np.linalg.matrix_power(shift, a)
-        for b in range(dim):
-            np.matmul(shift_a, np.linalg.matrix_power(clock, b), out=ops[a * dim + b])
+        ops[a * dim:(a + 1) * dim, (cols + a) % dim, cols] = powers
     ops[0] *= math.sqrt(1.0 - p + p / dim**2)
     ops[1:] *= math.sqrt(p / dim**2)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name=f"depolarizing({p})")

@@ -26,7 +26,6 @@ host.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import sys
@@ -277,6 +276,8 @@ _COMMANDS = {
 # ------------------------------------------------------------------ rendering
 
 def render_csv(header: list[str], rows: list[list]) -> str:
+    import csv      # here, its one user, so that JSON runs do not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

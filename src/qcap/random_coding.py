@@ -28,7 +28,7 @@ No function here takes a worker count; the CLI's ``--threads`` has no effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def _rekeyed_streams(master_seed: int, indices):
         yield rng
 
 
-@dataclass(frozen=True)
-class EnsembleEstimate:
+class EnsembleEstimate(NamedTuple):
     """Sample mean and its standard error."""
 
     mean: float
@@ -123,8 +122,7 @@ def _estimate(values: np.ndarray, master_seed: int) -> EnsembleEstimate:
 
 # ------------------------------------------------------------------ exact averages
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(NamedTuple):
     """Haar-code ensemble closed forms of one channel at one code dimension.
 
     deviation_sq    exact average of ||D||_F^2; representation independent
@@ -213,8 +211,7 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
 
 # ------------------------------------------------------------------ Haar moments
 
-@dataclass(frozen=True)
-class MomentCheck:
+class MomentCheck(NamedTuple):
     name: str
     estimate: float
     std_error: float
@@ -222,8 +219,7 @@ class MomentCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class HaarMomentReport:
+class HaarMomentReport(NamedTuple):
     dim: int
     sample_count: int
     master_seed: int
@@ -272,14 +268,12 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
 
 # ------------------------------------------------------------------ unital rate curve
 
-@dataclass(frozen=True)
-class HammingPoint:
+class HammingPoint(NamedTuple):
     n: int
     bound: float
 
 
-@dataclass(frozen=True)
-class HammingCurve:
+class HammingCurve(NamedTuple):
     """Analytic block-length curve 1 - (2^R |N| / |Q'|)^(n/2) for unital channels."""
 
     rate: float

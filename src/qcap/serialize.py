@@ -8,7 +8,6 @@ digits for the same reason.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from typing import Any
@@ -89,9 +88,13 @@ def load_channel(path):
 
 
 def jsonable(obj, field: str = "report"):
-    """JSON-safe data from dataclasses, numpy and complex values; raises on a non-finite float."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """JSON-safe data from report records, numpy and complex values; raises on a non-finite float.
+
+    A report record is a `typing.NamedTuple`; it renders as the object of its
+    fields (``_asdict``), not as the array a plain tuple renders as.
+    """
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(k): jsonable(v, f"{field}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

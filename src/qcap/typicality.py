@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def _compositions(total: int, bins: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True)
-class TypeClass:
+class TypeClass(NamedTuple):
     """One group-count composition: all its sequences share one probability."""
 
     counts: tuple[int, ...]
@@ -136,13 +135,14 @@ def log_probability_variance(weights) -> float:
 
 # ------------------------------------------------------------------ decay fits
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Log-linear fit of deviations-from-one against the block length.
 
     Only points with deviation strictly inside (0, 1) enter the fit (a
     deviation of exactly 1 means the typical set was empty, 0 means it is
-    everything); fitted_rate is None with fewer than 3 usable points.
+    everything); fitted_rate, minus the least-squares slope of log deviation
+    against n, is None with fewer than 3 usable points or with one block
+    length among them.
     Deviations within 1e-12 below 0 are rounding in a mass of 1 and are
     stored as 0.
     """
@@ -161,19 +161,20 @@ def fit_decay(ns, deviations, epsilon: float, sigma_sq: float) -> DecayFit:
         raise ValueError("deviations must lie in [0, 1]")
     pts = [(n, d) for n, d in zip(ns, deviations) if 0.0 < d < 1.0]
     rate = None
-    if len(pts) >= 3:
-        xs = np.array([n for n, _ in pts], dtype=float)
-        ys = np.array([math.log(d) for _, d in pts])
-        slope = np.polyfit(xs, ys, 1)[0]
-        rate = float(-slope)
+    if len(pts) >= 3 and len({n for n, _ in pts}) > 1:
+        # the least-squares slope of log d against n, centred: no Vandermonde matrix, no SVD
+        xs = [float(n) for n, _ in pts]
+        ys = [math.log(d) for _, d in pts]
+        x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        dx = [x - x_mean for x in xs]
+        rate = -math.fsum(u * (y - y_mean) for u, y in zip(dx, ys)) / math.fsum(u * u for u in dx)
     return DecayFit(epsilon=epsilon, block_lengths=ns, deviations=deviations,
                     fitted_rate=rate, sigma_sq=sigma_sq)
 
 
 # ------------------------------------------------------------------ reduced-channel reports
 
-@dataclass(frozen=True)
-class ReducedChannelReport:
+class ReducedChannelReport(NamedTuple):
     """Per-n summary of the reduced block channel at the uniform input.
 
     length               Kraus sequence count of the reduced representation
@@ -519,8 +520,7 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     return info, weights, tuple(reports[n] for n in ns)
 
 
-@dataclass(frozen=True)
-class ReductionVerification:
+class ReductionVerification(NamedTuple):
     """Reduced-channel reports over a block-length range plus decay diagnostics.
 
     The count and output-norm bounds are exact inequalities checked on every
@@ -557,8 +557,7 @@ def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerifi
 
 # ------------------------------------------------------------------ achievable rates
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     """One block length of the rate demo.
 
     penalty is computed from the actual reduced channel,
@@ -577,8 +576,7 @@ class RateRow:
     penalty_majorant: float
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     info: ChannelInfoReport              # the channel's `classify` report, I(pi, N) among it
     geometric_decay_expected: bool
     rows: tuple[RateRow, ...]

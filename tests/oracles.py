@@ -12,7 +12,10 @@ N(pi), the Gram matrix) are kept here too, as the bits each blocked pass
 must reproduce, and the per-operator output factor matrices that each
 weight group's factor sums.
 The per-operator lists that the builtin constructors once built
-(`weyl_kraus_ops`, `scaled_unitaries`) are the bits of their stacks.
+(`weyl_kraus_ops`, `scaled_unitaries`) are the bits of their stacks, or
+for the depolarizing channel, its values to rounding.  The decay rate
+that `typicality.fit_decay` reads off a centred slope is `np.polyfit`'s
+here (`polyfit_decay_rate`).
 Beside them are fixtures that no command needs: mixtures of given unitaries
 (`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
 `save_channel`), whose files `serialize.load_channel` reads.
@@ -273,6 +276,11 @@ def weyl_kraus_ops(p: float, dim: int) -> list[np.ndarray]:
             for a in range(dim) for b in range(dim)]
     w_id, w_err = 1.0 - p + p / dim**2, p / dim**2
     return [math.sqrt(w_id) * weyl[0]] + [math.sqrt(w_err) * w for w in weyl[1:]]
+
+
+def polyfit_decay_rate(ns, deviations) -> float:
+    """Minus the slope of np.polyfit's least-squares line through (n, log deviation)."""
+    return float(-np.polyfit(np.asarray(ns, dtype=float), np.log(deviations), 1)[0])
 
 
 def scaled_unitaries(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:

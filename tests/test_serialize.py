@@ -1,4 +1,4 @@
-"""Wire formats: channel JSON schema round-trips and CSV number rendering."""
+"""Wire formats: channel JSON schema round-trips, report records and CSV number rendering."""
 
 import json
 import math
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qcap import channels as qch
+from qcap import random_coding as rc
 from qcap import serialize
+from qcap import typicality as tp
 from qcap.errors import FormatError, InvariantViolationError
 import oracles
 
@@ -93,3 +95,33 @@ def test_non_finite_floats_name_their_field():
         serialize.canonical_json({"m": np.array([[1, 2], [complex(0, math.nan), 3]])})
     with pytest.raises(ValueError, match="bound is -inf"):
         serialize.csv_number(-math.inf, "bound")
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every report record, each from the call that makes it."""
+    ch = qch.phase_flip(0.25)
+    info = qch.classify(ch)
+    moments = rc.haar_moment_suite(2, 16, 3)
+    curve = rc.hamming_rate_curve(info, 2, 0.1, range(1, 4))
+    verification = tp.verify_reduction_bounds(ch, range(1, 4), 0.1)
+    table = tp.achievable_rate_table(ch, 0.1, 0.1, range(1, 3))
+    type_class = tp._typical_classes((0.75, 0.25), [np.array([0]), np.array([1])], 0.8, 3, 0.5)[0]
+    made = [info, rc.mc_code_values(ch, 1, 4, 3)[0], rc.closed_forms(ch, 1), moments,
+            moments.checks[0], curve, curve.rows[0], type_class, verification.typical_decay,
+            verification.reports[0], verification, table.rows[0], table]
+    return {type(r).__name__: r for r in made}
+
+
+_RECORDS = ["ChannelInfoReport", "EnsembleEstimate", "ClosedForms", "HaarMomentReport",
+            "MomentCheck", "HammingCurve", "HammingPoint", "TypeClass", "DecayFit",
+            "ReducedChannelReport", "ReductionVerification", "RateRow", "RateTable"]
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_a_record_renders_as_the_object_of_its_fields(records, name):
+    # a named tuple, rendered through its fields and not as a plain tuple's array
+    record = records[name]
+    assert isinstance(record, tuple) and record._fields
+    assert serialize.jsonable(record) == serialize.jsonable(record._asdict())
+    assert isinstance(serialize.jsonable(record), dict)

@@ -5,9 +5,17 @@ public method of a public class, must be named somewhere in ``src/qcap`` or
 ``scripts`` other than in its own definition: as a name, an attribute, or a
 ``from`` import.  Names the tests use do not count.  Methods of private
 classes (argparse's ``_Parser.error`` override) are exempt.
+
+Importing the CLI loads no ``csv``, which CSV rendering imports itself, and
+defines one dataclass, `channels.KrausChannel`: the report records are named
+tuples, which generate no methods at import.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +73,29 @@ def test_a_name_only_its_own_body_uses_is_unreached(tmp_path):
                       "    def lonely(self):\n        return self.reached()\n\n\n"
                       "class _P:\n    def error(self):\n        pass\n\n\nC()\n")
     assert unreached_names([module]) == ["m.C.lonely", "m.unused"]
+
+
+_IMPORT_PROBE = """
+import dataclasses, json, sys
+import qcap.cli
+modules = [m for name, m in sys.modules.items() if name.startswith("qcap.")]
+print(json.dumps({
+    "modules": sorted(m.__name__.split(".")[1] for m in modules),
+    "csv": "csv" in sys.modules,
+    "dataclasses": sorted(f"{m.__name__}.{name}" for m in modules for name, c in vars(m).items()
+                          if isinstance(c, type) and c.__module__ == m.__name__
+                          and dataclasses.is_dataclass(c)),
+}))
+"""
+
+
+def test_importing_the_cli_loads_no_csv_and_one_dataclass():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    package = sorted(p.stem for p in (ROOT / "src" / "qcap").glob("*.py") if p.stem != "__init__")
+    assert loaded["modules"] == package
+    assert loaded["csv"] is False
+    assert loaded["dataclasses"] == ["qcap.channels.KrausChannel"]

@@ -233,6 +233,27 @@ def test_fit_decay_needs_three_interior_points():
         tp.fit_decay([1], [1.5], 0.1, 1.0)
 
 
+@pytest.mark.parametrize("ns", [range(2, 10), range(500, 4001, 500),
+                                (500, 730, 1100, 1650, 2400, 3300, 4000)],
+                         ids=["2-9", "500-4000", "500-4000-uneven"])
+def test_fit_decay_rate_is_the_polyfit_slope(ns):
+    # decays with a wobble, so that the points do not lie on one line
+    rate = 3.0 / max(ns)
+    deviations = [0.8 * math.exp(-rate * n) * (1.0 + 0.2 * math.sin(n)) for n in ns]
+    fitted = tp.fit_decay(ns, deviations, 0.1, 1.0).fitted_rate
+    assert math.isclose(fitted, oracles.polyfit_decay_rate(ns, deviations), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("ns, deviations", [
+    ((1, 2, 3, 4), (1.0, 0.0, 1.0, 0.0)),
+    ((1, 2, 3, 4), (0.5, 0.0, 1.0, 0.0)),
+    ((1, 2, 3, 4), (0.5, 0.25, 1.0, 0.0)),
+    ((5, 5, 5), (0.5, 0.25, 0.125)),
+], ids=["none", "one", "two", "one-length"])
+def test_fit_decay_has_no_rate_without_three_usable_points_at_two_lengths(ns, deviations):
+    assert tp.fit_decay(ns, deviations, 0.1, 1.0).fitted_rate is None
+
+
 def test_fit_decay_stores_rounding_below_zero_as_zero():
     # 1 - mass with a mass of 1 + 2^-52 from summing class masses
     fit = tp.fit_decay([1, 2, 3], [-2.0**-52, -1e-12, 0.25], 0.1, 1.0)
