@@ -77,7 +77,7 @@ class KrausChannel:
         linalg.check_entries(n * mp * m + _construction_entries(n, mp, m),
                              f"building a {m} -> {mp} channel of {n} Kraus operators")
         stack = np.array(ops, dtype=np.complex128)
-        if not all(np.all(np.isfinite(a)) for a in stack):     # no stack-sized temporary
+        if not all(np.isfinite(stack[block]).all() for block in linalg._blocks(n)):
             raise InvariantViolationError("Kraus operator has non-finite entries")
         stack.setflags(write=False)
         object.__setattr__(self, "kraus_ops", stack)
@@ -107,6 +107,9 @@ def _construction_entries(n: int, mp: int, m: int) -> int:
     of Delta with numpy's ufunc buffer, as the columns are strided, or the
     mask that zeroes the upper triangle of its diagonal block; and about 16
     entries per operator for the views that ``tuple(kraus_ops)`` makes.
+    Before Delta, the finiteness check holds the boolean mask of one
+    `linalg._blocks` block of operators, a byte per element: at most a
+    quarter of the column block's entries, so that block's count covers it.
     """
     return n * (mp * m + 16) + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
 
@@ -148,16 +151,20 @@ def _lower_norm_sq(delta: np.ndarray) -> float:
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
     """Hermitian N x N matrix of overlaps tr(A_i^dagger A_j).
 
-    Each of the `linalg._blocks` of rows contracts a conjugated block of
-    operators with the stack, with the bits of one contraction.
+    Each of the `linalg._blocks` of rows is one GEMM of a conjugated block of
+    the (N, M'M) flattened operators with the flattened stack, with the bits
+    of one product.  The GEMMs run on one BLAS thread: OpenBLAS rounds some
+    shapes differently on two (40 operators of 17 x 33, for one).
     """
     n = len(ch)
     # the result, a conjugated block of operators, and an eigensolver's copy of the result
     linalg.check_entries(2 * n * n + linalg._widest_block(n) * ch.output_dim * ch.input_dim,
                          f"Gram matrix of {n} Kraus operators")
+    flat = ch.kraus_ops.reshape(n, -1)
     gram = np.empty((n, n), dtype=np.complex128)
-    for rows in linalg._blocks(n):
-        np.einsum("iab,jab->ij", ch.kraus_ops[rows].conj(), ch.kraus_ops, out=gram[rows])
+    with linalg.one_blas_thread():
+        for rows in linalg._blocks(n):
+            np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
     return gram
 
 
@@ -175,9 +182,12 @@ def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
     A Gram matrix whose off-diagonal is within 1e-10 is taken as diagonal:
     its diagonal is the spectrum, and no recombination (None) is needed.
-    Else eigh's eigenvalues and eigenvectors, in decreasing order.
+    Else eigh's eigenvalues and eigenvectors, in decreasing order.  The test
+    holds one real temporary: the magnitudes, whose diagonal is zeroed in place.
     """
-    if len(h) > 1 and np.max(np.abs(h - np.diag(np.diagonal(h)))) > COMPLETENESS_ATOL:
+    off = np.abs(h)
+    off.reshape(-1)[::len(h) + 1] = 0.0
+    if np.max(off) > COMPLETENESS_ATOL:
         with linalg.one_blas_thread():
             w, v = np.linalg.eigh(h)
         return w[::-1], v[:, ::-1]
@@ -198,7 +208,7 @@ def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     entropy is the entropy exchange at the uniform input.
     """
     n, mp, m = len(ch), ch.output_dim, ch.input_dim
-    # the Gram matrix, its diagonal and off-diagonal copies, eigh's eigenvectors
+    # the Gram matrix, its magnitudes, eigh's copy and eigenvectors
     linalg.check_entries(4 * n * n, f"Gram matrix diagonalization of {n} Kraus operators")
     spectrum, rotation = _gram_spectrum(gram_matrix(ch))
     keep = _nonzero(spectrum)

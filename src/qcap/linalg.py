@@ -5,7 +5,9 @@ row-major) and is a pure function of its inputs.  Randomness always enters
 through an explicit ``numpy.random.Generator``; no function touches global
 RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
 Every LAPACK call in the package (eigensolvers and QR) runs under
-`one_blas_thread`, so its bits do not depend on the BLAS thread count.
+`one_blas_thread`, so its bits do not depend on the BLAS thread count; so do
+the GEMMs of the Gram matrix and of the reduced reports' type blocks, which
+OpenBLAS rounds differently on two threads at some shapes.
 """
 
 from __future__ import annotations

@@ -18,12 +18,15 @@ series of reduced-channel reports prepares the n-independent part (minimal
 Kraus family and weights, output spectrum and eigenbasis, group factors)
 once, and never enumerates sequences nor forms an M'^n-dimensional vector or
 matrix: the sum over the typical Kraus sequences is built class by class on
-the two halves of the block (`_sequence_sum`), and the projector, split by
-the output types of prefix and suffix, is contracted with the halves type
-by type (`_reduced_norms`).  The halves are matrices, or vectors when every
-factor is diagonal in the output eigenbasis; a diagonal operator is the case
-whose off-type blocks vanish, so one contraction and one peak prediction
-(`_checked_types`, in k = 1 for vectors and k = 2 for matrices) serve both.
+the two halves of the block (`_sequence_sum`), each half one stack of its
+class sums, and the projector, split by the output types of prefix and
+suffix, is contracted with the halves by output-type block: each block of a
+stack is gathered once and met with the 0/1 pairing of prefix and suffix
+classes by one product (`_type_blocks`, `_reduced_norms`).  The halves are
+matrices, or vectors when every factor is diagonal in the output
+eigenbasis; a diagonal operator is the case whose off-type blocks vanish,
+so one contraction and one peak prediction (`_checked_types`, in k = 1 for
+vectors and k = 2 for matrices) serve both.
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
@@ -259,19 +262,23 @@ def _kept_levels(tops, n: int, r: int) -> list[set]:
     return kept[::-1]
 
 
-def _grown_level(level: dict, factors: np.ndarray, kept: set) -> dict:
-    """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each kept composition c, in a fixed order."""
-    grown_level: dict = {}
-    for comp, block in level.items():
-        for j, factor in enumerate(factors):
+def _grown_level(comps: list, stack: np.ndarray, factors: np.ndarray,
+                 kept: set) -> tuple[list, np.ndarray]:
+    """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each kept composition c, in one stack.
+
+    The compositions come in a fixed order, and so do the terms of each sum.
+    """
+    index, terms = {}, []
+    for i, comp in enumerate(comps):
+        for j in range(len(factors)):
             grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
-            if grown not in kept:
-                continue
-            if grown in grown_level:
-                grown_level[grown] += _kron(block, factor)
-            else:
-                grown_level[grown] = _kron(block, factor)
-    return grown_level
+            if grown in kept:
+                terms.append((index.setdefault(grown, len(index)), i, j))
+    shape = tuple(a * b for a, b in zip(stack.shape[1:], factors.shape[1:]))
+    grown_stack = np.zeros((len(index), *shape), dtype=factors.dtype)
+    for g, i, j in terms:
+        grown_stack[g] += _kron(stack[i], factors[j])
+    return list(index), grown_stack
 
 
 def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
@@ -282,28 +289,27 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
     sequence sums all its symbol sequences.  S_m(c), the sum over length-m
     sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
     only compositions below some typical class are kept (``kept``, from
-    `_kept_levels`).  A sequence of type T
-    splits into a prefix of length h = n // 2 and type c <= T and a suffix of
-    type T - c, so the sum is
-    sum_c S_h(c) (x) sum_{T >= c} S_r(T - c) with r = n - h.  The recursion
-    stops at level r, and the sum is not formed: the result is (lefts,
-    rights, pairing), the S_h(c), the S_r(d) and, for each prefix c, the
-    indices of its d = T - c, in class order (the suffix list is the prefix
-    list when h = r).
+    `_kept_levels`), and each level is one stack of its S_m(c).  A sequence
+    of type T splits into a prefix of length h = n // 2 and type c <= T and
+    a suffix of type T - c, so the sum is sum_c S_h(c) (x) sum_{T >= c}
+    S_r(T - c) with r = n - h.  The recursion stops at level r, and the sum
+    is not formed: the result is (lefts, rights, pairing), the stacked S_h(c)
+    and S_r(d) and the 0/1 (K_h, K_r) matrix whose (c, d) entry is 1 when
+    c + d is a typical class (the suffix stack is the prefix stack when h = r).
     """
-    tops = [cls.counts for cls in classes]
     h, r = n // 2, n - n // 2
-    level = {(0,) * len(factors): np.ones((1,) * (factors.ndim - 1), dtype=factors.dtype)}
-    halves = {0: level}
+    comps, stack = [(0,) * len(factors)], np.ones((1,) * factors.ndim, dtype=factors.dtype)
+    prefixes, lefts = comps, stack
     for m in range(1, r + 1):
-        level = _grown_level(level, factors, kept[m])
-        if m in (h, r):
-            halves[m] = level
-    index = {comp: j for j, comp in enumerate(halves[r])}
-    pairing = [[index[tuple(map(int.__sub__, top, comp))] for top in tops
-                if all(map(int.__le__, comp, top))] for comp in halves[h]]
-    lefts = list(halves[h].values())
-    return lefts, lefts if h == r else list(halves[r].values()), pairing
+        comps, stack = _grown_level(comps, stack, factors, kept[m])
+        if m == h:
+            prefixes, lefts = comps, stack
+    index = {comp: j for j, comp in enumerate(comps)}
+    pairing = np.zeros((len(prefixes), len(comps)))
+    for (c, comp), top in itertools.product(enumerate(prefixes), (cls.counts for cls in classes)):
+        if all(map(int.__le__, comp, top)):
+            pairing[c, index[tuple(map(int.__sub__, top, comp))]] = 1.0
+    return lefts, stack, pairing
 
 
 # ------------------------------------------------------------------ contraction by output type
@@ -329,46 +335,35 @@ def _type_sets(groups, dim: int, m: int, types) -> list[np.ndarray]:
     return [np.flatnonzero(ids == index[counts]) for counts in types]
 
 
-def _type_blocks(operators, combos, index_sets):
-    """Per index set u, the traces over u of X_c = sum_{d in combos[c]} operators[d], and Grams.
+def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, np.ndarray]:
+    """Traces and Grams of the type blocks of X_c = sum_d mix[c, d] stack[d] (X = stack, no mix).
 
-    Set u's rows of every X_c are gathered straight into one strip, so no
-    X_c is formed whole.  The (C, C) Gram matrix of a block has (c, d) entry
-    sum over the block of X_c conj(X_d): for matrices one per (u, u') block,
-    u' in set order; for diagonal operators given by their diagonals only
-    that of the (u, u) block, since their off-type blocks vanish.
+    Returns the (S, C) traces of every X_c over each index set and the Grams,
+    whose (c, d) entry sums X_c conj(X_d) over a block: (S, S, C, C) for
+    matrices, one per (u, u') block, and (S, C, C) for diagonal operators
+    given by their diagonals, whose off-type blocks vanish.  Each block of
+    the stack is gathered once and met with ``mix`` by one product: before
+    its Gram for matrices, after it (mix G mix^T) for diagonals, so neither
+    branch holds more than one gathered block of the K stacked operators.
     """
-    for rows in index_sets:
-        first = operators[0]
-        strip = np.zeros((len(combos), len(rows), *first.shape[1:]), dtype=first.dtype)
-        for row, combo in zip(strip, combos):
-            for d in combo:
-                row += operators[d][rows]
-        if strip.ndim == 2:
-            diagonal, blocks = strip, [strip]
-        else:
-            diagonal = strip[:, np.arange(len(rows)), rows]
-            blocks = (strip[:, :, cols].reshape(len(strip), -1) for cols in index_sets)
-        yield np.real(diagonal).sum(axis=1), [block @ block.conj().T for block in blocks]
-
-
-def _paired_suffix(rights, pairing, suffix_sets, pairs: np.ndarray):
-    """The suffix half met with the pairs: pairs @ its (V, C) traces, and (pairs^(x)k) beta.
-
-    beta holds the Grams of the suffix blocks (`_type_blocks`); the rows of
-    (pairs^(x)k) beta come one prefix block at a time, row-major.  The pairs
-    meet one factor of beta at a time, and beta lives only until the first.
-    """
-    v, k = len(suffix_sets), rights[0].ndim
-    traces = np.empty((v, len(pairing)))
-    beta = np.empty((v, v ** (k - 1), len(pairing) ** 2), dtype=rights[0].dtype)
-    for row, rows, (t, grams) in zip(traces, beta, _type_blocks(rights, pairing, suffix_sets)):
-        row[...] = t
-        for gram_row, gram in zip(rows, grams):
-            gram_row[...] = gram.reshape(-1)
-    half = pairs @ beta.reshape(v, -1)
-    return pairs @ traces, (iter(half) if k == 1 else
-                            (row for part in half for row in pairs @ part.reshape(v, -1)))
+    k, count = stack.ndim - 1, len(stack if mix is None else mix)
+    traces = np.empty((len(index_sets), len(stack)))
+    grams = np.empty((len(index_sets),) * k + (count, count), dtype=stack.dtype)
+    flat = stack.reshape(len(stack), -1)
+    for u, rows in enumerate(index_sets):
+        # row-major, unlike a fancy-indexed gather, so each row is summed pairwise
+        diagonals = flat.take(rows * (stack.shape[-1] + 1) ** (k - 1), axis=1)
+        traces[u] = np.real(diagonals).sum(axis=1)
+        if k == 1:
+            gram = diagonals @ diagonals.T
+            grams[u] = gram if mix is None else mix @ gram @ mix.T
+            continue
+        for w, cols in enumerate(index_sets):
+            block = stack[:, rows[:, None], cols].reshape(len(stack), -1)
+            if mix is not None:
+                block = mix @ block
+            grams[u, w] = block @ block.conj().T
+    return (traces if mix is None else traces @ mix.T), grams
 
 
 def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
@@ -380,14 +375,14 @@ def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
     types of length h = n // 2 and V of length r = n - h, the largest of B
     multi-indices (`_class_size`).  With k = 1 for factors given by their
     diagonals and k = 2 for matrices, a length-m half sum has D_m = M'^(k m)
-    entries.  The recursion holds levels r - 1 and r and a term,
-    K_(r-1) D_(r-1) + (K_r + 1) D_r entries, beside the G group factors; the
-    type ids and sets add 2 (M'^h + M'^r), the pairing K_h K_r.  The
-    contraction holds one set's rows of the K_h paired sums and a term,
-    (K_h + 1) B M'^((k-1) r); for matrices a type block's copy and its
-    conjugate, 2 (k - 1) K_h B^k; the V^k suffix Grams of K_h^2 entries and
-    what the pairs make of them, U V^(k-1) more; and 2 U + 2 Grams beside:
-    a prefix type's and their weights.  The typical classes and the kept
+    entries.  The recursion holds the stacks of levels r - 1 and r and a
+    term, K_(r-1) D_(r-1) + (K_r + 1) D_r entries, beside the G group
+    factors; the type ids and sets add 2 (M'^h + M'^r), the pairing and a
+    product of it 2 K_h K_r.  A type block holds one gathered block of a
+    stack, K_r B^k, and for matrices its paired rows and their conjugate,
+    2 K_h B^k, for diagonals the K_r^2 Gram before pairing; the Grams of
+    every block are kept, V^k + U^k of K_h^2 entries, and the pairs make
+    U V^(k-1) + U^k more of them.  The typical classes and the kept
     compositions and types are tuples of one count per group, an entry each.
     """
     k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
@@ -398,8 +393,9 @@ def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
     u, v, low, kh, kr = (len(prefix_types), len(suffix_types),
                          len(kraus[r - 1]), len(kraus[h]), len(kraus[r]))
     entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
-               + 2 * (dim**h + dim**r) + kh * kr + (kh + 1) * largest * dim**(k * r - r)
-               + 2 * (k - 1) * kh * largest**k + kh**2 * (v**k + u * v**(k - 1) + 2 * u + 2)
+               + 2 * (dim**h + dim**r) + 2 * kh * kr
+               + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
+               + kh**2 * (v**k + 2 * u**k + u * v**(k - 1))
                + (len(classes) + sum(map(len, kraus))) * len(factors)
                + (len(output_classes) + sum(map(len, output))) * len(output_groups))
     if classes:         # with no typical Kraus class, nothing is built
@@ -412,39 +408,42 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
                    output_classes) -> tuple[float, float]:
     """tr(P S P) and ||P S P||_F^2 of the reduced output at n, never forming S or P.
 
-    S = sum_c L_c (x) R'_c from `_sequence_sum`'s halves: L_c = lefts[c], R'_c
-    the sum of rights[d] for d in pairing[c], all Hermitian matrices (k = 2),
-    or diagonal ones given by their diagonals (k = 1).  A multi-index is
-    typical exactly when its prefix's output type u plus its suffix's v is a
-    typical output class, so P = sum over the pairs (u, v) with pairs[u, v] = 1
-    of E_u (x) E'_v, the diagonal projectors onto prefix and suffix type sets.
-    Then tr(PSP) = sum_c sum_(u,v) pairs[u, v] tr(E_u L_c) tr(E'_v R'_c), and
-    ||PSP||_F^2 = tr(PSPS) = sum_(c,d) sum over prefix blocks b and suffix
-    blocks b' of alpha_cd(b) (pairs^(x)k)[b, b'] beta_cd(b'), where alpha_cd(b)
-    sums L_c conj(L_d), entry by entry, over block b and beta does the same
-    over R' (`_type_blocks`); a block is a pair of types for matrices, one
-    type for diagonals.  Each term tr(V_c V_d), V_c = P (L_c (x) R'_c) P, is
-    >= 0, so the sum does not cancel.  Each alpha(b) is formed only to be
-    contracted with its row of `_paired_suffix`.
+    S = sum_c L_c (x) R'_c from `_sequence_sum`'s halves: L_c the stacked
+    lefts, R'_c = sum_d pairing[c, d] R_d of the stacked rights, all
+    Hermitian matrices (k = 2), or diagonal ones given by their diagonals
+    (k = 1).  A multi-index is typical exactly when its prefix's output type
+    u plus its suffix's v is a typical output class, so P = sum over the
+    pairs (u, v) with pairs[u, v] = 1 of E_u (x) E'_v, the diagonal
+    projectors onto prefix and suffix type sets.  Then tr(PSP) = sum_c
+    sum_(u,v) pairs[u, v] tr(E_u L_c) tr(E'_v R'_c), and ||PSP||_F^2 =
+    tr(PSPS) = sum_(c,d) sum over prefix blocks b and suffix blocks b' of
+    alpha_cd(b) (pairs^(x)k)[b, b'] beta_cd(b'), where alpha_cd(b) sums
+    L_c conj(L_d), entry by entry, over block b and beta does the same over
+    R' (`_type_blocks`); a block is a pair of types for matrices, one type
+    for diagonals.  Each term tr(V_c V_d), V_c = P (L_c (x) R'_c) P, is
+    >= 0, so the sum does not cancel.  alpha and beta are held whole; the
+    pairs meet beta one suffix type at a time.  The products run on one BLAS
+    thread, so their bits do not depend on the thread count.
     """
     kept, prefix_types, suffix_types = _checked_types(factors, output_groups, n, classes,
                                                       output_classes)
     if not output_classes:
         return 0.0, 0.0
-    dim, h = factors.shape[-1], n // 2
+    k, dim, h = factors.ndim - 1, factors.shape[-1], n // 2
     typical = {cls.counts for cls in output_classes}
     pairs = np.array([[tuple(map(int.__add__, a, b)) in typical for b in suffix_types]
                       for a in prefix_types], dtype=float)
     lefts, rights, pairing = _sequence_sum(factors, classes, n, kept)
-    paired_traces, weights = _paired_suffix(
-        rights, pairing, _type_sets(output_groups, dim, n - h, suffix_types), pairs)
-    traces, frobenius_sq = [], 0.0
-    for t, alphas in _type_blocks(lefts, [[c] for c in range(len(lefts))],
-                                  _type_sets(output_groups, dim, h, prefix_types)):
-        traces.append(t)
-        for alpha in alphas:
-            frobenius_sq += float(np.real(np.sum(alpha.reshape(-1) * next(weights))))
-    return float(np.sum(np.array(traces) * paired_traces)), frobenius_sq
+    with linalg.one_blas_thread():
+        suffix_traces, beta = _type_blocks(
+            rights, _type_sets(output_groups, dim, n - h, suffix_types), pairing)
+        traces, alpha = _type_blocks(lefts, _type_sets(output_groups, dim, h, prefix_types))
+        weights = pairs @ beta.reshape(len(suffix_types), -1)
+        if k == 2:
+            weights = pairs @ weights.reshape(len(prefix_types), len(suffix_types), -1)
+        frobenius_sq = np.dot(alpha.reshape(-1), weights.reshape(-1))
+        transmission = np.sum(traces * (pairs @ suffix_traces))
+    return float(transmission), float(np.real(frobenius_sq))
 
 
 def _block_lengths(ns) -> tuple:

@@ -157,8 +157,13 @@ def one_product_uniform_output(ch: qch.KrausChannel) -> np.ndarray:
 
 
 def one_product_gram(ch: qch.KrausChannel) -> np.ndarray:
-    """tr(A_i^dagger A_j) from one contraction of the conjugated stack with the stack."""
-    return np.einsum("iab,jab->ij", ch.kraus_ops.conj(), ch.kraus_ops)
+    """tr(A_i^dagger A_j): one GEMM of the conjugated (N, M'M) flat stack with the flat stack.
+
+    On one BLAS thread, as `channels.gram_matrix` forms it.
+    """
+    flat = ch.kraus_ops.reshape(len(ch), -1)
+    with linalg.one_blas_thread():
+        return flat.conj() @ flat.T
 
 
 def one_product_factor_matrices(stack: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -842,6 +842,16 @@ def test_thread_count_does_not_change_bytes():
         assert run_with_blas_threads(argv, 1) == run_with_blas_threads(argv, 2)
 
 
+def test_pinned_gemms_keep_their_bytes_on_two_threads():
+    # OpenBLAS rounds the Gram matrix of 40 operators of 17 x 33, and the dense type-block
+    # Grams at n = 15, differently on two threads than on one; both run on one thread
+    for argv in (["typicality", "--channel", "builtin:haar_random:33,17,40,1", "--epsilon", "0.5",
+                  "--n-min", "1", "--n-max", "1", "--seed", "1"],
+                 ["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
+                  "--n-min", "15", "--n-max", "15", "--seed", "1"]):
+        assert run_with_blas_threads(argv, 1) == run_with_blas_threads(argv, 2)
+
+
 def test_out_into_missing_directory_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "info", "--channel", "builtin:identity:2",

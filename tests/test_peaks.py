@@ -208,6 +208,13 @@ def test_gram_matrix_peak(monkeypatch, dims):
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.gram_matrix(ch))
 
 
+def test_closed_forms_gram_peak(monkeypatch):
+    # 1600 operators: the Gram matrix's magnitudes, its squares and the diagonal test's
+    # magnitudes stay within the Gram step's count of 2.25 N^2 entries
+    ch = qch.depolarizing(0.3, 40)
+    assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
+
+
 @pytest.mark.parametrize("dims", [(1, 1, 1024), (2, 2, 1024)])
 def test_minimal_kraus_peak(monkeypatch, dims):
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))

@@ -391,7 +391,7 @@ def test_dense_reduced_report_cap_at_n19():
     rep = tp.verify_reduction_bounds(ch, (18,), 1.5).reports[0]
     assert 0 < rep.length <= 3**18 and rep.counts_within_bound and rep.norm_within_bound
     with pytest.raises(CapExceededError, match=r"dense reduced report at n=19, 66 half sums of "
-                                               r"dimension 2\^10, needs 2\^26.6714 entries"):
+                                               r"dimension 2\^10, needs 2\^26.5339 entries"):
         tp.verify_reduction_bounds(ch, (19,), 1.5).reports[0]
 
 
@@ -549,8 +549,8 @@ def joined_halves(factors, classes, n):
     """Oracle: sum_c L_c (x) R'_c joined from `_sequence_sum`'s halves (first factor major)."""
     kept = tp._kept_levels([cls.counts for cls in classes], n, n - n // 2)
     lefts, rights, pairing = tp._sequence_sum(factors, classes, n, kept)
-    return sum(np.kron(left, sum(rights[j] for j in columns))
-               for left, columns in zip(lefts, pairing))
+    return sum(np.kron(left, sum(rights[j] for j in np.flatnonzero(row)))
+               for left, row in zip(lefts, pairing))
 
 
 @pytest.mark.parametrize("channel, diagonal, ns", [
@@ -664,6 +664,38 @@ def test_dense_norms_match_the_masked_join(case):
     want = masked_join_norms(*case)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 4), st.integers(1, 12),
+       st.integers(1, 4))
+@example(0, False, 1, 64, 3)          # K_r >> K_h, as at h = 0 over 64 weight groups
+@example(0, True, 1, 64, 3)
+@settings(max_examples=60, deadline=None)
+def test_type_blocks_equal_the_paired_sums(seed, diagonal, kh, kr, set_count):
+    # the traces and Grams of each type block of X_c = sum_d mix[c, d] stack[d], met with
+    # the 0/1 mix by one product per block, against the X_c formed whole; with no mix, of
+    # the stack itself
+    rng = np.random.default_rng(seed)
+    dim = 8
+    x = rng.standard_normal((kr, dim, dim)) + 1j * rng.standard_normal((kr, dim, dim))
+    stack = x @ x.conj().transpose(0, 2, 1)
+    if diagonal:
+        stack = np.ascontiguousarray(np.real(np.einsum("jaa->ja", stack)))
+    mix = (rng.random((kh, kr)) < 0.5).astype(float)
+    labels = rng.integers(-1, set_count, dim)        # -1: an index in no set
+    index_sets = [np.flatnonzero(labels == u) for u in range(set_count)]
+    for operators, got in [(np.tensordot(mix, stack, 1), tp._type_blocks(stack, index_sets, mix)),
+                           (stack, tp._type_blocks(stack, index_sets))]:
+        traces, grams = got
+        for u, rows in enumerate(index_sets):
+            diagonals = operators[:, rows] if diagonal else operators[:, rows, rows]
+            assert np.allclose(traces[u], np.real(diagonals).sum(axis=1), rtol=1e-12, atol=1e-12)
+            for w, cols in enumerate([rows] if diagonal else index_sets):
+                block = (diagonals if diagonal else operators[:, rows][:, :, cols])
+                block = block.reshape(len(operators), -1)
+                want = block @ block.conj().T
+                assert np.allclose(grams[u] if diagonal else grams[u, w], want,
+                                   rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(want))))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(),
