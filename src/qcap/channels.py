@@ -45,17 +45,19 @@ class KrausChannel:
     """A (possibly trace-decreasing) CP map given by its Kraus operators.
 
     Each operator has shape (output_dim, input_dim).  ``kraus_ops`` is the
-    channel's one representation: the operators copied once into a read-only
-    (N, output_dim, input_dim) complex128 stack, so later changes to the
-    caller's arrays do not reach the channel.  Every channel is checked
-    once, here: the defect Delta = sum A^dagger A - 1 is formed once, and a
-    Frobenius norm ||Delta||_F below 1e-10 (less a rounding margin) certifies
-    without an eigensolve that every |eigenvalue| is within 1e-10; a larger
-    norm (every trace-decreasing family, and defects near the tolerance) falls
-    back to `eigvalsh`.  A family with an eigenvalue above 1e-10 is rejected,
-    and ``trace_preserving`` records whether all of them lie within 1e-10.
-    The caller's operators and the whole construction
-    (`_construction_entries`) are checked against the entry cap first.
+    channel's one representation, a read-only (N, output_dim, input_dim)
+    complex128 stack that no caller shares: a C-contiguous complex128 array
+    of that shape is checked where it lies and copied once, after Delta is
+    released, and any other array or sequence of operators is stacked once
+    into it.  Every channel is checked once, here: the defect
+    Delta = sum A^dagger A - 1 is formed once, and a Frobenius norm
+    ||Delta||_F below 1e-10 (less a rounding margin) certifies without an
+    eigensolve that every |eigenvalue| is within 1e-10; a larger norm (every
+    trace-decreasing family, and defects near the tolerance) falls back to
+    `eigvalsh`.  A family with an eigenvalue above 1e-10 is rejected, and
+    ``trace_preserving`` records whether all of them lie within 1e-10.  The
+    operators' shape, then the whole construction (`_construction_entries`),
+    are checked first.
     """
 
     input_dim: int
@@ -65,22 +67,21 @@ class KrausChannel:
     trace_preserving: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(self.kraus_ops)
-        if not ops:
+        ops, shape = self.kraus_ops, (self.output_dim, self.input_dim)
+        n = len(ops)
+        if not n:
             raise InvariantViolationError("channel needs at least one Kraus operator")
-        for a in ops:
-            if np.shape(a) != (self.output_dim, self.input_dim):
-                raise InvariantViolationError(
-                    f"Kraus operator shape {np.shape(a)} != ({self.output_dim}, {self.input_dim})"
-                )
-        n, mp, m = len(ops), self.output_dim, self.input_dim
-        linalg.check_entries(n * mp * m + _construction_entries(n, mp, m),
+        # read before anything is stacked, so an operator past its declared shape allocates nothing
+        shapes = (ops.shape[1:],) if isinstance(ops, np.ndarray) else map(np.shape, ops)
+        wrong = next((s for s in shapes if s != shape), None)
+        if wrong is not None:
+            raise InvariantViolationError(f"Kraus operator shape {wrong} != {shape}")
+        mp, m = shape
+        linalg.check_entries(_construction_entries(n, mp, m),
                              f"building a {m} -> {mp} channel of {n} Kraus operators")
-        stack = np.array(ops, dtype=np.complex128)
+        stack = np.ascontiguousarray(ops, dtype=np.complex128)
         if not all(np.isfinite(stack[block]).all() for block in linalg._blocks(n)):
             raise InvariantViolationError("Kraus operator has non-finite entries")
-        stack.setflags(write=False)
-        object.__setattr__(self, "kraus_ops", stack)
         with np.errstate(over="ignore", invalid="ignore"):     # an overflow is refused below
             delta = _completeness_defect(stack)
             fro_sq = _lower_norm_sq(delta)
@@ -91,8 +92,13 @@ class KrausChannel:
             with linalg.one_blas_thread():
                 w = np.linalg.eigvalsh(delta)
             lo, hi = float(w[0]), float(w[-1])
+        del delta                           # released before a passed stack is copied
         if hi > COMPLETENESS_ATOL:
             raise InvariantViolationError(f"Kraus family is not trace-nonincreasing: defect {hi:.3e}")
+        if stack is ops or stack.base is not None:     # the caller's array, or a view of it
+            stack = stack.copy()
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus_ops", stack)
         # two-sided: with hi within the tolerance, every |eigenvalue| is iff lo is
         object.__setattr__(self, "trace_preserving", -lo <= COMPLETENESS_ATOL)
 
@@ -101,17 +107,19 @@ class KrausChannel:
 
 
 def _construction_entries(n: int, mp: int, m: int) -> int:
-    """Peak entries of building a channel of n M' x M operators, beside the caller's operators.
+    """Peak entries of building a channel from a sequence of n M' x M operators.
 
-    The stack and Delta, and a block: the conjugated columns of one product
-    of Delta with numpy's ufunc buffer, as the columns are strided, or the
-    mask that zeroes the upper triangle of its diagonal block; and about 16
-    entries per operator for the views that ``tuple(kraus_ops)`` makes.
-    Before Delta, the finiteness check holds the boolean mask of one
-    `linalg._blocks` block of operators, a byte per element: at most a
-    quarter of the column block's entries, so that block's count covers it.
+    The caller's operators, their stack and Delta, and a block: the
+    conjugated columns of one product of Delta with numpy's ufunc buffer, as
+    the columns are strided, or the mask that zeroes the upper triangle of
+    its diagonal block.  Before Delta, the finiteness check holds the boolean
+    mask of one `linalg._blocks` block of operators, a byte per element: at
+    most a quarter of the column block's entries, so that block's count
+    covers it.  A stack passed in is checked where it lies: it is held beside
+    Delta and a block, then beside its copy, never all three, so this count
+    bounds it too.
     """
-    return n * (mp * m + 16) + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
+    return 2 * n * mp * m + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
 
 
 def _completeness_defect(stack: np.ndarray) -> np.ndarray:
@@ -302,13 +310,13 @@ def _check_build(name: str, n: int, mp: int, m: int, draw: int = 0, **sizes: int
     """Refuse sizes below 1, then a build peak above the cap, before a constructor allocates.
 
     The peak is the larger of the draw phase, ``draw`` entries beside a QR's
-    workspace, and the n M' x M operators beside their construction
+    workspace, and the construction of n M' x M operators
     (`_construction_entries`).
     """
     if min(sizes.values()) < 1:
         got = ", ".join(f"{key}={value}" for key, value in sizes.items())
         raise ValueError(f"{name} channel needs sizes >= 1, got {got}")
-    peak = max(draw + np.getbufsize(), n * mp * m + _construction_entries(n, mp, m))
+    peak = max(draw + np.getbufsize(), _construction_entries(n, mp, m))
     linalg.check_entries(peak, f"building a {name} channel of {n} {mp} x {m} Kraus operators")
 
 
@@ -351,11 +359,17 @@ def depolarizing(p: float, dim: int = 2) -> KrausChannel:
 
 
 def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> KrausChannel:
-    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries."""
-    # the draw phase: the last draw beside the unitaries
+    """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries.
+
+    Each scaled unitary is written into its slot of one stack, which is
+    allocated before the first draw.
+    """
+    # the draw phase: a draw beside the whole stack
     draw = count * dim * dim + linalg._haar_entries(dim, dim)
     _check_build("random_unitary", count, dim, dim, draw, dim=dim, count=count)
-    ops = [math.sqrt(1.0 / count) * linalg.haar_unitary(dim, rng) for _ in range(count)]
+    ops = np.empty((count, dim, dim), dtype=np.complex128)
+    for slot in ops:
+        np.multiply(linalg.haar_unitary(dim, rng), math.sqrt(1.0 / count), out=slot)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
 

@@ -199,8 +199,9 @@ def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_entries(dim: int, cols: int) -> int:
     """Peak entries per matrix of `haar_isometries` of `ginibre`, the normals included."""
-    # the normals' buffer, QR's copy (then the isometries), Q and R (3.0-3.1 dim*cols + cols^2)
-    return 3 * dim * cols + cols * cols
+    # the normals' buffer, QR's copy (then the isometries), Q and R (3.0-3.1 dim*cols + cols^2),
+    # and the boolean mask, a byte per entry of R, with which np.triu forms R
+    return 3 * dim * cols + cols * cols + -(-cols * cols // 16)
 
 
 def ginibre(normals: np.ndarray) -> np.ndarray:

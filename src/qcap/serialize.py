@@ -75,7 +75,7 @@ def channel_from_dict(data: Any):
                 f"kraus operator has shape {a.shape}, expected ({output_dim}, {input_dim})"
             )
     return KrausChannel(input_dim=input_dim, output_dim=output_dim,
-                        kraus_ops=tuple(ops), name=str(name))
+                        kraus_ops=ops, name=str(name))
 
 
 def load_channel(path):

@@ -1,6 +1,7 @@
 """Kraus channel algebra, representations and information quantities."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -87,6 +88,56 @@ def test_kraus_stack_is_stored_once_and_read_only():
     # a stack passed in is copied too
     again = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=stack)
     assert not np.shares_memory(again.kraus_ops, stack)
+
+
+# 64 operators I/8 of 64 x 64, a 4 MiB stack whose sum A^dagger A is exactly 1
+def eighths() -> np.ndarray:
+    return np.tile(np.eye(64, dtype=np.complex128) / 8, (64, 1, 1))
+
+
+def traced_peak(step) -> int:
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry, match", [(np.nan, "non-finite entries"),
+                                          (1.0, "not trace-nonincreasing")],
+                         ids=["non-finite", "overcomplete"])
+def test_refused_stack_is_never_copied(entry, match):
+    # a stack is checked where it lies: Delta, a block and an eigensolve, far below one stack
+    stack = eighths()
+    stack[0, 0, 0] = entry
+
+    def build():
+        with pytest.raises(InvariantViolationError, match=match):
+            qch.KrausChannel(input_dim=64, output_dim=64, kraus_ops=stack)
+
+    assert traced_peak(build) < stack.nbytes
+
+
+def test_sequence_is_stacked_once():
+    ops = list(eighths())
+    built = []
+    peak = traced_peak(lambda: built.append(qch.KrausChannel(input_dim=64, output_dim=64,
+                                                             kraus_ops=ops)))
+    stack = built[0].kraus_ops
+    assert stack.base is None and not any(np.shares_memory(stack, op) for op in ops)
+    assert stack.nbytes < peak < 2 * stack.nbytes, peak / stack.nbytes
+
+
+@pytest.mark.parametrize("ops, wrong", [
+    (np.eye(2, dtype=complex), (2,)),                         # a 2-d array: its rows
+    (np.zeros((2, 3, 2), dtype=complex), (3, 2)),             # a stack of 3 x 2 operators
+    ((np.eye(2), np.eye(3)), (3, 3)),                         # a ragged sequence
+], ids=["2-d", "stack", "ragged"])
+def test_operator_shape_is_checked_before_stacking(ops, wrong):
+    with pytest.raises(InvariantViolationError,
+                       match=re.escape(f"Kraus operator shape {wrong} != (2, 2)")):
+        qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
 
 
 # ---------------------------------------------------------------- blocked passes
@@ -602,6 +653,34 @@ def test_depolarizing_cap_is_checked_before_any_operator(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("build, largest", [
+    (lambda size, rng: qch.identity_channel(size), 4375),
+    (lambda size, rng: qch.depolarizing(0.3, size), 72),
+    (lambda size, rng: qch.random_unitary_channel(size, 2, rng), 3326),
+    (lambda size, rng: qch.random_unitary_channel(64, size, rng), 7280),
+    (lambda size, rng: qch.haar_random_channel(64, 64, size, rng), 5460),
+    (lambda size, rng: qch.haar_random_channel(1, size, 16, rng), 1397930),
+], ids=["identity:M", "depolarizing:P,M", "random_unitary:M,2", "random_unitary:64,N",
+        "haar_random:64,64,N", "haar_random:1,M',16"])
+def test_largest_builtin_sizes_accepted_by_the_cap(monkeypatch, rng, build, largest):
+    # the README's largest accepted sizes, decided by each constructor's own
+    # `_check_build`; an accepted build stops right after it, before it allocates
+    class Accepted(Exception):
+        pass
+
+    check = qch._check_build
+
+    def check_only(*args, **sizes):
+        check(*args, **sizes)
+        raise Accepted
+
+    monkeypatch.setattr(qch, "_check_build", check_only)
+    with pytest.raises(Accepted):
+        build(largest, rng)
+    with pytest.raises(CapExceededError):
+        build(largest + 1, rng)
 
 
 def test_phase_flip_zero_is_identity():

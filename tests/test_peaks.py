@@ -70,12 +70,22 @@ def assert_prediction_bounds_growth(monkeypatch, step, small, large):
 
 @pytest.mark.parametrize("spec", [
     "identity:640", "identity:768",
-    "depolarizing:0.3,26", "depolarizing:0.3,28",
+    "depolarizing:0.3,28", "depolarizing:0.3,30",
     "haar_random:64,64,96", "haar_random:256,64,24",
     "random_unitary:160,24", "random_unitary:64,128", "random_unitary:512,2",
 ])
 def test_builtin_construction_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
+
+
+def test_stack_construction_peak(monkeypatch):
+    # a fresh 16 MiB stack of four 512 x 512 operators is held beside Delta (4 MiB)
+    # and a block, then beside its copy, never beside all three
+    stack = qch.random_unitary_channel(512, 4, np.random.default_rng(1)).kraus_ops
+    peak, predicted = traced(monkeypatch, lambda: qch.KrausChannel(
+        input_dim=512, output_dim=512, kraus_ops=stack.copy()))
+    assert 16 * MIB <= peak < 2 * stack.nbytes + 16 * 512 * 512, peak / MIB
+    assert predicted / 3 <= peak <= predicted, (peak / MIB, predicted / MIB)
 
 
 def rebuilt(ch):
