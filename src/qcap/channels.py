@@ -17,6 +17,13 @@ check, the Gram spectrum and minimal Kraus family, the uniform-input
 report, N(pi) with S_e read from the Kraus weights, and the builtin
 families, each of which refuses sizes below 1 and its build peak above the
 entry cap (`_check_build`) before it allocates.
+
+Each Hermitian product of a Kraus stack is formed once, as its lower
+triangle, the half that eigh and eigvalsh read: the one A^dagger A kernel
+(`_lower_product`) forms the completeness defect and the Gram matrix, and
+the one A A^dagger kernel (`_uniform_output`) forms N(pi) and the weight
+groups' factors.  N(pi)'s spectrum is decided once, by one eigvalsh
+(`_output_spectrum`).
 """
 
 from __future__ import annotations
@@ -49,15 +56,15 @@ class KrausChannel:
     complex128 stack that no caller shares: a C-contiguous complex128 array
     of that shape is checked where it lies and copied once, after Delta is
     released, and any other array or sequence of operators is stacked once
-    into it.  Every channel is checked once, here: the defect
-    Delta = sum A^dagger A - 1 is formed once, and a Frobenius norm
-    ||Delta||_F below 1e-10 (less a rounding margin) certifies without an
-    eigensolve that every |eigenvalue| is within 1e-10; a larger norm (every
-    trace-decreasing family, and defects near the tolerance) falls back to
-    `eigvalsh`.  A family with an eigenvalue above 1e-10 is rejected, and
-    ``trace_preserving`` records whether all of them lie within 1e-10.  The
-    operators' shape, then the whole construction (`_construction_entries`),
-    are checked first.
+    into it.  Every channel is checked once, here: the lower triangle of the
+    defect Delta = sum A^dagger A - 1 (`_lower_product`) is formed once, and
+    a Frobenius norm ||Delta||_F below 1e-10 (less a rounding margin)
+    certifies without an eigensolve that every |eigenvalue| is within 1e-10;
+    a larger norm (every trace-decreasing family, and defects near the
+    tolerance) falls back to `eigvalsh`.  A family with an eigenvalue above
+    1e-10 is rejected, and ``trace_preserving`` records whether all of them
+    lie within 1e-10.  The operators' shape, then the whole construction
+    (`_construction_entries`), are checked first.
     """
 
     input_dim: int
@@ -83,7 +90,8 @@ class KrausChannel:
         if not all(np.isfinite(stack[block]).all() for block in linalg._blocks(n)):
             raise InvariantViolationError("Kraus operator has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):     # an overflow is refused below
-            delta = _completeness_defect(stack)
+            delta = _lower_product(stack.reshape(-1, m))
+            delta[np.diag_indices(m)] -= 1.0
             fro_sq = _lower_norm_sq(delta)
         lo = hi = 0.0
         if not math.isfinite(fro_sq):       # sum A^dagger A, or its norm, overflowed
@@ -122,58 +130,53 @@ def _construction_entries(n: int, mp: int, m: int) -> int:
     return 2 * n * mp * m + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
 
 
-def _completeness_defect(stack: np.ndarray) -> np.ndarray:
-    """The lower triangle of Delta = sum A^dagger A - 1 of an (N, M', M) Kraus stack, zero above.
+def _lower_product(x: np.ndarray) -> np.ndarray:
+    """The lower triangle of x^dagger x for a 2-d x, zero above: the one A^dagger A kernel.
 
-    The lower triangle is all that eigvalsh reads.  Each of the `linalg._blocks`
-    of rows is one product of a conjugated column block of the stacked
-    operators with the stack's columns up to the block's last, so no pass
-    holds a conjugated copy of the whole stack; the triangle has the bits of
-    one product, and the identity is subtracted in place.
+    Each of the `linalg._blocks` of rows is one product of a conjugated
+    column block of x with x's columns up to the block's last, so no pass
+    holds a conjugated copy of x whole, and the upper corner of its diagonal
+    block is zeroed; the triangle has the bits of one product.  eigh and
+    eigvalsh read only the lower triangle, and `_lower_norm_sq` takes the
+    Hermitian matrix's norm from it.  Of the (N M', M) stacked operators it
+    is sum A^dagger A; of the (M'M, N) flattened operators, the Gram matrix.
     """
-    m = stack.shape[-1]
-    flat = stack.reshape(-1, m)
-    delta = np.zeros((m, m), dtype=np.complex128)
-    for rows in linalg._blocks(m):
-        np.matmul(flat[:, rows].conj().T, flat[:, :rows.stop], out=delta[rows, :rows.stop])
-        corner = delta[rows, rows]
+    cols = x.shape[-1]
+    lower = np.zeros((cols, cols), dtype=np.complex128)
+    for rows in linalg._blocks(cols):
+        np.matmul(x[:, rows].conj().T, x[:, :rows.stop], out=lower[rows, :rows.stop])
+        corner = lower[rows, rows]
         corner[~np.tri(len(corner), dtype=bool)] = 0.0
-    delta[np.diag_indices(m)] -= 1.0
-    return delta
+    return lower
 
 
-def _lower_norm_sq(delta: np.ndarray) -> float:
-    """||H||_F^2 of the Hermitian H whose lower triangle is delta's (`_completeness_defect`).
+def _lower_norm_sq(lower: np.ndarray) -> float:
+    """||H||_F^2 of the Hermitian H whose lower triangle is ``lower``'s (`_lower_product`).
 
     2 ||strict lower triangle||_F^2 + ||diagonal||^2, with the bits of the
-    norms of ``np.tril(delta, -1)`` and of the diagonal but without a copy of
-    delta: its diagonal is set aside while the norm of the rest runs.
+    norms of ``np.tril(lower, -1)`` and of the diagonal but without a copy of
+    it: its diagonal is set aside while the norm of the rest runs.
     """
-    diagonal = np.diagonal(delta).copy()
-    np.fill_diagonal(delta, 0.0)
-    strict = np.linalg.norm(delta)
-    np.fill_diagonal(delta, diagonal)
-    return 2.0 * strict ** 2 + np.linalg.norm(diagonal) ** 2
+    diagonal = np.diagonal(lower).copy()
+    np.fill_diagonal(lower, 0.0)
+    strict = np.linalg.norm(lower)
+    np.fill_diagonal(lower, diagonal)
+    return float(2.0 * strict ** 2 + np.linalg.norm(diagonal) ** 2)
 
 
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
-    """Hermitian N x N matrix of overlaps tr(A_i^dagger A_j).
+    """The lower triangle of the N x N Gram matrix tr(A_i^dagger A_j), zero above.
 
-    Each of the `linalg._blocks` of rows is one GEMM of a conjugated block of
-    the (N, M'M) flattened operators with the flattened stack, with the bits
-    of one product.  The GEMMs run on one BLAS thread: OpenBLAS rounds some
-    shapes differently on two (40 operators of 17 x 33, for one).
+    `_lower_product` of the (M'M, N) flattened operators, on one BLAS
+    thread: OpenBLAS rounds some shapes differently on two (40 operators of
+    17 x 33, for one).
     """
     n = len(ch)
     # the result, a conjugated block of operators, and an eigensolver's copy of the result
     linalg.check_entries(2 * n * n + linalg._widest_block(n) * ch.output_dim * ch.input_dim,
                          f"Gram matrix of {n} Kraus operators")
-    flat = ch.kraus_ops.reshape(n, -1)
-    gram = np.empty((n, n), dtype=np.complex128)
     with linalg.one_blas_thread():
-        for rows in linalg._blocks(n):
-            np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
-    return gram
+        return _lower_product(ch.kraus_ops.reshape(n, -1).T)
 
 
 def _nonzero(spectrum: np.ndarray) -> np.ndarray:
@@ -248,52 +251,66 @@ class ChannelInfoReport(NamedTuple):
 def classify(ch: KrausChannel) -> ChannelInfoReport:
     """Structural flags plus the information quantities at the uniform input.
 
-    Read from the `minimal_kraus` weights and N(pi), as `typicality`'s reduced
-    series reads them (`_info_report`).  Length: the `_nonzero` weights;
-    uniform: they agree to relative deviation 1e-9;
+    Read from the `minimal_kraus` weights and N(pi)'s `_output_spectrum`, as
+    `typicality`'s reduced series reads them (`_info_report`).  Length: the
+    `_nonzero` weights; uniform: they agree to relative deviation 1e-9;
     unital: N(pi) is maximally mixed (trace-norm deviation <= 1e-9).  S_e is
     their Shannon entropy, I = S(N(pi)) - S_e; both are None when trace-decreasing.
     """
-    return _info_report(ch, minimal_kraus(ch)[1], _uniform_output(ch.kraus_ops))
+    return _info_report(ch, minimal_kraus(ch)[1], _output_spectrum(_uniform_output(ch.kraus_ops)))
 
 
 def _uniform_output(stack: np.ndarray) -> np.ndarray:
-    """The one A A^dagger kernel: V V^dagger / M, V = [A_1 ... A_N] of an (N, M', M) Kraus stack.
+    """The lower triangle of V V^dagger / M, V = [A_1 ... A_N] of an (N, M', M) stack, zero above.
 
-    Of a channel's stack it is N(pi).  Block (r, c) of the
-    `linalg._blocks` of output rows and columns is one product of rows r of
-    V with conjugated rows c, each gathered from views of the stack, so no
-    pass holds V or its conjugate whole; the bits are those of one product.
+    The one A A^dagger kernel; of a channel's stack it is N(pi).  Block
+    (r, c), c <= r, of the `linalg._blocks` of output rows and columns is one
+    product of rows r of V with conjugated rows c, each gathered from views
+    of the stack, so no pass holds V or its conjugate whole, and the upper
+    corner of each diagonal block is zeroed; the bits are those of one
+    product.
     """
     n, mp, m = stack.shape
     width = linalg._widest_block(mp)
     # the result beside a row block of V and a conjugated one, then beside an
     # eigensolver's copy
     linalg.check_entries(2 * width * n * m + 2 * mp * mp, f"classifying a {m} -> {mp} channel")
-    image = np.empty((mp, mp), dtype=np.complex128)
+    image = np.zeros((mp, mp), dtype=np.complex128)
     rows = np.empty((width, n, m), dtype=np.complex128)
     cols = np.empty_like(rows)
-    for c in linalg._blocks(mp):
+    blocks = linalg._blocks(mp)
+    for j, c in enumerate(blocks):
         v_c = cols[:c.stop - c.start]
         v_c[...] = stack[:, c].transpose(1, 0, 2)
         np.conjugate(v_c, out=v_c)
-        for r in linalg._blocks(mp):
+        for r in blocks[j:]:
             v_r = rows[:r.stop - r.start]
             v_r[...] = stack[:, r].transpose(1, 0, 2)
             np.matmul(v_r.reshape(-1, n * m), v_c.reshape(-1, n * m).T, out=image[r, c])
+        corner = image[c, c]
+        corner[~np.tri(len(corner), dtype=bool)] = 0.0
     image /= m
     return image
 
 
-def _info_report(ch: KrausChannel, weights: np.ndarray, out: np.ndarray) -> ChannelInfoReport:
-    """The `classify` report from the `minimal_kraus` weights and N(pi) = ``out``.
+def _output_spectrum(out: np.ndarray) -> np.ndarray:
+    """N(pi)'s spectrum, ascending, from its lower triangle ``out`` (`_uniform_output`).
 
-    One eigvalsh decides N(pi)'s spectrum: unital is sum |lambda - 1/M'| <= 1e-9,
-    and S(N(pi)) is its Shannon entropy, whose sum check is the trace check.
+    The one decision of it: one eigvalsh on one BLAS thread, clamped by
+    `linalg._clamped_spectrum`.
+    """
+    with linalg.one_blas_thread():
+        return linalg._clamped_spectrum(np.linalg.eigvalsh(out))
+
+
+def _info_report(ch: KrausChannel, weights: np.ndarray, spectrum: np.ndarray) -> ChannelInfoReport:
+    """The `classify` report from the `minimal_kraus` weights and N(pi)'s `_output_spectrum`.
+
+    Unital is sum |lambda - 1/M'| <= 1e-9, and S(N(pi)) is the spectrum's
+    Shannon entropy, whose sum check is the trace check.
     """
     nz = weights[_nonzero(weights)]
     uniform = bool(nz.size) and float((np.max(nz) - np.min(nz)) / np.max(nz)) <= UNIFORM_RTOL
-    spectrum = linalg._psd_spectrum(out)
     unital = float(np.sum(np.abs(spectrum - 1.0 / ch.output_dim))) <= UNITAL_ATOL
     s_out = s_e = info = None
     if ch.trace_preserving:
@@ -374,15 +391,15 @@ def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> Kr
 
 
 def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
-                        rng: np.random.Generator, name: str = "haar_random") -> KrausChannel:
+                        rng: np.random.Generator) -> KrausChannel:
     """Trace-preserving channel from a Haar-random Stinespring isometry."""
-    _check_build(name, kraus_count, output_dim, input_dim,
+    _check_build("haar_random", kraus_count, output_dim, input_dim,
                  linalg._haar_entries(output_dim * kraus_count, input_dim),
                  input_dim=input_dim, output_dim=output_dim, kraus_count=kraus_count)
     if output_dim * kraus_count < input_dim:
         raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
-    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name=name,
+    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name="haar_random",
                       kraus_ops=v.reshape(kraus_count, output_dim, input_dim))
     if not ch.trace_preserving:
         raise InvariantViolationError("map is not an isometry within tolerance")

@@ -149,11 +149,13 @@ def _n_range(args: argparse.Namespace) -> range:
 
 # ------------------------------------------------------------------ subcommands
 
-def cmd_info(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+# a command's record, without its config, and its CSV header and rows
+_Report = tuple[dict, list[str], list[list]]
+
+
+def cmd_info(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     report = qch.classify(ch)
-    record = {"config": _config_record(args), "channel_name": ch.name,
-              "input_dim": ch.input_dim, "output_dim": ch.output_dim,
+    record = {"channel_name": ch.name, "input_dim": ch.input_dim, "output_dim": ch.output_dim,
               "report": report}
     header = ["is_trace_preserving", "is_unital", "is_uniform", "length",
               "output_entropy", "entropy_exchange", "coherent_information"]
@@ -161,8 +163,7 @@ def cmd_info(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     return record, header, [row]
 
 
-def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+def cmd_bound(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, code_dim="--code-dim")
     if not 1 <= args.code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
@@ -172,12 +173,11 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
     values = rc.bound_values(ch, args.code_dim, samples, args.master_seed)
     header = ["sample", *codes.BOUND_COLUMNS]
     rows = [[i, *row] for i, row in enumerate(values.tolist())]
-    record = {"config": _config_record(args), "reports": [dict(zip(header, r)) for r in rows]}
+    record = {"reports": [dict(zip(header, r)) for r in rows]}
     return record, header, rows
 
 
-def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+def cmd_ensemble(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, code_dim="--code-dim", samples="--samples")
     k, n, seed = args.code_dim, args.samples, args.master_seed
     d2_mc, bound_mc = rc.mc_code_values(ch, k, n, seed)
@@ -186,7 +186,6 @@ def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]
     d2_pass = abs(d2_mc.mean - d2_exact) <= max(4.0 * d2_mc.std_error, 1e-12)
     bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
     record = {
-        "config": _config_record(args),
         "deviation_sq": {"estimate": d2_mc, "closed_form": d2_exact,
                          "upper_bound": closed.upper_bound, "pass": d2_pass},
         "fidelity_bound": {"estimate": bound_mc, "closed_form": bound_analytic,
@@ -201,19 +200,16 @@ def cmd_ensemble(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]
     return record, header, rows
 
 
-def cmd_moments(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+def cmd_moments(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, samples="--samples")
     report = rc.haar_moment_suite(ch.input_dim, args.samples, args.master_seed)
-    record = {"config": _config_record(args), "report": report,
-              "all_pass": report.all_pass}
+    record = {"report": report, "all_pass": report.all_pass}
     header = ["name", "estimate", "std_error", "target", "passed"]
     rows = [[c.name, c.estimate, c.std_error, c.target, c.passed] for c in report.checks]
     return record, header, rows
 
 
-def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+def cmd_typicality(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     eps = _epsilon(args)
     ns = _n_range(args)
     verification = tp.verify_reduction_bounds(ch, ns, eps)
@@ -222,7 +218,6 @@ def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list
     entropy = verification.info.entropy_exchange
     reports = verification.reports
     record = {
-        "config": _config_record(args),
         "kraus_weights": list(map(float, verification.weights)),
         "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
                               "mass": r.typical_transmission, "entropy": entropy}
@@ -243,14 +238,12 @@ def cmd_typicality(args: argparse.Namespace) -> tuple[dict, list[str], list[list
     return record, header, rows
 
 
-def cmd_rate_demo(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    ch = resolve_channel(args)
+def cmd_rate_demo(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, rate="--rate")
     eps = _epsilon(args)
     ns = _n_range(args)
     table = tp.achievable_rate_table(ch, args.rate, eps, ns)
     record = {
-        "config": _config_record(args),
         "coherent_information": table.info.coherent_information,
         "geometric_decay_expected": table.geometric_decay_expected,
         "rows": table.rows,
@@ -288,7 +281,9 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def run(args: argparse.Namespace) -> str:
-    record, header, rows = _COMMANDS[args.subcommand](args)
+    """The command's rendered report: its channel resolved first, its config record added last."""
+    record, header, rows = _COMMANDS[args.subcommand](args, resolve_channel(args))
+    record["config"] = _config_record(args)
     if args.output_format == "csv":
         return render_csv(header, rows)
     return serialize.canonical_json(record)

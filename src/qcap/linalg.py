@@ -7,7 +7,10 @@ RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
 Every LAPACK call in the package (eigensolvers and QR) runs under
 `one_blas_thread`, so its bits do not depend on the BLAS thread count; so do
 the GEMMs of the Gram matrix and of the reduced reports' type blocks, which
-OpenBLAS rounds differently on two threads at some shapes.
+OpenBLAS rounds differently on two threads at some shapes.  A Hermitian
+matrix is held as its lower triangle, the half that eigh and eigvalsh read,
+so it is Hermitian by construction and nothing here checks that; a spectrum
+of a positive semidefinite one is only clamped (`_clamped_spectrum`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from .errors import CapExceededError, InvariantViolationError
 # element counts as one entry.
 ENTRY_CAP = 1 << 26
 
-# `is_hermitian` compares this many entries of m and m^dagger at a time
-_HERMITIAN_BLOCK = 1 << 16
-
 # OpenBLAS rounds a row or column differently when it falls in a partial
 # register tile at a product's edge.  Panels padded to a multiple of this
 # width, and blocks that start at one, put every row and column in the tiles
@@ -38,19 +38,8 @@ _TILE = 16
 # `_blocks` splits a dimension into at most this many
 _MAX_BLOCKS = 4
 
-HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvariantViolationError("matrix contains non-finite entries")
-    return m
 
 
 def as_power_of_two(x: int) -> str:
@@ -114,20 +103,6 @@ def one_blas_thread():
         threads[1](count)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """Whether m is square and every entry of m - m^dagger is within 1e-10.
-
-    Row blocks of m are compared with the column blocks of m^dagger that they
-    meet, so the temporaries are a block of `_HERMITIAN_BLOCK` entries, not
-    the whole matrix.
-    """
-    if m.shape[0] != m.shape[1]:
-        return False
-    rows = max(1, _HERMITIAN_BLOCK // len(m))
-    return all(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T)) <= HERMITICITY_ATOL
-               for i in range(0, len(m), rows))
-
-
 def _blocks(n: int) -> list[slice]:
     """At most `_MAX_BLOCKS` slices that cover range(n), each starting at a multiple of `_TILE`.
 
@@ -154,16 +129,6 @@ def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
             f"operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
         )
     return np.maximum(w, 0.0)
-
-
-def _psd_spectrum(m) -> np.ndarray:
-    """One eigvalsh's `_clamped_spectrum` of a matrix that must be Hermitian within 1e-10."""
-    m = as_matrix(m)
-    if not is_hermitian(m):
-        raise InvariantViolationError("density operator is not Hermitian")
-    with one_blas_thread():
-        w = np.linalg.eigvalsh(m)
-    return _clamped_spectrum(w)
 
 
 def assert_distribution(weights) -> np.ndarray:

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes, linalg
-from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _nonzero, _uniform_output,
-                       gram_matrix)
+from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _lower_norm_sq, _nonzero,
+                       _uniform_output, gram_matrix)
 from .errors import InvariantViolationError
 from .linalg import _power_of_two
 
@@ -138,7 +138,7 @@ class ClosedForms(NamedTuple):
 
 
 def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
-    """All ensemble closed forms from one N(pi) (`_uniform_output`) and one Gram matrix.
+    """All ensemble closed forms from the lower triangles of N(pi) and of the Gram matrix.
 
     N(pi) = V V^dagger / M with V = [A_1 ... A_N], so
     sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
@@ -152,9 +152,9 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     if not 1 <= code_dim <= m:
         raise ValueError("need 1 <= code_dim <= input_dim")
     image = _uniform_output(ch.kraus_ops)
-    fro_sq = float(np.sum(np.abs(image) ** 2))
+    fro_sq = _lower_norm_sq(image)
     gram = gram_matrix(ch)
-    sum_tr = float(np.sum(np.abs(gram) ** 2))
+    sum_tr = _lower_norm_sq(gram)
     deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
     transmission = float(np.real(np.trace(image)))
     length = int(np.count_nonzero(_nonzero(_gram_spectrum(gram)[0])))

@@ -29,8 +29,11 @@ so one contraction and one peak prediction (`_checked_types`, in k = 1 for
 vectors and k = 2 for matrices) serve both.
 
 A series also builds the channel's `classify` report, from the same weights
-and N(pi) as `info` (`channels._info_report`): the S_e, S(N(pi)) and I(pi, N)
-that `typicality` and `rate-demo` read are the bits that `info` prints.
+and N(pi) spectrum as `info` (`channels._info_report`,
+`channels._output_spectrum`): the S_e, S(N(pi)) and I(pi, N) that
+`typicality` and `rate-demo` read are the bits that `info` prints, and the
+output groups and typical output window read that spectrum and that
+S(N(pi)); eigh of N(pi) gives only the eigenbasis.
 
 Typicality is decided in one place, `_typical_classes`, per type class; its
 inequalities are inclusive (<=).  Typical Kraus classes give a report's count
@@ -48,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .channels import (ChannelInfoReport, KrausChannel, _info_report, _nonzero, _uniform_output,
-                       minimal_kraus)
+from .channels import (ChannelInfoReport, KrausChannel, _info_report, _nonzero, _output_spectrum,
+                       _uniform_output, minimal_kraus)
 from .errors import CapExceededError, InvariantViolationError
 from .linalg import _power_of_two
 
@@ -210,9 +213,10 @@ def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
     """Each weight group's factor F_g = sum_(j in g) A_j A_j^dagger / M in the output eigenbasis U.
 
     F_g is `_uniform_output` of the group's operators rotated by U^dagger, so
-    the one A A^dagger kernel forms every factor.  Factors that are
-    `_all_diagonal` come back as their (G, M') real diagonals, else the
-    (G, M', M') matrices.  `_reduced_series` checks the step's peak before
+    the one A A^dagger kernel forms every factor's lower triangle.  Factors
+    that are `_all_diagonal` come back as their (G, M') real diagonals, else
+    the (G, M', M') matrices, each upper half filled in with the conjugate
+    transpose of its lower.  `_reduced_series` checks the step's peak before
     it forms N(pi).
     """
     adjoint = basis.conj().T
@@ -221,6 +225,8 @@ def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
         factor[...] = _uniform_output(adjoint @ stack[group])
     if _all_diagonal(factors):
         return np.ascontiguousarray(np.real(np.einsum("jaa->ja", factors)))
+    for factor in factors:
+        factor += np.tril(factor, -1).conj().T
     return factors
 
 
@@ -461,9 +467,10 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     alone, and so are more than 2^16 kept Kraus compositions in all, at most
     C(r + G, G) per n over G groups (this bounds a one-dimensional output).
     The top n's report is built first, so its peak is checked before any
-    other report is built.  The report's eigvalsh gives S(N(pi)) `info`'s
-    bits; one eigh gives the eigenbasis and output classes, read at its own
-    entropy.  The Kraus classes read `info`'s S_e.
+    other report is built.  N(pi)'s one spectrum (`channels._output_spectrum`)
+    gives the report, the output groups and, at `info`'s S(N(pi)), the
+    typical output window; eigh gives only the eigenbasis.  The Kraus
+    classes read `info`'s S_e.
     """
     ns, top = _block_lengths(ns)
     log2_half = (top - top // 2) * math.log2(ch.output_dim)
@@ -477,22 +484,21 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         raise InvariantViolationError("epsilon must be positive")
     kraus_groups, mp, m = _weight_groups(weights), ch.output_dim, ch.input_dim
     widest = max(group.size for group in kraus_groups)
-    # `_group_factors`: the factors, U^dagger and a factor being formed, beside N(pi)
-    # and U; one group's gathered and rotated operators and `_uniform_output`'s
-    # blocks; `_all_diagonal`'s block temporary
+    # `_group_factors`, with N(pi) released: the factors, U and U^dagger, a factor
+    # being formed or two temporaries filling one in; one group's gathered and
+    # rotated operators and `_uniform_output`'s blocks; `_all_diagonal`'s block temporary
     linalg.check_entries((len(kraus_groups) + 4 + linalg._widest_block(len(kraus_groups)))
                          * mp * mp + 2 * widest * m * (mp + linalg._widest_block(mp)),
                          f"output factor matrices of {len(kraus_groups)} weight groups")
     rho_out = _uniform_output(ch.kraus_ops)
-    info = _info_report(ch, weights, rho_out)
+    spectrum = _output_spectrum(rho_out)
+    info = _info_report(ch, weights, spectrum)
     with linalg.one_blas_thread():
-        spectrum, basis = np.linalg.eigh(rho_out)
-    spectrum = np.maximum(spectrum, 0.0)
-    spectrum /= np.sum(spectrum)
-    output_entropy = linalg.shannon_entropy(spectrum)
+        basis = np.linalg.eigh(rho_out)[1]
+    del rho_out
     output_groups = _weight_groups(spectrum)
     factors = _group_factors(stack, basis, kraus_groups)
-    del stack, rho_out, basis       # the reports read the factors alone
+    del stack, basis                # the reports read the factors alone
 
     kept = 0
     for n in ns:
@@ -505,7 +511,7 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     reports = {}
     for n in sorted(set(ns), key=lambda n: (n != top, n)):      # the top n first
         classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
-        output_classes = _typical_classes(spectrum, output_groups, output_entropy, n, eps)
+        output_classes = _typical_classes(spectrum, output_groups, info.output_entropy, n, eps)
         count = sum(c.sequence_count for c in classes)
         transmission = frobenius_sq = 0.0
         if count:

@@ -5,12 +5,16 @@ way, on full matrices: a channel's action, tensor powers and sub-channels,
 the entropy exchange through the W matrix and through a purification, the
 entanglement fidelity, the transpose-channel recovery, and extensional
 channel equality.  The package computes what the commands need with one
-kernel per quantity (`channels._uniform_output`, `channels.minimal_kraus`,
-`codes._deviation_batch`, `codes._trace_norms`); the tests compare the two.
+kernel per quantity (`channels._lower_product`, `channels._uniform_output`,
+`channels.minimal_kraus`, `codes._deviation_batch`, `codes._trace_norms`);
+the tests compare the two.
 The one-product forms of the passes the package forms in blocks (Delta,
-N(pi), the Gram matrix) are kept here too, as the bits each blocked pass
-must reproduce, and the per-operator output factor matrices that each
-weight group's factor sums.
+N(pi), the Gram matrix) are kept here too, whole, as the bits whose lower
+triangle each blocked pass must reproduce, and the per-operator output
+factor matrices that each weight group's factor sums.  The package holds
+its Hermitian matrices as lower triangles and checks none of them; the
+reference paths here take any matrix, so they keep short, unblocked
+density checks of their own (`as_matrix`, `is_hermitian`, `psd_spectrum`).
 The per-operator lists that the builtin constructors once built
 (`weyl_kraus_ops`, `scaled_unitaries`) are the bits of their stacks, or
 for the depolarizing channel, its values to rounding.  The decay rate
@@ -36,9 +40,32 @@ from qcap.errors import InvariantViolationError
 
 # ------------------------------------------------------------------ matrices and states
 
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-d complex128 array."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvariantViolationError("matrix contains non-finite entries")
+    return m
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    """Whether m is square and every entry of m - m^dagger is within 1e-10."""
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= 1e-10
+
+
+def psd_spectrum(m) -> np.ndarray:
+    """The clamped eigvalsh spectrum of a matrix that must be Hermitian within 1e-10."""
+    m = as_matrix(m)
+    if not is_hermitian(m):
+        raise InvariantViolationError("density operator is not Hermitian")
+    return linalg._clamped_spectrum(np.linalg.eigvalsh(m))
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product under the entry cap; its peak is the product itself."""
-    a, b = linalg.as_matrix(a), linalg.as_matrix(b)
+    a, b = as_matrix(a), as_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     linalg.check_entries(rows * cols, f"Kronecker product {linalg.as_power_of_two(rows)} x "
                                       f"{linalg.as_power_of_two(cols)}")
@@ -51,7 +78,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
     ``keep`` selects the surviving factor, "A" or "B".  The full trace is
     preserved: trace(partial_trace(m)) == trace(m).
     """
-    m = linalg.as_matrix(m)
+    m = as_matrix(m)
     if m.shape[0] != m.shape[1] or m.shape[0] != dim_a * dim_b:
         raise ValueError(
             f"operator shape {m.shape} incompatible with dims ({dim_a}, {dim_b})"
@@ -71,22 +98,22 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     h == V diag(w) V^dagger up to reconstruction error <= 1e-9 * ||h||_F.
     Rejects inputs that are not Hermitian within 1e-10.
     """
-    h = linalg.as_matrix(h)
-    if not linalg.is_hermitian(h):
+    h = as_matrix(h)
+    if not is_hermitian(h):
         raise InvariantViolationError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(h)
 
 
 def assert_density_operator(rho) -> np.ndarray:
     """Validate a density operator: Hermitian, and its spectrum a distribution (within 1e-10)."""
-    rho = linalg.as_matrix(rho)
-    linalg.assert_distribution(linalg._psd_spectrum(rho))
+    rho = as_matrix(rho)
+    linalg.assert_distribution(psd_spectrum(rho))
     return rho
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy of a density operator in bits: the Shannon entropy of its one-eigvalsh spectrum."""
-    return linalg.shannon_entropy(linalg._psd_spectrum(rho))
+    return linalg.shannon_entropy(psd_spectrum(rho))
 
 
 def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
@@ -96,7 +123,7 @@ def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
     R (x) Q (reference-major layout) is ``Psi.ravel()`` and satisfies
     tr_R |psi><psi| = rho and tr_Q |psi><psi| = diag of the kept eigenvalues.
     """
-    rho = linalg.as_matrix(rho)
+    rho = as_matrix(rho)
     w, v = eigh(rho)
     w = linalg._clamped_spectrum(w)
     keep = w > rank_tol
@@ -128,7 +155,9 @@ def completeness_defect_bounds(stack: np.ndarray) -> tuple[float, float]:
     The eigvalsh oracle for construction's decision, from the same Delta; it
     takes a stack so that it also reaches families construction rejects.
     """
-    w = np.linalg.eigvalsh(qch._completeness_defect(stack))
+    delta = qch._lower_product(stack.reshape(-1, stack.shape[-1]))
+    delta[np.diag_indices(len(delta))] -= 1.0
+    w = np.linalg.eigvalsh(delta)
     return float(w[0]), float(w[-1])
 
 
@@ -181,7 +210,7 @@ def minimal_channel(ch: qch.KrausChannel) -> qch.KrausChannel:
 
 def apply(ch: qch.KrausChannel, rho) -> np.ndarray:
     """sum_k A_k rho A_k^dagger; positivity-preserving and trace-nonincreasing."""
-    rho = linalg.as_matrix(rho)
+    rho = as_matrix(rho)
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError(f"state shape {rho.shape} != channel input dim {ch.input_dim}")
     return sum((a @ rho) @ a.conj().T for a in ch.kraus_ops)

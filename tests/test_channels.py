@@ -142,27 +142,47 @@ def test_operator_shape_is_checked_before_stacking(ops, wrong):
 
 # ---------------------------------------------------------------- blocked passes
 
-@pytest.mark.parametrize("spec", [
+# channels whose Kraus passes take more than one of `linalg._blocks`
+_BLOCKED_SPECS = [
     "haar_random:37,45,3,2", "haar_random:100,100,2,9", "haar_random:8,200,3,4",
     "random_unitary:256,2,505",
     # 33 = 2 * 16 + 1: the last row block takes the one row left over
     "haar_random:33,17,40,1",
     # 70 operators: the Gram matrix in three blocks
     "haar_random:4,4,70,3",
-])
+]
+
+
+@pytest.mark.parametrize("spec", _BLOCKED_SPECS)
 def test_blocked_kraus_passes_equal_one_product_bit_for_bit(spec):
     # each pass over the stack, formed in blocks of output rows or columns, gives the
     # bits of its one-product form
     ch = cli._parse_builtin(f"builtin:{spec}", 1)
     n, mp, m = len(ch), ch.output_dim, ch.input_dim
     assert max(len(linalg._blocks(d)) for d in (n, mp, m)) >= 2
-    # Delta's lower triangle, which eigvalsh reads, and zeros above it
-    delta, want = qch._completeness_defect(ch.kraus_ops), oracles.one_product_defect(ch.kraus_ops)
-    assert np.array_equal(delta, np.tril(want))
-    assert qch._lower_norm_sq(delta) == oracles.tril_norm_sq(want)
-    assert np.array_equal(delta, np.tril(want))                 # the norm puts the diagonal back
-    assert np.array_equal(qch._uniform_output(ch.kraus_ops), oracles.one_product_uniform_output(ch))
-    assert np.array_equal(qch.gram_matrix(ch), oracles.one_product_gram(ch))
+    # Delta, N(pi) and the Gram matrix: each one's lower triangle, which eigh and eigvalsh
+    # read, and zeros above it, with the norm of the Hermitian matrix it holds
+    delta = qch._lower_product(ch.kraus_ops.reshape(-1, m))
+    delta[np.diag_indices(m)] -= 1.0
+    for got, want in [(delta, oracles.one_product_defect(ch.kraus_ops)),
+                      (qch._uniform_output(ch.kraus_ops), oracles.one_product_uniform_output(ch)),
+                      (qch.gram_matrix(ch), oracles.one_product_gram(ch))]:
+        assert np.array_equal(got, np.tril(want))
+        assert qch._lower_norm_sq(got) == oracles.tril_norm_sq(want)
+        assert np.array_equal(got, np.tril(want))               # the norm puts the diagonal back
+
+
+@pytest.mark.parametrize("spec", _BLOCKED_SPECS)
+def test_spectra_of_the_triangles_equal_those_of_the_one_product_matrices(spec):
+    # the minimal Kraus weights and N(pi)'s one spectrum, read from the lower triangles,
+    # are eigh's and eigvalsh's of the whole one-product matrices, bit for bit
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    with linalg.one_blas_thread():
+        gram = np.linalg.eigh(oracles.one_product_gram(ch))[0][::-1]
+        out = np.linalg.eigvalsh(oracles.one_product_uniform_output(ch))
+    assert np.array_equal(qch.minimal_kraus(ch)[1], gram[qch._nonzero(gram)] / ch.input_dim)
+    assert np.array_equal(qch._output_spectrum(qch._uniform_output(ch.kraus_ops)),
+                          linalg._clamped_spectrum(out))
 
 
 # ---------------------------------------------------------------- completeness certificate

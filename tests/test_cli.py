@@ -226,15 +226,17 @@ def test_uniform_output_is_formed_once_and_decomposed_once_per_spectrum(monkeypa
 ], ids=["info", "rate-demo", "info-dropped", "typicality-dropped"])
 def test_completeness_defect_is_formed_once_per_channel(monkeypatch, capsys, argv):
     # construction decides trace preservation; nothing downstream builds a channel or forms
-    # sum A^dagger A again, not even for the minimal Kraus family
-    defects, built = [], []
-    defect, post_init = qch._completeness_defect, qch.KrausChannel.__post_init__
-    monkeypatch.setattr(qch, "_completeness_defect", lambda *a: defects.append(1) or defect(*a))
-    monkeypatch.setattr(qch.KrausChannel, "__post_init__",
-                        lambda self, *a: built.append(1) or post_init(self, *a))
+    # sum A^dagger A again, not even for the minimal Kraus family.  The Gram matrix is the
+    # same kernel's product of the (M'M, N) flattened operators, so only the products of
+    # the (N M', M) stacked rows count; N != M in every channel here, so the shapes differ
+    products, built = [], []
+    lower, post_init = qch._lower_product, qch.KrausChannel.__post_init__
+    monkeypatch.setattr(qch, "_lower_product", lambda x: products.append(x.shape) or lower(x))
+    monkeypatch.setattr(qch.KrausChannel, "__post_init__", lambda self, *a: built.append(
+        (len(self.kraus_ops) * self.output_dim, self.input_dim)) or post_init(self, *a))
     code, _, _ = run_cli(capsys, *argv, "--seed", "11")
     assert code == 0
-    assert len(built) == len(defects) == 1, (len(defects), len(built))
+    assert len(built) == 1 and products.count(built[0]) == 1, (products, built)
 
 
 # ---------------------------------------------------------------- grammar
@@ -685,10 +687,10 @@ def test_channel_file_construction_is_a_cap(monkeypatch, tmp_path, capsys):
     oracles.save_channel(qch.KrausChannel(input_dim=1500, output_dim=1, kraus_ops=(functional,)),
                          path)
     monkeypatch.setattr(linalg, "ENTRY_CAP", 1 << 20)
-    defects, defect = [], qch._completeness_defect
-    monkeypatch.setattr(qch, "_completeness_defect", lambda *a: defects.append(1) or defect(*a))
+    products, lower = [], qch._lower_product
+    monkeypatch.setattr(qch, "_lower_product", lambda x: products.append(x.shape) or lower(x))
     code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
-    assert code == 4 and out == "" and not defects
+    assert code == 4 and out == "" and not products
     assert err.count("\n") == 1
     assert "building a 1500 -> 1 channel of 1 Kraus operators" in err and "cap 2^20" in err
 

@@ -219,8 +219,9 @@ def test_gram_matrix_peak(monkeypatch, dims):
 
 
 def test_closed_forms_gram_peak(monkeypatch):
-    # 1600 operators: the Gram matrix's magnitudes, its squares and the diagonal test's
-    # magnitudes stay within the Gram step's count of 2.25 N^2 entries
+    # 1600 operators: the Gram matrix and the diagonal test's magnitudes (1.5 N^2 entries;
+    # its norm is read from the triangle without a temporary) stay within the Gram
+    # step's count of 2.25 N^2 entries
     ch = qch.depolarizing(0.3, 40)
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
 

@@ -15,7 +15,8 @@ import oracles
 
 
 def test_channel_round_trip_is_exact(rng):
-    ch = qch.haar_random_channel(3, 2, 2, rng, name="probe")
+    ops = qch.haar_random_channel(3, 2, 2, rng).kraus_ops
+    ch = qch.KrausChannel(input_dim=3, output_dim=2, kraus_ops=ops, name="probe")
     blob = serialize.canonical_json(oracles.channel_to_dict(ch))
     back = serialize.channel_from_dict(json.loads(blob))
     assert back.name == "probe"

@@ -733,6 +733,22 @@ def test_report_series_equals_single_reports(make_channel):
     assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
 
 
+def test_report_series_reads_one_output_entropy(monkeypatch):
+    # M' = 5 is not the N = 4 Kraus weights' length, so every 5-symbol entropy and
+    # window is N(pi)'s: its entropy is taken once, for the channel report, and every
+    # n's typical output classes are read at that report's S(N(pi))
+    ch = cli._parse_builtin("builtin:haar_random:3,5,4,2", 1)
+    entropies, windows = [], []
+    entropy, classes = linalg.shannon_entropy, tp._typical_classes
+    monkeypatch.setattr(linalg, "shannon_entropy", lambda p: entropies.append(len(p)) or entropy(p))
+    monkeypatch.setattr(tp, "_typical_classes", lambda weights, groups, h, n, eps: (
+        windows.append((len(weights), h)) or classes(weights, groups, h, n, eps)))
+    verification = tp.verify_reduction_bounds(ch, range(1, 5), 0.2)
+    assert entropies.count(5) == 1
+    assert [h for size, h in windows if size == 5] == [verification.info.output_entropy] * 4
+    assert any(rep.transmission for rep in verification.reports)
+
+
 def test_report_series_refuses_a_capped_range_before_any_report():
     # n = 22..42 fit the diagonal branch, n = 43 does not: the series checks its top n
     # first, from its half-block dimension alone, then from its predicted peak
