@@ -77,7 +77,14 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     if len(parts) != 3:
         raise FormatError("builtin channel spec must look like builtin:name:params")
     _, name, raw = parts
-    params = [p for p in raw.split(",") if p]
+    params = raw.split(",")
+
+    def fields(required: int, optional: int = 0) -> list:
+        """The parameters, padded with None to required + optional; no fewer and no more."""
+        if not required <= len(params) <= required + optional:
+            raise ValueError(f"got {len(params)} parameters, expected {required}"
+                             + (f" to {required + optional}" if optional else ""))
+        return params + [None] * (required + optional - len(params))
 
     def channel_rng(seed_param: str | None):
         seed = _check_seed(int(seed_param), "SEED") if seed_param is not None else master_seed
@@ -85,23 +92,20 @@ def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
 
     try:
         if name == "identity":
-            (dim,) = params
+            (dim,) = fields(1)
             return qch.identity_channel(int(dim))
         if name == "phase_flip":
-            (p,) = params
+            (p,) = fields(1)
             return qch.phase_flip(float(p))
         if name == "depolarizing":
-            p = float(params[0])
-            dim = int(params[1]) if len(params) > 1 else 2
-            return qch.depolarizing(p, dim)
+            p, dim = fields(1, 1)
+            return qch.depolarizing(float(p), int(dim) if dim is not None else 2)
         if name == "haar_random":
-            in_dim, out_dim, count = (int(x) for x in params[:3])
-            rng = channel_rng(params[3] if len(params) > 3 else None)
-            return qch.haar_random_channel(in_dim, out_dim, count, rng)
+            in_dim, out_dim, count, seed = fields(3, 1)
+            return qch.haar_random_channel(int(in_dim), int(out_dim), int(count), channel_rng(seed))
         if name == "random_unitary":
-            dim, count = int(params[0]), int(params[1])
-            rng = channel_rng(params[2] if len(params) > 2 else None)
-            return qch.random_unitary_channel(dim, count, rng)
+            dim, count, seed = fields(2, 1)
+            return qch.random_unitary_channel(int(dim), int(count), channel_rng(seed))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, (InvariantViolationError, FormatError)):
             raise
@@ -157,10 +161,7 @@ def cmd_info(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     report = qch.classify(ch)
     record = {"channel_name": ch.name, "input_dim": ch.input_dim, "output_dim": ch.output_dim,
               "report": report}
-    header = ["is_trace_preserving", "is_unital", "is_uniform", "length",
-              "output_entropy", "entropy_exchange", "coherent_information"]
-    row = [getattr(report, h) for h in header]
-    return record, header, [row]
+    return record, list(report._fields), [list(report)]
 
 
 def cmd_bound(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
@@ -204,9 +205,7 @@ def cmd_moments(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, samples="--samples")
     report = rc.haar_moment_suite(ch.input_dim, args.samples, args.master_seed)
     record = {"report": report, "all_pass": report.all_pass}
-    header = ["name", "estimate", "std_error", "target", "passed"]
-    rows = [[c.name, c.estimate, c.std_error, c.target, c.passed] for c in report.checks]
-    return record, header, rows
+    return record, list(rc.MomentCheck._fields), [list(c) for c in report.checks]
 
 
 def cmd_typicality(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
@@ -218,7 +217,7 @@ def cmd_typicality(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     entropy = verification.info.entropy_exchange
     reports = verification.reports
     record = {
-        "kraus_weights": list(map(float, verification.weights)),
+        "kraus_weights": verification.weights,
         "sequence_reports": [{"typical_count": r.length, "count_bound": r.length_bound,
                               "mass": r.typical_transmission, "entropy": entropy}
                              for r in reports],
@@ -229,11 +228,9 @@ def cmd_typicality(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
         "typical_decay": verification.typical_decay,
         "reduced_decay": verification.reduced_decay,
     }
-    header = ["n", "typical_count", "count_bound", "sequence_mass", "length",
-              "length_bound", "typical_transmission", "transmission",
+    header = ["n", "length", "length_bound", "typical_transmission", "transmission",
               "frobenius_sq", "frobenius_bound"]
     rows = [[r.n, r.length, r.length_bound, r.typical_transmission,
-             r.length, r.length_bound, r.typical_transmission,
              r.transmission, r.frobenius_sq, r.frobenius_bound] for r in reports]
     return record, header, rows
 

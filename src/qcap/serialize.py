@@ -1,9 +1,11 @@
-"""JSON/CSV codecs for matrices, channels and report records.
+"""The channel-file reader, and the JSON and CSV rendering of report records.
 
-Matrix wire format: a matrix is an array of rows, each row an array of
-[re, im] float pairs.  Python's json round-trips doubles through repr, so
-serialization is drift-free.  CSV numerics are written with 17 significant
-digits for the same reason.
+Channel files: a matrix is an array of rows, each row an array of
+[re, im] float pairs.  Report records hold plain Python values, converted
+where each record is built, so rendering converts no numpy or complex
+value.  Python's json round-trips doubles through repr, so JSON is
+drift-free; CSV numerics are written with 17 significant digits for the
+same reason.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from typing import Any
 import numpy as np
 
 from .errors import FormatError
-
-
-def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def matrix_from_pairs(rows: Any) -> np.ndarray:
@@ -88,10 +85,11 @@ def load_channel(path):
 
 
 def jsonable(obj, field: str = "report"):
-    """JSON-safe data from report records, numpy and complex values; raises on a non-finite float.
+    """JSON-safe data from report records, dicts and sequences; raises on a non-finite float.
 
     A report record is a `typing.NamedTuple`; it renders as the object of its
-    fields (``_asdict``), not as the array a plain tuple renders as.
+    fields (``_asdict``), not as the array a plain tuple renders as.  Any
+    other value is returned as it is.
     """
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         obj = obj._asdict()
@@ -99,20 +97,8 @@ def jsonable(obj, field: str = "report"):
         return {str(k): jsonable(v, f"{field}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v, f"{field}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj) and obj.ndim == 2:
-            return jsonable(matrix_to_pairs(obj), field)
-        return jsonable(obj.tolist(), field)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [jsonable(float(obj.real), f"{field}[0]"), jsonable(float(obj.imag), f"{field}[1]")]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"{field} is {float(obj)}, not a finite number")
-        return float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{field} is {obj}, not a finite number")
     return obj
 
 
@@ -125,8 +111,8 @@ def csv_number(x, field: str = "value") -> str:
     """Full round-trip decimal formatting (17 significant digits) for CSV cells."""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     if not math.isfinite(x):
-        raise ValueError(f"{field} is {float(x)}, not a finite number")
-    return format(float(x), ".17g")
+        raise ValueError(f"{field} is {x}, not a finite number")
+    return format(x, ".17g")

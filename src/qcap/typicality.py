@@ -534,7 +534,7 @@ class ReductionVerification(NamedTuple):
     """
 
     info: ChannelInfoReport              # the channel's `classify` report, S_e among it
-    weights: np.ndarray                  # Kraus weight distribution of the minimal family
+    weights: tuple[float, ...]           # the minimal family's Kraus weights, as plain floats
     reports: tuple[ReducedChannelReport, ...]
     counts_within_bounds: bool
     norms_within_bounds: bool
@@ -551,7 +551,7 @@ def verify_reduction_bounds(ch: KrausChannel, ns, eps: float) -> ReductionVerifi
                             [1.0 - r.transmission for r in reports], eps, sigma_sq)
     return ReductionVerification(
         info=info,
-        weights=weights,
+        weights=tuple(weights.tolist()),
         reports=reports,
         counts_within_bounds=all(r.counts_within_bound for r in reports),
         norms_within_bounds=all(r.norm_within_bound for r in reports),

@@ -21,7 +21,8 @@ for the depolarizing channel, its values to rounding.  The decay rate
 that `typicality.fit_decay` reads off a centred slope is `np.polyfit`'s
 here (`polyfit_decay_rate`).
 Beside them are fixtures that no command needs: mixtures of given unitaries
-(`unitary_mixture`), and the channel-file writer (`channel_to_dict`,
+(`unitary_mixture`), and the channel-file writer (`matrix_to_pairs`, which
+writes a matrix as rows of [re, im] pairs, `channel_to_dict` and
 `save_channel`), whose files `serialize.load_channel` reads.
 """
 
@@ -328,13 +329,19 @@ def unitary_mixture(unitaries) -> qch.KrausChannel:
     return qch.KrausChannel(input_dim=len(ops[0]), output_dim=len(ops[0]), kraus_ops=ops)
 
 
+def matrix_to_pairs(m) -> list[list[list[float]]]:
+    """A matrix as the rows of [re, im] float pairs that `serialize.matrix_from_pairs` reads."""
+    m = np.asarray(m, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
 def channel_to_dict(ch: qch.KrausChannel) -> dict:
     """The channel-file record that `serialize.channel_from_dict` reads."""
     return {
         "name": ch.name,
         "input_dim": ch.input_dim,
         "output_dim": ch.output_dim,
-        "kraus": [serialize.matrix_to_pairs(a) for a in ch.kraus_ops],
+        "kraus": [matrix_to_pairs(a) for a in ch.kraus_ops],
     }
 
 

@@ -405,6 +405,17 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
                    f"{name} channel needs sizes >= 1, got dim=0\n")
 
 
+@pytest.mark.parametrize("spec", ["random_unitary:4,2,5,junk", "haar_random:2,2,3,1,99",
+                                  "depolarizing:0.3,3,7", "haar_random:2,,2,3",
+                                  "phase_flip:,0.1"])
+def test_builtin_takes_exactly_its_parameters(capsys, spec):
+    # an extra or empty field is refused, not dropped beside a config that embeds it
+    code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
+    name = spec.split(":")[0]
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: bad parameters for builtin channel {name!r}: ")
+
+
 @pytest.mark.parametrize("spec", ["identity:100000", "depolarizing:0.3,300",
                                   "random_unitary:60000,2", "identity:8192", "identity:4376"])
 def test_oversized_builtin_is_a_cap(capsys, spec):
@@ -611,7 +622,7 @@ def test_long_n_range_is_a_cap_before_it_is_built(capsys, subcommand, extra, n_m
 
 @pytest.mark.parametrize("argv, output_format, field", [
     (("typicality",), "json", "report.sequence_reports[0].count_bound"),
-    (("typicality",), "csv", "count_bound"),
+    (("typicality",), "csv", "length_bound"),
     (("rate-demo", "--rate", "0.1"), "json", "report.rows[0].penalty_majorant"),
 ])
 def test_non_finite_report_float_is_an_input_error(tmp_path, capsys, argv, output_format, field):

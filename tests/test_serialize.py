@@ -79,7 +79,7 @@ def test_csv_number_round_trip():
 
 
 def test_canonical_json_is_deterministic():
-    rec = {"b": 1.25, "a": [np.float64(0.1), np.int64(3)], "c": complex(1, -2)}
+    rec = {"b": 1.25, "a": [0.1, 3], "c": {"z": True, "y": None}}
     assert serialize.canonical_json(rec) == serialize.canonical_json(rec)
     assert '"a"' in serialize.canonical_json(rec)
 
@@ -89,11 +89,7 @@ def test_non_finite_floats_name_their_field():
         serialize.canonical_json({"a": 1.0, "b": [0.5, {"x": math.inf}]})
     # the first field reached is named
     with pytest.raises(ValueError, match=r"report\.b is nan"):
-        serialize.canonical_json({"b": np.float64("nan"), "a": math.inf})
-    with pytest.raises(ValueError, match=r"report\.c\[0\] is inf"):
-        serialize.canonical_json({"c": complex(math.inf, 0.0)})
-    with pytest.raises(ValueError, match=r"report\.m\[1\]\[0\]\[1\] is nan"):
-        serialize.canonical_json({"m": np.array([[1, 2], [complex(0, math.nan), 3]])})
+        serialize.canonical_json({"b": math.nan, "a": math.inf})
     with pytest.raises(ValueError, match="bound is -inf"):
         serialize.csv_number(-math.inf, "bound")
 
@@ -126,3 +122,4 @@ def test_a_record_renders_as_the_object_of_its_fields(records, name):
     assert isinstance(record, tuple) and record._fields
     assert serialize.jsonable(record) == serialize.jsonable(record._asdict())
     assert isinstance(serialize.jsonable(record), dict)
+    json.dumps(serialize.jsonable(record))      # every field is a plain value
