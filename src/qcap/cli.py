@@ -272,8 +272,9 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
+        # other cells go to the writer as they are: it writes None as an empty cell
         writer.writerow([serialize.csv_number(x, name) if isinstance(x, (int, float, bool))
-                         else str(x) for name, x in zip(header, row)])
+                         else x for name, x in zip(header, row)])
     return buf.getvalue()
 
 

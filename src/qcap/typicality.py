@@ -17,16 +17,20 @@ of the single-use output state (the typical classes of its spectrum).  A
 series of reduced-channel reports prepares the n-independent part (minimal
 Kraus family and weights, output spectrum and eigenbasis, group factors)
 once, and never enumerates sequences nor forms an M'^n-dimensional vector or
-matrix: the sum over the typical Kraus sequences is built class by class on
-the two halves of the block (`_sequence_sum`), each half one stack of its
-class sums, and the projector, split by the output types of prefix and
-suffix, is contracted with the halves by output-type block: each block of a
-stack is gathered once and met with the 0/1 pairing of prefix and suffix
-classes by one product (`_type_blocks`, `_reduced_norms`).  The halves are
-matrices, or vectors when every factor is diagonal in the output
-eigenbasis; a diagonal operator is the case whose off-type blocks vanish,
-so one contraction and one peak prediction (`_checked_types`, in k = 1 for
-vectors and k = 2 for matrices) serve both.
+matrix.  One sorted walk decides both halves of the reduction: the
+compositions kept below the typical Kraus classes and those kept below the
+typical output classes, level by level (`_kept_levels`), and one 0/1
+`_pairing` marks the prefix and suffix compositions of either kind that sum
+to a typical class.  The sum over the typical Kraus sequences is built class
+by class on the two halves of the block (`_sequence_sum`), each half one
+stack of its class sums, a row per kept composition, and the projector,
+split by the kept output types of prefix and suffix (`_type_sets`), is
+contracted with the halves by output-type block: each block of a stack is
+gathered once and met with the Kraus pairing by one product (`_type_blocks`,
+`_reduced_norms`).  The halves are matrices, or vectors when every factor is
+diagonal in the output eigenbasis; a diagonal operator is the case whose
+off-type blocks vanish, so one contraction and one peak prediction
+(`_checked_types`, in k = 1 for vectors and k = 2 for matrices) serve both.
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) spectrum as `info` (`channels._info_report`,
@@ -252,39 +256,45 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
-def _kept_levels(tops, n: int, r: int) -> list[set]:
-    """The compositions of each length m = 0..r that lie below some top (<= in every count).
+def _kept_levels(tops, n: int, r: int) -> list[list]:
+    """The compositions of each length m = 0..r that lie below some top (<= in every count), sorted.
 
     The tops are compositions of n; taking one count at a time off them
     reaches exactly the compositions below them, without comparing any
-    composition with every top.
+    composition with every top.  Each level is downward closed: taking a
+    count off one of its compositions lands in the level below.
     """
     level, kept = set(tops), []
     for m in range(n, -1, -1):
         if m <= r:
-            kept.append(level)
+            kept.append(sorted(level))
         level = {comp[:g] + (comp[g] - 1,) + comp[g + 1:]
                  for comp in level for g in range(len(comp)) if comp[g]}
     return kept[::-1]
 
 
-def _grown_level(comps: list, stack: np.ndarray, factors: np.ndarray,
-                 kept: set) -> tuple[list, np.ndarray]:
-    """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each kept composition c, in one stack.
+def _pairing(prefixes, suffixes, tops) -> np.ndarray:
+    """The 0/1 matrix whose (i, j) entry is 1 when prefixes[i] + suffixes[j] is one of the tops."""
+    tops = set(tops)
+    return np.array([[tuple(map(int.__add__, a, b)) in tops for b in suffixes] for a in prefixes],
+                    dtype=float)
 
-    The compositions come in a fixed order, and so do the terms of each sum.
+
+def _grown_level(comps: list, stack: np.ndarray, factors: np.ndarray, level: list) -> np.ndarray:
+    """S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g for each composition c of `level`, one row each.
+
+    `comps` is the level below, whose sums `stack` holds row by row; since
+    the levels are downward closed, every c - e_g with c_g > 0 is among them.
+    Each sum takes its terms in group order.
     """
-    index, terms = {}, []
-    for i, comp in enumerate(comps):
-        for j in range(len(factors)):
-            grown = comp[:j] + (comp[j] + 1,) + comp[j + 1:]
-            if grown in kept:
-                terms.append((index.setdefault(grown, len(index)), i, j))
+    index = {comp: i for i, comp in enumerate(comps)}
     shape = tuple(a * b for a, b in zip(stack.shape[1:], factors.shape[1:]))
-    grown_stack = np.zeros((len(index), *shape), dtype=factors.dtype)
-    for g, i, j in terms:
-        grown_stack[g] += _kron(stack[i], factors[j])
-    return list(index), grown_stack
+    grown = np.zeros((len(level), *shape), dtype=factors.dtype)
+    for row, comp in zip(grown, level):
+        for g, factor in enumerate(factors):
+            if comp[g]:
+                row += _kron(stack[index[comp[:g] + (comp[g] - 1,) + comp[g + 1:]]], factor)
+    return grown
 
 
 def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
@@ -294,51 +304,47 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
     one per weight group: the sum of its symbols' factors, so that a group
     sequence sums all its symbol sequences.  S_m(c), the sum over length-m
     sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
-    only compositions below some typical class are kept (``kept``, from
-    `_kept_levels`), and each level is one stack of its S_m(c).  A sequence
+    only compositions below some typical class are kept (``kept``, the
+    sorted levels of `_kept_levels`), and each level is one stack of its
+    S_m(c), one row per kept composition in the level's order.  A sequence
     of type T splits into a prefix of length h = n // 2 and type c <= T and
     a suffix of type T - c, so the sum is sum_c S_h(c) (x) sum_{T >= c}
-    S_r(T - c) with r = n - h.  The recursion stops at level r, and the sum
-    is not formed: the result is (lefts, rights, pairing), the stacked S_h(c)
-    and S_r(d) and the 0/1 (K_h, K_r) matrix whose (c, d) entry is 1 when
-    c + d is a typical class (the suffix stack is the prefix stack when h = r).
+    S_r(T - c) with r = n - h.  The recursion starts from kept[0], the empty
+    composition, and stops at level r, and the sum is not formed: the result
+    is (lefts, rights, pairing), the stacked S_h(c) and S_r(d) and the 0/1
+    (K_h, K_r) `_pairing` whose (c, d) entry is 1 when c + d is a typical
+    class (the suffix stack is the prefix stack when h = r).
     """
     h, r = n // 2, n - n // 2
-    comps, stack = [(0,) * len(factors)], np.ones((1,) * factors.ndim, dtype=factors.dtype)
-    prefixes, lefts = comps, stack
+    stack = lefts = np.ones((1,) * factors.ndim, dtype=factors.dtype)
     for m in range(1, r + 1):
-        comps, stack = _grown_level(comps, stack, factors, kept[m])
+        stack = _grown_level(kept[m - 1], stack, factors, kept[m])
         if m == h:
-            prefixes, lefts = comps, stack
-    index = {comp: j for j, comp in enumerate(comps)}
-    pairing = np.zeros((len(prefixes), len(comps)))
-    for (c, comp), top in itertools.product(enumerate(prefixes), (cls.counts for cls in classes)):
-        if all(map(int.__le__, comp, top)):
-            pairing[c, index[tuple(map(int.__sub__, top, comp))]] = 1.0
-    return lefts, stack, pairing
+            lefts = stack
+    return lefts, stack, _pairing(kept[h], kept[r], [cls.counts for cls in classes])
 
 
 # ------------------------------------------------------------------ contraction by output type
 
-def _type_sets(groups, dim: int, m: int, types) -> list[np.ndarray]:
-    """The length-m multi-indices (first factor major) of each output type in `types`.
+def _type_sets(groups, dim: int, levels) -> list[np.ndarray]:
+    """The multi-indices (first factor major) of each output type of the last of `levels`.
 
-    An output type is a multi-index's tuple of group counts; one holding a
-    symbol of no group (a zero weight) has none.  Type ids grow one factor at
-    a time through a (type, symbol) -> type table, so any number of groups
-    fits.  Every composition of m over the groups is some multi-index's type.
+    An output type is a multi-index's tuple of group counts; `levels` are the
+    kept types of lengths 0..m, sorted and downward closed (`_kept_levels`).
+    Type ids, positions in their level, grow one factor at a time through a
+    (type, symbol) -> type table, so any number of groups fits; a multi-index
+    whose type leaves the kept levels, or that holds a symbol of no group (a
+    zero weight), takes id -1 and keeps it.
     """
-    seen, ids = [(0,) * len(groups)], np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        grown: dict = {}
-        table = np.full((len(seen) + 1, dim), -1, dtype=np.intp)  # its last row keeps id -1 at -1
-        for t, counts in enumerate(seen):
+    ids = np.zeros(1, dtype=np.intp)
+    for types, grown in zip(levels, levels[1:]):
+        index = {counts: k for k, counts in enumerate(grown)}
+        table = np.full((len(types) + 1, dim), -1, dtype=np.intp)  # its last row keeps id -1 at -1
+        for t, counts in enumerate(types):
             for g, group in enumerate(groups):
-                table[t, group] = grown.setdefault(counts[:g] + (counts[g] + 1,) + counts[g + 1:],
-                                                   len(grown))
-        seen, ids = list(grown), table[ids].reshape(-1)
-    index = {counts: k for k, counts in enumerate(seen)}
-    return [np.flatnonzero(ids == index[counts]) for counts in types]
+                table[t, group] = index.get(counts[:g] + (counts[g] + 1,) + counts[g + 1:], -1)
+        ids = table[ids].reshape(-1)
+    return [np.flatnonzero(ids == k) for k in range(len(levels[-1]))]
 
 
 def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, np.ndarray]:
@@ -373,15 +379,16 @@ def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, n
 
 
 def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
-                   output_classes) -> tuple[list, list, list]:
-    """The kept Kraus levels and output types at n, once the report's predicted peak is checked.
+                   output_classes) -> tuple[list, list]:
+    """The kept Kraus and output levels at n, once the report's predicted peak is checked.
 
-    Only the Kraus compositions and output types below some typical class
-    (`_kept_levels`) enter: K_m Kraus compositions of each length m, U output
-    types of length h = n // 2 and V of length r = n - h, the largest of B
-    multi-indices (`_class_size`).  With k = 1 for factors given by their
-    diagonals and k = 2 for matrices, a length-m half sum has D_m = M'^(k m)
-    entries.  The recursion holds the stacks of levels r - 1 and r and a
+    Needs a typical Kraus class: without one, kept[0] is empty, and
+    `_sequence_sum` starts from it.  Only the Kraus compositions and output
+    types below some typical class (`_kept_levels`) enter: K_m Kraus
+    compositions of each length m, U output types of length h = n // 2 and V
+    of length r = n - h, the largest of B multi-indices (`_class_size`).
+    With k = 1 for factors given by their diagonals and k = 2 for matrices, a
+    length-m half sum has D_m = M'^(k m) entries.  The recursion holds the stacks of levels r - 1 and r and a
     term, K_(r-1) D_(r-1) + (K_r + 1) D_r entries, beside the G group
     factors; the type ids and sets add 2 (M'^h + M'^r), the pairing and a
     product of it 2 K_h K_r.  A type block holds one gathered block of a
@@ -394,20 +401,17 @@ def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
     k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
     kraus = _kept_levels([cls.counts for cls in classes], n, r)
     output = _kept_levels([cls.counts for cls in output_classes], n, r)
-    prefix_types, suffix_types = sorted(output[h]), sorted(output[r])
-    largest = max((_class_size(output_groups, t) for t in prefix_types + suffix_types), default=0)
-    u, v, low, kh, kr = (len(prefix_types), len(suffix_types),
-                         len(kraus[r - 1]), len(kraus[h]), len(kraus[r]))
+    largest = max((_class_size(output_groups, t) for t in output[h] + output[r]), default=0)
+    u, v, low, kh, kr = map(len, (output[h], output[r], kraus[r - 1], kraus[h], kraus[r]))
     entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
                + 2 * (dim**h + dim**r) + 2 * kh * kr
                + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
                + kh**2 * (v**k + 2 * u**k + u * v**(k - 1))
                + (len(classes) + sum(map(len, kraus))) * len(factors)
                + (len(output_classes) + sum(map(len, output))) * len(output_groups))
-    if classes:         # with no typical Kraus class, nothing is built
-        linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
-                             f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
-    return kraus, prefix_types, suffix_types
+    linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
+                         f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
+    return kraus, output
 
 
 def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
@@ -431,22 +435,18 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
     pairs meet beta one suffix type at a time.  The products run on one BLAS
     thread, so their bits do not depend on the thread count.
     """
-    kept, prefix_types, suffix_types = _checked_types(factors, output_groups, n, classes,
-                                                      output_classes)
+    kept, output = _checked_types(factors, output_groups, n, classes, output_classes)
     if not output_classes:
         return 0.0, 0.0
     k, dim, h = factors.ndim - 1, factors.shape[-1], n // 2
-    typical = {cls.counts for cls in output_classes}
-    pairs = np.array([[tuple(map(int.__add__, a, b)) in typical for b in suffix_types]
-                      for a in prefix_types], dtype=float)
+    pairs = _pairing(output[h], output[-1], [cls.counts for cls in output_classes])
     lefts, rights, pairing = _sequence_sum(factors, classes, n, kept)
     with linalg.one_blas_thread():
-        suffix_traces, beta = _type_blocks(
-            rights, _type_sets(output_groups, dim, n - h, suffix_types), pairing)
-        traces, alpha = _type_blocks(lefts, _type_sets(output_groups, dim, h, prefix_types))
-        weights = pairs @ beta.reshape(len(suffix_types), -1)
+        suffix_traces, beta = _type_blocks(rights, _type_sets(output_groups, dim, output), pairing)
+        traces, alpha = _type_blocks(lefts, _type_sets(output_groups, dim, output[:h + 1]))
+        weights = pairs @ beta.reshape(len(output[-1]), -1)
         if k == 2:
-            weights = pairs @ weights.reshape(len(prefix_types), len(suffix_types), -1)
+            weights = pairs @ weights.reshape(*pairs.shape, -1)
         frobenius_sq = np.dot(alpha.reshape(-1), weights.reshape(-1))
         transmission = np.sum(traces * (pairs @ suffix_traces))
     return float(transmission), float(np.real(frobenius_sq))

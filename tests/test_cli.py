@@ -748,6 +748,15 @@ def test_non_finite_channel_entries_are_an_input_error(tmp_path, capsys, literal
     assert code == 2 and out == "" and err == "error: matrix entries must be finite\n"
 
 
+def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):
+    # a trace-decreasing channel has no entropies: null in JSON, an empty cell in CSV
+    path = tmp_path / "half.json"
+    path.write_text('{"input_dim": 1, "output_dim": 1, "kraus": [[[[0.5, 0]]]]}')
+    code, out, _ = run_cli(capsys, "info", "--channel", str(path), "--seed", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "false,false,true,1,,,"
+
+
 def test_zero_entropies_are_positive_zero(capsys):
     _, out, _ = run_cli(capsys, "info", "--channel", "builtin:identity:1", "--seed", "1")
     report = json.loads(out)["report"]

@@ -278,11 +278,11 @@ def typical_indicator(dim, groups, classes, n):
     `_type_sets` lists.
     """
     h, r = n // 2, n - n // 2
-    types = [sorted(level) for level in tp._kept_levels([c.counts for c in classes], n, r)]
+    types = tp._kept_levels([c.counts for c in classes], n, r)
     typical = {c.counts for c in classes}
-    suffix_sets = tp._type_sets(groups, dim, r, types[r])
+    suffix_sets = tp._type_sets(groups, dim, types)
     mask = np.zeros((dim**h, dim**r), dtype=bool)
-    for u, rows in zip(types[h], tp._type_sets(groups, dim, h, types[h])):
+    for u, rows in zip(types[h], tp._type_sets(groups, dim, types[:h + 1])):
         for v, cols in zip(types[r], suffix_sets):
             mask[np.ix_(rows, cols)] = tuple(map(int.__add__, u, v)) in typical
     return mask.reshape(-1)
@@ -543,6 +543,37 @@ def test_reduced_report_dense_oracle_nondiagonal(monkeypatch):
     # kept block complex; at n = 5 there is one and its imaginary part vanishes.
     ch = cli._parse_builtin("builtin:haar_random:2,2,3,1", 0)
     check_report_against_oracle(monkeypatch, ch, 6, 0.1, diagonal=False)
+
+
+@st.composite
+def kept_tops(draw):
+    """Up to 4 groups, n <= 10, a level count r <= n and a nonempty set of compositions of n."""
+    groups, n = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    tops = draw(st.lists(st.sampled_from(list(tp._compositions(n, groups))), min_size=1,
+                         max_size=12, unique=True))
+    return groups, n, draw(st.integers(0, n)), tops
+
+
+@given(kept_tops())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_kept_levels_and_pairing_match_brute_force(case):
+    # each kept level, sorted and downward closed, holds exactly the compositions below
+    # some top; the pairing of two levels is 1 exactly where the sum is a top
+    groups, n, r, tops = case
+    levels = tp._kept_levels(tops, n, r)
+    assert len(levels) == r + 1
+    for m, level in enumerate(levels):
+        assert level == sorted(level)
+        assert level == [comp for comp in sorted(tp._compositions(m, groups))
+                         if any(np.all(np.less_equal(comp, top)) for top in tops)]
+        for comp in level:
+            for g in np.flatnonzero(comp):
+                assert tuple(np.subtract(comp, np.eye(groups, dtype=int)[g])) in levels[m - 1]
+    levels = tp._kept_levels(tops, n, n - n // 2)
+    prefixes, suffixes = levels[n // 2], levels[-1]
+    brute = [[float(any(np.array_equal(np.add(a, b), top) for top in tops)) for b in suffixes]
+             for a in prefixes]
+    np.testing.assert_array_equal(tp._pairing(prefixes, suffixes, tops), np.array(brute))
 
 
 def joined_halves(factors, classes, n):
