@@ -11,9 +11,14 @@ timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build, at any BLAS thread count when
 numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
-invariant violation, 4 resource cap exceeded.  A builtin channel spec is
-only parsed here: its constructor in `channels` refuses bad sizes (exit 2)
-and its build peak (exit 4) before it allocates.
+invariant violation, 4 resource cap exceeded; `main` maps each error's type
+to its code in one clause.  A builtin channel spec is only parsed here, by
+one registry (`_BUILTINS`) that names each builtin's constructor and the
+converters of its parameters, the required ones first and at most one
+optional; its constructor in `channels` refuses bad sizes (exit 2) and its
+build peak (exit 4) before it allocates.  A channel file is read by
+`serialize.load_channel`, which checks the whole Kraus array against the
+record's declared shape in one pass.
 
 Sampling is one serial pass for `bound` and `ensemble` alike: each code's
 normals come from its own stream, and a chunk of codes takes one batched QR
@@ -72,45 +77,45 @@ def _check_seed(seed: int, what: str) -> int:
     return seed
 
 
+def _seed_stream(seed: str | int):
+    """The construction stream of a SEED parameter, or of ``--seed`` when SEED is omitted."""
+    return rc.sample_stream(_check_seed(int(seed), "SEED"), CHANNEL_STREAM_INDEX)
+
+
+# each builtin's constructor, looked up at each call (so that a constructor wrapped after
+# import, as the benchmark's tracer wraps it, is the one called), and its parameters'
+# converters: the required ones, then the one optional one (None for none); a missing SEED is
+# --seed, a missing DIM the constructor's default
+_BUILTINS = {
+    "identity": (lambda *a: qch.identity_channel(*a), (int,), None),
+    "phase_flip": (lambda *a: qch.phase_flip(*a), (float,), None),
+    "depolarizing": (lambda *a: qch.depolarizing(*a), (float,), int),
+    "haar_random": (lambda *a: qch.haar_random_channel(*a), (int, int, int), _seed_stream),
+    "random_unitary": (lambda *a: qch.random_unitary_channel(*a), (int, int), _seed_stream),
+}
+
+
 def _parse_builtin(spec: str, master_seed: int) -> qch.KrausChannel:
     parts = spec.split(":")
     if len(parts) != 3:
         raise FormatError("builtin channel spec must look like builtin:name:params")
     _, name, raw = parts
+    if name not in _BUILTINS:
+        raise FormatError(f"unknown builtin channel {name!r}")
+    build, required, optional = _BUILTINS[name]
     params = raw.split(",")
-
-    def fields(required: int, optional: int = 0) -> list:
-        """The parameters, padded with None to required + optional; no fewer and no more."""
-        if not required <= len(params) <= required + optional:
-            raise ValueError(f"got {len(params)} parameters, expected {required}"
-                             + (f" to {required + optional}" if optional else ""))
-        return params + [None] * (required + optional - len(params))
-
-    def channel_rng(seed_param: str | None):
-        seed = _check_seed(int(seed_param), "SEED") if seed_param is not None else master_seed
-        return rc.sample_stream(seed, CHANNEL_STREAM_INDEX)
-
+    most = len(required) + (optional is not None)
+    if optional is _seed_stream and len(params) == len(required):
+        params.append(master_seed)
     try:
-        if name == "identity":
-            (dim,) = fields(1)
-            return qch.identity_channel(int(dim))
-        if name == "phase_flip":
-            (p,) = fields(1)
-            return qch.phase_flip(float(p))
-        if name == "depolarizing":
-            p, dim = fields(1, 1)
-            return qch.depolarizing(float(p), int(dim) if dim is not None else 2)
-        if name == "haar_random":
-            in_dim, out_dim, count, seed = fields(3, 1)
-            return qch.haar_random_channel(int(in_dim), int(out_dim), int(count), channel_rng(seed))
-        if name == "random_unitary":
-            dim, count, seed = fields(2, 1)
-            return qch.random_unitary_channel(int(dim), int(count), channel_rng(seed))
+        if not len(required) <= len(params) <= most:
+            raise ValueError(f"got {len(params)} parameters, expected {len(required)}"
+                             + (f" to {most}" if optional else ""))
+        return build(*(convert(p) for convert, p in zip((*required, optional), params)))
+    except (InvariantViolationError, FormatError):
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, (InvariantViolationError, FormatError)):
-            raise
         raise FormatError(f"bad parameters for builtin channel {name!r}: {exc}") from exc
-    raise FormatError(f"unknown builtin channel {name!r}")
 
 
 def resolve_channel(args: argparse.Namespace) -> qch.KrausChannel:
@@ -300,15 +305,11 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except CapExceededError as exc:
+    except (CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InvariantViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # FormatError and InvariantViolationError are ValueErrors: the latter is matched first
+        return (4 if isinstance(exc, CapExceededError)
+                else 3 if isinstance(exc, InvariantViolationError) else 2)
     return 0
 
 

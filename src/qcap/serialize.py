@@ -1,11 +1,18 @@
 """The channel-file reader, and the JSON and CSV rendering of report records.
 
 Channel files: a matrix is an array of rows, each row an array of
-[re, im] float pairs.  Report records hold plain Python values, converted
-where each record is built, so rendering converts no numpy or complex
-value.  Python's json round-trips doubles through repr, so JSON is
-drift-free; CSV numerics are written with 17 significant digits for the
-same reason.
+[re, im] float pairs.  A record's ``kraus`` is read in one pass: one
+recursive check requires nested lists of exactly (len(kraus), output_dim,
+input_dim, 2), every dimension at least 1 and every leaf a number (not a
+boolean), and refuses any other structure with one message naming the
+expected shape; one float conversion (an integer past the float range is
+refused) and one finiteness check then hand its complex128 view to
+`KrausChannel`, which copies it once.
+
+Report records hold plain Python values, converted where each record is
+built, so rendering converts no numpy or complex value.  Python's json
+round-trips doubles through repr, so JSON is drift-free; CSV numerics are
+written with 17 significant digits for the same reason.
 """
 
 from __future__ import annotations
@@ -19,34 +26,13 @@ import numpy as np
 from .errors import FormatError
 
 
-def matrix_from_pairs(rows: Any) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise FormatError("matrix must be a nonempty array of rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            raise FormatError("matrix rows must be arrays of equal length")
-        width = len(row)
-        line = []
-        for entry in row:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
-                raise FormatError("matrix entries must be [re, im] number pairs")
-            try:
-                line.append(complex(entry[0], entry[1]))
-            except OverflowError as exc:        # an integer past the float range
-                raise FormatError("matrix entry is beyond the float range") from exc
-        out.append(line)
-    if width == 0:
-        raise FormatError("matrix rows must be nonempty")
-    matrix = np.array(out, dtype=np.complex128)
-    if not np.isfinite(matrix).all():           # NaN, Infinity, or a float literal such as 1e400
-        raise FormatError("matrix entries must be finite")
-    return matrix
+def _has_shape(x: Any, shape: tuple) -> bool:
+    """Whether x is nested lists of exactly this shape whose leaves are numbers, not booleans."""
+    if not isinstance(x, list) or len(x) != shape[0]:
+        return False
+    if len(shape) == 1:
+        return not any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x)
+    return all(_has_shape(y, shape[1:]) for y in x)
 
 
 def channel_from_dict(data: Any):
@@ -63,16 +49,19 @@ def channel_from_dict(data: Any):
         raise FormatError(f"channel record is missing field {exc}") from exc
     if any(isinstance(d, bool) or not isinstance(d, int) for d in (input_dim, output_dim)):
         raise FormatError("input_dim and output_dim must be integers")
-    if not isinstance(kraus, list) or not kraus:
-        raise FormatError("kraus must be a nonempty array of matrices")
-    ops = [matrix_from_pairs(mat) for mat in kraus]
-    for a in ops:
-        if a.shape != (output_dim, input_dim):
-            raise FormatError(
-                f"kraus operator has shape {a.shape}, expected ({output_dim}, {input_dim})"
-            )
+    shape = (len(kraus) if isinstance(kraus, list) else 0, output_dim, input_dim, 2)
+    if min(shape) < 1 or not _has_shape(kraus, shape):
+        raise FormatError(f"kraus must be a nonempty array of {output_dim} x {input_dim} "
+                          "(output_dim x input_dim, each at least 1) matrices of [re, im] "
+                          "number pairs")
+    try:
+        pairs = np.array(kraus, dtype=float)
+    except OverflowError as exc:                # an integer past the float range
+        raise FormatError("matrix entry is beyond the float range") from exc
+    if not np.isfinite(pairs).all():            # NaN, Infinity, or a float literal such as 1e400
+        raise FormatError("matrix entries must be finite")
     return KrausChannel(input_dim=input_dim, output_dim=output_dim,
-                        kraus_ops=ops, name=str(name))
+                        kraus_ops=pairs.view(np.complex128)[..., 0], name=str(name))
 
 
 def load_channel(path):

@@ -330,7 +330,7 @@ def unitary_mixture(unitaries) -> qch.KrausChannel:
 
 
 def matrix_to_pairs(m) -> list[list[list[float]]]:
-    """A matrix as the rows of [re, im] float pairs that `serialize.matrix_from_pairs` reads."""
+    """A matrix as rows of [re, im] float pairs: one operator of a `channel_from_dict` record."""
     m = np.asarray(m, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 

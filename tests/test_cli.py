@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -396,6 +397,16 @@ def test_unknown_builtin_is_an_input_error(capsys):
     assert err.count("\n") == 1 and "squeeze" in err
 
 
+def test_readme_lists_exactly_the_registered_builtins():
+    # each builtin:NAME:P1,P2[,OPT] of the README, with its required and optional parameter counts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = sorted((name, required.count(",") + 1, bool(optional)) for name, required, optional
+                    in re.findall(r"builtin:(\w+):([A-Z]+(?:,[A-Z]+)*)(\[,[A-Z]+\])?", readme))
+    registry = sorted((name, len(required), optional is not None)
+                      for name, (_, required, optional) in cli._BUILTINS.items())
+    assert listed == registry
+
+
 @pytest.mark.parametrize("spec", ["depolarizing:0.3,0", "identity:0"])
 def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
     code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
@@ -737,6 +748,28 @@ def test_boolean_channel_entries_are_an_input_error(tmp_path, capsys):
     path.write_text('{"input_dim": 1, "output_dim": 1, "kraus": [[[[true, false]]]]}')
     code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dims, kraus", [
+    ((2, 2), [[[[1, 0], [0, 0]]]]),                      # a 1 x 2 operator where 2 x 2 is declared
+    ((2, 2), [[[[1, 0], [0, 0]], [[0, 0]]]]),            # ragged rows
+    ((1, 1), [[[[1, 0, 0]]]]),                           # a three-number entry
+    ((1, 1), []),                                        # no operator
+    ((1, 0), [[[]]]),                                    # input_dim 0
+    ((1, -1), [[[[1, 0]]]]),                             # input_dim -1
+    ((1, 1), [[[["1", 0]]]]),                            # a string entry
+], ids=["wrong-shape", "ragged", "three-numbers", "empty", "input-dim-0", "input-dim-minus-1",
+        "string"])
+def test_malformed_kraus_structure_is_one_input_error_line(tmp_path, capsys, dims, kraus):
+    # every structural refusal is one message naming the declared shape
+    output_dim, input_dim = dims
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"input_dim": input_dim, "output_dim": output_dim,
+                                "kraus": kraus}))
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == (f"error: kraus must be a nonempty array of {output_dim} x {input_dim} "
+                   "(output_dim x input_dim, each at least 1) matrices of [re, im] number pairs\n")
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])

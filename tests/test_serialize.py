@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def test_channel_file_round_trip(tmp_path, rng):
     assert oracles.channels_equal(ch, back)
 
 
+def test_readme_example_is_phase_flip():
+    # the README's channel file reads as the builtin it is named after, bit for bit
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Channel JSON schema")[1].split("```json\n")[1].split("```")[0]
+    ch = serialize.channel_from_dict(json.loads(example))
+    assert ch.name == "phase_flip(0.25)" and ch.trace_preserving
+    assert ch.kraus_ops.tobytes() == qch.phase_flip(0.25).kraus_ops.tobytes()
+
+
 def test_malformed_channel_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"input_dim": 2, "output_dim": 2}')
@@ -53,13 +63,18 @@ def test_non_cp_channel_fails_invariant(tmp_path):
         serialize.load_channel(path)
 
 
+def one_operator(matrix, output_dim=1, input_dim=1) -> dict:
+    """A channel record whose one Kraus operator is ``matrix``."""
+    return {"input_dim": input_dim, "output_dim": output_dim, "kraus": [matrix]}
+
+
 def test_matrix_pairs_schema_errors():
-    with pytest.raises(FormatError):
-        serialize.matrix_from_pairs([[1.0, 2.0]])
-    with pytest.raises(FormatError):
-        serialize.matrix_from_pairs([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
-    with pytest.raises(FormatError):
-        serialize.matrix_from_pairs([])
+    # numbers where pairs belong, ragged rows, and an operator with no rows
+    for record in (one_operator([[1.0, 2.0]], 1, 2),
+                   one_operator([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], 2, 1),
+                   one_operator([])):
+        with pytest.raises(FormatError, match=r"kraus must be a nonempty array of \d+ x \d+ "):
+            serialize.channel_from_dict(record)
 
 
 @pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], [10**400, 0],
@@ -67,7 +82,7 @@ def test_matrix_pairs_schema_errors():
 def test_matrix_entries_must_be_floats(entry):
     # JSON booleans are not numbers here, an integer must fit a float, and a float must be finite
     with pytest.raises(FormatError):
-        serialize.matrix_from_pairs([[entry]])
+        serialize.channel_from_dict(one_operator([[entry]]))
 
 
 def test_csv_number_round_trip():
