@@ -17,13 +17,14 @@ one registry (`_BUILTINS`) that names each builtin's constructor and the
 converters of its parameters, the required ones first and at most one
 optional; its constructor in `channels` refuses bad sizes (exit 2) and its
 build peak (exit 4) before it allocates.  A channel file is read by
-`serialize.load_channel`, which checks the whole Kraus array against the
-record's declared shape in one pass.
+`serialize.load_channel`, where numpy walks the Kraus lists once and the
+array it makes is checked against the record's declared shape.
 
-Sampling is one serial pass for `bound` and `ensemble` alike: each code's
-normals come from its own stream, and a chunk of codes takes one batched QR
-and one D-kernel call, for both `ensemble` estimates or for every `bound`
-column with its state form.  ``--threads`` (>= 1) is accepted, with no
+`ensemble` computes its closed forms before it samples, so their refusals
+come before the first Haar draw.  Sampling is one serial pass for `bound`
+and `ensemble` alike: each code's normals come from its own stream, and a
+chunk of codes takes one batched QR and one D-kernel call, for both
+`ensemble` estimates or for every `bound` column with its state form.  ``--threads`` (>= 1) is accepted, with no
 effect: a thread pool over samples never beat the serial loop on a 2-core
 host.
 """
@@ -185,24 +186,19 @@ def cmd_bound(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
 
 def cmd_ensemble(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
     _require(args, code_dim="--code-dim", samples="--samples")
-    k, n, seed = args.code_dim, args.samples, args.master_seed
-    d2_mc, bound_mc = rc.mc_code_values(ch, k, n, seed)
-    closed = rc.closed_forms(ch, k)
-    d2_exact, bound_analytic = closed.deviation_sq, closed.fidelity_bound
-    d2_pass = abs(d2_mc.mean - d2_exact) <= max(4.0 * d2_mc.std_error, 1e-12)
-    bound_pass = bound_mc.mean >= bound_analytic - 4.0 * bound_mc.std_error
+    closed = rc.closed_forms(ch, args.code_dim)     # its refusals come before any Haar draw
+    d2_mc, bound_mc = rc.mc_code_values(ch, args.code_dim, args.samples, args.master_seed)
+    d2_pass = abs(d2_mc.mean - closed.deviation_sq) <= max(4.0 * d2_mc.std_error, 1e-12)
+    bound_pass = bound_mc.mean >= closed.fidelity_bound - 4.0 * bound_mc.std_error
     record = {
-        "deviation_sq": {"estimate": d2_mc, "closed_form": d2_exact,
+        "deviation_sq": {"estimate": d2_mc, "closed_form": closed.deviation_sq,
                          "upper_bound": closed.upper_bound, "pass": d2_pass},
-        "fidelity_bound": {"estimate": bound_mc, "closed_form": bound_analytic,
+        "fidelity_bound": {"estimate": bound_mc, "closed_form": closed.fidelity_bound,
                            "pass": bound_pass},
     }
     header = ["quantity", "mean", "std_error", "sample_count", "reference", "pass"]
-    rows = [
-        ["deviation_sq", d2_mc.mean, d2_mc.std_error, d2_mc.sample_count, d2_exact, d2_pass],
-        ["fidelity_bound", bound_mc.mean, bound_mc.std_error, bound_mc.sample_count,
-         bound_analytic, bound_pass],
-    ]
+    # each estimate's mean, std_error and sample_count, then its closed form and verdict
+    rows = [[name, *q["estimate"][:3], q["closed_form"], q["pass"]] for name, q in record.items()]
     return record, header, rows
 
 

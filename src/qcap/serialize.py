@@ -1,12 +1,15 @@
 """The channel-file reader, and the JSON and CSV rendering of report records.
 
 Channel files: a matrix is an array of rows, each row an array of
-[re, im] float pairs.  A record's ``kraus`` is read in one pass: one
-recursive check requires nested lists of exactly (len(kraus), output_dim,
-input_dim, 2), every dimension at least 1 and every leaf a number (not a
-boolean), and refuses any other structure with one message naming the
-expected shape; one float conversion (an integer past the float range is
-refused) and one finiteness check then hand its complex128 view to
+[re, im] float pairs.  A record's ``kraus`` is walked once, by numpy
+(``np.array(kraus, dtype=object)``), which lays the nested lists out as
+one array of their leaves.  The record is refused with one message naming
+the expected shape unless that array is exactly (len(kraus), output_dim,
+input_dim, 2), every dimension at least 1, and one scan of its leaves finds
+only ``int`` and ``float`` (so a boolean is refused); a walk numpy cannot
+finish, of ragged lists or of more levels than it can lay out, is refused
+with that message too.  One float conversion (an integer past the float
+range is refused) and one finiteness check then hand its complex128 view to
 `KrausChannel`, which copies it once.
 
 Report records hold plain Python values, converted where each record is
@@ -26,49 +29,41 @@ import numpy as np
 from .errors import FormatError
 
 
-def _has_shape(x: Any, shape: tuple) -> bool:
-    """Whether x is nested lists of exactly this shape whose leaves are numbers, not booleans."""
-    if not isinstance(x, list) or len(x) != shape[0]:
-        return False
-    if len(shape) == 1:
-        return not any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x)
-    return all(_has_shape(y, shape[1:]) for y in x)
-
-
 def channel_from_dict(data: Any):
     from .channels import KrausChannel
 
     if not isinstance(data, dict):
         raise FormatError("channel record must be a JSON object")
     try:
-        name = data.get("name", "")
-        input_dim = data["input_dim"]
-        output_dim = data["output_dim"]
-        kraus = data["kraus"]
+        input_dim, output_dim, kraus = data["input_dim"], data["output_dim"], data["kraus"]
     except KeyError as exc:
         raise FormatError(f"channel record is missing field {exc}") from exc
     if any(isinstance(d, bool) or not isinstance(d, int) for d in (input_dim, output_dim)):
         raise FormatError("input_dim and output_dim must be integers")
-    shape = (len(kraus) if isinstance(kraus, list) else 0, output_dim, input_dim, 2)
-    if min(shape) < 1 or not _has_shape(kraus, shape):
+    try:
+        leaves = np.array(kraus, dtype=object)  # numpy's one walk of the nested lists
+        # an empty list ends the walk, so a matching shape has every dimension at least 1
+        if (leaves.shape[1:] != (output_dim, input_dim, 2)
+                or not set(map(type, leaves.flat)) <= {int, float}):     # type(True) is bool
+            raise ValueError("not the declared shape of numbers")
+        pairs = leaves.astype(float)
+    except (ValueError, RuntimeError) as exc:   # numpy's own: some ragged lists, too many levels
         raise FormatError(f"kraus must be a nonempty array of {output_dim} x {input_dim} "
                           "(output_dim x input_dim, each at least 1) matrices of [re, im] "
-                          "number pairs")
-    try:
-        pairs = np.array(kraus, dtype=float)
+                          "number pairs") from exc
     except OverflowError as exc:                # an integer past the float range
         raise FormatError("matrix entry is beyond the float range") from exc
     if not np.isfinite(pairs).all():            # NaN, Infinity, or a float literal such as 1e400
         raise FormatError("matrix entries must be finite")
-    return KrausChannel(input_dim=input_dim, output_dim=output_dim,
-                        kraus_ops=pairs.view(np.complex128)[..., 0], name=str(name))
+    return KrausChannel(input_dim=input_dim, output_dim=output_dim, name=str(data.get("name", "")),
+                        kraus_ops=pairs.view(np.complex128)[..., 0])
 
 
 def load_channel(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"cannot read channel file {path}: {exc}") from exc
     return channel_from_dict(data)
 

@@ -418,9 +418,10 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["random_unitary:4,2,5,junk", "haar_random:2,2,3,1,99",
                                   "depolarizing:0.3,3,7", "haar_random:2,,2,3",
-                                  "phase_flip:,0.1"])
+                                  "phase_flip:,0.1", "haar_random:4,1,2", "depolarizing:1.5"])
 def test_builtin_takes_exactly_its_parameters(capsys, spec):
-    # an extra or empty field is refused, not dropped beside a config that embeds it
+    # an extra or empty field is refused, not dropped beside a config that embeds it, and so
+    # is a value its constructor refuses: too few Kraus operators for an isometry, p above 1
     code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
     name = spec.split(":")[0]
     assert code == 2 and out == "" and err.count("\n") == 1
@@ -725,6 +726,19 @@ def test_code_dim_outside_the_input_is_an_input_error(capsys, subcommand, code_d
     assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, code_dim, message, exit_code", [
+    ("identity:1", "1", "closed form needs input dimension >= 2", 3),
+    ("phase_flip:0.25", "3", "need 1 <= code_dim <= input_dim", 2),
+], ids=["input-dim-1", "code-dim-3"])
+def test_ensemble_refuses_its_dims_before_sampling(monkeypatch, capsys, spec, code_dim, message,
+                                                   exit_code):
+    # the closed forms, which need an input dimension of at least 2, are checked first
+    monkeypatch.setattr(rc, "_sample_values", lambda *a: pytest.fail("sampled before a refusal"))
+    code, out, err = run_cli(capsys, "ensemble", "--channel", f"builtin:{spec}",
+                             "--code-dim", code_dim, "--samples", "100000", "--seed", "1")
+    assert (code, out, err) == (exit_code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("code_dim", ["0", "3"])
 def test_bound_checks_the_code_dim_as_ensemble_does(capsys, code_dim):
     # the code dimension is checked before any code is drawn, not by the Haar sampler
@@ -758,8 +772,9 @@ def test_boolean_channel_entries_are_an_input_error(tmp_path, capsys):
     ((1, 0), [[[]]]),                                    # input_dim 0
     ((1, -1), [[[[1, 0]]]]),                             # input_dim -1
     ((1, 1), [[[["1", 0]]]]),                            # a string entry
+    ((1, 1), json.loads("[" * 70 + "1, 0" + "]" * 70)),  # past the dimensions numpy lays out
 ], ids=["wrong-shape", "ragged", "three-numbers", "empty", "input-dim-0", "input-dim-minus-1",
-        "string"])
+        "string", "nested-70"])
 def test_malformed_kraus_structure_is_one_input_error_line(tmp_path, capsys, dims, kraus):
     # every structural refusal is one message naming the declared shape
     output_dim, input_dim = dims
@@ -770,6 +785,26 @@ def test_malformed_kraus_structure_is_one_input_error_line(tmp_path, capsys, dim
     assert code == 2 and out == ""
     assert err == (f"error: kraus must be a nonempty array of {output_dim} x {input_dim} "
                    "(output_dim x input_dim, each at least 1) matrices of [re, im] number pairs\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "channel record must be a JSON object\n"),
+    ('{"input_dim": 1, "output_dim": 1, "kraus": ' + "[" * 100000 + "]" * 100000 + "}",
+     "cannot read channel file "),
+], ids=["not-an-object", "nested-past-the-recursion-limit"])
+def test_channel_file_that_is_no_record_is_one_input_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "info", "--channel", str(path), "--seed", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("spec", ["phase_flip", "phase_flip:0.1:x"])
+def test_builtin_spec_needs_three_fields(capsys, spec):
+    code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: builtin channel spec must look like builtin:name:params\n"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
