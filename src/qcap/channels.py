@@ -19,11 +19,12 @@ families, each of which refuses sizes below 1 and its build peak above the
 entry cap (`_check_build`) before it allocates.
 
 Each Hermitian product of a Kraus stack is formed once, as its lower
-triangle, the half that eigh and eigvalsh read: the one A^dagger A kernel
-(`_lower_product`) forms the completeness defect and the Gram matrix, and
-the one A A^dagger kernel (`_uniform_output`) forms N(pi) and the weight
-groups' factors.  N(pi)'s spectrum is decided once, by one eigvalsh
-(`_output_spectrum`).
+triangle, the half that eigh and eigvalsh read, by one kernel
+(`_lower_blocks`), which decides in one place how the product is blocked
+and pins it to one BLAS thread: of x^dagger x (`_lower_product`) it forms
+the completeness defect and the Gram matrix, and of V V^dagger / M
+(`_uniform_output`) N(pi) and the weight groups' factors.  N(pi)'s
+spectrum is decided once, by one eigvalsh (`_output_spectrum`).
 """
 
 from __future__ import annotations
@@ -130,24 +131,40 @@ def _construction_entries(n: int, mp: int, m: int) -> int:
     return 2 * n * mp * m + m * m + linalg._widest_block(m) * (n * mp + m) + np.getbufsize()
 
 
-def _lower_product(x: np.ndarray) -> np.ndarray:
-    """The lower triangle of x^dagger x for a 2-d x, zero above: the one A^dagger A kernel.
+def _lower_blocks(left, right, dim: int) -> np.ndarray:
+    """The lower triangle of a dim x dim Hermitian product, zero above: the one kernel of them all.
 
-    Each of the `linalg._blocks` of rows is one product of a conjugated
-    column block of x with x's columns up to the block's last, so no pass
-    holds a conjugated copy of x whole, and the upper corner of its diagonal
-    block is zeroed; the triangle has the bits of one product.  eigh and
-    eigvalsh read only the lower triangle, and `_lower_norm_sq` takes the
-    Hermitian matrix's norm from it.  Of the (N M', M) stacked operators it
-    is sum A^dagger A; of the (M'M, N) flattened operators, the Gram matrix.
+    Block (r, c), c <= r, of the `linalg._blocks` of dim is one product
+    left(r) @ right(c), so no pass holds whole an operand that the block
+    functions gather or conjugate; left(r) is held across its row of blocks
+    and released before the next row's is formed.  The upper corner of each
+    diagonal block is zeroed; the triangle has the bits of one product.
+    Every product runs under one `linalg.one_blas_thread`, as OpenBLAS
+    rounds some shapes differently on two threads.  eigh and eigvalsh read
+    only the lower triangle, and `_lower_norm_sq` takes the Hermitian
+    matrix's norm from it.
     """
-    cols = x.shape[-1]
-    lower = np.zeros((cols, cols), dtype=np.complex128)
-    for rows in linalg._blocks(cols):
-        np.matmul(x[:, rows].conj().T, x[:, :rows.stop], out=lower[rows, :rows.stop])
-        corner = lower[rows, rows]
-        corner[~np.tri(len(corner), dtype=bool)] = 0.0
+    lower = np.zeros((dim, dim), dtype=np.complex128)
+    blocks = linalg._blocks(dim)
+    with linalg.one_blas_thread():
+        for j, r in enumerate(blocks):
+            row = left(r)
+            for c in blocks[:j + 1]:
+                np.matmul(row, right(c), out=lower[r, c])
+            del row
+            corner = lower[r, r]
+            corner[~np.tri(len(corner), dtype=bool)] = 0.0
     return lower
+
+
+def _lower_product(x: np.ndarray) -> np.ndarray:
+    """The lower triangle of x^dagger x for a 2-d x, zero above (`_lower_blocks`).
+
+    A row block is a conjugated column block of x, a column block a view of
+    x's columns.  Of the (N M', M) stacked operators it is sum A^dagger A; of
+    the (M'M, N) flattened operators, the Gram matrix.
+    """
+    return _lower_blocks(lambda r: x[:, r].conj().T, lambda c: x[:, c], x.shape[-1])
 
 
 def _lower_norm_sq(lower: np.ndarray) -> float:
@@ -167,16 +184,13 @@ def _lower_norm_sq(lower: np.ndarray) -> float:
 def gram_matrix(ch: KrausChannel) -> np.ndarray:
     """The lower triangle of the N x N Gram matrix tr(A_i^dagger A_j), zero above.
 
-    `_lower_product` of the (M'M, N) flattened operators, on one BLAS
-    thread: OpenBLAS rounds some shapes differently on two (40 operators of
-    17 x 33, for one).
+    `_lower_product` of the (M'M, N) flattened operators.
     """
     n = len(ch)
     # the result, a conjugated block of operators, and an eigensolver's copy of the result
     linalg.check_entries(2 * n * n + linalg._widest_block(n) * ch.output_dim * ch.input_dim,
                          f"Gram matrix of {n} Kraus operators")
-    with linalg.one_blas_thread():
-        return _lower_product(ch.kraus_ops.reshape(n, -1).T)
+    return _lower_product(ch.kraus_ops.reshape(n, -1).T)
 
 
 def _nonzero(spectrum: np.ndarray) -> np.ndarray:
@@ -263,32 +277,23 @@ def classify(ch: KrausChannel) -> ChannelInfoReport:
 def _uniform_output(stack: np.ndarray) -> np.ndarray:
     """The lower triangle of V V^dagger / M, V = [A_1 ... A_N] of an (N, M', M) stack, zero above.
 
-    The one A A^dagger kernel; of a channel's stack it is N(pi).  Block
-    (r, c), c <= r, of the `linalg._blocks` of output rows and columns is one
-    product of rows r of V with conjugated rows c, each gathered from views
-    of the stack, so no pass holds V or its conjugate whole, and the upper
-    corner of each diagonal block is zeroed; the bits are those of one
-    product.
+    `_lower_blocks` of V's rows, each block gathered from views of the
+    stack, with their conjugates; of a channel's stack it is N(pi).
     """
     n, mp, m = stack.shape
-    width = linalg._widest_block(mp)
     # the result beside a row block of V and a conjugated one, then beside an
     # eigensolver's copy
-    linalg.check_entries(2 * width * n * m + 2 * mp * mp, f"classifying a {m} -> {mp} channel")
-    image = np.zeros((mp, mp), dtype=np.complex128)
-    rows = np.empty((width, n, m), dtype=np.complex128)
-    cols = np.empty_like(rows)
-    blocks = linalg._blocks(mp)
-    for j, c in enumerate(blocks):
-        v_c = cols[:c.stop - c.start]
-        v_c[...] = stack[:, c].transpose(1, 0, 2)
-        np.conjugate(v_c, out=v_c)
-        for r in blocks[j:]:
-            v_r = rows[:r.stop - r.start]
-            v_r[...] = stack[:, r].transpose(1, 0, 2)
-            np.matmul(v_r.reshape(-1, n * m), v_c.reshape(-1, n * m).T, out=image[r, c])
-        corner = image[c, c]
-        corner[~np.tri(len(corner), dtype=bool)] = 0.0
+    linalg.check_entries(2 * linalg._widest_block(mp) * n * m + 2 * mp * mp,
+                         f"classifying a {m} -> {mp} channel")
+
+    def rows(block):        # a fresh array: with N = 1 a reshape is a view of the stack
+        return stack[:, block].transpose(1, 0, 2).copy().reshape(-1, n * m)
+
+    def conjugated(block):
+        v = rows(block)
+        return np.conjugate(v, out=v).T
+
+    image = _lower_blocks(rows, conjugated, mp)
     image /= m
     return image
 

@@ -9,7 +9,9 @@ One parser serves all six subcommands; options may precede the subcommand.
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build, at any BLAS thread count when
-numpy carries its bundled OpenBLAS (`linalg.one_blas_thread`).  Exit
+numpy carries its bundled OpenBLAS: `linalg.one_blas_thread` pins every
+LAPACK call, the one kernel of every Hermitian product of a Kraus stack
+(`channels._lower_blocks`) and the type-block products.  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
 invariant violation, 4 resource cap exceeded; `main` maps each error's type
 to its code in one clause.  A builtin channel spec is only parsed here, by

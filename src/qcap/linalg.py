@@ -6,7 +6,9 @@ through an explicit ``numpy.random.Generator``; no function touches global
 RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
 Every LAPACK call in the package (eigensolvers and QR) runs under
 `one_blas_thread`, so its bits do not depend on the BLAS thread count; so do
-the GEMMs of the Gram matrix and of the reduced reports' type blocks, which
+every Hermitian product of a Kraus stack, which one kernel forms
+(`channels._lower_blocks`: Delta, the Gram matrix, N(pi) and the weight
+groups' factors), and the reduced reports' type-block products, which
 OpenBLAS rounds differently on two threads at some shapes.  A Hermitian
 matrix is held as its lower triangle, the half that eigh and eigvalsh read,
 so it is Hermitian by construction and nothing here checks that; a spectrum

@@ -217,7 +217,8 @@ def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
     """Each weight group's factor F_g = sum_(j in g) A_j A_j^dagger / M in the output eigenbasis U.
 
     F_g is `_uniform_output` of the group's operators rotated by U^dagger, so
-    the one A A^dagger kernel forms every factor's lower triangle.  Factors
+    the one Hermitian-product kernel (`channels._lower_blocks`) forms every
+    factor's lower triangle, as it forms N(pi)'s.  Factors
     that are `_all_diagonal` come back as their (G, M') real diagonals, else
     the (G, M', M') matrices, each upper half filled in with the conjugate
     transpose of its lower.  `_reduced_series` checks the step's peak before

@@ -5,9 +5,9 @@ way, on full matrices: a channel's action, tensor powers and sub-channels,
 the entropy exchange through the W matrix and through a purification, the
 entanglement fidelity, the transpose-channel recovery, and extensional
 channel equality.  The package computes what the commands need with one
-kernel per quantity (`channels._lower_product`, `channels._uniform_output`,
-`channels.minimal_kraus`, `codes._deviation_batch`, `codes._trace_norms`);
-the tests compare the two.
+kernel per quantity (`channels._lower_blocks` for every Hermitian product of
+a Kraus stack, `channels.minimal_kraus`, `codes._deviation_batch`,
+`codes._trace_norms`); the tests compare the two.
 The one-product forms of the passes the package forms in blocks (Delta,
 N(pi), the Gram matrix) are kept here too, whole, as the bits whose lower
 triangle each blocked pass must reproduce, and the per-operator output
@@ -162,14 +162,16 @@ def completeness_defect_bounds(stack: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-# The one-product forms of the package's blocked passes over a Kraus stack; each
-# blocked pass must give these bits (`linalg._blocks`).
+# The one-product forms of the package's blocked passes over a Kraus stack, each on
+# one BLAS thread, as `channels._lower_blocks` forms them; each blocked pass must give
+# these bits (`linalg._blocks`).
 
 def one_product_defect(stack: np.ndarray) -> np.ndarray:
     """Delta = sum A^dagger A - 1 from one product of the conjugated, transposed stack."""
     m = stack.shape[-1]
     flat = stack.reshape(-1, m)
-    delta = flat.conj().T @ flat
+    with linalg.one_blas_thread():
+        delta = flat.conj().T @ flat
     delta[np.diag_indices(m)] -= 1.0
     return delta
 
@@ -183,14 +185,12 @@ def one_product_uniform_output(ch: qch.KrausChannel) -> np.ndarray:
     """N(pi) = V V^dagger / M from V = [A_1 ... A_N] and its conjugate, whole."""
     n, m, mp = len(ch), ch.input_dim, ch.output_dim
     v = ch.kraus_ops.transpose(1, 0, 2).reshape(mp, n * m)
-    return (v @ v.conj().T) / m
+    with linalg.one_blas_thread():
+        return (v @ v.conj().T) / m
 
 
 def one_product_gram(ch: qch.KrausChannel) -> np.ndarray:
-    """tr(A_i^dagger A_j): one GEMM of the conjugated (N, M'M) flat stack with the flat stack.
-
-    On one BLAS thread, as `channels.gram_matrix` forms it.
-    """
+    """tr(A_i^dagger A_j): one GEMM of the conjugated (N, M'M) flat stack with the flat stack."""
     flat = ch.kraus_ops.reshape(len(ch), -1)
     with linalg.one_blas_thread():
         return flat.conj() @ flat.T

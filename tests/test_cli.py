@@ -942,6 +942,38 @@ def test_pinned_gemms_keep_their_bytes_on_two_threads():
         assert run_with_blas_threads(argv, 1) == run_with_blas_threads(argv, 2)
 
 
+def at_blas_threads(step, threads: int):
+    """step() with numpy's bundled OpenBLAS set to ``threads`` threads in this process."""
+    get, set_ = linalg._openblas_threads()
+    count = get()
+    set_(threads)
+    try:
+        return step()
+    finally:
+        set_(count)
+
+
+@pytest.mark.skipif(linalg._openblas_threads() is None, reason="needs numpy's bundled OpenBLAS")
+def test_hermitian_products_keep_their_bytes_on_two_threads(capsys):
+    # OpenBLAS rounds N(pi) or Delta of these channels differently on two threads than
+    # on one, and with them `info`, `typicality` and `ensemble` on the first three
+    specs = ["haar_random:100,17,7,3", "haar_random:100,33,7,3", "haar_random:100,100,3,3",
+             "haar_random:17,45,7,3", "haar_random:64,100,7,3"]
+    steps = []
+    for spec in specs:
+        stack = cli._parse_builtin(f"builtin:{spec}", 1).kraus_ops
+        flat = stack.reshape(-1, stack.shape[-1])
+        steps += [lambda stack=stack: qch._uniform_output(stack).tobytes(),
+                  lambda flat=flat: qch._lower_product(flat).tobytes()]
+    for spec in specs[:3]:
+        for command in (["info"], ["ensemble", "--code-dim", "2", "--samples", "5"],
+                        ["typicality", "--epsilon", "0.1", "--n-min", "1", "--n-max", "2"]):
+            argv = [*command, "--channel", f"builtin:{spec}", "--seed", "1"]
+            steps.append(lambda argv=argv: run_cli(capsys, *argv))
+    for step in steps:
+        assert at_blas_threads(step, 1) == at_blas_threads(step, 2)
+
+
 def test_out_into_missing_directory_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "info", "--channel", "builtin:identity:2",

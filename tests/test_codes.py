@@ -65,6 +65,9 @@ def test_code_validation():
         codes._orthonormal(np.eye(2, 3)[None])
     stack = good[None]
     assert codes._orthonormal(stack) is stack
+    # codes in a three-dimensional space do not fit a qubit channel's input
+    with pytest.raises(ValueError, match="does not match channel input"):
+        codes._deviation_batch(stack, qch.phase_flip(0.25))
 
 
 def test_normalized_projector_full_space():

@@ -184,9 +184,18 @@ def test_shannon_entropy_values():
     assert linalg.shannon_entropy([0.9, 0.1]) == pytest.approx(0.468996, abs=1e-6)
 
 
-def test_shannon_rejects_unnormalized():
-    with pytest.raises(InvariantViolationError):
-        linalg.shannon_entropy([0.5, 0.6])
+@pytest.mark.parametrize("weights, match", [
+    ([0.5, 0.6], "sum to"), ([], "empty"), ([1.5, -0.5], "nonnegative"),
+], ids=["unnormalized", "empty", "negative"])
+def test_shannon_rejects_unnormalized(weights, match):
+    with pytest.raises(InvariantViolationError, match=match):
+        linalg.shannon_entropy(weights)
+
+
+def test_clamped_spectrum_zeroes_rounding_and_rejects_worse():
+    assert np.array_equal(linalg._clamped_spectrum(np.array([-1e-11, 0.5])), [0.0, 0.5])
+    with pytest.raises(InvariantViolationError, match="not positive semidefinite"):
+        linalg._clamped_spectrum(np.array([-2e-10, 0.5]))
 
 
 # ---------------------------------------------------------------- purification
@@ -217,6 +226,8 @@ def test_haar_isometry_columns(rng):
     v = linalg.haar_isometry(6, 2, rng)
     assert v.shape == (6, 2)
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
+    with pytest.raises(ValueError, match="cols <= dim"):
+        linalg.haar_isometry(2, 3, rng)
 
 
 @pytest.mark.parametrize("dim, cols", [(256, 2), (2, 2), (5, 3), (256, 256), (3, 1), (1, 1)])

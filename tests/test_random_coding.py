@@ -188,6 +188,12 @@ def test_mc_average_bound_identity():
     assert est.std_error <= 1e-10
 
 
+@pytest.mark.parametrize("code_dim", [0, 3])
+def test_mc_code_values_refuses_code_dims_outside_the_input(code_dim):
+    with pytest.raises(ValueError, match="code_dim <= input_dim"):
+        rc.mc_code_values(qch.phase_flip(0.25), code_dim, 10, master_seed=1)
+
+
 def test_mc_average_bound_dominates_analytic_bound():
     ch = qch.phase_flip(0.25)
     _, est = rc.mc_code_values(ch, 1, 1000, master_seed=2)
