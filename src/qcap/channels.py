@@ -98,8 +98,7 @@ class KrausChannel:
         if not math.isfinite(fro_sq):       # sum A^dagger A, or its norm, overflowed
             hi = math.inf
         elif math.sqrt(fro_sq) > _CERTIFICATE_SLACK * COMPLETENESS_ATOL:
-            with linalg.one_blas_thread():
-                w = np.linalg.eigvalsh(delta)
+            w = linalg.eigvalsh(delta)
             lo, hi = float(w[0]), float(w[-1])
         del delta                           # released before a passed stack is copied
         if hi > COMPLETENESS_ATOL:
@@ -213,8 +212,7 @@ def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     off = np.abs(h)
     off.reshape(-1)[::len(h) + 1] = 0.0
     if np.max(off) > COMPLETENESS_ATOL:
-        with linalg.one_blas_thread():
-            w, v = np.linalg.eigh(h)
+        w, v = linalg.eigh(h)
         return w[::-1], v[:, ::-1]
     return np.real(np.diagonal(h)), None
 
@@ -301,11 +299,10 @@ def _uniform_output(stack: np.ndarray) -> np.ndarray:
 def _output_spectrum(out: np.ndarray) -> np.ndarray:
     """N(pi)'s spectrum, ascending, from its lower triangle ``out`` (`_uniform_output`).
 
-    The one decision of it: one eigvalsh on one BLAS thread, clamped by
+    The one decision of it: one `linalg.eigvalsh`, clamped by
     `linalg._clamped_spectrum`.
     """
-    with linalg.one_blas_thread():
-        return linalg._clamped_spectrum(np.linalg.eigvalsh(out))
+    return linalg._clamped_spectrum(linalg.eigvalsh(out))
 
 
 def _info_report(ch: KrausChannel, weights: np.ndarray, spectrum: np.ndarray) -> ChannelInfoReport:
@@ -391,7 +388,7 @@ def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> Kr
     _check_build("random_unitary", count, dim, dim, draw, dim=dim, count=count)
     ops = np.empty((count, dim, dim), dtype=np.complex128)
     for slot in ops:
-        np.multiply(linalg.haar_unitary(dim, rng), math.sqrt(1.0 / count), out=slot)
+        np.multiply(linalg.haar_isometry(dim, dim, rng), math.sqrt(1.0 / count), out=slot)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
 

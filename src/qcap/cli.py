@@ -9,9 +9,9 @@ One parser serves all six subcommands; options may precede the subcommand.
 Every JSON report embeds the fully resolved run configuration, carries no
 timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build, at any BLAS thread count when
-numpy carries its bundled OpenBLAS: `linalg.one_blas_thread` pins every
-LAPACK call, the one kernel of every Hermitian product of a Kraus stack
-(`channels._lower_blocks`) and the type-block products.  Exit
+numpy carries its bundled OpenBLAS: every LAPACK call is made in `linalg`,
+whose `one_blas_thread` pins it, the one kernel of every Hermitian product
+of a Kraus stack (`channels._lower_blocks`) and the type-block products.  Exit
 codes: 0 success, 2 input error (or a non-finite report number), 3 domain
 invariant violation, 4 resource cap exceeded; `main` maps each error's type
 to its code in one clause.  A builtin channel spec is only parsed here, by
@@ -25,10 +25,11 @@ array it makes is checked against the record's declared shape.
 `ensemble` computes its closed forms before it samples, so their refusals
 come before the first Haar draw.  Sampling is one serial pass for `bound`
 and `ensemble` alike: each code's normals come from its own stream, and a
-chunk of codes takes one batched QR and one D-kernel call, for both
-`ensemble` estimates or for every `bound` column with its state form.  ``--threads`` (>= 1) is accepted, with no
-effect: a thread pool over samples never beat the serial loop on a 2-core
-host.
+chunk of codes, as many as the chunk budget holds, takes one Haar sampler
+call (`linalg.haar_isometries`) and one D-kernel call, for both `ensemble`
+estimates or for every `bound` column with its state form.  ``--threads``
+(>= 1) is accepted, with no effect: a thread pool over samples never beat
+the serial loop on a 2-core host.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
 K, so the compression is exact and keeps 8-qubit demos tractable.
 
 One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2
-and D, and `_trace_norms` gives ||D||_1 and the state form's trace norm.
+and D, and `_trace_norms`, one `linalg.eigvalsh` of the stack, gives
+||D||_1 and the state form's trace norm.
 `_kraus_form` is the Kraus-form columns that the ensemble estimates and
 `bound_columns` share.  Exact code entanglement fidelity (a maximum over
 recovery operations) is never computed here; the bound above stands in for
@@ -102,9 +103,7 @@ def _deviation_batch(bases: np.ndarray,
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
     """Trace norms of a Hermitian matrix, or of each one in a stack; eigvalsh reads the lower triangle."""
-    with linalg.one_blas_thread():
-        w = np.linalg.eigvalsh(d)
-    return np.sum(np.abs(w), axis=-1)
+    return np.sum(np.abs(linalg.eigvalsh(d)), axis=-1)
 
 
 # The columns of `bound_columns`, one row per code:

@@ -1,15 +1,18 @@
 """Dense complex linear algebra and probability primitives.
 
 Everything in this module operates on plain ``numpy`` arrays (``complex128``,
-row-major) and is a pure function of its inputs.  Randomness always enters
+row-major) and is a pure function of its inputs, but for `haar_isometries`,
+which overwrites the normals it is given.  Randomness always enters
 through an explicit ``numpy.random.Generator``; no function touches global
 RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
-Every LAPACK call in the package (eigensolvers and QR) runs under
-`one_blas_thread`, so its bits do not depend on the BLAS thread count; so do
-every Hermitian product of a Kraus stack, which one kernel forms
+Every LAPACK call in the package is made here, under `one_blas_thread`, so
+its bits do not depend on the BLAS thread count: the eigensolvers `eigvalsh`
+and `eigh`, and the QR of `haar_isometries`, the one Haar sampler, of which
+`haar_isometry` draws one matrix.  Two kinds of product run on one thread
+too, as OpenBLAS rounds them differently on two at some shapes: every
+Hermitian product of a Kraus stack, which one kernel forms
 (`channels._lower_blocks`: Delta, the Gram matrix, N(pi) and the weight
-groups' factors), and the reduced reports' type-block products, which
-OpenBLAS rounds differently on two threads at some shapes.  A Hermitian
+groups' factors), and the reduced reports' type-block products.  A Hermitian
 matrix is held as its lower triangle, the half that eigh and eigvalsh read,
 so it is Hermitian by construction and nothing here checks that; a spectrum
 of a positive semidefinite one is only clamped (`_clamped_spectrum`).
@@ -152,43 +155,49 @@ def shannon_entropy(weights) -> float:
     return float(-np.sum(p * np.log2(p))) + 0.0
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a unitary from the Haar measure on U(dim): a square `haar_isometry`."""
-    return haar_isometry(dim, dim, rng)
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """numpy's eigvalsh of a Hermitian matrix, or of each in a stack, on one BLAS thread.
+
+    It reads the lower triangle; the eigenvalues ascend.
+    """
+    with one_blas_thread():
+        return np.linalg.eigvalsh(h)
+
+
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh of a Hermitian matrix on one BLAS thread: ascending eigenvalues, eigenvectors."""
+    with one_blas_thread():
+        return np.linalg.eigh(h)
 
 
 def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """First ``cols`` columns of a Haar unitary: the one-matrix case of `haar_isometries`."""
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
-    return haar_isometries(ginibre(rng.standard_normal((1, 2, dim, cols))))[0]
+    return haar_isometries(rng.standard_normal((1, 2, dim, cols)))[0]
 
 
 def _haar_entries(dim: int, cols: int) -> int:
-    """Peak entries per matrix of `haar_isometries` of `ginibre`, the normals included."""
+    """Peak entries per matrix of `haar_isometries`, the normals included."""
     # the normals' buffer, QR's copy (then the isometries), Q and R (3.0-3.1 dim*cols + cols^2),
     # and the boolean mask, a byte per entry of R, with which np.triu forms R
     return 3 * dim * cols + cols * cols + -(-cols * cols // 16)
 
 
-def ginibre(normals: np.ndarray) -> np.ndarray:
-    """(S, dim, cols) complex Ginibre matrices (a + 1j b) / sqrt(2) from (S, 2, dim, cols) normals.
+def haar_isometries(normals: np.ndarray) -> np.ndarray:
+    """(S, dim, cols) Haar isometries from (S, 2, dim, cols) standard normals: the one Haar sampler.
 
-    The normals are scaled in place by 1/sqrt(2), the bits of that quotient (numpy
-    divides by a complex scalar by multiplying by its reciprocal); the matrices overwrite them.
+    Each matrix's normals a, b make the Ginibre matrix (a + 1j b) / sqrt(2):
+    they are scaled in place by 1/sqrt(2), the bits of that quotient (numpy
+    divides by a complex scalar by multiplying by its reciprocal), and the
+    matrices overwrite them.  One reduced QR follows, and the R-diagonal
+    phases are divided out, as raw QR output is not Haar distributed
+    (Mezzadri 2007).  LAPACK runs on each matrix in turn, so each isometry's
+    bits do not depend on S.
     """
     normals *= 1 / math.sqrt(2)
     z = normals.reshape(len(normals), -1).view(np.complex128).reshape(-1, *normals.shape[2:])
     z.real, z.imag = normals.copy().swapaxes(0, 1)
-    return z
-
-
-def haar_isometries(z: np.ndarray) -> np.ndarray:
-    """Haar isometries from an (S, dim, cols) stack of `ginibre` matrices: one reduced QR.
-
-    The R-diagonal phases are divided out, as raw QR output is not Haar distributed.
-    LAPACK runs on each matrix in turn, so each isometry's bits do not depend on S.
-    """
     with one_blas_thread():
         q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -16,12 +16,13 @@ counter-based Philox stream keyed by (master_seed, sample_index), one
 generator rekeyed per sample, and aggregation uses exact (fsum) summation,
 so results depend only on the seed and the sample count.  Sampling is one
 serial pass over chunks of samples: each sample draws only its normals from
-its own stream, and a chunk takes one Ginibre packing, one batched QR and,
-for codes, one D-kernel call, for both ensemble estimates or for every
-per-code bound column (`bound_values`); no bits depend on the chunk size.
-A chunk is the largest stack of at most `_CHUNK` samples whose peak, as the
-modules that allocate it predict (`linalg._haar_entries` for the finish,
-`codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`.
+its own stream, and a chunk takes one `linalg.haar_isometries` (Ginibre
+packing and batched QR) and, for codes, one D-kernel call, for both
+ensemble estimates or for every per-code bound column (`bound_values`); no
+bits depend on the chunk size.  A chunk is the largest stack, at most the
+sample count, whose peak, as the modules that allocate it predict
+(`linalg._haar_entries` for the finish, `codes._stack_entries` for the D
+kernel), fits `_CHUNK_ENTRIES`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
@@ -38,9 +39,8 @@ from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _lower_n
 from .errors import InvariantViolationError
 from .linalg import _power_of_two
 
-# The most samples in a chunk of the sampling loop, and the chunk's budget:
-# 2^18 complex entries (4 MiB) of predicted peak (`_sample_values`).
-_CHUNK = 64
+# The budget of a chunk of the sampling loop: 2^18 complex entries (4 MiB) of
+# predicted peak (`_sample_values`).
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -83,28 +83,30 @@ def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, 
 
     Each sample draws the ``standard_normal`` normals of one Ginibre matrix of
     ``shape`` (dim, cols) from its own stream (`_rekeyed_streams`) straight
-    into its row of the chunk's stack; one packing and one batched QR make the
+    into its row of the chunk's stack; `linalg.haar_isometries` makes the
     stack's isometries, and reduce turns them into the chunk's results at
-    once.  A chunk is the largest stack of at most `_CHUNK` samples whose
-    finish (`linalg._haar_entries`) and reduce's peak, entries(stack), fit
-    `_CHUNK_ENTRIES` (one sample when none fits); it batches only work that
-    treats every sample alike, so the results do not depend on its size.
-    Before any draw, one sample's finish and entries(1), reduce's peak named
-    ``what``, are checked against `linalg.ENTRY_CAP`.
+    once.  A chunk is the largest stack, at most sample_count, whose finish
+    (`linalg._haar_entries` per sample) and reduce's peak, entries(stack),
+    fit `_CHUNK_ENTRIES` (one sample when none fits).  Every entries function
+    is affine in the stack, so the chunk is solved for in closed form from
+    entries(0) and entries(1).  A chunk batches only work that treats every
+    sample alike, so the results do not depend on its size.  Before any
+    draw, one sample's finish and entries(1), reduce's peak named ``what``,
+    are checked against `linalg.ENTRY_CAP`.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    linalg.check_entries(linalg._haar_entries(*shape) + entries(1),
+    fixed, per_sample = entries(0), linalg._haar_entries(*shape) + entries(1) - entries(0)
+    linalg.check_entries(fixed + per_sample,
                          f"one {shape[0]} x {shape[1]} Haar sample and its {what}")
-    chunk = max((s for s in range(1, _CHUNK + 1)
-                 if s * linalg._haar_entries(*shape) + entries(s) <= _CHUNK_ENTRIES), default=1)
+    chunk = max(1, min(sample_count, (_CHUNK_ENTRIES - fixed) // per_sample))
     streams = _rekeyed_streams(master_seed, range(sample_count))
     chunks = []
     for start in range(0, sample_count, chunk):
         normals = np.empty((min(chunk, sample_count - start), 2, *shape))
         for row in normals:
             next(streams).standard_normal(out=row)
-        chunks.append(reduce(linalg.haar_isometries(linalg.ginibre(normals))))
+        chunks.append(reduce(linalg.haar_isometries(normals)))
     return np.concatenate(chunks)
 
 
@@ -248,9 +250,9 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
         a2, b2 = np.array([[abs(u) ** 2 for u in row] for row in rows]).T
         return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
-    # beyond the finish, a chunk holds a few values per sample, which `_CHUNK` bounds
-    raw = _sample_values((dim, dim), sample_count, master_seed, moments, lambda stack: 0,
-                         "moments")
+    # per sample, moments' two lists of Python numbers and its arrays (measured 20.9)
+    raw = _sample_values((dim, dim), sample_count, master_seed, moments,
+                         lambda stack: 21 * stack, "moments")
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

@@ -494,8 +494,7 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     rho_out = _uniform_output(ch.kraus_ops)
     spectrum = _output_spectrum(rho_out)
     info = _info_report(ch, weights, spectrum)
-    with linalg.one_blas_thread():
-        basis = np.linalg.eigh(rho_out)[1]
+    basis = linalg.eigh(rho_out)[1]
     del rho_out
     output_groups = _weight_groups(spectrum)
     factors = _group_factors(stack, basis, kraus_groups)

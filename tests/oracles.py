@@ -92,7 +92,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
+def checked_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, unitary of eigenvectors as columns) with
@@ -125,7 +125,7 @@ def purify(rho, rank_tol: float = 1e-12) -> np.ndarray:
     tr_R |psi><psi| = rho and tr_Q |psi><psi| = diag of the kept eigenvalues.
     """
     rho = as_matrix(rho)
-    w, v = eigh(rho)
+    w, v = checked_eigh(rho)
     w = linalg._clamped_spectrum(w)
     keep = w > rank_tol
     if not np.any(keep):
@@ -320,7 +320,7 @@ def polyfit_decay_rate(ns, deviations) -> float:
 
 def scaled_unitaries(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     """The random-unitary channel's Kraus operators: count Haar unitaries, each scaled alone."""
-    return [math.sqrt(1.0 / count) * linalg.haar_unitary(dim, rng) for _ in range(count)]
+    return [math.sqrt(1.0 / count) * linalg.haar_isometry(dim, dim, rng) for _ in range(count)]
 
 
 def unitary_mixture(unitaries) -> qch.KrausChannel:
@@ -395,7 +395,7 @@ def transpose_recovery(basis: np.ndarray, ch: qch.KrausChannel) -> qch.KrausChan
     """
     pi_c = normalized_projector(basis)
     sigma = apply(ch, pi_c)
-    w, u = eigh(sigma)
+    w, u = checked_eigh(sigma)
     w = np.maximum(w, 0.0)
     inv = np.where(w > 1e-12 * max(float(w[-1]), 1e-300), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     sigma_inv_sqrt = (u * inv) @ u.conj().T

@@ -439,7 +439,7 @@ def test_minimal_length_phase_flip(p):
 
 
 def test_minimal_length_duplicated_operator(rng):
-    a = linalg.haar_unitary(2, rng)
+    a = linalg.haar_isometry(2, 2, rng)
     ops = (a / math.sqrt(2), a / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     assert qch.classify(ch).length == 1
@@ -565,7 +565,7 @@ def test_classify_identity():
 
 def test_classify_random_unitary_mixture(rng):
     # equal probabilities with trace-orthogonal unitaries: unital and uniform
-    u = linalg.haar_unitary(2, rng)
+    u = linalg.haar_isometry(2, 2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     rep = qch.classify(oracles.unitary_mixture([u, u @ x]))
     assert rep.is_unital and rep.is_uniform and rep.length == 2
@@ -573,7 +573,7 @@ def test_classify_random_unitary_mixture(rng):
 
 def test_classify_generic_haar_mixture_is_unital_not_uniform(rng):
     # generic pair: tr(U1^dagger U2) != 0, so the diagonal Gram weights differ
-    us = [linalg.haar_unitary(2, rng) for _ in range(2)]
+    us = [linalg.haar_isometry(2, 2, rng) for _ in range(2)]
     rep = qch.classify(oracles.unitary_mixture(us))
     assert rep.is_unital and not rep.is_uniform
 
@@ -595,7 +595,7 @@ def test_classify_trace_decreasing_has_no_entropies():
 
 
 def test_classify_length_from_its_one_gram_spectrum(monkeypatch, rng):
-    a = linalg.haar_unitary(2, rng)
+    a = linalg.haar_isometry(2, 2, rng)
     channels = [
         qch.identity_channel(3), qch.phase_flip(0.3), amplitude_damping(0.4), half_identity(),
         qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a / math.sqrt(2),) * 2),
@@ -730,7 +730,7 @@ def test_depolarizing_general_dim(rng):
 
 
 def test_random_unitary_mixture_length(rng):
-    us = [linalg.haar_unitary(4, rng) for _ in range(2)]
+    us = [linalg.haar_isometry(4, 4, rng) for _ in range(2)]
     ch = oracles.unitary_mixture(us)
     assert qch.classify(ch).length == 2
 

@@ -684,7 +684,7 @@ def test_kept_sample_results_are_a_cap(capsys, argv):
 
 def test_haar_finish_is_a_cap_before_any_draw(monkeypatch, tmp_path, capsys):
     # moments finishes one M x M Haar unitary per sample, 4 M^2 entries and np.triu's
-    # mask of M^2 bytes; on a channel file with a 128-dimensional input, under a cap
+    # mask of M^2 bytes, and moments' values take 21 entries per sample; on a channel file with a 128-dimensional input, under a cap
     # lowered to 2^15 entries, the channel's construction fits but one sample's finish
     # passes the cap, so the run exits before any draw
     functional = np.zeros((1, 128))
@@ -698,7 +698,7 @@ def test_haar_finish_is_a_cap_before_any_draw(monkeypatch, tmp_path, capsys):
     code, out, err = run_cli(capsys, "moments", "--channel", str(path), "--samples", "10",
                              "--seed", "1")
     assert code == 4 and out == "" and not drawn
-    assert err == ("error: one 128 x 128 Haar sample and its moments needs 2^16.0224 entries, "
+    assert err == ("error: one 128 x 128 Haar sample and its moments needs 2^16.0228 entries, "
                    "above cap 2^15\n")
 
 

@@ -302,7 +302,7 @@ def test_bound_kraus_eight_qubit_mixture():
     # comfortably inside [0, 1] (the ensemble mean is >= 0.875)
     rng = np.random.default_rng(808)
     dim = 256
-    us = [linalg.haar_unitary(dim, rng) for _ in range(2)]
+    us = [linalg.haar_isometry(dim, dim, rng) for _ in range(2)]
     ch = oracles.unitary_mixture(us)
     code = random_code(rng, dim, 2)
     rep = bound_report(code, ch)

@@ -28,11 +28,11 @@ MAPS = ("input", "output", "kraus")
 def mapped(ch: qch.KrausChannel, which: str, rng: np.random.Generator) -> qch.KrausChannel:
     ops = ch.kraus_ops
     if which == "input":
-        ops = ops @ linalg.haar_unitary(ch.input_dim, rng).conj().T
+        ops = ops @ linalg.haar_isometry(ch.input_dim, ch.input_dim, rng).conj().T
     elif which == "output":
-        ops = linalg.haar_unitary(ch.output_dim, rng) @ ops
+        ops = linalg.haar_isometry(ch.output_dim, ch.output_dim, rng) @ ops
     else:
-        ops = np.einsum("kl,lab->kab", linalg.haar_unitary(len(ch), rng), ops)
+        ops = np.einsum("kl,lab->kab", linalg.haar_isometry(len(ch), len(ch), rng), ops)
     return qch.KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, kraus_ops=ops)
 
 

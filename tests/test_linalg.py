@@ -100,12 +100,12 @@ def test_partial_trace_dim_mismatch():
 # ---------------------------------------------------------------- eigh
 
 def test_eigh_diagonal():
-    w, _ = oracles.eigh(np.diag([3.0, 1.0, 2.0]))
+    w, _ = oracles.checked_eigh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_eigh_pauli_x():
-    w, _ = oracles.eigh(X)
+    w, _ = oracles.checked_eigh(X)
     assert np.allclose(w, [-1.0, 1.0])
 
 
@@ -113,7 +113,7 @@ def test_eigh_pauli_x():
 def test_eigh_reconstruction(dim, rng):
     h = random_complex(rng, dim, dim)
     h = h + h.conj().T
-    w, v = oracles.eigh(h)
+    w, v = oracles.checked_eigh(h)
     err = np.linalg.norm((v * w) @ v.conj().T - h)
     assert err <= 1e-9 * np.linalg.norm(h)
     assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
@@ -121,7 +121,7 @@ def test_eigh_reconstruction(dim, rng):
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(InvariantViolationError):
-        oracles.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        oracles.checked_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------- trace norm
@@ -218,7 +218,7 @@ def test_purify_reduces_back(seed, dim):
 
 def test_haar_unitary_is_unitary(rng):
     for dim in (1, 2, 5, 16):
-        u = linalg.haar_unitary(dim, rng)
+        u = linalg.haar_isometry(dim, dim, rng)
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10 * max(1, dim)
 
 
@@ -226,8 +226,9 @@ def test_haar_isometry_columns(rng):
     v = linalg.haar_isometry(6, 2, rng)
     assert v.shape == (6, 2)
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
-    with pytest.raises(ValueError, match="cols <= dim"):
-        linalg.haar_isometry(2, 3, rng)
+    for dim, cols in ((2, 3), (2, 0)):
+        with pytest.raises(ValueError, match="1 <= cols <= dim"):
+            linalg.haar_isometry(dim, cols, rng)
 
 
 @pytest.mark.parametrize("dim, cols", [(256, 2), (2, 2), (5, 3), (256, 256), (3, 1), (1, 1)])
@@ -247,11 +248,11 @@ def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
 
 @pytest.mark.parametrize("dim, cols", [(2, 1), (2, 2), (3, 2), (5, 3), (256, 2), (64, 17)])
 def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
-    # one packing and one batched QR over a stack of per-stream normals against one of
-    # each per matrix
+    # one stack draw from the per-stream normals of nine matrices against nine
+    # one-matrix draws on the same normals
     normals = np.array([np.random.default_rng(seed).standard_normal((2, dim, cols))
                         for seed in range(9)])
-    got = linalg.haar_isometries(linalg.ginibre(normals))
+    got = linalg.haar_isometries(normals)
     want = [linalg.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -274,7 +275,7 @@ def test_haar_first_moments_smoke():
     m2 = np.empty(n)
     m4 = np.empty(n)
     for i in range(n):
-        u = linalg.haar_unitary(m, rng)
+        u = linalg.haar_isometry(m, m, rng)
         a2 = abs(u[0, 0]) ** 2
         m2[i] = a2
         m4[i] = a2 * a2

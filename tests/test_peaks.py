@@ -119,8 +119,8 @@ def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
 
 @pytest.mark.parametrize("dims, code_dim, samples", [
     ((16, 16, 32), 16, 1), ((16, 1, 256), 2, 1),
-    # a full chunk of `_CHUNK` codes, each about 0.34 MiB at its peak
-    ((8, 8, 16), 4, rc._CHUNK),
+    # 64 codes, each about 0.34 MiB at its peak
+    ((8, 8, 16), 4, 64),
 ], ids=["dims0-16", "dims1-2", "chunk"])
 def test_bound_report_peak(monkeypatch, dims, code_dim, samples):
     # the D kernel's peak, then the state form's; the chunk budget is lifted so
@@ -135,9 +135,25 @@ def test_kernel_heavy_ensemble_chunk_peak_within_budget(monkeypatch, spec):
     # K*N = 64: the D kernel, not the codes' finish, sets the chunk, which must hold
     # to the 4 MiB `_CHUNK_ENTRIES` budget; the run's fixed part is its kept values
     ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    samples = 64
     rc.mc_code_values(ch, 4, 1, 2)
-    peak, _ = traced(monkeypatch, lambda: rc.mc_code_values(ch, 4, rc._CHUNK, 2))
-    assert peak <= 16 * (rc._CHUNK_ENTRIES + 4 * rc._CHUNK), peak / MIB
+    peak, _ = traced(monkeypatch, lambda: rc.mc_code_values(ch, 4, samples, 2))
+    assert peak <= 16 * (rc._CHUNK_ENTRIES + 4 * samples), peak / MIB
+
+
+def test_moment_chunk_peak_within_budget(monkeypatch):
+    # identity:3's unitaries, 37 entries of finish and 21 of moments each, come
+    # thousands to a chunk, which must hold to the `_CHUNK_ENTRIES` budget; the
+    # run's fixed part is its kept values
+    chunks = []
+    finish = linalg.haar_isometries
+    monkeypatch.setattr(linalg, "haar_isometries",
+                        lambda normals: chunks.append(len(normals)) or finish(normals))
+    samples = 5000
+    rc.haar_moment_suite(3, 10, 3)
+    peak, _ = traced(monkeypatch, lambda: rc.haar_moment_suite(3, samples, 3))
+    assert chunks[-2:] == [4519, samples - 4519]
+    assert rc._CHUNK_ENTRIES / 3 <= peak / 16 <= rc._CHUNK_ENTRIES + 5 * samples, peak / MIB
 
 
 @pytest.mark.parametrize("ch, n", [

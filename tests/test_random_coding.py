@@ -33,7 +33,7 @@ def test_rekeyed_streams_match_fresh_streams_bit_for_bit(seed):
     indices = [0, 1, 63, 64, 2**48, 2**64 - 1]
     draws = [lambda rng: linalg.haar_isometry(256, 2, rng),
              lambda rng: linalg.haar_isometry(5, 3, rng),
-             lambda rng: linalg.haar_unitary(4, rng)]
+             lambda rng: linalg.haar_isometry(4, 4, rng)]
     for draw in draws:
         got = [draw(rng) for rng in rc._rekeyed_streams(seed, indices)]
         want = [draw(rc.sample_stream(seed, i)) for i in indices]
@@ -140,7 +140,7 @@ def oracle_closed_forms(ch, k):
 
 
 def test_closed_forms_match_gram_oracle(rng):
-    a = linalg.haar_unitary(3, rng)
+    a = linalg.haar_isometry(3, 3, rng)
     lossy = qch.haar_random_channel(4, 3, 2, rng)
     families = [
         qch.haar_random_channel(4, 4, 3, rng),                       # square
@@ -174,7 +174,7 @@ def test_averaged_bound_phase_flip_vacuous():
 
 
 def test_averaged_bound_minimizes_kraus_first(rng):
-    a = linalg.haar_unitary(2, rng)
+    a = linalg.haar_isometry(2, 2, rng)
     redundant = qch.KrausChannel(input_dim=2, output_dim=2,
                                  kraus_ops=(a / math.sqrt(2), a / math.sqrt(2)))
     plain = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a,))
@@ -278,15 +278,37 @@ def kernel_sizes(monkeypatch):
     ("ensemble", "builtin:random_unitary:16,2,5"),
     ("bound", "builtin:haar_random:4,4,3"),
 ], ids=["builtin:haar_random:4,4,3", "builtin:random_unitary:16,2,5", "bound"])
-def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, subcommand, channel):
+def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, kernel_sizes,
+                                                    subcommand, channel):
     argv = [subcommand, "--channel", channel, "--code-dim", "2", "--samples", "150",
             "--seed", "31"]
+    ch = cli._parse_builtin(channel, 31)
     outputs = []
     for chunk in (1, 7, 64, 150, 1000):
-        monkeypatch.setattr(rc, "_CHUNK", chunk)
+        # the budget that the finish and the D kernel of exactly `chunk` codes fill
+        monkeypatch.setattr(rc, "_CHUNK_ENTRIES", chunk * linalg._haar_entries(ch.input_dim, 2)
+                            + codes._stack_entries(chunk, 2, ch))
+        kernel_sizes.clear()
         assert cli.main(argv) == 0
+        assert kernel_sizes[0] == min(chunk, 150) and sum(kernel_sizes) == 150
         outputs.append(capsys.readouterr().out)
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+@pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
+def test_qubit_chunks_hold_hundreds_of_codes(monkeypatch, capsys, kernel_sizes, subcommand):
+    # depolarizing(0.3) at K = 2: 17 entries of finish and 436 of D kernel per code and
+    # 416 fixed fill the budget at 577 codes; the bytes equal those of one code per chunk
+    argv = [subcommand, "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
+            "--samples", "1200", "--seed", "42"]
+    assert cli.main(argv) == 0
+    assert kernel_sizes == [577, 577, 46]
+    chunked = capsys.readouterr().out
+    monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 0)
+    kernel_sizes.clear()
+    assert cli.main(argv) == 0
+    assert kernel_sizes == [1] * 1200
+    assert capsys.readouterr().out == chunked
 
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
@@ -306,8 +328,9 @@ def test_bytes_do_not_depend_on_chunk_budget(monkeypatch, capsys, kernel_sizes, 
 
 def test_chunks_shrink_for_large_codes(kernel_sizes):
     sizes = kernel_sizes
+    # qubit codes fill no budget at 100 samples, which come in one chunk
     rc.mc_code_values(qch.depolarizing(0.3), 2, 100, 1)
-    assert sizes == [rc._CHUNK, 100 - rc._CHUNK]
+    assert sizes == [100]
     sizes.clear()
     # K = 128 on a 256-dim identity: the finish's 3*256*128 + 128^2 and the D kernel's
     # 6*128^2 + (3*256 + 256)*128 entries per code, 344064, and the panel's 16384 more
@@ -321,13 +344,15 @@ def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
     # same codes, bit for bit, at sample counts on both sides of a chunk boundary
     sizes = kernel_sizes
     for spec, code_dim, chunk in [
-        ("depolarizing:0.2,3", 2, 64),
+        # the finish's 23 entries and the D kernel's 2112 per code, beside the panel's
+        # 1344, cap a chunk at 122 codes
+        ("depolarizing:0.2,3", 2, 122),
         # the finish's 400 entries and the D kernel's 30848 per code, beside the panel's
         # 25088, cap a chunk at 7 codes, for ensemble and bound alike
         ("haar_random:32,32,16,3", 4, 7),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
-        for samples in (1, 64, 65, 130):
+        for samples in sorted({1, 64, 65, 130, chunk, chunk + 1}):
             sizes.clear()
             got = rc.mc_code_values(ch, code_dim, samples, 4)
             assert sizes[0] == min(chunk, samples) and sum(sizes) == samples

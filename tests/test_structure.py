@@ -6,6 +6,9 @@ public method of a public class, must be named somewhere in ``src/qcap`` or
 ``from`` import.  Names the tests use do not count.  Methods of private
 classes (argparse's ``_Parser.error`` override) are exempt.
 
+Every LAPACK call is made in ``linalg.py``, which pins it to one BLAS
+thread: no other module names an ``np.linalg`` function but ``norm``.
+
 Importing the CLI loads no ``csv``, which CSV rendering imports itself, and
 defines one dataclass, `channels.KrausChannel`: the report records are named
 tuples, which generate no methods at import.
@@ -73,6 +76,27 @@ def test_a_name_only_its_own_body_uses_is_unreached(tmp_path):
                       "    def lonely(self):\n        return self.reached()\n\n\n"
                       "class _P:\n    def error(self):\n        pass\n\n\nC()\n")
     assert unreached_names([module]) == ["m.C.lonely", "m.unused"]
+
+
+def numpy_linalg_names(paths) -> list[str]:
+    """module.name of every ``np.linalg.<name>`` other than norm outside linalg.py."""
+    found = []
+    for path in paths:
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr != "norm"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id in ("np", "numpy")):
+                found.append(f"{path.stem}.{node.attr}")
+    return sorted(found)
+
+
+def test_every_lapack_call_is_made_in_linalg():
+    paths = sorted((ROOT / "src" / "qcap").glob("*.py"))
+    assert len(paths) > 5
+    assert numpy_linalg_names(paths) == []
 
 
 _IMPORT_PROBE = """

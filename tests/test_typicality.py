@@ -96,7 +96,7 @@ def typical_kraus_channel(ch, n, eps, *, project):
     chosen, _ = brute_force_typical(tuple(weights), n, eps)
     ops = [functools.reduce(np.kron, [base.kraus_ops[j] for j in seq]) for seq in chosen]
     if project:
-        w, v = oracles.eigh(oracles.apply(base, oracles.max_mixed(base.input_dim)))
+        w, v = oracles.checked_eigh(oracles.apply(base, oracles.max_mixed(base.input_dim)))
         w = np.maximum(w, 0.0)
         kept, _ = brute_force_typical(tuple(w / np.sum(w)), n, eps)
         cols = np.zeros((base.output_dim**n, len(kept)), dtype=complex)
@@ -151,7 +151,7 @@ def near_equal_kraus_weights():
     """`minimal_kraus` weights of depolarizing(0.3, 3) with its family first recombined
     by a Haar unitary: the eigensolve returns the eight equal weights tens of ulps apart."""
     ch = qch.depolarizing(0.3, 3)
-    v = linalg.haar_unitary(len(ch), np.random.default_rng(0))
+    v = linalg.haar_isometry(len(ch), len(ch), np.random.default_rng(0))
     rotated = qch.KrausChannel(input_dim=3, output_dim=3,
                                kraus_ops=tuple(np.einsum("jk,kab->jab", v, ch.kraus_ops)))
     return tuple(qch.minimal_kraus(rotated)[1])
@@ -466,7 +466,7 @@ def test_typical_channel_phase_flip_mass():
 
 
 def test_uniform_gram_channel_everything_typical(rng):
-    u = linalg.haar_unitary(2, rng)
+    u = linalg.haar_isometry(2, 2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = oracles.unitary_mixture([u, u @ x])
     for eps in (0.01, 0.4):
@@ -595,7 +595,7 @@ def test_sequence_sum_matches_enumeration(channel, diagonal, ns):
     # equal the per-symbol enumeration
     ch = cli._parse_builtin(channel, 0)
     stack, weights = qch.minimal_kraus(ch)
-    basis = oracles.eigh(oracles.apply(ch, oracles.max_mixed(ch.input_dim)))[1]
+    basis = oracles.checked_eigh(oracles.apply(ch, oracles.max_mixed(ch.input_dim)))[1]
     factors = oracles.one_product_factor_matrices(stack, basis)
     group_factors = tp._group_factors(stack, basis, tp._weight_groups(weights))
     assert group_factors.ndim == (3, 2)[diagonal]
