@@ -165,7 +165,10 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's eigh of a Hermitian matrix on one BLAS thread: ascending eigenvalues, eigenvectors."""
+    """numpy's eigh of a Hermitian matrix on one BLAS thread.
+
+    It reads the lower triangle; it returns the ascending eigenvalues and the eigenvectors.
+    """
     with one_blas_thread():
         return np.linalg.eigh(h)
 

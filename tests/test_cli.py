@@ -684,9 +684,10 @@ def test_kept_sample_results_are_a_cap(capsys, argv):
 
 def test_haar_finish_is_a_cap_before_any_draw(monkeypatch, tmp_path, capsys):
     # moments finishes one M x M Haar unitary per sample, 4 M^2 entries and np.triu's
-    # mask of M^2 bytes, and moments' values take 21 entries per sample; on a channel file with a 128-dimensional input, under a cap
-    # lowered to 2^15 entries, the channel's construction fits but one sample's finish
-    # passes the cap, so the run exits before any draw
+    # mask of M^2 bytes, and its values take 21 entries per sample; on a channel file
+    # with a 128-dimensional input, under a cap lowered to 2^15 entries, the channel's
+    # construction fits but one sample's finish passes the cap, so the run exits
+    # before any draw
     functional = np.zeros((1, 128))
     functional[0, 0] = 1.0
     path = tmp_path / "wide.json"
