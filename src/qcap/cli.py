@@ -232,10 +232,8 @@ def cmd_typicality(args: argparse.Namespace, ch: qch.KrausChannel) -> _Report:
         "typical_decay": verification.typical_decay,
         "reduced_decay": verification.reduced_decay,
     }
-    header = ["n", "length", "length_bound", "typical_transmission", "transmission",
-              "frobenius_sq", "frobenius_bound"]
-    rows = [[r.n, r.length, r.length_bound, r.typical_transmission,
-             r.transmission, r.frobenius_sq, r.frobenius_bound] for r in reports]
+    header = [name for name in tp.ReducedChannelReport._fields if name != "epsilon"]
+    rows = [[getattr(r, name) for name in header] for r in reports]
     return record, header, rows
 
 

@@ -6,8 +6,8 @@ probability depends only on its group counts, so reports stay polynomial in
 n even when the sequence space is exponential.  Class masses are summed in
 the log domain, so counts far beyond the float range do not overflow.  The
 number of compositions is checked against a cap before any is enumerated,
-and each reduced report checks its predicted peak (`_checked_types`) against
-`linalg.ENTRY_CAP` before allocating.
+and each reduced report's block path checks its predicted peak
+(`_reduced_norms`) against `linalg.ENTRY_CAP` before allocating.
 
 The block-channel constructions follow the two-step reduction of an n-fold
 product channel, which reads two spectra: keep only the Kraus products whose
@@ -15,22 +15,23 @@ weight is typical for the per-use Kraus weight distribution (the weights of
 `channels.minimal_kraus`), then project the output onto the typical subspace
 of the single-use output state (the typical classes of its spectrum).  A
 series of reduced-channel reports prepares the n-independent part (minimal
-Kraus family and weights, output spectrum and eigenbasis, group factors)
-once, and never enumerates sequences nor forms an M'^n-dimensional vector or
-matrix.  One sorted walk decides both halves of the reduction: the
-compositions kept below the typical Kraus classes and those kept below the
-typical output classes, level by level (`_kept_levels`), and one 0/1
-`_pairing` marks the prefix and suffix compositions of either kind that sum
-to a typical class.  The sum over the typical Kraus sequences is built class
-by class on the two halves of the block (`_sequence_sum`), each half one
-stack of its class sums, a row per kept composition, and the projector,
-split by the kept output types of prefix and suffix (`_type_sets`), is
-contracted with the halves by output-type block: each block of a stack is
-gathered once and met with the Kraus pairing by one product (`_type_blocks`,
-`_reduced_norms`).  The halves are matrices, or vectors when every factor is
-diagonal in the output eigenbasis; a diagonal operator is the case whose
-off-type blocks vanish, so one contraction and one peak prediction
-(`_checked_types`, in k = 1 for vectors and k = 2 for matrices) serve both.
+Kraus family and weights, output spectrum and eigenbasis, group factors) once
+(`_reduced_step`), whose per-n step picks each report's path, and never
+enumerates sequences nor forms an M'^n-dimensional vector or matrix.  On the
+block path (`_reduced_norms`), one sorted walk decides both halves of the
+reduction: the compositions kept below the typical Kraus classes and those
+kept below the typical output classes, level by level (`_kept_levels`), and
+one 0/1 `_pairing` marks the prefix and suffix compositions of either kind
+that sum to a typical class.  The sum over the typical Kraus sequences is
+built class by class on the two halves of the block (`_sequence_sum`), each
+half one stack of its class sums, a row per kept composition, and the
+projector, split by the kept output types of prefix and suffix
+(`_type_sets`), is contracted with the halves by output-type block: each
+block of a stack is gathered once and met with the Kraus pairing by one
+product (`_type_blocks`, `_reduced_norms`).  The halves are matrices, or
+vectors when every factor is diagonal in the output eigenbasis; a diagonal
+operator is the case whose off-type blocks vanish, so one contraction and
+one peak prediction (in k = 1 for vectors and k = 2 for matrices) serve both.
 
 A series also builds the channel's `classify` report, from the same weights
 and N(pi) spectrum as `info` (`channels._info_report`,
@@ -221,7 +222,7 @@ def _group_factors(stack: np.ndarray, basis: np.ndarray, groups) -> np.ndarray:
     factor's lower triangle, as it forms N(pi)'s.  Factors
     that are `_all_diagonal` come back as their (G, M') real diagonals, else
     the (G, M', M') matrices, each upper half filled in with the conjugate
-    transpose of its lower.  `_reduced_series` checks the step's peak before
+    transpose of its lower.  `_reduced_step` checks the step's peak before
     it forms N(pi).
     """
     adjoint = basis.conj().T
@@ -379,42 +380,6 @@ def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, n
     return (traces if mix is None else traces @ mix.T), grams
 
 
-def _checked_types(factors: np.ndarray, output_groups, n: int, classes,
-                   output_classes) -> tuple[list, list]:
-    """The kept Kraus and output levels at n, once the report's predicted peak is checked.
-
-    Needs a typical Kraus class: without one, kept[0] is empty, and
-    `_sequence_sum` starts from it.  Only the Kraus compositions and output
-    types below some typical class (`_kept_levels`) enter: K_m Kraus
-    compositions of each length m, U output types of length h = n // 2 and V
-    of length r = n - h, the largest of B multi-indices (`_class_size`).
-    With k = 1 for factors given by their diagonals and k = 2 for matrices, a
-    length-m half sum has D_m = M'^(k m) entries.  The recursion holds the stacks of levels r - 1 and r and a
-    term, K_(r-1) D_(r-1) + (K_r + 1) D_r entries, beside the G group
-    factors; the type ids and sets add 2 (M'^h + M'^r), the pairing and a
-    product of it 2 K_h K_r.  A type block holds one gathered block of a
-    stack, K_r B^k, and for matrices its paired rows and their conjugate,
-    2 K_h B^k, for diagonals the K_r^2 Gram before pairing; the Grams of
-    every block are kept, V^k + U^k of K_h^2 entries, and the pairs make
-    U V^(k-1) + U^k more of them.  The typical classes and the kept
-    compositions and types are tuples of one count per group, an entry each.
-    """
-    k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
-    kraus = _kept_levels([cls.counts for cls in classes], n, r)
-    output = _kept_levels([cls.counts for cls in output_classes], n, r)
-    largest = max((_class_size(output_groups, t) for t in output[h] + output[r]), default=0)
-    u, v, low, kh, kr = map(len, (output[h], output[r], kraus[r - 1], kraus[h], kraus[r]))
-    entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
-               + 2 * (dim**h + dim**r) + 2 * kh * kr
-               + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
-               + kh**2 * (v**k + 2 * u**k + u * v**(k - 1))
-               + (len(classes) + sum(map(len, kraus))) * len(factors)
-               + (len(output_classes) + sum(map(len, output))) * len(output_groups))
-    linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
-                         f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
-    return kraus, output
-
-
 def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
                    output_classes) -> tuple[float, float]:
     """tr(P S P) and ||P S P||_F^2 of the reduced output at n, never forming S or P.
@@ -435,11 +400,39 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
     >= 0, so the sum does not cancel.  alpha and beta are held whole; the
     pairs meet beta one suffix type at a time.  The products run on one BLAS
     thread, so their bits do not depend on the thread count.
+
+    Needs a typical Kraus class: without one, kept[0] is empty, and
+    `_sequence_sum` starts from it.  The predicted peak is checked before
+    any half sum is formed.  Only the Kraus compositions and output types
+    below some typical class (`_kept_levels`) enter: K_m Kraus compositions
+    of each length m, U output types of length h = n // 2 and V of length
+    r = n - h, the largest of B multi-indices (`_class_size`).  A length-m
+    half sum has D_m = M'^(k m) entries.  The recursion holds the stacks of
+    levels r - 1 and r and a term, K_(r-1) D_(r-1) + (K_r + 1) D_r entries,
+    beside the G group factors; the type ids and sets add 2 (M'^h + M'^r),
+    the pairing and a product of it 2 K_h K_r.  A type block holds one
+    gathered block of a stack, K_r B^k, and for matrices its paired rows and
+    their conjugate, 2 K_h B^k, for diagonals the K_r^2 Gram before pairing;
+    the Grams of every block are kept, V^k + U^k of K_h^2 entries, and the
+    pairs make U V^(k-1) + U^k more of them.  The typical classes and the
+    kept compositions and types are tuples of one count per group, an entry
+    each.
     """
-    kept, output = _checked_types(factors, output_groups, n, classes, output_classes)
+    k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
+    kept = _kept_levels([cls.counts for cls in classes], n, r)
+    output = _kept_levels([cls.counts for cls in output_classes], n, r)
+    largest = max((_class_size(output_groups, t) for t in output[h] + output[r]), default=0)
+    u, v, low, kh, kr = map(len, (output[h], output[r], kept[r - 1], kept[h], kept[r]))
+    entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
+               + 2 * (dim**h + dim**r) + 2 * kh * kr
+               + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
+               + kh**2 * (v**k + 2 * u**k + u * v**(k - 1))
+               + (len(classes) + sum(map(len, kept))) * len(factors)
+               + (len(output_classes) + sum(map(len, output))) * len(output_groups))
+    linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
+                         f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
     if not output_classes:
         return 0.0, 0.0
-    k, dim, h = factors.ndim - 1, factors.shape[-1], n // 2
     pairs = _pairing(output[h], output[-1], [cls.counts for cls in output_classes])
     lefts, rights, pairing = _sequence_sum(factors, classes, n, kept)
     with linalg.one_blas_thread():
@@ -459,25 +452,19 @@ def _block_lengths(ns) -> tuple:
     return ns, int(max((ns[0], ns[-1]) if isinstance(ns, range) and ns else ns, default=1))
 
 
-def _reduced_series(ch: KrausChannel, ns, eps: float):
-    """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
+def _reduced_step(ch: KrausChannel, eps: float):
+    """The channel's `classify` report, its Kraus weights and group count, and the per-n step.
 
-    Works in the eigenbasis of the single-use output state, where the typical
-    projector is diagonal; the n-independent work runs once.  Before any
-    class is enumerated, the top n's half block is refused from r log2 M'
-    alone, and so are more than 2^16 kept Kraus compositions in all, at most
-    C(r + G, G) per n over G groups (this bounds a one-dimensional output).
-    The top n's report is built first, so its peak is checked before any
-    other report is built.  N(pi)'s one spectrum (`channels._output_spectrum`)
-    gives the report, the output groups and, at `info`'s S(N(pi)), the
-    typical output window; eigh gives only the eigenbasis.  The Kraus
-    classes read `info`'s S_e.
+    The n-independent work runs once, in the eigenbasis of the single-use
+    output state, where the typical projector is diagonal: the channel and
+    epsilon are checked, then the group factors' predicted peak, before N(pi)
+    is formed.  N(pi)'s one spectrum (`channels._output_spectrum`) gives the
+    report, the output groups and, at `info`'s S(N(pi)), the typical output
+    window; eigh gives only the eigenbasis.  The Kraus classes read `info`'s
+    S_e.  The step, report(n), reads the weights, spectra and group factors
+    alone, and it is the one place that picks a report's path: zeros when
+    no Kraus class is typical, else the block path (`_reduced_norms`).
     """
-    ns, top = _block_lengths(ns)
-    log2_half = (top - top // 2) * math.log2(ch.output_dim)
-    if log2_half > math.log2(linalg.ENTRY_CAP):
-        raise CapExceededError(f"reduced report at n={top}, half-block dimension 2^{log2_half:.6g},"
-                               f" above cap {linalg.as_power_of_two(linalg.ENTRY_CAP)}")
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
     stack, weights = minimal_kraus(ch)
@@ -498,18 +485,8 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
     del rho_out
     output_groups = _weight_groups(spectrum)
     factors = _group_factors(stack, basis, kraus_groups)
-    del stack, basis                # the reports read the factors alone
 
-    kept = 0
-    for n in ns:
-        if n < 1:
-            raise InvariantViolationError("n must be >= 1")
-        kept += math.comb(n - n // 2 + len(kraus_groups), len(kraus_groups))
-        if kept > _COMPOSITION_CAP:
-            raise CapExceededError(f"type classes of {len(kraus_groups)} weight groups kept through"
-                                   f" n={n} exceed cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
-    reports = {}
-    for n in sorted(set(ns), key=lambda n: (n != top, n)):      # the top n first
+    def report(n: int) -> ReducedChannelReport:
         classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
         output_classes = _typical_classes(spectrum, output_groups, info.output_entropy, n, eps)
         count = sum(c.sequence_count for c in classes)
@@ -517,11 +494,40 @@ def _reduced_series(ch: KrausChannel, ns, eps: float):
         if count:
             transmission, frobenius_sq = _reduced_norms(factors, output_groups, n, classes,
                                                         output_classes)
-        reports[n] = ReducedChannelReport(
+        return ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
             length_bound=_power_of_two(n * (info.entropy_exchange + eps)),
             transmission=transmission, frobenius_sq=frobenius_sq,
             frobenius_bound=_power_of_two(-n * (info.output_entropy - 3.0 * eps)))
+
+    return info, weights, len(kraus_groups), report
+
+
+def _reduced_series(ch: KrausChannel, ns, eps: float):
+    """The channel's `classify` report, Kraus weights and reduced-channel reports over ns.
+
+    Before the preparation (`_reduced_step`), the top n's half block is
+    refused from r log2 M' alone.  After it, and before any class is
+    enumerated, so are more than 2^16 kept Kraus compositions in all, at
+    most C(r + G, G) per n over G groups (this bounds a one-dimensional
+    output).  The top n's report is built first, so its block path checks
+    its peak before any other report is built.
+    """
+    ns, top = _block_lengths(ns)
+    log2_half = (top - top // 2) * math.log2(ch.output_dim)
+    if log2_half > math.log2(linalg.ENTRY_CAP):
+        raise CapExceededError(f"reduced report at n={top}, half-block dimension 2^{log2_half:.6g},"
+                               f" above cap {linalg.as_power_of_two(linalg.ENTRY_CAP)}")
+    info, weights, group_count, report = _reduced_step(ch, eps)
+    kept = 0
+    for n in ns:
+        if n < 1:
+            raise InvariantViolationError("n must be >= 1")
+        kept += math.comb(n - n // 2 + group_count, group_count)
+        if kept > _COMPOSITION_CAP:
+            raise CapExceededError(f"type classes of {group_count} weight groups kept through"
+                                   f" n={n} exceed cap 2^{_COMPOSITION_CAP.bit_length() - 1}")
+    reports = {n: report(n) for n in sorted(set(ns), key=lambda n: (n != top, n))}  # top n first
     return info, weights, tuple(reports[n] for n in ns)
 
 

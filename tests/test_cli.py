@@ -971,6 +971,12 @@ def test_hermitian_products_keep_their_bytes_on_two_threads(capsys):
                         ["typicality", "--epsilon", "0.1", "--n-min", "1", "--n-max", "2"]):
             argv = [*command, "--channel", f"builtin:{spec}", "--seed", "1"]
             steps.append(lambda argv=argv: run_cli(capsys, *argv))
+    # the block path past n = 2: its dense branch, then its diagonal one
+    for argv in (["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
+                  "--n-min", "2", "--n-max", "9", "--seed", "7"],
+                 ["rate-demo", "--channel", "builtin:phase_flip:0.1", "--rate", "0.25",
+                  "--epsilon", "0.05", "--n-min", "30", "--n-max", "36", "--seed", "1"]):
+        steps.append(lambda argv=argv: run_cli(capsys, *argv))
     for step in steps:
         assert at_blas_threads(step, 1) == at_blas_threads(step, 2)
 

@@ -486,6 +486,21 @@ def test_reduced_reports_reject_nonpositive_n_and_epsilon(ns, eps, message):
         tp.verify_reduction_bounds(qch.phase_flip(0.25), ns, eps)
 
 
+@pytest.mark.parametrize("make_channel, ns, eps, error, message", [
+    (lambda: qch.phase_flip(0.25), (0,), 0.0, InvariantViolationError,
+     "epsilon must be positive"),
+    (lambda: oracles.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.0,
+     InvariantViolationError, "needs a trace-preserving channel"),
+    (lambda: oracles.reduce_channel(qch.phase_flip(0.3), [0]), range(22, 10**8), 0.0,
+     CapExceededError, "half-block dimension"),
+    (lambda: qch.phase_flip(0.25), (0, 10**6), 0.1, CapExceededError, "half-block dimension"),
+], ids=["epsilon-before-n", "trace-before-epsilon", "half-block-first", "half-block-before-n"])
+def test_reduced_reports_refuse_in_order(make_channel, ns, eps, error, message):
+    # the half-block check, then the preparation's channel and epsilon checks, then n
+    with pytest.raises(error, match=message):
+        tp.verify_reduction_bounds(make_channel(), ns, eps)
+
+
 def test_typical_channel_needs_trace_preserving():
     with pytest.raises(InvariantViolationError):
         tp.verify_reduction_bounds(oracles.reduce_channel(qch.phase_flip(0.3), [0]), (2,), 0.1)
@@ -759,6 +774,9 @@ def test_report_series_equals_single_reports(make_channel):
     ns = (9, 4, 1, 7, 10, 6)        # unsorted and gapped
     series = tp.verify_reduction_bounds(ch, ns, 0.1).reports
     assert series == tuple(tp.verify_reduction_bounds(ch, (n,), 0.1).reports[0] for n in ns)
+    # one preparation, each n: its per-n step gives the same reports in either order
+    report = tp._reduced_step(ch, 0.1)[-1]
+    assert tuple(map(report, ns)) == series == tuple(map(report, ns[::-1]))[::-1]
     assert [rep.n for rep in series] == list(ns)
     # each channel has empty and nonempty typical sets among these n
     assert any(rep.length == 0 for rep in series) and any(rep.length for rep in series)
