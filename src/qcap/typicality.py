@@ -461,9 +461,10 @@ def _reduced_step(ch: KrausChannel, eps: float):
     is formed.  N(pi)'s one spectrum (`channels._output_spectrum`) gives the
     report, the output groups and, at `info`'s S(N(pi)), the typical output
     window; eigh gives only the eigenbasis.  The Kraus classes read `info`'s
-    S_e.  The step, report(n), reads the weights, spectra and group factors
-    alone, and it is the one place that picks a report's path: zeros when
-    no Kraus class is typical, else the block path (`_reduced_norms`).
+    S_e.  The step, report(n), reads the weights, the output spectrum and
+    the group factors alone, and it is the one place that picks a report's
+    path: zeros when no Kraus class is typical, else the block path
+    (`_reduced_norms`).
     """
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
