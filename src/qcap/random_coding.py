@@ -245,14 +245,15 @@ def haar_moment_suite(dim: int, sample_count: int, master_seed: int) -> HaarMome
     linalg.check_entries(5 * sample_count, f"keeping the results of {sample_count} samples")
 
     def moments(unitaries):
-        # Python's abs of each entry: numpy's vectorized abs rounds some last bits differently
-        rows = unitaries[:, 0, :2].tolist()
-        a2, b2 = np.array([[abs(u) ** 2 for u in row] for row in rows]).T
+        # Python's abs(u) ** 2 bit for bit: hypot as its abs, pow as its ** (np.abs, ** 2 and
+        # h * h round some last bits differently)
+        first = unitaries[:, 0, :2]
+        a2, b2 = np.float_power(np.hypot(first.real, first.imag), 2.0).T
         return np.stack([a2, a2 * a2, a2 * b2], axis=1)
 
-    # per sample, moments' two lists of Python numbers and its arrays (measured 20.9)
+    # per sample, moments' arrays (measured 3.5)
     raw = _sample_values((dim, dim), sample_count, master_seed, moments,
-                         lambda stack: 21 * stack, "moments")
+                         lambda stack: 4 * stack, "moments")
     targets = {
         "abs_u11_sq": 1.0 / dim,
         "abs_u11_fourth": 2.0 / (dim**2 + dim),

@@ -22,13 +22,15 @@ block path (`_reduced_norms`), one sorted walk decides both halves of the
 reduction: the compositions kept below the typical Kraus classes and those
 kept below the typical output classes, level by level (`_kept_levels`), and
 one 0/1 `_pairing` marks the prefix and suffix compositions of either kind
-that sum to a typical class.  The sum over the typical Kraus sequences is
-built class by class on the two halves of the block (`_sequence_sum`), each
-half one stack of its class sums, a row per kept composition, and the
-projector, split by the kept output types of prefix and suffix
-(`_type_sets`), is contracted with the halves by output-type block: each
-block of a stack is gathered once and met with the Kraus pairing by one
-product (`_type_blocks`, `_reduced_norms`).  The halves are matrices, or
+that sum to a typical class.  One recursion (`_sequence_sum`) builds both
+steps' sums over the sequences of a type class on the two halves of the
+block, each half one stack of its class sums, a row per kept composition:
+on the Kraus group factors, the sums over the typical Kraus sequences; on
+the output groups' 0/1 indicators, the multi-indices of each kept output
+type of prefix and suffix, which split the projector.  The projector is
+contracted with the Kraus halves by output-type block: each block of a
+stack is gathered once and met with the Kraus pairing by one product
+(`_type_blocks`, `_reduced_norms`).  The halves are matrices, or
 vectors when every factor is diagonal in the output eigenbasis; a diagonal
 operator is the case whose off-type blocks vanish, so one contraction and
 one peak prediction (in k = 1 for vectors and k = 2 for matrices) serve both.
@@ -304,7 +306,11 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
 
     `factors` is a (G, M') stack of vectors or a (G, M', M') stack of matrices,
     one per weight group: the sum of its symbols' factors, so that a group
-    sequence sums all its symbol sequences.  S_m(c), the sum over length-m
+    sequence sums all its symbol sequences.  The factors may be the (G', M')
+    0/1 indicators of the output groups: S_m(c) is then the indicator of the
+    length-m multi-indices (first factor major) of output type c, and the
+    pairing marks the prefix and suffix types that sum to a typical output
+    class, the typical pairs of the projector.  S_m(c), the sum over length-m
     sequences of composition c, obeys S_m(c) = sum_g S_(m-1)(c - e_g) (x) F_g;
     only compositions below some typical class are kept (``kept``, the
     sorted levels of `_kept_levels`), and each level is one stack of its
@@ -327,27 +333,6 @@ def _sequence_sum(factors: np.ndarray, classes, n: int, kept):
 
 
 # ------------------------------------------------------------------ contraction by output type
-
-def _type_sets(groups, dim: int, levels) -> list[np.ndarray]:
-    """The multi-indices (first factor major) of each output type of the last of `levels`.
-
-    An output type is a multi-index's tuple of group counts; `levels` are the
-    kept types of lengths 0..m, sorted and downward closed (`_kept_levels`).
-    Type ids, positions in their level, grow one factor at a time through a
-    (type, symbol) -> type table, so any number of groups fits; a multi-index
-    whose type leaves the kept levels, or that holds a symbol of no group (a
-    zero weight), takes id -1 and keeps it.
-    """
-    ids = np.zeros(1, dtype=np.intp)
-    for types, grown in zip(levels, levels[1:]):
-        index = {counts: k for k, counts in enumerate(grown)}
-        table = np.full((len(types) + 1, dim), -1, dtype=np.intp)  # its last row keeps id -1 at -1
-        for t, counts in enumerate(types):
-            for g, group in enumerate(groups):
-                table[t, group] = index.get(counts[:g] + (counts[g] + 1,) + counts[g + 1:], -1)
-        ids = table[ids].reshape(-1)
-    return [np.flatnonzero(ids == k) for k in range(len(levels[-1]))]
-
 
 def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, np.ndarray]:
     """Traces and Grams of the type blocks of X_c = sum_d mix[c, d] stack[d] (X = stack, no mix).
@@ -401,44 +386,59 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
     pairs meet beta one suffix type at a time.  The products run on one BLAS
     thread, so their bits do not depend on the thread count.
 
+    The type sets come first: `_sequence_sum` on the output groups' 0/1
+    indicators gives the stacked indicators of the prefix and suffix types
+    and their pairing, pairs; each set is the flatnonzero of its row, the
+    suffix's serve as the prefix's when h = r, and the 0/1 stacks are
+    released before the Kraus halves are built.
+
     Needs a typical Kraus class: without one, kept[0] is empty, and
     `_sequence_sum` starts from it.  The predicted peak is checked before
     any half sum is formed.  Only the Kraus compositions and output types
     below some typical class (`_kept_levels`) enter: K_m Kraus compositions
-    of each length m, U output types of length h = n // 2 and V of length
-    r = n - h, the largest of B multi-indices (`_class_size`).  A length-m
-    half sum has D_m = M'^(k m) entries.  The recursion holds the stacks of
-    levels r - 1 and r and a term, K_(r-1) D_(r-1) + (K_r + 1) D_r entries,
-    beside the G group factors; the type ids and sets add 2 (M'^h + M'^r),
-    the pairing and a product of it 2 K_h K_r.  A type block holds one
-    gathered block of a stack, K_r B^k, and for matrices its paired rows and
-    their conjugate, 2 K_h B^k, for diagonals the K_r^2 Gram before pairing;
-    the Grams of every block are kept, V^k + U^k of K_h^2 entries, and the
-    pairs make U V^(k-1) + U^k more of them.  The typical classes and the
-    kept compositions and types are tuples of one count per group, an entry
-    each.
+    and V_m output types of each length m, U = V_h and V = V_r at h = n // 2
+    and r = n - h, the largest of B multi-indices (`_class_size`).  The G
+    group factors, the pairs, U V entries, and the type sets, at most
+    M'^h + M'^r indices (the types are disjoint), count beside both phases,
+    and the peak takes the larger phase.  The output recursion holds the 0/1
+    stacks of levels r - 1 and r and a term, V_(r-1) M'^(r-1) + (V + 1) M'^r
+    entries, or, once done, the pairs as they are built, U V more.  A
+    length-m Kraus half sum has D_m = M'^(k m) entries; its recursion holds
+    the stacks of levels r - 1 and r and a term, K_(r-1) D_(r-1) +
+    (K_r + 1) D_r entries, and the pairing and a product of it 2 K_h K_r.  A
+    type block holds one gathered block of a stack, K_r B^k, and for
+    matrices its paired rows and their conjugate, 2 K_h B^k, for diagonals
+    the K_r^2 Gram before pairing; the Grams of every block are kept,
+    V^k + U^k of K_h^2 entries, and the pairs make U V^(k-1) + U^k more of
+    them.  The typical classes and the kept compositions and types are
+    tuples of one count per group, an entry each.
     """
     k, dim, h, r = factors.ndim - 1, factors.shape[-1], n // 2, n - n // 2
     kept = _kept_levels([cls.counts for cls in classes], n, r)
     output = _kept_levels([cls.counts for cls in output_classes], n, r)
     largest = max((_class_size(output_groups, t) for t in output[h] + output[r]), default=0)
     u, v, low, kh, kr = map(len, (output[h], output[r], kept[r - 1], kept[h], kept[r]))
-    entries = (len(factors) * dim**k + low * dim**(k * r - k) + (kr + 1) * dim**(k * r)
-               + 2 * (dim**h + dim**r) + 2 * kh * kr
-               + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
-               + kh**2 * (v**k + 2 * u**k + u * v**(k - 1))
+    entries = (len(factors) * dim**k + dim**h + dim**r + u * v
+               + max(len(output[r - 1]) * dim**(r - 1) + (v + 1) * dim**r + u * v,
+                     low * dim**(k * r - k) + (kr + 1) * dim**(k * r) + 2 * kh * kr
+                     + (kr + 2 * (k - 1) * kh) * largest**k + (2 - k) * kr**2
+                     + kh**2 * (v**k + 2 * u**k + u * v**(k - 1)))
                + (len(classes) + sum(map(len, kept))) * len(factors)
                + (len(output_classes) + sum(map(len, output))) * len(output_groups))
     linalg.check_entries(entries, f"{('diagonal', 'dense')[k - 1]} reduced report at n={n}, "
                          f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
     if not output_classes:
         return 0.0, 0.0
-    pairs = _pairing(output[h], output[-1], [cls.counts for cls in output_classes])
+    indicators = np.array([np.isin(np.arange(dim), group) for group in output_groups])
+    prefix_types, suffix_types, pairs = _sequence_sum(indicators, output_classes, n, output)
+    suffix_sets = [np.flatnonzero(row) for row in suffix_types]
+    prefix_sets = suffix_sets if h == r else [np.flatnonzero(row) for row in prefix_types]
+    del prefix_types, suffix_types
     lefts, rights, pairing = _sequence_sum(factors, classes, n, kept)
     with linalg.one_blas_thread():
-        suffix_traces, beta = _type_blocks(rights, _type_sets(output_groups, dim, output), pairing)
-        traces, alpha = _type_blocks(lefts, _type_sets(output_groups, dim, output[:h + 1]))
-        weights = pairs @ beta.reshape(len(output[-1]), -1)
+        suffix_traces, beta = _type_blocks(rights, suffix_sets, pairing)
+        traces, alpha = _type_blocks(lefts, prefix_sets)
+        weights = pairs @ beta.reshape(v, -1)
         if k == 2:
             weights = pairs @ weights.reshape(*pairs.shape, -1)
         frobenius_sq = np.dot(alpha.reshape(-1), weights.reshape(-1))

@@ -142,17 +142,17 @@ def test_kernel_heavy_ensemble_chunk_peak_within_budget(monkeypatch, spec):
 
 
 def test_moment_chunk_peak_within_budget(monkeypatch):
-    # identity:3's unitaries, 37 entries of finish and 21 of moments each, come
+    # identity:3's unitaries, 37 entries of finish and 4 of moments each, come
     # thousands to a chunk, which must hold to the `_CHUNK_ENTRIES` budget; the
     # run's fixed part is its kept values
     chunks = []
     finish = linalg.haar_isometries
     monkeypatch.setattr(linalg, "haar_isometries",
                         lambda normals: chunks.append(len(normals)) or finish(normals))
-    samples = 5000
+    samples = 8000
     rc.haar_moment_suite(3, 10, 3)
     peak, _ = traced(monkeypatch, lambda: rc.haar_moment_suite(3, samples, 3))
-    assert chunks[-2:] == [4519, samples - 4519]
+    assert chunks[-2:] == [6393, samples - 6393]
     assert rc._CHUNK_ENTRIES / 3 <= peak / 16 <= rc._CHUNK_ENTRIES + 5 * samples, peak / MIB
 
 
@@ -222,7 +222,7 @@ def test_reduced_norms_own_peak(monkeypatch, dims, n, eps):
 @pytest.mark.parametrize("dims", [(1, 256, 16), (1, 1024, 8)])
 def test_reduced_norms_peak_of_a_rank_deficient_output(monkeypatch, dims):
     # N(pi) has rank 16 or 8: the rounding noise of its other eigenvalues forms no
-    # output groups, whose arrays and type tables the prediction would not count
+    # output groups, whose arrays and indicator rows the prediction would not count
     ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
     peak, predicted = reduced_norms_step(monkeypatch, ch, 1, 0.5)
     assert peak <= predicted, (peak / MIB, predicted / MIB)

@@ -212,6 +212,24 @@ def test_haar_moment_targets(dim, m4, mc):
     assert rep.all_pass
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_haar_moment_values_are_python_abs_squared(monkeypatch, dim):
+    # each sample's |U_11|^2, |U_11|^4 and |U_11|^2 |U_12|^2 has the bits of Python's
+    # abs(u) ** 2 on the same unitaries; the report means alone, fsum-rounded, can
+    # hide a last-bit drift in the per-sample values
+    unitaries, columns = [], []
+    finish, estimate = linalg.haar_isometries, rc._estimate
+    monkeypatch.setattr(linalg, "haar_isometries",
+                        lambda normals: unitaries.append(finish(normals)) or unitaries[-1])
+    monkeypatch.setattr(rc, "_estimate", lambda values, seed: (
+        columns.append(values.tolist()) or estimate(values, seed)))
+    rc.haar_moment_suite(dim, 20000, master_seed=11)
+    rows = np.concatenate(unitaries)[:, 0, :2].tolist()
+    a2, b2 = zip(*([abs(u) ** 2 for u in row] for row in rows))
+    assert len(a2) == 20000
+    assert columns == [list(a2), [a * a for a in a2], [a * b for a, b in zip(a2, b2)]]
+
+
 def test_haar_moment_degenerate_code_consistency():
     # K = M: <psi| pi_C |psi> = 1/M deterministically, squared moment 1/M^2
     m = 4

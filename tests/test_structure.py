@@ -1,10 +1,10 @@
-"""Structure of the package: no public name exists only for the tests.
+"""Structure of the package: no name exists only for the tests.
 
-Every public module-level function and class in ``src/qcap``, and every
-public method of a public class, must be named somewhere in ``src/qcap`` or
-``scripts`` other than in its own definition: as a name, an attribute, or a
-``from`` import.  Names the tests use do not count.  Methods of private
-classes (argparse's ``_Parser.error`` override) are exempt.
+Every module-level function and class in ``src/qcap``, public or private,
+and every public method of a public class, must be named somewhere in
+``src/qcap`` or ``scripts`` other than in its own definition: as a name, an
+attribute, or a ``from`` import.  Names the tests use do not count.  Methods
+of private classes (argparse's ``_Parser.error`` override) are exempt.
 
 Every LAPACK call is made in ``linalg.py``, which pins it to one BLAS
 thread: no other module names an ``np.linalg`` function but ``norm``.
@@ -24,13 +24,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def public_definitions(tree: ast.Module):
-    """(label, name, node) of the public functions, classes and methods of public classes."""
+def definitions(tree: ast.Module):
+    """(label, name, node) of the module-level functions and classes, public or private,
+    and of the public methods of public classes."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item.name, item
@@ -55,7 +56,7 @@ def unreached_names(paths) -> list[str]:
     for path, tree in trees.items():
         if path.parent.name != "qcap":
             continue
-        for label, name, definition in public_definitions(tree):
+        for label, name, definition in definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             if not any(ref == name and node not in inside for ref, node in refs):
                 unreached.append(f"{path.stem}.{label}")
@@ -74,8 +75,9 @@ def test_a_name_only_its_own_body_uses_is_unreached(tmp_path):
     module.write_text("def used():\n    return 1\n\n\ndef unused(n):\n    return unused(n - 1)\n\n\n"
                       "class C:\n    def reached(self):\n        return used()\n\n"
                       "    def lonely(self):\n        return self.reached()\n\n\n"
-                      "class _P:\n    def error(self):\n        pass\n\n\nC()\n")
-    assert unreached_names([module]) == ["m.C.lonely", "m.unused"]
+                      "class _P:\n    def error(self):\n        pass\n\n\n"
+                      "def _helper(n):\n    return _helper(n - 1)\n\n\nC()\n_P()\n")
+    assert unreached_names([module]) == ["m.C.lonely", "m._helper", "m.unused"]
 
 
 def numpy_linalg_names(paths) -> list[str]:

@@ -275,15 +275,16 @@ def typical_indicator(dim, groups, classes, n):
     A multi-index is typical exactly when the output type of its prefix of
     length n // 2 plus that of its suffix is a typical class: the typical
     pairs of the kept prefix and suffix types, whose multi-indices
-    `_type_sets` lists.
+    `_sequence_sum` marks when run on the groups' 0/1 indicators.
     """
     h, r = n // 2, n - n // 2
     types = tp._kept_levels([c.counts for c in classes], n, r)
     typical = {c.counts for c in classes}
-    suffix_sets = tp._type_sets(groups, dim, types)
+    indicators = np.array([np.isin(np.arange(dim), group) for group in groups])
+    prefix_types, suffix_types, _ = tp._sequence_sum(indicators, classes, n, types)
     mask = np.zeros((dim**h, dim**r), dtype=bool)
-    for u, rows in zip(types[h], tp._type_sets(groups, dim, types[:h + 1])):
-        for v, cols in zip(types[r], suffix_sets):
+    for u, rows in zip(types[h], prefix_types):
+        for v, cols in zip(types[r], suffix_types):
             mask[np.ix_(rows, cols)] = tuple(map(int.__add__, u, v)) in typical
     return mask.reshape(-1)
 
@@ -522,9 +523,14 @@ def check_report_against_oracle(monkeypatch, ch, n, eps, *, diagonal):
     monkeypatch.setattr(tp, "_sequence_sum", spy)
     rep = tp.verify_reduction_bounds(ch, (n,), eps).reports[0]
     # one sum over the Kraus group factors, vectors on the diagonal branch and
-    # matrices on the dense one; both contract the projector by output type
-    assert spy.call_count == 1
-    assert spy.call_args.args[0].ndim == (2 if diagonal else 3)
+    # matrices on the dense one, and one over the output groups' 0/1 indicators,
+    # whose type sets contract the projector by output type on both branches
+    (kraus,) = [c.args[0] for c in spy.call_args_list if c.args[0].dtype != bool]
+    (output,) = [c.args[0] for c in spy.call_args_list if c.args[0].dtype == bool]
+    assert kraus.ndim == (2 if diagonal else 3)
+    groups = tp._weight_groups(qch._output_spectrum(qch._uniform_output(ch.kraus_ops)))
+    assert output.shape == (len(groups), ch.output_dim)
+    assert [np.flatnonzero(row).tolist() for row in output] == [g.tolist() for g in groups]
     dense = typical_kraus_channel(ch, n, eps, project=True)
     out = oracles.apply(dense, oracles.max_mixed(2**n))
     assert rep.length == len(dense.kraus_ops)
