@@ -380,15 +380,19 @@ def depolarizing(p: float, dim: int = 2) -> KrausChannel:
 def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> KrausChannel:
     """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries.
 
-    Each scaled unitary is written into its slot of one stack, which is
-    allocated before the first draw.
+    One stack is allocated before the first draw.  Each unitary's normals
+    are drawn straight into the float view of its own slot, which
+    `linalg.haar_isometries` packs into the Ginibre matrix and QR reads; the
+    scaled unitary is written back into the slot.
     """
-    # the draw phase: a draw beside the whole stack
-    draw = count * dim * dim + linalg._haar_entries(dim, dim)
+    # the draw phase: a draw, its normals in their slot, beside the whole stack
+    draw = count * dim * dim + linalg._haar_entries(dim, dim) - dim * dim
     _check_build("random_unitary", count, dim, dim, draw, dim=dim, count=count)
     ops = np.empty((count, dim, dim), dtype=np.complex128)
     for slot in ops:
-        np.multiply(linalg.haar_isometry(dim, dim, rng), math.sqrt(1.0 / count), out=slot)
+        normals = slot.view(np.float64).reshape(1, 2, dim, dim)
+        rng.standard_normal(out=normals)
+        np.multiply(linalg.haar_isometries(normals)[0], math.sqrt(1.0 / count), out=slot)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
 

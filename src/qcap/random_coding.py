@@ -22,7 +22,9 @@ ensemble estimates or for every per-code bound column (`bound_values`); no
 bits depend on the chunk size.  A chunk is the largest stack, at most the
 sample count, whose peak, as the modules that allocate it predict
 (`linalg._haar_entries` for the finish, `codes._stack_entries` for the D
-kernel), fits `_CHUNK_ENTRIES`.
+kernel), fits `_CHUNK_ENTRIES`, a 2 MiB budget: 19 codes of
+`builtin:random_unitary:256,2` or 288 qubit codes at K = 2, and 3196
+`moments` unitaries on `builtin:identity:3`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
@@ -39,9 +41,10 @@ from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _lower_n
 from .errors import InvariantViolationError
 from .linalg import _power_of_two
 
-# The budget of a chunk of the sampling loop: 2^18 complex entries (4 MiB) of
-# predicted peak (`_sample_values`).
-_CHUNK_ENTRIES = 1 << 18
+# The budget of a chunk of the sampling loop: 2^17 complex entries (2 MiB) of
+# predicted peak (`_sample_values`).  Twice that ran qubit ensembles and `moments`
+# no faster, and held an 8-qubit ensemble's peak about 1 MiB higher.
+_CHUNK_ENTRIES = 1 << 17
 
 
 def _stream_key(master_seed: int, index: int) -> np.ndarray:
@@ -147,6 +150,8 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     replaces the N^2 Gram products of the exact average.  The Gram matrix
     G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of the
     `_nonzero` values of its `_gram_spectrum` (as `classify` counts the length).
+    N(pi) is read and released before the Gram matrix is formed, so neither
+    step's peak holds the other's.
     """
     m = ch.input_dim
     if m < 2:
@@ -155,10 +160,11 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
         raise ValueError("need 1 <= code_dim <= input_dim")
     image = _uniform_output(ch.kraus_ops)
     fro_sq = _lower_norm_sq(image)
+    transmission = float(np.real(np.trace(image)))
+    del image
     gram = gram_matrix(ch)
     sum_tr = _lower_norm_sq(gram)
     deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
-    transmission = float(np.real(np.trace(image)))
     length = int(np.count_nonzero(_nonzero(_gram_spectrum(gram)[0])))
     penalty = math.sqrt(code_dim * length * fro_sq)
     return ClosedForms(deviation_sq=deviation_sq, upper_bound=fro_sq,

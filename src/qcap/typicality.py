@@ -351,7 +351,7 @@ def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, n
     flat = stack.reshape(len(stack), -1)
     for u, rows in enumerate(index_sets):
         # row-major, unlike a fancy-indexed gather, so each row is summed pairwise
-        diagonals = flat.take(rows * (stack.shape[-1] + 1) ** (k - 1), axis=1)
+        diagonals = flat.take(rows if k == 1 else rows * (stack.shape[-1] + 1), axis=1)
         traces[u] = np.real(diagonals).sum(axis=1)
         if k == 1:
             gram = diagonals @ diagonals.T

@@ -678,7 +678,7 @@ def test_depolarizing_cap_is_checked_before_any_operator(monkeypatch):
 @pytest.mark.parametrize("build, largest", [
     (lambda size, rng: qch.identity_channel(size), 4375),
     (lambda size, rng: qch.depolarizing(0.3, size), 72),
-    (lambda size, rng: qch.random_unitary_channel(size, 2, rng), 3326),
+    (lambda size, rng: qch.random_unitary_channel(size, 2, rng), 3413),
     (lambda size, rng: qch.random_unitary_channel(64, size, rng), 7280),
     (lambda size, rng: qch.haar_random_channel(64, 64, size, rng), 5460),
     (lambda size, rng: qch.haar_random_channel(1, size, 16, rng), 1397930),

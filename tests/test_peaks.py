@@ -73,6 +73,8 @@ def assert_prediction_bounds_growth(monkeypatch, step, small, large):
     "depolarizing:0.3,28", "depolarizing:0.3,30",
     "haar_random:64,64,96", "haar_random:256,64,24",
     "random_unitary:160,24", "random_unitary:64,128", "random_unitary:512,2",
+    # one operator: the draw phase, its normals in the stack's one slot, sets the peak
+    "random_unitary:600,1",
 ])
 def test_builtin_construction_peak(monkeypatch, spec):
     assert_prediction_bounds_peak(monkeypatch, lambda: cli._parse_builtin(f"builtin:{spec}", 1))
@@ -133,12 +135,29 @@ def test_bound_report_peak(monkeypatch, dims, code_dim, samples):
 @pytest.mark.parametrize("spec", ["haar_random:8,8,16", "haar_random:32,32,16,3"])
 def test_kernel_heavy_ensemble_chunk_peak_within_budget(monkeypatch, spec):
     # K*N = 64: the D kernel, not the codes' finish, sets the chunk, which must hold
-    # to the 4 MiB `_CHUNK_ENTRIES` budget; the run's fixed part is its kept values
+    # to the 2 MiB `_CHUNK_ENTRIES` budget; the run's fixed part is its kept values
     ch = cli._parse_builtin(f"builtin:{spec}", 1)
     samples = 64
     rc.mc_code_values(ch, 4, 1, 2)
     peak, _ = traced(monkeypatch, lambda: rc.mc_code_values(ch, 4, samples, 2))
     assert peak <= 16 * (rc._CHUNK_ENTRIES + 4 * samples), peak / MIB
+
+
+def test_ensemble_wide_peak(capsys):
+    # the 8-qubit two-unitary mixture: each unitary is drawn in its slot of the 2 MiB
+    # stack, and a 2 MiB chunk of codes, so one job holds the channel and one QR
+    # (6.08 MiB with a separate normals buffer and a 4 MiB chunk budget)
+    argv = ["ensemble", "--channel", "builtin:random_unitary:256,2,505", "--code-dim", "2",
+            "--samples", "200", "--seed", "77"]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 5.5 * MIB, peak / MIB
 
 
 def test_moment_chunk_peak_within_budget(monkeypatch):
@@ -149,10 +168,10 @@ def test_moment_chunk_peak_within_budget(monkeypatch):
     finish = linalg.haar_isometries
     monkeypatch.setattr(linalg, "haar_isometries",
                         lambda normals: chunks.append(len(normals)) or finish(normals))
-    samples = 8000
+    samples = 5000
     rc.haar_moment_suite(3, 10, 3)
     peak, _ = traced(monkeypatch, lambda: rc.haar_moment_suite(3, samples, 3))
-    assert chunks[-2:] == [6393, samples - 6393]
+    assert chunks[-2:] == [3196, samples - 3196]
     assert rc._CHUNK_ENTRIES / 3 <= peak / 16 <= rc._CHUNK_ENTRIES + 5 * samples, peak / MIB
 
 
@@ -239,6 +258,13 @@ def test_closed_forms_gram_peak(monkeypatch):
     # its norm is read from the triangle without a temporary) stay within the Gram
     # step's count of 2.25 N^2 entries
     ch = qch.depolarizing(0.3, 40)
+    assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
+
+
+def test_closed_forms_uniform_output_peak(monkeypatch):
+    # three 768 x 768 operators: N(pi) is read and released before the Gram step gathers
+    # and conjugates a block of the operators, so neither step holds the other's arrays
+    ch = cli._parse_builtin("builtin:random_unitary:768,3", 1)
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
 
 

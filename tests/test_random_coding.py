@@ -316,11 +316,11 @@ def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, kernel_
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
 def test_qubit_chunks_hold_hundreds_of_codes(monkeypatch, capsys, kernel_sizes, subcommand):
     # depolarizing(0.3) at K = 2: 17 entries of finish and 436 of D kernel per code and
-    # 416 fixed fill the budget at 577 codes; the bytes equal those of one code per chunk
+    # 416 fixed fill the budget at 288 codes; the bytes equal those of one code per chunk
     argv = [subcommand, "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
             "--samples", "1200", "--seed", "42"]
     assert cli.main(argv) == 0
-    assert kernel_sizes == [577, 577, 46]
+    assert kernel_sizes == [288, 288, 288, 288, 48]
     chunked = capsys.readouterr().out
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 0)
     kernel_sizes.clear()
@@ -363,11 +363,11 @@ def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
     sizes = kernel_sizes
     for spec, code_dim, chunk in [
         # the finish's 23 entries and the D kernel's 2112 per code, beside the panel's
-        # 1344, cap a chunk at 122 codes
-        ("depolarizing:0.2,3", 2, 122),
+        # 1344, cap a chunk at 60 codes
+        ("depolarizing:0.2,3", 2, 60),
         # the finish's 400 entries and the D kernel's 30848 per code, beside the panel's
-        # 25088, cap a chunk at 7 codes, for ensemble and bound alike
-        ("haar_random:32,32,16,3", 4, 7),
+        # 25088, cap a chunk at 3 codes, for ensemble and bound alike
+        ("haar_random:32,32,16,3", 4, 3),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
         for samples in sorted({1, 64, 65, 130, chunk, chunk + 1}):
