@@ -145,8 +145,8 @@ def test_kernel_heavy_ensemble_chunk_peak_within_budget(monkeypatch, spec):
 
 def test_ensemble_wide_peak(capsys):
     # the 8-qubit two-unitary mixture: each unitary is drawn in its slot of the 2 MiB
-    # stack, and a 2 MiB chunk of codes, so one job holds the channel and one QR
-    # (6.08 MiB with a separate normals buffer and a 4 MiB chunk budget)
+    # stack, and a chunk of codes fits 2 MiB, so the job peaks at the stack and one QR
+    # (5.08 MiB); a separate normals buffer beside the stack lifts it past 5.5 MiB
     argv = ["ensemble", "--channel", "builtin:random_unitary:256,2,505", "--code-dim", "2",
             "--samples", "200", "--seed", "77"]
     assert cli.main(argv) == 0
@@ -253,18 +253,17 @@ def test_gram_matrix_peak(monkeypatch, dims):
     assert_prediction_bounds_peak(monkeypatch, lambda: qch.gram_matrix(ch))
 
 
-def test_closed_forms_gram_peak(monkeypatch):
+@pytest.mark.parametrize("spec", [
     # 1600 operators: the Gram matrix and the diagonal test's magnitudes (1.5 N^2 entries;
     # its norm is read from the triangle without a temporary) stay within the Gram
     # step's count of 2.25 N^2 entries
-    ch = qch.depolarizing(0.3, 40)
-    assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
-
-
-def test_closed_forms_uniform_output_peak(monkeypatch):
+    "depolarizing:0.3,40",
     # three 768 x 768 operators: N(pi) is read and released before the Gram step gathers
     # and conjugates a block of the operators, so neither step holds the other's arrays
-    ch = cli._parse_builtin("builtin:random_unitary:768,3", 1)
+    "random_unitary:768,3",
+])
+def test_closed_forms_peak(monkeypatch, spec):
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.closed_forms(ch, 2))
 
 
