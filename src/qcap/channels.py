@@ -326,15 +326,18 @@ def _info_report(ch: KrausChannel, weights: np.ndarray, spectrum: np.ndarray) ->
 # ------------------------------------------------------------------ constructors
 
 def _check_build(name: str, n: int, mp: int, m: int, draw: int = 0, **sizes: int) -> None:
-    """Refuse sizes below 1, then a build peak above the cap, before a constructor allocates.
+    """Refuse sizes below 1, shapes no channel has, then a build peak above the cap.
 
-    The peak is the larger of the draw phase, ``draw`` entries beside a QR's
-    workspace, and the construction of n M' x M operators
-    (`_construction_entries`).
+    All three are decided before a constructor allocates.  n M' x M Kraus
+    operators stack into an isometry only if n M' >= M.  The peak is the
+    larger of the draw phase, ``draw`` entries beside a QR's workspace, and
+    the construction of n M' x M operators (`_construction_entries`).
     """
     if min(sizes.values()) < 1:
         got = ", ".join(f"{key}={value}" for key, value in sizes.items())
         raise ValueError(f"{name} channel needs sizes >= 1, got {got}")
+    if n * mp < m:
+        raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     peak = max(draw + np.getbufsize(), _construction_entries(n, mp, m))
     linalg.check_entries(peak, f"building a {name} channel of {n} {mp} x {m} Kraus operators")
 
@@ -380,19 +383,18 @@ def depolarizing(p: float, dim: int = 2) -> KrausChannel:
 def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> KrausChannel:
     """Equal-weight mixture rho -> (1/n) sum_i U_i rho U_i^dagger of n = count Haar unitaries.
 
-    One stack is allocated before the first draw.  Each unitary's normals
-    are drawn straight into the float view of its own slot, which
-    `linalg.haar_isometries` packs into the Ginibre matrix and QR reads; the
-    scaled unitary is written back into the slot.
+    One stack is allocated before the first draw.  `linalg.haar_isometries`
+    fills each one-slot view of it in turn, drawing the unitary's normals
+    from ``rng`` into its own slot, so that one QR at a time is held beside
+    the stack; the whole stack is then scaled by sqrt(1/count) once.
     """
-    # the draw phase: a draw, its normals in their slot, beside the whole stack
+    # the draw phase: one sampler call on a slot of the whole stack
     draw = count * dim * dim + linalg._haar_entries(dim, dim) - dim * dim
     _check_build("random_unitary", count, dim, dim, draw, dim=dim, count=count)
     ops = np.empty((count, dim, dim), dtype=np.complex128)
-    for slot in ops:
-        normals = slot.view(np.float64).reshape(1, 2, dim, dim)
-        rng.standard_normal(out=normals)
-        np.multiply(linalg.haar_isometries(normals)[0], math.sqrt(1.0 / count), out=slot)
+    for i in range(count):
+        linalg.haar_isometries(ops[i:i + 1], [rng])
+    ops *= math.sqrt(1.0 / count)
     return KrausChannel(input_dim=dim, output_dim=dim, kraus_ops=ops, name="random_unitary")
 
 
@@ -402,8 +404,6 @@ def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
     _check_build("haar_random", kraus_count, output_dim, input_dim,
                  linalg._haar_entries(output_dim * kraus_count, input_dim),
                  input_dim=input_dim, output_dim=output_dim, kraus_count=kraus_count)
-    if output_dim * kraus_count < input_dim:
-        raise ValueError("output_dim * kraus_count must be >= input_dim for an isometry")
     v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
     ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name="haar_random",
                       kraus_ops=v.reshape(kraus_count, output_dim, input_dim))

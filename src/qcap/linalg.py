@@ -2,9 +2,11 @@
 
 Everything in this module operates on plain ``numpy`` arrays (``complex128``,
 row-major) and is a pure function of its inputs, but for `haar_isometries`,
-which overwrites the normals it is given.  Randomness always enters
-through an explicit ``numpy.random.Generator``; no function touches global
-RNG state.  Logarithms are base 2 throughout, so entropies are in qubits/bits.
+which fills the stack it is given.  Randomness always enters through explicit
+``numpy.random.Generator`` streams; no function touches global RNG state.
+Every Gaussian draw in the package is made here, by `haar_isometries`, so
+the layout of a matrix's normals is known in this one place.  Logarithms
+are base 2 throughout, so entropies are in qubits/bits.
 Every LAPACK call in the package is made here, under `one_blas_thread`, so
 its bits do not depend on the BLAS thread count: the eigensolvers `eigvalsh`
 and `eigh`, and the QR of `haar_isometries`, the one Haar sampler, of which
@@ -174,35 +176,40 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``cols`` columns of a Haar unitary: the one-matrix case of `haar_isometries`."""
+    """First ``cols`` columns of a Haar unitary: `haar_isometries` on a fresh one-matrix stack."""
     if not 1 <= cols <= dim:
         raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
-    return haar_isometries(rng.standard_normal((1, 2, dim, cols)))[0]
+    return haar_isometries(np.empty((1, dim, cols), dtype=np.complex128), [rng])[0]
 
 
 def _haar_entries(dim: int, cols: int) -> int:
-    """Peak entries per matrix of `haar_isometries`, the normals included."""
-    # the normals' buffer, QR's copy (then the isometries), Q and R (3.0-3.1 dim*cols + cols^2),
-    # and the boolean mask, a byte per entry of R, with which np.triu forms R
+    """Peak entries per matrix of `haar_isometries`, the stack it draws into included."""
+    # the stack, QR's copy, Q and R (3.0-3.1 dim*cols + cols^2), and the boolean
+    # mask, a byte per entry of R, with which np.triu forms R
     return 3 * dim * cols + cols * cols + -(-cols * cols // 16)
 
 
-def haar_isometries(normals: np.ndarray) -> np.ndarray:
-    """(S, dim, cols) Haar isometries from (S, 2, dim, cols) standard normals: the one Haar sampler.
+def haar_isometries(stack: np.ndarray, streams) -> np.ndarray:
+    """The complex128 (S, dim, cols) ``stack`` filled with Haar isometries: the one Haar sampler.
 
-    Each matrix's normals a, b make the Ginibre matrix (a + 1j b) / sqrt(2):
-    they are scaled in place by 1/sqrt(2), the bits of that quotient (numpy
-    divides by a complex scalar by multiplying by its reciprocal), and the
-    matrices overwrite them.  One reduced QR follows, and the R-diagonal
-    phases are divided out, as raw QR output is not Haar distributed
-    (Mezzadri 2007).  LAPACK runs on each matrix in turn, so each isometry's
-    bits do not depend on S.
+    Matrix i's ``standard_normal`` normals a, b, real part then imaginary
+    part, are drawn from the i-th generator of ``streams`` (one each, so a
+    caller may pass one generator rekeyed per matrix) into the float view of
+    slot i.  They make the Ginibre matrix (a + 1j b) / sqrt(2): they are
+    scaled in place by 1/sqrt(2), the bits of that quotient (numpy divides by
+    a complex scalar by multiplying by its reciprocal), and the matrix
+    overwrites them.  One reduced QR follows, and the R-diagonal phases are
+    divided out, as raw QR output is not Haar distributed (Mezzadri 2007);
+    the isometries overwrite the stack, which is returned.  LAPACK runs on
+    each matrix in turn, so each isometry's bits do not depend on S.
     """
+    normals = stack.view(np.float64).reshape(len(stack), 2, *stack.shape[1:])
+    for row, rng in zip(normals, streams):
+        rng.standard_normal(out=row)
     normals *= 1 / math.sqrt(2)
-    z = normals.reshape(len(normals), -1).view(np.complex128).reshape(-1, *normals.shape[2:])
-    z.real, z.imag = normals.copy().swapaxes(0, 1)
+    stack.real, stack.imag = normals.copy().swapaxes(0, 1)
     with one_blas_thread():
-        q, r = np.linalg.qr(z)
+        q, r = np.linalg.qr(stack)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[:, None, :]
-    return q
+    np.multiply(q, (d / np.abs(d))[:, None, :], out=stack)
+    return stack

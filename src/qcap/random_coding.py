@@ -15,16 +15,16 @@ Reproducibility contract: every Monte Carlo sample draws from its own
 counter-based Philox stream keyed by (master_seed, sample_index), one
 generator rekeyed per sample, and aggregation uses exact (fsum) summation,
 so results depend only on the seed and the sample count.  Sampling is one
-serial pass over chunks of samples: each sample draws only its normals from
-its own stream, and a chunk takes one `linalg.haar_isometries` (Ginibre
-packing and batched QR) and, for codes, one D-kernel call, for both
-ensemble estimates or for every per-code bound column (`bound_values`); no
-bits depend on the chunk size.  A chunk is the largest stack, at most the
-sample count, whose peak, as the modules that allocate it predict
-(`linalg._haar_entries` for the finish, `codes._stack_entries` for the D
-kernel), fits `_CHUNK_ENTRIES`, a 2 MiB budget: 19 codes of
-`builtin:random_unitary:256,2` or 288 qubit codes at K = 2, and 3196
-`moments` unitaries on `builtin:identity:3`.
+serial pass over chunks of samples: a chunk takes one call of the Haar
+sampler, `linalg.haar_isometries`, which draws each sample's normals from
+its own stream into the chunk's stack (then Ginibre packing and batched
+QR), and, for codes, one D-kernel call, for both ensemble estimates or for
+every per-code bound column (`bound_values`); no bits depend on the chunk
+size.  A chunk is the largest stack, at most the sample count, whose peak,
+as the modules that allocate it predict (`linalg._haar_entries` for the
+sampler, `codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`, a
+2 MiB budget: 19 codes of `builtin:random_unitary:256,2` or 288 qubit codes
+at K = 2, and 3196 `moments` unitaries on `builtin:identity:3`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
 
@@ -84,18 +84,19 @@ def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, 
                    entries, what: str) -> np.ndarray:
     """reduce's results on Haar isometries of streams (master_seed, 0..sample_count-1), in order.
 
-    Each sample draws the ``standard_normal`` normals of one Ginibre matrix of
-    ``shape`` (dim, cols) from its own stream (`_rekeyed_streams`) straight
-    into its row of the chunk's stack; `linalg.haar_isometries` makes the
-    stack's isometries, and reduce turns them into the chunk's results at
-    once.  A chunk is the largest stack, at most sample_count, whose finish
-    (`linalg._haar_entries` per sample) and reduce's peak, entries(stack),
-    fit `_CHUNK_ENTRIES` (one sample when none fits).  Every entries function
-    is affine in the stack, so the chunk is solved for in closed form from
-    entries(0) and entries(1).  A chunk batches only work that treats every
-    sample alike, so the results do not depend on its size.  Before any
-    draw, one sample's finish and entries(1), reduce's peak named ``what``,
-    are checked against `linalg.ENTRY_CAP`.
+    Each chunk allocates a complex stack of ``shape`` (dim, cols) matrices and
+    hands it, with the one rekeyed generator of `_rekeyed_streams`, to
+    `linalg.haar_isometries`, which takes one stream per matrix, so sample i
+    draws from stream i whatever the chunk; reduce turns the chunk's
+    isometries into its results at once.  A chunk is the largest stack, at
+    most sample_count, whose sampler (`linalg._haar_entries` per sample) and
+    reduce's peak, entries(stack), fit `_CHUNK_ENTRIES` (one sample when none
+    fits).  Every entries function is affine in the stack, so the chunk is
+    solved for in closed form from entries(0) and entries(1).  A chunk
+    batches only work that treats every sample alike, so the results do not
+    depend on its size.  Before any draw, one sample's sampler peak and
+    entries(1), reduce's peak named ``what``, are checked against
+    `linalg.ENTRY_CAP`.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -104,13 +105,10 @@ def _sample_values(shape: tuple[int, int], sample_count: int, master_seed: int, 
                          f"one {shape[0]} x {shape[1]} Haar sample and its {what}")
     chunk = max(1, min(sample_count, (_CHUNK_ENTRIES - fixed) // per_sample))
     streams = _rekeyed_streams(master_seed, range(sample_count))
-    chunks = []
-    for start in range(0, sample_count, chunk):
-        normals = np.empty((min(chunk, sample_count - start), 2, *shape))
-        for row in normals:
-            next(streams).standard_normal(out=row)
-        chunks.append(reduce(linalg.haar_isometries(normals)))
-    return np.concatenate(chunks)
+    return np.concatenate([
+        reduce(linalg.haar_isometries(
+            np.empty((min(chunk, sample_count - start), *shape), dtype=np.complex128), streams))
+        for start in range(0, sample_count, chunk)])
 
 
 def _estimate(values: np.ndarray, master_seed: int) -> EnsembleEstimate:

@@ -418,10 +418,12 @@ def test_builtin_dimension_below_one_is_an_input_error(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["random_unitary:4,2,5,junk", "haar_random:2,2,3,1,99",
                                   "depolarizing:0.3,3,7", "haar_random:2,,2,3",
-                                  "phase_flip:,0.1", "haar_random:4,1,2", "depolarizing:1.5"])
+                                  "phase_flip:,0.1", "haar_random:4,1,2", "depolarizing:1.5",
+                                  "haar_random:100000,1,1"])
 def test_builtin_takes_exactly_its_parameters(capsys, spec):
     # an extra or empty field is refused, not dropped beside a config that embeds it, and so
-    # is a value its constructor refuses: too few Kraus operators for an isometry, p above 1
+    # is a value its constructor refuses: too few Kraus operators for an isometry, p above 1;
+    # an impossible isometry is refused before its build peak, here past the cap, is checked
     code, out, err = run_cli(capsys, "info", "--channel", f"builtin:{spec}", "--seed", "1")
     name = spec.split(":")[0]
     assert code == 2 and out == "" and err.count("\n") == 1

@@ -248,11 +248,11 @@ def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
 
 @pytest.mark.parametrize("dim, cols", [(2, 1), (2, 2), (3, 2), (5, 3), (256, 2), (64, 17)])
 def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
-    # one stack draw from the per-stream normals of nine matrices against nine
-    # one-matrix draws on the same normals
-    normals = np.array([np.random.default_rng(seed).standard_normal((2, dim, cols))
-                        for seed in range(9)])
-    got = linalg.haar_isometries(normals)
+    # one stack of nine matrices, each drawn from its own seeded stream, against nine
+    # one-matrix draws from the same streams
+    stack = np.empty((9, dim, cols), dtype=np.complex128)
+    got = linalg.haar_isometries(stack, (np.random.default_rng(seed) for seed in range(9)))
+    assert got is stack
     want = [linalg.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

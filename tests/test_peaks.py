@@ -167,7 +167,7 @@ def test_moment_chunk_peak_within_budget(monkeypatch):
     chunks = []
     finish = linalg.haar_isometries
     monkeypatch.setattr(linalg, "haar_isometries",
-                        lambda normals: chunks.append(len(normals)) or finish(normals))
+                        lambda stack, streams: chunks.append(len(stack)) or finish(stack, streams))
     samples = 5000
     rc.haar_moment_suite(3, 10, 3)
     peak, _ = traced(monkeypatch, lambda: rc.haar_moment_suite(3, samples, 3))

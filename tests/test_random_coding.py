@@ -219,8 +219,8 @@ def test_haar_moment_values_are_python_abs_squared(monkeypatch, dim):
     # hide a last-bit drift in the per-sample values
     unitaries, columns = [], []
     finish, estimate = linalg.haar_isometries, rc._estimate
-    monkeypatch.setattr(linalg, "haar_isometries",
-                        lambda normals: unitaries.append(finish(normals)) or unitaries[-1])
+    monkeypatch.setattr(linalg, "haar_isometries", lambda stack, streams: (
+        unitaries.append(finish(stack, streams)) or unitaries[-1]))
     monkeypatch.setattr(rc, "_estimate", lambda values, seed: (
         columns.append(values.tolist()) or estimate(values, seed)))
     rc.haar_moment_suite(dim, 20000, master_seed=11)

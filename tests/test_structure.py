@@ -7,7 +7,9 @@ attribute, or a ``from`` import.  Names the tests use do not count.  Methods
 of private classes (argparse's ``_Parser.error`` override) are exempt.
 
 Every LAPACK call is made in ``linalg.py``, which pins it to one BLAS
-thread: no other module names an ``np.linalg`` function but ``norm``.
+thread: no other module names an ``np.linalg`` function but ``norm``.  Every
+Gaussian draw is made there too, by the one Haar sampler, which alone knows
+the layout of a matrix's normals: no other module names ``standard_normal``.
 
 Importing the CLI loads no ``csv``, which CSV rendering imports itself, and
 defines one dataclass, `channels.KrausChannel`: the report records are named
@@ -99,6 +101,19 @@ def test_every_lapack_call_is_made_in_linalg():
     paths = sorted((ROOT / "src" / "qcap").glob("*.py"))
     assert len(paths) > 5
     assert numpy_linalg_names(paths) == []
+
+
+def standard_normal_users(paths) -> list[str]:
+    """The stem of every module other than linalg.py that names ``standard_normal``."""
+    return sorted(path.stem for path in paths if path.stem != "linalg"
+                  and any(name == "standard_normal"
+                          for name, _ in references(ast.parse(path.read_text(encoding="utf-8")))))
+
+
+def test_every_gaussian_draw_is_made_in_linalg():
+    paths = sorted((ROOT / "src" / "qcap").glob("*.py"))
+    assert len(paths) > 5
+    assert standard_normal_users(paths) == []
 
 
 _IMPORT_PROBE = """
