@@ -217,35 +217,47 @@ def _gram_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return np.real(np.diagonal(h)), None
 
 
-def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """The minimal diagonal Kraus family, a read-only (N', M', M) stack, and its weights.
+def _kraus_weights(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The minimal diagonal Kraus family's weights, and what recombines the stack into it.
 
     The weights are tr(A_k^dagger A_k)/M, from one Gram matrix and its
-    `_gram_spectrum`: a diagonal family is the channel's own stack, else one
-    product with the Gram eigenvectors recombines the flattened stack
-    unitarily, in decreasing weight, the eigenvalues the weights.  Operators
-    whose weight is not `_nonzero` are dropped, unless all are (an all-zero
-    family comes back whole).  The family keeps the channel's action, which
-    construction checked, so it is not built as a channel again; for a
-    trace-preserving channel the weights are a distribution whose Shannon
-    entropy is the entropy exchange at the uniform input.
+    `_gram_spectrum`: the Gram diagonal for a diagonal family, else the
+    eigenvalues in decreasing order.  Beside them come the Gram eigenvectors
+    (None for a diagonal family) and the mask of the kept operators: those
+    whose weight is `_nonzero`, or all of them when none is (an all-zero
+    family is kept whole).
     """
-    n, mp, m = len(ch), ch.output_dim, ch.input_dim
+    n = len(ch)
     # the Gram matrix, its magnitudes, eigh's copy and eigenvectors
     linalg.check_entries(4 * n * n, f"Gram matrix diagonalization of {n} Kraus operators")
     spectrum, rotation = _gram_spectrum(gram_matrix(ch))
     keep = _nonzero(spectrum)
-    drop = keep.any() and not keep.all()
-    if rotation is not None or drop:
+    keep |= not keep.any()
+    return spectrum[keep] / ch.input_dim, rotation, keep
+
+
+def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal diagonal Kraus family, a read-only (N', M', M) stack, and its weights.
+
+    The `_kraus_weights`: a diagonal family is the channel's own stack, else
+    one product with the Gram eigenvectors recombines the flattened stack
+    unitarily, in decreasing weight; operators whose weight is not kept are
+    then dropped.  The family keeps the channel's action, which construction
+    checked, so it is not built as a channel again; for a trace-preserving
+    channel the weights are a distribution whose Shannon entropy is the
+    entropy exchange at the uniform input.
+    """
+    weights, rotation, keep = _kraus_weights(ch)
+    stack, n = ch.kraus_ops, len(ch)
+    if rotation is not None or not keep.all():
         # the rotation, the recombined stack and its kept operators
-        linalg.check_entries(n * n + 2 * n * mp * m, f"recombining {n} Kraus operators")
-    stack = ch.kraus_ops
-    if rotation is not None:
-        stack = (rotation.T @ stack.reshape(n, -1)).reshape(stack.shape)
-    if drop:
-        stack, spectrum = stack[keep], spectrum[keep]
+        linalg.check_entries(n * n + 2 * stack.size, f"recombining {n} Kraus operators")
+        if rotation is not None:
+            stack = (rotation.T @ stack.reshape(n, -1)).reshape(stack.shape)
+        if not keep.all():
+            stack = stack[keep]
     stack.setflags(write=False)
-    return stack, spectrum / m
+    return stack, weights
 
 
 # ------------------------------------------------------------------ information
@@ -263,13 +275,14 @@ class ChannelInfoReport(NamedTuple):
 def classify(ch: KrausChannel) -> ChannelInfoReport:
     """Structural flags plus the information quantities at the uniform input.
 
-    Read from the `minimal_kraus` weights and N(pi)'s `_output_spectrum`, as
+    Read from the `_kraus_weights`, without recombining the stack, and
+    N(pi)'s `_output_spectrum`, as
     `typicality`'s reduced series reads them (`_info_report`).  Length: the
     `_nonzero` weights; uniform: they agree to relative deviation 1e-9;
     unital: N(pi) is maximally mixed (trace-norm deviation <= 1e-9).  S_e is
     their Shannon entropy, I = S(N(pi)) - S_e; both are None when trace-decreasing.
     """
-    return _info_report(ch, minimal_kraus(ch)[1], _output_spectrum(_uniform_output(ch.kraus_ops)))
+    return _info_report(ch, _kraus_weights(ch)[0], _output_spectrum(_uniform_output(ch.kraus_ops)))
 
 
 def _uniform_output(stack: np.ndarray) -> np.ndarray:

@@ -20,11 +20,13 @@ isometric relabeling that leaves the trace norm invariant.  D is assembled
 in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
 K, so the compression is exact and keeps 8-qubit demos tractable.
 
-One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2
-and D, and `_trace_norms`, one `linalg.eigvalsh` of the stack, gives
-||D||_1 and the state form's trace norm.
-`_kraus_form` is the Kraus-form columns that the ensemble estimates and
-`bound_columns` share.  Exact code entanglement fidelity (a maximum over
+One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2,
+D and the product of the Kraus rows by the codes, every A_j B, and
+`_trace_norms`, one `linalg.eigvalsh` of the stack, gives ||D||_1 and the
+state form's trace norm.  The state form reads the kernel's product, which
+is each code's Stinespring image, so each chunk of codes makes one product
+of the Kraus rows; the ensemble estimates drop it and read only the Kraus
+form.  Exact code entanglement fidelity (a maximum over
 recovery operations) is never computed here; the bound above stands in for
 it.  The entanglement fidelity and the transpose-channel recovery
 R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}, whose fidelity
@@ -54,17 +56,20 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
 
 def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
     """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
-    # per code the kernel, then the state form, each about five (K*N)^2 (5.1 at K*N = 1024)
+    # per code the kernel's five (K*N)^2 (5.0 at K*N = 1024), then the state form's three
+    # and eigvalsh's copy; per panel column the GEMM's output, its product and y, of which
+    # the state form holds two at most: the product, until phi is formed from it, beside phi
     return (6 * stack * (code_dim * len(ch)) ** 2
             + (3 * len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
 
 
 def _deviation_batch(bases: np.ndarray,
-                     ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one D kernel, over an (S, M, K) stack of code bases.
 
-    Returns length-S arrays of p and ||D||_F^2, and the (S, K*N, K*N) stack
-    of Hermitian D.  W_ij = B^dagger A_i^dagger A_j B is
+    Returns length-S arrays of p and ||D||_F^2, the (S, K*N, K*N) stack of
+    Hermitian D, and the (S, N*M', K) product whose rows (i, a) are those of
+    A_i B, which the state form reads.  W_ij = B^dagger A_i^dagger A_j B is
     formed in the K-dimensional code basis, p = tr N(pi_C) = (1/K) sum_i
     ||A_i B||_F^2 comes from the same intermediates, and
     ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
@@ -98,7 +103,7 @@ def _deviation_batch(bases: np.ndarray,
     eye = np.eye(k)[None, None, :, None, :]
     dev = (blocks - traces.transpose(0, 2, 1)[:, :, None, :, None] * eye / k) / k
     d = dev.transpose(0, 4, 3, 2, 1).reshape(s, k * n, k * n)   # rows (l, i), columns (m, j)
-    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2
+    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2, ab
 
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
@@ -116,28 +121,27 @@ BOUND_COLUMNS = ("transmission", "deviation_trace_norm", "deviation_frobenius_sq
                  "bound_states")
 
 
-def _kraus_form(bases: np.ndarray, ch: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Length-S arrays of p, ||D||_F^2 and ||D||_1 over an (S, M, K) stack of code bases."""
-    p, fro_sq, d = _deviation_batch(bases, ch)
-    return p, fro_sq, _trace_norms(d)
-
-
 def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
     """The (S, 5) `BOUND_COLUMNS` of an (S, M, K) stack of code bases.
 
     The two bound forms agree within 1e-9.  The kernel's entry check counts
     the state form too, so it fires before either form allocates.  The state
-    form builds each code's maximally entangled purification of pi_C, pushes
-    it through the Stinespring isometry, normalizes by its own transmission
-    probability, and measures how far reference+environment is from a
+    form reads the kernel's product: each code's maximally entangled
+    purification of pi_C pushed through the Stinespring isometry
+    sum_e |e> (x) A_e is phi = (A_e B)^T / sqrt(K), so each chunk makes one
+    product of the Kraus rows.  It normalizes phi by its own transmission
+    probability and measures how far reference+environment is from a
     product state.  Every step treats each code alone, so a code's row does
     not depend on S.
     """
-    p, fro_sq, trace_norm_d = _kraus_form(bases, ch)
-    (s, m, k), n, out = bases.shape, len(ch), ch.output_dim
-    psi = bases.transpose(0, 2, 1) / math.sqrt(k)  # (S, K, M): reference-major purifications
-    v = ch.kraus_ops.reshape(n * out, m)            # (N*out, M): environment-major Stinespring
-    phi = np.matmul(psi, v.T).reshape(s, k, n, out)  # indices (r, e, q')
+    (s, _, k), n, out = bases.shape, len(ch), ch.output_dim
+    p, fro_sq, d, ab = _deviation_batch(bases, ch)
+    trace_norm_d = _trace_norms(d)
+    del d
+    # indices (r, e, q'), laid out C-contiguous: a ufunc on the transposed view
+    # keeps its strides, and the einsums below then run slower
+    phi = np.divide(ab.transpose(0, 2, 1), math.sqrt(k), order="C").reshape(s, k, n, out)
+    del ab
     p_states = np.sum(np.abs(phi.reshape(s, -1)) ** 2, axis=1)
     small = np.flatnonzero(p_states <= 1e-12)
     if small.size:
@@ -146,8 +150,6 @@ def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
     scale = p_states[:, None, None]
     rho_re = np.einsum("xreq,xsfq->xresf", phi, phi.conj()).reshape(s, k * n, k * n) / scale
     rho_e = np.einsum("xreq,xrfq->xef", phi, phi.conj()) / scale
-    rho_r = np.eye(k, dtype=np.complex128) / k
-    # rho_R (x) rho'_E with np.kron's products: entry (r, e), (s, f) is rho_R[r, s] * rho'_E[e, f]
-    product = (rho_r[None, :, None, :, None] * rho_e[:, None, :, None, :]).reshape(s, k * n, k * n)
-    bound_states = p_states - p_states * _trace_norms(rho_re - product)
+    # rho_R (x) rho'_E, rho_R = I/K, is the Kronecker product of each code's rho'_E
+    bound_states = p_states - p_states * _trace_norms(rho_re - np.kron(np.eye(k) / k, rho_e))
     return np.stack([p, trace_norm_d, fro_sq, p - trace_norm_d, bound_states], axis=1)

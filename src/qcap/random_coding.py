@@ -188,8 +188,8 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
                    master_seed: int) -> tuple[EnsembleEstimate, EnsembleEstimate]:
     """Monte Carlo estimates of < ||D||_F^2 >_K and of the mean per-code bound p - ||D||_1.
 
-    One pass over the Haar codes: per chunk, the Kraus form's columns
-    (`codes._kraus_form`) of every code at once.
+    One pass over the Haar codes: per chunk, the D kernel
+    (`codes._deviation_batch`) and the trace norms of every code at once.
     """
     if not 1 <= code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
@@ -197,8 +197,9 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
     linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
     def values(bases, ch):
-        p, fro_sq, trace_norm_d = codes._kraus_form(bases, ch)
-        return np.stack([fro_sq, p - trace_norm_d], axis=1)
+        # the kernel's product, which only the state form reads, is released here
+        p, fro_sq, d = codes._deviation_batch(bases, ch)[:3]
+        return np.stack([fro_sq, p - codes._trace_norms(d)], axis=1)
 
     both = _code_values(ch, code_dim, sample_count, master_seed, values)
     return _estimate(both[:, 0], master_seed), _estimate(both[:, 1], master_seed)
@@ -209,7 +210,8 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
     """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
 
     The codes and chunks of `mc_code_values`, and per chunk the same Kraus
-    form, with the state form beside it (`codes.bound_columns`).  The caller
+    form, with the state form beside it reading the same kernel product
+    (`codes.bound_columns`).  The caller
     checks that 1 <= code_dim <= M, before it predicts the reports it keeps.
     """
     return _code_values(ch, code_dim, sample_count, master_seed, codes.bound_columns)

@@ -3,8 +3,8 @@
 No `qcap` command reaches these.  Each computes a quantity the definitional
 way, on full matrices: a channel's action, tensor powers and sub-channels,
 the entropy exchange through the W matrix and through a purification, the
-entanglement fidelity, the transpose-channel recovery, and extensional
-channel equality.  The package computes what the commands need with one
+entanglement fidelity, the state form of the fidelity bound, the
+transpose-channel recovery, and extensional channel equality.  The package computes what the commands need with one
 kernel per quantity (`channels._lower_blocks` for every Hermitian product of
 a Kraus stack, `channels.minimal_kraus`, `codes._deviation_batch`,
 `codes._trace_norms`); the tests compare the two.
@@ -384,6 +384,28 @@ def entanglement_fidelity_via_purification(rho, ch: qch.KrausChannel) -> float:
         out = (psi @ a.T).ravel()
         total += abs(np.vdot(vec, out)) ** 2
     return float(total)
+
+
+def state_form_bound(basis: np.ndarray, ch: qch.KrausChannel) -> float:
+    """Definitional state form p - p * ||rho'_RE - rho_R (x) rho'_E||_1 of one M x K code.
+
+    The maximally entangled purification sum_r |r>_R (x) B|r> / sqrt(K) of
+    pi_C goes through the Stinespring isometry sum_j |j>_E (x) A_j into
+    R (x) E (x) Q'; p is the image's squared norm.  rho'_RE is the normalized
+    image with the output traced out, rho'_E its partial trace over R, and
+    the trace norm is the sum of the difference's singular values.
+    """
+    m, k = basis.shape
+    n, out = len(ch), ch.output_dim
+    reference = np.eye(k)
+    psi = sum(tensor(reference[:, [r]], basis[:, [r]]) for r in range(k)) / math.sqrt(k)
+    stinespring = sum(tensor(np.eye(n)[:, [j]], a) for j, a in enumerate(ch.kraus_ops))
+    image = tensor(reference, stinespring) @ psi
+    p = float(np.real(np.vdot(image, image)))
+    rho_re = partial_trace(image @ image.conj().T / p, k * n, out, keep="A")
+    rho_e = partial_trace(rho_re, k, n, keep="B")
+    diff = rho_re - tensor(max_mixed(k), rho_e)
+    return p - p * float(np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
 def transpose_recovery(basis: np.ndarray, ch: qch.KrausChannel) -> qch.KrausChannel:

@@ -198,7 +198,7 @@ def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
     for k in (1, 2, 3):
         bases = np.stack([random_code(rng, 3, k) for _ in range(9)])
         columns = codes.bound_columns(bases, ch)
-        p, fro_sq, d = codes._deviation_batch(bases, ch)
+        p, fro_sq, d, _ = codes._deviation_batch(bases, ch)
         assert np.array_equal(columns[:, 0], p) and np.array_equal(columns[:, 2], fro_sq)
         for i, code in enumerate(bases):
             assert columns[i].tobytes() == codes.bound_columns(code[None], ch)[0].tobytes()
@@ -295,6 +295,21 @@ def test_bound_forms_agree(seed):
     code = random_code(rng, m, k)
     rep = bound_report(code, ch)
     assert rep.bound_kraus == pytest.approx(rep.bound_states, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_bound_states_equal_the_dense_state_form(rng, m):
+    # the state form reads the D kernel's product A_j B, so a fault there could pass
+    # test_bound_forms_agree; the oracle purifies pi_C and applies the Stinespring
+    # isometry densely, on rectangular channels (out != M) and reduced sub-channels
+    wide = qch.haar_random_channel(m, m + 1, 3, rng)
+    for ch in (wide, qch.haar_random_channel(m, 2, m, rng), oracles.reduce_channel(wide, [0, 2]),
+               oracles.reduce_channel(wide, [1])):
+        for k in range(1, m + 1):
+            bases = np.stack([random_code(rng, m, k) for _ in range(3)])
+            states = codes.bound_columns(bases, ch)[:, codes.BOUND_COLUMNS.index("bound_states")]
+            for code, got in zip(bases, states):
+                assert got == pytest.approx(oracles.state_form_bound(code, ch), abs=1e-12)
 
 
 def test_bound_kraus_eight_qubit_mixture():
