@@ -319,7 +319,7 @@ def _output_spectrum(out: np.ndarray) -> np.ndarray:
 
 
 def _info_report(ch: KrausChannel, weights: np.ndarray, spectrum: np.ndarray) -> ChannelInfoReport:
-    """The `classify` report from the `minimal_kraus` weights and N(pi)'s `_output_spectrum`.
+    """The `classify` report from the `_kraus_weights` and N(pi)'s `_output_spectrum`.
 
     Unital is sum |lambda - 1/M'| <= 1e-9, and S(N(pi)) is the spectrum's
     Shannon entropy, whose sum check is the trace check.

@@ -4,10 +4,11 @@ No `qcap` command reaches these.  Each computes a quantity the definitional
 way, on full matrices: a channel's action, tensor powers and sub-channels,
 the entropy exchange through the W matrix and through a purification, the
 entanglement fidelity, the state form of the fidelity bound, the
-transpose-channel recovery, and extensional channel equality.  The package computes what the commands need with one
-kernel per quantity (`channels._lower_blocks` for every Hermitian product of
-a Kraus stack, `channels.minimal_kraus`, `codes._deviation_batch`,
-`codes._trace_norms`); the tests compare the two.
+transpose-channel recovery, and extensional channel equality.  The package
+computes what the commands need with one kernel per quantity
+(`channels._lower_blocks` for every Hermitian product of a Kraus stack,
+`channels.minimal_kraus`, `codes._deviation_batch`, `codes._trace_norms`);
+the tests compare the two.
 The one-product forms of the passes the package forms in blocks (Delta,
 N(pi), the Gram matrix) are kept here too, whole, as the bits whose lower
 triangle each blocked pass must reproduce, and the per-operator output
@@ -395,8 +396,7 @@ def state_form_bound(basis: np.ndarray, ch: qch.KrausChannel) -> float:
     image with the output traced out, rho'_E its partial trace over R, and
     the trace norm is the sum of the difference's singular values.
     """
-    m, k = basis.shape
-    n, out = len(ch), ch.output_dim
+    k, n, out = basis.shape[1], len(ch), ch.output_dim
     reference = np.eye(k)
     psi = sum(tensor(reference[:, [r]], basis[:, [r]]) for r in range(k)) / math.sqrt(k)
     stinespring = sum(tensor(np.eye(n)[:, [j]], a) for j, a in enumerate(ch.kraus_ops))
