@@ -15,18 +15,19 @@ the Hermitian block operator
   D = K * sum_ij ( pi_C A_i^dagger A_j pi_C
                    - tr(pi_C A_i^dagger A_j pi_C) pi_C ) (x) |i><j| .
 
-Both forms agree because the state-form difference maps onto D under an
-isometric relabeling that leaves the trace norm invariant.  D is assembled
-in the K-dimensional code basis (size K*N, not ambient M*N): pi_C has rank
-K, so the compression is exact and keeps 8-qubit demos tractable.
+D is assembled in the K-dimensional code basis (size K*N, not ambient
+M*N): pi_C has rank K, so the compression is exact and keeps 8-qubit demos
+tractable.  Both forms agree because, in that basis,
+p (rho'_RE - rho_R (x) rho'_E) is the complex conjugate of D, which has
+D's trace norm.
 
 One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2,
-D and the product of the Kraus rows by the codes, every A_j B, and
-`_trace_norms`, one `linalg.eigvalsh` of the stack, gives ||D||_1 and the
-state form's trace norm.  The state form reads the kernel's product, which
-is each code's Stinespring image, so each chunk of codes makes one product
-of the Kraus rows; the ensemble estimates drop it and read only the Kraus
-form.  Exact code entanglement fidelity (a maximum over
+D and each code's Gram matrix of W_ij = B^dagger A_i^dagger A_j B, laid
+out as D is, and `_trace_norms`, one `linalg.eigvalsh` of the stack, gives
+||D||_1 and the state form's trace norm.  The state form reads the
+kernel's p and Gram, so each chunk of codes makes one product of the Kraus
+rows and one Gram per code; the ensemble estimates drop the Gram and read
+only the Kraus form.  Exact code entanglement fidelity (a maximum over
 recovery operations) is never computed here; the bound above stands in for
 it.  The entanglement fidelity and the transpose-channel recovery
 R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}, whose fidelity
@@ -35,8 +36,6 @@ are reference paths in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -56,11 +55,11 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
 
 def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
     """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
-    # per code the kernel's five (K*N)^2 (5.0 at K*N = 1024), then the state form's three
-    # and eigvalsh's copy; per panel column the GEMM's output, its product and y, of which
-    # the state form holds two at most: the product, until phi is formed from it, beside phi
+    # per code the kernel's four (K*N)^2 and the N^2 of tr W_ij (4.07 (K*N)^2 at K*N = 512),
+    # then the forms' three with eigvalsh's copy; per panel row, M entries of the codes and M
+    # of the panel beside N*M' of y and N*M' of its conjugate
     return (6 * stack * (code_dim * len(ch)) ** 2
-            + (3 * len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
+            + 2 * (len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
 
 
 def _deviation_batch(bases: np.ndarray,
@@ -68,18 +67,19 @@ def _deviation_batch(bases: np.ndarray,
     """The one D kernel, over an (S, M, K) stack of code bases.
 
     Returns length-S arrays of p and ||D||_F^2, the (S, K*N, K*N) stack of
-    Hermitian D, and the (S, N*M', K) product whose rows (i, a) are those of
-    A_i B, which the state form reads.  W_ij = B^dagger A_i^dagger A_j B is
-    formed in the K-dimensional code basis, p = tr N(pi_C) = (1/K) sum_i
-    ||A_i B||_F^2 comes from the same intermediates, and
-    ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ].  Block
-    (i, j) of D is (W_ij - tr(W_ij)/K) / K, and every block is traceless.
-    All A_i B come from one GEMM of the stacked Kraus rows by the (M, S*K)
-    panel of bases, zero-padded to a multiple of `linalg._TILE` columns so
-    that every code's columns land in full register tiles, and the Gram
-    blocks are one matrix product per code, so each code's bits do not
-    depend on S.  A stack whose `bound_columns` peak (`_stack_entries`)
-    is above `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
+    Hermitian D, and the stack of Gram matrices that holds
+    (W_ij)_lm = (B^dagger A_i^dagger A_j B)_lm at [(l, i), (m, j)], D's own
+    layout, which the state form reads.  All A_i B come from one GEMM of a
+    panel by the stacked Kraus rows; the panel holds every code's rows B^T,
+    indexed (s, l) and zero-padded to a multiple of `linalg._TILE` rows, so
+    that every code's rows land in full register tiles.  Row (l, i) of a
+    code's y is column l of A_i B, so its Gram conj(y y^dagger) is one matrix
+    product per code, and no code's bits depend on S.  From the Gram, tr W_ij
+    is a partial trace over the code index, p = tr N(pi_C) = (1/K) sum_i tr W_ii,
+    ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ] and
+    D = (Gram - tr W_ij (x) I/K) / K, whose every block is traceless.  A
+    stack whose `bound_columns` peak (`_stack_entries`) is above
+    `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
@@ -87,23 +87,18 @@ def _deviation_batch(bases: np.ndarray,
     n, out, width = len(ch), ch.output_dim, s * k
     what = f"{s} codes" if s > 1 else "one code"
     linalg.check_entries(_stack_entries(s, k, ch), f"D kernel for {what} (K={k}, N={n})")
-    flat = ch.kraus_ops.reshape(n * out, m)
-    panel = np.zeros((m, -(-width // linalg._TILE) * linalg._TILE), dtype=np.complex128)
-    panel[:, :width] = bases.transpose(1, 0, 2).reshape(m, width)
-    # (S, N*out, K), rows (i, a), made contiguous so later steps see one layout for any S
-    ab = np.ascontiguousarray((flat @ panel)[:, :width].reshape(n * out, s, k).transpose(1, 0, 2))
-    p = np.sum(np.abs(ab.reshape(s, -1)) ** 2, axis=1) / k
-    # row (j, m) of y is column m of A_j B, so y y^dagger holds (W_ij)_lm at [(j, m), (i, l)]
-    y = ab.reshape(s, n, out, k).transpose(0, 1, 3, 2).reshape(s, n * k, out)
-    gram = np.matmul(y, y.conj().transpose(0, 2, 1))
-    blocks = gram.reshape(s, n, k, n, k)           # axes (j, m, i, l)
-    traces = np.einsum("sjlil->sij", blocks)
+    panel = np.zeros((-(-width // linalg._TILE) * linalg._TILE, m), dtype=np.complex128)
+    panel[:width] = bases.transpose(0, 2, 1).reshape(width, m)
+    y = (panel @ ch.kraus_ops.reshape(n * out, m).T)[:width].reshape(s, k * n, out)
+    gram = np.matmul(y.conj(), y.transpose(0, 2, 1))
+    blocks = gram.reshape(s, k, n, k, n)           # axes (l, i, m, j)
+    traces = np.trace(blocks, axis1=1, axis2=3)    # tr W_ij, axes (i, j)
+    p = np.trace(traces, axis1=1, axis2=2).real / k
     fro_sq = (np.sum(np.abs(gram.reshape(s, -1)) ** 2, axis=1) / k**2
               - np.sum(np.abs(traces.reshape(s, -1)) ** 2, axis=1) / k**3)
-    eye = np.eye(k)[None, None, :, None, :]
-    dev = (blocks - traces.transpose(0, 2, 1)[:, :, None, :, None] * eye / k) / k
-    d = dev.transpose(0, 4, 3, 2, 1).reshape(s, k * n, k * n)   # rows (l, i), columns (m, j)
-    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2, ab
+    eye = np.eye(k)[:, None, :, None]
+    d = ((blocks - traces[:, None, :, None, :] * eye / k) / k).reshape(s, k * n, k * n)
+    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2, gram
 
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
@@ -126,30 +121,25 @@ def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
 
     The two bound forms agree within 1e-9.  The kernel's entry check counts
     the state form too, so it fires before either form allocates.  The state
-    form reads the kernel's product: each code's maximally entangled
+    form reads the kernel's Gram: each code's maximally entangled
     purification of pi_C pushed through the Stinespring isometry
-    sum_e |e> (x) A_e is phi = (A_e B)^T / sqrt(K), so each chunk makes one
-    product of the Kraus rows.  It normalizes phi by its own transmission
-    probability and measures how far reference+environment is from a
-    product state.  Every step treats each code alone, so a code's row does
-    not depend on S.
+    sum_e |e> (x) A_e is (A_e B)^T / sqrt(K), so, normalized by the kernel's
+    p, rho'_RE = conj(Gram) / (K p) with rows (r, e), and rho'_E is its
+    partial trace over R.  It measures how far reference+environment is from
+    a product state.  Every step treats each code alone, so a code's row
+    does not depend on S.
     """
-    (s, _, k), n, out = bases.shape, len(ch), ch.output_dim
-    p, fro_sq, d, ab = _deviation_batch(bases, ch)
+    (s, _, k), n = bases.shape, len(ch)
+    p, fro_sq, d, gram = _deviation_batch(bases, ch)
     trace_norm_d = _trace_norms(d)
     del d
-    # indices (r, e, q'), laid out C-contiguous: a ufunc on the transposed view
-    # keeps its strides, and the einsums below then run slower
-    phi = np.divide(ab.transpose(0, 2, 1), math.sqrt(k), order="C").reshape(s, k, n, out)
-    del ab
-    p_states = np.sum(np.abs(phi.reshape(s, -1)) ** 2, axis=1)
-    small = np.flatnonzero(p_states <= 1e-12)
+    small = np.flatnonzero(p <= 1e-12)
     if small.size:
-        raise InvariantViolationError(f"transmission probability {p_states[small[0]]:.3e} "
+        raise InvariantViolationError(f"transmission probability {p[small[0]]:.3e} "
                                       "too small to normalize the final state")
-    scale = p_states[:, None, None]
-    rho_re = np.einsum("xreq,xsfq->xresf", phi, phi.conj()).reshape(s, k * n, k * n) / scale
-    rho_e = np.einsum("xreq,xrfq->xef", phi, phi.conj()) / scale
+    rho_re = gram.conj() / (k * p)[:, None, None]
+    del gram
+    rho_e = np.trace(rho_re.reshape(s, k, n, k, n), axis1=1, axis2=3)
     # rho_R (x) rho'_E, rho_R = I/K, is the Kronecker product of each code's rho'_E
-    bound_states = p_states - p_states * _trace_norms(rho_re - np.kron(np.eye(k) / k, rho_e))
+    bound_states = p - p * _trace_norms(rho_re - np.kron(np.eye(k) / k, rho_e))
     return np.stack([p, trace_norm_d, fro_sq, p - trace_norm_d, bound_states], axis=1)

@@ -23,7 +23,7 @@ every per-code bound column (`bound_values`); no bits depend on the chunk
 size.  A chunk is the largest stack, at most the sample count, whose peak,
 as the modules that allocate it predict (`linalg._haar_entries` for the
 sampler, `codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`, a
-2 MiB budget: 19 codes of `builtin:random_unitary:256,2` or 288 qubit codes
+2 MiB budget: 22 codes of `builtin:random_unitary:256,2` or 296 qubit codes
 at K = 2, and 3196 `moments` unitaries on `builtin:identity:3`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
@@ -197,7 +197,7 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
     linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
     def values(bases, ch):
-        # the kernel's product, which only the state form reads, is released here
+        # the kernel's Gram, which only the state form reads, is released here
         p, fro_sq, d = codes._deviation_batch(bases, ch)[:3]
         return np.stack([fro_sq, p - codes._trace_norms(d)], axis=1)
 
@@ -210,7 +210,7 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
     """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
 
     The codes and chunks of `mc_code_values`, and per chunk the same Kraus
-    form, with the state form beside it reading the same kernel product
+    form, with the state form beside it reading the same kernel's p and Gram
     (`codes.bound_columns`).  The caller
     checks that 1 <= code_dim <= M, before it predicts the reports it keeps.
     """

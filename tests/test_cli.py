@@ -919,11 +919,14 @@ def test_thread_count_does_not_change_bytes():
     # one and two BLAS threads: the ensemble's kernels and the reduced reports'
     # type-block GEMMs, on the dense branch past n = 12 and on the diagonal one; at
     # M = 256 the Haar draws' QR and, in info, the eigensolves of N(pi) at M' = 256,
-    # which OpenBLAS splits over threads unless they are pinned to one
+    # which OpenBLAS splits over threads unless they are pinned to one; 40 codes of the
+    # 8-qubit mixture take two chunks (22 and 18), so the D kernel's GEMM runs on both
     for argv in (["ensemble", "--channel", "builtin:phase_flip:0.25", "--code-dim", "2",
                   "--samples", "96", "--seed", "7"],
                  ["ensemble", "--channel", "builtin:random_unitary:256,2,505", "--code-dim", "2",
-                  "--samples", "20", "--seed", "3"],
+                  "--samples", "40", "--seed", "3"],
+                 ["bound", "--channel", "builtin:random_unitary:256,2,505", "--code-dim", "2",
+                  "--samples", "40", "--seed", "3"],
                  ["info", "--channel", "builtin:haar_random:64,256,4", "--seed", "1"],
                  # M' = 200 in four row blocks: the group factors' `_uniform_output`
                  ["typicality", "--channel", "builtin:haar_random:8,200,3,4", "--epsilon", "0.5",

@@ -206,6 +206,22 @@ def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_gram_holds_every_w_ij_in_the_layout_of_d(rng, n, k):
+    # W_ij = B^dagger A_i^dagger A_j B, formed pair by pair and laid out at [(l, i), (m, j)],
+    # on rectangular channels (out 5 != in 3); the state form reads this Gram
+    ch = qch.haar_random_channel(3, 5, n, rng)
+    bases = np.stack([random_code(rng, 3, k) for _ in range(5)])
+    gram = codes._deviation_batch(bases, ch)[3]
+    for code, got in zip(bases, gram):
+        want = np.zeros((k, n, k, n), dtype=complex)
+        for i, ai in enumerate(ch.kraus_ops):
+            for j, aj in enumerate(ch.kraus_ops):
+                want[:, i, :, j] = code.conj().T @ ai.conj().T @ aj @ code
+        assert np.max(np.abs(got - want.reshape(k * n, k * n))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("family", ["rectangular", "one_row"])
 def test_kernel_bits_do_not_depend_on_stack_size(rng, family, k):
     # stacks of 1, 7, 8, 9 and 64 codes put S*K on both sides of the panel

@@ -119,16 +119,19 @@ def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
     assert peak <= 16 * (entries + 1024), (peak / 16, entries)     # 16 KiB of objects
 
 
-@pytest.mark.parametrize("dims, code_dim, samples", [
-    ((16, 16, 32), 16, 1), ((16, 1, 256), 2, 1),
+@pytest.mark.parametrize("make, dims, code_dim, samples", [
+    (qch.haar_random_channel, (16, 16, 32), 16, 1), (qch.haar_random_channel, (16, 1, 256), 2, 1),
     # 64 codes, each about 0.34 MiB at its peak
-    ((8, 8, 16), 4, 64),
-], ids=["dims0-16", "dims1-2", "chunk"])
-def test_bound_report_peak(monkeypatch, dims, code_dim, samples):
+    (qch.haar_random_channel, (8, 8, 16), 4, 64),
+    # K*N = 4 on 256 dims: the codes, the panel, the product of the Kraus rows by it and
+    # that product's conjugate set the peak, about 48 KiB a code
+    (qch.random_unitary_channel, (256, 2), 2, 400),
+], ids=["dims0-16", "dims1-2", "chunk", "product"])
+def test_bound_report_peak(monkeypatch, make, dims, code_dim, samples):
     # the D kernel's peak, then the state form's; the chunk budget is lifted so
     # that the sampling loop puts every code in one kernel call
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 1 << 26)
-    ch = qch.haar_random_channel(*dims, np.random.default_rng(1))
+    ch = make(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.bound_values(ch, code_dim, samples, 2))
 
 
