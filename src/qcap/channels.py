@@ -24,7 +24,10 @@ triangle, the half that eigh and eigvalsh read, by one kernel
 and pins it to one BLAS thread: of x^dagger x (`_lower_product`) it forms
 the completeness defect and the Gram matrix, and of V V^dagger / M
 (`_uniform_output`) N(pi) and the weight groups' factors.  N(pi)'s
-spectrum is decided once, by one eigvalsh (`_output_spectrum`).
+spectrum is decided once, by one eigvalsh (`_output_spectrum`), and the
+Gram spectrum once, by `_kraus_weights`, behind one entry check, for every
+command that reads it: `info`, `ensemble` (the closed forms' |N| and
+sum_ij |tr A_i^dagger A_j|^2), `typicality` and `rate-demo`.
 """
 
 from __future__ import annotations
@@ -225,7 +228,8 @@ def _kraus_weights(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray | None, np.
     eigenvalues in decreasing order.  Beside them come the Gram eigenvectors
     (None for a diagonal family) and the mask of the kept operators: those
     whose weight is `_nonzero`, or all of them when none is (an all-zero
-    family is kept whole).
+    family is kept whole).  It is the one place a Gram spectrum is decided:
+    `classify`, `minimal_kraus` and `random_coding.closed_forms` read it.
     """
     n = len(ch)
     # the Gram matrix, its magnitudes, eigh's copy and eigenvectors

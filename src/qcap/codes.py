@@ -24,7 +24,10 @@ D's trace norm.
 One kernel computes each quantity: `_deviation_batch` gives p, ||D||_F^2,
 D and each code's Gram matrix of W_ij = B^dagger A_i^dagger A_j B, laid
 out as D is, and `_trace_norms`, one `linalg.eigvalsh` of the stack, gives
-||D||_1 and the state form's trace norm.  The state form reads the
+||D||_1 and the state form's trace norm.  D and the state form's operator
+are Hermitian in the lower triangle that eigvalsh reads, as `linalg` holds
+every Hermitian matrix; each is formed once, in place, and handed to
+eigvalsh as formed.  The state form reads the
 kernel's p and Gram, so each chunk of codes makes one product of the Kraus
 rows and one Gram per code; the ensemble estimates drop the Gram and read
 only the Kraus form.  Exact code entanglement fidelity (a maximum over
@@ -55,11 +58,13 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
 
 def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
     """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
-    # per code the kernel's four (K*N)^2 and the N^2 of tr W_ij (4.07 (K*N)^2 at K*N = 512),
-    # then the forms' three with eigvalsh's copy; per panel row, M entries of the codes and M
-    # of the panel beside N*M' of y and N*M' of its conjugate
-    return (6 * stack * (code_dim * len(ch)) ** 2
-            + 2 * (len(ch) * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
+    # per code, the Gram and D, tr W_ij, a quotient of it and numpy's two ufunc buffers of
+    # one block, and the eigenvalues (2.05 (K*N)^2 measured at K*N = 512, in the kernel and the
+    # state form alike); eigvalsh's copy of one matrix; per panel row, M entries of the codes
+    # and M of the panel beside N*M' of y and N*M' of its conjugate
+    n, kn = len(ch), code_dim * len(ch)
+    return (stack * (2 * kn * kn + 4 * n * n + kn) + kn * kn
+            + 2 * (n * ch.output_dim + ch.input_dim) * (stack * code_dim + linalg._TILE))
 
 
 def _deviation_batch(bases: np.ndarray,
@@ -67,7 +72,7 @@ def _deviation_batch(bases: np.ndarray,
     """The one D kernel, over an (S, M, K) stack of code bases.
 
     Returns length-S arrays of p and ||D||_F^2, the (S, K*N, K*N) stack of
-    Hermitian D, and the stack of Gram matrices that holds
+    D, and the stack of Gram matrices that holds
     (W_ij)_lm = (B^dagger A_i^dagger A_j B)_lm at [(l, i), (m, j)], D's own
     layout, which the state form reads.  All A_i B come from one GEMM of a
     panel by the stacked Kraus rows; the panel holds every code's rows B^T,
@@ -77,9 +82,13 @@ def _deviation_batch(bases: np.ndarray,
     product per code, and no code's bits depend on S.  From the Gram, tr W_ij
     is a partial trace over the code index, p = tr N(pi_C) = (1/K) sum_i tr W_ii,
     ||D||_F^2 = sum_ij [ ||W_ij||_F^2 / K^2 - |tr W_ij|^2 / K^3 ] and
-    D = (Gram - tr W_ij (x) I/K) / K, whose every block is traceless.  A
-    stack whose `bound_columns` peak (`_stack_entries`) is above
-    `linalg.ENTRY_CAP` raises CapExceededError before any allocation.
+    D = Gram / K less tr W_ij / K^2 on its K diagonal (l, l) blocks, whose
+    every block is traceless.  D is formed from one copy of the Gram, in
+    place, one diagonal block at a time; its lower triangle is the Hermitian
+    matrix that `linalg.eigvalsh` reads, and its upper one, equal to
+    rounding, is never read.  A stack whose `bound_columns` peak
+    (`_stack_entries`) is above `linalg.ENTRY_CAP` raises CapExceededError
+    before any allocation.
     """
     s, m, k = bases.shape
     if ch.input_dim != m:
@@ -91,14 +100,16 @@ def _deviation_batch(bases: np.ndarray,
     panel[:width] = bases.transpose(0, 2, 1).reshape(width, m)
     y = (panel @ ch.kraus_ops.reshape(n * out, m).T)[:width].reshape(s, k * n, out)
     gram = np.matmul(y.conj(), y.transpose(0, 2, 1))
-    blocks = gram.reshape(s, k, n, k, n)           # axes (l, i, m, j)
-    traces = np.trace(blocks, axis1=1, axis2=3)    # tr W_ij, axes (i, j)
+    traces = np.trace(gram.reshape(s, k, n, k, n), axis1=1, axis2=3)    # tr W_ij, axes (i, j)
     p = np.trace(traces, axis1=1, axis2=2).real / k
     fro_sq = (np.sum(np.abs(gram.reshape(s, -1)) ** 2, axis=1) / k**2
               - np.sum(np.abs(traces.reshape(s, -1)) ** 2, axis=1) / k**3)
-    eye = np.eye(k)[:, None, :, None]
-    d = ((blocks - traces[:, None, :, None, :] * eye / k) / k).reshape(s, k * n, k * n)
-    return p, fro_sq, (d + d.conj().transpose(0, 2, 1)) / 2, gram
+    d = gram / k
+    # one (l, l) block at a time: numpy cannot prove a view of all K blocks free of
+    # self-overlap, so an in-place ufunc on it would copy that view first
+    for l in range(k):
+        d.reshape(s, k, n, k, n)[:, l, :, l] -= traces / k**2
+    return p, fro_sq, d, gram
 
 
 def _trace_norms(d: np.ndarray) -> np.ndarray:
@@ -125,9 +136,11 @@ def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
     purification of pi_C pushed through the Stinespring isometry
     sum_e |e> (x) A_e is (A_e B)^T / sqrt(K), so, normalized by the kernel's
     p, rho'_RE = conj(Gram) / (K p) with rows (r, e), and rho'_E is its
-    partial trace over R.  It measures how far reference+environment is from
-    a product state.  Every step treats each code alone, so a code's row
-    does not depend on S.
+    partial trace over R.  The Gram, which D's eigensolve leaves, becomes
+    rho'_RE in place, and rho'_RE - rho_R (x) rho'_E is rho'_RE less rho'_E / K
+    on its diagonal blocks, so the state form allocates no matrix of its
+    own.  It measures how far reference+environment is from a product state.
+    Every step treats each code alone, so a code's row does not depend on S.
     """
     (s, _, k), n = bases.shape, len(ch)
     p, fro_sq, d, gram = _deviation_batch(bases, ch)
@@ -137,9 +150,10 @@ def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
     if small.size:
         raise InvariantViolationError(f"transmission probability {p[small[0]]:.3e} "
                                       "too small to normalize the final state")
-    rho_re = gram.conj() / (k * p)[:, None, None]
-    del gram
+    rho_re = np.divide(np.conjugate(gram, out=gram), (k * p)[:, None, None], out=gram)
     rho_e = np.trace(rho_re.reshape(s, k, n, k, n), axis1=1, axis2=3)
-    # rho_R (x) rho'_E, rho_R = I/K, is the Kronecker product of each code's rho'_E
-    bound_states = p - p * _trace_norms(rho_re - np.kron(np.eye(k) / k, rho_e))
+    # rho_R (x) rho'_E, rho_R = I/K, is rho'_E / K on each (l, l) block
+    for l in range(k):
+        rho_re.reshape(s, k, n, k, n)[:, l, :, l] -= rho_e / k
+    bound_states = p - p * _trace_norms(rho_re)
     return np.stack([p, trace_norm_d, fro_sq, p - trace_norm_d, bound_states], axis=1)

@@ -2,14 +2,18 @@
 
 Codes are drawn unitarily invariantly (a fixed subspace rotated by a Haar
 unitary); the workhorse results are the closed-form ensemble average of the
-squared deviation norm,
+squared deviation norm, with W_ij = A_i^dagger A_j,
 
   < ||D||_F^2 >_K = (1 - K^-2) / (M^2 - 1)
-                    * sum_ij ( tr(W_ij^dagger W_ij) - |tr W_ij|^2 / M ),
+                    * sum_ij ( tr(W_ij^dagger W_ij) - |tr W_ij|^2 / M )
+                  = (1 - K^-2) M^2 / (M^2 - 1) * ( ||N(pi)||_F^2 - sum_k w_k^2 / M ),
 
 its upper bound ||N(pi)||_F^2, and the averaged fidelity bound
 
-  < Fe >_K >= tr N(pi) - sqrt(K |N|) ||N(pi)||_F .
+  < Fe >_K >= tr N(pi) - sqrt(K |N|) ||N(pi)||_F ,
+
+all read from N(pi) and the minimal family's Kraus weights w, whose count
+is the minimal length |N| (`closed_forms`).
 
 Reproducibility contract: every Monte Carlo sample draws from its own
 counter-based Philox stream keyed by (master_seed, sample_index), one
@@ -23,7 +27,7 @@ every per-code bound column (`bound_values`); no bits depend on the chunk
 size.  A chunk is the largest stack, at most the sample count, whose peak,
 as the modules that allocate it predict (`linalg._haar_entries` for the
 sampler, `codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`, a
-2 MiB budget: 22 codes of `builtin:random_unitary:256,2` or 296 qubit codes
+2 MiB budget: 22 codes of `builtin:random_unitary:256,2` or 508 qubit codes
 at K = 2, and 3196 `moments` unitaries on `builtin:identity:3`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
@@ -36,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes, linalg
-from .channels import (ChannelInfoReport, KrausChannel, _gram_spectrum, _lower_norm_sq, _nonzero,
-                       _uniform_output, gram_matrix)
+from .channels import (ChannelInfoReport, KrausChannel, _kraus_weights, _lower_norm_sq,
+                       _uniform_output)
 from .errors import InvariantViolationError
 from .linalg import _power_of_two
 
@@ -141,15 +145,16 @@ class ClosedForms(NamedTuple):
 
 
 def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
-    """All ensemble closed forms from the lower triangles of N(pi) and of the Gram matrix.
+    """All ensemble closed forms from the lower triangle of N(pi) and the Kraus weights.
 
     N(pi) = V V^dagger / M with V = [A_1 ... A_N], so
     sum_ij ||A_i^dagger A_j||_F^2 = ||sum_k A_k A_k^dagger||_F^2 = M^2 ||N(pi)||_F^2
-    replaces the N^2 Gram products of the exact average.  The Gram matrix
-    G_ij = tr(A_i^dagger A_j) gives both ||G||_F^2 and |N|, the count of the
-    `_nonzero` values of its `_gram_spectrum` (as `classify` counts the length).
-    N(pi) is read and released before the Gram matrix is formed, so neither
-    step's peak holds the other's.
+    replaces the N^2 Gram products of the exact average.  The minimal
+    family's weights w (`channels._kraus_weights`, as `classify` reads them)
+    are the Gram spectrum over M, so sum_ij |tr W_ij|^2 = M^2 sum_k w_k^2
+    and |N| = len(w); the Gram spectrum is decided there alone, behind its
+    4 N^2 entry check.  N(pi) is read and released before the Gram step, so
+    neither step's peak holds the other's.
     """
     m = ch.input_dim
     if m < 2:
@@ -160,13 +165,10 @@ def closed_forms(ch: KrausChannel, code_dim: int) -> ClosedForms:
     fro_sq = _lower_norm_sq(image)
     transmission = float(np.real(np.trace(image)))
     del image
-    gram = gram_matrix(ch)
-    sum_tr = _lower_norm_sq(gram)
-    deviation_sq = (1.0 - code_dim**-2) / (m**2 - 1) * (m**2 * fro_sq - sum_tr / m)
-    length = int(np.count_nonzero(_nonzero(_gram_spectrum(gram)[0])))
-    penalty = math.sqrt(code_dim * length * fro_sq)
+    weights = _kraus_weights(ch)[0]
+    deviation_sq = (1.0 - code_dim**-2) * m**2 / (m**2 - 1) * (fro_sq - math.fsum(weights**2) / m)
     return ClosedForms(deviation_sq=deviation_sq, upper_bound=fro_sq,
-                       fidelity_bound=transmission - penalty)
+                       fidelity_bound=transmission - math.sqrt(code_dim * len(weights) * fro_sq))
 
 
 # ------------------------------------------------------------------ Monte Carlo

@@ -365,7 +365,7 @@ def _type_blocks(stack: np.ndarray, index_sets, mix=None) -> tuple[np.ndarray, n
     return (traces if mix is None else traces @ mix.T), grams
 
 
-def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
+def _reduced_norms(factors: np.ndarray, output_groups, indicators: np.ndarray, n: int, classes,
                    output_classes) -> tuple[float, float]:
     """tr(P S P) and ||P S P||_F^2 of the reduced output at n, never forming S or P.
 
@@ -386,8 +386,8 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
     pairs meet beta one suffix type at a time.  The products run on one BLAS
     thread, so their bits do not depend on the thread count.
 
-    The type sets come first: `_sequence_sum` on the output groups' 0/1
-    indicators gives the stacked indicators of the prefix and suffix types
+    The type sets come first: `_sequence_sum` on the output groups' (G', M')
+    0/1 ``indicators`` gives the stacked indicators of the prefix and suffix types
     and their pairing, pairs; each set is the flatnonzero of its row, the
     suffix's serve as the prefix's when h = r, and the 0/1 stacks are
     released before the Kraus halves are built.
@@ -429,7 +429,6 @@ def _reduced_norms(factors: np.ndarray, output_groups, n: int, classes,
                          f"{kr} half sums of dimension {linalg.as_power_of_two(dim**r)},")
     if not output_classes:
         return 0.0, 0.0
-    indicators = np.array([np.isin(np.arange(dim), group) for group in output_groups])
     prefix_types, suffix_types, pairs = _sequence_sum(indicators, output_classes, n, output)
     suffix_sets = [np.flatnonzero(row) for row in suffix_types]
     prefix_sets = suffix_sets if h == r else [np.flatnonzero(row) for row in prefix_types]
@@ -461,10 +460,12 @@ def _reduced_step(ch: KrausChannel, eps: float):
     is formed.  N(pi)'s one spectrum (`channels._output_spectrum`) gives the
     report, the output groups and, at `info`'s S(N(pi)), the typical output
     window; eigh gives only the eigenbasis.  The Kraus classes read `info`'s
-    S_e.  The step, report(n), reads the weights, the output spectrum and
-    the group factors alone, and it is the one place that picks a report's
-    path: zeros when no Kraus class is typical, else the block path
-    (`_reduced_norms`).
+    S_e.  The output groups' 0/1 indicators, from which the block path grows
+    its type sets, are built once too, in the room the factors' count keeps
+    for U^dagger, released by then.  The step, report(n), reads the weights,
+    the output spectrum, the group factors and the indicators alone, and it
+    is the one place that picks a report's path: zeros when no Kraus class
+    is typical, else the block path (`_reduced_norms`).
     """
     if not ch.trace_preserving:
         raise InvariantViolationError("Kraus weight distribution needs a trace-preserving channel")
@@ -486,6 +487,7 @@ def _reduced_step(ch: KrausChannel, eps: float):
     del rho_out
     output_groups = _weight_groups(spectrum)
     factors = _group_factors(stack, basis, kraus_groups)
+    indicators = np.array([np.isin(np.arange(mp), group) for group in output_groups])
 
     def report(n: int) -> ReducedChannelReport:
         classes = _typical_classes(weights, kraus_groups, info.entropy_exchange, n, eps)
@@ -493,8 +495,8 @@ def _reduced_step(ch: KrausChannel, eps: float):
         count = sum(c.sequence_count for c in classes)
         transmission = frobenius_sq = 0.0
         if count:
-            transmission, frobenius_sq = _reduced_norms(factors, output_groups, n, classes,
-                                                        output_classes)
+            transmission, frobenius_sq = _reduced_norms(factors, output_groups, indicators, n,
+                                                        classes, output_classes)
         return ReducedChannelReport(
             n=n, epsilon=eps, length=count, typical_transmission=_class_mass(classes),
             length_bound=_power_of_two(n * (info.entropy_exchange + eps)),

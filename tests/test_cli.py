@@ -446,9 +446,9 @@ def test_oversized_builtin_is_a_cap(capsys, spec):
     # K*N = 16 * 1024: one code's D alone would hold 2^28 complex entries (4 GiB)
     ("bound", [], "haar_random:16,1,1024", "16"),
     ("ensemble", ["--samples", "2"], "haar_random:16,1,1024", "16"),
-    # one D is 2^24 entries, under the cap, but the kernel and the state form are
-    # predicted at six such arrays
-    ("bound", [], "haar_random:32,32,128", "32"),
+    # one D is 2^25.2 entries, under the cap, but the Gram, D and eigvalsh's copy are
+    # predicted at three such arrays
+    ("bound", [], "haar_random:48,48,128", "48"),
 ], ids=["bound", "ensemble", "bound-peak"])
 def test_oversized_code_kernel_is_a_cap(capsys, subcommand, extra, spec, code_dim):
     # the kernel checks the predicted peak before allocating
@@ -460,18 +460,27 @@ def test_oversized_code_kernel_is_a_cap(capsys, subcommand, extra, spec, code_di
     assert err.count("\n") == 1 and "D kernel" in err and "cap 2^26" in err
 
 
-@pytest.mark.parametrize("subcommand, extra", [
-    ("info", []),
-    ("typicality", ["--epsilon", "0.1", "--n-min", "2", "--n-max", "3"]),
-], ids=["info", "typicality"])
-def test_many_kraus_gram_matrix_is_a_cap(capsys, subcommand, extra):
+@pytest.mark.parametrize("subcommand, spec, extra, what", [
     # a 10^5-entry Kraus stack, but its Gram matrix alone would be 149 GiB
+    ("info", "haar_random:1,1,100000", [], "Gram matrix"),
+    ("typicality", "haar_random:1,1,100000", ["--epsilon", "0.1", "--n-min", "2", "--n-max", "3"],
+     "Gram matrix"),
+    # the closed forms read the Kraus weights, so the one Gram step's check refuses a
+    # 5000 x 5000 eigensolve that a second diagonalization would have run first
+    ("ensemble", "random_unitary:2,5000", ["--code-dim", "1", "--samples", "1"],
+     "Gram matrix diagonalization of 5000 Kraus operators"),
+], ids=["info", "typicality", "ensemble"])
+def test_many_kraus_gram_matrix_is_a_cap(monkeypatch, capsys, subcommand, spec, extra, what):
+    def eigh(h):
+        pytest.fail(f"eigh reached on a {h.shape} matrix")
+
+    monkeypatch.setattr(linalg, "eigh", eigh)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, subcommand, "--channel", "builtin:haar_random:1,1,100000",
-                             *extra, "--seed", "1")
+    code, out, err = run_cli(capsys, subcommand, "--channel", f"builtin:{spec}", *extra,
+                             "--seed", "1")
     assert time.perf_counter() - start < 3.0
     assert code == 4 and out == ""
-    assert err.count("\n") == 1 and "Gram matrix" in err and "cap 2^26" in err
+    assert err.count("\n") == 1 and what in err and "cap 2^26" in err
 
 
 def test_output_factor_matrices_are_a_cap(capsys):

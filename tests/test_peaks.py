@@ -120,9 +120,10 @@ def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
 
 
 @pytest.mark.parametrize("make, dims, code_dim, samples", [
-    (qch.haar_random_channel, (16, 16, 32), 16, 1), (qch.haar_random_channel, (16, 1, 256), 2, 1),
-    # 64 codes, each about 0.34 MiB at its peak
-    (qch.haar_random_channel, (8, 8, 16), 4, 64),
+    # three codes and two, each about 8 and 10 MiB at its peak
+    (qch.haar_random_channel, (16, 16, 32), 16, 3), (qch.haar_random_channel, (16, 1, 256), 2, 2),
+    # 128 codes, each about 0.13 MiB at its peak
+    (qch.haar_random_channel, (8, 8, 16), 4, 128),
     # K*N = 4 on 256 dims: the codes, the panel, the product of the Kraus rows by it and
     # that product's conjugate set the peak, about 48 KiB a code
     (qch.random_unitary_channel, (256, 2), 2, 400),
@@ -257,13 +258,14 @@ def test_gram_matrix_peak(monkeypatch, dims):
 
 
 @pytest.mark.parametrize("spec", [
-    # 1600 operators: the Gram matrix and the diagonal test's magnitudes (1.5 N^2 entries;
-    # its norm is read from the triangle without a temporary) stay within the Gram
-    # step's count of 2.25 N^2 entries
+    # 1600 operators: the Gram matrix and the diagonal test's magnitudes (1.5 N^2 entries)
+    # stay within the diagonalization's count of 4 N^2 entries
     "depolarizing:0.3,40",
     # three 768 x 768 operators: N(pi) is read and released before the Gram step gathers
     # and conjugates a block of the operators, so neither step holds the other's arrays
     "random_unitary:768,3",
+    # 700 operators of a qubit: the Gram matrix is not diagonal, so eigh runs on it
+    "random_unitary:2,700",
 ])
 def test_closed_forms_peak(monkeypatch, spec):
     ch = cli._parse_builtin(f"builtin:{spec}", 1)

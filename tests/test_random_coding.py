@@ -315,12 +315,12 @@ def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, kernel_
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
 def test_qubit_chunks_hold_hundreds_of_codes(monkeypatch, capsys, kernel_sizes, subcommand):
-    # depolarizing(0.3) at K = 2: 17 entries of finish and 424 of D kernel per code and
-    # 320 fixed fill the budget at 296 codes; the bytes equal those of one code per chunk
+    # depolarizing(0.3) at K = 2: 17 entries of finish and 240 of D kernel per code and
+    # 384 fixed fill the budget at 508 codes; the bytes equal those of one code per chunk
     argv = [subcommand, "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
             "--samples", "1200", "--seed", "42"]
     assert cli.main(argv) == 0
-    assert kernel_sizes == [296, 296, 296, 296, 16]
+    assert kernel_sizes == [508, 508, 184]
     chunked = capsys.readouterr().out
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 0)
     kernel_sizes.clear()
@@ -335,7 +335,7 @@ def test_bytes_do_not_depend_on_chunk_budget(monkeypatch, capsys, kernel_sizes, 
     argv = [subcommand, "--channel", "builtin:haar_random:8,8,16", "--code-dim", "4",
             "--samples", "20", "--seed", "31"]
     outputs = []
-    for budget, chunk in ((1 << 15, 1), (1 << 17, 4), (1 << 26, 20)):
+    for budget, chunk in ((1 << 14, 1), (1 << 17, 11), (1 << 26, 20)):
         monkeypatch.setattr(rc, "_CHUNK_ENTRIES", budget)
         kernel_sizes.clear()
         assert cli.main(argv) == 0
@@ -350,9 +350,9 @@ def test_chunks_shrink_for_large_codes(kernel_sizes):
     rc.mc_code_values(qch.depolarizing(0.3), 2, 100, 1)
     assert sizes == [100]
     sizes.clear()
-    # K = 128 on a 256-dim identity: the finish's 3*256*128 + 128^2 and the D kernel's
-    # 6*128^2 + 2*(256 + 256)*128 entries per code, 344064, and the panel's 16384 more
-    # are past the budget at one code, which comes alone
+    # K = 128 on a 256-dim identity: the finish's 3*256*128 + 1.0625*128^2 and the D
+    # kernel's 2*128^2 + 4 + 128 + 2*(256 + 256)*128 entries per code, 279684, and the
+    # panel's and eigvalsh's 32768 more are past the budget at one code, which comes alone
     rc.mc_code_values(qch.identity_channel(256), 128, 7, 1)
     assert sizes == [1] * 7
 
@@ -362,12 +362,12 @@ def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
     # same codes, bit for bit, at sample counts on both sides of a chunk boundary
     sizes = kernel_sizes
     for spec, code_dim, chunk in [
-        # the finish's 23 entries and the D kernel's 2064 per code, beside the panel's
-        # 960, cap a chunk at 62 codes
-        ("depolarizing:0.2,3", 2, 62),
-        # the finish's 401 entries and the D kernel's 28928 per code, beside the panel's
-        # 17408, cap a chunk at 3 codes, for ensemble and bound alike
-        ("haar_random:32,32,16,3", 4, 3),
+        # the finish's 23 entries and the D kernel's 1110 per code, beside the panel's
+        # 960 and eigvalsh's 324, cap a chunk at 114 codes
+        ("depolarizing:0.2,3", 2, 114),
+        # the finish's 401 entries and the D kernel's 13632 per code, beside the panel's
+        # 17408 and eigvalsh's 4096, cap a chunk at 7 codes, for ensemble and bound alike
+        ("haar_random:32,32,16,3", 4, 7),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
         for samples in sorted({1, 64, 65, 130, chunk, chunk + 1}):

@@ -712,7 +712,9 @@ def masked_join_norms(factors, output_groups, n, classes, output_classes):
 def test_dense_norms_match_the_masked_join(case):
     # the contraction by output type, of matrices (the dense branch) or vectors
     # (the diagonal one), against the full join of the same halves plus the mask
-    got = tp._reduced_norms(*case)
+    factors, output_groups, *rest = case
+    indicators = np.array([np.isin(np.arange(factors.shape[-1]), group) for group in output_groups])
+    got = tp._reduced_norms(factors, output_groups, indicators, *rest)
     want = masked_join_norms(*case)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
