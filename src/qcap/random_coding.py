@@ -27,7 +27,7 @@ every per-code bound column (`bound_values`); no bits depend on the chunk
 size.  A chunk is the largest stack, at most the sample count, whose peak,
 as the modules that allocate it predict (`linalg._haar_entries` for the
 sampler, `codes._stack_entries` for the D kernel), fits `_CHUNK_ENTRIES`, a
-2 MiB budget: 22 codes of `builtin:random_unitary:256,2` or 508 qubit codes
+2 MiB budget: 22 codes of `builtin:random_unitary:256,2` or 677 qubit codes
 at K = 2, and 3196 `moments` unitaries on `builtin:identity:3`.
 No function here takes a worker count; the CLI's ``--threads`` has no effect.
 """
@@ -191,7 +191,8 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
     """Monte Carlo estimates of < ||D||_F^2 >_K and of the mean per-code bound p - ||D||_1.
 
     One pass over the Haar codes: per chunk, the D kernel
-    (`codes._deviation_batch`) and the trace norms of every code at once.
+    (`codes._deviation_batch`) and both norms of every code's D from its one
+    spectrum (`codes._trace_norms`).
     """
     if not 1 <= code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
@@ -199,9 +200,10 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
     linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
     def values(bases, ch):
-        # the kernel's Gram, which only the state form reads, is released here
-        p, fro_sq, d = codes._deviation_batch(bases, ch)[:3]
-        return np.stack([fro_sq, p - codes._trace_norms(d)], axis=1)
+        # both norms from D's one spectrum; the state form is not run
+        p, d = codes._deviation_batch(bases, ch)
+        trace_norm, fro_sq = codes._trace_norms(d)
+        return np.stack([fro_sq, p - trace_norm], axis=1)
 
     both = _code_values(ch, code_dim, sample_count, master_seed, values)
     return _estimate(both[:, 0], master_seed), _estimate(both[:, 1], master_seed)
@@ -212,9 +214,9 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
     """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
 
     The codes and chunks of `mc_code_values`, and per chunk the same Kraus
-    form, with the state form beside it reading the same kernel's p and Gram
-    (`codes.bound_columns`).  The caller
-    checks that 1 <= code_dim <= M, before it predicts the reports it keeps.
+    form, with the state form beside it reading the same kernel's p and D
+    (`codes.bound_columns`).  The caller checks that 1 <= code_dim <= M,
+    before it predicts the reports it keeps.
     """
     return _code_values(ch, code_dim, sample_count, master_seed, codes.bound_columns)
 

@@ -59,7 +59,7 @@ def test_criterion_02_identity_channel_exactness():
         ch = qch.identity_channel(m)
         for k in range(1, m + 1):
             code = linalg.haar_isometry(m, k, rc.sample_stream(202, m * 16 + k))
-            dev = codes._deviation_batch(code[None], ch)[2][0]
+            dev = codes._deviation_batch(code[None], ch)[1][0]
             rep = bound_report(code, ch)
             good = (np.linalg.norm(dev) <= 1e-12
                     and abs(rep.bound_kraus - 1.0) <= 1e-12

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import codes, linalg
+from qcap import cli, codes, linalg
+from qcap import random_coding as rc
 from qcap.errors import InvariantViolationError
 import oracles
 
@@ -33,7 +34,7 @@ def random_square_channel(rng, dim, n_kraus, trace_decreasing=False):
 
 def deviation_operator(code, ch):
     """The Hermitian (K*N) x (K*N) block operator D of one code, from the kernel."""
-    return codes._deviation_batch(code[None], ch)[2][0]
+    return codes._deviation_batch(code[None], ch)[1][0]
 
 
 def ambient_deviation_operator(code, ch):
@@ -158,7 +159,7 @@ def test_deviation_matches_ambient_oracle(rng):
         d_big = ambient_deviation_operator(code, ch)
         assert np.max(np.abs(d_small - d_small.conj().T)) <= 1e-12
         assert np.linalg.norm(d_small) == pytest.approx(np.linalg.norm(d_big), abs=1e-10)
-        assert codes._trace_norms(d_small) == pytest.approx(codes._trace_norms(d_big), abs=1e-9)
+        assert codes._trace_norms(d_small)[0] == pytest.approx(codes._trace_norms(d_big)[0], abs=1e-9)
 
 
 def test_deviation_blocks_traceless(rng):
@@ -190,16 +191,30 @@ def test_deviation_frobenius_formula_full_space():
     assert got == pytest.approx(np.linalg.norm(d) ** 2, abs=1e-12)
 
 
+
+def test_deviation_frobenius_sq_is_the_entry_sum_of_d():
+    # 40 codes of the 8-qubit mixture at K = 2: ||D||_F^2 against the exact sum of
+    # |D_ij|^2 over the Hermitian D that eigvalsh reads (the lower triangle, mirrored)
+    ch = cli._parse_builtin("builtin:random_unitary:256,2,505", 505)
+    bases = np.stack([linalg.haar_isometry(256, 2, rc.sample_stream(505, i)) for i in range(40)])
+    fro_sq = codes.bound_columns(bases, ch)[:, codes.BOUND_COLUMNS.index("deviation_frobenius_sq")]
+    for got, d in zip(fro_sq, codes._deviation_batch(bases, ch)[1]):
+        strict_lower = np.abs(d[np.tril_indices(len(d), -1)]) ** 2
+        want = math.fsum(np.diagonal(d).real ** 2) + 2 * math.fsum(strict_lower)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
     # rectangular (out 5 != in 3) with N = 4 Kraus operators; the padded panel
     # keeps each code's A_i B bits, and every code gets its own Gram product,
-    # state-form products and eigensolver calls, so equality is exact
+    # state-form quotient and eigensolver calls, so equality is exact
     ch = qch.haar_random_channel(3, 5, 4, rng)
     for k in (1, 2, 3):
         bases = np.stack([random_code(rng, 3, k) for _ in range(9)])
         columns = codes.bound_columns(bases, ch)
-        p, fro_sq, d, _ = codes._deviation_batch(bases, ch)
-        assert np.array_equal(columns[:, 0], p) and np.array_equal(columns[:, 2], fro_sq)
+        p, d = codes._deviation_batch(bases, ch)
+        assert np.array_equal(columns[:, 0], p)
+        assert np.array_equal(columns[:, 2], codes._trace_norms(d)[1])
         for i, code in enumerate(bases):
             assert columns[i].tobytes() == codes.bound_columns(code[None], ch)[0].tobytes()
             assert np.array_equal(d[i], deviation_operator(code, ch))
@@ -208,17 +223,20 @@ def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernel_gram_holds_every_w_ij_in_the_layout_of_d(rng, n, k):
-    # W_ij = B^dagger A_i^dagger A_j B, formed pair by pair and laid out at [(l, i), (m, j)],
-    # on rectangular channels (out 5 != in 3); the state form reads this Gram
+    # D[(l, i), (m, j)] = (W_ij)_lm / K - delta_lm tr W_ij / K^2, with
+    # W_ij = B^dagger A_i^dagger A_j B formed pair by pair, on rectangular channels
+    # (out 5 != in 3); D's lower triangle, which both forms' eigensolves read
     ch = qch.haar_random_channel(3, 5, n, rng)
     bases = np.stack([random_code(rng, 3, k) for _ in range(5)])
-    gram = codes._deviation_batch(bases, ch)[3]
-    for code, got in zip(bases, gram):
+    d = codes._deviation_batch(bases, ch)[1]
+    lower = np.tril_indices(k * n)
+    for code, got in zip(bases, d):
         want = np.zeros((k, n, k, n), dtype=complex)
         for i, ai in enumerate(ch.kraus_ops):
             for j, aj in enumerate(ch.kraus_ops):
-                want[:, i, :, j] = code.conj().T @ ai.conj().T @ aj @ code
-        assert np.max(np.abs(got - want.reshape(k * n, k * n))) <= 1e-12
+                w = code.conj().T @ ai.conj().T @ aj @ code
+                want[:, i, :, j] = w / k - np.trace(w) / k**2 * np.eye(k)
+        assert np.max(np.abs((got - want.reshape(k * n, k * n))[lower])) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -120,10 +120,10 @@ def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
 
 
 @pytest.mark.parametrize("make, dims, code_dim, samples", [
-    # three codes and two, each about 8 and 10 MiB at its peak
-    (qch.haar_random_channel, (16, 16, 32), 16, 3), (qch.haar_random_channel, (16, 1, 256), 2, 2),
-    # 128 codes, each about 0.13 MiB at its peak
-    (qch.haar_random_channel, (8, 8, 16), 4, 128),
+    # five codes and three, each about 4.3 and 6.1 MiB at its peak
+    (qch.haar_random_channel, (16, 16, 32), 16, 5), (qch.haar_random_channel, (16, 1, 256), 2, 3),
+    # 224 codes, each about 0.08 MiB at its peak
+    (qch.haar_random_channel, (8, 8, 16), 4, 224),
     # K*N = 4 on 256 dims: the codes, the panel, the product of the Kraus rows by it and
     # that product's conjugate set the peak, about 48 KiB a code
     (qch.random_unitary_channel, (256, 2), 2, 400),
@@ -134,6 +134,17 @@ def test_bound_report_peak(monkeypatch, make, dims, code_dim, samples):
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 1 << 26)
     ch = make(*dims, np.random.default_rng(1))
     assert_prediction_bounds_peak(monkeypatch, lambda: rc.bound_values(ch, code_dim, samples, 2))
+
+
+@pytest.mark.parametrize("values", [rc.bound_values, rc.mc_code_values])
+def test_one_code_holds_one_operator(monkeypatch, values):
+    # K*N = 512: D is formed in the Gram's own memory and the state form divides it in
+    # place, so one code traces its D and the product of the Kraus rows, about 1.07 (K*N)^2
+    # entries, through both bound forms and through both ensemble estimates alike
+    ch = qch.haar_random_channel(16, 16, 32, np.random.default_rng(1))
+    values(ch, 16, 1, 2)
+    peak, _ = traced(monkeypatch, lambda: values(ch, 16, 1, 2))
+    assert peak <= 1.2 * 16 * 512**2, peak / (16 * 512**2)
 
 
 @pytest.mark.parametrize("spec", ["haar_random:8,8,16", "haar_random:32,32,16,3"])

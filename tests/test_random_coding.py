@@ -315,12 +315,12 @@ def test_ensemble_bytes_do_not_depend_on_chunk_size(monkeypatch, capsys, kernel_
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
 def test_qubit_chunks_hold_hundreds_of_codes(monkeypatch, capsys, kernel_sizes, subcommand):
-    # depolarizing(0.3) at K = 2: 17 entries of finish and 240 of D kernel per code and
-    # 384 fixed fill the budget at 508 codes; the bytes equal those of one code per chunk
+    # depolarizing(0.3) at K = 2: 17 entries of finish and 176 of D kernel per code and
+    # 384 fixed fill the budget at 677 codes; the bytes equal those of one code per chunk
     argv = [subcommand, "--channel", "builtin:depolarizing:0.3", "--code-dim", "2",
             "--samples", "1200", "--seed", "42"]
     assert cli.main(argv) == 0
-    assert kernel_sizes == [508, 508, 184]
+    assert kernel_sizes == [677, 523]
     chunked = capsys.readouterr().out
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 0)
     kernel_sizes.clear()
@@ -331,11 +331,13 @@ def test_qubit_chunks_hold_hundreds_of_codes(monkeypatch, capsys, kernel_sizes, 
 
 @pytest.mark.parametrize("subcommand", ["ensemble", "bound"])
 def test_bytes_do_not_depend_on_chunk_budget(monkeypatch, capsys, kernel_sizes, subcommand):
-    # K*N = 64, where `_CHUNK_ENTRIES` sets the chunk: one code, a few codes, all codes
+    # K*N = 64, where `_CHUNK_ENTRIES` sets the chunk: one code, a few codes, all codes; the
+    # finish's 113 entries and the D kernel's 6272 per code, beside the panel's 4352 and
+    # eigvalsh's 4096, fit 2^14 at one code and 2^17 at 19
     argv = [subcommand, "--channel", "builtin:haar_random:8,8,16", "--code-dim", "4",
             "--samples", "20", "--seed", "31"]
     outputs = []
-    for budget, chunk in ((1 << 14, 1), (1 << 17, 11), (1 << 26, 20)):
+    for budget, chunk in ((1 << 14, 1), (1 << 17, 19), (1 << 26, 20)):
         monkeypatch.setattr(rc, "_CHUNK_ENTRIES", budget)
         kernel_sizes.clear()
         assert cli.main(argv) == 0
@@ -351,7 +353,7 @@ def test_chunks_shrink_for_large_codes(kernel_sizes):
     assert sizes == [100]
     sizes.clear()
     # K = 128 on a 256-dim identity: the finish's 3*256*128 + 1.0625*128^2 and the D
-    # kernel's 2*128^2 + 4 + 128 + 2*(256 + 256)*128 entries per code, 279684, and the
+    # kernel's 128^2 + 4 + 128 + 2*(256 + 256)*128 entries per code, 263300, and the
     # panel's and eigvalsh's 32768 more are past the budget at one code, which comes alone
     rc.mc_code_values(qch.identity_channel(256), 128, 7, 1)
     assert sizes == [1] * 7
@@ -362,12 +364,12 @@ def test_ensemble_estimates_equal_bound_columns(kernel_sizes):
     # same codes, bit for bit, at sample counts on both sides of a chunk boundary
     sizes = kernel_sizes
     for spec, code_dim, chunk in [
-        # the finish's 23 entries and the D kernel's 1110 per code, beside the panel's
-        # 960 and eigvalsh's 324, cap a chunk at 114 codes
-        ("depolarizing:0.2,3", 2, 114),
-        # the finish's 401 entries and the D kernel's 13632 per code, beside the panel's
-        # 17408 and eigvalsh's 4096, cap a chunk at 7 codes, for ensemble and bound alike
-        ("haar_random:32,32,16,3", 4, 7),
+        # the finish's 23 entries and the D kernel's 786 per code, beside the panel's
+        # 960 and eigvalsh's 324, cap a chunk at 160 codes
+        ("depolarizing:0.2,3", 2, 160),
+        # the finish's 401 entries and the D kernel's 9536 per code, beside the panel's
+        # 17408 and eigvalsh's 4096, cap a chunk at 11 codes, for ensemble and bound alike
+        ("haar_random:32,32,16,3", 4, 11),
     ]:
         ch = cli._parse_builtin(f"builtin:{spec}", 1)
         for samples in sorted({1, 64, 65, 130, chunk, chunk + 1}):
