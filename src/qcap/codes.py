@@ -19,18 +19,20 @@ D is assembled in the K-dimensional code basis (size K*N, not ambient
 M*N): pi_C has rank K, so the compression is exact and keeps 8-qubit demos
 tractable.  Both forms agree because, in that basis,
 p (rho'_RE - rho_R (x) rho'_E) is the complex conjugate of D, which has
-D's trace norm.
+D's trace norm: the state form equals the Kraus form by that identity, and
+is computed as p - ||D||_1.  The dense reference path
+``tests/oracles.state_form_bound`` builds the final state itself and is the
+state form's independent check.
 
 One kernel computes each quantity: `_deviation_batch` gives p and D, and
-`_trace_norms`, one `linalg.eigvalsh` of the stack, gives ||D||_1 and
+`_spectral_norms`, one `linalg.eigvalsh` of the stack, gives ||D||_1 and
 ||D||_F^2 from D's one spectrum.  D is Hermitian in the lower triangle that
 eigvalsh reads, as `linalg` holds every Hermitian matrix; it is formed once,
-in the Gram's own memory, and handed to eigvalsh as formed.  The state form
-is D / p, formed in place, with its own eigensolve, so each chunk of codes
-makes one product of the Kraus rows and one D per code.  Exact code
-entanglement fidelity (a maximum over recovery operations) is never
-computed here; the bound above stands in for it.  The entanglement
-fidelity and the transpose-channel recovery
+in the Gram's own memory, and handed to eigvalsh as formed, so each chunk
+of codes makes one product of the Kraus rows, one D and one eigensolve per
+code.  Exact code entanglement fidelity (a maximum over recovery
+operations) is never computed here; the bound above stands in for it.  The
+entanglement fidelity and the transpose-channel recovery
 R_k = pi_C^{1/2} A_k^dagger N(pi_C)^{-1/2}, whose fidelity
 F_T = sum_kl |tr(pi_C R_k A_l)|^2 the test suite checks against the bound,
 are reference paths in ``tests/oracles.py``.
@@ -55,10 +57,10 @@ def _orthonormal(bases: np.ndarray) -> np.ndarray:
 
 
 def _stack_entries(stack: int, code_dim: int, ch: KrausChannel) -> int:
-    """Peak entries of ``stack`` codes through the D kernel and the state form, panel included."""
+    """Peak entries of ``stack`` codes through the D kernel and its eigensolve, panel included."""
     # per code, the Gram that becomes D, tr W_ij, a quotient of it and numpy's two ufunc
-    # buffers of one block, and the eigenvalues (1.07 (K*N)^2 measured at K*N = 512, in the
-    # kernel and the state form alike); eigvalsh's copy of one matrix; per panel row, M
+    # buffers of one block, and the eigenvalues (1.07 (K*N)^2 measured at K*N = 512, through
+    # bound_columns and the ensemble alike); eigvalsh's copy of one matrix; per panel row, M
     # entries of the codes and M of the panel beside N*M' of y and N*M' of its conjugate
     n, kn = len(ch), code_dim * len(ch)
     return (stack * (kn * kn + 4 * n * n + kn) + kn * kn
@@ -104,7 +106,7 @@ def _deviation_batch(bases: np.ndarray, ch: KrausChannel) -> tuple[np.ndarray, n
     return p, d
 
 
-def _trace_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """||H||_1 = sum |lambda| and ||H||_F^2 = sum lambda^2 of a Hermitian matrix, or of each in a stack.
 
     Both read the one spectrum of `linalg.eigvalsh`, which reads the lower triangle.
@@ -118,7 +120,7 @@ def _trace_norms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #   deviation_trace_norm    ||D||_1            (Kraus form)
 #   deviation_frobenius_sq  ||D||_F^2
 #   bound_kraus             p - ||D||_1
-#   bound_states            p - p * || rho'_RE - rho_R (x) rho'_E ||_1
+#   bound_states            p - p * || rho'_RE - rho_R (x) rho'_E ||_1   (= p - ||D||_1)
 BOUND_COLUMNS = ("transmission", "deviation_trace_norm", "deviation_frobenius_sq", "bound_kraus",
                  "bound_states")
 
@@ -126,22 +128,22 @@ BOUND_COLUMNS = ("transmission", "deviation_trace_norm", "deviation_frobenius_sq
 def bound_columns(bases: np.ndarray, ch: KrausChannel) -> np.ndarray:
     """The (S, 5) `BOUND_COLUMNS` of an (S, M, K) stack of code bases.
 
-    The two bound forms agree within 1e-9.  The kernel's entry check counts
-    the state form too, so it fires before either form allocates.  Both norms
-    of the Kraus form read D's one spectrum (`_trace_norms`).  The state form
-    reads D too: each code's maximally entangled purification of pi_C pushed
-    through the Stinespring isometry sum_e |e> (x) A_e is (A_e B)^T / sqrt(K),
-    so, normalized by the kernel's p, rho'_RE - rho_R (x) rho'_E is conj(D) / p,
-    which has the eigenvalues of D / p.  D becomes D / p in place, and its own
-    eigensolve re-rounds ||D||_1 as the state form's check of the Kraus form.
-    It measures how far reference+environment is from a product state.  Every
-    step treats each code alone, so a code's row does not depend on S.
+    The kernel's entry check fires before anything of the stack is
+    allocated.  Both norms read D's one spectrum (`_spectral_norms`).  The
+    state form equals the Kraus form by identity: each code's maximally
+    entangled purification of pi_C pushed through the Stinespring isometry
+    sum_e |e> (x) A_e is (A_e B)^T / sqrt(K), so, normalized by p,
+    rho'_RE - rho_R (x) rho'_E is conj(D) / p, whose trace norm is
+    ||D||_1 / p, and bound_states is p - ||D||_1.  It still needs p above
+    1e-12 to normalize that state, and ``tests/oracles.state_form_bound``
+    checks it against the state formed densely.  Every step treats each
+    code alone, so a code's row does not depend on S.
     """
     p, d = _deviation_batch(bases, ch)
-    trace_norm_d, fro_sq = _trace_norms(d)
+    trace_norm_d, fro_sq = _spectral_norms(d)
     small = np.flatnonzero(p <= 1e-12)
     if small.size:
         raise InvariantViolationError(f"transmission probability {p[small[0]]:.3e} "
                                       "too small to normalize the final state")
-    bound_states = p - p * _trace_norms(np.divide(d, p[:, None, None], out=d))[0]
-    return np.stack([p, trace_norm_d, fro_sq, p - trace_norm_d, bound_states], axis=1)
+    bound = p - trace_norm_d
+    return np.stack([p, trace_norm_d, fro_sq, bound, bound], axis=1)

@@ -192,7 +192,7 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
 
     One pass over the Haar codes: per chunk, the D kernel
     (`codes._deviation_batch`) and both norms of every code's D from its one
-    spectrum (`codes._trace_norms`).
+    spectrum (`codes._spectral_norms`).
     """
     if not 1 <= code_dim <= ch.input_dim:
         raise ValueError("need 1 <= code_dim <= input_dim")
@@ -200,9 +200,9 @@ def mc_code_values(ch: KrausChannel, code_dim: int, sample_count: int,
     linalg.check_entries(4 * sample_count, f"keeping the results of {sample_count} samples")
 
     def values(bases, ch):
-        # both norms from D's one spectrum; the state form is not run
+        # both norms from D's one spectrum
         p, d = codes._deviation_batch(bases, ch)
-        trace_norm, fro_sq = codes._trace_norms(d)
+        trace_norm, fro_sq = codes._spectral_norms(d)
         return np.stack([fro_sq, p - trace_norm], axis=1)
 
     both = _code_values(ch, code_dim, sample_count, master_seed, values)
@@ -214,7 +214,7 @@ def bound_values(ch: KrausChannel, code_dim: int, sample_count: int,
     """The (sample_count, 5) `codes.BOUND_COLUMNS` of the Haar codes, one row per sample.
 
     The codes and chunks of `mc_code_values`, and per chunk the same Kraus
-    form, with the state form beside it reading the same kernel's p and D
+    form, whose bound the state form equals by identity
     (`codes.bound_columns`).  The caller checks that 1 <= code_dim <= M,
     before it predicts the reports it keeps.
     """

@@ -7,8 +7,9 @@ entanglement fidelity, the state form of the fidelity bound, the
 transpose-channel recovery, and extensional channel equality.  The package
 computes what the commands need with one kernel per quantity
 (`channels._lower_blocks` for every Hermitian product of a Kraus stack,
-`channels.minimal_kraus`, `codes._deviation_batch`, and `codes._trace_norms`
-for both norms of D from its one spectrum); the tests compare the two.
+`channels.minimal_kraus`, `codes._deviation_batch`, and `codes._spectral_norms`
+for both norms of D from its one spectrum, whose p - ||D||_1 is also the
+state form); the tests compare the two.
 The one-product forms of the passes the package forms in blocks (Delta,
 N(pi), the Gram matrix) are kept here too, whole, as the bits whose lower
 triangle each blocked pass must reproduce, and the per-operator output

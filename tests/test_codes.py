@@ -159,7 +159,7 @@ def test_deviation_matches_ambient_oracle(rng):
         d_big = ambient_deviation_operator(code, ch)
         assert np.max(np.abs(d_small - d_small.conj().T)) <= 1e-12
         assert np.linalg.norm(d_small) == pytest.approx(np.linalg.norm(d_big), abs=1e-10)
-        assert codes._trace_norms(d_small)[0] == pytest.approx(codes._trace_norms(d_big)[0], abs=1e-9)
+        assert codes._spectral_norms(d_small)[0] == pytest.approx(codes._spectral_norms(d_big)[0], abs=1e-9)
 
 
 def test_deviation_blocks_traceless(rng):
@@ -191,7 +191,6 @@ def test_deviation_frobenius_formula_full_space():
     assert got == pytest.approx(np.linalg.norm(d) ** 2, abs=1e-12)
 
 
-
 def test_deviation_frobenius_sq_is_the_entry_sum_of_d():
     # 40 codes of the 8-qubit mixture at K = 2: ||D||_F^2 against the exact sum of
     # |D_ij|^2 over the Hermitian D that eigvalsh reads (the lower triangle, mirrored)
@@ -206,15 +205,15 @@ def test_deviation_frobenius_sq_is_the_entry_sum_of_d():
 
 def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
     # rectangular (out 5 != in 3) with N = 4 Kraus operators; the padded panel
-    # keeps each code's A_i B bits, and every code gets its own Gram product,
-    # state-form quotient and eigensolver calls, so equality is exact
+    # keeps each code's A_i B bits, and every code gets its own Gram product and
+    # eigensolver call, so equality is exact
     ch = qch.haar_random_channel(3, 5, 4, rng)
     for k in (1, 2, 3):
         bases = np.stack([random_code(rng, 3, k) for _ in range(9)])
         columns = codes.bound_columns(bases, ch)
         p, d = codes._deviation_batch(bases, ch)
         assert np.array_equal(columns[:, 0], p)
-        assert np.array_equal(columns[:, 2], codes._trace_norms(d)[1])
+        assert np.array_equal(columns[:, 2], codes._spectral_norms(d)[1])
         for i, code in enumerate(bases):
             assert columns[i].tobytes() == codes.bound_columns(code[None], ch)[0].tobytes()
             assert np.array_equal(d[i], deviation_operator(code, ch))
@@ -225,7 +224,7 @@ def test_bound_columns_of_a_stack_equal_one_code_at_a_time(rng):
 def test_kernel_gram_holds_every_w_ij_in_the_layout_of_d(rng, n, k):
     # D[(l, i), (m, j)] = (W_ij)_lm / K - delta_lm tr W_ij / K^2, with
     # W_ij = B^dagger A_i^dagger A_j B formed pair by pair, on rectangular channels
-    # (out 5 != in 3); D's lower triangle, which both forms' eigensolves read
+    # (out 5 != in 3); D's lower triangle, which the one eigensolve reads
     ch = qch.haar_random_channel(3, 5, n, rng)
     bases = np.stack([random_code(rng, 3, k) for _ in range(5)])
     d = codes._deviation_batch(bases, ch)[1]
@@ -333,7 +332,7 @@ def test_bound_forms_agree(seed):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_bound_states_equal_the_dense_state_form(rng, m):
-    # the state form reads the D kernel's product A_j B, so a fault there could pass
+    # bound_states is p - ||D||_1 by identity, so a fault in the D kernel would pass
     # test_bound_forms_agree; the oracle purifies pi_C and applies the Stinespring
     # isometry densely, on rectangular channels (out != M) and reduced sub-channels
     wide = qch.haar_random_channel(m, m + 1, 3, rng)

@@ -132,12 +132,12 @@ def random_hermitian(rng, dim, rank=None):
 
 
 def test_trace_norm_diagonal():
-    assert codes._trace_norms(np.diag([1.0, -2.0])) == pytest.approx((3.0, 5.0))
+    assert codes._spectral_norms(np.diag([1.0, -2.0])) == pytest.approx((3.0, 5.0))
 
 
 def test_trace_norm_zero_difference(rng):
     rho = oracles.random_density(4, rng)
-    assert codes._trace_norms(rho - rho) == pytest.approx((0.0, 0.0), abs=1e-14)
+    assert codes._spectral_norms(rho - rho) == pytest.approx((0.0, 0.0), abs=1e-14)
 
 
 def test_trace_norm_matches_singular_values(rng):
@@ -145,7 +145,7 @@ def test_trace_norm_matches_singular_values(rng):
     for _ in range(10):
         h = random_hermitian(rng, 5)
         oracle = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h), 0.0)))
-        trace_norm, fro_sq = codes._trace_norms(h)
+        trace_norm, fro_sq = codes._spectral_norms(h)
         assert trace_norm == pytest.approx(oracle, abs=1e-9)
         assert fro_sq == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
@@ -154,7 +154,7 @@ def test_trace_norm_rank_bound(rng):
     # ||H||_1 <= sqrt(rank) ||H||_2 on random low-rank Hermitian H
     for rank in (1, 2, 3):
         h = random_hermitian(rng, 6, rank)
-        assert codes._trace_norms(h)[0] <= math.sqrt(rank) * np.linalg.norm(h) + 1e-9
+        assert codes._spectral_norms(h)[0] <= math.sqrt(rank) * np.linalg.norm(h) + 1e-9
 
 
 # ---------------------------------------------------------------- entropies

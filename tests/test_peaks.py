@@ -129,7 +129,7 @@ def test_kraus_passes_hold_their_result_and_blocks(spec, step, held):
     (qch.random_unitary_channel, (256, 2), 2, 400),
 ], ids=["dims0-16", "dims1-2", "chunk", "product"])
 def test_bound_report_peak(monkeypatch, make, dims, code_dim, samples):
-    # the D kernel's peak, then the state form's; the chunk budget is lifted so
+    # the D kernel's peak and its eigensolve's; the chunk budget is lifted so
     # that the sampling loop puts every code in one kernel call
     monkeypatch.setattr(rc, "_CHUNK_ENTRIES", 1 << 26)
     ch = make(*dims, np.random.default_rng(1))
@@ -138,9 +138,9 @@ def test_bound_report_peak(monkeypatch, make, dims, code_dim, samples):
 
 @pytest.mark.parametrize("values", [rc.bound_values, rc.mc_code_values])
 def test_one_code_holds_one_operator(monkeypatch, values):
-    # K*N = 512: D is formed in the Gram's own memory and the state form divides it in
-    # place, so one code traces its D and the product of the Kraus rows, about 1.07 (K*N)^2
-    # entries, through both bound forms and through both ensemble estimates alike
+    # K*N = 512: D is formed in the Gram's own memory and one eigensolve reads it, so one
+    # code traces its D and the product of the Kraus rows, about 1.07 (K*N)^2 entries,
+    # through both bound forms and through both ensemble estimates alike
     ch = qch.haar_random_channel(16, 16, 32, np.random.default_rng(1))
     values(ch, 16, 1, 2)
     peak, _ = traced(monkeypatch, lambda: values(ch, 16, 1, 2))
