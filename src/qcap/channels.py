@@ -245,11 +245,12 @@ def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
 
     The `_kraus_weights`: a diagonal family is the channel's own stack, else
     one product with the Gram eigenvectors recombines the flattened stack
-    unitarily, in decreasing weight; operators whose weight is not kept are
-    then dropped.  The family keeps the channel's action, which construction
-    checked, so it is not built as a channel again; for a trace-preserving
-    channel the weights are a distribution whose Shannon entropy is the
-    entropy exchange at the uniform input.
+    unitarily, in decreasing weight, on one BLAS thread, as OpenBLAS rounds
+    it differently on two at large N; operators whose weight is not kept
+    are then dropped.  The family keeps the channel's action, which
+    construction checked, so it is not built as a channel again; for a
+    trace-preserving channel the weights are a distribution whose Shannon
+    entropy is the entropy exchange at the uniform input.
     """
     weights, rotation, keep = _kraus_weights(ch)
     stack, n = ch.kraus_ops, len(ch)
@@ -257,7 +258,8 @@ def minimal_kraus(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
         # the rotation, the recombined stack and its kept operators
         linalg.check_entries(n * n + 2 * stack.size, f"recombining {n} Kraus operators")
         if rotation is not None:
-            stack = (rotation.T @ stack.reshape(n, -1)).reshape(stack.shape)
+            with linalg.one_blas_thread():
+                stack = (rotation.T @ stack.reshape(n, -1)).reshape(stack.shape)
         if not keep.all():
             stack = stack[keep]
     stack.setflags(write=False)
@@ -417,13 +419,17 @@ def random_unitary_channel(dim: int, count: int, rng: np.random.Generator) -> Kr
 
 def haar_random_channel(input_dim: int, output_dim: int, kraus_count: int,
                         rng: np.random.Generator) -> KrausChannel:
-    """Trace-preserving channel from a Haar-random Stinespring isometry."""
+    """Trace-preserving channel from a Haar-random Stinespring isometry.
+
+    Its (N, M', M) Kraus stack is allocated once, and `linalg.haar_isometries`
+    fills the stack's (1, N M', M) view with one isometry drawn from ``rng``.
+    """
     _check_build("haar_random", kraus_count, output_dim, input_dim,
                  linalg._haar_entries(output_dim * kraus_count, input_dim),
                  input_dim=input_dim, output_dim=output_dim, kraus_count=kraus_count)
-    v = linalg.haar_isometry(output_dim * kraus_count, input_dim, rng)
-    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, name="haar_random",
-                      kraus_ops=v.reshape(kraus_count, output_dim, input_dim))
+    ops = np.empty((kraus_count, output_dim, input_dim), dtype=np.complex128)
+    linalg.haar_isometries(ops.reshape(1, -1, input_dim), [rng])
+    ch = KrausChannel(input_dim=input_dim, output_dim=output_dim, kraus_ops=ops, name="haar_random")
     if not ch.trace_preserving:
         raise InvariantViolationError("map is not an isometry within tolerance")
     return ch

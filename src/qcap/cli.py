@@ -11,10 +11,11 @@ timestamps, and renders with sorted keys, so identical configurations give
 byte-identical output on one numpy/BLAS build, at any BLAS thread count when
 numpy carries its bundled OpenBLAS: every LAPACK call is made in `linalg`,
 whose `one_blas_thread` pins it, the one kernel of every Hermitian product
-of a Kraus stack (`channels._lower_blocks`) and the type-block products.  Exit
-codes: 0 success, 2 input error (or a non-finite report number), 3 domain
-invariant violation, 4 resource cap exceeded; `main` maps each error's type
-to its code in one clause.  A builtin channel spec is only parsed here, by
+of a Kraus stack (`channels._lower_blocks`), the recombination into the
+minimal Kraus family and the type-block products.  Exit codes: 0 success,
+2 input error (or a non-finite report number), 3 domain invariant
+violation, 4 resource cap exceeded; `main` maps each error's type to its
+code in one clause.  A builtin channel spec is only parsed here, by
 one registry (`_BUILTINS`) that names each builtin's constructor and the
 converters of its parameters, the required ones first and at most one
 optional; its constructor in `channels` refuses bad sizes (exit 2) and its

@@ -48,6 +48,7 @@ from .errors import InvariantViolationError
 
 ORTHONORMALITY_ATOL = 1e-10
 
+
 def _orthonormal(bases: np.ndarray) -> np.ndarray:
     """An (S, M, K) stack of bases, checked to have orthonormal columns within 1e-10."""
     defect = np.matmul(bases.conj().transpose(0, 2, 1), bases) - np.eye(bases.shape[2])

@@ -9,15 +9,16 @@ the layout of a matrix's normals is known in this one place.  Logarithms
 are base 2 throughout, so entropies are in qubits/bits.
 Every LAPACK call in the package is made here, under `one_blas_thread`, so
 its bits do not depend on the BLAS thread count: the eigensolvers `eigvalsh`
-and `eigh`, and the QR of `haar_isometries`, the one Haar sampler, of which
-`haar_isometry` draws one matrix.  Two kinds of product run on one thread
-too, as OpenBLAS rounds them differently on two at some shapes: every
-Hermitian product of a Kraus stack, which one kernel forms
-(`channels._lower_blocks`: Delta, the Gram matrix, N(pi) and the weight
-groups' factors), and the reduced reports' type-block products.  A Hermitian
-matrix is held as its lower triangle, the half that eigh and eigvalsh read,
-so it is Hermitian by construction and nothing here checks that; a spectrum
-of a positive semidefinite one is only clamped (`_clamped_spectrum`).
+and `eigh`, and the QR of `haar_isometries`, the one Haar sampler.  Three
+kinds of product run on one thread too, as OpenBLAS rounds them
+differently on two at some shapes: every Hermitian product of a Kraus
+stack, which one kernel forms (`channels._lower_blocks`: Delta, the Gram
+matrix, N(pi) and the weight groups' factors), the recombination into the
+minimal Kraus family (`channels.minimal_kraus`), and the reduced reports'
+type-block products.  A Hermitian matrix is held as its lower triangle,
+the half that eigh and eigvalsh read, so it is Hermitian by construction
+and nothing here checks that; a spectrum of a positive semidefinite one is
+only clamped (`_clamped_spectrum`).
 """
 
 from __future__ import annotations
@@ -175,13 +176,6 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(h)
 
 
-def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``cols`` columns of a Haar unitary: `haar_isometries` on a fresh one-matrix stack."""
-    if not 1 <= cols <= dim:
-        raise ValueError(f"need 1 <= cols <= dim, got cols={cols}, dim={dim}")
-    return haar_isometries(np.empty((1, dim, cols), dtype=np.complex128), [rng])[0]
-
-
 def _haar_entries(dim: int, cols: int) -> int:
     """Peak entries per matrix of `haar_isometries`, the stack it draws into included."""
     # the stack, QR's copy, Q and R (3.0-3.1 dim*cols + cols^2), and the boolean
@@ -192,6 +186,10 @@ def _haar_entries(dim: int, cols: int) -> int:
 def haar_isometries(stack: np.ndarray, streams) -> np.ndarray:
     """The complex128 (S, dim, cols) ``stack`` filled with Haar isometries: the one Haar sampler.
 
+    It is the package's only Haar entry, and each caller owns the stack it
+    passes: `random_coding._sample_values` a chunk of codes or unitaries,
+    `channels.random_unitary_channel` one slot of its Kraus stack at a time,
+    and `channels.haar_random_channel` its whole Kraus stack as one matrix.
     Matrix i's ``standard_normal`` normals a, b, real part then imaginary
     part, are drawn from the i-th generator of ``streams`` (one each, so a
     caller may pass one generator rekeyed per matrix) into the float view of

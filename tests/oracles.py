@@ -19,9 +19,11 @@ reference paths here take any matrix, so they keep short, unblocked
 density checks of their own (`as_matrix`, `is_hermitian`, `psd_spectrum`).
 The per-operator lists that the builtin constructors once built
 (`weyl_kraus_ops`, `scaled_unitaries`) are the bits of their stacks, or
-for the depolarizing channel, its values to rounding.  The decay rate
-that `typicality.fit_decay` reads off a centred slope is `np.polyfit`'s
-here (`polyfit_decay_rate`).
+for the depolarizing channel, its values to rounding; one Haar isometry
+drawn into a fresh one-matrix stack (`haar_isometry`, which the tests
+draw their random unitaries and isometries with) is the bits of the
+`haar_random` stack.  The decay rate that `typicality.fit_decay` reads
+off a centred slope is `np.polyfit`'s here (`polyfit_decay_rate`).
 Beside them are fixtures that no command needs: mixtures of given unitaries
 (`unitary_mixture`), and the channel-file writer (`matrix_to_pairs`, which
 writes a matrix as rows of [re, im] pairs, `channel_to_dict` and
@@ -320,9 +322,14 @@ def polyfit_decay_rate(ns, deviations) -> float:
     return float(-np.polyfit(np.asarray(ns, dtype=float), np.log(deviations), 1)[0])
 
 
+def haar_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """First ``cols`` columns of a Haar unitary: `linalg.haar_isometries` on a fresh stack."""
+    return linalg.haar_isometries(np.empty((1, dim, cols), dtype=np.complex128), [rng])[0]
+
+
 def scaled_unitaries(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     """The random-unitary channel's Kraus operators: count Haar unitaries, each scaled alone."""
-    return [math.sqrt(1.0 / count) * linalg.haar_isometry(dim, dim, rng) for _ in range(count)]
+    return [math.sqrt(1.0 / count) * haar_isometry(dim, dim, rng) for _ in range(count)]
 
 
 def unitary_mixture(unitaries) -> qch.KrausChannel:

@@ -46,7 +46,7 @@ def test_criterion_01_bound_form_equivalence():
         if n > 1 and rng.integers(2):
             keep = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             ch = oracles.reduce_channel(ch, keep)
-        code = linalg.haar_isometry(m, k, rng)
+        code = oracles.haar_isometry(m, k, rng)
         rep = bound_report(code, ch)
         worst = max(worst, abs(rep.bound_kraus - rep.bound_states))
     _verdict(1, "bound-form equivalence", worst <= 1e-9, f"worst gap {worst:.3e}")
@@ -58,7 +58,7 @@ def test_criterion_02_identity_channel_exactness():
     for m in range(1, 9):
         ch = qch.identity_channel(m)
         for k in range(1, m + 1):
-            code = linalg.haar_isometry(m, k, rc.sample_stream(202, m * 16 + k))
+            code = oracles.haar_isometry(m, k, rc.sample_stream(202, m * 16 + k))
             dev = codes._deviation_batch(code[None], ch)[1][0]
             rep = bound_report(code, ch)
             good = (np.linalg.norm(dev) <= 1e-12

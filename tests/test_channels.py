@@ -206,7 +206,7 @@ def assert_decisions_match_eigvalsh(ops, input_dim, output_dim):
 def isometry_blocks(seed, m, n, extra):
     """Kraus blocks of a Haar isometry from C^m into n output blocks of dimension out."""
     out = -(-m // n) + extra
-    v = linalg.haar_isometry(n * out, m, np.random.default_rng(seed))
+    v = oracles.haar_isometry(n * out, m, np.random.default_rng(seed))
     return [v[k * out:(k + 1) * out] for k in range(n)], out
 
 
@@ -233,7 +233,7 @@ def test_certificate_decides_trace_decreasing_families_as_eigvalsh(seed, m, n, e
 
 def rank_one_excess(m, t):
     """One operator with sum A^dagger A = 1 + t |psi><psi|, psi a fixed unit vector."""
-    psi = linalg.haar_isometry(m, 1, np.random.default_rng(3))
+    psi = oracles.haar_isometry(m, 1, np.random.default_rng(3))
     return [np.eye(m) + (math.sqrt(1.0 + t) - 1.0) * (psi @ psi.conj().T)]
 
 
@@ -266,7 +266,7 @@ def test_complete_families_skip_the_eigensolve(monkeypatch, rng):
 def derived_recovery(seed, m, out, n, k):
     rng = np.random.default_rng(seed)
     ch = qch.haar_random_channel(m, out, n, rng)
-    return oracles.transpose_recovery(linalg.haar_isometry(m, k, rng), ch)
+    return oracles.transpose_recovery(oracles.haar_isometry(m, k, rng), ch)
 
 
 def derived_haar(seed, *dims):
@@ -295,9 +295,9 @@ DERIVED_CHANNELS = {
     "reduce": lambda: oracles.reduce_channel(derived_haar(4, 3, 5, 4), [0, 2]),
     "tensor-power": lambda: oracles.tensor_power(derived_haar(5, 2, 2, 3), 3),
     "tensor-power-decreasing": lambda: oracles.tensor_power(half_identity(), 2),
-    "isometry": lambda: isometry_channel(linalg.haar_isometry(6, 2, np.random.default_rng(6)), 3),
+    "isometry": lambda: isometry_channel(oracles.haar_isometry(6, 2, np.random.default_rng(6)), 3),
     "isometry-decreasing": lambda: isometry_channel(
-        0.9 * linalg.haar_isometry(6, 2, np.random.default_rng(7)), 2),
+        0.9 * oracles.haar_isometry(6, 2, np.random.default_rng(7)), 2),
     "transpose-recovery": lambda: derived_recovery(8, 3, 3, 2, 2),
     "transpose-recovery-decreasing": lambda: derived_recovery(10, 2, 4, 1, 1),
     "deserialized": lambda: derived_round_trip(derived_haar(9, 3, 2, 3)),
@@ -355,7 +355,7 @@ def oracle_channels(rng):
     wide = qch.haar_random_channel(3, 5, 4, rng)
     tall = qch.haar_random_channel(6, 2, 4, rng)
     single = qch.KrausChannel(input_dim=3, output_dim=4,
-                              kraus_ops=(0.8 * linalg.haar_isometry(4, 3, rng),))
+                              kraus_ops=(0.8 * oracles.haar_isometry(4, 3, rng),))
     return [wide, tall, oracles.reduce_channel(wide, [0, 2]), oracles.reduce_channel(tall, [1]),
             single, half_identity(), amplitude_damping(0.3)]
 
@@ -389,7 +389,7 @@ def test_completeness_defect_matches_operator_loop(rng):
 # ---------------------------------------------------------------- Stinespring
 
 def test_haar_isometry_gives_trace_preserving(rng):
-    v = linalg.haar_isometry(6, 2, rng)
+    v = oracles.haar_isometry(6, 2, rng)
     ch = isometry_channel(v, env_dim=3)
     lo, hi = oracles.completeness_defect_bounds(ch.kraus_ops)
     assert ch.trace_preserving and max(abs(lo), abs(hi)) <= 1e-10
@@ -439,7 +439,7 @@ def test_minimal_length_phase_flip(p):
 
 
 def test_minimal_length_duplicated_operator(rng):
-    a = linalg.haar_isometry(2, 2, rng)
+    a = oracles.haar_isometry(2, 2, rng)
     ops = (a / math.sqrt(2), a / math.sqrt(2))
     ch = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=ops)
     assert qch.classify(ch).length == 1
@@ -565,7 +565,7 @@ def test_classify_identity():
 
 def test_classify_random_unitary_mixture(rng):
     # equal probabilities with trace-orthogonal unitaries: unital and uniform
-    u = linalg.haar_isometry(2, 2, rng)
+    u = oracles.haar_isometry(2, 2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     rep = qch.classify(oracles.unitary_mixture([u, u @ x]))
     assert rep.is_unital and rep.is_uniform and rep.length == 2
@@ -573,7 +573,7 @@ def test_classify_random_unitary_mixture(rng):
 
 def test_classify_generic_haar_mixture_is_unital_not_uniform(rng):
     # generic pair: tr(U1^dagger U2) != 0, so the diagonal Gram weights differ
-    us = [linalg.haar_isometry(2, 2, rng) for _ in range(2)]
+    us = [oracles.haar_isometry(2, 2, rng) for _ in range(2)]
     rep = qch.classify(oracles.unitary_mixture(us))
     assert rep.is_unital and not rep.is_uniform
 
@@ -595,7 +595,7 @@ def test_classify_trace_decreasing_has_no_entropies():
 
 
 def test_classify_length_from_its_one_gram_spectrum(monkeypatch, rng):
-    a = linalg.haar_isometry(2, 2, rng)
+    a = oracles.haar_isometry(2, 2, rng)
     channels = [
         qch.identity_channel(3), qch.phase_flip(0.3), amplitude_damping(0.4), half_identity(),
         qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a / math.sqrt(2),) * 2),
@@ -622,6 +622,19 @@ def test_minimal_kraus_weights_are_the_gram_eigenvalues(rng):
     assert oracles.channels_equal(base, ch)
 
 
+@pytest.mark.parametrize("spec", ["random_unitary:2,40,1", "haar_random:2,2,3,1"])
+def test_kraus_weights_are_the_nonzero_spectrum_of_the_operator_space_product(spec):
+    # the N x N Gram matrix and the M'M x M'M flat^dagger flat share their nonzero
+    # spectrum, whether N is above M'M (40 > 4) or below it (3 < 4)
+    ch = cli._parse_builtin(f"builtin:{spec}", 1)
+    flat = ch.kraus_ops.reshape(len(ch), -1)
+    spectrum = linalg.eigvalsh(qch._lower_product(flat))[::-1]
+    want = spectrum[qch._nonzero(spectrum)] / ch.input_dim
+    got = qch._kraus_weights(ch)[0]
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------- constructors
 
 @pytest.mark.parametrize("spec, seed, oracle", [
@@ -630,7 +643,7 @@ def test_minimal_kraus_weights_are_the_gram_eigenvalues(rng):
                                         math.sqrt(0.25) * np.diag([1.0, -1.0]).astype(complex)]),
     ("random_unitary:4,3,7", 7, lambda rng: oracles.scaled_unitaries(4, 3, rng)),
     ("random_unitary:256,2,505", 505, lambda rng: oracles.scaled_unitaries(256, 2, rng)),
-    ("haar_random:3,5,4,2", 2, lambda rng: linalg.haar_isometry(20, 3, rng).reshape(4, 5, 3)),
+    ("haar_random:3,5,4,2", 2, lambda rng: oracles.haar_isometry(20, 3, rng).reshape(4, 5, 3)),
 ])
 def test_builtin_stacks_equal_the_per_operator_lists_bit_for_bit(spec, seed, oracle):
     # each builtin's Kraus stack has the bits of its operators formed one at a time
@@ -730,7 +743,7 @@ def test_depolarizing_general_dim(rng):
 
 
 def test_random_unitary_mixture_length(rng):
-    us = [linalg.haar_isometry(4, 4, rng) for _ in range(2)]
+    us = [oracles.haar_isometry(4, 4, rng) for _ in range(2)]
     ch = oracles.unitary_mixture(us)
     assert qch.classify(ch).length == 2
 

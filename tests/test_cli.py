@@ -948,9 +948,12 @@ def test_thread_count_does_not_change_bytes():
 
 
 def test_pinned_gemms_keep_their_bytes_on_two_threads():
-    # OpenBLAS rounds the Gram matrix of 40 operators of 17 x 33, and the dense type-block
-    # Grams at n = 15, differently on two threads than on one; both run on one thread
+    # OpenBLAS rounds the Gram matrix of 40 operators of 17 x 33, the recombination of
+    # 700 qubit operators into the minimal family, and the dense type-block Grams at
+    # n = 15, differently on two threads than on one; all three run on one thread
     for argv in (["typicality", "--channel", "builtin:haar_random:33,17,40,1", "--epsilon", "0.5",
+                  "--n-min", "1", "--n-max", "1", "--seed", "1"],
+                 ["typicality", "--channel", "builtin:random_unitary:2,700", "--epsilon", "0.1",
                   "--n-min", "1", "--n-max", "1", "--seed", "1"],
                  ["typicality", "--channel", "builtin:haar_random:2,2,3,1", "--epsilon", "0.1",
                   "--n-min", "15", "--n-max", "15", "--seed", "1"]):

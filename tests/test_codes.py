@@ -16,7 +16,7 @@ import oracles
 
 def random_code(rng, m, k):
     """A Haar-random code: its M x K isometry."""
-    return linalg.haar_isometry(m, k, rng)
+    return oracles.haar_isometry(m, k, rng)
 
 
 def bound_report(code, ch):
@@ -195,7 +195,7 @@ def test_deviation_frobenius_sq_is_the_entry_sum_of_d():
     # 40 codes of the 8-qubit mixture at K = 2: ||D||_F^2 against the exact sum of
     # |D_ij|^2 over the Hermitian D that eigvalsh reads (the lower triangle, mirrored)
     ch = cli._parse_builtin("builtin:random_unitary:256,2,505", 505)
-    bases = np.stack([linalg.haar_isometry(256, 2, rc.sample_stream(505, i)) for i in range(40)])
+    bases = np.stack([oracles.haar_isometry(256, 2, rc.sample_stream(505, i)) for i in range(40)])
     fro_sq = codes.bound_columns(bases, ch)[:, codes.BOUND_COLUMNS.index("deviation_frobenius_sq")]
     for got, d in zip(fro_sq, codes._deviation_batch(bases, ch)[1]):
         strict_lower = np.abs(d[np.tril_indices(len(d), -1)]) ** 2
@@ -246,9 +246,9 @@ def test_kernel_bits_do_not_depend_on_stack_size(rng, family, k):
     if family == "rectangular":
         ch = qch.haar_random_channel(3, 5, 4, rng)
     else:
-        row = 0.9 * linalg.haar_isometry(4, 1, rng).T
+        row = 0.9 * oracles.haar_isometry(4, 1, rng).T
         ch = qch.KrausChannel(input_dim=4, output_dim=1, kraus_ops=(row,))
-    bases = np.stack([linalg.haar_isometry(ch.input_dim, k, rng) for _ in range(64)])
+    bases = np.stack([oracles.haar_isometry(ch.input_dim, k, rng) for _ in range(64)])
     whole = codes._deviation_batch(bases, ch)
     for size in (1, 7, 8, 9):
         parts = [codes._deviation_batch(bases[i:i + size], ch)
@@ -350,7 +350,7 @@ def test_bound_kraus_eight_qubit_mixture():
     # comfortably inside [0, 1] (the ensemble mean is >= 0.875)
     rng = np.random.default_rng(808)
     dim = 256
-    us = [linalg.haar_isometry(dim, dim, rng) for _ in range(2)]
+    us = [oracles.haar_isometry(dim, dim, rng) for _ in range(2)]
     ch = oracles.unitary_mixture(us)
     code = random_code(rng, dim, 2)
     rep = bound_report(code, ch)

@@ -18,9 +18,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qcap import channels as qch
-from qcap import linalg
 from qcap import random_coding as rc
 from qcap import typicality as tp
+import oracles
 
 MAPS = ("input", "output", "kraus")
 
@@ -28,11 +28,11 @@ MAPS = ("input", "output", "kraus")
 def mapped(ch: qch.KrausChannel, which: str, rng: np.random.Generator) -> qch.KrausChannel:
     ops = ch.kraus_ops
     if which == "input":
-        ops = ops @ linalg.haar_isometry(ch.input_dim, ch.input_dim, rng).conj().T
+        ops = ops @ oracles.haar_isometry(ch.input_dim, ch.input_dim, rng).conj().T
     elif which == "output":
-        ops = linalg.haar_isometry(ch.output_dim, ch.output_dim, rng) @ ops
+        ops = oracles.haar_isometry(ch.output_dim, ch.output_dim, rng) @ ops
     else:
-        ops = np.einsum("kl,lab->kab", linalg.haar_isometry(len(ch), len(ch), rng), ops)
+        ops = np.einsum("kl,lab->kab", oracles.haar_isometry(len(ch), len(ch), rng), ops)
     return qch.KrausChannel(input_dim=ch.input_dim, output_dim=ch.output_dim, kraus_ops=ops)
 
 

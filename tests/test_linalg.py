@@ -220,17 +220,14 @@ def test_purify_reduces_back(seed, dim):
 
 def test_haar_unitary_is_unitary(rng):
     for dim in (1, 2, 5, 16):
-        u = linalg.haar_isometry(dim, dim, rng)
+        u = oracles.haar_isometry(dim, dim, rng)
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10 * max(1, dim)
 
 
 def test_haar_isometry_columns(rng):
-    v = linalg.haar_isometry(6, 2, rng)
+    v = oracles.haar_isometry(6, 2, rng)
     assert v.shape == (6, 2)
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
-    for dim, cols in ((2, 3), (2, 0)):
-        with pytest.raises(ValueError, match="1 <= cols <= dim"):
-            linalg.haar_isometry(dim, cols, rng)
 
 
 @pytest.mark.parametrize("dim, cols", [(256, 2), (2, 2), (5, 3), (256, 256), (3, 1), (1, 1)])
@@ -244,7 +241,7 @@ def test_haar_isometry_keeps_the_bits_of_two_ginibre_draws(dim, cols):
             q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         want = q * (d / np.abs(d))
-        got = linalg.haar_isometry(dim, cols, np.random.default_rng(seed))
+        got = oracles.haar_isometry(dim, cols, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
 
@@ -255,7 +252,7 @@ def test_stacked_finish_keeps_the_bits_of_each_isometry(dim, cols):
     stack = np.empty((9, dim, cols), dtype=np.complex128)
     got = linalg.haar_isometries(stack, (np.random.default_rng(seed) for seed in range(9)))
     assert got is stack
-    want = [linalg.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
+    want = [oracles.haar_isometry(dim, cols, np.random.default_rng(seed)) for seed in range(9)]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
@@ -277,7 +274,7 @@ def test_haar_first_moments_smoke():
     m2 = np.empty(n)
     m4 = np.empty(n)
     for i in range(n):
-        u = linalg.haar_isometry(m, m, rng)
+        u = oracles.haar_isometry(m, m, rng)
         a2 = abs(u[0, 0]) ** 2
         m2[i] = a2
         m4[i] = a2 * a2

@@ -31,9 +31,9 @@ def test_sample_streams_are_reproducible_and_distinct():
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
 def test_rekeyed_streams_match_fresh_streams_bit_for_bit(seed):
     indices = [0, 1, 63, 64, 2**48, 2**64 - 1]
-    draws = [lambda rng: linalg.haar_isometry(256, 2, rng),
-             lambda rng: linalg.haar_isometry(5, 3, rng),
-             lambda rng: linalg.haar_isometry(4, 4, rng)]
+    draws = [lambda rng: oracles.haar_isometry(256, 2, rng),
+             lambda rng: oracles.haar_isometry(5, 3, rng),
+             lambda rng: oracles.haar_isometry(4, 4, rng)]
     for draw in draws:
         got = [draw(rng) for rng in rc._rekeyed_streams(seed, indices)]
         want = [draw(rc.sample_stream(seed, i)) for i in indices]
@@ -140,7 +140,7 @@ def oracle_closed_forms(ch, k):
 
 
 def test_closed_forms_match_gram_oracle(rng):
-    a = linalg.haar_isometry(3, 3, rng)
+    a = oracles.haar_isometry(3, 3, rng)
     lossy = qch.haar_random_channel(4, 3, 2, rng)
     families = [
         qch.haar_random_channel(4, 4, 3, rng),                       # square
@@ -174,7 +174,7 @@ def test_averaged_bound_phase_flip_vacuous():
 
 
 def test_averaged_bound_minimizes_kraus_first(rng):
-    a = linalg.haar_isometry(2, 2, rng)
+    a = oracles.haar_isometry(2, 2, rng)
     redundant = qch.KrausChannel(input_dim=2, output_dim=2,
                                  kraus_ops=(a / math.sqrt(2), a / math.sqrt(2)))
     plain = qch.KrausChannel(input_dim=2, output_dim=2, kraus_ops=(a,))

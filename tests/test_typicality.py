@@ -151,7 +151,7 @@ def near_equal_kraus_weights():
     """`minimal_kraus` weights of depolarizing(0.3, 3) with its family first recombined
     by a Haar unitary: the eigensolve returns the eight equal weights tens of ulps apart."""
     ch = qch.depolarizing(0.3, 3)
-    v = linalg.haar_isometry(len(ch), len(ch), np.random.default_rng(0))
+    v = oracles.haar_isometry(len(ch), len(ch), np.random.default_rng(0))
     rotated = qch.KrausChannel(input_dim=3, output_dim=3,
                                kraus_ops=tuple(np.einsum("jk,kab->jab", v, ch.kraus_ops)))
     return tuple(qch.minimal_kraus(rotated)[1])
@@ -467,7 +467,7 @@ def test_typical_channel_phase_flip_mass():
 
 
 def test_uniform_gram_channel_everything_typical(rng):
-    u = linalg.haar_isometry(2, 2, rng)
+    u = oracles.haar_isometry(2, 2, rng)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = oracles.unitary_mixture([u, u @ x])
     for eps in (0.01, 0.4):
@@ -915,7 +915,7 @@ def test_fidelity_chain_under_reduction_and_projection():
             for i in range(10):
                 rng = rc.sample_stream(99, n * 1000 + i)
                 k = int(rng.integers(1, 5))
-                pi_c = oracles.normalized_projector(linalg.haar_isometry(2**n, k, rng))
+                pi_c = oracles.normalized_projector(oracles.haar_isometry(2**n, k, rng))
                 fe_full = oracles.entanglement_fidelity(pi_c, full)
                 fe_typ = oracles.entanglement_fidelity(pi_c, typ_dense)
                 fe_red = oracles.entanglement_fidelity(pi_c, red_dense)
@@ -942,6 +942,6 @@ def test_subspace_restricted_info_pure_input_vanishes(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     ch = qch.haar_random_channel(dim, dim, int(rng.integers(1, 4)), rng)
-    code = linalg.haar_isometry(dim, 1, rng)
+    code = oracles.haar_isometry(dim, 1, rng)
     info = oracles.coherent_information(oracles.normalized_projector(code), ch)
     assert info == pytest.approx(0.0, abs=1e-9)
